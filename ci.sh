@@ -61,6 +61,14 @@ go test ./internal/milp -run 'TestRandomMILPsAgainstBruteForce' -short -queue=sh
 # equivalence tests silently lose their referee.
 RAHA_LP_DENSE=1 go test ./internal/milp -run 'TestRandomMILPsAgainstBruteForce' -short
 
+# The benchmark module (bench/, its own go.mod, so `./...` above does not
+# reach it): vet, its tests at the scaled-down -short workloads — the oracle,
+# the manifest-vs-BENCHMARK.json pin, the compare rule — and the same
+# analyzer suite. It measures this tree through the public entry points, so
+# a change here that breaks its build or its pinned answers fails CI rather
+# than the next benchmark run.
+(cd bench && go vet . && go test -short . && go run raha/cmd/raha-lint -json ./... >/dev/null)
+
 # Static model check over a real paper model: -check runs the
 # internal/modelcheck diagnostic pass before the solve and exits non-zero
 # on any error-severity diagnostic, so a regression in the §5 encodings

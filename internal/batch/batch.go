@@ -191,8 +191,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 // runTopology loads one source and runs the full grid on it under the
 // per-topology budget. Every failure mode lands in the returned TopoResult.
-func runTopology(ctx context.Context, cfg *Config, src Source, cells []Cell) TopoResult {
-	res := TopoResult{Name: src.Name, Kind: src.Kind}
+func runTopology(ctx context.Context, cfg *Config, src Source, cells []Cell) (res TopoResult) {
+	res = TopoResult{Name: src.Name, Kind: src.Kind}
 	if tr := cfg.Tracer; tr != nil {
 		tr.Emit("batch", "sweep_topo_start", obs.F{
 			"topology": src.Name,
@@ -248,6 +248,10 @@ func runTopology(ctx context.Context, cfg *Config, src Source, cells []Cell) Top
 	}
 
 	res.Cells = make([]CellResult, 0, len(cells))
+	// The pair selection depends on the topology, the seed and the model's
+	// pair count only, so cells share it instead of re-ranking all n·(n−1)
+	// pairs each.
+	pairs := make(map[int][][2]topology.Node)
 	for _, cell := range cells {
 		var cr CellResult
 		switch {
@@ -256,7 +260,7 @@ func runTopology(ctx context.Context, cfg *Config, src Source, cells []Cell) Top
 		case topoCtx.Err() != nil:
 			cr = CellResult{Cell: cell, Err: "topology budget exhausted"}
 		default:
-			cr = runCell(topoCtx, cfg, top, cell, phaseBudget)
+			cr = runCell(topoCtx, cfg, top, cell, phaseBudget, pairs)
 		}
 		cCells.Inc()
 		if cr.Err != "" {
@@ -289,8 +293,9 @@ func loadSource(src Source) (top *topology.Topology, err error) {
 
 // runCell runs the two-phase alert check for one grid cell and self-checks
 // the result's invariants. Panics anywhere below (model build, solver,
-// verification) are caught and recorded as the cell's failure.
-func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell, phaseBudget time.Duration) (cr CellResult) {
+// verification) are caught and recorded as the cell's failure. pairsBySize
+// caches the topology's demand.TopPairs selections, keyed by pair count.
+func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell, phaseBudget time.Duration, pairsBySize map[int][][2]topology.Node) (cr CellResult) {
 	cr.Cell = cell
 	start := time.Now()
 	defer func() {
@@ -305,7 +310,11 @@ func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell
 		seed = 1
 	}
 	dm := cell.Demand
-	pairs := demand.TopPairs(top, dm.Pairs, seed)
+	pairs, ok := pairsBySize[dm.Pairs]
+	if !ok {
+		pairs = demand.TopPairs(top, dm.Pairs, seed)
+		pairsBySize[dm.Pairs] = pairs
+	}
 	if len(pairs) == 0 {
 		cr.Err = "no demand pairs"
 		return cr

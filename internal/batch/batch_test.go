@@ -3,6 +3,7 @@ package batch
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -23,13 +24,20 @@ func tinyGrid() Grid {
 
 // memTracer records emitted events for assertions.
 type memTracer struct {
-	mu     sync.Mutex
-	events []string // "layer/ev"
+	mu       sync.Mutex
+	events   []string           // "layer/ev"
+	topoSecs map[string]float64 // sweep_topo_end's runtime_s by topology
 }
 
 func (m *memTracer) Emit(layer, ev string, fields obs.F) {
 	m.mu.Lock()
 	m.events = append(m.events, layer+"/"+ev)
+	if ev == "sweep_topo_end" {
+		if m.topoSecs == nil {
+			m.topoSecs = make(map[string]float64)
+		}
+		m.topoSecs[fields["topology"].(string)] = fields["runtime_s"].(float64)
+	}
 	m.mu.Unlock()
 }
 
@@ -81,6 +89,12 @@ func TestSweepFixtureCorpus(t *testing.T) {
 		"isolated": "not connected",
 	}
 	for _, tres := range rep.Topologies {
+		// Runtime is set as runTopology returns (it once stayed 0: the
+		// deferred write went to a copy), failed loads included, and is the
+		// figure the end event carries.
+		if secs, ok := tr.topoSecs[tres.Name]; tres.Runtime <= 0 || !ok || math.Float64bits(secs) != math.Float64bits(tres.Runtime.Seconds()) {
+			t.Errorf("topology %s: Runtime %v, sweep_topo_end runtime_s %v (present %v)", tres.Name, tres.Runtime, secs, ok)
+		}
 		want, poisoned := wantFailures[tres.Name]
 		if poisoned {
 			if !strings.Contains(tres.Err, want) {

@@ -152,7 +152,7 @@ func TopPairs(t *topology.Topology, n int, seed int64) [][2]topology.Node {
 		p [2]topology.Node
 		v float64
 	}
-	var all []scored
+	all := make([]scored, 0, t.NumNodes()*(t.NumNodes()-1))
 	for a := 0; a < t.NumNodes(); a++ {
 		for b := 0; b < t.NumNodes(); b++ {
 			if a == b {

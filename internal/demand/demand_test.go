@@ -1,7 +1,10 @@
 package demand
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
+	"reflect"
 	"testing"
 
 	"raha/internal/topology"
@@ -156,5 +159,41 @@ func TestQuantizer(t *testing.T) {
 	}
 	if _, err := NewQuantizer(e, 21); err == nil {
 		t.Fatal("bits=21 must error")
+	}
+}
+
+// TestTopPairsGolden pins TopPairs' selection — which pairs, in which order —
+// on B4 and on a 40-node synthetic topology, for a short list, the
+// AfricaWAN-sized 150 and a request beyond all n·(n−1) pairs. The values are
+// those of the implementation that grew its candidate slice by append.
+func TestTopPairsGolden(t *testing.T) {
+	got := TopPairs(topology.B4(), 12, 4)
+	want := [][2]topology.Node{{3, 8}, {8, 3}, {3, 6}, {6, 3}, {6, 8}, {8, 6}, {3, 11}, {11, 3}, {8, 11}, {11, 8}, {3, 9}, {9, 3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("B4: TopPairs = %v, want %v", got, want)
+	}
+
+	syn, err := topology.Generate(topology.GenConfig{Nodes: 40, LAGs: 60, ExtraLinks: 10, Seed: 7, MeanLinkCapacity: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		n, wantLen int
+		hash       uint64
+		last       [2]topology.Node
+	}{
+		{6, 6, 0x9f115e6da2957585, [2]topology.Node{30, 20}},
+		{150, 150, 0xa1b07019159b1bad, [2]topology.Node{34, 13}},
+		{5000, 1560, 0x1fc109135b32ff27, [2]topology.Node{8, 23}},
+	} {
+		ps := TopPairs(syn, tc.n, 7)
+		h := fnv.New64a()
+		for _, p := range ps {
+			fmt.Fprintf(h, "%d>%d,", p[0], p[1])
+		}
+		if len(ps) != tc.wantLen || h.Sum64() != tc.hash || ps[len(ps)-1] != tc.last {
+			t.Errorf("synthetic n=%d: %d pairs, hash %#x, last %v; want %d, %#x, %v",
+				tc.n, len(ps), h.Sum64(), ps[len(ps)-1], tc.wantLen, tc.hash, tc.last)
+		}
 	}
 }

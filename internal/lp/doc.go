@@ -1,6 +1,6 @@
 // Package lp implements a self-contained linear-programming solver: a
-// revised simplex method with bounded variables over a sparse
-// column-oriented (CSC) constraint matrix.
+// revised simplex method with bounded variables over a sparse constraint
+// matrix held both column-wise (CSC) and row-wise (CSR).
 //
 // It is the foundation of the repository's optimization stack and stands in
 // for the LP core of the commercial solver (Gurobi) that the Raha paper
@@ -11,13 +11,17 @@
 // The default path (sparse.go) maintains an LU factorization of the basis
 // with partial pivoting plus a product-form eta file that absorbs basis
 // changes between refactorizations; refactorization triggers on eta-chain
-// length, a small eta pivot, or accumulated growth (lu.go). Ratio tests use
-// a Harris-style two-pass scheme that trades bounded infeasibility within
-// the feasibility tolerance for larger, more stable pivots, and problems
-// are equilibrated at load with power-of-two geometric-mean row/column
-// scaling that is undone exactly on extraction. Per-Problem workspaces
-// (Problem.sp) amortize all of this to near-zero allocation per re-solve
-// under branch and bound. DESIGN.md §2.13 is the full writeup.
+// length, a small eta pivot, or accumulated growth (lu.go). Factorization,
+// FTRAN/BTRAN and the pivot row all cost what they touch rather than the
+// basis dimension, while doing exactly the arithmetic of their
+// straightforward versions (kept as references in lu_ref_test.go). Ratio
+// tests use a Harris-style two-pass scheme that trades bounded
+// infeasibility within the feasibility tolerance for larger, more stable
+// pivots, and problems are equilibrated at load with power-of-two
+// geometric-mean row/column scaling that is undone exactly on extraction.
+// Per-Problem workspaces (Problem.sp) amortize all of this to near-zero
+// allocation per re-solve under branch and bound. DESIGN.md §2.13 is the
+// full writeup.
 //
 // The original dense-tableau two-phase solver is retained in dense.go as
 // executable ground truth: the dense-vs-sparse equivalence tests run every

@@ -50,6 +50,19 @@ type luFactor struct {
 	uval []float64
 	diag []float64
 
+	// Row-wise companions for BTRAN, built by finish once all m columns are
+	// factored: U by row (step t's entries right of the diagonal live in
+	// utcol/utval[utptr[t]:utptr[t+1]], addressing later steps in ascending
+	// order) and the pattern of L by original row (ltstep[ltptr[r]:
+	// ltptr[r+1]] lists the steps whose L column holds row r). lneed is the
+	// Lᵀ pass's pending-step marks, all false between solves.
+	utptr  []int32
+	utcol  []int32
+	utval  []float64
+	ltptr  []int32
+	ltstep []int32
+	lneed  []bool
+
 	// Product-form eta file: eta e (in push order) replaces basis slot
 	// epiv[e] with the FTRANned entering column alpha; its off-pivot
 	// entries live in eslot/eval[eptr[e]:eptr[e+1]] (slot-indexed) with the
@@ -68,12 +81,15 @@ type luFactor struct {
 	// Factorization scratch: w is a dense working column over original
 	// rows, valid where wmark equals the current generation stamp; touch
 	// lists the rows marked this generation. pstep is the inverse of prow
-	// (original row → step, -1 while unpivoted).
+	// (original row → step, -1 while unpivoted). reach is a binary min-heap
+	// of the earlier steps the column being factored must be eliminated
+	// against (see factorColumn).
 	pstep []int32
 	w     []float64
 	wmark []int32
 	wgen  int32
 	touch []int32
+	reach []int32
 }
 
 // reset prepares the factor for a fresh factorization of an m×m basis,
@@ -86,6 +102,7 @@ func (f *luFactor) reset(m int) {
 		f.diag = make([]float64, m)
 		f.w = make([]float64, m)
 		f.wmark = make([]int32, m)
+		f.lneed = make([]bool, m)
 	}
 	if cap(f.lptr) < m+1 {
 		f.lptr = make([]int32, m+1)
@@ -96,6 +113,7 @@ func (f *luFactor) reset(m int) {
 	f.diag = f.diag[:m]
 	f.w = f.w[:m]
 	f.wmark = f.wmark[:m]
+	f.lneed = f.lneed[:m]
 	f.lptr = f.lptr[:m+1]
 	f.uptr = f.uptr[:m+1]
 	for i := 0; i < m; i++ {
@@ -140,35 +158,75 @@ func (f *luFactor) fillPermille() int64 {
 	return int64(nnz) * 1000 / int64(f.basisNnz)
 }
 
-// setW scatters value v into working row r, stamping it live.
+// setW scatters value v into working row r, stamping it live. A row stamped
+// for the first time that an earlier step already pivoted on joins the
+// elimination reach of the column being factored.
 func (f *luFactor) setW(r int32, v float64) {
 	if f.wmark[r] != f.wgen {
 		f.wmark[r] = f.wgen
 		f.touch = append(f.touch, r)
 		f.w[r] = v
+		if t := f.pstep[r]; t >= 0 {
+			f.pushReach(t)
+		}
 		return
 	}
 	f.w[r] += v
 }
 
+// pushReach adds step t to the binary min-heap of pending elimination steps.
+func (f *luFactor) pushReach(t int32) {
+	h := append(f.reach, t)
+	i := len(h) - 1
+	for p := (i - 1) / 2; i > 0 && h[p] > t; p = (i - 1) / 2 {
+		h[i], i = h[p], p
+	}
+	h[i] = t
+	f.reach = h
+}
+
+// popReach removes and returns the smallest pending elimination step.
+func (f *luFactor) popReach() int32 {
+	h := f.reach
+	top, n := h[0], len(h)-1
+	t := h[n] // sifted down from the root over the n entries that remain
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && h[c+1] < h[c] {
+			c++
+		}
+		if t <= h[c] {
+			break
+		}
+		h[i], i = h[c], c
+	}
+	h[i] = t
+	f.reach = h[:n]
+	return top
+}
+
 // factorColumn runs one left-looking elimination step: the caller has
 // scattered basis column k into w (via setW after beginColumn); this
-// eliminates it against steps 0..k-1, selects a partial pivot among
-// unpivoted rows, and appends the resulting L and U entries. It reports
-// false when no pivot of magnitude > minPiv exists (numerically singular).
+// eliminates it against the earlier steps it reaches, selects a partial
+// pivot among unpivoted rows, and appends the resulting L and U entries. It
+// reports false when no pivot of magnitude > minPiv exists (numerically
+// singular).
+//
+// Only steps whose pivot row is live in w can contribute, so instead of
+// scanning 0..k-1 the steps are popped from the reach heap setW maintains.
+// L column t addresses rows that were unpivoted at step t, so fill from
+// step t only ever stamps rows pivoted at later steps: every push is above
+// the step just popped, and popping ascending visits exactly the steps a
+// full scan would, in the same order.
 func (f *luFactor) factorColumn(k int, minPiv float64) bool {
-	// Eliminate against previous steps in order; fill-in lands back in w.
-	for t := 0; t < k; t++ {
-		pr := f.prow[t]
-		if f.wmark[pr] != f.wgen {
-			continue
-		}
-		pf := f.w[pr]
+	for len(f.reach) > 0 {
+		t := f.popReach()
+		pf := f.w[f.prow[t]]
 		if math.Abs(pf) <= luDropTol {
 			continue
 		}
 		// u_{t,k} = pf; subtract pf · L-column t from w.
-		f.urow = append(f.urow, int32(t))
+		f.urow = append(f.urow, t)
 		f.uval = append(f.uval, pf)
 		for e := f.lptr[t]; e < f.lptr[t+1]; e++ {
 			f.setW(f.lrow[e], -f.lval[e]*pf)
@@ -215,6 +273,58 @@ func (f *luFactor) factorColumn(k int, minPiv float64) bool {
 func (f *luFactor) beginColumn() {
 	f.wgen++
 	f.touch = f.touch[:0]
+	f.reach = f.reach[:0]
+}
+
+// finish completes a factorization after the last factorColumn: it builds
+// the row-wise copies of U and of L's pattern that btran runs on.
+func (f *luFactor) finish() {
+	f.utptr, f.utcol, f.utval = transposeCS(f.m, f.uptr, f.urow, f.uval, f.utptr, f.utcol, f.utval)
+	f.ltptr, f.ltstep, _ = transposeCS(f.m, f.lptr, f.lrow, nil, f.ltptr, f.ltstep, nil)
+}
+
+// transposeCS transposes a compressed sparse matrix: the input has
+// len(ptr)-1 lines, line l holding entries idx/val[ptr[l]:ptr[l+1]] that
+// address 0..n-1; line i of the result lists, in ascending l, every l with
+// an entry at i. The result is written over tptr/tidx/tval, reallocating
+// only when they are too small; a nil val transposes the pattern alone.
+func transposeCS(n int, ptr, idx []int32, val []float64, tptr, tidx []int32, tval []float64) ([]int32, []int32, []float64) {
+	nnz := int(ptr[len(ptr)-1])
+	if cap(tptr) < n+1 {
+		tptr = make([]int32, n+1)
+	}
+	if cap(tidx) < nnz {
+		tidx = make([]int32, nnz+nnz/4)
+	}
+	if val != nil {
+		if cap(tval) < nnz {
+			tval = make([]float64, nnz+nnz/4)
+		}
+		tval = tval[:nnz]
+	}
+	tptr, tidx = tptr[:n+1], tidx[:nnz]
+	clear(tptr)
+	for _, i := range idx[:nnz] {
+		tptr[i+1]++
+	}
+	for i := 0; i < n; i++ {
+		tptr[i+1] += tptr[i]
+	}
+	// Fill with tptr[i] as line i's cursor, which leaves every pointer one
+	// line ahead; shift them back afterwards.
+	for l := 0; l+1 < len(ptr); l++ {
+		for e := ptr[l]; e < ptr[l+1]; e++ {
+			d := tptr[idx[e]]
+			tptr[idx[e]]++
+			tidx[d] = int32(l)
+			if val != nil {
+				tval[d] = val[e]
+			}
+		}
+	}
+	copy(tptr[1:], tptr[:n])
+	tptr[0] = 0
+	return tptr, tidx, tval
 }
 
 // ftran solves B·out = x. x is original-row-indexed and is consumed as
@@ -233,14 +343,14 @@ func (f *luFactor) ftran(x, out []float64) {
 	}
 	// Back substitution by U, column-oriented, landing in step/slot order.
 	for k := m - 1; k >= 0; k-- {
-		xk := x[f.prow[k]] / f.diag[k]
+		xk := x[f.prow[k]]
+		if xk != 0 {
+			xk /= f.diag[k]
+			for e := f.uptr[k]; e < f.uptr[k+1]; e++ {
+				x[f.prow[f.urow[e]]] -= f.uval[e] * xk
+			}
+		}
 		out[k] = xk
-		if xk == 0 {
-			continue
-		}
-		for e := f.uptr[k]; e < f.uptr[k+1]; e++ {
-			x[f.prow[f.urow[e]]] -= f.uval[e] * xk
-		}
 	}
 	// Eta file, oldest first: each eta maps slot r's value through its
 	// pivot and folds the off-pivot entries into the other slots.
@@ -269,24 +379,41 @@ func (f *luFactor) btran(c, y []float64) {
 		}
 		c[r] = (c[r] - sum) / f.epval[e]
 	}
-	// Uᵀ forward substitution in step order, in place on c.
-	for k := 0; k < m; k++ {
-		sum := c[k]
-		for e := f.uptr[k]; e < f.uptr[k+1]; e++ {
-			sum -= f.uval[e] * c[f.urow[e]]
+	// Uᵀ forward substitution in step order, row-wise: once c[t] is final
+	// it is subtracted from the later steps of U's row t, so every component
+	// receives its terms in ascending t — the order a dot product down U's
+	// column would use — and a zero c[t] costs nothing. The finished value
+	// lands in original-row space on the way out.
+	for t := 0; t < m; t++ {
+		v := c[t]
+		if v != 0 {
+			v /= f.diag[t]
+			for e := f.utptr[t]; e < f.utptr[t+1]; e++ {
+				c[f.utcol[e]] -= f.utval[e] * v
+			}
 		}
-		c[k] = sum / f.diag[k]
+		y[f.prow[t]] = v
 	}
-	// Lᵀ backward substitution, scattering into original-row space.
-	for k := 0; k < m; k++ {
-		y[f.prow[k]] = c[k]
-	}
+	// Lᵀ backward substitution. Component t is y_t − Σ l·y over L column t
+	// in storage order; a scatter would reorder those terms, so the dot
+	// product stays and is merely skipped when every y it would read is
+	// zero: a step is marked only once a nonzero lands on a row its column
+	// holds. Every mark is consumed further down this loop.
 	for t := m - 1; t >= 0; t-- {
-		sum := y[f.prow[t]]
-		for e := f.lptr[t]; e < f.lptr[t+1]; e++ {
-			sum -= f.lval[e] * y[f.lrow[e]]
+		r := f.prow[t]
+		if f.lneed[t] {
+			f.lneed[t] = false
+			sum := y[r]
+			for e := f.lptr[t]; e < f.lptr[t+1]; e++ {
+				sum -= f.lval[e] * y[f.lrow[e]]
+			}
+			y[r] = sum
 		}
-		y[f.prow[t]] = sum
+		if y[r] != 0 {
+			for e := f.ltptr[r]; e < f.ltptr[r+1]; e++ {
+				f.lneed[f.ltstep[e]] = true
+			}
+		}
 	}
 }
 

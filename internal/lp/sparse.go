@@ -1,11 +1,12 @@
 package lp
 
 // The sparse revised simplex core — the default solver. The constraint
-// matrix is held column-wise (CSC) after geometric-mean scaling; the basis
-// is an LU factorization with a product-form eta file (lu.go); pricing and
-// the ratio test work against FTRAN/BTRAN solves instead of a dense
-// tableau. The dense core (dense.go) defines the pivot-rule semantics this
-// file reproduces and remains the ground truth in the equivalence tests.
+// matrix is held both column-wise (CSC) and row-wise (CSR) after
+// geometric-mean scaling; the basis is an LU factorization with a
+// product-form eta file (lu.go); pricing and the ratio test work against
+// FTRAN/BTRAN solves instead of a dense tableau. The dense core (dense.go)
+// defines the pivot-rule semantics this file reproduces and remains the
+// ground truth in the equivalence tests.
 //
 // Column layout, shared with the dense core and the exported Basis:
 // structural variables 0..nStr-1 (stored CSC columns), one slack per row
@@ -48,6 +49,12 @@ type spCache struct {
 	ptr []int32
 	rix []int32
 	val []float64
+
+	// The same scaled entries by row (CSR): row i's are cix/rval[rptr[i]:
+	// rptr[i+1]], column-sorted. Pricing walks these (see yTimesA).
+	rptr []int32
+	cix  []int32
+	rval []float64
 
 	rowScale []float64 // R: scaled row i = R_i · sign_i · (original row i)
 	colScale []float64 // C: original x_j = C_j · scaled x̂_j
@@ -221,6 +228,7 @@ func buildCache(p *Problem) *spCache {
 	}
 
 	c.ptr, c.rix, c.val = ptr, rix, val
+	c.rptr, c.cix, c.rval = transposeCS(m, ptr, rix, val, nil, nil, nil)
 	c.rowScale, c.colScale = rs, cs
 	c.bhat, c.eqRow = bhat, eq
 	return c
@@ -240,7 +248,7 @@ type spSolver struct {
 	cost   []float64 // current phase objective
 	xval   []float64
 	d      []float64 // reduced costs (dual path only; primal reprices)
-	arow   []float64 // BTRANned pivot row (dual path scratch)
+	arow   []float64 // yᵀA: the dual's pivot row, pricing's column products
 	stat   []vstat
 	slotOf []int32 // basis slot of a basic column, -1 otherwise
 
@@ -332,23 +340,66 @@ func (s *spSolver) scatterColToW(j int) {
 	}
 }
 
-// colDotY returns column j's dot product with the original-row-indexed
-// vector y (i.e. yᵀA_j).
-func (s *spSolver) colDotY(j int) float64 {
+// yTimesA fills arow[j] = yᵀA_j for every column j, for the
+// original-row-indexed y. The structural part is accumulated row by row over
+// the rows with y_i ≠ 0, in ascending i: the CSC columns are row-sorted, so
+// each arow[j] receives exactly the addends a dot product down column j
+// would, in the same order, minus terms that are exact zeros — at a cost
+// proportional to the nonzeros of y's rows rather than of A.
+func (s *spSolver) yTimesA() {
+	c := s.c
+	arow := s.arow
+	clear(arow[:s.nStr])
+	for i, yi := range s.y {
+		if yi == 0 {
+			continue
+		}
+		for e := c.rptr[i]; e < c.rptr[i+1]; e++ {
+			arow[c.cix[e]] += c.rval[e] * yi
+		}
+	}
+	copy(arow[s.nStr:], s.y) // slacks are unit columns
+	for a, r := range s.artRow {
+		arow[s.nStr+s.m+a] = s.artSign[a] * s.y[r]
+	}
+}
+
+// costRow sets y to the duals B⁻ᵀc_B of the current phase objective and arow
+// to yᵀA, so that column j's reduced cost is cost[j] − arow[j].
+func (s *spSolver) costRow() {
+	needY := false
+	for k := 0; k < s.m; k++ {
+		cb := s.cost[s.basic[k]]
+		s.cbuf[k] = cb
+		if cb != 0 {
+			needY = true
+		}
+	}
+	if needY {
+		s.fac.btran(s.cbuf, s.y)
+	} else {
+		clear(s.y)
+	}
+	s.yTimesA()
+}
+
+// loadColumn scatters column j into f's working column (after beginColumn)
+// and returns its number of entries.
+func (s *spSolver) loadColumn(f *luFactor, j int) int {
 	switch {
 	case j < s.nStr:
 		c := s.c
-		sum := 0.0
 		for e := c.ptr[j]; e < c.ptr[j+1]; e++ {
-			sum += c.val[e] * s.y[c.rix[e]]
+			f.setW(c.rix[e], c.val[e])
 		}
-		return sum
+		return int(c.ptr[j+1] - c.ptr[j])
 	case j < s.nStr+s.m:
-		return s.y[j-s.nStr]
+		f.setW(int32(j-s.nStr), 1)
 	default:
 		a := j - s.nStr - s.m
-		return s.artSign[a] * s.y[s.artRow[a]]
+		f.setW(s.artRow[a], s.artSign[a])
 	}
+	return 1
 }
 
 // factorize rebuilds the LU of the current basis from scratch, clearing the
@@ -359,27 +410,13 @@ func (s *spSolver) factorize(minPiv float64) bool {
 	f.reset(s.m)
 	nnz := 0
 	for k := 0; k < s.m; k++ {
-		j := int(s.basic[k])
 		f.beginColumn()
-		switch {
-		case j < s.nStr:
-			c := s.c
-			for e := c.ptr[j]; e < c.ptr[j+1]; e++ {
-				f.setW(c.rix[e], c.val[e])
-				nnz++
-			}
-		case j < s.nStr+s.m:
-			f.setW(int32(j-s.nStr), 1)
-			nnz++
-		default:
-			a := j - s.nStr - s.m
-			f.setW(s.artRow[a], s.artSign[a])
-			nnz++
-		}
+		nnz += s.loadColumn(f, int(s.basic[k]))
 		if !f.factorColumn(k, minPiv) {
 			return false
 		}
 	}
+	f.finish()
 	f.basisNnz = nnz
 	return true
 }
@@ -636,21 +673,7 @@ func (s *spSolver) pinArtificials() {
 // instead of carrying an updated reduced-cost row). Returns q = -1 at
 // optimality; under Bland's rule it returns the first improving column.
 func (s *spSolver) price(bland bool) (int, float64) {
-	needY := false
-	for k := 0; k < s.m; k++ {
-		cb := s.cost[s.basic[k]]
-		s.cbuf[k] = cb
-		if cb != 0 {
-			needY = true
-		}
-	}
-	if needY {
-		s.fac.btran(s.cbuf, s.y)
-	} else {
-		for i := range s.y {
-			s.y[i] = 0
-		}
-	}
+	s.costRow()
 	best := costTol
 	q := -1
 	dir := 1.0
@@ -658,7 +681,7 @@ func (s *spSolver) price(bland bool) (int, float64) {
 		if s.stat[j] == basic || s.hi[j]-s.lo[j] < feasTol {
 			continue // basic or fixed
 		}
-		dj := s.cost[j] - s.colDotY(j)
+		dj := s.cost[j] - s.arow[j]
 		var improve, dr float64
 		if s.stat[j] == atLower {
 			improve = -dj // want d<0
@@ -839,26 +862,12 @@ func (s *spSolver) step(q int, dir float64) (float64, Status) {
 // recomputeD refreshes the full reduced-cost vector from a BTRAN of the
 // basic costs (dual path bookkeeping; the primal path reprices inline).
 func (s *spSolver) recomputeD() {
-	needY := false
-	for k := 0; k < s.m; k++ {
-		cb := s.cost[s.basic[k]]
-		s.cbuf[k] = cb
-		if cb != 0 {
-			needY = true
-		}
-	}
-	if needY {
-		s.fac.btran(s.cbuf, s.y)
-	} else {
-		for i := range s.y {
-			s.y[i] = 0
-		}
-	}
+	s.costRow()
 	for j := 0; j < s.nTot; j++ {
 		if s.stat[j] == basic {
 			s.d[j] = 0
 		} else {
-			s.d[j] = s.cost[j] - s.colDotY(j)
+			s.d[j] = s.cost[j] - s.arow[j]
 		}
 	}
 }
@@ -921,13 +930,13 @@ func (s *spSolver) dual() Status {
 		}
 		s.cbuf[r] = 1
 		s.fac.btran(s.cbuf, s.y)
+		s.yTimesA()
 
 		q := -1
 		best := math.Inf(1)
 		bestAbs := 0.0
 		for j := 0; j < s.nTot; j++ {
-			a := s.colDotY(j)
-			s.arow[j] = a
+			a := s.arow[j]
 			if s.stat[j] == basic || s.hi[j]-s.lo[j] < feasTol {
 				continue
 			}

@@ -256,6 +256,7 @@ func TestLUFactorRoundTrip(t *testing.T) {
 			t.Fatalf("factorColumn(%d) reported singular", k)
 		}
 	}
+	f.finish()
 
 	mul := func(x []float64) []float64 { // B·x, rows indexed 0..m-1
 		out := make([]float64, m)

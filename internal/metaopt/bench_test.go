@@ -15,7 +15,7 @@ import (
 
 // benchConfig builds a Figure-5-style variable-demand analysis on the given
 // topology, sized so the MILP has a non-trivial tree to search.
-func benchConfig(b *testing.B, top *topology.Topology, seed int64, workers int) Config {
+func benchConfig(b testing.TB, top *topology.Topology, seed int64, workers int) Config {
 	b.Helper()
 	pairs := demand.TopPairs(top, 6, seed)
 	dps, err := paths.Compute(top, pairs, 2, 1, nil)

@@ -29,9 +29,11 @@ type Tracer interface {
 	Emit(layer, ev string, fields F)
 }
 
-// JSONLTracer writes events as JSON Lines: one object per event, marshalled
-// outside the lock, written as a single Write call under it — concurrent
-// emitters never interleave partial lines.
+// JSONLTracer writes events as JSON Lines: one object per event, stamped,
+// marshalled and written as a single Write call under one lock — concurrent
+// emitters never interleave partial lines, and timestamps never go
+// backwards down the file (a stamp taken before the lock could be overtaken
+// by a later emitter's write).
 type JSONLTracer struct {
 	start time.Time
 
@@ -49,23 +51,20 @@ func NewJSONLTracer(w io.Writer) *JSONLTracer {
 // Emit marshals and writes one event. Write errors are sticky: the first
 // one is kept (see Err) and later events are dropped.
 func (t *JSONLTracer) Emit(layer, ev string, fields F) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	e := Event{T: time.Since(t.start).Seconds(), Layer: layer, Ev: ev, Fields: fields}
 	b, err := json.Marshal(&e)
 	if err != nil {
 		// Unmarshallable payloads are a programming error; record and drop.
-		t.mu.Lock()
 		if t.err == nil {
 			t.err = err
 		}
-		t.mu.Unlock()
 		return
 	}
-	b = append(b, '\n')
-	t.mu.Lock()
 	if t.err == nil {
-		_, t.err = t.w.Write(b)
+		_, t.err = t.w.Write(append(b, '\n'))
 	}
-	t.mu.Unlock()
 }
 
 // Err returns the first write or marshal error, if any.
