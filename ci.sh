@@ -69,6 +69,23 @@ RAHA_LP_DENSE=1 go test ./internal/milp -run 'TestRandomMILPsAgainstBruteForce' 
 # than the next benchmark run.
 (cd bench && go vet . && go test -short . && go run raha/cmd/raha-lint -json ./... >/dev/null)
 
+# The four benchmark workloads themselves, 3 s each, through the entry point
+# BENCHMARK.json names: every result line must say "correct":true (the
+# re-simulation oracle and the pinned answers hold on this tree) and
+# "failed":0. A solver change that returns a wrong or worse scenario is
+# refused by the benchmark pipeline after the fact; this makes it a
+# pre-merge failure instead.
+for w in uninett_optimal b4_budget africa_fixed fleet_sweep; do
+	line=$(bash bench/run.sh --workload "$w" --seed 1 --seconds 3 --trace 0 | tail -n 1)
+	case $line in
+	*'"correct":true'*'"failed":0'*) ;;
+	*)
+		echo "bench smoke: workload $w: $line" >&2
+		exit 1
+		;;
+	esac
+done
+
 # Static model check over a real paper model: -check runs the
 # internal/modelcheck diagnostic pass before the solve and exits non-zero
 # on any error-severity diagnostic, so a regression in the §5 encodings

@@ -31,7 +31,10 @@ type Basis struct {
 
 // valid reports whether the basis is structurally consistent for a problem
 // with m rows and n = NumVars+m columns: correct lengths, exactly m basic
-// columns, and Basic a duplicate-free enumeration of them.
+// columns, and every entry of Basic one of them. That Basic names no column
+// twice is checked where each core inverts it into its column → slot map
+// (initWarm, buildWarm), which needs no scratch: SolveFrom runs once per
+// branch-and-bound node and must not allocate to validate.
 func (b *Basis) valid(m, n int) bool {
 	if b == nil || len(b.Basic) != m || len(b.Stat) != n {
 		return false
@@ -45,12 +48,10 @@ func (b *Basis) valid(m, n int) bool {
 	if nBasic != m {
 		return false
 	}
-	seen := make([]bool, n)
 	for _, q := range b.Basic {
-		if q < 0 || q >= n || b.Stat[q] != BasisBasic || seen[q] {
+		if q < 0 || q >= n || b.Stat[q] != BasisBasic {
 			return false
 		}
-		seen[q] = true
 	}
 	return true
 }

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -26,13 +27,20 @@ var benchSizes = []int{90, 450, 2600}
 // of two to seven nonzeros each, in random rows. Half the costs are positive
 // and the right-hand sides are loose, so most columns rest at a bound and
 // most rows keep their slack basic.
-func genSparseLP(seed int64, m int) *Problem {
+func genSparseLP(seed int64, m int) *Problem { return genSparseLPCols(seed, m, m, false) }
+
+// genSparseLPCols is genSparseLP with n columns; allPay makes every cost
+// negative, so every column wants to rise and more rows end up tight.
+func genSparseLPCols(seed int64, m, n int, allPay bool) *Problem {
 	rng := rand.New(rand.NewSource(seed))
-	p := NewProblem(m)
+	p := NewProblem(n)
 	rows := make([][]int, m)
 	coefs := make([][]float64, m)
-	for j := 0; j < m; j++ {
+	for j := 0; j < n; j++ {
 		p.Cost[j] = rng.NormFloat64()
+		if allPay {
+			p.Cost[j] = -math.Abs(p.Cost[j])
+		}
 		p.Hi[j] = 1 + 4*rng.Float64()
 		for k := 2 + rng.Intn(6); k > 0; k-- {
 			i := rng.Intn(m)
@@ -42,7 +50,7 @@ func genSparseLP(seed int64, m int) *Problem {
 	}
 	for i := 0; i < m; i++ {
 		if len(rows[i]) == 0 {
-			rows[i], coefs[i] = []int{rng.Intn(m)}, []float64{1}
+			rows[i], coefs[i] = []int{rng.Intn(n)}, []float64{1}
 		}
 		rel, rhs := LE, 1+3*rng.Float64()
 		if rng.Intn(8) == 0 {
@@ -57,7 +65,13 @@ func genSparseLP(seed int64, m int) *Problem {
 // with its solver workspace sitting on the optimal basis, freshly factored.
 func benchState(tb testing.TB, m int) (*Problem, *spSolver, *Basis) {
 	tb.Helper()
-	p := genSparseLP(int64(m), m)
+	return benchStateOf(tb, genSparseLP(int64(m), m))
+}
+
+// benchStateOf is benchState for a given LP.
+func benchStateOf(tb testing.TB, p *Problem) (*Problem, *spSolver, *Basis) {
+	tb.Helper()
+	m := len(p.Rows)
 	sol, err := Solve(p, nil)
 	if err != nil || sol.Status != Optimal || sol.Basis == nil {
 		tb.Fatalf("m=%d: setup solve: %v %+v", m, err, sol)
@@ -105,16 +119,37 @@ func reportTouched(b *testing.B, per []int) {
 	b.ReportMetric(float64(sum)/float64(b.N), "nnz-touched/op")
 }
 
+// BenchmarkFactorize factors an optimal basis per size and per mix. mix=30 is
+// the fixture every other benchmark here uses: about 30% of the basic columns
+// structural, the rest slack — the shape the triangular order is for. mix=60
+// is the optimal basis of a twice-as-wide LP whose every column pays (the
+// same generator, 2m columns, all costs negative), 56–63% structural: less
+// for the unit fast path to skip, more elimination behind it; its set-up
+// solve takes ~25 s at m = 2,600. m=90 is the fleet's small cell, where the
+// counting sort is overhead with little fill to save. nnz-L/op and nnz-LU/op
+// are the off-diagonal entries of L and of L+U one factorization produced.
 func BenchmarkFactorize(b *testing.B) {
-	forSizes(b, func(b *testing.B, _ *Problem, s *spSolver, _ *Basis) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if !s.factorize(warmPivTol) {
-				b.Fatal("singular")
-			}
+	for _, m := range benchSizes {
+		for _, mix := range []int{30, 60} {
+			b.Run(fmt.Sprintf("m=%d/mix=%d", m, mix), func(b *testing.B) {
+				p := genSparseLP(int64(m), m)
+				if mix == 60 {
+					p = genSparseLPCols(int64(m), m, 2*m, true)
+				}
+				_, s, _ := benchStateOf(b, p)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if !s.factorize(warmPivTol) {
+						b.Fatal("singular")
+					}
+				}
+				reportTouched(b, []int{factorizeTouched(s)})
+				b.ReportMetric(float64(len(s.fac.lval)), "nnz-L/op")
+				b.ReportMetric(float64(len(s.fac.lval)+len(s.fac.uval)), "nnz-LU/op")
+			})
 		}
-		reportTouched(b, []int{factorizeTouched(s)})
-	})
+	}
 }
 
 func BenchmarkFtran(b *testing.B) {

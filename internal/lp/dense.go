@@ -573,6 +573,9 @@ func buildWarm(p *Problem, bs *Basis) (*tableau, bool) {
 	// (numerically) singular.
 	assigned := make([]bool, m)
 	for _, q := range bs.Basic {
+		if t.brow[q] >= 0 {
+			return nil, false // named twice (Basis.valid leaves this check here)
+		}
 		r, piv := -1, warmPivTol
 		for i := 0; i < m; i++ {
 			if assigned[i] {

@@ -11,7 +11,10 @@
 // The default path (sparse.go) maintains an LU factorization of the basis
 // with partial pivoting plus a product-form eta file that absorbs basis
 // changes between refactorizations; refactorization triggers on eta-chain
-// length, a small eta pivot, or accumulated growth (lu.go). Factorization,
+// length, a small eta pivot, or accumulated growth (lu.go). The basis is
+// eliminated in a static triangular order — unit (slack) columns first,
+// then structural columns by nonzero count — which keeps L nearly empty on
+// the mostly-slack bases branch and bound produces. Factorization,
 // FTRAN/BTRAN and the pivot row all cost what they touch rather than the
 // basis dimension, while doing exactly the arithmetic of their
 // straightforward versions (kept as references in lu_ref_test.go). Ratio

@@ -4,19 +4,21 @@ package lp
 // solver that drives it).
 //
 // The basis matrix B (one column per basic variable, in slot order) is held
-// as PB = LU from the last refactorization — a left-looking Doolittle
-// factorization with partial pivoting — plus a product-form eta file, one
+// as PBQ = LU from the last refactorization — a left-looking Doolittle
+// factorization with partial pivoting (P) over a static triangular column
+// order (Q, see spSolver.orderSteps) — plus a product-form eta file, one
 // eta per basis change since. FTRAN solves Bx = b and BTRAN solves Bᵀy = c
 // against that representation; both run in O(nnz(L)+nnz(U)+nnz(etas)).
 //
 // Indexing convention, because three index spaces meet here: constraint
 // rows are "original rows" (0..m-1), basis positions are "slots" (0..m-1),
-// and elimination order is "steps" (0..m-1). prow maps step → original row;
-// L entries address original rows; U entries address earlier steps; eta
-// entries address slots. FTRAN takes an original-row-indexed vector and
-// returns a slot-indexed one; BTRAN takes slot-indexed and returns
-// original-row-indexed. Mixing these up is the classic revised-simplex bug,
-// so every method below states which space each argument lives in.
+// and elimination order is "steps" (0..m-1). prow maps step → original row
+// and slot maps step → slot; L entries address original rows; U entries
+// address earlier steps; eta entries address slots. FTRAN takes an
+// original-row-indexed vector and returns a slot-indexed one; BTRAN takes
+// slot-indexed and returns original-row-indexed. Mixing these up is the
+// classic revised-simplex bug, so every method below states which space
+// each argument lives in.
 
 import "math"
 
@@ -42,6 +44,7 @@ type luFactor struct {
 	// urow/uval[uptr[k]:uptr[k+1]], addressing earlier steps, with the
 	// diagonal split into diag[k].
 	prow []int32 // step → original row chosen as pivot at that step
+	slot []int32 // step → basis slot whose column that step factored
 	lptr []int32
 	lrow []int32
 	lval []float64
@@ -83,13 +86,16 @@ type luFactor struct {
 	// lists the rows marked this generation. pstep is the inverse of prow
 	// (original row → step, -1 while unpivoted). reach is a binary min-heap
 	// of the earlier steps the column being factored must be eliminated
-	// against (see factorColumn).
-	pstep []int32
-	w     []float64
-	wmark []int32
-	wgen  int32
-	touch []int32
-	reach []int32
+	// against (see factorColumn). bucket is the counting sort's histogram
+	// (spSolver.orderSteps). Between factorizations btran borrows w as its
+	// step-indexed Uᵀ vector; the stamps keep factorColumn from reading it.
+	pstep  []int32
+	w      []float64
+	wmark  []int32
+	wgen   int32
+	touch  []int32
+	reach  []int32
+	bucket []int32
 }
 
 // reset prepares the factor for a fresh factorization of an m×m basis,
@@ -98,6 +104,7 @@ func (f *luFactor) reset(m int) {
 	f.m = m
 	if cap(f.prow) < m {
 		f.prow = make([]int32, m)
+		f.slot = make([]int32, m)
 		f.pstep = make([]int32, m)
 		f.diag = make([]float64, m)
 		f.w = make([]float64, m)
@@ -107,8 +114,10 @@ func (f *luFactor) reset(m int) {
 	if cap(f.lptr) < m+1 {
 		f.lptr = make([]int32, m+1)
 		f.uptr = make([]int32, m+1)
+		f.bucket = make([]int32, m+1)
 	}
 	f.prow = f.prow[:m]
+	f.slot = f.slot[:m]
 	f.pstep = f.pstep[:m]
 	f.diag = f.diag[:m]
 	f.w = f.w[:m]
@@ -116,6 +125,7 @@ func (f *luFactor) reset(m int) {
 	f.lneed = f.lneed[:m]
 	f.lptr = f.lptr[:m+1]
 	f.uptr = f.uptr[:m+1]
+	f.bucket = f.bucket[:m+1]
 	for i := 0; i < m; i++ {
 		f.pstep[i] = -1
 	}
@@ -206,11 +216,11 @@ func (f *luFactor) popReach() int32 {
 }
 
 // factorColumn runs one left-looking elimination step: the caller has
-// scattered basis column k into w (via setW after beginColumn); this
-// eliminates it against the earlier steps it reaches, selects a partial
-// pivot among unpivoted rows, and appends the resulting L and U entries. It
-// reports false when no pivot of magnitude > minPiv exists (numerically
-// singular).
+// scattered the basis column of slot[k] into w (via setW after
+// beginColumn); this eliminates it against the earlier steps it reaches,
+// selects a partial pivot among unpivoted rows, and appends the resulting L
+// and U entries. It reports false when no pivot of magnitude > minPiv
+// exists (numerically singular).
 //
 // Only steps whose pivot row is live in w can contribute, so instead of
 // scanning 0..k-1 the steps are popped from the reach heap setW maintains.
@@ -341,7 +351,8 @@ func (f *luFactor) ftran(x, out []float64) {
 			x[f.lrow[e]] -= f.lval[e] * pf
 		}
 	}
-	// Back substitution by U, column-oriented, landing in step/slot order.
+	// Back substitution by U, column-oriented; step k's component is the
+	// value of the slot whose column it factored.
 	for k := m - 1; k >= 0; k-- {
 		xk := x[f.prow[k]]
 		if xk != 0 {
@@ -350,7 +361,7 @@ func (f *luFactor) ftran(x, out []float64) {
 				x[f.prow[f.urow[e]]] -= f.uval[e] * xk
 			}
 		}
-		out[k] = xk
+		out[f.slot[k]] = xk
 	}
 	// Eta file, oldest first: each eta maps slot r's value through its
 	// pivot and folds the off-pivot entries into the other slots.
@@ -379,17 +390,22 @@ func (f *luFactor) btran(c, y []float64) {
 		}
 		c[r] = (c[r] - sum) / f.epval[e]
 	}
-	// Uᵀ forward substitution in step order, row-wise: once c[t] is final
+	// U's entries address steps, so gather c from slot into step order.
+	cs := f.w
+	for t, k := range f.slot {
+		cs[t] = c[k]
+	}
+	// Uᵀ forward substitution in step order, row-wise: once cs[t] is final
 	// it is subtracted from the later steps of U's row t, so every component
 	// receives its terms in ascending t — the order a dot product down U's
-	// column would use — and a zero c[t] costs nothing. The finished value
+	// column would use — and a zero cs[t] costs nothing. The finished value
 	// lands in original-row space on the way out.
 	for t := 0; t < m; t++ {
-		v := c[t]
+		v := cs[t]
 		if v != 0 {
 			v /= f.diag[t]
 			for e := f.utptr[t]; e < f.utptr[t+1]; e++ {
-				c[f.utcol[e]] -= f.utval[e] * v
+				cs[f.utcol[e]] -= f.utval[e] * v
 			}
 		}
 		y[f.prow[t]] = v

@@ -68,17 +68,31 @@ func refFactorColumn(f *luFactor, k int, minPiv float64) bool {
 	return true
 }
 
-// refFactorize factors s's current basis into f with refFactorColumn.
-func refFactorize(s *spSolver, f *luFactor, minPiv float64) bool {
+// refFactorize factors s's current basis into f with refFactorColumn, step
+// k eliminating the column of slot order[k] — every column alike, unit
+// columns included, through the scatter and the scan. The production order
+// is an input, not re-derived (TestFactorOrder checks it on its own); the
+// slot-order loop the solver used to run is slotOrder.
+func refFactorize(s *spSolver, f *luFactor, order []int32, minPiv float64) bool {
 	f.reset(s.m)
-	for k := 0; k < s.m; k++ {
+	copy(f.slot, order)
+	for k, slot := range order {
 		f.beginColumn()
-		s.loadColumn(f, int(s.basic[k]))
+		s.loadColumn(f, int(s.basic[slot]))
 		if !refFactorColumn(f, k, minPiv) {
 			return false
 		}
 	}
 	return true
+}
+
+// slotOrder is the identity step order: slot k eliminated at step k.
+func slotOrder(m int) []int32 {
+	order := make([]int32, m)
+	for k := range order {
+		order[k] = int32(k)
+	}
+	return order
 }
 
 // refFtran is ftran dividing every component and scanning every step.
@@ -95,7 +109,7 @@ func refFtran(f *luFactor, x, out []float64) {
 	}
 	for k := m - 1; k >= 0; k-- {
 		xk := x[f.prow[k]] / f.diag[k]
-		out[k] = xk
+		out[f.slot[k]] = xk
 		if xk == 0 {
 			continue
 		}
@@ -127,15 +141,16 @@ func refBtran(f *luFactor, c, y []float64) {
 		}
 		c[r] = (c[r] - sum) / f.epval[e]
 	}
+	cs := make([]float64, m) // c by step
 	for k := 0; k < m; k++ {
-		sum := c[k]
+		sum := c[f.slot[k]]
 		for e := f.uptr[k]; e < f.uptr[k+1]; e++ {
-			sum -= f.uval[e] * c[f.urow[e]]
+			sum -= f.uval[e] * cs[f.urow[e]]
 		}
-		c[k] = sum / f.diag[k]
+		cs[k] = sum / f.diag[k]
 	}
 	for k := 0; k < m; k++ {
-		y[f.prow[k]] = c[k]
+		y[f.prow[k]] = cs[k]
 	}
 	for t := m - 1; t >= 0; t-- {
 		sum := y[f.prow[t]]
@@ -253,12 +268,12 @@ func referee(t *testing.T, s *spSolver, rng *rand.Rand, nVec int, minPiv float64
 	dense()
 	btranBoth("btran(dense)")
 
+	ok := s.factorize(minPiv) // leaves the whole step order in f.slot even when it fails
 	var ref luFactor
-	okRef := refFactorize(s, &ref, minPiv)
-	if ok := s.factorize(minPiv); ok != okRef {
+	if okRef := refFactorize(s, &ref, f.slot, minPiv); ok != okRef {
 		t.Fatalf("factorize ok = %v, reference %v", ok, okRef)
 	}
-	if !okRef {
+	if !ok {
 		return false
 	}
 	wantSameI(t, "prow", f.prow, ref.prow)

@@ -83,3 +83,25 @@ func TestSolveTelemetryStatusCounters(t *testing.T) {
 		t.Fatal("lp.infeasible did not advance")
 	}
 }
+
+// TestFillGaugeCoversWarmStart: lp.lu_fill_permille is set by every
+// factorization, not only by mid-solve refactorizations — a warm re-solve
+// that never refactors (here: no bound moved, zero pivots) still reports the
+// fill of the factorization it started from. On the mostly-slack fixture the
+// triangular order keeps that under 1.2 entries of L+U per basis entry
+// (1,113‰ measured; slot-order elimination gives 1,789‰ on the same basis).
+func TestFillGaugeCoversWarmStart(t *testing.T) {
+	p, _, basis := benchState(t, 450)
+	before := cRefacs.Value()
+	gFill.Set(0)
+	sol, err := SolveFrom(p, basis, nil)
+	if err != nil || !sol.WarmStarted {
+		t.Fatalf("warm re-solve: %v %+v", err, sol)
+	}
+	if n := cRefacs.Value() - before; n != 0 {
+		t.Fatalf("fixture: the re-solve refactorized %d times; it should not need to", n)
+	}
+	if fill := gFill.Value(); fill < 1000 || fill > 1200 {
+		t.Errorf("lp.lu_fill_permille = %d after a warm solve, want within [1000, 1200]", fill)
+	}
+}

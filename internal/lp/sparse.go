@@ -326,17 +326,14 @@ func (s *spSolver) scatterColToW(j int) {
 	for i := range s.w {
 		s.w[i] = 0
 	}
-	switch {
-	case j < s.nStr:
-		c := s.c
-		for e := c.ptr[j]; e < c.ptr[j+1]; e++ {
-			s.w[c.rix[e]] = c.val[e]
-		}
-	case j < s.nStr+s.m:
-		s.w[j-s.nStr] = 1
-	default:
-		a := j - s.nStr - s.m
-		s.w[s.artRow[a]] = s.artSign[a]
+	if j >= s.nStr {
+		r, v := s.unitColumn(j)
+		s.w[r] = v
+		return
+	}
+	c := s.c
+	for e := c.ptr[j]; e < c.ptr[j+1]; e++ {
+		s.w[c.rix[e]] = c.val[e]
 	}
 }
 
@@ -383,41 +380,94 @@ func (s *spSolver) costRow() {
 	s.yTimesA()
 }
 
+// unitColumn returns the row and the ±1 coefficient of slack or artificial
+// column j.
+func (s *spSolver) unitColumn(j int) (int32, float64) {
+	if a := j - s.nStr - s.m; a >= 0 {
+		return s.artRow[a], s.artSign[a]
+	}
+	return int32(j - s.nStr), 1
+}
+
 // loadColumn scatters column j into f's working column (after beginColumn)
 // and returns its number of entries.
 func (s *spSolver) loadColumn(f *luFactor, j int) int {
-	switch {
-	case j < s.nStr:
-		c := s.c
-		for e := c.ptr[j]; e < c.ptr[j+1]; e++ {
-			f.setW(c.rix[e], c.val[e])
-		}
-		return int(c.ptr[j+1] - c.ptr[j])
-	case j < s.nStr+s.m:
-		f.setW(int32(j-s.nStr), 1)
-	default:
-		a := j - s.nStr - s.m
-		f.setW(s.artRow[a], s.artSign[a])
+	if j >= s.nStr {
+		f.setW(s.unitColumn(j))
+		return 1
 	}
-	return 1
+	c := s.c
+	for e := c.ptr[j]; e < c.ptr[j+1]; e++ {
+		f.setW(c.rix[e], c.val[e])
+	}
+	return int(c.ptr[j+1] - c.ptr[j])
 }
 
-// factorize rebuilds the LU of the current basis from scratch, clearing the
-// eta file. It reports false when the basis is numerically singular at the
-// given pivot floor.
+// orderSteps fills fac.slot with the static triangular elimination order:
+// every basic slack or artificial first, in ascending slot order, then the
+// structural columns by ascending stored nonzero count, ties in slot order
+// (one counting sort over the cache's column pointers). A unit column
+// eliminated before any structural one pivots on its own row with no L and
+// no U entries, and a sparse structural column met early has little behind
+// it to fill; the order reads only the pattern, never a value, so partial
+// pivoting inside each step keeps its |l| ≤ 1 bound.
+func (s *spSolver) orderSteps() {
+	f, ptr := &s.fac, s.c.ptr
+	bucket := f.bucket
+	clear(bucket)
+	pos := int32(0)
+	for k, j := range s.basic {
+		if int(j) >= s.nStr {
+			f.slot[pos] = int32(k)
+			pos++
+		} else {
+			bucket[ptr[j+1]-ptr[j]]++
+		}
+	}
+	for n, cnt := range bucket {
+		bucket[n] = pos
+		pos += cnt
+	}
+	for k, j := range s.basic {
+		if int(j) < s.nStr {
+			n := ptr[j+1] - ptr[j]
+			f.slot[bucket[n]] = int32(k)
+			bucket[n]++
+		}
+	}
+}
+
+// factorize rebuilds the LU of the current basis from scratch, in the order
+// orderSteps lays down, clearing the eta file. It reports false when the
+// basis is numerically singular at the given pivot floor.
 func (s *spSolver) factorize(minPiv float64) bool {
 	f := &s.fac
 	f.reset(s.m)
+	s.orderSteps()
 	nnz := 0
-	for k := 0; k < s.m; k++ {
+	for k, slot := range f.slot {
+		j := int(s.basic[slot])
+		if j >= s.nStr {
+			// A unit column whose row is still unpivoted is a finished
+			// step: pivot ±1 on that row, nothing in L, nothing in U. A
+			// taken row (two unit columns of one row) goes the general way,
+			// which finds no pivot and reports the basis singular.
+			if r, v := s.unitColumn(j); f.pstep[r] < 0 {
+				f.prow[k], f.pstep[r], f.diag[k] = r, int32(k), v
+				f.lptr[k+1], f.uptr[k+1] = f.lptr[k], f.uptr[k]
+				nnz++
+				continue
+			}
+		}
 		f.beginColumn()
-		nnz += s.loadColumn(f, int(s.basic[k]))
+		nnz += s.loadColumn(f, j)
 		if !f.factorColumn(k, minPiv) {
 			return false
 		}
 	}
 	f.finish()
 	f.basisNnz = nnz
+	gFill.Set(f.fillPermille())
 	return true
 }
 
@@ -431,7 +481,6 @@ func (s *spSolver) refactor() bool {
 	if !s.factorize(luPivotFloor) {
 		return false
 	}
-	gFill.Set(s.fac.fillPermille())
 	s.recomputeXB()
 	return true
 }
@@ -580,8 +629,9 @@ func (s *spSolver) initCold(p *Problem, c *spCache) {
 }
 
 // initWarm prepares a warm solve directly in the inherited basis: no
-// artificials, the real objective from the start.
-func (s *spSolver) initWarm(p *Problem, c *spCache, b *Basis) {
+// artificials, the real objective from the start. It reports false when
+// b.Basic names a column twice (the one check Basis.valid leaves to it).
+func (s *spSolver) initWarm(p *Problem, c *spCache, b *Basis) bool {
 	m, nStr := len(p.Rows), p.NumVars
 	s.c = c
 	s.m, s.nStr = m, nStr
@@ -632,10 +682,14 @@ func (s *spSolver) initWarm(p *Problem, c *spCache, b *Basis) {
 		}
 	}
 	for k, q := range b.Basic {
+		if s.slotOf[q] >= 0 {
+			return false
+		}
 		s.basic[k] = int32(q)
 		s.slotOf[q] = int32(k)
 	}
 	s.cap = 50*(m+nTot) + 1000
+	return true
 }
 
 // setPhase2Cost installs the (scaled) real objective.
@@ -1136,13 +1190,15 @@ func solveSparse(p *Problem, opt *Options) (*Solution, bool) {
 }
 
 // solveFromSparse re-optimizes p from an inherited basis on the sparse
-// core. ok = false requests the cold fallback: the basis would not
-// factorize at warmPivTol, it is no longer dual-feasible under the new
-// bounds, or the solve hit a numerical catastrophe mid-flight.
+// core. ok = false requests the cold fallback: the basis names a column
+// twice or would not factorize at warmPivTol, it is no longer dual-feasible
+// under the new bounds, or the solve hit a numerical catastrophe mid-flight.
 func solveFromSparse(p *Problem, b *Basis, opt *Options) (*Solution, bool) {
 	c := p.cache()
 	s := &c.s
-	s.initWarm(p, c, b)
+	if !s.initWarm(p, c, b) {
+		return nil, false
+	}
 	if opt != nil && opt.MaxIters > 0 {
 		s.cap = opt.MaxIters
 	}

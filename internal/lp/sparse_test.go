@@ -246,6 +246,7 @@ func TestLUFactorRoundTrip(t *testing.T) {
 	var f luFactor
 	f.reset(m)
 	for k := 0; k < m; k++ {
+		f.slot[k] = int32(k)
 		f.beginColumn()
 		for i, v := range cols[k] {
 			if v != 0 {

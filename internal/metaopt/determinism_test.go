@@ -15,6 +15,15 @@ import (
 // the LP kernels that claims to keep every floating-point operation as it
 // was (internal/lp/lu_ref_test.go referees the kernels one by one) has to
 // leave them alone; a change that means to alter the search updates them.
+//
+// The counts are pinned to the LU's elimination order. They were 526 / 536 /
+// 3,082 and 637 / 644 / 6,179 while the basis was eliminated in slot order;
+// the static triangular order (unit columns first, then structurals by
+// count) produces the same factors of the same matrix up to rounding, but a
+// different rounding: degenerate ties in the dual ratio test fall the other
+// way and the tree is a different, equally valid one — here a larger one, on
+// the benchmark's instances a few percent either way. The optimum found is
+// the same; what this test guards is that nothing moves the counts silently.
 func TestSerialSearchCountsPinned(t *testing.T) {
 	defer lp.SetDense(lp.SetDense(false)) // the counts are the sparse core's
 	for _, tc := range []struct {
@@ -25,8 +34,8 @@ func TestSerialSearchCountsPinned(t *testing.T) {
 		nodes               int
 		lpSolves, warmIters int64
 	}{
-		{"B4", topology.B4(), 4, 526, 536, 3082},
-		{"Uninett2010", topology.Uninett2010(), 2010, 637, 644, 6179},
+		{"B4", topology.B4(), 4, 785, 795, 5154},
+		{"Uninett2010", topology.Uninett2010(), 2010, 1538, 1556, 11221},
 	} {
 		res, err := Analyze(benchConfig(t, tc.top, tc.seed, 1))
 		if err != nil {
