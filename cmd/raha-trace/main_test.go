@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"raha/internal/lp"
 	"raha/internal/milp"
 	"raha/internal/obs"
 )
@@ -52,6 +53,7 @@ func writeTrace(t *testing.T, workers int, seed int64) string {
 }
 
 func TestSummarizeAttributesWorkerTime(t *testing.T) {
+	defer lp.SetDense(lp.SetDense(false)) // the dense core never stops at the incumbent
 	path := writeTrace(t, 4, 11)
 	tr, err := parseTrace(path)
 	if err != nil {
@@ -69,6 +71,15 @@ func TestSummarizeAttributesWorkerTime(t *testing.T) {
 	}
 	if tr.attributedNs() <= 0 {
 		t.Fatal("traced solve attributed no time")
+	}
+	// The objective-cutoff line reports solve_end's two counters against the
+	// node events' own count of bound prunes.
+	if tr.objLimitStops == 0 || tr.lpCutoffs > tr.objLimitStops || tr.lpCutoffs > tr.reasons["bound"] {
+		t.Fatalf("cutoff counters: %d LPs stopped, %d nodes cut off, %d bound prunes",
+			tr.objLimitStops, tr.lpCutoffs, tr.reasons["bound"])
+	}
+	if !strings.Contains(out, "objective cutoff:") {
+		t.Fatalf("summarize output missing the objective cutoff line:\n%s", out)
 	}
 	// The disjoint buckets plus idle must cover the worker wall clock:
 	// busy == lp + heur + branch by construction, so attribution + idle

@@ -29,6 +29,7 @@ type trace struct {
 	presolveNs, lpWarmNs, lpColdNs, heurNs, branchNs int64
 	queuePopNs, queuePops, queuePushNs, queuePushes  int64
 	warmStarts, coldFallbacks                        int64
+	lpCutoffs, objLimitStops                         int64 // nodes cut off at the incumbent; all LPs stopped there
 	steals, failedSteals, stolenNodes, stealNs       int64
 
 	workers []workerAgg // indexed by worker id, summed across solves
@@ -156,6 +157,8 @@ func (tr *trace) addMILP(e obs.Event) error {
 		tr.queuePushes += int64(fnum(f, "queue_pushes"))
 		tr.warmStarts += int64(fnum(f, "warm_starts"))
 		tr.coldFallbacks += int64(fnum(f, "cold_fallbacks"))
+		tr.lpCutoffs += int64(fnum(f, "lp_cutoffs"))
+		tr.objLimitStops += int64(fnum(f, "lp_objlimit_stops"))
 		tr.steals += int64(fnum(f, "steals"))
 		tr.failedSteals += int64(fnum(f, "failed_steals"))
 		tr.stolenNodes += int64(fnum(f, "stolen_nodes"))

@@ -52,6 +52,10 @@ func summarize(out io.Writer, tr *trace) error {
 			tr.warmStarts, tr.lpSolves, 100*float64(tr.warmStarts)/float64(tr.lpSolves),
 			tr.coldFallbacks)
 	}
+	if tr.objLimitStops > 0 {
+		fmt.Fprintf(w, "objective cutoff: %d LPs stopped at the incumbent; %d of %d bound-pruned nodes cut off\n",
+			tr.objLimitStops, tr.lpCutoffs, tr.reasons["bound"])
+	}
 	fmt.Fprintf(w, "\nphase attribution (of %s worker-time):\n", fmtNs(denom))
 	row := func(name string, ns int64) {
 		fmt.Fprintf(w, "  %-12s %10s  %5.1f%%\n", name, fmtNs(ns), pct(ns, denom))

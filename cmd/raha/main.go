@@ -328,10 +328,10 @@ func printResult(ctx context.Context, o *runObs, budget time.Duration, top *raha
 	}
 	if o != nil {
 		st := res.Stats
-		o.log.Debugf("solver stats: %d LP solves (%d iterations, %d degenerate pivots), %d warm-started (%d iterations, %d cold fallbacks), prunes: %d infeasible / %d bound / %d iterlimit, %d integral, %d branched, %d incumbents, peak open %d",
+		o.log.Debugf("solver stats: %d LP solves (%d iterations, %d degenerate pivots), %d warm-started (%d iterations, %d cold fallbacks), prunes: %d infeasible / %d bound (%d cut off at the incumbent) / %d iterlimit, %d integral, %d branched, %d incumbents, peak open %d",
 			st.LPSolves, st.LPIterations, st.DegeneratePivots,
 			st.WarmStarts, st.WarmIters, st.ColdFallbacks,
-			st.PrunedInfeasible, st.PrunedBound, st.PrunedIterLimit,
+			st.PrunedInfeasible, st.PrunedBound, st.LPCutoffs, st.PrunedIterLimit,
 			st.Integral, st.NodesBranched, st.IncumbentUpdates, st.MaxOpen)
 		o.log.Debugf("presolve stats: %d vars fixed, %d rows removed, %d bounds tightened, %d big-M coefs shrunk; %d propagation prunes, %d pseudocost branches",
 			st.PresolveFixedVars, st.PresolveRemovedRows, st.PresolveTightenedBounds,

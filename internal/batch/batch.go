@@ -248,10 +248,10 @@ func runTopology(ctx context.Context, cfg *Config, src Source, cells []Cell) (re
 	}
 
 	res.Cells = make([]CellResult, 0, len(cells))
-	// The pair selection depends on the topology, the seed and the model's
-	// pair count only, so cells share it instead of re-ranking all n·(n−1)
-	// pairs each.
-	pairs := make(map[int][][2]topology.Node)
+	// The pair selection and the tunnels over it depend on the topology, the
+	// seed and the model's pair count only, so cells share them instead of
+	// re-ranking all n·(n−1) pairs and re-running Yen's algorithm each.
+	shared := make(map[int]tunnels)
 	for _, cell := range cells {
 		var cr CellResult
 		switch {
@@ -260,7 +260,7 @@ func runTopology(ctx context.Context, cfg *Config, src Source, cells []Cell) (re
 		case topoCtx.Err() != nil:
 			cr = CellResult{Cell: cell, Err: "topology budget exhausted"}
 		default:
-			cr = runCell(topoCtx, cfg, top, cell, phaseBudget, pairs)
+			cr = runCell(topoCtx, cfg, top, cell, phaseBudget, shared)
 		}
 		cCells.Inc()
 		if cr.Err != "" {
@@ -291,11 +291,23 @@ func loadSource(src Source) (top *topology.Topology, err error) {
 	return top, err
 }
 
+// tunnels is what one topology's cells share per demand-pair count: the
+// demand.TopPairs selection and the paths.Compute tunnels over it (two
+// primary, one backup), or the error computing them gave. alert.Run and the
+// model builders under it only read both (TestSweepFixtureCorpus compares
+// the cache against a fresh Compute after a whole grid has used it).
+type tunnels struct {
+	pairs [][2]topology.Node
+	dps   []paths.DemandPaths
+	err   error
+}
+
 // runCell runs the two-phase alert check for one grid cell and self-checks
-// the result's invariants. Panics anywhere below (model build, solver,
-// verification) are caught and recorded as the cell's failure. pairsBySize
-// caches the topology's demand.TopPairs selections, keyed by pair count.
-func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell, phaseBudget time.Duration, pairsBySize map[int][][2]topology.Node) (cr CellResult) {
+// the result's invariants. Panics anywhere below (path computation, model
+// build, solver, verification) are caught and recorded as the cell's
+// failure. shared caches the topology's tunnels, keyed by pair count; a
+// computation that panics caches nothing, so every cell reports it.
+func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell, phaseBudget time.Duration, shared map[int]tunnels) (cr CellResult) {
 	cr.Cell = cell
 	start := time.Now()
 	defer func() {
@@ -310,18 +322,21 @@ func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell
 		seed = 1
 	}
 	dm := cell.Demand
-	pairs, ok := pairsBySize[dm.Pairs]
+	tn, ok := shared[dm.Pairs]
 	if !ok {
-		pairs = demand.TopPairs(top, dm.Pairs, seed)
-		pairsBySize[dm.Pairs] = pairs
+		tn.pairs = demand.TopPairs(top, dm.Pairs, seed)
+		if len(tn.pairs) > 0 {
+			tn.dps, tn.err = paths.Compute(top, tn.pairs, 2, 1, nil)
+		}
+		shared[dm.Pairs] = tn
 	}
+	pairs, dps := tn.pairs, tn.dps
 	if len(pairs) == 0 {
 		cr.Err = "no demand pairs"
 		return cr
 	}
-	dps, err := paths.Compute(top, pairs, 2, 1, nil)
-	if err != nil {
-		cr.Err = err.Error()
+	if tn.err != nil {
+		cr.Err = tn.err.Error()
 		return cr
 	}
 	base := demand.Gravity(top, pairs, top.MeanLAGCapacity()*dm.Scale, seed)

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"raha/internal/demand"
 	"raha/internal/obs"
+	"raha/internal/paths"
 	"raha/internal/topology"
 )
 
@@ -171,6 +174,43 @@ func TestSweepFixtureCorpus(t *testing.T) {
 	}
 	if got := tr.count("batch/sweep_topo_end"); got != len(sources) {
 		t.Errorf("sweep_topo_end emitted %d times, want %d", got, len(sources))
+	}
+
+	// A topology's cells share one tunnel set per pair count. Nothing below
+	// runCell may write to it: after three cells have run on it (two of four
+	// pairs, fixed and elastic demand, and one of six) the cache must still
+	// hold exactly what a fresh computation gives.
+	cfg := Config{Tolerance: 0.05}
+	peak6 := namedDemandModels["peak"]
+	peak6.Name, peak6.Pairs = "peak6", 6
+	var cells []Cell
+	for _, dm := range []DemandModel{namedDemandModels["peak"], namedDemandModels["elastic"], peak6} {
+		cells = append(cells, Cell{MaxFailures: 1, Threshold: 1e-3, Demand: dm})
+	}
+	for _, src := range sources {
+		if _, poisoned := wantFailures[src.Name]; poisoned {
+			continue
+		}
+		top, err := src.Load()
+		if err != nil {
+			t.Fatalf("topology %s: %v", src.Name, err)
+		}
+		shared := make(map[int]tunnels)
+		for _, cell := range cells {
+			if cr := runCell(context.Background(), &cfg, top, cell, 0, shared); cr.Err != "" {
+				t.Errorf("topology %s cell %s failed: %s", src.Name, cell.Name(), cr.Err)
+			}
+		}
+		if len(shared) != 2 {
+			t.Errorf("topology %s: %d tunnel sets cached for two pair counts", src.Name, len(shared))
+		}
+		for n, tn := range shared {
+			pairs := demand.TopPairs(top, n, 1)
+			dps, err := paths.Compute(top, pairs, 2, 1, nil)
+			if err != nil || !reflect.DeepEqual(tn.pairs, pairs) || !reflect.DeepEqual(tn.dps, dps) {
+				t.Errorf("topology %s: the %d-pair tunnels the cells shared differ from a fresh computation (err %v)", src.Name, n, err)
+			}
+		}
 	}
 }
 

@@ -127,7 +127,8 @@ func reportTouched(b *testing.B, per []int) {
 // for the unit fast path to skip, more elimination behind it; its set-up
 // solve takes ~25 s at m = 2,600. m=90 is the fleet's small cell, where the
 // counting sort is overhead with little fill to save. nnz-L/op and nnz-LU/op
-// are the off-diagonal entries of L and of L+U one factorization produced.
+// are the off-diagonal entries of L and of L+U one factorization produced,
+// reach-pops/op the elimination steps it took off the reach heap.
 func BenchmarkFactorize(b *testing.B) {
 	for _, m := range benchSizes {
 		for _, mix := range []int{30, 60} {
@@ -147,6 +148,7 @@ func BenchmarkFactorize(b *testing.B) {
 				reportTouched(b, []int{factorizeTouched(s)})
 				b.ReportMetric(float64(len(s.fac.lval)), "nnz-L/op")
 				b.ReportMetric(float64(len(s.fac.lval)+len(s.fac.uval)), "nnz-LU/op")
+				b.ReportMetric(float64(s.fac.reachPops), "reach-pops/op")
 			})
 		}
 	}

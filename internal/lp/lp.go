@@ -96,6 +96,10 @@ const (
 	Infeasible
 	Unbounded
 	IterLimit
+	// ObjLimit: a warm solve stopped because its dual objective — a lower
+	// bound on the optimum — passed Options.ObjLimit. Solution.Objective is
+	// the bound reached; the optimum itself was not computed.
+	ObjLimit
 )
 
 func (s Status) String() string {
@@ -108,6 +112,8 @@ func (s Status) String() string {
 		return "unbounded"
 	case IterLimit:
 		return "iteration-limit"
+	case ObjLimit:
+		return "objective-limit"
 	}
 	return "unknown"
 }
@@ -115,7 +121,7 @@ func (s Status) String() string {
 // Solution holds the result of a solve.
 type Solution struct {
 	Status    Status
-	Objective float64   // c·x at the returned point (valid when Optimal)
+	Objective float64   // c·x at the returned point (Optimal), or the lower bound reached (ObjLimit)
 	X         []float64 // structural variable values
 	Iters     int       // simplex iterations used across both phases
 
@@ -139,6 +145,16 @@ type Options struct {
 	// MaxIters caps total simplex iterations; 0 means automatic
 	// (50·(rows+cols) + 1000).
 	MaxIters int
+
+	// ObjLimit, when UseObjLimit is set, lets SolveFrom's dual simplex stop
+	// with status ObjLimit as soon as its objective exceeds the limit: every
+	// basis it visits is dual-feasible, so by weak duality its objective is
+	// a lower bound on the optimum, and a caller that only wants to know
+	// whether the optimum can beat ObjLimit (branch and bound, with its
+	// incumbent) needs no more. Cold solves and the dense core have no such
+	// bound to watch and ignore it.
+	ObjLimit    float64
+	UseObjLimit bool
 }
 
 // Numerical tolerances. These are deliberately package-level constants: the
@@ -165,6 +181,7 @@ var (
 	cInfeas    = obs.Default.Counter("lp.infeasible")
 	cUnbounded = obs.Default.Counter("lp.unbounded")
 	cIterLimit = obs.Default.Counter("lp.iteration_limit")
+	cObjLimit  = obs.Default.Counter("lp.objlimit_stops")
 )
 
 // record folds one solve's telemetry into the process-wide counters and
@@ -182,6 +199,8 @@ func record(sol *Solution) *Solution {
 		cUnbounded.Inc()
 	case IterLimit:
 		cIterLimit.Inc()
+	case ObjLimit:
+		cObjLimit.Inc()
 	}
 	return sol
 }

@@ -89,13 +89,18 @@ type luFactor struct {
 	// against (see factorColumn). bucket is the counting sort's histogram
 	// (spSolver.orderSteps). Between factorizations btran borrows w as its
 	// step-indexed Uᵀ vector; the stamps keep factorColumn from reading it.
-	pstep  []int32
-	w      []float64
-	wmark  []int32
-	wgen   int32
-	touch  []int32
-	reach  []int32
-	bucket []int32
+	// unitSteps is how many leading steps spSolver.factorize's unit-column
+	// fast path took (their rows skip the heap, see spSolver.loadColumn), and
+	// reachPops counts the heap pops of one factorization, for the tests.
+	unitSteps int32
+	reachPops int
+	pstep     []int32
+	w         []float64
+	wmark     []int32
+	wgen      int32
+	touch     []int32
+	reach     []int32
+	bucket    []int32
 }
 
 // reset prepares the factor for a fresh factorization of an m×m basis,
@@ -137,6 +142,7 @@ func (f *luFactor) reset(m int) {
 	f.uptr[0] = 0
 	f.clearEtas()
 	f.basisNnz = 0
+	f.unitSteps, f.reachPops = 0, 0
 	// Generation stamps avoid an O(m) clear per column; guard the (absurdly
 	// remote) int32 wraparound by resetting the stamps outright.
 	if f.wgen > math.MaxInt32-int32(2*m+4) {
@@ -231,6 +237,7 @@ func (f *luFactor) popReach() int32 {
 func (f *luFactor) factorColumn(k int, minPiv float64) bool {
 	for len(f.reach) > 0 {
 		t := f.popReach()
+		f.reachPops++
 		pf := f.w[f.prow[t]]
 		if math.Abs(pf) <= luDropTol {
 			continue

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -68,11 +69,36 @@ func refFactorColumn(f *luFactor, k int, minPiv float64) bool {
 	return true
 }
 
+// uByStep returns copies of f's U entries with each column's sorted by
+// ascending step.
+func uByStep(f *luFactor) ([]int32, []float64) {
+	urow := append([]int32(nil), f.urow...)
+	uval := append([]float64(nil), f.uval...)
+	for k := 0; k < f.m; k++ {
+		lo, hi := f.uptr[k], f.uptr[k+1]
+		sort.Sort(&uColumn{urow[lo:hi], uval[lo:hi]})
+	}
+	return urow, uval
+}
+
+type uColumn struct {
+	row []int32
+	val []float64
+}
+
+func (c *uColumn) Len() int           { return len(c.row) }
+func (c *uColumn) Less(i, j int) bool { return c.row[i] < c.row[j] }
+func (c *uColumn) Swap(i, j int) {
+	c.row[i], c.row[j] = c.row[j], c.row[i]
+	c.val[i], c.val[j] = c.val[j], c.val[i]
+}
+
 // refFactorize factors s's current basis into f with refFactorColumn, step
 // k eliminating the column of slot order[k] — every column alike, unit
-// columns included, through the scatter and the scan. The production order
-// is an input, not re-derived (TestFactorOrder checks it on its own); the
-// slot-order loop the solver used to run is slotOrder.
+// columns included, every entry through the scatter and the scan (a reset
+// factor has no unit steps for loadColumn to write around). The production
+// order is an input, not re-derived (TestFactorOrder checks it on its own);
+// the slot-order loop the solver used to run is slotOrder.
 func refFactorize(s *spSolver, f *luFactor, order []int32, minPiv float64) bool {
 	f.reset(s.m)
 	copy(f.slot, order)
@@ -142,10 +168,11 @@ func refBtran(f *luFactor, c, y []float64) {
 		c[r] = (c[r] - sum) / f.epval[e]
 	}
 	cs := make([]float64, m) // c by step
+	urow, uval := uByStep(f)
 	for k := 0; k < m; k++ {
 		sum := c[f.slot[k]]
 		for e := f.uptr[k]; e < f.uptr[k+1]; e++ {
-			sum -= f.uval[e] * cs[f.urow[e]]
+			sum -= uval[e] * cs[urow[e]]
 		}
 		cs[k] = sum / f.diag[k]
 	}
@@ -281,8 +308,9 @@ func referee(t *testing.T, s *spSolver, rng *rand.Rand, nVec int, minPiv float64
 	wantSameI(t, "lrow", f.lrow, ref.lrow)
 	wantSameF(t, "lval", f.lval, ref.lval)
 	wantSameI(t, "uptr", f.uptr, ref.uptr)
-	wantSameI(t, "urow", f.urow, ref.urow)
-	wantSameF(t, "uval", f.uval, ref.uval)
+	urow, uval := uByStep(f)
+	wantSameI(t, "urow (by step)", urow, ref.urow)
+	wantSameF(t, "uval (by step)", uval, ref.uval)
 	wantSameF(t, "diag", f.diag, ref.diag)
 	return true
 }

@@ -16,6 +16,9 @@ import (
 // fill the leading steps in slot order, that the structural columns follow
 // by non-decreasing stored count with ties in slot order — and that this buys
 // what it is for: at most a third of the L fill of slot-order elimination.
+// The reach heap must hear only of rows a structural step pivoted on: its
+// pops are bounded by the entries that can land on such rows (reachBound),
+// which an entry on a unit-pivoted row never does.
 func TestFactorOrder(t *testing.T) {
 	for _, m := range []int{450, 2600} {
 		_, s, _ := benchState(t, m)
@@ -58,6 +61,15 @@ func TestFactorOrder(t *testing.T) {
 				t.Fatalf("m=%d: unit step %d has L or U entries", m, k)
 			}
 		}
+		if int(f.unitSteps) != units {
+			t.Fatalf("m=%d: %d unit steps recorded, %d taken", m, f.unitSteps, units)
+		}
+		onStruct, bound := reachBound(s)
+		t.Logf("m=%d: %d reach-heap pops; %d U entries on structural steps, at most %d entries on their rows",
+			m, f.reachPops, onStruct, bound)
+		if f.reachPops < onStruct || f.reachPops > bound {
+			t.Errorf("m=%d: %d reach-heap pops, want between %d and %d", m, f.reachPops, onStruct, bound)
+		}
 
 		var ref luFactor
 		if !refFactorize(s, &ref, slotOrder(m), warmPivTol) {
@@ -69,6 +81,46 @@ func TestFactorOrder(t *testing.T) {
 		if 3*got > was {
 			t.Errorf("m=%d: nnz(L) = %d, slot order gives %d; want at most a third", m, got, was)
 		}
+	}
+}
+
+// reachBound reads two bounds on the reach-heap pops off the factorization
+// in s.fac. Every stored U entry that addresses a structural step was popped
+// (the floor). Every pop is a row first stamped while a structural step
+// already owned it, and a stamp is either a basis entry on such a row or one
+// entry of an L column applied for a popped step (the ceiling).
+func reachBound(s *spSolver) (onStruct, bound int) {
+	f := &s.fac
+	for k := int(f.unitSteps); k < f.m; k++ {
+		j := s.basic[f.slot[k]]
+		for e := s.c.ptr[j]; e < s.c.ptr[j+1]; e++ {
+			if t := f.pstep[s.c.rix[e]]; t >= f.unitSteps && int(t) < k {
+				bound++
+			}
+		}
+		for e := f.uptr[k]; e < f.uptr[k+1]; e++ {
+			if t := f.urow[e]; t >= f.unitSteps {
+				onStruct++
+				bound += int(f.lptr[t+1] - f.lptr[t])
+			}
+		}
+	}
+	return onStruct, bound
+}
+
+// TestAllUnitBasisPopsNothing: a slack basis is m finished steps; the heap
+// is never touched.
+func TestAllUnitBasisPopsNothing(t *testing.T) {
+	p := genSparseLP(90, 90)
+	c := p.cache()
+	s := &c.s
+	s.initCold(p, c)
+	if !s.factorize(luPivotFloor) {
+		t.Fatal("slack/artificial basis reported singular")
+	}
+	if f := &s.fac; f.reachPops != 0 || int(f.unitSteps) != s.m || len(f.uval) != 0 {
+		t.Errorf("all-unit basis: %d pops, %d of %d unit steps, %d U entries; want 0, all, 0",
+			f.reachPops, f.unitSteps, s.m, len(f.uval))
 	}
 }
 

@@ -267,6 +267,12 @@ type spSolver struct {
 	iters int
 	cap   int
 
+	// Objective cutoff of the warm dual phase (Options.ObjLimit; +Inf when
+	// none): dobj is the objective Σ cost·xval of the current dual-feasible
+	// basis, carried pivot to pivot and read only while a limit is set.
+	objLimit float64
+	dobj     float64
+
 	degenPivots int
 	blandPivots int
 	dualIters   int
@@ -391,6 +397,15 @@ func (s *spSolver) unitColumn(j int) (int32, float64) {
 
 // loadColumn scatters column j into f's working column (after beginColumn)
 // and returns its number of entries.
+//
+// A structural entry on a row that one of the leading unit steps pivoted on
+// goes straight into U instead: that step has an empty L column, so
+// eliminating against it would subtract nothing, and no later L column can
+// address its row (L addresses rows still unpivoted at its own step) — the
+// value is final the moment it is loaded, and the reach heap never hears of
+// it. Such entries precede the heap's in the stored U column, in row rather
+// than step order; FTRAN's scatter hits distinct targets and BTRAN runs on
+// the transposed copy, so neither can tell.
 func (s *spSolver) loadColumn(f *luFactor, j int) int {
 	if j >= s.nStr {
 		f.setW(s.unitColumn(j))
@@ -398,7 +413,15 @@ func (s *spSolver) loadColumn(f *luFactor, j int) int {
 	}
 	c := s.c
 	for e := c.ptr[j]; e < c.ptr[j+1]; e++ {
-		f.setW(c.rix[e], c.val[e])
+		r, v := c.rix[e], c.val[e]
+		if t := f.pstep[r]; t >= 0 && t < f.unitSteps {
+			if math.Abs(v) > luDropTol {
+				f.urow = append(f.urow, t)
+				f.uval = append(f.uval, v)
+			}
+			continue
+		}
+		f.setW(r, v)
 	}
 	return int(c.ptr[j+1] - c.ptr[j])
 }
@@ -455,6 +478,7 @@ func (s *spSolver) factorize(minPiv float64) bool {
 			if r, v := s.unitColumn(j); f.pstep[r] < 0 {
 				f.prow[k], f.pstep[r], f.diag[k] = r, int32(k), v
 				f.lptr[k+1], f.uptr[k+1] = f.lptr[k], f.uptr[k]
+				f.unitSteps = int32(k + 1)
 				nnz++
 				continue
 			}
@@ -689,6 +713,7 @@ func (s *spSolver) initWarm(p *Problem, c *spCache, b *Basis) bool {
 		s.slotOf[q] = int32(k)
 	}
 	s.cap = 50*(m+nTot) + 1000
+	s.objLimit = math.Inf(1)
 	return true
 }
 
@@ -700,6 +725,11 @@ func (s *spSolver) setPhase2Cost(p *Problem) {
 	for j := s.nStr; j < s.nTot; j++ {
 		s.cost[j] = 0
 	}
+}
+
+// objective is Σ cost·xval over every column, in scaled space.
+func (s *spSolver) objective() float64 {
+	return dot(s.cost, s.xval)
 }
 
 func (s *spSolver) phaseObjective() float64 {
@@ -953,8 +983,24 @@ func (s *spSolver) dualFeasible() bool {
 // (minimum |d_j/a_rj| over sign-eligible columns, ties toward the larger
 // pivot — the same rule as the dense core). The pivot row comes from a
 // BTRAN of e_r; the reduced costs update incrementally from it.
+//
+// With an objective limit set (s.objLimit finite) the loop also carries the
+// objective of the current basis, Δ = d_q·dx per pivot. Every basis here is
+// dual-feasible, so that value bounds the optimum from below, and once it
+// passes the limit — confirmed by a from-scratch sum, since the carried one
+// drifts — the solve stops: the caller asked only whether the optimum can
+// stay under the limit.
 func (s *spSolver) dual() Status {
+	limited := !math.IsInf(s.objLimit, 1)
+	if limited {
+		s.dobj = s.objective()
+	}
 	for {
+		if limited && s.dobj > s.objLimit {
+			if s.dobj = s.objective(); s.dobj > s.objLimit {
+				return ObjLimit
+			}
+		}
 		if s.iters >= s.cap {
 			return IterLimit
 		}
@@ -1015,16 +1061,20 @@ func (s *spSolver) dual() Status {
 
 		// FTRAN the entering column; its slot-r entry is the pivot. If the
 		// eta chain has drifted far enough that FTRAN and BTRAN disagree on
-		// the pivot, rebuild and retry the iteration from fresh factors.
+		// the pivot, rebuild and retry the iteration from fresh factors —
+		// which costs one unit of the iteration budget, and is no use when
+		// the factors already are fresh: the retry would pick the same (r, q)
+		// and disagree again, for ever. Then the basis is too ill-conditioned
+		// to price from and the cold path takes over.
 		s.scatterColToW(q)
 		s.fac.ftran(s.w, s.alpha)
 		piv := s.alpha[r]
 		if math.Abs(piv) < pivTol {
-			if !s.refactor() {
+			if s.fac.nEtas() == 0 || !s.refactorDual() {
 				s.fail = true
 				return IterLimit
 			}
-			s.recomputeD()
+			s.cap--
 			continue
 		}
 
@@ -1038,6 +1088,7 @@ func (s *spSolver) dual() Status {
 			beta = s.hi[out]
 		}
 		dx := (s.xval[out] - beta) / piv
+		s.dobj += s.d[q] * dx
 		for i := 0; i < s.m; i++ {
 			if i == r {
 				continue
@@ -1075,15 +1126,26 @@ func (s *spSolver) dual() Status {
 		s.d[q] = 0
 
 		if s.fac.needRefactor(math.Abs(piv)) {
-			if !s.refactor() {
+			if !s.refactorDual() {
 				s.fail = true
 				return IterLimit
 			}
-			s.recomputeD()
 		} else {
 			s.fac.pushEta(s.alpha, r)
 		}
 	}
+}
+
+// refactorDual is refactor for the dual phase: fresh factors and basic
+// values, then everything the loop carries incrementally — the reduced
+// costs and the objective — recomputed from them.
+func (s *spSolver) refactorDual() bool {
+	if !s.refactor() {
+		return false
+	}
+	s.recomputeD()
+	s.dobj = s.objective()
+	return true
 }
 
 // structX extracts structural values back into original units (undo the
@@ -1142,9 +1204,12 @@ func (s *spSolver) finish(p *Problem, st Status, phase1Iters int, warm bool) *So
 		WarmStarted:      warm,
 		DualIters:        s.dualIters,
 	}
-	if st == Optimal {
+	switch st {
+	case Optimal:
 		sol.Objective = dot(p.Cost, sol.X)
 		sol.Basis = s.exportBasis()
+	case ObjLimit:
+		sol.Objective = s.dobj
 	}
 	return sol
 }
@@ -1201,6 +1266,9 @@ func solveFromSparse(p *Problem, b *Basis, opt *Options) (*Solution, bool) {
 	}
 	if opt != nil && opt.MaxIters > 0 {
 		s.cap = opt.MaxIters
+	}
+	if opt != nil && opt.UseObjLimit {
+		s.objLimit = opt.ObjLimit
 	}
 	if !s.factorize(warmPivTol) {
 		return nil, false

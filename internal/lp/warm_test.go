@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"raha/internal/obs"
@@ -222,5 +223,100 @@ func TestExportedBasisIsValid(t *testing.T) {
 		if !sol.Basis.valid(len(p.Rows), p.NumVars+len(p.Rows)) {
 			t.Fatalf("trial %d: exported basis fails validation: %+v", trial, sol.Basis)
 		}
+	}
+}
+
+// TestObjLimitCorpus pins the objective cutoff on the 400-LP corpus. For
+// every warm re-solve that ends optimal at z*: a limit just above z* changes
+// nothing — status, objective, point, basis and pivot count all bit for bit
+// those of the unlimited solve; a limit below z*, by a hair or by a lot,
+// never returns Optimal — the solve stops with ObjLimit and an objective that
+// is above the limit and a true lower bound on z*. A child the dual simplex
+// proves infeasible may be reported either way under a limit (its dual
+// objective is unbounded, so it passes any limit on the way). The dense core
+// has no dual bound to watch and solves every one of them out.
+func TestObjLimitCorpus(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	limited := func(p *Problem, b *Basis, lim float64) *Solution {
+		t.Helper()
+		sol, err := SolveFrom(p, b, &Options{ObjLimit: lim, UseObjLimit: true})
+		if err != nil {
+			t.Fatalf("limited warm solve: %v", err)
+		}
+		return sol
+	}
+	stops, optimal := 0, 0
+	stopsBefore := obs.Default.Counter("lp.objlimit_stops").Value()
+	for trial := 0; trial < 400; trial++ {
+		p := genLP(rng)
+		parent, err := Solve(p, nil)
+		if err != nil {
+			t.Fatalf("trial %d: parent solve: %v", trial, err)
+		}
+		if parent.Status != Optimal || parent.Basis == nil {
+			continue
+		}
+		tightenRandomBound(rng, p)
+		free, err := SolveFrom(p, parent.Basis, nil)
+		if err != nil {
+			t.Fatalf("trial %d: warm solve: %v", trial, err)
+		}
+		if !free.WarmStarted {
+			continue // the cold path ignores the limit
+		}
+		switch free.Status {
+		case Infeasible:
+			if got := limited(p, parent.Basis, parent.Objective); got.Status != Infeasible && got.Status != ObjLimit {
+				t.Fatalf("trial %d: infeasible child under a limit: %v", trial, got.Status)
+			}
+			continue
+		case Optimal:
+			optimal++
+		default:
+			continue
+		}
+		z := free.Objective
+		margin := 1e-6 * (1 + math.Abs(z))
+
+		above := limited(p, parent.Basis, z+margin)
+		if above.Status != Optimal || above.Iters != free.Iters || above.DualIters != free.DualIters ||
+			math.Float64bits(above.Objective) != math.Float64bits(z) {
+			t.Fatalf("trial %d: limit above the optimum: %v %.17g in %d iterations, unlimited optimal %.17g in %d",
+				trial, above.Status, above.Objective, above.Iters, z, free.Iters)
+		}
+		for j := range free.X {
+			if math.Float64bits(above.X[j]) != math.Float64bits(free.X[j]) {
+				t.Fatalf("trial %d: limit above the optimum moved x[%d]: %.17g, unlimited %.17g", trial, j, above.X[j], free.X[j])
+			}
+		}
+		if !reflect.DeepEqual(above.Basis, free.Basis) {
+			t.Fatalf("trial %d: limit above the optimum changed the basis", trial)
+		}
+
+		for _, lim := range []float64{z - margin, z - 1 - rng.Float64()*math.Abs(z)} {
+			got := limited(p, parent.Basis, lim)
+			if got.Status != ObjLimit || !got.WarmStarted || got.Basis != nil {
+				t.Fatalf("trial %d: limit %.12g below the optimum %.12g: %v (warm %v)", trial, lim, z, got.Status, got.WarmStarted)
+			}
+			if got.Objective <= lim || got.Objective > z+1e-9 {
+				t.Fatalf("trial %d: stopped at bound %.12g; want above the limit %.12g and at most the optimum %.12g",
+					trial, got.Objective, lim, z)
+			}
+			if got.Iters > free.Iters {
+				t.Fatalf("trial %d: the limited solve took %d iterations, the unlimited one %d", trial, got.Iters, free.Iters)
+			}
+			stops++
+			withDense(func() {
+				if d := limited(p, parent.Basis, lim); d.Status != Optimal || math.Abs(d.Objective-z) > 1e-6 {
+					t.Fatalf("trial %d: dense core under a limit: %v %g, want optimal %g", trial, d.Status, d.Objective, z)
+				}
+			})
+		}
+	}
+	if optimal < 100 {
+		t.Fatalf("only %d warm solves ended optimal; the corpus no longer exercises the cutoff", optimal)
+	}
+	if d := obs.Default.Counter("lp.objlimit_stops").Value() - stopsBefore; d < int64(stops) {
+		t.Errorf("lp.objlimit_stops advanced by %d over %d stops", d, stops)
 	}
 }

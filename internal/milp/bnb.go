@@ -431,7 +431,21 @@ func (s *search) solveLP(wid int, lo, hi []float64, basis *lp.Basis) (*lp.Soluti
 		lpStart = time.Now()
 	}
 	if warm {
-		sol, err = lp.SolveFrom(prob, basis, nil)
+		// Whatever this LP is for — a node or the rounding heuristic — its
+		// optimum is only of use if it beats the incumbent, so the dual
+		// simplex may stop once its bound is past it (lp.ObjLimit). The
+		// limit is the incumbent in the LP's own terms (minimized, constant
+		// term left out) plus a relative margin, so that a bound within
+		// rounding of the incumbent is solved out rather than cut off.
+		var opt *lp.Options
+		if inc, ok := s.incumbentObj(); ok {
+			lim := inc - s.objConst
+			if s.maximize {
+				lim = -lim
+			}
+			opt = &lp.Options{ObjLimit: lim + 1e-6*(1+math.Abs(lim)), UseObjLimit: true}
+		}
+		sol, err = lp.SolveFrom(prob, basis, opt)
 	} else {
 		sol, err = lp.Solve(prob, nil)
 	}
@@ -444,6 +458,9 @@ func (s *search) solveLP(wid int, lo, hi []float64, basis *lp.Basis) (*lp.Soluti
 		s.stats.lpIterations.Add(int64(sol.Iters))
 		s.stats.degeneratePivots.Add(int64(sol.DegeneratePivots))
 		s.stats.blandPivots.Add(int64(sol.BlandPivots))
+		if sol.Status == lp.ObjLimit {
+			s.stats.lpObjLimitStops.Add(1)
+		}
 		if warm && sol.WarmStarted {
 			s.stats.warmStarts.Add(1)
 			s.stats.warmIters.Add(int64(sol.Iters))
@@ -844,12 +861,16 @@ func (s *search) worker(id int) {
 // emitNode reports how one processed node ended. The reason strings match
 // the Stats prune counters: infeasible, unbounded, iterlimit, bound,
 // integral, branched. depth is the node's tree depth (raha-trace builds
-// the depth histogram from it).
-func (s *search) emitNode(claimNo, depth int, reason string, obj float64) {
+// the depth histogram from it). cutoff marks a "bound" node whose LP stopped
+// at the incumbent instead of solving out (obj is then the bound reached).
+func (s *search) emitNode(claimNo, depth int, reason string, obj float64, cutoff bool) {
 	if s.tracer == nil {
 		return
 	}
 	f := obs.F{"node": claimNo, "depth": depth, "reason": reason}
+	if cutoff {
+		f["cutoff"] = true
+	}
 	addFinite(f, "obj", obj)
 	s.tracer.Emit("milp", "node", f)
 }
@@ -887,7 +908,7 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 	switch sol.Status {
 	case lp.Infeasible:
 		s.stats.prunedInfeasible.Add(1)
-		s.emitNode(claimNo, n.depth, "infeasible", math.NaN())
+		s.emitNode(claimNo, n.depth, "infeasible", math.NaN(), false)
 		return nil
 	case lp.Unbounded:
 		if n.depth == 0 {
@@ -902,22 +923,29 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 			s.mu.Unlock()
 		}
 		s.stats.unboundedNodes.Add(1)
-		s.emitNode(claimNo, n.depth, "unbounded", math.NaN())
+		s.emitNode(claimNo, n.depth, "unbounded", math.NaN(), false)
 		return nil
 	case lp.IterLimit:
 		s.mu.Lock()
 		s.clean = false
 		s.mu.Unlock()
 		s.stats.prunedIterLimit.Add(1)
-		s.emitNode(claimNo, n.depth, "iterlimit", math.NaN())
+		s.emitNode(claimNo, n.depth, "iterlimit", math.NaN(), false)
 		return nil
 	}
 
+	// On lp.ObjLimit the objective is the bound the LP had reached when it
+	// passed the incumbent: below the node's true relaxation, above anything
+	// that could still matter.
 	obj := s.toObj(sol.Objective)
+	cutoff := sol.Status == lp.ObjLimit
 
 	// Pseudocost bookkeeping: this node's LP solved, so the degradation the
 	// branch that created it caused is now known — record it per unit of
-	// fractional distance moved, whatever the node's fate below.
+	// fractional distance moved, whatever the node's fate below. A cut-off
+	// node reports a lower bound on its degradation, which still says the
+	// branch was expensive; leaving it out starves the scores of exactly the
+	// branches that prune.
 	if s.pc != nil && n.bvar >= 0 && n.bdist > 0 {
 		deg := obj - n.relax
 		if s.maximize {
@@ -930,9 +958,12 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 	}
 
 	inc, haveInc := s.incumbentObj()
-	if haveInc && !s.better(obj, inc) {
+	if cutoff || haveInc && !s.better(obj, inc) {
+		if cutoff {
+			s.stats.lpCutoffs.Add(1)
+		}
 		s.stats.prunedBound.Add(1)
-		s.emitNode(claimNo, n.depth, "bound", obj)
+		s.emitNode(claimNo, n.depth, "bound", obj, cutoff)
 		return nil
 	}
 
@@ -940,7 +971,7 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 	if v < 0 {
 		// Integral: new incumbent.
 		s.stats.integral.Add(1)
-		s.emitNode(claimNo, n.depth, "integral", obj)
+		s.emitNode(claimNo, n.depth, "integral", obj, false)
 		s.offerIncumbent(obj, sol.X)
 		return nil
 	}
@@ -953,7 +984,7 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 	}
 
 	s.stats.nodesBranched.Add(1)
-	s.emitNode(claimNo, n.depth, "branched", obj)
+	s.emitNode(claimNo, n.depth, "branched", obj, false)
 
 	// Branch: child bounds inherit the node's LP bound, and — the warm
 	// start — its optimal basis: a child differs only in one variable's
@@ -1399,6 +1430,8 @@ func (s *search) emitSolveEnd(res *Result) {
 		"presolve_bounds":     res.Stats.PresolveTightenedBounds,
 		"propagation_prunes":  res.Stats.PropagationPrunes,
 		"pseudocost_branches": res.Stats.PseudocostBranches,
+		"lp_cutoffs":          res.Stats.LPCutoffs,
+		"lp_objlimit_stops":   res.Stats.LPObjLimitStops,
 		"presolve_ns":         res.Stats.PresolveNs,
 		"lp_warm_ns":          res.Stats.LPWarmNs,
 		"lp_cold_ns":          res.Stats.LPColdNs,

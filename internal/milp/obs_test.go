@@ -179,7 +179,9 @@ func TestSolveTraceJSONL(t *testing.T) {
 		t.Fatalf("final incumbent event %v != Result.Objective %v", got, res.Objective)
 	}
 
-	// Every node event carries its tree depth.
+	// Every node event carries its tree depth; the ones whose LP stopped at
+	// the incumbent say so, under the reason their Stats counter has.
+	var cutoffs int64
 	for _, e := range events {
 		if e.Ev != "node" {
 			continue
@@ -191,6 +193,15 @@ func TestSolveTraceJSONL(t *testing.T) {
 		if d.(float64) < 0 {
 			t.Fatalf("negative node depth %v", d)
 		}
+		if e.Fields["cutoff"] == true {
+			cutoffs++
+			if e.Fields["reason"] != "bound" {
+				t.Fatalf("cut-off node with reason %v, want bound", e.Fields["reason"])
+			}
+		}
+	}
+	if cutoffs != res.Stats.LPCutoffs {
+		t.Fatalf("%d node events marked cutoff, Stats.LPCutoffs = %d", cutoffs, res.Stats.LPCutoffs)
 	}
 
 	// solve_end mirrors the Result.
@@ -206,6 +217,12 @@ func TestSolveTraceJSONL(t *testing.T) {
 	}
 	if math.Abs(f["bound"].(float64)-res.Bound) > 1e-9 {
 		t.Fatalf("solve_end bound %v != %v", f["bound"], res.Bound)
+	}
+
+	if int64(f["lp_cutoffs"].(float64)) != res.Stats.LPCutoffs ||
+		int64(f["lp_objlimit_stops"].(float64)) != res.Stats.LPObjLimitStops {
+		t.Fatalf("solve_end cutoffs %v / %v != Stats %d / %d", f["lp_cutoffs"], f["lp_objlimit_stops"],
+			res.Stats.LPCutoffs, res.Stats.LPObjLimitStops)
 	}
 
 	// A traced solve is a timed solve: solve_end carries the phase

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"raha/internal/lp"
 )
 
 // presolveMode lets CI run the corpus with the reduction layer off
@@ -142,9 +144,19 @@ func propCorpusSize(t *testing.T) int {
 // Workers:4 and cross-checked against binary enumeration + LP. The three
 // objectives must agree exactly (to LP tolerance); statuses must agree on
 // feasibility.
+//
+// Every warm node LP of these solves runs under the objective cutoff (the
+// search passes its incumbent down whenever it has one; there is no other
+// path), so agreement with enumeration is also the cutoff's soundness check:
+// a node cut off wrongly would lose the optimum. The corpus must actually
+// cut nodes off for that to mean anything — on the sparse core; the dense
+// one ignores the limit — and a cut-off node is always a bound-pruned one.
 func TestRandomMILPsAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	n := propCorpusSize(t)
+	dense := lp.SetDense(false) // read the core in use (RAHA_LP_DENSE) ...
+	lp.SetDense(dense)          // ... and leave it as it was
+	var cutoffs int64
 	for trial := 0; trial < n; trial++ {
 		inst := genMILP(rng)
 		want := inst.bruteForce(t)
@@ -154,6 +166,12 @@ func TestRandomMILPsAgainstBruteForce(t *testing.T) {
 		par := solveOK(t, inst.m, corpusParams(Params{Workers: 4}))
 
 		for which, res := range map[string]*Result{"serial": serial, "parallel": par} {
+			st := res.Stats
+			if st.LPCutoffs > st.PrunedBound || st.LPCutoffs > st.LPObjLimitStops {
+				t.Fatalf("trial %d (%s): %d nodes cut off, %d pruned by bound, %d LPs stopped at the limit",
+					trial, which, st.LPCutoffs, st.PrunedBound, st.LPObjLimitStops)
+			}
+			cutoffs += st.LPCutoffs
 			if infeasible {
 				if res.Status != Infeasible {
 					t.Fatalf("trial %d (%s): status %v, brute force says infeasible", trial, which, res.Status)
@@ -170,6 +188,10 @@ func TestRandomMILPsAgainstBruteForce(t *testing.T) {
 		if !infeasible && math.Abs(serial.Objective-par.Objective) > 1e-6 {
 			t.Fatalf("trial %d: serial %g != parallel %g", trial, serial.Objective, par.Objective)
 		}
+	}
+	t.Logf("%d nodes cut off at the incumbent across the corpus", cutoffs)
+	if cutoffs == 0 && !dense {
+		t.Error("no node LP stopped at the incumbent: the corpus does not exercise the objective cutoff")
 	}
 }
 
@@ -278,6 +300,9 @@ func nodeAccounting(t *testing.T, trial int, label string, res *Result, p Params
 	}
 	if st.PropagationPrunes < 0 || st.PseudocostBranches < 0 {
 		t.Fatalf("trial %d (%s): negative reduction counters %+v", trial, label, st)
+	}
+	if st.LPCutoffs > st.PrunedBound {
+		t.Fatalf("trial %d (%s): LPCutoffs %d > PrunedBound %d", trial, label, st.LPCutoffs, st.PrunedBound)
 	}
 	if st.PseudocostBranches > st.NodesBranched {
 		t.Fatalf("trial %d (%s): PseudocostBranches %d > NodesBranched %d",

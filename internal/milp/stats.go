@@ -35,10 +35,15 @@ type Stats struct {
 
 	NodesBranched    int64 // processed nodes that produced two children
 	PrunedInfeasible int64 // node relaxation infeasible
-	PrunedBound      int64 // relaxation no better than the incumbent
+	PrunedBound      int64 // relaxation no better than the incumbent (LPCutoffs of them without solving it out)
 	PrunedIterLimit  int64 // relaxation hit the LP iteration cap
 	Integral         int64 // relaxation integral — an incumbent candidate
 	UnboundedNodes   int64 // relaxation unbounded
+
+	// The objective cutoff at work: warm LPs are solved with the incumbent as
+	// lp.Options.ObjLimit and stop once their dual bound passes it.
+	LPCutoffs       int64 // nodes pruned that way (a subset of PrunedBound)
+	LPObjLimitStops int64 // every LP that stopped that way: those nodes plus rounding-heuristic LPs
 
 	PrePruned        int64 // popped nodes discarded on the inherited parent bound (not in Result.Nodes)
 	IncumbentUpdates int64 // times the incumbent improved
@@ -121,6 +126,9 @@ type statsAcc struct {
 	integral         atomic.Int64
 	unboundedNodes   atomic.Int64
 
+	lpCutoffs       atomic.Int64
+	lpObjLimitStops atomic.Int64
+
 	prePruned        atomic.Int64
 	incumbentUpdates atomic.Int64
 	heuristicSolves  atomic.Int64
@@ -174,6 +182,9 @@ func (a *statsAcc) snapshot() Stats {
 		PrunedIterLimit:  a.prunedIterLimit.Load(),
 		Integral:         a.integral.Load(),
 		UnboundedNodes:   a.unboundedNodes.Load(),
+
+		LPCutoffs:       a.lpCutoffs.Load(),
+		LPObjLimitStops: a.lpObjLimitStops.Load(),
 
 		PrePruned:        a.prePruned.Load(),
 		IncumbentUpdates: a.incumbentUpdates.Load(),

@@ -45,6 +45,8 @@ func TestStatsAccSnapshotMapping(t *testing.T) {
 	a.failedSteals.Store(34)
 	a.stolenNodes.Store(35)
 	a.stealNs.Store(36)
+	a.lpCutoffs.Store(37)
+	a.lpObjLimitStops.Store(38)
 	a.maxOpen = 27
 	a.presolveNs = 28
 	a.presolveFixedVars = 29
@@ -67,6 +69,8 @@ func TestStatsAccSnapshotMapping(t *testing.T) {
 		PrunedIterLimit:  11,
 		Integral:         12,
 		UnboundedNodes:   13,
+		LPCutoffs:        37,
+		LPObjLimitStops:  38,
 		PrePruned:        14,
 		IncumbentUpdates: 15,
 		HeuristicSolves:  16,
