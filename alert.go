@@ -12,7 +12,7 @@ import (
 // minutes" path); if not, phase 2 searches over the full demand envelope
 // (the "< an hour" path). See alert.Config for field docs; every field type
 // is re-exported by this package (Topology, DemandPaths, Matrix, Envelope,
-// Tracer, SolveProgress, BranchRule).
+// Tracer, SolveProgress).
 type AlertConfig = alert.Config
 
 // AlertReport is the outcome of an alerting run.

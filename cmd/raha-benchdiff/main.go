@@ -1,6 +1,12 @@
-// Command raha-benchdiff compares solver performance between two per-commit
-// benchmark records (the BENCH_<commit>.json files ci.sh writes, which are
-// `go test -json -bench` streams). It extracts every benchmark's custom
+// Command raha-benchdiff compares the layer benchmarks' custom metrics
+// between two `go test -json -bench` streams, e.g.
+//
+//	go test -json -run '^$' -bench . -benchmem -benchtime 1x ./internal/... >new.json
+//
+// on two checkouts. It is an ad-hoc reading aid, not a gate and not a
+// record: regressions are judged by `bash bench/run.sh --sets 10` +
+// `--compare` (bench/README.md), and no benchmark output is committed. It
+// extracts every benchmark's custom
 // metrics — nodes/sec (the branch-and-bound throughput figure the
 // performance roadmap tracks), the fleet-sweep breadth figures cells/min
 // and topos/min, bytes/solve (allocated heap per analysis, the memory
@@ -8,7 +14,7 @@
 // coldfallbacks/solve — and prints the old→new change side by side, with a
 // warning for any regression beyond a tolerance.
 //
-//	raha-benchdiff BENCH_old.json BENCH_new.json
+//	raha-benchdiff old.json new.json
 //
 // Three regressions are flagged: a throughput drop beyond regressTol on any
 // higher-is-better headline metric (nodes/sec, cells/min, topos/min,
@@ -31,9 +37,7 @@
 // swings with search-order luck (a parallel search explores a slightly
 // different tree each run). One instance down and the others steady is
 // noise or a trade-off and stays a WARNING; all instances down is the
-// scheduler. ci.sh runs the tool after each benchmark pass against the
-// most recently committed BENCH file, which makes the per-PR perf
-// trajectory visible and the parallel-search trajectory enforced.
+// scheduler.
 package main
 
 import (

@@ -18,7 +18,6 @@ import (
 
 	"raha/internal/conc"
 	"raha/internal/experiments"
-	"raha/internal/milp"
 	"raha/internal/obs"
 	"raha/internal/topology"
 )
@@ -31,7 +30,6 @@ var (
 	sweepPolicy   conc.Policy
 	checkModels   bool
 	noPresolve    bool
-	branchRule    milp.BranchRule
 	tracer        obs.Tracer
 	log           *obs.Logger
 	prog          *obs.ProgressLine // non-nil only while a sweep runs with -progress
@@ -45,7 +43,6 @@ func tuned(s *experiments.Setup) *experiments.Setup {
 	s.Parallelism = sweepPolicy
 	s.Check = checkModels
 	s.DisablePresolve = noPresolve
-	s.Branching = branchRule
 	s.Tracer = tracer
 	s.OnProgress = func(p experiments.SweepProgress) { prog.Update(p.String()) }
 	return s
@@ -60,7 +57,6 @@ func main() {
 	parallelism := flag.String("parallelism", "", "worker routing policy: auto, scenarios, solve, or off (empty = legacy -workers/-parallel behaviour)")
 	check := flag.Bool("check", false, "run the static model checker before every solve; error diagnostics abort the sweep")
 	presolve := flag.String("presolve", "on", "MILP presolve and per-node domain propagation: on or off")
-	branching := flag.String("branching", "pseudocost", "branch variable selection: pseudocost or mostfrac")
 	quiet := flag.Bool("q", false, "quiet: print errors only")
 	verbose := flag.Bool("v", false, "verbose: per-sweep diagnostics (overrides -q)")
 	progress := flag.Bool("progress", obs.IsTerminal(os.Stderr), "live per-figure progress line with ETA on stderr")
@@ -89,14 +85,6 @@ func main() {
 		noPresolve = true
 	default:
 		fail(fmt.Errorf("-presolve must be on or off, got %q", *presolve))
-	}
-	switch *branching {
-	case "pseudocost":
-		branchRule = milp.BranchPseudocost
-	case "mostfrac":
-		branchRule = milp.BranchMostFractional
-	default:
-		fail(fmt.Errorf("-branching must be pseudocost or mostfrac, got %q", *branching))
 	}
 
 	level := obs.Normal

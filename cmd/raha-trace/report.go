@@ -100,7 +100,7 @@ func workersCmd(args []string) error {
 
 // assertWorkers is the CI gate behind -require-steals and -max-idle: a
 // traced parallel solve whose workers never stole, or spent most of their
-// lifetime idle, means the steal scheduler is not moving load — the report
+// lifetime idle, means the scheduler is not moving load — the report
 // above still prints, so the failure log shows the table it judged.
 func assertWorkers(tr *trace, requireSteals bool, maxIdlePct float64) error {
 	if requireSteals && tr.steals == 0 {

@@ -114,11 +114,9 @@ type commonFlags struct {
 	budget    *time.Duration
 	seed      *int64
 	workers   *int
-	queue     *string
 	parallel  *string
 	check     *bool
 	presolve  *string
-	branching *string
 	obs       *obsFlags
 }
 
@@ -137,47 +135,23 @@ func newCommon(name string) *commonFlags {
 		budget:    fs.Duration("budget", 30*time.Second, "solver time budget"),
 		seed:      fs.Int64("seed", 1, "seed for the gravity demand model"),
 		workers:   fs.Int("workers", 0, "branch-and-bound worker goroutines (0 = all cores, 1 = serial)"),
-		queue:     fs.String("queue", "auto", "branch-and-bound scheduler: auto, shared (best-bound heap), or steal (work-stealing deques)"),
 		parallel:  fs.String("parallelism", "", "worker routing policy: auto, scenarios, solve, or off (empty = legacy -workers behaviour)"),
 		check:     fs.Bool("check", false, "run the static model checker before each solve; error diagnostics abort the solve"),
 		presolve:  fs.String("presolve", "on", "MILP presolve and per-node domain propagation: on or off"),
-		branching: fs.String("branching", "pseudocost", "branch variable selection: pseudocost or mostfrac"),
 		obs:       newObsFlags(fs),
 	}
 }
 
-// solverTuning maps the -presolve/-branching flag strings onto the solver
-// knobs, rejecting anything but the documented spellings.
-func (c *commonFlags) solverTuning() (disablePresolve bool, rule raha.BranchRule, err error) {
+// disablePresolve maps the -presolve flag string onto the solver knob,
+// rejecting anything but the documented spellings.
+func (c *commonFlags) disablePresolve() (bool, error) {
 	switch *c.presolve {
 	case "on":
+		return false, nil
 	case "off":
-		disablePresolve = true
+		return true, nil
 	default:
-		return false, 0, fmt.Errorf("-presolve must be on or off, got %q", *c.presolve)
-	}
-	switch *c.branching {
-	case "pseudocost":
-		rule = raha.BranchPseudocost
-	case "mostfrac":
-		rule = raha.BranchMostFractional
-	default:
-		return false, 0, fmt.Errorf("-branching must be pseudocost or mostfrac, got %q", *c.branching)
-	}
-	return disablePresolve, rule, nil
-}
-
-// queueMode maps the -queue flag string onto the scheduler selector.
-func (c *commonFlags) queueMode() (raha.QueueMode, error) {
-	switch *c.queue {
-	case "auto":
-		return raha.QueueAuto, nil
-	case "shared":
-		return raha.QueueShared, nil
-	case "steal":
-		return raha.QueueSteal, nil
-	default:
-		return 0, fmt.Errorf("-queue must be auto, shared, or steal, got %q", *c.queue)
+		return false, fmt.Errorf("-presolve must be on or off, got %q", *c.presolve)
 	}
 }
 
@@ -204,23 +178,17 @@ func (c *commonFlags) parallelPolicy() (raha.ParallelPolicy, error) {
 // solver assembles the solver params from the flags and the run's
 // observability bundle.
 func (c *commonFlags) solver(o *runObs) (raha.SolverParams, error) {
-	noPresolve, rule, err := c.solverTuning()
-	if err != nil {
-		return raha.SolverParams{}, err
-	}
-	queue, err := c.queueMode()
+	noPresolve, err := c.disablePresolve()
 	if err != nil {
 		return raha.SolverParams{}, err
 	}
 	return raha.SolverParams{
 		TimeLimit:       *c.budget,
 		Workers:         *c.workers,
-		Queue:           queue,
 		Tracer:          o.tracer(),
 		OnProgress:      o.solveProgress(),
 		Check:           *c.check,
 		DisablePresolve: noPresolve,
-		Branching:       rule,
 		// -v prints the phase-attribution and worker-utilization summaries,
 		// which need per-node timing even without a tracer attached.
 		Timing: o.log.Level() >= obs.Verbose,
@@ -481,7 +449,7 @@ func alert(ctx context.Context, args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	noPresolve, rule, err := c.solverTuning()
+	noPresolve, err := c.disablePresolve()
 	if err != nil {
 		return err
 	}
@@ -503,7 +471,6 @@ func alert(ctx context.Context, args []string) (err error) {
 		OnProgress:           o.solveProgress(),
 		Check:                *c.check,
 		DisablePresolve:      noPresolve,
-		Branching:            rule,
 	})
 	if err != nil {
 		return err

@@ -100,7 +100,7 @@ func alertAll(ctx context.Context, c *commonFlags, sw *sweepFlags, tolerance flo
 	if err != nil {
 		return err
 	}
-	noPresolve, rule, err := c.solverTuning()
+	noPresolve, err := c.disablePresolve()
 	if err != nil {
 		return err
 	}
@@ -157,7 +157,6 @@ func alertAll(ctx context.Context, c *commonFlags, sw *sweepFlags, tolerance flo
 		Check:                *c.check,
 		ConnectivityEnforced: *c.ce,
 		DisablePresolve:      noPresolve,
-		Branching:            rule,
 		Tracer:               o.tracer(),
 		OnTopoDone:           onTopoDone,
 	})

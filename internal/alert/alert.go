@@ -67,10 +67,9 @@ type Config struct {
 	// (milp.Params.Check).
 	Check bool
 
-	// DisablePresolve and Branching flow into both phases' solver params
-	// (milp.Params.DisablePresolve, milp.Params.Branching).
+	// DisablePresolve flows into both phases' solver params
+	// (milp.Params.DisablePresolve).
 	DisablePresolve bool
-	Branching       milp.BranchRule
 }
 
 // Report is the outcome of an alerting run.
@@ -169,6 +168,5 @@ func (cfg *Config) solver(budget time.Duration) milp.Params {
 		OnProgress:      cfg.OnProgress,
 		Check:           cfg.Check,
 		DisablePresolve: cfg.DisablePresolve,
-		Branching:       cfg.Branching,
 	}
 }

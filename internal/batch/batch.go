@@ -10,7 +10,6 @@ import (
 	"raha/internal/conc"
 	"raha/internal/demand"
 	"raha/internal/metaopt"
-	"raha/internal/milp"
 	"raha/internal/obs"
 	"raha/internal/paths"
 	"raha/internal/topology"
@@ -81,9 +80,8 @@ type Config struct {
 	// error-severity diagnostic becomes that cell's recorded failure.
 	Check bool
 
-	// DisablePresolve and Branching flow into every cell's solver params.
+	// DisablePresolve flows into every cell's solver params.
 	DisablePresolve bool
-	Branching       milp.BranchRule
 
 	// Tracer receives sweep_topo_start/sweep_topo_end events plus
 	// everything the per-cell solves emit. May be nil.
@@ -367,7 +365,6 @@ func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell
 		Tracer:               cfg.Tracer,
 		Check:                cfg.Check,
 		DisablePresolve:      cfg.DisablePresolve,
-		Branching:            cfg.Branching,
 	}
 	rep, err := alert.Run(ctx, acfg)
 	if err != nil {

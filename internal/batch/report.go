@@ -129,7 +129,7 @@ type Report struct {
 
 	Elapsed time.Duration
 
-	// Sweep throughput, the BENCH-tracked breadth metrics.
+	// Sweep throughput, the breadth metrics.
 	CellsPerMin float64
 	ToposPerMin float64
 

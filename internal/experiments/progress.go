@@ -97,6 +97,5 @@ func (s *Setup) solver() milp.Params {
 		Tracer:          s.Tracer,
 		Check:           s.Check,
 		DisablePresolve: s.DisablePresolve,
-		Branching:       s.Branching,
 	}
 }

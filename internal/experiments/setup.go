@@ -7,7 +7,6 @@ import (
 	"raha/internal/conc"
 	"raha/internal/demand"
 	"raha/internal/metaopt"
-	"raha/internal/milp"
 	"raha/internal/obs"
 	"raha/internal/paths"
 	"raha/internal/topology"
@@ -58,11 +57,6 @@ type Setup struct {
 	// DisablePresolve turns off root presolve and per-node domain
 	// propagation in every solve of the sweep (milp.Params.DisablePresolve).
 	DisablePresolve bool
-
-	// Branching selects the branch-and-bound variable-selection rule for
-	// every solve of the sweep (milp.Params.Branching). The zero value is
-	// pseudocost branching.
-	Branching milp.BranchRule
 
 	// OnProgress, when non-nil, is called after every completed analysis
 	// of a sweep with the running count and an ETA — the CLI's live

@@ -2,9 +2,9 @@ package lp
 
 // The legacy dense-tableau simplex. This was the original solver core; the
 // sparse revised simplex (sparse.go, lu.go) replaced it as the default, and
-// it is kept as the ground truth the sparse core is tested against, as the
-// RAHA_LP_DENSE escape hatch, and as the silent last-resort fallback should
-// the sparse factorization ever collapse numerically. Its pivot rules —
+// it is kept as the ground truth the sparse core is tested against (SetDense)
+// and as the silent last-resort fallback should the sparse factorization ever
+// collapse numerically. Its pivot rules —
 // Dantzig pricing with a Bland fallback, the bounded-variable ratio test,
 // the dual ratio test on the warm path — define the behavior the sparse
 // core reproduces, so changes here are semantic changes to both cores.

@@ -28,9 +28,9 @@
 //
 // The original dense-tableau two-phase solver is retained in dense.go as
 // executable ground truth: the dense-vs-sparse equivalence tests run every
-// corpus instance on both cores, the RAHA_LP_DENSE environment variable (or
-// SetDense) forces the dense core at runtime, and a sparse factorization
-// failure silently falls back to it so callers never see the seam.
+// corpus instance on both cores (SetDense is their lever; no flag or
+// environment variable reaches it), and a sparse factorization failure
+// silently falls back to it so callers never see the seam.
 //
 // Optimal solutions carry their final simplex basis (Solution.Basis), and
 // SolveFrom re-solves a problem from such a basis: it refactorizes the

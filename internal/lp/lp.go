@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sync/atomic"
 
 	"raha/internal/obs"
@@ -216,22 +215,16 @@ const (
 
 // denseMode selects the legacy dense-tableau core instead of the sparse
 // revised simplex. It exists so the dense solver — the rewrite's ground
-// truth — stays compiled, tested, and reachable: CI runs the MILP corpus
-// once with RAHA_LP_DENSE=1, and the equivalence tests flip it per trial.
+// truth — stays compiled, tested, and reachable: the equivalence tests flip
+// it per trial through SetDense, and nothing outside tests does.
 var denseMode atomic.Bool
-
-func init() {
-	if os.Getenv("RAHA_LP_DENSE") != "" {
-		denseMode.Store(true)
-	}
-}
 
 // SetDense switches every subsequent Solve/SolveFrom in the process onto
 // the dense tableau core (true) or the sparse revised simplex (false,
 // the default), returning the previous setting. The two cores agree on
 // status and objective to solver tolerance — that equivalence is pinned by
-// the dense-vs-sparse corpus tests — so the knob is a ground-truth and
-// debugging lever, not a semantics switch.
+// the dense-vs-sparse corpus tests — so the knob is the test suites'
+// ground-truth lever, not a semantics switch; no binary exposes it.
 func SetDense(on bool) (prev bool) {
 	prev = denseMode.Load()
 	denseMode.Store(on)
@@ -239,9 +232,9 @@ func SetDense(on bool) (prev bool) {
 }
 
 // Solve minimizes p. The default core is the sparse revised simplex
-// (sparse.go); the legacy dense two-phase tableau (dense.go) serves when
-// RAHA_LP_DENSE is set and as a silent last-resort fallback should the
-// sparse core's factorization collapse numerically.
+// (sparse.go); the legacy dense two-phase tableau (dense.go) serves under
+// SetDense and as a silent last-resort fallback should the sparse core's
+// factorization collapse numerically.
 func Solve(p *Problem, opt *Options) (*Solution, error) {
 	if err := validate(p); err != nil {
 		return nil, err

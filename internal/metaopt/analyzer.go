@@ -549,7 +549,6 @@ func hintScenarios(ctx context.Context, cfg *Config) []struct {
 			Tracer:          cfg.Solver.Tracer,
 			Check:           cfg.Solver.Check,
 			DisablePresolve: cfg.Solver.DisablePresolve,
-			Branching:       cfg.Solver.Branching,
 		}
 		hintStart := time.Now()
 		var (

@@ -36,11 +36,10 @@ func benchConfig(b testing.TB, top *topology.Topology, seed int64, workers int) 
 // benchAnalyze runs the analysis b.N times and reports branch-and-bound
 // throughput, the figure that shows what the worker pool buys: compare
 // nodes/sec between the /serial and /parallel variants. warmstarts/solve
-// and coldfallbacks/solve make the warm-start hit rate part of the per-
-// commit BENCH record (a regression to cold solves shows up here before
-// it shows up in nodes/sec). bytes/solve is the cumulative heap allocation
-// per analysis (runtime TotalAlloc delta, all goroutines) — the memory
-// half of the sparse-LP story, tracked per commit the same way.
+// and coldfallbacks/solve report the warm-start hit rate (a regression to
+// cold solves shows up here before it shows up in nodes/sec). bytes/solve
+// is the cumulative heap allocation per analysis (runtime TotalAlloc delta,
+// all goroutines) — the memory half of the sparse-LP story.
 func benchAnalyze(b *testing.B, top *topology.Topology, seed int64, workers int) {
 	cfg := benchConfig(b, top, seed, workers)
 	nodes := 0
@@ -119,7 +118,8 @@ func medianOf(b *testing.B, reps int, fn func()) (median, total time.Duration) {
 // over nodes/sec at Workers 1 — divides the tree size out and isolates
 // the scheduler: on an N-core machine it approaches min(4, N) when the
 // pool adds no overhead, and collapses when workers fight over shared
-// state. That is the stable signal raha-benchdiff hard-fails on.
+// state. That is the stable signal; the gated measurement of it is the
+// bench/ module's milp.node_throughput_w2 probe.
 func benchScaling(b *testing.B, top *topology.Topology, seed int64, reps int) {
 	cfg := benchConfig(b, top, seed, 1)
 	elapsed := map[int]time.Duration{}
@@ -166,8 +166,7 @@ func BenchmarkUninettScaling(b *testing.B) { benchScaling(b, topology.Uninett201
 // forced off (serial waves of serial solves) versus the auto policy
 // routing a four-worker budget across the wave. The ratio reports under
 // the same speedup-w4 / parallel-efficiency names as the intra-solve
-// scaling benchmarks, so the portfolio trajectory rides the BENCH record
-// and raha-benchdiff's efficiency gate like any other scaling figure.
+// scaling benchmarks, so the two tiers read side by side.
 func BenchmarkPortfolioScaling(b *testing.B) {
 	cfg := benchConfig(b, topology.Uninett2010(), 2010, 1)
 	ccfg := ClusterConfig{Config: cfg, Clusters: 4}

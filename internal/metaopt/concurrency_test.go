@@ -54,7 +54,7 @@ func TestAnalyzeClusteredParallelMatchesSerial(t *testing.T) {
 // reproduce the no-policy result bit for bit, since each cluster-pair
 // solve proves optimality regardless of how workers are routed into it.
 // Run under -race this also exercises the metaopt wave fan-out feeding
-// the steal scheduler underneath.
+// the work-stealing search underneath.
 func TestAnalyzeClusteredPortfolioEquivalence(t *testing.T) {
 	top, dps := tiny()
 	base := demand.Matrix{

@@ -1,7 +1,6 @@
 package milp
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -30,10 +29,9 @@ var (
 	cPresolveCoefs   = obs.Default.Counter("milp.presolve_tightened_coefs")
 	cPropagationCuts = obs.Default.Counter("milp.propagation_prunes")
 
-	// Work-stealing traffic (QueueSteal / QueueAuto at Workers > 1): how
-	// often load had to move between workers and how much moved. A healthy
-	// parallel search steals rarely — each steal is a worker that ran its
-	// own subtree dry.
+	// Work-stealing traffic (Workers > 1): how often load had to move
+	// between workers and how much moved. A healthy parallel search steals
+	// rarely — each steal is a worker that ran its own subtree dry.
 	cSteals       = obs.Default.Counter("milp.steals")
 	cStolenNodes  = obs.Default.Counter("milp.stolen_nodes")
 	cFailedSteals = obs.Default.Counter("milp.failed_steals")
@@ -48,10 +46,10 @@ var (
 )
 
 // Hot-path latency histograms (obs.Default, published via /metrics and
-// expvar). Queue pop/push are the shared-queue contention signals; the LP
-// pair shows what warm starts buy per solve; node_ns is the overall unit of
-// work. Observe is a handful of atomic adds, covered by the nil-tracer
-// overhead budget test.
+// expvar). Queue pop/push are the cost of obtaining and handing back work;
+// the LP pair shows what warm starts buy per solve; node_ns is the overall
+// unit of work. Observe is a handful of atomic adds, covered by the
+// nil-tracer overhead budget test.
 var (
 	hQueuePop    = obs.Default.Histogram("milp.queue_pop_ns")
 	hQueuePush   = obs.Default.Histogram("milp.queue_push_ns")
@@ -99,17 +97,10 @@ type Params struct {
 	// Workers is the number of concurrent branch-and-bound workers. Each
 	// worker runs its own LP solves (package lp is re-entrant: every solve
 	// builds a private tableau). 0 defaults to runtime.GOMAXPROCS(0); 1 is
-	// the serial search. The optimal objective value does not depend on
-	// Workers; node counts and which of several equally-good solutions is
-	// returned may.
+	// the serial, deterministic best-bound search. The optimal objective
+	// value does not depend on Workers; node counts and which of several
+	// equally-good solutions is returned may.
 	Workers int
-
-	// Queue selects how open nodes are scheduled across workers: a shared
-	// best-bound heap or per-worker work-stealing deques. The zero value
-	// (QueueAuto) picks the heap for serial solves and the deques when
-	// Workers > 1; QueueShared and QueueSteal force one or the other — the
-	// A/B knob behind the corpus equivalence matrix and bisection.
-	Queue QueueMode
 
 	// AutoWidth lets the solver shrink Workers from a root-LP tree-size
 	// estimate before the pool starts: a relaxation with only a handful of
@@ -143,8 +134,8 @@ type Params struct {
 
 	// OnProgress, when non-nil, is called roughly every ProgressEvery
 	// from a sampler goroutine with a live snapshot of the search — the
-	// CLIs' -progress line. The callback runs outside the search lock
-	// and must be fast and safe for concurrent use with the solve.
+	// CLIs' -progress line. The callback must be fast and safe for
+	// concurrent use with the solve.
 	OnProgress func(Progress)
 
 	// ProgressEvery is the sampler period for OnProgress and the
@@ -169,24 +160,12 @@ type Params struct {
 	// is explored.
 	Check bool
 
-	// DisableWarmStart forces every node relaxation onto the cold
-	// two-phase simplex instead of re-optimizing from the parent node's
-	// basis. The objective is identical either way (the warm/cold
-	// equivalence property test asserts it); the knob exists for A/B
-	// benchmarking and for bisecting solver issues.
-	DisableWarmStart bool
-
 	// DisablePresolve turns off the whole reduction layer: the root
 	// presolve (bound propagation, singleton/redundant-row elimination,
 	// fixed-variable substitution, big-M tightening) and the per-node
-	// domain propagation that runs after every branch. With it set — and
-	// Branching set to BranchMostFractional — the search is exactly the
-	// pre-reduction solver, which the corpus equivalence test relies on.
+	// domain propagation that runs after every branch. The corpus
+	// equivalence test solves every instance both ways.
 	DisablePresolve bool
-
-	// Branching selects the branching-variable rule; the zero value is
-	// BranchPseudocost (see BranchRule).
-	Branching BranchRule
 }
 
 func (p *Params) workers() int {
@@ -266,7 +245,8 @@ func (p *boundPool) put(s []float64) {
 }
 
 // nodeHeap orders open nodes best-bound-first (ties: most recently created,
-// which approximates the serial solver's depth-first diving).
+// which dives depth-first among equals). It is the lone worker's local queue
+// — see scheduler.go.
 type nodeHeap struct {
 	nodes    []*node
 	maximize bool
@@ -275,20 +255,11 @@ type nodeHeap struct {
 func (h *nodeHeap) Len() int { return len(h.nodes) }
 func (h *nodeHeap) Less(i, j int) bool {
 	a, b := h.nodes[i], h.nodes[j]
-	if h.maximize {
-		if a.relax > b.relax {
-			return true
-		}
-		if a.relax < b.relax {
-			return false
-		}
-	} else {
-		if a.relax < b.relax {
-			return true
-		}
-		if a.relax > b.relax {
-			return false
-		}
+	if a.relax > b.relax {
+		return h.maximize
+	}
+	if a.relax < b.relax {
+		return !h.maximize
 	}
 	return a.seq > b.seq
 }
@@ -304,27 +275,32 @@ func (h *nodeHeap) Pop() interface{} {
 }
 
 // search is the shared state of a (possibly parallel) branch-and-bound run.
-// All mutable fields are guarded by mu; workers claim nodes under the lock,
-// solve LPs outside it, and publish children/incumbents back under it.
+// There is no search-wide lock: workers claim nodes from their own local
+// queue, solve LPs, and publish children back to it (scheduler.go); the
+// facts every worker needs — the incumbent, the dual bound, whether the tree
+// is done, whether to stop — are atomics.
 type search struct {
 	m        *Model
 	p        Params
+	workers  int // resolved pool width
 	intVars  []Var
 	maximize bool
 	objConst float64
 	start    time.Time
+	post     *postsolve // maps searched-space points back to the caller's; nil without presolve
 	tracer   obs.Tracer // copy of p.Tracer; nil disables all emit sites
 	timed    bool       // wall-clock attribution on (Tracer, OnProgress, or Params.Timing)
 
-	// stats is the live accumulator: concurrent counters are typed atomics,
-	// maxOpen is guarded by mu, and the presolve figures are written before
-	// the pool starts. Result gets a plain snapshot after the pool drains.
+	// stats is the live accumulator: concurrent counters are typed atomics
+	// and the presolve figures are written before the pool starts. Result
+	// gets a plain snapshot after the pool drains.
 	stats statsAcc
 
 	// wstats is the per-worker utilization accounting, indexed by worker
-	// id. Workers write their own entry with atomics; the sampler reads
-	// all entries atomically for the worker_sample timeline. Folded into
-	// stats.PerWorker once the pool drains.
+	// id, allocated when the pool starts. Workers write their own entry
+	// with atomics; the sampler reads all entries atomically for the
+	// worker_sample timeline. Folded into Stats.PerWorker once the pool
+	// drains.
 	wstats []workerAcc
 
 	// probs holds one reusable lp.Problem per worker: the lowered rows and
@@ -336,64 +312,47 @@ type search struct {
 
 	// Reduction-layer state. isInt/rowsOf describe the search model for the
 	// per-node domain propagation (props is per-worker scratch; nil
-	// disables propagation). pc is the shared pseudocost table (nil: most-
-	// fractional branching). pools recycle node bound slices per worker.
+	// disables propagation). pc is the shared pseudocost table (nil: the
+	// model has no integer variable). pools recycle node bound slices per
+	// worker.
 	isInt  []bool
 	rowsOf [][]int32
 	props  []*nodeProp
 	pc     *pseudocosts
 	pools  []boundPool
 
-	// Shared-heap scheduler state (Queue == QueueShared, or QueueAuto at
-	// Workers 1), guarded by mu. Workers claim under the lock, solve LPs
-	// outside it, and publish children back under it.
-	mu       sync.Mutex
-	cond     *sync.Cond
-	open     nodeHeap
-	working  []float64 // per-worker relax of the claimed node; NaN when idle
-	inflight int       // workers currently processing a node
-	nextSeq  int
-
-	// Work-stealing scheduler state (see bnb_steal.go). Each worker owns
-	// deques[id] (LIFO dives; thieves batch-steal from the FIFO end) and
+	// Scheduler state (see scheduler.go). Each worker owns one local queue:
+	// deques[id] at width > 1 (LIFO dives; thieves batch-steal from the
+	// FIFO end), or — when the pool is one worker — the best-bound heap
+	// open, whose nodes take their tie-breaking seq from nextSeq. A worker
 	// is the only writer of pubBound[id], its published local dual bound
 	// as Float64bits in model sense. outstanding counts every node that
 	// exists — queued anywhere or in flight — and hitting zero is the
 	// stable termination signal. stealBuf and stealRng are per-worker
 	// scratch (steal batches, xorshift victim selection).
-	steal       bool
+	open        *nodeHeap
+	nextSeq     int
 	deques      []conc.Deque[*node]
 	stealBuf    [][]*node
 	stealRng    []uint64
 	pubBound    []atomic.Uint64
 	outstanding atomic.Int64
 	openCount   atomic.Int64
-	inflightA   atomic.Int64
-	maxOpenA    atomic.Int64
-	stopA       atomic.Bool
-	errA        atomic.Bool
+	inflight    atomic.Int64
 	nodeBetter  func(a, b *node) bool // bound order for deque Best scans
 
-	// Scheduler-independent shared state. nodes is the global claim
-	// counter; inc is the lock-free incumbent (incumbent.go); boundBits is
-	// the last published global dual bound as Float64bits in model sense
-	// (±Inf by sense until first published — addFinite drops it from
-	// traces, which is how "no bound yet" reads).
+	// nodes is the global claim counter; inc is the lock-free incumbent
+	// (incumbent.go); boundBits is the last published global dual bound as
+	// Float64bits in model sense (±Inf by sense until first published —
+	// addFinite drops it from traces, which is how "no bound yet" reads).
 	nodes     atomic.Int64
 	inc       incumbent
 	boundBits atomic.Uint64
 
-	clean     bool // no node was abandoned due to LP iteration limits
-	stop      bool // a limit, the gap target, or cancellation ended the search
-	unbounded bool
-	err       error
-}
-
-// stopped reports whether any limit, gap target, cancellation, or error
-// ended the search, whichever scheduler recorded it. Only for use after
-// the pool has drained (or under mu): s.stop is mu-guarded.
-func (s *search) stopped() bool {
-	return s.stop || s.stopA.Load() || s.errA.Load()
+	stop      atomic.Bool           // a limit, the gap target, cancellation or an error ended the search
+	err       atomic.Pointer[error] // the first worker error
+	unbounded atomic.Bool           // the root relaxation is unbounded
+	tainted   atomic.Bool           // a node was abandoned at the LP iteration limit: exhaustion proves nothing
 }
 
 // toObj maps the solver's internal minimized value back to model sense. The
@@ -414,16 +373,16 @@ func (s *search) better(a, b float64) bool {
 }
 
 // solveLP solves the relaxation under the given bounds, warm-starting from
-// basis when one is available (the parent node's optimal basis) and warm
-// starts are enabled. It holds no locks: the simplex builds a private
-// tableau per call and the lowered problem is per-worker scratch (wid), so
-// concurrent workers never share solver state. The elapsed nanoseconds are
+// basis when one is available (the parent node's optimal basis; only the
+// root and the hint LPs have none). It holds no locks: the simplex builds a
+// private tableau per call and the lowered problem is per-worker scratch
+// (wid), so concurrent workers never share solver state. The elapsed nanoseconds are
 // returned (and charged to the warm or cold LP bucket) so callers can
 // subtract LP time from their own phase accounting.
 func (s *search) solveLP(wid int, lo, hi []float64, basis *lp.Basis) (*lp.Solution, int64, error) {
 	prob := s.m.reuseLP(s.probs[wid], lo, hi)
 	s.probs[wid] = prob
-	warm := basis != nil && !s.p.DisableWarmStart
+	warm := basis != nil
 	var sol *lp.Solution
 	var err error
 	var lpStart time.Time
@@ -492,22 +451,6 @@ func addFinite(f obs.F, key string, v float64) {
 	}
 }
 
-// fractional returns the most fractional integer variable, or -1.
-func (s *search) fractional(x []float64) Var {
-	best := Var(-1)
-	bestDist := s.p.IntTol
-	for _, v := range s.intVars {
-		f := x[v] - math.Floor(x[v])
-		dist := math.Min(f, 1-f)
-		if dist > bestDist {
-			bestDist = dist
-			best = v
-		}
-	}
-	// Prefer the variable closest to 0.5; bestDist tracks the max.
-	return best
-}
-
 // tryRound fixes integers to rounded values and re-solves; a feasible
 // result becomes an incumbent candidate. The node relaxation's basis (when
 // available) warm-starts the heuristic LP too — fixing the integers is just
@@ -554,84 +497,37 @@ func (s *search) tryRound(wid int, nlo, nhi, x []float64, basis *lp.Basis) (tota
 	return
 }
 
-// fail records the first worker error and wakes everyone up. Both
-// schedulers are signalled: the heap's cond and the steal loop's flag.
+// fail records the first worker error and stops the search.
 func (s *search) fail(err error) {
-	s.errA.Store(true)
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	s.err.CompareAndSwap(nil, &err)
+	s.halt()
 }
 
-// halt sets the stop flag (limit / gap / cancellation) and wakes everyone.
-// Safe to call from outside a worker. Both schedulers are signalled.
+// halt ends the search (limit / gap / cancellation): every worker sees the
+// flag at its next claim. Safe to call from outside a worker.
 func (s *search) halt() {
-	s.stopA.Store(true)
-	s.mu.Lock()
-	s.stop = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// globalBoundLocked returns the best dual bound over open and in-flight
-// nodes, including extra (the node just popped). Callers hold mu.
-func (s *search) globalBoundLocked(extra float64) float64 {
-	bound := extra
-	if len(s.open.nodes) > 0 {
-		if r := s.open.nodes[0].relax; s.better(r, bound) {
-			bound = r
-		}
-	}
-	for _, w := range s.working {
-		if !math.IsNaN(w) && s.better(w, bound) {
-			bound = w
-		}
-	}
-	return bound
+	s.stop.Store(true)
 }
 
 const heurEvery = 64
 
 // sample takes one live snapshot of the search (for OnProgress and the
-// worker_sample trace event). The snapshot is assembled under the search
-// lock; the callback and the emit happen outside it.
-func (s *search) sample(workers int) {
-	var pr Progress
-	if s.steal {
-		// The steal scheduler has no global lock to freeze the world under;
-		// each field is an independent atomic read, so the snapshot is
-		// eventually consistent — good enough for a progress line, and the
-		// bound is still a true bound (see globalBoundSteal).
-		inc, have := s.incumbentObj()
-		pr = Progress{
-			Elapsed:       time.Since(s.start),
-			Nodes:         int(s.nodes.Load()),
-			Open:          int(s.openCount.Load()),
-			Inflight:      int(s.inflightA.Load()),
-			Workers:       workers,
-			Incumbents:    s.stats.incumbentUpdates.Load(),
-			HaveIncumbent: have,
-			Incumbent:     inc,
-			Bound:         s.globalBoundSteal(),
-		}
-	} else {
-		s.mu.Lock()
-		inc, have := s.incumbentObj()
-		pr = Progress{
-			Elapsed:       time.Since(s.start),
-			Nodes:         int(s.nodes.Load()),
-			Open:          len(s.open.nodes),
-			Inflight:      s.inflight,
-			Workers:       workers,
-			Incumbents:    s.stats.incumbentUpdates.Load(),
-			HaveIncumbent: have,
-			Incumbent:     inc,
-			Bound:         s.globalBoundLocked(s.toObj(math.Inf(1))),
-		}
-		s.mu.Unlock()
+// worker_sample trace event). There is no lock to freeze the world under;
+// each field is an independent atomic read, so the snapshot is eventually
+// consistent — good enough for a progress line, and the bound is still a
+// true bound (see globalBound).
+func (s *search) sample() {
+	inc, have := s.incumbentObj()
+	pr := Progress{
+		Elapsed:       time.Since(s.start),
+		Nodes:         int(s.nodes.Load()),
+		Open:          int(s.openCount.Load()),
+		Inflight:      int(s.inflight.Load()),
+		Workers:       s.workers,
+		Incumbents:    s.stats.incumbentUpdates.Load(),
+		HaveIncumbent: have,
+		Incumbent:     inc,
+		Bound:         s.globalBound(),
 	}
 
 	pr.Gap = math.Inf(1)
@@ -650,7 +546,7 @@ func (s *search) sample(workers int) {
 			"nodes":    pr.Nodes,
 			"open":     pr.Open,
 			"inflight": pr.Inflight,
-			"workers":  workers,
+			"workers":  s.workers,
 		}
 		addFinite(f, "nodes_per_sec", pr.NodesPerSec)
 		if pr.HaveIncumbent {
@@ -661,19 +557,17 @@ func (s *search) sample(workers int) {
 		// Per-worker utilization timeline: cumulative counters indexed by
 		// worker id, read atomically from the live accounting. raha-trace
 		// differences consecutive samples to reconstruct the timeline.
-		if len(s.wstats) > 0 {
-			wn := make([]int64, len(s.wstats))
-			wb := make([]int64, len(s.wstats))
-			ww := make([]int64, len(s.wstats))
-			for i := range s.wstats {
-				wn[i] = s.wstats[i].nodes.Load()
-				wb[i] = s.wstats[i].busyNs.Load()
-				ww[i] = s.wstats[i].waitNs.Load()
-			}
-			f["w_nodes"] = wn
-			f["w_busy_ns"] = wb
-			f["w_wait_ns"] = ww
+		wn := make([]int64, len(s.wstats))
+		wb := make([]int64, len(s.wstats))
+		ww := make([]int64, len(s.wstats))
+		for i := range s.wstats {
+			wn[i] = s.wstats[i].nodes.Load()
+			wb[i] = s.wstats[i].busyNs.Load()
+			ww[i] = s.wstats[i].waitNs.Load()
 		}
+		f["w_nodes"] = wn
+		f["w_busy_ns"] = wb
+		f["w_wait_ns"] = ww
 		s.tracer.Emit("milp", "worker_sample", f)
 	}
 }
@@ -691,130 +585,9 @@ type workerAcc struct {
 	stolenNodes atomic.Int64 // nodes this worker took in those steals
 }
 
-// claimStatus is the outcome of one claim attempt.
-type claimStatus int8
-
-const (
-	claimOK    claimStatus = iota // a node was claimed
-	claimRetry                    // the popped node was pre-pruned; try again
-	claimExit                     // the search is over for this worker
-)
-
-// claim makes one attempt to pop a workable node from the shared queue,
-// blocking while the queue is empty but other workers could still produce
-// children. The whole attempt latency — lock wait, cond.Wait starvation,
-// heap pop, bound bookkeeping — is charged to the worker's queue-wait
-// share; successful claims also feed the pop-latency histogram, the
-// shared-queue contention signal the Workers=4 regression investigation
-// needs.
-func (s *search) claim(id int) (n *node, claimNo int, st claimStatus) {
-	acc := &s.wstats[id]
-	if s.timed {
-		waitStart := time.Now()
-		defer func() {
-			ns := time.Since(waitStart).Nanoseconds()
-			acc.waitNs.Add(ns)
-			// Every attempt counts toward queuePopNs — retries and the
-			// terminal drain are still time spent obtaining work, and the
-			// trace attribution needs queuePopNs+queuePushNs to cover the
-			// summed worker wait share. The latency histogram stays
-			// successful-claims-only so its percentiles mean pop latency.
-			s.stats.queuePopNs.Add(ns)
-			if st == claimOK {
-				hQueuePop.Observe(ns)
-			}
-		}()
-	}
-
-	s.mu.Lock()
-	for !s.stop && s.err == nil && len(s.open.nodes) == 0 && s.inflight > 0 {
-		s.cond.Wait()
-	}
-	if s.stop || s.err != nil || len(s.open.nodes) == 0 {
-		// Stopped, failed, or exhausted (no open nodes and nobody who
-		// could produce more).
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		return nil, 0, claimExit
-	}
-	if s.p.NodeLimit > 0 && int(s.nodes.Load()) >= s.p.NodeLimit {
-		s.stop = true
-		s.stopA.Store(true)
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		return nil, 0, claimExit
-	}
-
-	n = heap.Pop(&s.open).(*node)
-
-	// Prune by inherited bound (does not count as an explored node).
-	if inc, ok := s.incumbentObj(); ok && !s.better(n.relax, inc) {
-		s.mu.Unlock()
-		s.stats.prePruned.Add(1)
-		s.pools[id].put(n.lo)
-		s.pools[id].put(n.hi)
-		return nil, 0, claimRetry
-	}
-
-	// Publish the global dual bound and test the gap target. The popped
-	// node is best-bound among open nodes, so the bound is it vs the
-	// in-flight nodes.
-	if inc, ok := s.incumbentObj(); ok {
-		bound := s.globalBoundLocked(n.relax)
-		s.boundBits.Store(math.Float64bits(bound))
-		if s.p.MIPGap > 0 && gapMet(inc, bound, s.p.MIPGap) {
-			s.stop = true
-			s.stopA.Store(true)
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			return nil, 0, claimExit
-		}
-	}
-
-	claimNo = int(s.nodes.Add(1))
-	s.working[id] = n.relax
-	s.inflight++
-	s.mu.Unlock()
-	cNodes.Inc()
-	acc.nodes.Add(1)
-	s.stats.queuePops.Add(1)
-	return n, claimNo, claimOK
-}
-
-// publish pushes a processed node's children onto the shared queue and
-// marks the worker idle again. The critical-section latency is charged to
-// the worker's queue-wait share and the push-latency histogram — at higher
-// worker counts this lock is the queue's other contention point.
-func (s *search) publish(id int, children []*node) {
-	var pushStart time.Time
-	if s.timed {
-		pushStart = time.Now()
-	}
-	s.mu.Lock()
-	for _, c := range children {
-		c.seq = s.nextSeq
-		s.nextSeq++
-		heap.Push(&s.open, c)
-	}
-	if depth := int64(len(s.open.nodes)); depth > s.stats.maxOpen {
-		s.stats.maxOpen = depth // guarded by mu, not atomics
-	}
-	s.working[id] = math.NaN()
-	s.inflight--
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.stats.queuePushes.Add(1)
-	if s.timed {
-		ns := time.Since(pushStart).Nanoseconds()
-		s.wstats[id].waitNs.Add(ns)
-		s.stats.queuePushNs.Add(ns)
-		hQueuePush.Observe(ns)
-	}
-}
-
-// worker claims nodes from the shared queue until the tree is exhausted, a
-// limit fires, or an error occurs. claimed counts this worker's own nodes —
-// the rounding-heuristic cadence keys off it rather than the global claim
+// worker claims nodes until the tree is exhausted, a limit fires, or an
+// error occurs. claimed counts this worker's own nodes — the
+// rounding-heuristic cadence keys off it rather than the global claim
 // number, so heuristic timing is deterministic per worker (and, at
 // Workers 1, identical run to run) instead of depending on how a race for
 // the global counter interleaved.
@@ -827,19 +600,9 @@ func (s *search) worker(id int) {
 	}
 	claimed := 0
 	for {
-		var n *node
-		var claimNo int
-		var st claimStatus
-		if s.steal {
-			n, claimNo, st = s.claimSteal(id)
-		} else {
-			n, claimNo, st = s.claim(id)
-		}
-		if st == claimExit {
+		n, claimNo := s.claim(id)
+		if n == nil {
 			return
-		}
-		if st == claimRetry {
-			continue
 		}
 		claimed++
 
@@ -850,11 +613,7 @@ func (s *search) worker(id int) {
 		s.pools[id].put(n.lo)
 		s.pools[id].put(n.hi)
 
-		if s.steal {
-			s.publishSteal(id, children)
-		} else {
-			s.publish(id, children)
-		}
+		s.publish(id, children)
 	}
 }
 
@@ -876,10 +635,9 @@ func (s *search) emitNode(claimNo, depth int, reason string, obj float64, cutoff
 }
 
 // process solves one node's relaxation and returns its children (nil when
-// the node is fathomed). It runs without holding the search lock. Every
-// node ends in exactly one Stats outcome counter — the invariant the
-// stats regression test checks. claimed is the per-worker claim count
-// driving the rounding-heuristic cadence.
+// the node is fathomed). Every node ends in exactly one Stats outcome
+// counter — the invariant the stats regression test checks. claimed is the
+// per-worker claim count driving the rounding-heuristic cadence.
 //
 // Timing: the whole call is the worker's busy time and the node_ns
 // histogram's unit; whatever is not the LP relaxation or the rounding
@@ -913,22 +671,16 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 	case lp.Unbounded:
 		if n.depth == 0 {
 			// Unbounded root relaxation: the MILP itself is unbounded.
-			// (Depth, not seq, identifies the root: the steal scheduler
-			// does not assign sequence numbers.)
-			s.stopA.Store(true)
-			s.mu.Lock()
-			s.unbounded = true
-			s.stop = true
-			s.cond.Broadcast()
-			s.mu.Unlock()
+			// (Depth, not seq, identifies the root: only the lone worker's
+			// heap assigns sequence numbers.)
+			s.unbounded.Store(true)
+			s.halt()
 		}
 		s.stats.unboundedNodes.Add(1)
 		s.emitNode(claimNo, n.depth, "unbounded", math.NaN(), false)
 		return nil
 	case lp.IterLimit:
-		s.mu.Lock()
-		s.clean = false
-		s.mu.Unlock()
+		s.tainted.Store(true)
 		s.stats.prunedIterLimit.Add(1)
 		s.emitNode(claimNo, n.depth, "iterlimit", math.NaN(), false)
 		return nil
@@ -946,7 +698,7 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 	// node reports a lower bound on its degradation, which still says the
 	// branch was expensive; leaving it out starves the scores of exactly the
 	// branches that prune.
-	if s.pc != nil && n.bvar >= 0 && n.bdist > 0 {
+	if n.bvar >= 0 && n.bdist > 0 {
 		deg := obj - n.relax
 		if s.maximize {
 			deg = n.relax - obj
@@ -1041,6 +793,47 @@ func (m *Model) Solve(p Params) (*Result, error) {
 // SolveContext calls on the same model are safe.
 func (m *Model) SolveContext(ctx context.Context, p Params) (*Result, error) {
 	start := time.Now()
+	if p.TimeLimit > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, p.TimeLimit)
+		defer cancel()
+	}
+	pl, err := m.prepare(&p)
+	if err != nil {
+		return nil, err
+	}
+	s := newSearch(m, p, pl, start)
+	// A presolve that proves infeasibility answers without exploring a
+	// single node: nothing is queued, so fold reads the empty tree as
+	// exhausted without an incumbent.
+	if !pl.infeasible() {
+		s.seedHints()
+		if err := s.runPool(ctx); err != nil {
+			return nil, err
+		}
+	}
+	return s.fold(), nil
+}
+
+// plan is what prepare decides before any search state exists: the model
+// the search runs on, how to map its points back, and the pool width.
+type plan struct {
+	sm         *Model          // the search model: m, or its presolved reduction
+	pres       *presolveResult // nil when presolve is disabled
+	presolveNs int64
+	workers    int // resolved pool width
+
+	// Auto width: the width asked for and the root fractional count behind
+	// the choice; autoRequested 0 means auto width did not run.
+	autoRequested, autoFrac int
+}
+
+func (pl *plan) infeasible() bool { return pl.pres != nil && pl.pres.infeasible }
+
+// prepare applies the parameter defaults, runs the model-check gate,
+// resolves the portfolio policy into a worker count, presolves, and lets
+// auto width shrink the pool.
+func (m *Model) prepare(p *Params) (*plan, error) {
 	if p.IntTol == 0 {
 		p.IntTol = 1e-6
 	}
@@ -1058,32 +851,20 @@ func (m *Model) SolveContext(ctx context.Context, p Params) (*Result, error) {
 			p.AutoWidth = true
 		}
 	}
-	workers := p.workers()
+	pl := &plan{sm: m, workers: p.workers(), autoFrac: -1}
 
-	if p.TimeLimit > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.TimeLimit)
-		defer cancel()
-	}
-
-	// Root presolve: the search runs on the reduced model; post maps its
-	// solutions back to the caller's variable space. A presolve that proves
-	// infeasibility answers without exploring a single node.
-	sm := m
-	var pres *presolveResult
-	var post *postsolve
-	var presolveNs int64
+	// Root presolve: the search runs on the reduced model and postsolve
+	// maps its solutions back to the caller's variable space.
 	if !p.DisablePresolve {
 		presolveStart := time.Now()
-		pres = presolve(m, p.IntTol)
-		presolveNs = time.Since(presolveStart).Nanoseconds()
-		cPresolveFixed.Add(pres.fixedVars)
-		cPresolveRows.Add(pres.removedRows)
-		cPresolveBounds.Add(pres.tightenedBounds)
-		cPresolveCoefs.Add(pres.tightenedCoefs)
-		if !pres.infeasible {
-			sm = pres.model
-			post = pres.post
+		pl.pres = presolve(m, p.IntTol)
+		pl.presolveNs = time.Since(presolveStart).Nanoseconds()
+		cPresolveFixed.Add(pl.pres.fixedVars)
+		cPresolveRows.Add(pl.pres.removedRows)
+		cPresolveBounds.Add(pl.pres.tightenedBounds)
+		cPresolveCoefs.Add(pl.pres.tightenedCoefs)
+		if !pl.pres.infeasible {
+			pl.sm = pl.pres.model
 		}
 	}
 
@@ -1091,55 +872,57 @@ func (m *Model) SolveContext(ctx context.Context, p Params) (*Result, error) {
 	// search's own root solve still happens and is the one Stats counts)
 	// and shrink the pool when the fractional count says the tree cannot
 	// keep it fed.
-	autoRequested, autoFrac := 0, -1
-	if p.AutoWidth && workers > 1 && (pres == nil || !pres.infeasible) {
-		autoRequested = workers
-		workers, autoFrac = autoWidth(sm, p.IntTol, workers)
+	if p.AutoWidth && pl.workers > 1 && !pl.infeasible() {
+		pl.autoRequested = pl.workers
+		pl.workers, pl.autoFrac = autoWidth(pl.sm, p.IntTol, pl.workers)
 	}
+	return pl, nil
+}
 
+// newSearch builds the search state for a prepared solve — per-worker
+// scratch, the local queues for the resolved width, the reduction-layer
+// tables — queues the root, and opens the trace.
+func newSearch(m *Model, p Params, pl *plan, start time.Time) *search {
+	sm, workers := pl.sm, pl.workers
 	s := &search{
 		m:        sm,
 		p:        p,
+		workers:  workers,
 		maximize: sm.sense == Maximize,
 		objConst: sm.obj.Const,
 		start:    start,
 		tracer:   p.Tracer,
 		timed:    p.Tracer != nil || p.OnProgress != nil || p.Timing,
-		working:  make([]float64, workers),
 		probs:    make([]*lp.Problem, workers),
 		pools:    make([]boundPool, workers),
-		wstats:   make([]workerAcc, workers),
-		clean:    true,
+		deques:   make([]conc.Deque[*node], workers),
+		stealBuf: make([][]*node, workers),
+		stealRng: make([]uint64, workers),
+		pubBound: make([]atomic.Uint64, workers),
 	}
-	s.stats.presolveNs = presolveNs
 	cSolves.Inc()
-	s.cond = sync.NewCond(&s.mu)
-	s.open.maximize = s.maximize
 	s.nodeBetter = func(a, b *node) bool { return s.better(a.relax, b.relax) }
-	for i := range s.working {
-		s.working[i] = math.NaN()
+	if workers == 1 {
+		s.open = &nodeHeap{maximize: s.maximize}
 	}
-	s.steal = p.stealQueue(workers)
-	if s.steal {
-		s.deques = make([]conc.Deque[*node], workers)
-		s.stealBuf = make([][]*node, workers)
-		s.stealRng = make([]uint64, workers)
-		s.pubBound = make([]atomic.Uint64, workers)
-		worstBits := math.Float64bits(s.toObj(math.Inf(1)))
-		for i := range s.stealRng {
-			// Fixed per-worker xorshift seeds (splitmix-style spread):
-			// victim selection needs statistical spread, not entropy, and
-			// fixed seeds keep runs reproducible.
-			s.stealRng[i] = uint64(i)*0x9E3779B97F4A7C15 + 0x6A09E667F3BCC909
-			s.pubBound[i].Store(worstBits)
-		}
+	inf := math.Inf(1)
+	worstBits := math.Float64bits(s.toObj(inf))
+	for i := range s.stealRng {
+		// Fixed per-worker xorshift seeds (splitmix-style spread): victim
+		// selection needs statistical spread, not entropy, and fixed seeds
+		// keep runs reproducible.
+		s.stealRng[i] = uint64(i)*0x9E3779B97F4A7C15 + 0x6A09E667F3BCC909
+		s.pubBound[i].Store(worstBits)
 	}
+	s.inc.init(s.toObj(inf))
+	s.boundBits.Store(math.Float64bits(s.toObj(-inf)))
 	for v, t := range sm.vtype {
 		if t != Continuous {
 			s.intVars = append(s.intVars, Var(v))
 		}
 	}
-	if pres != nil {
+	s.stats.presolveNs = pl.presolveNs
+	if pres := pl.pres; pres != nil {
 		s.stats.presolveFixedVars = pres.fixedVars
 		s.stats.presolveRemovedRows = pres.removedRows
 		s.stats.presolveTightenedBounds = pres.tightenedBounds
@@ -1154,7 +937,7 @@ func (m *Model) SolveContext(ctx context.Context, p Params) (*Result, error) {
 			"workers":  workers,
 			"hints":    len(p.Hints),
 		})
-		if pres != nil {
+		if pres := pl.pres; pres != nil {
 			s.tracer.Emit("milp", "presolve_end", obs.F{
 				"fixed_vars":       pres.fixedVars,
 				"removed_rows":     pres.removedRows,
@@ -1165,32 +948,20 @@ func (m *Model) SolveContext(ctx context.Context, p Params) (*Result, error) {
 				"infeasible":       pres.infeasible,
 			})
 		}
-		if autoRequested > 0 {
+		if pl.autoRequested > 0 {
 			s.tracer.Emit("milp", "auto_width", obs.F{
-				"requested":  autoRequested,
+				"requested":  pl.autoRequested,
 				"chosen":     workers,
-				"root_fracs": autoFrac,
+				"root_fracs": pl.autoFrac,
 			})
 		}
 	}
-
-	inf := math.Inf(1)
-	s.inc.init(s.toObj(inf))
-	s.boundBits.Store(math.Float64bits(s.toObj(-inf)))
-
-	if pres != nil && pres.infeasible {
-		res := &Result{
-			Status:    Infeasible,
-			Objective: s.toObj(inf),
-			Bound:     s.toObj(-inf),
-			Runtime:   time.Since(start),
-			Stats:     s.stats.snapshot(),
-		}
-		s.emitSolveEnd(res)
-		return res, nil
+	if pl.infeasible() {
+		return s
 	}
 
-	if !p.DisablePresolve {
+	if pl.pres != nil {
+		s.post = pl.pres.post
 		// Per-node domain propagation shares the presolve row engine; it
 		// needs per-worker scratch plus the var → rows adjacency.
 		s.rowsOf = rowsIndex(sm)
@@ -1203,29 +974,38 @@ func (m *Model) SolveContext(ctx context.Context, p Params) (*Result, error) {
 			s.props[i] = newNodeProp(sm.NumConstraints())
 		}
 	}
-	if p.Branching == BranchPseudocost && len(s.intVars) > 0 {
+	if len(s.intVars) > 0 {
 		s.pc = newPseudocosts(sm.NumVars())
 	}
 
-	root := &node{
+	s.pushLocal(0, &node{
 		lo:    append([]float64(nil), sm.lo...),
 		hi:    append([]float64(nil), sm.hi...),
 		relax: s.toObj(-inf),
-		seq:   0,
 		bvar:  -1,
-	}
-	s.nextSeq = 1
+	})
+	s.pubBound[0].Store(math.Float64bits(s.toObj(-inf)))
+	s.outstanding.Store(1)
+	s.openCount.Store(1)
+	s.stats.maxOpen.Store(1)
+	return s
+}
 
-	// Warm starts: fix integers to each hint, LP the rest. Runs before the
-	// workers so every worker prunes against the hint incumbents. Hints
-	// arrive in the original variable space and are projected onto the
-	// reduced model.
-	for _, h := range p.Hints {
-		if len(h) != len(m.lo) {
+// seedHints turns the caller's warm-start candidates into incumbents: fix
+// the integers to each hint, LP the rest. It runs before the workers so
+// every worker prunes against the hint incumbents. Hints arrive in the
+// original variable space and are projected onto the search model.
+func (s *search) seedHints() {
+	want := s.m.NumVars()
+	if s.post != nil {
+		want = s.post.n
+	}
+	for _, h := range s.p.Hints {
+		if len(h) != want {
 			continue
 		}
-		if post != nil {
-			h = post.project(h)
+		if s.post != nil {
+			h = s.post.project(h)
 		}
 		usable := true
 		for _, v := range s.intVars {
@@ -1235,22 +1015,20 @@ func (m *Model) SolveContext(ctx context.Context, p Params) (*Result, error) {
 			}
 		}
 		if usable {
-			// Hints run serially before the worker pool starts, so worker
-			// 0's scratch problem is free; no basis exists yet.
-			s.tryRound(0, root.lo, root.hi, h, nil)
+			// The pool has not started, so worker 0's scratch problem is
+			// free; no basis exists yet.
+			s.tryRound(0, s.m.lo, s.m.hi, h, nil)
 		}
 	}
+}
 
-	if s.steal {
-		s.deques[0].Push(root)
-		s.pubBound[0].Store(math.Float64bits(root.relax))
-		s.outstanding.Store(1)
-		s.openCount.Store(1)
-		s.maxOpenA.Store(1)
-	} else {
-		heap.Push(&s.open, root)
-	}
-	s.stats.maxOpen = 1
+// runPool runs the worker pool to completion and returns the first worker
+// error. Beside the workers it runs the cancellation watcher and the
+// progress sampler, both torn down before it returns — workers first, then
+// the watcher, then the sampler — so a cancelled solve leaks no goroutine
+// and solve_end is always the trace's final event.
+func (s *search) runPool(ctx context.Context) error {
+	s.wstats = make([]workerAcc, s.workers)
 
 	// A context that is already dead halts the search before any node is
 	// claimed instead of racing the watcher goroutine's first wake-up.
@@ -1258,9 +1036,7 @@ func (m *Model) SolveContext(ctx context.Context, p Params) (*Result, error) {
 		s.halt()
 	}
 
-	// Cancellation watcher: translates ctx expiry into a search halt and
-	// wakes blocked workers. Torn down before Solve returns so cancelled
-	// solves leak no goroutines.
+	// Cancellation watcher: translates ctx expiry into a search halt.
 	watchDone := make(chan struct{})
 	var watchWG sync.WaitGroup
 	watchWG.Add(1)
@@ -1274,12 +1050,11 @@ func (m *Model) SolveContext(ctx context.Context, p Params) (*Result, error) {
 	}()
 
 	// Progress sampler: periodic snapshots for OnProgress and the
-	// worker_sample trace stream. Torn down before solve_end is emitted so
-	// solve_end is always the trace's final event.
+	// worker_sample trace stream.
 	sampleDone := make(chan struct{})
 	var sampleWG sync.WaitGroup
 	if s.p.OnProgress != nil || s.tracer != nil {
-		every := p.ProgressEvery
+		every := s.p.ProgressEvery
 		if every <= 0 {
 			every = 250 * time.Millisecond
 		}
@@ -1293,7 +1068,7 @@ func (m *Model) SolveContext(ctx context.Context, p Params) (*Result, error) {
 				case <-sampleDone:
 					return
 				case <-tick.C:
-					s.sample(workers)
+					s.sample()
 				}
 			}
 		}()
@@ -1306,7 +1081,7 @@ func (m *Model) SolveContext(ctx context.Context, p Params) (*Result, error) {
 		defer wg.Done()
 		s.worker(id)
 	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < s.workers; w++ {
 		wg.Add(1)
 		go runWorker(w)
 	}
@@ -1316,27 +1091,23 @@ func (m *Model) SolveContext(ctx context.Context, p Params) (*Result, error) {
 	close(sampleDone)
 	sampleWG.Wait()
 
-	if s.err != nil {
-		return nil, s.err
+	if e := s.err.Load(); e != nil {
+		return *e
 	}
+	return nil
+}
 
-	if s.steal {
-		// The heap scheduler tracks maxOpen under mu; the steal scheduler
-		// CAS-maxes an atomic. Fold the larger into the accumulator before
-		// snapshotting.
-		if mo := s.maxOpenA.Load(); mo > s.stats.maxOpen {
-			s.stats.maxOpen = mo
-		}
-	}
-
-	// Snapshot the accumulator and fold the per-worker accounting into it
-	// (workers and sampler have exited, so the copy is quiescent). Idle is
-	// the remainder of the worker's wall clock, so the three shares always
-	// sum to the whole. An unobserved solve has no wall clocks to attribute,
-	// so it publishes no per-worker summary at all.
+// fold turns the quiescent search state into the Result: the stats
+// snapshot with the per-worker shares, the final bound, the status, the
+// incumbent mapped back to the caller's variable space, and solve_end.
+func (s *search) fold() *Result {
+	// Idle is the remainder of the worker's wall clock, so the three shares
+	// always sum to the whole. An unobserved solve has no wall clocks to
+	// attribute, and a solve that never started its pool has no workers, so
+	// neither publishes a per-worker summary.
 	stats := s.stats.snapshot()
-	if s.timed {
-		stats.PerWorker = make([]WorkerStats, workers)
+	if s.timed && len(s.wstats) > 0 {
+		stats.PerWorker = make([]WorkerStats, len(s.wstats))
 		var busyTot, waitTot, idleTot int64
 		for i := range s.wstats {
 			a := &s.wstats[i]
@@ -1361,55 +1132,48 @@ func (m *Model) SolveContext(ctx context.Context, p Params) (*Result, error) {
 		cWorkerIdleNs.Add(idleTot)
 	}
 
-	incObj, haveInc := s.incumbentObj()
-	if !haveInc {
-		incObj = s.toObj(inf) // the sentinel, verbatim
-	}
+	incObj, haveInc := s.incumbentObj() // without one, the sentinel verbatim
 	res := &Result{
 		Objective: incObj,
-		Bound:     math.Float64frombits(s.boundBits.Load()),
+		Bound:     s.toObj(math.Inf(-1)),
 		X:         s.inc.snapshotX(),
 		Nodes:     int(s.nodes.Load()),
-		Runtime:   time.Since(start),
 		Stats:     stats,
 	}
-	var exhausted bool
-	if s.steal {
-		exhausted = s.outstanding.Load() == 0 && !s.stopped()
-		// The final decentralized bound: min-reduce the per-worker
-		// published bounds. Non-finite means the tree drained without a
-		// stop — the heap-init bound (±Inf by sense) already says that.
-		if b := s.globalBoundSteal(); !math.IsInf(b, 0) {
-			res.Bound = b
-		}
-	} else {
-		exhausted = len(s.open.nodes) == 0 && !s.stopped()
+	// The final bound is the same reduction the live one is: the best
+	// relaxation over the nodes still open, clamped to the incumbent.
+	// Non-finite means nothing was proven (the root never solved) or the
+	// tree drained without an incumbent, and the no-bound value stands.
+	if b := s.globalBound(); !math.IsInf(b, 0) {
+		res.Bound = b
 	}
-	if post != nil {
+	if s.post != nil {
 		// Back to the caller's variable space: re-insert the presolve-fixed
 		// variables around the searched ones.
-		res.X = post.restore(res.X)
+		res.X = s.post.restore(res.X)
 	}
+	exhausted := s.outstanding.Load() == 0 && !s.stop.Load()
+	clean := !s.tainted.Load()
 	switch {
-	case s.unbounded:
+	case s.unbounded.Load():
 		res.Status = Unbounded
-	case exhausted && haveInc && s.clean:
+	case exhausted && haveInc && clean:
 		res.Status = Optimal
 		res.Bound = res.Objective
-	case exhausted && !haveInc && s.clean:
+	case exhausted && !haveInc && clean:
 		res.Status = Infeasible
 	case haveInc:
 		res.Status = Feasible
 	default:
 		res.Status = Unknown
 	}
+	res.Runtime = time.Since(s.start)
 
 	s.emitSolveEnd(res)
-	return res, nil
+	return res
 }
 
-// emitSolveEnd writes the trace's final event, mirroring the Result. Shared
-// by the normal exit and the presolved-to-infeasible short circuit.
+// emitSolveEnd writes the trace's final event, mirroring the Result.
 func (s *search) emitSolveEnd(res *Result) {
 	if s.tracer == nil {
 		return
@@ -1465,8 +1229,4 @@ func (s *search) emitSolveEnd(res *Result) {
 	addFinite(f, "bound", res.Bound)
 	addFinite(f, "gap", res.Gap())
 	s.tracer.Emit("milp", "solve_end", f)
-}
-
-func gapMet(incumbent, bound, gap float64) bool {
-	return relGap(incumbent, bound) <= gap
 }

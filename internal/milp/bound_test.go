@@ -12,11 +12,11 @@ import (
 // hair inside the true optimum is round-off, not unsoundness.
 const boundTol = 1e-6
 
-// trueOptimum solves the instance to optimality on the reference
-// single-worker heap scheduler and returns the optimal objective.
+// trueOptimum solves the instance to optimality on the serial search and
+// returns the optimal objective.
 func trueOptimum(t *testing.T, seed int64, n int) float64 {
 	t.Helper()
-	res := solveOK(t, wideKnapsack(seed, n), Params{Workers: 1, Queue: QueueShared})
+	res := solveOK(t, wideKnapsack(seed, n), Params{Workers: 1})
 	if res.Status != Optimal {
 		t.Fatalf("reference solve: status %v, want Optimal", res.Status)
 	}
@@ -43,8 +43,8 @@ func checkDualSide(t *testing.T, what string, bound, opt float64) {
 // publishes: at EVERY OnProgress sample, Progress.Bound must be a valid
 // dual bound on the true optimum (≥ z* for this Maximize instance), and
 // never on the wrong side of the sample's own incumbent. This is the
-// invariant the steal scheduler's eventually-consistent bound aggregation
-// (per-worker published bounds + pre-steal cover, globalBoundSteal) is
+// invariant the scheduler's eventually-consistent bound aggregation
+// (per-worker published bounds + pre-steal cover, globalBound) is
 // pinned by: a worker may briefly publish a stale or conservative value,
 // but an optimistic one — claiming the tree is more explored than it is —
 // would show up here as a bound below the optimum.
@@ -59,7 +59,6 @@ func TestProgressBoundIsTrueBound(t *testing.T) {
 		)
 		res := solveOK(t, wideKnapsack(seed, n), Params{
 			Workers:       workers,
-			Queue:         QueueSteal, // the scheduler under test, at both widths
 			ProgressEvery: 200 * time.Microsecond,
 			OnProgress: func(p Progress) {
 				mu.Lock()
@@ -94,9 +93,9 @@ func TestProgressBoundIsTrueBound(t *testing.T) {
 // edge: a solve cancelled mid-tree must still return a Result.Bound on the
 // dual side of the true optimum, and an incumbent (if any) on the primal
 // side — the anytime contract callers rely on when they act on partial
-// results. Exercised at Workers 1 and 4 on the steal scheduler, whose
-// termination path reconstructs the bound from per-worker publications
-// rather than a frozen global queue.
+// results. Exercised at Workers 1 and 4 — both local-queue disciplines —
+// since the termination path reconstructs the bound from per-worker
+// publications rather than a frozen global queue.
 func TestCancelledBoundIsTrueBound(t *testing.T) {
 	const seed, n = 7, 24
 	opt := trueOptimum(t, seed, n)
@@ -104,7 +103,7 @@ func TestCancelledBoundIsTrueBound(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		// A NodeLimit stops the solve deterministically mid-tree; a second
 		// run is stopped by context cancellation racing the workers.
-		res, err := wideKnapsack(seed, n).Solve(Params{Workers: workers, Queue: QueueSteal, NodeLimit: 20})
+		res, err := wideKnapsack(seed, n).Solve(Params{Workers: workers, NodeLimit: 20})
 		if err != nil {
 			t.Fatalf("workers=%d node-limited solve: %v", workers, err)
 		}
@@ -118,7 +117,7 @@ func TestCancelledBoundIsTrueBound(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 			cancel()
 		}()
-		res, err = wideKnapsack(seed, n).SolveContext(ctx, Params{Workers: workers, Queue: QueueSteal})
+		res, err = wideKnapsack(seed, n).SolveContext(ctx, Params{Workers: workers})
 		cancel()
 		if err != nil {
 			t.Fatalf("workers=%d cancelled solve: %v", workers, err)
@@ -127,5 +126,56 @@ func TestCancelledBoundIsTrueBound(t *testing.T) {
 		if res.Status == Feasible && res.Objective > opt+boundTol {
 			t.Fatalf("workers=%d: cancelled incumbent %.9f above optimum %.9f", workers, res.Objective, opt)
 		}
+	}
+}
+
+// TestNodeLimitBoundIsLiveBound pins what Result.Bound means after a stop:
+// the better of the incumbent and the best relaxation among the nodes still
+// open when the pool drained — not whatever was published at the last
+// claim, which misses the children published afterwards and an incumbent
+// that already prunes every open node. The serial search is driven through
+// SolveContext's own steps so the open heap can be read between runPool and
+// fold, independently of the published bounds fold reduces.
+func TestNodeLimitBoundIsLiveBound(t *testing.T) {
+	const seed, n = 7, 24
+	var byOpenNode, byIncumbent int
+	for limit := 1; limit <= 64; limit++ {
+		m := wideKnapsack(seed, n)
+		p := Params{Workers: 1, NodeLimit: limit}
+		pl, err := m.prepare(&p)
+		if err != nil {
+			t.Fatalf("prepare: %v", err)
+		}
+		s := newSearch(m, p, pl, time.Now())
+		if err := s.runPool(context.Background()); err != nil {
+			t.Fatalf("limit %d: %v", limit, err)
+		}
+		want := s.toObj(math.Inf(1))
+		for _, nd := range s.open.nodes {
+			if s.better(nd.relax, want) {
+				want = nd.relax
+			}
+		}
+		fromInc := false
+		if inc, ok := s.incumbentObj(); ok && s.better(inc, want) {
+			want, fromInc = inc, true
+		}
+		res := s.fold()
+		if res.Status != Feasible {
+			continue // no incumbent yet, or the tree drained inside the limit
+		}
+		//raha:lint-allow float-cmp the bound is one of the compared values verbatim
+		if res.Bound != want {
+			t.Fatalf("limit %d: Bound %.9f, want %.9f (incumbent %.9f, %d open nodes)",
+				limit, res.Bound, want, res.Objective, len(s.open.nodes))
+		}
+		if fromInc {
+			byIncumbent++
+		} else {
+			byOpenNode++
+		}
+	}
+	if byOpenNode == 0 || byIncumbent == 0 {
+		t.Fatalf("limits covered %d open-node bounds and %d incumbent-clamped bounds; want both", byOpenNode, byIncumbent)
 	}
 }

@@ -27,7 +27,7 @@ func wideKnapsack(seed int64, n int) *Model {
 
 // TestParallelMatchesSerial solves the same instances at Workers:1 and
 // Workers:8 and demands equal objectives. Run under -race this also
-// exercises the shared queue, incumbent, and bound bookkeeping.
+// exercises the deques, the incumbent, and the bound bookkeeping.
 func TestParallelMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		m := wideKnapsack(seed, 22)

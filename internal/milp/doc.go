@@ -6,14 +6,17 @@
 // relative MIP-gap stop — the stand-in for the Gurobi backend the paper
 // uses, including its timeout-with-incumbent behaviour.
 //
-// The search runs a worker pool over a shared best-bound queue
-// (Params.Workers), and each node below the root warm-starts its LP
-// relaxation from the parent's simplex basis via lp.SolveFrom; set
-// Params.DisableWarmStart to force cold solves. The LP core underneath is
-// package lp's sparse revised simplex, but nothing here depends on that:
-// branch and bound sees only Solve/SolveFrom and Solution.Basis, and the
-// equivalence corpus re-runs on the dense fallback core to prove it. Warm-start accounting
-// (Stats.WarmStarts, Stats.WarmIters, Stats.ColdFallbacks) rides on
-// Result.Stats next to the LP and prune counters. DESIGN.md §2.4 covers
-// the parallel search, §2.8 the warm starts.
+// The search is one worker loop (Params.Workers wide) over per-worker local
+// queues — a best-bound heap when the pool is one worker, work-stealing
+// deques otherwise (scheduler.go) — with a lock-free incumbent and a
+// min-reduced dual bound. Branching is reliability-initialized pseudocost
+// branching, and each node below the root warm-starts its LP relaxation
+// from the parent's simplex basis via lp.SolveFrom, stopping early once its
+// dual bound passes the incumbent. The LP core underneath is package lp's
+// sparse revised simplex, but nothing here depends on that: branch and
+// bound sees only Solve/SolveFrom and Solution.Basis, and the equivalence
+// corpus re-runs on the dense fallback core to prove it. Warm-start
+// accounting (Stats.WarmStarts, Stats.WarmIters, Stats.ColdFallbacks)
+// rides on Result.Stats next to the LP and prune counters. DESIGN.md §2.14
+// covers the scheduler, §2.8 the warm starts.
 package milp

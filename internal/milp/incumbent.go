@@ -65,8 +65,7 @@ func (inc *incumbent) snapshotX() []float64 {
 	return nil
 }
 
-// incumbentObj is the fathoming fast path: one atomic load, valid in
-// both queue modes.
+// incumbentObj is the fathoming fast path: one atomic load.
 func (s *search) incumbentObj() (float64, bool) { return s.inc.obj() }
 
 // offerIncumbent installs (obj, x) as the incumbent if it improves on

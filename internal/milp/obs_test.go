@@ -415,7 +415,7 @@ func TestNilTracerOverhead(t *testing.T) {
 }
 
 // BenchmarkSolveNilTracer and BenchmarkSolveJSONLTracer bracket the cost of
-// tracing on the same instance, for the ci.sh bench artifact.
+// tracing on the same instance.
 func BenchmarkSolveNilTracer(b *testing.B) {
 	m := knapsack(14, 9)
 	b.ReportAllocs()

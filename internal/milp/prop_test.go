@@ -15,21 +15,9 @@ import (
 // smoke check that the presolve-disabled solver still matches brute force.
 var presolveMode = flag.String("presolve", "on", `corpus presolve mode: "on" or "off"`)
 
-// queueMode lets CI force one scheduler across the corpus
-// (`go test -run TestRandomMILPs -queue=shared`) — the revert knob's
-// regression check: the retired shared heap must keep matching brute force
-// for as long as Params.Queue exposes it.
-var queueMode = flag.String("queue", "auto", `corpus queue mode: "auto", "shared", or "steal"`)
-
 func corpusParams(p Params) Params {
 	if *presolveMode == "off" {
 		p.DisablePresolve = true
-	}
-	switch *queueMode {
-	case "shared":
-		p.Queue = QueueShared
-	case "steal":
-		p.Queue = QueueSteal
 	}
 	return p
 }
@@ -151,12 +139,18 @@ func propCorpusSize(t *testing.T) int {
 // a node cut off wrongly would lose the optimum. The corpus must actually
 // cut nodes off for that to mean anything — on the sparse core; the dense
 // one ignores the limit — and a cut-off node is always a bound-pruned one.
+//
+// It also pins the warm accounting: every node LP below the root is a warm
+// attempt, so WarmStarts+ColdFallbacks > 0 whenever the tree branched, and
+// the corpus as a whole must warm-start somewhere. (That a warm re-solve
+// returns what a cold solve would is the LP layer's referee,
+// lp.TestWarmResolveMatchesCold.)
 func TestRandomMILPsAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	n := propCorpusSize(t)
-	dense := lp.SetDense(false) // read the core in use (RAHA_LP_DENSE) ...
+	dense := lp.SetDense(false) // read the core in use ...
 	lp.SetDense(dense)          // ... and leave it as it was
-	var cutoffs int64
+	var cutoffs, warmStarts int64
 	for trial := 0; trial < n; trial++ {
 		inst := genMILP(rng)
 		want := inst.bruteForce(t)
@@ -172,6 +166,10 @@ func TestRandomMILPsAgainstBruteForce(t *testing.T) {
 					trial, which, st.LPCutoffs, st.PrunedBound, st.LPObjLimitStops)
 			}
 			cutoffs += st.LPCutoffs
+			warmStarts += st.WarmStarts
+			if st.NodesBranched > 0 && st.WarmStarts+st.ColdFallbacks == 0 {
+				t.Fatalf("trial %d (%s): %d branched nodes but no warm attempt recorded", trial, which, st.NodesBranched)
+			}
 			if infeasible {
 				if res.Status != Infeasible {
 					t.Fatalf("trial %d (%s): status %v, brute force says infeasible", trial, which, res.Status)
@@ -193,59 +191,8 @@ func TestRandomMILPsAgainstBruteForce(t *testing.T) {
 	if cutoffs == 0 && !dense {
 		t.Error("no node LP stopped at the incumbent: the corpus does not exercise the objective cutoff")
 	}
-}
-
-// TestRandomMILPsWarmColdEquivalence is the warm-start equivalence harness:
-// across the same random corpus, branch and bound with warm-started node
-// LPs (the default) and with DisableWarmStart must agree on status,
-// objective, and incumbent objective at Workers 1 and 4. It also pins the
-// warm accounting: every node LP below the root is a warm attempt, so
-// WarmStarts+ColdFallbacks > 0 whenever the tree branched, and a disabled
-// run records neither.
-func TestRandomMILPsWarmColdEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	n := propCorpusSize(t)
-	warmTotal := int64(0)
-	for trial := 0; trial < n; trial++ {
-		inst := genMILP(rng)
-		runs := map[string]*Result{
-			"warm-1": solveOK(t, inst.m, Params{Workers: 1}),
-			"warm-4": solveOK(t, inst.m, Params{Workers: 4}),
-			"cold-1": solveOK(t, inst.m, Params{Workers: 1, DisableWarmStart: true}),
-			"cold-4": solveOK(t, inst.m, Params{Workers: 4, DisableWarmStart: true}),
-		}
-		ref := runs["cold-1"]
-		for which, res := range runs {
-			if res.Status != ref.Status {
-				t.Fatalf("trial %d (%s): status %v, cold-1 says %v", trial, which, res.Status, ref.Status)
-			}
-			if ref.Status == Optimal {
-				if math.Abs(res.Objective-ref.Objective) > 1e-6 {
-					t.Fatalf("trial %d (%s): objective %g != cold-1 %g", trial, which, res.Objective, ref.Objective)
-				}
-				if res.X == nil {
-					t.Fatalf("trial %d (%s): optimal result without incumbent", trial, which)
-				}
-				if got := Value(inst.m.obj, res.X); math.Abs(got-res.Objective) > 1e-5 {
-					t.Fatalf("trial %d (%s): incumbent evaluates to %g, reported %g", trial, which, got, res.Objective)
-				}
-			}
-			st := res.Stats
-			if which == "cold-1" || which == "cold-4" {
-				if st.WarmStarts != 0 || st.ColdFallbacks != 0 || st.WarmIters != 0 {
-					t.Fatalf("trial %d (%s): disabled warm starts still recorded %+v", trial, which, st)
-				}
-			} else {
-				warmTotal += st.WarmStarts
-				if st.NodesBranched > 0 && st.WarmStarts+st.ColdFallbacks == 0 {
-					t.Fatalf("trial %d (%s): %d branched nodes but no warm attempt recorded",
-						trial, which, st.NodesBranched)
-				}
-			}
-		}
-	}
-	if warmTotal == 0 {
-		t.Fatal("no warm-started node LP across the whole corpus")
+	if warmStarts == 0 {
+		t.Error("no warm-started node LP across the whole corpus")
 	}
 }
 
@@ -315,16 +262,11 @@ func nodeAccounting(t *testing.T, trial int, label string, res *Result, p Params
 			t.Fatalf("trial %d (%s): presolve disabled but reduction stats recorded %+v", trial, label, st)
 		}
 	}
-	if p.Branching == BranchMostFractional && st.PseudocostBranches != 0 {
-		t.Fatalf("trial %d (%s): most-fractional branching recorded %d pseudocost branches",
-			trial, label, st.PseudocostBranches)
-	}
 }
 
 // TestRandomMILPsPresolveBranchingEquivalence is the reduction-layer
-// equivalence harness: across the random corpus, presolve on/off and
-// pseudocost vs most-fractional branching at Workers 1 and 4 must agree on
-// status and objective; every returned solution must round-trip through
+// equivalence harness: across the random corpus, presolve on/off at Workers
+// 1 and 4 must agree on status and objective; every returned solution must round-trip through
 // postsolve to a feasible point of the original model; and the node
 // accounting invariant must hold with the new counters. Run under -race in
 // CI, this is also the concurrency check for the shared pseudocost table
@@ -337,12 +279,10 @@ func TestRandomMILPsPresolveBranchingEquivalence(t *testing.T) {
 		p     Params
 	}
 	cfgs := []cfg{
-		{"off-mf-1", Params{Workers: 1, DisablePresolve: true, Branching: BranchMostFractional}},
-		{"off-mf-4", Params{Workers: 4, DisablePresolve: true, Branching: BranchMostFractional}},
-		{"on-pc-1", Params{Workers: 1}},
-		{"on-pc-4", Params{Workers: 4}},
-		{"on-mf-1", Params{Workers: 1, Branching: BranchMostFractional}},
-		{"off-pc-1", Params{Workers: 1, DisablePresolve: true}},
+		{"off-1", Params{Workers: 1, DisablePresolve: true}},
+		{"off-4", Params{Workers: 4, DisablePresolve: true}},
+		{"on-1", Params{Workers: 1}},
+		{"on-4", Params{Workers: 4}},
 	}
 	for trial := 0; trial < n; trial++ {
 		inst := genMILP(rng)
@@ -411,12 +351,13 @@ func scrubTimingStats(s *Stats) {
 // full Stats (including the per-worker rounding-heuristic cadence, which
 // used to key off a racy global claim counter), the node count, the
 // objective, and the returned point — with the reduction layer on and off.
+// A lone worker has no victims, so it must also record no steal traffic.
 func TestWorkers1StatsDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	n := propCorpusSize(t) / 5
 	cfgs := []Params{
 		{Workers: 1},
-		{Workers: 1, DisablePresolve: true, Branching: BranchMostFractional},
+		{Workers: 1, DisablePresolve: true},
 	}
 	for trial := 0; trial < n; trial++ {
 		inst := genMILP(rng)
@@ -432,6 +373,9 @@ func TestWorkers1StatsDeterminism(t *testing.T) {
 			scrubTimingStats(&sb)
 			if !reflect.DeepEqual(sa, sb) {
 				t.Fatalf("trial %d cfg %d: stats diverged:\n%+v\n%+v", trial, ci, sa, sb)
+			}
+			if sa.Steals != 0 || sa.StolenNodes != 0 || sa.FailedSteals != 0 {
+				t.Fatalf("trial %d cfg %d: single worker recorded steals %+v", trial, ci, sa)
 			}
 			if a.Status == Optimal {
 				//raha:lint-allow float-cmp bitwise determinism is the property under test
@@ -449,15 +393,15 @@ func TestWorkers1StatsDeterminism(t *testing.T) {
 	}
 }
 
-// TestRandomMILPsQueueEquivalenceMatrix is the scheduler equivalence
-// harness: across the random corpus, the full matrix of worker widths
-// {1, 4, 8} × queue modes {shared heap, work-stealing deques} × width
-// policy {fixed, root-LP auto} must agree on status and objective with
-// the Workers-1 shared-heap reference (the pre-steal solver), and every
-// cell must keep the node-accounting invariant. Run under -race in CI,
-// this is the concurrency check for the deque protocol, the lock-free
-// incumbent, and the per-worker bound publications.
-func TestRandomMILPsQueueEquivalenceMatrix(t *testing.T) {
+// TestRandomMILPsWidthMatrix is the scheduler equivalence harness: across
+// the random corpus, worker widths {1, 4, 8} × width policy {fixed, root-LP
+// auto} must each reach the brute-force optimum, and every cell must keep
+// the node-accounting invariant, report Bound == Objective at optimality,
+// and return a point of the original model. Width 1 is the best-bound heap,
+// the others the deques (or the heap again, when auto width shrinks them).
+// Run under -race in CI, this is the concurrency check for the deque
+// protocol, the lock-free incumbent, and the per-worker bound publications.
+func TestRandomMILPsWidthMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(31337))
 	n := propCorpusSize(t)
 	type cfg struct {
@@ -465,81 +409,37 @@ func TestRandomMILPsQueueEquivalenceMatrix(t *testing.T) {
 		p     Params
 	}
 	cfgs := []cfg{
-		{"shared-1", Params{Workers: 1, Queue: QueueShared}}, // reference: the PR-9 scheduler
-		{"shared-4", Params{Workers: 4, Queue: QueueShared}},
-		{"shared-8", Params{Workers: 8, Queue: QueueShared}},
-		{"steal-1", Params{Workers: 1, Queue: QueueSteal}},
-		{"steal-4", Params{Workers: 4, Queue: QueueSteal}},
-		{"steal-8", Params{Workers: 8, Queue: QueueSteal}},
-		{"steal-4-auto", Params{Workers: 4, Queue: QueueSteal, AutoWidth: true}},
-		{"auto-8-auto", Params{Workers: 8, AutoWidth: true}}, // QueueAuto resolves to steal at width > 1
+		{"fixed-1", Params{Workers: 1}},
+		{"fixed-4", Params{Workers: 4}},
+		{"fixed-8", Params{Workers: 8}},
+		{"auto-1", Params{Workers: 1, AutoWidth: true}},
+		{"auto-4", Params{Workers: 4, AutoWidth: true}},
+		{"auto-8", Params{Workers: 8, AutoWidth: true}},
 	}
 	for trial := 0; trial < n; trial++ {
 		inst := genMILP(rng)
-		var ref *Result
+		want := inst.bruteForce(t)
 		for _, c := range cfgs {
 			res := solveOK(t, inst.m, c.p)
 			nodeAccounting(t, trial, c.label, res, c.p)
 			if c.p.Workers == 1 && (res.Stats.Steals != 0 || res.Stats.StolenNodes != 0 || res.Stats.FailedSteals != 0) {
 				t.Fatalf("trial %d (%s): single worker recorded steals %+v", trial, c.label, res.Stats)
 			}
-			if ref == nil {
-				ref = res
+			if math.IsInf(want, 0) {
+				if res.Status != Infeasible {
+					t.Fatalf("trial %d (%s): status %v, brute force says infeasible", trial, c.label, res.Status)
+				}
 				continue
 			}
-			if res.Status != ref.Status {
-				t.Fatalf("trial %d (%s): status %v, shared-1 says %v", trial, c.label, res.Status, ref.Status)
+			if res.Status != Optimal {
+				t.Fatalf("trial %d (%s): status %v, want optimal (brute %g)", trial, c.label, res.Status, want)
 			}
-			if ref.Status == Optimal {
-				if math.Abs(res.Objective-ref.Objective) > 1e-6 {
-					t.Fatalf("trial %d (%s): objective %g != shared-1 %g", trial, c.label, res.Objective, ref.Objective)
-				}
-				assertOriginalSpace(t, inst.m, res.X, c.label)
-				if math.Abs(res.Bound-res.Objective) > 1e-6 {
-					t.Fatalf("trial %d (%s): optimal bound %g != objective %g", trial, c.label, res.Bound, res.Objective)
-				}
+			if math.Abs(res.Objective-want) > 1e-5 {
+				t.Fatalf("trial %d (%s): objective %g, brute force %g", trial, c.label, res.Objective, want)
 			}
-		}
-	}
-}
-
-// TestStealWorkers1Determinism pins the steal scheduler's single-worker
-// reproducibility: with one worker the deque degenerates to pure LIFO
-// depth-first search with no victims to steal from, so two runs must agree
-// bit for bit on the scrubbed Stats, the node count, the objective, and
-// the returned point — the same determinism contract the shared heap gives
-// at Workers 1 (TestWorkers1StatsDeterminism), now on the new code path.
-func TestStealWorkers1Determinism(t *testing.T) {
-	rng := rand.New(rand.NewSource(4321))
-	n := propCorpusSize(t) / 5
-	for trial := 0; trial < n; trial++ {
-		inst := genMILP(rng)
-		p := Params{Workers: 1, Queue: QueueSteal}
-		a := solveOK(t, inst.m, p)
-		b := solveOK(t, inst.m, p)
-		if a.Status != b.Status || a.Nodes != b.Nodes {
-			t.Fatalf("trial %d: runs diverged: status %v/%v nodes %d/%d",
-				trial, a.Status, b.Status, a.Nodes, b.Nodes)
-		}
-		sa, sb := a.Stats, b.Stats
-		scrubTimingStats(&sa)
-		scrubTimingStats(&sb)
-		if !reflect.DeepEqual(sa, sb) {
-			t.Fatalf("trial %d: stats diverged:\n%+v\n%+v", trial, sa, sb)
-		}
-		if sa.Steals != 0 || sa.StolenNodes != 0 || sa.FailedSteals != 0 {
-			t.Fatalf("trial %d: single steal-mode worker recorded steals %+v", trial, sa)
-		}
-		if a.Status == Optimal {
-			//raha:lint-allow float-cmp bitwise determinism is the property under test
-			if a.Objective != b.Objective {
-				t.Fatalf("trial %d: objective %g != %g", trial, a.Objective, b.Objective)
-			}
-			for v := range a.X {
-				//raha:lint-allow float-cmp bitwise determinism is the property under test
-				if a.X[v] != b.X[v] {
-					t.Fatalf("trial %d: X[%d] %g != %g", trial, v, a.X[v], b.X[v])
-				}
+			assertOriginalSpace(t, inst.m, res.X, c.label)
+			if math.Abs(res.Bound-res.Objective) > 1e-6 {
+				t.Fatalf("trial %d (%s): optimal bound %g != objective %g", trial, c.label, res.Bound, res.Objective)
 			}
 		}
 	}

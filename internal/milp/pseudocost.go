@@ -5,23 +5,11 @@ import (
 	"sync/atomic"
 )
 
-// BranchRule selects how branch and bound picks the branching variable.
-type BranchRule int8
-
-const (
-	// BranchPseudocost (the default) scores candidates by the per-unit
-	// objective degradation their past branches caused, reliability-
-	// initialized: until a variable has pcReliability observations in each
-	// direction it is treated as unknown and the most fractional unknown is
-	// branched to gather data (classic reliability branching).
-	BranchPseudocost BranchRule = iota
-
-	// BranchMostFractional picks the integer variable whose LP value is
-	// closest to 0.5 — the pre-pseudocost rule, kept for A/B comparison and
-	// for reproducing earlier solver behaviour exactly.
-	BranchMostFractional
-)
-
+// Branching is reliability-initialized pseudocost branching, the only rule:
+// candidates are scored by the per-unit objective degradation their past
+// branches caused, and until a variable has pcReliability observations in
+// each direction it is treated as unknown and the most fractional unknown
+// is branched to gather data.
 const (
 	// pcReliability is the per-direction observation count below which a
 	// variable's pseudocosts are not yet trusted.
@@ -85,9 +73,6 @@ func (pc *pseudocosts) observe(v Var, up bool, perUnit float64) {
 // directions reliable), as opposed to the most-fractional fallback — the
 // count Stats.PseudocostBranches tracks.
 func (s *search) branchVar(x []float64) (v Var, scored bool) {
-	if s.pc == nil {
-		return s.fractional(x), false
-	}
 	best := Var(-1)
 	bestScore := 0.0
 	fallback := Var(-1)

@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"container/heap"
 	"math"
 	"runtime"
 	"time"
@@ -8,17 +9,30 @@ import (
 	"raha/internal/lp"
 )
 
-// Work-stealing branch-and-bound scheduler. Instead of one contended
-// best-bound heap, every worker owns a private deque of open nodes: it
-// pushes children and pops work at the LIFO end (so a worker keeps
-// diving into the subtree it just expanded — the locality the dual
-// simplex warm start depends on) and steals a batch from the FIFO end of
-// a random victim only when its own deque runs dry. The three global
-// facts the heap used to centralize — the incumbent, the dual bound, and
-// "is the tree done" — become a lock-free CAS word (incumbent.go), a
-// min-reduction over per-worker published bounds, and an
-// outstanding-node counter. DESIGN.md §2.14 carries the full
-// correctness argument; the invariants in brief:
+// The branch-and-bound scheduler: one worker loop (worker → claim →
+// process → publish) over per-worker local queues. A worker pushes
+// children to and pops work from its own queue, and steals a batch from a
+// random victim only when its own runs dry. What a search-wide queue would
+// centralize — the incumbent, the dual bound, and "is the tree done" — is
+// a lock-free CAS word (incumbent.go), a min-reduction over per-worker
+// published bounds, and an outstanding-node counter.
+//
+// The local queue has two disciplines, chosen by the pool's width and by
+// nothing else (popLocal / pushLocal / localBest are the only
+// width-dependent code):
+//
+//   - One worker: a best-bound heap, ties to the newest node. With nobody
+//     to share the tree with, exploring in bound order is what closes the
+//     gap fastest under a budget — a lone LIFO dive proves optimality on
+//     some trees sooner but leaves a worse bound at a deadline — and the
+//     order is deterministic run to run.
+//   - Several workers: a conc.Deque, LIFO at the owner's end (a worker
+//     keeps diving into the subtree it just expanded — the locality the
+//     dual simplex warm start depends on), FIFO at the thieves' end (the
+//     oldest, shallowest, best-bounded work moves).
+//
+// DESIGN.md §2.14 carries the full correctness argument; the invariants
+// in brief:
 //
 //   - Bound coverage: at every instant, every live node's relaxation
 //     bound is ≥-covered (in the better() sense) by some pubBound entry.
@@ -30,47 +44,6 @@ import (
 //     or in flight). Retiring a parent and enqueuing its k children is a
 //     single Add(k-1), so the counter never transits zero while the tree
 //     lives; zero is stable and final.
-type QueueMode int8
-
-const (
-	// QueueAuto (the zero value) picks the shared best-bound heap for
-	// serial solves and the work-stealing deques at Workers > 1.
-	QueueAuto QueueMode = iota
-
-	// QueueShared forces the shared best-bound heap at any worker count —
-	// the revert knob the corpus equivalence matrix sweeps against the
-	// deques, and the bisection fallback.
-	QueueShared
-
-	// QueueSteal forces the work-stealing deques at any worker count. At
-	// Workers 1 the result is a deterministic depth-first dive (one
-	// owner, LIFO pops, no thieves), which the determinism tests pin.
-	QueueSteal
-)
-
-func (q QueueMode) String() string {
-	switch q {
-	case QueueAuto:
-		return "auto"
-	case QueueShared:
-		return "shared"
-	case QueueSteal:
-		return "steal"
-	}
-	return "unknown"
-}
-
-// stealQueue reports whether a solve at the given width uses the
-// work-stealing scheduler.
-func (p *Params) stealQueue(workers int) bool {
-	switch p.Queue {
-	case QueueShared:
-		return false
-	case QueueSteal:
-		return true
-	}
-	return workers > 1
-}
 
 // Idle backoff: a worker that found nothing to pop or steal yields the
 // processor a few times (cheap, keeps latency low when a victim is about
@@ -82,34 +55,52 @@ const (
 	stealBackoffCap = time.Millisecond
 )
 
-// popLocal pops the newest node from the worker's own deque and
-// republishes the worker's local bound so it covers both the popped
-// (now in-flight) node and everything still queued. Between the pop and
-// the republish the previous published value still covers the node —
-// published bounds only ever lag conservatively.
+// popLocal takes the next node off the worker's own queue: the best-bound
+// node of the lone worker's heap, the newest of a deque. nil when empty.
 func (s *search) popLocal(id int) *node {
-	d := &s.deques[id]
-	n, ok := d.Pop()
-	if !ok {
-		return nil
+	if s.open != nil {
+		if s.open.Len() == 0 {
+			return nil
+		}
+		return heap.Pop(s.open).(*node)
 	}
-	s.openCount.Add(-1)
-	b := n.relax
-	if best, ok := d.Best(s.nodeBetter); ok && s.better(best.relax, b) {
-		b = best.relax
-	}
-	s.pubBound[id].Store(math.Float64bits(b))
+	n, _ := s.deques[id].Pop()
 	return n
 }
 
-// globalBoundSteal min-reduces the per-worker published bounds into the
-// global dual bound. Each entry covers its owner's queued and in-flight
+// pushLocal queues a node on the worker's own queue. The heap's
+// tie-breaking sequence number is assigned here, in push order.
+func (s *search) pushLocal(id int, n *node) {
+	if s.open != nil {
+		n.seq = s.nextSeq
+		s.nextSeq++
+		heap.Push(s.open, n)
+		return
+	}
+	s.deques[id].Push(n)
+}
+
+// localBest returns the best relaxation bound among the worker's queued
+// nodes, or the worst-by-sense sentinel when it has none.
+func (s *search) localBest(id int) float64 {
+	if s.open != nil {
+		if s.open.Len() > 0 {
+			return s.open.nodes[0].relax
+		}
+	} else if best, ok := s.deques[id].Best(s.nodeBetter); ok {
+		return best.relax
+	}
+	return s.toObj(math.Inf(1))
+}
+
+// globalBound min-reduces the per-worker published bounds into the global
+// dual bound. Each entry covers its owner's queued and in-flight
 // nodes (or is the covers-everything value during that owner's steal
 // window), so the reduction bounds every live node. When the result is
 // worse than the incumbent, the incumbent itself is the tightest sound
 // bound on the optimum — every remaining node would be pruned — which
 // is also what makes the bound collapse to the objective at exhaustion.
-func (s *search) globalBoundSteal() float64 {
+func (s *search) globalBound() float64 {
 	b := s.toObj(math.Inf(1)) // worst by sense: the reduction's identity
 	for i := range s.pubBound {
 		if v := math.Float64frombits(s.pubBound[i].Load()); s.better(v, b) {
@@ -189,7 +180,7 @@ func (s *search) stealScan(id int) []*node {
 	return nil
 }
 
-// stealFrom performs one steal attempt for claimSteal, with accounting:
+// stealFrom performs one steal attempt for claim, with accounting:
 // successful steals tick the worker and solve counters and feed the
 // steal-latency histogram; a full scan of empty victims counts as a
 // failed steal (the signal that the search is in its starved tail).
@@ -236,13 +227,14 @@ func (s *search) stealWait(round int) int64 {
 	return time.Since(t0).Nanoseconds()
 }
 
-// claimSteal is the work-stealing claim: pop locally, steal when the
-// local deque is dry, park with backoff when there is nothing to steal
-// anywhere, and exit when outstanding hits zero or the search stops. It
-// mirrors claim's contract exactly — same claimStatus protocol, same
-// wait/pop accounting (minus backoff sleep), same pre-prune and gap
-// duties — so worker() can dispatch between them blindly.
-func (s *search) claimSteal(id int) (n *node, claimNo int, st claimStatus) {
+// claim obtains the worker's next node: pop locally, steal when the local
+// queue is dry, park with backoff when there is nothing to steal anywhere,
+// and return nil — the search is over for this worker — when outstanding
+// hits zero or the search stops. A lone worker never reaches the steal: its
+// queue is the whole tree, so an empty pop means outstanding is zero. The
+// whole call's latency minus backoff sleep is charged to the worker's
+// queue-wait share.
+func (s *search) claim(id int) (n *node, claimNo int) {
 	acc := &s.wstats[id]
 	var backoffNs int64
 	if s.timed {
@@ -251,12 +243,14 @@ func (s *search) claimSteal(id int) (n *node, claimNo int, st claimStatus) {
 			ns := time.Since(waitStart).Nanoseconds() - backoffNs
 			if ns > 0 {
 				acc.waitNs.Add(ns)
-				// All attempts feed queuePopNs (steal scans, spin yields,
-				// the terminal drain) so queue wait in the trace covers
-				// the worker wait share; see claim. Histogram stays
-				// claimOK-only.
+				// Every call counts toward queuePopNs — steal scans, spin
+				// yields, pre-pruned pops and the terminal drain are still
+				// time spent obtaining work, and the trace attribution needs
+				// queuePopNs+queuePushNs to cover the summed worker wait
+				// share. The latency histogram stays successful-claims-only
+				// so its percentiles mean pop latency.
 				s.stats.queuePopNs.Add(ns)
-				if st == claimOK {
+				if n != nil {
 					hQueuePop.Observe(ns)
 				}
 			}
@@ -265,17 +259,14 @@ func (s *search) claimSteal(id int) (n *node, claimNo int, st claimStatus) {
 
 	spins := 0
 	for {
-		if s.stopA.Load() || s.errA.Load() {
-			return nil, 0, claimExit
+		if s.stop.Load() || s.outstanding.Load() == 0 {
+			return nil, 0
 		}
 		if s.p.NodeLimit > 0 && int(s.nodes.Load()) >= s.p.NodeLimit {
 			s.halt()
-			return nil, 0, claimExit
+			return nil, 0
 		}
 		if n = s.popLocal(id); n == nil {
-			if s.outstanding.Load() == 0 {
-				return nil, 0, claimExit
-			}
 			if s.stealFrom(id) {
 				spins = 0
 				continue
@@ -289,67 +280,72 @@ func (s *search) claimSteal(id int) (n *node, claimNo int, st claimStatus) {
 			continue
 		}
 		spins = 0
+		s.openCount.Add(-1)
 
-		// Prune by inherited bound (does not count as an explored node).
-		if inc, ok := s.incumbentObj(); ok && !s.better(n.relax, inc) {
-			s.stats.prePruned.Add(1)
-			s.pools[id].put(n.lo)
-			s.pools[id].put(n.hi)
-			s.outstanding.Add(-1)
-			return nil, 0, claimRetry
+		// Republish the local bound so it covers both the popped (now
+		// in-flight) node and everything still queued. Between the pop and
+		// this store the previous published value still covers the node —
+		// published bounds only ever lag conservatively.
+		b := n.relax
+		if lb := s.localBest(id); s.better(lb, b) {
+			b = lb
 		}
+		s.pubBound[id].Store(math.Float64bits(b))
 
-		// Publish the global dual bound and test the gap target. The
-		// reduction is eventually consistent but always a true bound, so
-		// a met gap here is a met gap.
 		if inc, ok := s.incumbentObj(); ok {
-			bound := s.globalBoundSteal()
+			// Prune by inherited bound (does not count as an explored node).
+			if !s.better(n.relax, inc) {
+				s.stats.prePruned.Add(1)
+				s.pools[id].put(n.lo)
+				s.pools[id].put(n.hi)
+				s.outstanding.Add(-1)
+				continue
+			}
+			// Publish the global dual bound and test the gap target. The
+			// reduction is eventually consistent but always a true bound,
+			// so a met gap here is a met gap.
+			bound := s.globalBound()
 			s.boundBits.Store(math.Float64bits(bound))
-			if s.p.MIPGap > 0 && gapMet(inc, bound, s.p.MIPGap) {
+			if s.p.MIPGap > 0 && relGap(inc, bound) <= s.p.MIPGap {
 				s.halt()
-				return nil, 0, claimExit
+				return nil, 0
 			}
 		}
 
 		claimNo = int(s.nodes.Add(1))
-		s.inflightA.Add(1)
+		s.inflight.Add(1)
 		cNodes.Inc()
 		acc.nodes.Add(1)
 		s.stats.queuePops.Add(1)
-		return n, claimNo, claimOK
+		return n, claimNo
 	}
 }
 
-// publishSteal queues a processed node's children on the worker's own
-// deque and retires the parent. The parent→children handoff on
-// outstanding is a single Add(k−1), so the counter never transits zero
-// while the subtree lives — what makes zero a stable termination signal.
-// The republished local bound may be worse than the parent's: sound,
-// because the parent is now fully accounted for by its queued children.
-func (s *search) publishSteal(id int, children []*node) {
+// publish queues a processed node's children on the worker's own queue
+// and retires the parent. The parent→children handoff on outstanding is a
+// single Add(k−1), so the counter never transits zero while the subtree
+// lives — what makes zero a stable termination signal. The republished
+// local bound may be worse than the parent's: sound, because the parent is
+// now fully accounted for by its queued children.
+func (s *search) publish(id int, children []*node) {
 	var pushStart time.Time
 	if s.timed {
 		pushStart = time.Now()
 	}
-	d := &s.deques[id]
 	for _, c := range children {
-		d.Push(c)
+		s.pushLocal(id, c)
 	}
 	if k := int64(len(children)); k > 0 {
 		cur := s.openCount.Add(k)
 		for {
-			old := s.maxOpenA.Load()
-			if cur <= old || s.maxOpenA.CompareAndSwap(old, cur) {
+			old := s.stats.maxOpen.Load()
+			if cur <= old || s.stats.maxOpen.CompareAndSwap(old, cur) {
 				break
 			}
 		}
 	}
-	b := s.toObj(math.Inf(1))
-	if best, ok := d.Best(s.nodeBetter); ok {
-		b = best.relax
-	}
-	s.pubBound[id].Store(math.Float64bits(b))
-	s.inflightA.Add(-1)
+	s.pubBound[id].Store(math.Float64bits(s.localBest(id)))
+	s.inflight.Add(-1)
 	s.outstanding.Add(int64(len(children)) - 1)
 	s.stats.queuePushes.Add(1)
 	if s.timed {

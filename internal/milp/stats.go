@@ -73,16 +73,16 @@ type Stats struct {
 	HeurNs     int64 // rounding-heuristic time excluding its LP solves
 	BranchNs   int64 // node-processing time excluding LP and heuristic
 
-	// Shared-queue accounting, the Workers>1 contention signal: every
-	// claim pops under the search lock (QueuePopNs includes lock wait and
-	// any blocking on an empty queue) and every processed node publishes
-	// its children back under it (QueuePushNs).
-	QueuePopNs  int64 // total claim latency across successful claims
+	// Queue accounting: what obtaining work and handing it back cost.
+	// QueuePopNs covers every claim attempt — the local pop, steal scans
+	// and spin yields, but not backoff sleep — and QueuePushNs every
+	// publish of a processed node's children.
+	QueuePopNs  int64 // total claim latency across all attempts
 	QueuePops   int64 // successful claims (== Nodes on a clean solve)
 	QueuePushNs int64 // total child-publish critical-section latency
 	QueuePushes int64 // publishes (== claims that ran process)
 
-	// Work-stealing traffic (zero on shared-heap solves): how often load
+	// Work-stealing traffic (zero at Workers 1): how often load
 	// had to move between workers. A healthy parallel search steals
 	// rarely — each steal is a worker that ran its own subtree dry — and
 	// FailedSteals counts full scans that found every victim empty (the
@@ -105,8 +105,8 @@ type Stats struct {
 // statsAcc is the live accumulator behind Stats while a solve is running.
 // Counters that workers and the sampler touch concurrently are typed
 // atomics, so no word is ever mixed between atomic and plain access; the
-// remaining fields are either guarded by the search mutex (maxOpen) or
-// written serially before the worker pool starts (the presolve figures).
+// remaining fields (the presolve figures) are written serially before the
+// worker pool starts.
 // snapshot flattens the accumulator into the plain Stats that Result
 // carries, after which every consumer read is an ordinary field access.
 type statsAcc struct {
@@ -150,7 +150,7 @@ type statsAcc struct {
 	stolenNodes  atomic.Int64
 	stealNs      atomic.Int64
 
-	maxOpen int64 // high-water mark of the open queue; guarded by search.mu
+	maxOpen atomic.Int64 // high-water mark of the open-node count, CAS-maxed by publish
 
 	// Root-presolve figures: written once before the workers start, read
 	// only after they exit. Plain on purpose.
@@ -189,7 +189,7 @@ func (a *statsAcc) snapshot() Stats {
 		PrePruned:        a.prePruned.Load(),
 		IncumbentUpdates: a.incumbentUpdates.Load(),
 		HeuristicSolves:  a.heuristicSolves.Load(),
-		MaxOpen:          a.maxOpen,
+		MaxOpen:          a.maxOpen.Load(),
 
 		PresolveFixedVars:       a.presolveFixedVars,
 		PresolveRemovedRows:     a.presolveRemovedRows,

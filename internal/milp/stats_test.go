@@ -47,7 +47,7 @@ func TestStatsAccSnapshotMapping(t *testing.T) {
 	a.stealNs.Store(36)
 	a.lpCutoffs.Store(37)
 	a.lpObjLimitStops.Store(38)
-	a.maxOpen = 27
+	a.maxOpen.Store(27)
 	a.presolveNs = 28
 	a.presolveFixedVars = 29
 	a.presolveRemovedRows = 30

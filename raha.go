@@ -189,34 +189,9 @@ const (
 // reasons, presolve reductions, incumbent updates (Result.Stats).
 type SolveStats = milp.Stats
 
-// BranchRule selects the branch-and-bound variable-selection rule
-// (SolverParams.Branching).
-type BranchRule = milp.BranchRule
-
-// Branching rules. BranchPseudocost (the zero value, and the default)
-// scores candidates by observed objective degradation per unit of
-// fractionality; BranchMostFractional is the pre-pseudocost rule, kept for
-// reproduction runs.
-const (
-	BranchPseudocost     = milp.BranchPseudocost
-	BranchMostFractional = milp.BranchMostFractional
-)
-
 // SolveProgress is a live snapshot of a running solve, delivered to
 // SolverParams.OnProgress.
 type SolveProgress = milp.Progress
-
-// QueueMode selects the branch-and-bound scheduler (SolverParams.Queue).
-type QueueMode = milp.QueueMode
-
-// Queue modes. QueueAuto (the zero value) picks the best-bound heap for
-// serial solves and work-stealing deques for parallel ones; the explicit
-// modes force one scheduler for comparisons and regression hunts.
-const (
-	QueueAuto   = milp.QueueAuto
-	QueueShared = milp.QueueShared
-	QueueSteal  = milp.QueueSteal
-)
 
 // ParallelPolicy routes a worker budget between scenario-level fan-out and
 // intra-solve parallelism. Set it on ClusterConfig.Parallelism,
