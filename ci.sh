@@ -25,9 +25,10 @@ go vet ./...
 go build ./...
 
 # Retired names must not drift back in: the solver has one scheduler, one
-# branching rule and warm starts always, and no binary reads an environment
-# variable to pick an LP core.
-if grep -rn 'QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE' --include='*.go' --exclude-dir=.bench_build .; then
+# branching rule and warm starts always, no binary reads an environment
+# variable to pick an LP core, and a worker count is one `Workers` budget per
+# layer split by conc.Split — no routing policy, no second per-solve field.
+if grep -rn 'QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel' --include='*.go' --exclude-dir=.bench_build .; then
 	echo "ci: retired solver knob referenced above" >&2
 	exit 1
 fi
@@ -108,8 +109,18 @@ go run ./cmd/raha analyze -topology b4 -check -budget 2s -q -progress=false >/de
 # two deliberately poisoned files) end to end through the CLI. The sweep
 # must exit 0 with the failures recorded as partial results — a regression
 # in the fault isolation turns them into a non-zero exit and fails CI here.
-go run ./cmd/raha alert -all -builtins=false -zoo-dir internal/topology/testdata \
-	-grid 'k=1;p=1e-3;d=peak' -budget-per-topo 10s -q -progress=false >/dev/null
+# The second pass gives the ten fixtures a budget of 32 workers, so the
+# leftover goes inside each solve: the sweep-over-wide-solves path, end to
+# end. And the routing flag that used to select that is gone, not ignored.
+for w in 0 32; do
+	go run ./cmd/raha alert -all -builtins=false -zoo-dir internal/topology/testdata \
+		-grid 'k=1;p=1e-3;d=peak' -budget-per-topo 10s -workers "$w" -q -progress=false >/dev/null
+done
+if out=$(go run ./cmd/raha alert -all -builtins=false -zoo-dir internal/topology/testdata \
+	-parallelism auto 2>&1) || ! printf %s "$out" | grep -q 'flag provided but not defined'; then
+	echo "ci: raha alert -all -parallelism auto was not rejected as an undefined flag: $out" >&2
+	exit 1
+fi
 
 # Trace-analysis smoke: a real traced solve must round-trip through
 # raha-trace. summarize exits non-zero on a malformed trace or one with

@@ -16,31 +16,26 @@ import (
 	"strings"
 	"time"
 
-	"raha/internal/conc"
 	"raha/internal/experiments"
 	"raha/internal/obs"
 	"raha/internal/topology"
 )
 
-// Solver and sweep parallelism plus the observability hooks, set once from
-// flags in main and applied to every Setup by tuned.
+// The worker budget and solver switches plus the observability hooks, set
+// once from flags in main and applied to every Setup by tuned.
 var (
-	solverWorkers int
-	sweepParallel int
-	sweepPolicy   conc.Policy
-	checkModels   bool
-	noPresolve    bool
-	tracer        obs.Tracer
-	log           *obs.Logger
-	prog          *obs.ProgressLine // non-nil only while a sweep runs with -progress
+	workerBudget int
+	checkModels  bool
+	noPresolve   bool
+	tracer       obs.Tracer
+	log          *obs.Logger
+	prog         *obs.ProgressLine // non-nil only while a sweep runs with -progress
 )
 
-// tuned applies the global parallelism flags and observability hooks to a
+// tuned applies the global solver flags and observability hooks to a
 // freshly built Setup.
 func tuned(s *experiments.Setup) *experiments.Setup {
-	s.Workers = solverWorkers
-	s.Parallel = sweepParallel
-	s.Parallelism = sweepPolicy
+	s.Workers = workerBudget
 	s.Check = checkModels
 	s.DisablePresolve = noPresolve
 	s.Tracer = tracer
@@ -52,9 +47,7 @@ func main() {
 	out := flag.String("out", "results", "output directory for CSV files")
 	budget := flag.Duration("budget", 5*time.Second, "solver time budget per analysis")
 	only := flag.String("only", "", "comma-separated experiment names (default: all)")
-	workers := flag.Int("workers", 0, "branch-and-bound worker goroutines per solve (0 = all cores, 1 = serial)")
-	parallel := flag.Int("parallel", 0, "concurrent analyses per sweep (0 or 1 = serial)")
-	parallelism := flag.String("parallelism", "", "worker routing policy: auto, scenarios, solve, or off (empty = legacy -workers/-parallel behaviour)")
+	workers := flag.Int("workers", 0, "worker budget per sweep stage: spent across its independent analyses first, the leftover inside each solve (0 = all cores, 1 = serial)")
 	check := flag.Bool("check", false, "run the static model checker before every solve; error diagnostics abort the sweep")
 	presolve := flag.String("presolve", "on", "MILP presolve and per-node domain propagation: on or off")
 	quiet := flag.Bool("q", false, "quiet: print errors only")
@@ -63,22 +56,8 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve live solver counters (expvar) and pprof on this address")
 	tracePath := flag.String("trace", "", "write a JSONL event trace of every sweep to this file")
 	flag.Parse()
-	solverWorkers = *workers
-	sweepParallel = *parallel
+	workerBudget = *workers
 	checkModels = *check
-	switch *parallelism {
-	case "":
-	case "auto":
-		sweepPolicy = conc.Policy{Mode: conc.PolicyAuto, Workers: *workers}
-	case "scenarios":
-		sweepPolicy = conc.Policy{Mode: conc.PolicyScenarios, Workers: *workers}
-	case "solve":
-		sweepPolicy = conc.Policy{Mode: conc.PolicyIntraSolve, Workers: *workers}
-	case "off":
-		sweepPolicy = conc.Policy{Mode: conc.PolicySerial, Workers: *workers}
-	default:
-		fail(fmt.Errorf("-parallelism must be auto, scenarios, solve, or off, got %q", *parallelism))
-	}
 	switch *presolve {
 	case "on":
 	case "off":

@@ -114,7 +114,6 @@ type commonFlags struct {
 	budget    *time.Duration
 	seed      *int64
 	workers   *int
-	parallel  *string
 	check     *bool
 	presolve  *string
 	obs       *obsFlags
@@ -134,8 +133,7 @@ func newCommon(name string) *commonFlags {
 		ce:        fs.Bool("ce", false, "enforce connectivity (at least one path up per demand)"),
 		budget:    fs.Duration("budget", 30*time.Second, "solver time budget"),
 		seed:      fs.Int64("seed", 1, "seed for the gravity demand model"),
-		workers:   fs.Int("workers", 0, "branch-and-bound worker goroutines (0 = all cores, 1 = serial)"),
-		parallel:  fs.String("parallelism", "", "worker routing policy: auto, scenarios, solve, or off (empty = legacy -workers behaviour)"),
+		workers:   fs.Int("workers", 0, "worker budget: branch-and-bound workers of a solve; a sweep (alert -all) spends it across topologies first (0 = all cores, 1 = serial)"),
 		check:     fs.Bool("check", false, "run the static model checker before each solve; error diagnostics abort the solve"),
 		presolve:  fs.String("presolve", "on", "MILP presolve and per-node domain propagation: on or off"),
 		obs:       newObsFlags(fs),
@@ -152,26 +150,6 @@ func (c *commonFlags) disablePresolve() (bool, error) {
 		return true, nil
 	default:
 		return false, fmt.Errorf("-presolve must be on or off, got %q", *c.presolve)
-	}
-}
-
-// parallelPolicy maps the -parallelism flag onto a worker-routing policy.
-// The empty default returns the zero policy, leaving the legacy -workers
-// knob in charge; otherwise -workers becomes the policy's total budget.
-func (c *commonFlags) parallelPolicy() (raha.ParallelPolicy, error) {
-	switch *c.parallel {
-	case "":
-		return raha.ParallelPolicy{}, nil
-	case "auto":
-		return raha.ParallelPolicy{Mode: raha.ParallelAuto, Workers: *c.workers}, nil
-	case "scenarios":
-		return raha.ParallelPolicy{Mode: raha.ParallelScenarios, Workers: *c.workers}, nil
-	case "solve":
-		return raha.ParallelPolicy{Mode: raha.ParallelIntra, Workers: *c.workers}, nil
-	case "off":
-		return raha.ParallelPolicy{Mode: raha.ParallelSerial, Workers: *c.workers}, nil
-	default:
-		return raha.ParallelPolicy{}, fmt.Errorf("-parallelism must be auto, scenarios, solve, or off, got %q", *c.parallel)
 	}
 }
 

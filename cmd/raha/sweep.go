@@ -104,10 +104,6 @@ func alertAll(ctx context.Context, c *commonFlags, sw *sweepFlags, tolerance flo
 	if err != nil {
 		return err
 	}
-	policy, err := c.parallelPolicy()
-	if err != nil {
-		return err
-	}
 
 	total := len(sources)
 	if numShards > 1 {
@@ -150,7 +146,6 @@ func alertAll(ctx context.Context, c *commonFlags, sw *sweepFlags, tolerance flo
 		Tolerance:            tolerance,
 		BudgetPerTopo:        *sw.budgetPerTopo,
 		Workers:              *c.workers,
-		Parallelism:          policy,
 		Shard:                shard,
 		NumShards:            numShards,
 		Seed:                 *c.seed,

@@ -54,8 +54,8 @@ type Config struct {
 	Workers int
 
 	// AutoWidth lets each phase's solve shrink Workers from the solver's
-	// root-LP tree-size estimate (milp.Params.AutoWidth) — set by callers
-	// running a portfolio policy in auto mode.
+	// root-LP tree-size estimate (milp.Params.AutoWidth) — set by the
+	// fleet sweep, which hands each cell a share of its worker budget.
 	AutoWidth bool
 
 	// Tracer and OnProgress flow into both phases' solver params (see

@@ -47,26 +47,13 @@ type Config struct {
 	// at 50ms. Zero means no limit.
 	BudgetPerTopo time.Duration
 
-	// Workers bounds how many topologies are swept concurrently
-	// (< 1 = all cores). Each solve runs serially (portfolio parallelism:
-	// N topologies × serial solves beats 1 solve × N workers — see
-	// ROADMAP item 2) unless SolverWorkers raises it.
+	// Workers is the sweep's worker budget (< 1 = all cores), split over
+	// the shard's source count by conc.Split: a fleet-sized sweep runs
+	// Workers topologies at once with serial solves (N topologies × serial
+	// solves beats 1 solve × N workers — DESIGN.md §2.14), while a source
+	// list shorter than the budget routes the leftover workers inside each
+	// solve. The split is emitted as a "parallelism" trace event.
 	Workers int
-	// SolverWorkers is the branch-and-bound width of each solve
-	// (< 1 = serial).
-	SolverWorkers int
-
-	// Parallelism, when Set, supersedes Workers and SolverWorkers: the
-	// policy's budget is split over the shard's topology count
-	// (conc.Policy.Split), so a fleet-sized sweep runs topology-parallel
-	// with serial solves while a short source list routes the workers
-	// into each solve. The routing decision is emitted as a
-	// "parallelism" trace event.
-	Parallelism conc.Policy
-
-	// autoWidth lets each cell solve shrink its width from the root-LP
-	// estimate; set by Run when Parallelism is an auto policy.
-	autoWidth bool
 
 	// Shard/NumShards select a 1-based slice of the fleet: shard i of M
 	// sweeps the sources whose index ≡ i−1 (mod M). Zero values sweep
@@ -144,22 +131,16 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	cells := grid.Cells()
 	sources := shardSources(cfg.Sources, cfg.Shard, cfg.NumShards)
 
-	if cfg.Parallelism.Set() {
-		// Portfolio routing: spend the worker budget at the tier that has
-		// the independent work — across topologies when the shard is wide,
-		// inside each solve when it is not.
-		fanout, perSolve := cfg.Parallelism.Split(len(sources))
-		cfg.Workers = fanout
-		cfg.SolverWorkers = perSolve
-		cfg.autoWidth = cfg.Parallelism.Auto()
-		if tr := cfg.Tracer; tr != nil {
-			tr.Emit("batch", "parallelism", obs.F{
-				"mode":           cfg.Parallelism.Mode.String(),
-				"units":          len(sources),
-				"fanout":         fanout,
-				"solver_workers": perSolve,
-			})
-		}
+	// Spend the worker budget at the tier that has the independent work:
+	// across topologies when the shard is wide, inside each solve when it
+	// is not.
+	fanout, perSolve := conc.Split(cfg.Workers, len(sources))
+	if tr := cfg.Tracer; tr != nil {
+		tr.Emit("batch", "parallelism", obs.F{
+			"units":          len(sources),
+			"fanout":         fanout,
+			"solver_workers": perSolve,
+		})
 	}
 
 	start := time.Now()
@@ -167,8 +148,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// Errors never propagate out of the per-topology fn, so ForEach can
 	// only stop early on ctx cancellation; the zero-valued slots left
 	// behind are marked skipped below.
-	_ = conc.ForEach(ctx, len(sources), cfg.Workers, func(ctx context.Context, i int) error {
-		results[i] = runTopology(ctx, &cfg, sources[i], cells)
+	_ = conc.ForEach(ctx, len(sources), fanout, func(ctx context.Context, i int) error {
+		results[i] = runTopology(ctx, &cfg, sources[i], cells, perSolve)
 		if cfg.OnTopoDone != nil {
 			cfg.OnTopoDone(results[i])
 		}
@@ -188,8 +169,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 }
 
 // runTopology loads one source and runs the full grid on it under the
-// per-topology budget. Every failure mode lands in the returned TopoResult.
-func runTopology(ctx context.Context, cfg *Config, src Source, cells []Cell) (res TopoResult) {
+// per-topology budget, each solve width workers wide. Every failure mode
+// lands in the returned TopoResult.
+func runTopology(ctx context.Context, cfg *Config, src Source, cells []Cell, width int) (res TopoResult) {
 	res = TopoResult{Name: src.Name, Kind: src.Kind}
 	if tr := cfg.Tracer; tr != nil {
 		tr.Emit("batch", "sweep_topo_start", obs.F{
@@ -258,7 +240,7 @@ func runTopology(ctx context.Context, cfg *Config, src Source, cells []Cell) (re
 		case topoCtx.Err() != nil:
 			cr = CellResult{Cell: cell, Err: "topology budget exhausted"}
 		default:
-			cr = runCell(topoCtx, cfg, top, cell, phaseBudget, shared)
+			cr = runCell(topoCtx, cfg, top, cell, phaseBudget, width, shared)
 		}
 		cCells.Inc()
 		if cr.Err != "" {
@@ -305,7 +287,7 @@ type tunnels struct {
 // build, solver, verification) are caught and recorded as the cell's
 // failure. shared caches the topology's tunnels, keyed by pair count; a
 // computation that panics caches nothing, so every cell reports it.
-func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell, phaseBudget time.Duration, shared map[int]tunnels) (cr CellResult) {
+func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell, phaseBudget time.Duration, width int, shared map[int]tunnels) (cr CellResult) {
 	cr.Cell = cell
 	start := time.Now()
 	defer func() {
@@ -360,8 +342,8 @@ func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell
 		QuantBits:            cfg.QuantBits,
 		Phase1Budget:         phaseBudget,
 		Phase2Budget:         phaseBudget,
-		Workers:              solverWorkers(cfg.SolverWorkers),
-		AutoWidth:            cfg.autoWidth,
+		Workers:              width,
+		AutoWidth:            true,
 		Tracer:               cfg.Tracer,
 		Check:                cfg.Check,
 		DisablePresolve:      cfg.DisablePresolve,
@@ -387,15 +369,6 @@ func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell
 		cr.Err = "invariant: " + err.Error()
 	}
 	return cr
-}
-
-// solverWorkers pins each cell's branch-and-bound width; the sweep
-// parallelizes across topologies, not within a solve, by default.
-func solverWorkers(n int) int {
-	if n < 1 {
-		return 1
-	}
-	return n
 }
 
 // checkCell asserts the self-checking harness's three invariant families on

@@ -25,21 +25,41 @@ func tinyGrid() Grid {
 	}
 }
 
+// stubSources returns sources whose loaders fail: enough for tests of the
+// sweep's scheduling, which never reaches a solve.
+func stubSources(names ...string) []Source {
+	var out []Source
+	for _, n := range names {
+		out = append(out, Source{
+			Name: n, Kind: "test",
+			Load: func() (*topology.Topology, error) { return nil, errors.New("stub") },
+		})
+	}
+	return out
+}
+
 // memTracer records emitted events for assertions.
 type memTracer struct {
 	mu       sync.Mutex
 	events   []string           // "layer/ev"
 	topoSecs map[string]float64 // sweep_topo_end's runtime_s by topology
+	splits   [][3]int           // batch/parallelism: units, fanout, solver_workers
+	maxWidth int                // widest milp/solve_start
 }
 
 func (m *memTracer) Emit(layer, ev string, fields obs.F) {
 	m.mu.Lock()
 	m.events = append(m.events, layer+"/"+ev)
-	if ev == "sweep_topo_end" {
+	switch ev {
+	case "sweep_topo_end":
 		if m.topoSecs == nil {
 			m.topoSecs = make(map[string]float64)
 		}
 		m.topoSecs[fields["topology"].(string)] = fields["runtime_s"].(float64)
+	case "parallelism":
+		m.splits = append(m.splits, [3]int{fields["units"].(int), fields["fanout"].(int), fields["solver_workers"].(int)})
+	case "solve_start":
+		m.maxWidth = max(m.maxWidth, fields["workers"].(int))
 	}
 	m.mu.Unlock()
 }
@@ -197,7 +217,7 @@ func TestSweepFixtureCorpus(t *testing.T) {
 		}
 		shared := make(map[int]tunnels)
 		for _, cell := range cells {
-			if cr := runCell(context.Background(), &cfg, top, cell, 0, shared); cr.Err != "" {
+			if cr := runCell(context.Background(), &cfg, top, cell, 0, 1, shared); cr.Err != "" {
 				t.Errorf("topology %s cell %s failed: %s", src.Name, cell.Name(), cr.Err)
 			}
 		}
@@ -212,6 +232,67 @@ func TestSweepFixtureCorpus(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSweepWorkerRouting: Workers is the sweep's whole budget, split over
+// the source count — topologies first, the leftover inside each solve — and
+// where the workers go never changes what a cell computes.
+func TestSweepWorkerRouting(t *testing.T) {
+	all, err := ZooDir("../topology/testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sources []Source
+	for _, src := range all {
+		if src.Name == "star5" || src.Name == "zoostyle" {
+			sources = append(sources, src)
+		}
+	}
+	if len(sources) != 2 {
+		t.Fatalf("fixture corpus has %d of star5/zoostyle", len(sources))
+	}
+	sweep := func(sources []Source, workers int) (*Report, *memTracer) {
+		tr := &memTracer{}
+		rep, err := Run(context.Background(), Config{
+			Sources: sources, Grid: tinyGrid(), Tolerance: 0.05, Workers: workers, Tracer: tr,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, tr
+	}
+	split := func(tr *memTracer, want [3]int) {
+		t.Helper()
+		if len(tr.splits) != 1 || tr.splits[0] != want {
+			t.Errorf("batch/parallelism events %v, want one reading %v", tr.splits, want)
+		}
+		if tr.maxWidth > want[2] {
+			t.Errorf("a solve started %d wide under a per-solve share of %d", tr.maxWidth, want[2])
+		}
+	}
+
+	serial, tr1 := sweep(sources, 1)
+	split(tr1, [3]int{2, 1, 1})
+	wide, tr8 := sweep(sources, 8)
+	split(tr8, [3]int{2, 2, 4})
+	for i, st := range serial.Topologies {
+		wt := wide.Topologies[i]
+		if st.Err != "" || wt.Err != "" || len(st.Cells) == 0 || len(st.Cells) != len(wt.Cells) {
+			t.Fatalf("topology %s: serial %q (%d cells), wide %q (%d cells)", st.Name, st.Err, len(st.Cells), wt.Err, len(wt.Cells))
+		}
+		for j, sc := range st.Cells {
+			wc := wt.Cells[j]
+			//raha:lint-allow float-cmp cells that prove optimality are bit-identical at any budget
+			if sc.Err != "" || sc.Status != wc.Status || sc.Raised != wc.Raised || sc.Normalized != wc.Normalized {
+				t.Errorf("topology %s cell %s: serial %s/%v/%g (err %q), wide %s/%v/%g",
+					st.Name, sc.Cell.Name(), sc.Status, sc.Raised, sc.Normalized, sc.Err, wc.Status, wc.Raised, wc.Normalized)
+			}
+		}
+	}
+
+	// More sources than workers: the fan-out takes the whole budget.
+	_, tr2 := sweep(stubSources("a", "b", "c", "d", "e"), 2)
+	split(tr2, [3]int{5, 2, 1})
 }
 
 // TestSweepSourceFaultTolerance injects every loader failure mode next to a
@@ -265,13 +346,7 @@ func TestSweepSourceFaultTolerance(t *testing.T) {
 // source lands in exactly one shard, regardless of M.
 func TestSweepShardPartition(t *testing.T) {
 	names := []string{"a", "b", "c", "d", "e"}
-	var sources []Source
-	for _, n := range names {
-		sources = append(sources, Source{
-			Name: n, Kind: "test",
-			Load: func() (*topology.Topology, error) { return nil, errors.New("stub") },
-		})
-	}
+	sources := stubSources(names...)
 	for _, numShards := range []int{1, 2, 3, 5, 7} {
 		seen := map[string]int{}
 		for shard := 1; shard <= numShards; shard++ {
@@ -302,13 +377,7 @@ func TestSweepShardPartition(t *testing.T) {
 // report — no error, Cancelled set, completed work kept, unstarted
 // topologies marked skipped.
 func TestSweepCancellationPartial(t *testing.T) {
-	var sources []Source
-	for _, n := range []string{"one", "two", "three", "four"} {
-		sources = append(sources, Source{
-			Name: n, Kind: "test",
-			Load: func() (*topology.Topology, error) { return nil, errors.New("stub") },
-		})
-	}
+	sources := stubSources("one", "two", "three", "four")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	first := true

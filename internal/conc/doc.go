@@ -1,6 +1,8 @@
-// Package conc provides the bounded-parallelism fan-out primitive the
-// analysis layers share: metaopt runs independent cluster-pair solves
-// through it, and the experiments package fans its figure sweeps out with
-// it. It is errgroup-shaped but stdlib-only (channels + WaitGroup), per the
-// repository's no-dependency rule.
+// Package conc provides what the analysis layers share about concurrency:
+// ForEach, the bounded fan-out metaopt's cluster-pair waves, the fleet
+// sweep and the experiment figures run their independent solves through
+// (errgroup-shaped but stdlib-only, per the repository's no-dependency
+// rule); Split, the one rule for dividing a worker budget between that
+// fan-out and the workers inside each solve; and Deque, the work-stealing
+// queue of the branch-and-bound workers.
 package conc

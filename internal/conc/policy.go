@@ -1,96 +1,24 @@
 package conc
 
-// PolicyMode selects how a parallelism budget is split between
-// independent scenario solves (the fan-out a sweep or clustered analysis
-// already has) and workers inside a single branch-and-bound solve.
-type PolicyMode int8
-
-const (
-	// PolicyUnset is the zero value: no policy. Callers fall back to
-	// their legacy knobs (explicit fan-out and per-solve worker counts),
-	// so a zero Policy changes nothing.
-	PolicyUnset PolicyMode = iota
-
-	// PolicyAuto routes the budget to whichever tier has the work:
-	// scenario-level fan-out with serial solves when there are at least
-	// as many independent units as workers, intra-solve workers for the
-	// long-tail single big solve, and a mixed split in between. This is
-	// the portfolio default: independent MILP solves scale embarrassingly
-	// while intra-solve workers fight over one search tree.
-	PolicyAuto
-
-	// PolicyScenarios forces all parallelism to the scenario tier:
-	// min(Workers, units) concurrent solves, each serial.
-	PolicyScenarios
-
-	// PolicyIntraSolve forces all parallelism into each solve: units run
-	// one at a time with Workers branch-and-bound workers.
-	PolicyIntraSolve
-
-	// PolicySerial disables parallelism at both tiers (1 × 1) — the
-	// bisection/debugging setting.
-	PolicySerial
-)
-
-func (m PolicyMode) String() string {
-	switch m {
-	case PolicyUnset:
-		return "unset"
-	case PolicyAuto:
-		return "auto"
-	case PolicyScenarios:
-		return "scenarios"
-	case PolicyIntraSolve:
-		return "solve"
-	case PolicySerial:
-		return "serial"
-	}
-	return "unknown"
-}
-
-// Policy is a portfolio-parallelism budget: Workers total workers,
-// routed between scenario fan-out and intra-solve search by Mode. The
-// zero value (PolicyUnset, Workers 0) is "no policy" — see Set.
-type Policy struct {
-	Mode    PolicyMode
-	Workers int // total budget; < 1 selects runtime.GOMAXPROCS(0)
-}
-
-// Set reports whether the policy is active. Unset policies leave the
-// caller's legacy knobs in charge.
-func (p Policy) Set() bool { return p.Mode != PolicyUnset }
-
-// Auto reports whether the solver may additionally shrink intra-solve
-// width from a root-LP tree-size estimate (milp.Params.AutoWidth).
-func (p Policy) Auto() bool { return p.Mode == PolicyAuto }
-
-// Split divides the budget over units independent solves, returning the
-// scenario fan-out and the per-solve worker count. Both returns are ≥ 1;
-// fanout never exceeds units (when units ≥ 1). For PolicyAuto:
+// Split divides a budget of workers (< 1 selects runtime.GOMAXPROCS(0))
+// over units independent solves, returning how many of them to run at once
+// and the worker count each gets. Independent solves scale embarrassingly
+// while workers inside one solve fight over one search tree, so the
+// fan-out is filled first and only the leftover goes inside a solve:
 //
-//	units ≥ Workers  →  Workers × serial   (enough scenarios to fill the budget)
-//	units ≤ 1        →  1 × Workers        (one big solve gets the whole budget)
-//	in between       →  units × Workers/units
-func (p Policy) Split(units int) (fanout, perSolve int) {
-	w := Workers(p.Workers)
+//	units ≥ workers  →  workers × 1         (enough solves to fill the budget)
+//	units ≤ 1        →  1 × workers         (one big solve gets all of it)
+//	in between       →  units × workers/units
+//
+// Both returns are ≥ 1, fanout never exceeds max(units, 1), and
+// fanout·perSolve never exceeds the budget.
+func Split(workers, units int) (fanout, perSolve int) {
+	w := Workers(workers)
 	if units < 1 {
 		units = 1
 	}
-	switch p.Mode {
-	case PolicyScenarios:
-		fanout = min(w, units)
-		return fanout, 1
-	case PolicyIntraSolve:
-		return 1, w
-	case PolicySerial:
-		return 1, 1
-	case PolicyAuto:
-		if units >= w {
-			return w, 1
-		}
-		return units, max(1, w/units)
+	if units >= w {
+		return w, 1
 	}
-	// PolicyUnset: callers should not ask, but answering "serial" is the
-	// conservative default.
-	return 1, 1
+	return units, w / units
 }

@@ -4,58 +4,43 @@ import "testing"
 
 func TestPolicySplit(t *testing.T) {
 	tests := []struct {
-		name       string
-		p          Policy
-		units      int
-		fanout, pw int
+		name           string
+		workers, units int
+		fanout, pw     int
 	}{
-		{"auto many scenarios", Policy{PolicyAuto, 4}, 16, 4, 1},
-		{"auto exact fit", Policy{PolicyAuto, 4}, 4, 4, 1},
-		{"auto single solve", Policy{PolicyAuto, 4}, 1, 1, 4},
-		{"auto zero units", Policy{PolicyAuto, 4}, 0, 1, 4},
-		{"auto in between", Policy{PolicyAuto, 8}, 2, 2, 4},
-		{"auto uneven split", Policy{PolicyAuto, 7}, 3, 3, 2},
-		{"scenarios", Policy{PolicyScenarios, 4}, 16, 4, 1},
-		{"scenarios few units", Policy{PolicyScenarios, 8}, 3, 3, 1},
-		{"intra-solve", Policy{PolicyIntraSolve, 4}, 16, 1, 4},
-		{"serial", Policy{PolicySerial, 4}, 16, 1, 1},
-		{"unset answers serial", Policy{}, 16, 1, 1},
+		{"many units", 4, 16, 4, 1},
+		{"exact fit", 4, 4, 4, 1},
+		{"single solve", 4, 1, 1, 4},
+		{"zero units", 4, 0, 1, 4},
+		{"in between", 8, 2, 2, 4},
+		{"uneven split", 7, 3, 3, 2},
+		{"serial budget", 1, 16, 1, 1},
 	}
 	for _, tt := range tests {
-		fanout, pw := tt.p.Split(tt.units)
+		fanout, pw := Split(tt.workers, tt.units)
 		if fanout != tt.fanout || pw != tt.pw {
-			t.Errorf("%s: Split(%d) = (%d, %d), want (%d, %d)",
-				tt.name, tt.units, fanout, pw, tt.fanout, tt.pw)
+			t.Errorf("%s: Split(%d, %d) = (%d, %d), want (%d, %d)",
+				tt.name, tt.workers, tt.units, fanout, pw, tt.fanout, tt.pw)
 		}
 	}
-}
 
-func TestPolicySetAndAuto(t *testing.T) {
-	if (Policy{}).Set() {
-		t.Error("zero Policy reports Set")
-	}
-	if !(Policy{Mode: PolicyAuto}).Set() {
-		t.Error("auto Policy reports unset")
-	}
-	if !(Policy{Mode: PolicyAuto}).Auto() {
-		t.Error("auto Policy reports !Auto")
-	}
-	if (Policy{Mode: PolicyScenarios}).Auto() {
-		t.Error("scenarios Policy reports Auto")
-	}
-}
-
-func TestPolicyModeString(t *testing.T) {
-	for mode, want := range map[PolicyMode]string{
-		PolicyUnset:      "unset",
-		PolicyAuto:       "auto",
-		PolicyScenarios:  "scenarios",
-		PolicyIntraSolve: "solve",
-		PolicySerial:     "serial",
-		PolicyMode(42):   "unknown",
-	} {
-		if got := mode.String(); got != want {
-			t.Errorf("PolicyMode(%d).String() = %q, want %q", mode, got, want)
+	// The routing rule as a property: never idle below one, never
+	// oversubscribe, and never widen a solve while units could still fill
+	// the budget.
+	for w := 0; w <= 64; w++ {
+		budget := Workers(w)
+		for units := 0; units <= 64; units++ {
+			fanout, pw := Split(w, units)
+			switch {
+			case fanout < 1 || pw < 1:
+				t.Errorf("Split(%d, %d) = (%d, %d): returns below 1", w, units, fanout, pw)
+			case fanout > max(units, 1):
+				t.Errorf("Split(%d, %d): fanout %d exceeds the unit count", w, units, fanout)
+			case fanout*pw > budget:
+				t.Errorf("Split(%d, %d) = (%d, %d): spends more than %d workers", w, units, fanout, pw, budget)
+			case units >= budget && pw != 1:
+				t.Errorf("Split(%d, %d): %d-wide solves with enough units to fill the budget", w, units, pw)
+			}
 		}
 	}
 }

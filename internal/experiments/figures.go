@@ -147,7 +147,7 @@ func Figure5(s *Setup, variant DemandVariant, thresholds []float64, ks []int, ce
 		return nil, err
 	}
 	env := s.envelope(variant)
-	s = s.plan(len(ks)) // each threshold's per-k solves are the parallel unit
+	s, fanout := s.plan(len(ks)) // each threshold's per-k solves are the parallel unit
 	var rows []DegRow
 	tk := s.sweep("figure5", len(thresholds)*len(ks))
 	// Sweep thresholds from strict to loose, warm-starting each budget's
@@ -155,12 +155,12 @@ func Figure5(s *Setup, variant DemandVariant, thresholds []float64, ks []int, ce
 	// feasible as the threshold relaxes), so the reported curve is monotone
 	// even when the solver budget truncates the search. Each failure
 	// budget's chain is independent of the others, so within one threshold
-	// the per-k solves fan out across s.Parallel workers.
+	// the per-k solves are one stage of the worker budget.
 	prev := make(map[int]*metaopt.Result)
 	for _, th := range thresholds {
 		th := th
 		step := make([]*metaopt.Result, len(ks))
-		err := conc.ForEach(context.Background(), len(ks), s.parallel(), func(_ context.Context, i int) error {
+		err := conc.ForEach(context.Background(), len(ks), fanout, func(_ context.Context, i int) error {
 			res, err := s.analyze(dps, env, th, ks[i], ce, prev[ks[i]])
 			step[i] = res
 			if err == nil {
@@ -206,14 +206,14 @@ func Figure7(s *Setup, slacks []float64, ks []int, threshold float64) ([]SlackRo
 	if err != nil {
 		return nil, err
 	}
-	s = s.plan(len(ks)) // each slack's per-k solves are the parallel unit
+	s, fanout := s.plan(len(ks)) // each slack's per-k solves are the parallel unit
 	var rows []SlackRow
 	tk := s.sweep("figure7", len(slacks)*len(ks))
 	prev := make(map[int]*metaopt.Result) // per failure budget
 	for _, slack := range slacks {
 		slack := slack
 		step := make([]*metaopt.Result, len(ks))
-		err := conc.ForEach(context.Background(), len(ks), s.parallel(), func(_ context.Context, i int) error {
+		err := conc.ForEach(context.Background(), len(ks), fanout, func(_ context.Context, i int) error {
 			cfg := metaopt.Config{
 				Topo: s.Topo, Demands: dps, Envelope: demand.UpTo(s.Base, slack),
 				ProbThreshold: threshold, MaxFailures: ks[i], QuantBits: s.QuantBits,
@@ -271,10 +271,10 @@ func Figure8(s *Setup, clusters int, thresholds []float64, ks []int) ([]ClusterR
 			grid = append(grid, cell{th, k})
 		}
 	}
-	s = s.plan(len(grid))
+	s, fanout := s.plan(len(grid))
 	rows := make([]ClusterRow, len(grid))
 	tk := s.sweep("figure8", len(grid))
-	err = conc.ForEach(context.Background(), len(grid), s.parallel(), func(_ context.Context, i int) error {
+	err = conc.ForEach(context.Background(), len(grid), fanout, func(_ context.Context, i int) error {
 		c := grid[i]
 		res, err := metaopt.AnalyzeClustered(metaopt.ClusterConfig{
 			Config: metaopt.Config{
@@ -308,7 +308,7 @@ func Figure9(s *Setup, clusterCounts []int, threshold float64, k int) ([]Cluster
 	env := demand.UpTo(s.Base, maxFactor-1)
 	// The outer loop stays serial so each row's wall-clock runtime is
 	// meaningful; the independent cluster-pair solves inside each
-	// AnalyzeClustered run fan out across s.Parallel instead.
+	// AnalyzeClustered run split the worker budget per wave instead.
 	var rows []ClusterRow
 	tk := s.sweep("figure9", len(clusterCounts))
 	for _, n := range clusterCounts {
@@ -320,9 +320,7 @@ func Figure9(s *Setup, clusterCounts []int, threshold float64, k int) ([]Cluster
 				QuantBits: s.QuantBits,
 				Solver:    s.solver(),
 			},
-			Clusters:    n,
-			Parallel:    s.parallel(),
-			Parallelism: s.Parallelism, // metaopt re-splits per wave
+			Clusters: n,
 		})
 		if err != nil {
 			return nil, err
@@ -352,12 +350,12 @@ func Figure10(s *Setup, primaries []int, thresholds []float64, ks []int, thresho
 	tk := s.sweep("figure10", len(primaries)+len(thresholds)+len(ks))
 
 	// Every point of each factor sweep is an independent analysis; each
-	// factor fans out across s.Parallel while the factor groups stay in the
-	// paper's order.
-	s = s.plan(len(primaries))
+	// factor is its own stage of the worker budget while the factor groups
+	// stay in the paper's order.
+	st, fanout := s.plan(len(primaries))
 	prim := make([]RuntimeRow, len(primaries))
-	err := conc.ForEach(context.Background(), len(primaries), s.parallel(), func(_ context.Context, i int) error {
-		sub := *s
+	err := conc.ForEach(context.Background(), len(primaries), fanout, func(_ context.Context, i int) error {
+		sub := *st
 		sub.Primary = primaries[i]
 		start := time.Now()
 		dps, err := sub.Paths()
@@ -381,10 +379,10 @@ func Figure10(s *Setup, primaries []int, thresholds []float64, ks []int, thresho
 	if err != nil {
 		return nil, err
 	}
-	s = s.plan(len(thresholds))
+	st, fanout = s.plan(len(thresholds))
 	ths := make([]RuntimeRow, len(thresholds))
-	err = conc.ForEach(context.Background(), len(thresholds), s.parallel(), func(_ context.Context, i int) error {
-		res, err := s.analyze(dps, env, thresholds[i], 0, false, nil)
+	err = conc.ForEach(context.Background(), len(thresholds), fanout, func(_ context.Context, i int) error {
+		res, err := st.analyze(dps, env, thresholds[i], 0, false, nil)
 		if err != nil {
 			return err
 		}
@@ -397,10 +395,10 @@ func Figure10(s *Setup, primaries []int, thresholds []float64, ks []int, thresho
 	}
 	rows = append(rows, ths...)
 
-	s = s.plan(len(ks))
+	st, fanout = s.plan(len(ks))
 	kr := make([]RuntimeRow, len(ks))
-	err = conc.ForEach(context.Background(), len(ks), s.parallel(), func(_ context.Context, i int) error {
-		res, err := s.analyze(dps, env, threshold, ks[i], false, nil)
+	err = conc.ForEach(context.Background(), len(ks), fanout, func(_ context.Context, i int) error {
+		res, err := st.analyze(dps, env, threshold, ks[i], false, nil)
 		if err != nil {
 			return err
 		}
@@ -419,10 +417,10 @@ func Figure10(s *Setup, primaries []int, thresholds []float64, ks []int, thresho
 // path computation (the paper's dominant cost at high backup counts).
 func Figure14(s *Setup, backups []int, threshold float64) ([]RuntimeRow, error) {
 	env := demand.UpTo(s.Base, maxFactor-1)
-	s = s.plan(len(backups))
+	s, fanout := s.plan(len(backups))
 	rows := make([]RuntimeRow, len(backups))
 	tk := s.sweep("figure14", len(backups))
-	err := conc.ForEach(context.Background(), len(backups), s.parallel(), func(_ context.Context, i int) error {
+	err := conc.ForEach(context.Background(), len(backups), fanout, func(_ context.Context, i int) error {
 		sub := *s
 		sub.Backup = backups[i]
 		start := time.Now()
@@ -461,9 +459,9 @@ func Figure12(s *Setup, primaries, backups []int, ks []int, threshold float64, c
 	env := s.envelope(variant)
 
 	// Flatten the (path-count, k) grid: every cell is an independent
-	// analysis, so the whole sweep fans out across s.Parallel with each cell
-	// writing its own row slot. Path sets are computed per cell — cheap next
-	// to the solves — which keeps the cells fully independent.
+	// analysis, so the whole sweep is one stage of the worker budget with
+	// each cell writing its own row slot. Path sets are computed per cell —
+	// cheap next to the solves — which keeps the cells fully independent.
 	type cell struct {
 		primary, backup, k int
 	}
@@ -478,10 +476,10 @@ func Figure12(s *Setup, primaries, backups []int, ks []int, threshold float64, c
 			grid = append(grid, cell{primary: s.Primary, backup: nb, k: k})
 		}
 	}
-	s = s.plan(len(grid))
+	s, fanout := s.plan(len(grid))
 	rows := make([]PathRow, len(grid))
 	tk := s.sweep("figure12", len(grid))
-	err := conc.ForEach(context.Background(), len(grid), s.parallel(), func(_ context.Context, i int) error {
+	err := conc.ForEach(context.Background(), len(grid), fanout, func(_ context.Context, i int) error {
 		c := grid[i]
 		sub := *s
 		sub.Primary = c.primary

@@ -86,14 +86,15 @@ func (t *sweepTracker) step() {
 	}
 }
 
-// solver builds the milp.Params every analysis of this setup shares; the
-// setup's tracer rides along so solver-layer events land in the same
-// stream as the sweep's own.
+// solver builds the milp.Params every analysis of this setup shares: the
+// setup's share of the worker budget (which the root-LP estimate may still
+// shrink), and its tracer, so solver-layer events land in the same stream
+// as the sweep's own.
 func (s *Setup) solver() milp.Params {
 	return milp.Params{
 		TimeLimit:       s.Budget,
 		Workers:         s.Workers,
-		AutoWidth:       s.autoWidth,
+		AutoWidth:       true,
 		Tracer:          s.Tracer,
 		Check:           s.Check,
 		DisablePresolve: s.DisablePresolve,

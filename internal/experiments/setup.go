@@ -29,20 +29,16 @@ type Setup struct {
 	// QuantBits for variable-demand analyses.
 	QuantBits int
 
-	// Workers is forwarded to the branch-and-bound backend for every solve
-	// of the sweep (milp.Params.Workers); 0 uses all cores.
-	Workers int
-
-	// Parallel bounds how many independent analyses of a sweep run
-	// concurrently (the fan-out inside Figure5/7/8/10/12/14 and the
-	// cluster-pair fan-out of Figure9). 0 or 1 keeps sweeps serial — the
-	// safe default, since each analysis already parallelizes its own
-	// branch-and-bound across Workers. Row order is identical at any
-	// setting, and so are values for solves that prove optimality;
+	// Workers is the worker budget of a sweep (0 uses all cores). Each
+	// stage splits it over its own count of independent analyses (plan):
+	// a wide stage fans out serial solves, a narrow one routes the
+	// leftover inside each solve, and a clustered analysis hands its share
+	// to metaopt, which re-splits it per wave. Row order is identical at
+	// any setting, and so are values for solves that prove optimality;
 	// analyses stopped by a wall-clock Budget return timing-dependent
 	// incumbents (as with any anytime solver), and concurrent analyses
 	// competing for cores reach the limit with less work done.
-	Parallel int
+	Workers int
 
 	// Tracer, when non-nil, receives the sweep's event stream: the
 	// figure-level sweep_start/sweep_point events plus everything the
@@ -63,53 +59,25 @@ type Setup struct {
 	// per-figure progress line. Called from sweep worker goroutines; must
 	// be safe for concurrent use.
 	OnProgress func(SweepProgress)
-
-	// Parallelism, when Set, supersedes Parallel and Workers: each sweep
-	// stage splits the policy's worker budget over its own count of
-	// independent analyses (conc.Policy.Split via plan), so a wide stage
-	// fans out serial solves while a narrow one routes workers inside
-	// each solve. Clustered analyses (Figure 8/9, tables) forward the
-	// policy to metaopt, which re-splits per wave.
-	Parallelism conc.Policy
-
-	// autoWidth forwards milp.Params.AutoWidth; set by plan for auto
-	// policies.
-	autoWidth bool
 }
 
-// plan resolves the portfolio policy for a sweep stage of units
-// independent analyses: the returned setup's Parallel and Workers carry
-// the split (and autoWidth the policy's auto bit). Without a policy the
-// receiver is returned unchanged, legacy knobs in charge. Each call
-// re-splits, so a figure with stages of different widths routes each
-// stage independently — the decision is trace-visible as an
-// experiments/"parallelism" event.
-func (s *Setup) plan(units int) *Setup {
-	if !s.Parallelism.Set() {
-		return s
-	}
-	fanout, perSolve := s.Parallelism.Split(units)
+// plan splits the worker budget over a sweep stage of units independent
+// analyses: the stage runs fanout of them at once on the returned setup,
+// whose Workers is each analysis's share. A figure with stages of
+// different widths plans each from the original setup; the split is
+// trace-visible as an experiments/"parallelism" event.
+func (s *Setup) plan(units int) (stage *Setup, fanout int) {
+	fanout, perSolve := conc.Split(s.Workers, units)
 	c := *s
-	c.Parallel = fanout
 	c.Workers = perSolve
-	c.autoWidth = s.Parallelism.Auto()
 	if s.Tracer != nil {
 		s.Tracer.Emit("experiments", "parallelism", obs.F{
-			"mode":           s.Parallelism.Mode.String(),
 			"units":          units,
 			"fanout":         fanout,
 			"solver_workers": perSolve,
 		})
 	}
-	return &c
-}
-
-// parallel is the sweep fan-out width; the zero value means serial.
-func (s *Setup) parallel() int {
-	if s.Parallel < 1 {
-		return 1
-	}
-	return s.Parallel
+	return &c, fanout
 }
 
 // Paths computes the tunnel sets for the current path policy.

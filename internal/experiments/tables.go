@@ -21,7 +21,6 @@ type TableRow struct {
 // budgets, demands capped at half the mean LAG capacity (the paper's
 // bottleneck guard for Zoo topologies).
 func Table3(s *Setup, thresholds []float64, backups, ks []int) ([]TableRow, error) {
-	s = s.plan(1) // serial grid: the single running solve gets the full budget
 	var rows []TableRow
 	for _, nb := range backups {
 		sub := *s
@@ -72,8 +71,7 @@ func Table4(s *Setup, clusters int, thresholds []float64, ks []int) ([]TableRow,
 					QuantBits: s.QuantBits,
 					Solver:    s.solver(),
 				},
-				Clusters:    clusters,
-				Parallelism: s.Parallelism, // metaopt re-splits per wave
+				Clusters: clusters,
 			})
 			if err != nil {
 				return nil, err

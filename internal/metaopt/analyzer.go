@@ -540,16 +540,13 @@ func hintScenarios(ctx context.Context, cfg *Config) []struct {
 			lo[k] = cfg.Envelope.Lo[k] + level*(cfg.Envelope.Hi[k]-cfg.Envelope.Lo[k])
 		}
 		sub.Envelope = demand.Envelope{Pairs: cfg.Envelope.Pairs, Lo: lo, Hi: lo}
-		// The hint solves inherit the caller's tracer, so the trace shows
-		// the cheap fixed-demand relaxations nested inside the main solve.
-		sub.Solver = milp.Params{
-			TimeLimit:       budget,
-			MIPGap:          0.05,
-			Workers:         cfg.Solver.Workers,
-			Tracer:          cfg.Solver.Tracer,
-			Check:           cfg.Solver.Check,
-			DisablePresolve: cfg.Solver.DisablePresolve,
-		}
+		// The hint solves keep the main solve's params (sub is a copy) but
+		// for a short budget and a loose gap: same width, and the same
+		// tracer, so the trace shows the cheap fixed-demand relaxations
+		// nested inside the main solve. Override, never re-list — a
+		// re-listing once dropped the width settings.
+		sub.Solver.TimeLimit, sub.Solver.MIPGap = budget, 0.05
+		sub.Solver.Hints, sub.Solver.OnProgress = nil, nil
 		hintStart := time.Now()
 		var (
 			res *Result

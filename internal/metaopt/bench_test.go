@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"raha/internal/conc"
 	"raha/internal/demand"
 	"raha/internal/milp"
 	"raha/internal/paths"
@@ -161,36 +160,31 @@ func benchScaling(b *testing.B, top *topology.Topology, seed int64, reps int) {
 func BenchmarkB4Scaling(b *testing.B)      { benchScaling(b, topology.B4(), 4, 7) }
 func BenchmarkUninettScaling(b *testing.B) { benchScaling(b, topology.Uninett2010(), 2010, 3) }
 
-// BenchmarkPortfolioScaling measures what the portfolio tier buys on a
-// clustered analysis: the same four-cluster Uninett run with parallelism
-// forced off (serial waves of serial solves) versus the auto policy
-// routing a four-worker budget across the wave. The ratio reports under
-// the same speedup-w4 / parallel-efficiency names as the intra-solve
-// scaling benchmarks, so the two tiers read side by side.
+// BenchmarkPortfolioScaling measures what splitting the budget buys on a
+// clustered analysis: the same four-cluster Uninett run at Workers 1
+// (serial waves of serial solves) versus Workers 4 split across each wave.
+// The ratio reports under the same speedup-w4 / parallel-efficiency names
+// as the intra-solve scaling benchmarks, so the two tiers read side by
+// side.
 func BenchmarkPortfolioScaling(b *testing.B) {
-	cfg := benchConfig(b, topology.Uninett2010(), 2010, 1)
-	ccfg := ClusterConfig{Config: cfg, Clusters: 4}
-	elapsed := map[conc.PolicyMode]time.Duration{}
+	ccfg := ClusterConfig{Config: benchConfig(b, topology.Uninett2010(), 2010, 1), Clusters: 4}
+	elapsed := map[int]time.Duration{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, pol := range []conc.Policy{
-			{Mode: conc.PolicySerial, Workers: 1},
-			{Mode: conc.PolicyAuto, Workers: 4},
-		} {
-			c := ccfg
-			c.Parallelism = pol
+		for _, workers := range []int{1, 4} {
+			ccfg.Solver.Workers = workers
 			med, _ := medianOf(b, 3, func() {
-				if _, err := AnalyzeClustered(c); err != nil {
+				if _, err := AnalyzeClustered(ccfg); err != nil {
 					b.Fatal(err)
 				}
 			})
-			elapsed[pol.Mode] += med
+			elapsed[workers] += med
 		}
 	}
-	if elapsed[conc.PolicyAuto] <= 0 {
+	if elapsed[4] <= 0 {
 		b.Fatal("portfolio run too fast to time")
 	}
-	s4 := elapsed[conc.PolicySerial].Seconds() / elapsed[conc.PolicyAuto].Seconds()
+	s4 := elapsed[1].Seconds() / elapsed[4].Seconds()
 	b.ReportMetric(s4, "speedup-w4")
 	b.ReportMetric(s4/4, "parallel-efficiency")
 }

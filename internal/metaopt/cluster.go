@@ -19,24 +19,6 @@ import (
 type ClusterConfig struct {
 	Config
 	Clusters int // number of node clusters; values < 2 run Analyze directly
-
-	// Parallel bounds how many cluster-pair solves run concurrently within
-	// a wave (see AnalyzeClustered); 0 or 1 runs them serially. The pair
-	// solves of a wave are independent — each one sees the demand values
-	// pinned at the start of its wave — so the result does not depend on
-	// Parallel, except that solves stopped by a wall-clock TimeLimit
-	// return timing-dependent incumbents and get less CPU when competing
-	// for cores.
-	Parallel int
-
-	// Parallelism, when Set, supersedes Parallel and the Solver's Workers
-	// knob: each wave splits the policy's budget over its pair count
-	// (conc.Policy.Split), so a wave with enough independent pair solves
-	// runs them scenario-parallel with serial solvers — the portfolio
-	// tier that scales embarrassingly — while a narrow wave (or the final
-	// fixed-demand pass) routes workers inside the solve instead. Each
-	// wave's routing decision is emitted as a "parallelism" trace event.
-	Parallelism conc.Policy
 }
 
 // AnalyzeClustered runs Algorithm 1. The solver time budget of cfg.Solver
@@ -46,10 +28,18 @@ type ClusterConfig struct {
 // The cluster-pair solves proceed in two waves — intra-cluster pairs first,
 // then cross-cluster pairs, as in the paper — and every solve in a wave
 // pins the demands of all other pairs to the values recorded at the start
-// of that wave. The solves within a wave are therefore independent and run
-// with up to cfg.Parallel of them concurrent; their demand updates merge in
-// deterministic pair order before the next wave starts, so objectives are
-// identical at any parallelism level.
+// of that wave. The solves within a wave are therefore independent, and
+// their demand updates merge in deterministic pair order before the next
+// wave starts, so objectives are identical at any worker budget (except
+// that solves stopped by a wall-clock TimeLimit return timing-dependent
+// incumbents).
+//
+// cfg.Solver.Workers is the budget of the whole analysis: each wave splits
+// it over its pair count (conc.Split), so a wave with enough independent
+// pair solves runs them side by side with serial solvers while a narrow
+// wave routes the leftover inside each solve; the final fixed-demand pass
+// is one solve and gets all of it. Each wave's split is emitted as a
+// "parallelism" trace event.
 func AnalyzeClustered(cfg ClusterConfig) (*Result, error) {
 	return AnalyzeClusteredContext(context.Background(), cfg)
 }
@@ -58,11 +48,6 @@ func AnalyzeClustered(cfg ClusterConfig) (*Result, error) {
 // propagates into every cluster-pair solve (see AnalyzeContext).
 func AnalyzeClusteredContext(ctx context.Context, cfg ClusterConfig) (*Result, error) {
 	if cfg.Clusters < 2 {
-		if cfg.Parallelism.Set() {
-			// One unclustered analysis is a single unit of work: hand the
-			// whole policy to the solver, which takes its per-solve share.
-			cfg.Config.Solver.Parallelism = cfg.Parallelism
-		}
 		return AnalyzeContext(ctx, cfg.Config)
 	}
 	if err := cfg.validate(); err != nil {
@@ -122,30 +107,23 @@ func AnalyzeClusteredContext(ctx context.Context, cfg ClusterConfig) (*Result, e
 			continue
 		}
 
-		// Portfolio routing: split the policy's worker budget over this
-		// wave's independent pair solves. Plenty of pairs → wide fan-out of
-		// serial solves; few pairs → narrow fan-out of wider solves.
-		wavePar, waveSolver := cfg.Parallel, per
-		if cfg.Parallelism.Set() {
-			fanout, perSolve := cfg.Parallelism.Split(len(keys))
-			wavePar = fanout
-			waveSolver.Workers = perSolve
-			waveSolver.AutoWidth = cfg.Parallelism.Auto()
-			if tr := cfg.Solver.Tracer; tr != nil {
-				tr.Emit("metaopt", "parallelism", obs.F{
-					"mode":           cfg.Parallelism.Mode.String(),
-					"units":          len(keys),
-					"fanout":         fanout,
-					"solver_workers": perSolve,
-				})
-			}
+		// Split the worker budget over this wave's independent pair solves.
+		fanout, perSolve := conc.Split(cfg.Solver.Workers, len(keys))
+		waveSolver := per
+		waveSolver.Workers, waveSolver.AutoWidth = perSolve, true
+		if tr := cfg.Solver.Tracer; tr != nil {
+			tr.Emit("metaopt", "parallelism", obs.F{
+				"units":          len(keys),
+				"fanout":         fanout,
+				"solver_workers": perSolve,
+			})
 		}
 
 		// Snapshot of the pinned demands at wave start: every solve of the
 		// wave reads it, none writes it, so the solves are independent.
 		snapshot := append([]float64(nil), current...)
 		results := make([]*Result, len(keys)) // indexed writes: one disjoint slot per solve
-		err := conc.ForEach(ctx, len(keys), wavePar, func(ctx context.Context, i int) error {
+		err := conc.ForEach(ctx, len(keys), fanout, func(ctx context.Context, i int) error {
 			key := keys[i]
 			// Envelope: demands of this pair keep their original range; all
 			// others are pinned to their wave-start values.
@@ -205,11 +183,6 @@ func AnalyzeClusteredContext(ctx context.Context, cfg ClusterConfig) (*Result, e
 		Hi:    append([]float64(nil), current...),
 	}
 	final.Solver = per
-	if cfg.Parallelism.Set() {
-		// The final fixed-demand pass is one unit: the solver takes the
-		// policy's per-solve share (all workers under auto).
-		final.Solver.Parallelism = cfg.Parallelism
-	}
 	return AnalyzeContext(ctx, final)
 }
 

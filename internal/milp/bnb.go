@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,12 +93,14 @@ type Params struct {
 	MIPGap    float64       // relative gap at which to stop; 0 = prove optimality
 	IntTol    float64       // integrality tolerance; 0 = 1e-6
 
-	// Workers is the number of concurrent branch-and-bound workers. Each
-	// worker runs its own LP solves (package lp is re-entrant: every solve
-	// builds a private tableau). 0 defaults to runtime.GOMAXPROCS(0); 1 is
-	// the serial, deterministic best-bound search. The optimal objective
-	// value does not depend on Workers; node counts and which of several
-	// equally-good solutions is returned may.
+	// Workers is the worker budget of this solve: the number of concurrent
+	// branch-and-bound workers, each re-solving node LPs on its own
+	// lp.Problem. 0 defaults to runtime.GOMAXPROCS(0); 1 is the serial,
+	// deterministic best-bound search. The optimal objective value does
+	// not depend on Workers; node counts and which of several equally-good
+	// solutions is returned may. A caller running several independent
+	// solves at once divides its own budget with conc.Split and passes
+	// each solve its share here.
 	Workers int
 
 	// AutoWidth lets the solver shrink Workers from a root-LP tree-size
@@ -107,16 +108,8 @@ type Params struct {
 	// fractional integer variables yields a tree too small to keep several
 	// workers fed, so the solve runs serial instead of paying
 	// synchronization for nothing. The chosen width is emitted as an
-	// "auto_width" trace event.
+	// "auto_width" trace event. A no-op at Workers 1.
 	AutoWidth bool
-
-	// Parallelism, when Set, is the portfolio policy that owns this
-	// solve's worker budget: SolveContext replaces Workers with the
-	// policy's per-solve share (Split(1)) and PolicyAuto additionally
-	// turns on AutoWidth. Callers running many independent solves hand
-	// the same policy to their fan-out tier so the budget is spent at
-	// exactly one level — see conc.Policy.
-	Parallelism conc.Policy
 
 	// Hints are warm-start candidates: full-length value vectors whose
 	// integer entries are fixed (rounded, clamped to bounds) and whose
@@ -166,13 +159,6 @@ type Params struct {
 	// domain propagation that runs after every branch. The corpus
 	// equivalence test solves every instance both ways.
 	DisablePresolve bool
-}
-
-func (p *Params) workers() int {
-	if p.Workers > 0 {
-		return p.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Result is the outcome of a MILP solve.
@@ -831,8 +817,7 @@ type plan struct {
 func (pl *plan) infeasible() bool { return pl.pres != nil && pl.pres.infeasible }
 
 // prepare applies the parameter defaults, runs the model-check gate,
-// resolves the portfolio policy into a worker count, presolves, and lets
-// auto width shrink the pool.
+// presolves, and lets auto width shrink the pool.
 func (m *Model) prepare(p *Params) (*plan, error) {
 	if p.IntTol == 0 {
 		p.IntTol = 1e-6
@@ -842,16 +827,7 @@ func (m *Model) prepare(p *Params) (*plan, error) {
 			return nil, err
 		}
 	}
-	if p.Parallelism.Set() {
-		// A portfolio policy owns the budget: this solve gets the policy's
-		// per-solve share, and Auto lets the root-LP estimate shrink it
-		// further below.
-		_, p.Workers = p.Parallelism.Split(1)
-		if p.Parallelism.Auto() {
-			p.AutoWidth = true
-		}
-	}
-	pl := &plan{sm: m, workers: p.workers(), autoFrac: -1}
+	pl := &plan{sm: m, workers: conc.Workers(p.Workers), autoFrac: -1}
 
 	// Root presolve: the search runs on the reduced model and postsolve
 	// maps its solutions back to the caller's variable space.

@@ -167,12 +167,13 @@ func TestGapInfiniteWithoutIncumbent(t *testing.T) {
 // TestWorkersDefault: the zero value must resolve to GOMAXPROCS, and
 // explicit widths pass through.
 func TestWorkersDefault(t *testing.T) {
-	p := Params{}
-	if got, want := p.workers(), runtime.GOMAXPROCS(0); got != want {
-		t.Fatalf("default workers = %d, want GOMAXPROCS %d", got, want)
-	}
-	p.Workers = 3
-	if p.workers() != 3 {
-		t.Fatalf("explicit workers = %d, want 3", p.workers())
+	for _, tt := range []struct{ workers, want int }{{0, runtime.GOMAXPROCS(0)}, {3, 3}} {
+		pl, err := NewModel().prepare(&Params{Workers: tt.workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.workers != tt.want {
+			t.Errorf("Workers %d resolves to a %d-wide pool, want %d", tt.workers, pl.workers, tt.want)
+		}
 	}
 }

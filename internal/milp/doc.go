@@ -6,8 +6,10 @@
 // relative MIP-gap stop — the stand-in for the Gurobi backend the paper
 // uses, including its timeout-with-incumbent behaviour.
 //
-// The search is one worker loop (Params.Workers wide) over per-worker local
-// queues — a best-bound heap when the pool is one worker, work-stealing
+// The search is one worker loop over per-worker local queues, as wide as
+// Params.Workers says (the only thing this package knows about width
+// besides AutoWidth's root-LP shrink; dividing a budget between concurrent
+// solves is the caller's conc.Split) — a best-bound heap when the pool is one worker, work-stealing
 // deques otherwise (scheduler.go) — with a lock-free incumbent and a
 // min-reduced dual bound. Branching is reliability-initialized pseudocost
 // branching, and each node below the root warm-starts its LP relaxation

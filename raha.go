@@ -36,7 +36,6 @@ import (
 	"io"
 
 	"raha/internal/augment"
-	"raha/internal/conc"
 	"raha/internal/demand"
 	"raha/internal/failures"
 	"raha/internal/metaopt"
@@ -193,25 +192,6 @@ type SolveStats = milp.Stats
 // SolverParams.OnProgress.
 type SolveProgress = milp.Progress
 
-// ParallelPolicy routes a worker budget between scenario-level fan-out and
-// intra-solve parallelism. Set it on ClusterConfig.Parallelism,
-// BatchConfig-style pipelines, or experiment setups; the zero value leaves
-// the legacy Parallel/Workers knobs in charge.
-type ParallelPolicy = conc.Policy
-
-// ParallelMode is a ParallelPolicy's routing choice.
-type ParallelMode = conc.PolicyMode
-
-// Parallel policy modes. ParallelAuto splits by unit count: enough
-// independent scenarios saturate the budget with serial solves, otherwise
-// leftover workers move inside each solve (with root-LP width estimation).
-const (
-	ParallelAuto      = conc.PolicyAuto
-	ParallelScenarios = conc.PolicyScenarios
-	ParallelIntra     = conc.PolicyIntraSolve
-	ParallelSerial    = conc.PolicySerial
-)
-
 // --- Model checking ------------------------------------------------------------
 
 // ModelDiagnostic is one finding of the static model checker: an ID from
@@ -293,8 +273,10 @@ type ClusterConfig = metaopt.ClusterConfig
 // pair by cluster pair, then search failures at that fixed demand.
 func AnalyzeClustered(cfg ClusterConfig) (*Result, error) { return metaopt.AnalyzeClustered(cfg) }
 
-// AnalyzeClusteredContext is AnalyzeClustered under a context; up to
-// cfg.Parallel cluster-pair solves run concurrently.
+// AnalyzeClusteredContext is AnalyzeClustered under a context.
+// cfg.Solver.Workers is the budget of the whole analysis: each wave of
+// independent cluster-pair solves splits it between running pairs side by
+// side and workers inside each solve.
 func AnalyzeClusteredContext(ctx context.Context, cfg ClusterConfig) (*Result, error) {
 	return metaopt.AnalyzeClusteredContext(ctx, cfg)
 }
