@@ -25,11 +25,21 @@ go vet ./...
 go build ./...
 
 # Retired names must not drift back in: the solver has one scheduler, one
-# branching rule and warm starts always, no binary reads an environment
-# variable to pick an LP core, and a worker count is one `Workers` budget per
-# layer split by conc.Split — no routing policy, no second per-solve field.
-if grep -rn 'QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel' --include='*.go' --exclude-dir=.bench_build .; then
+# branching rule and warm starts always, one LP core with no switch (process
+# global or environment variable) to pick another, and a worker count is one
+# `Workers` budget per layer split by conc.Split — no routing policy, no
+# second per-solve field. The grep reads _test.go files too, on purpose.
+if grep -rn 'QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel' --include='*.go' --exclude-dir=.bench_build .; then
 	echo "ci: retired solver knob referenced above" >&2
+	exit 1
+fi
+
+# And the dense tableau stays on the test side: no binary may link it.
+tmp=$(mktemp -d /tmp/raha-ci.XXXXXX)
+trap 'rm -rf "$tmp"' EXIT
+go build -o "$tmp/raha" ./cmd/raha
+if go tool nm "$tmp/raha" | grep -q 'lp\.solveDense\|lp\.(\*tableau)'; then
+	echo "ci: cmd/raha links the dense LP referee (internal/lp/dense_ref_test.go belongs to the tests)" >&2
 	exit 1
 fi
 
@@ -59,9 +69,7 @@ go test ./internal/topology -run '^$' -fuzz '^FuzzParseGML$' -fuzztime 10s
 # presolve bug can never hide behind the reductions (and vice versa).
 go test ./internal/milp -run 'TestRandomMILPsAgainstBruteForce' -short -presolve=off
 
-# (The dense LP core needs no pass of its own: TestRandomMILPsDenseSparseEquivalence
-# in the -race run above solves the corpus on it at Workers 1 and 4 against
-# brute force.)
+# (The dense LP referee needs no pass of its own: it runs inside ./internal/lp's tests in the -race pass above.)
 
 # The benchmark module (bench/, its own go.mod, so `./...` above does not
 # reach it): vet, its tests at the scaled-down -short workloads — the oracle,
@@ -130,8 +138,7 @@ fi
 # B4 analysis must record successful steals (work actually moved between
 # workers) and keep the summed idle share under 50% (workers spent their
 # time searching, not spinning in steal backoff).
-trace_tmp=$(mktemp /tmp/raha-trace-ci.XXXXXX.jsonl)
-trap 'rm -f "$trace_tmp"' EXIT
+trace_tmp=$tmp/trace.jsonl
 go run ./cmd/raha analyze -topology b4 -budget 5s -workers 4 \
 	-trace "$trace_tmp" -q -progress=false >/dev/null
 go run ./cmd/raha-trace summarize "$trace_tmp" >/dev/null

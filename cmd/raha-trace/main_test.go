@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"raha/internal/lp"
 	"raha/internal/milp"
 	"raha/internal/obs"
 )
@@ -53,7 +52,6 @@ func writeTrace(t *testing.T, workers int, seed int64) string {
 }
 
 func TestSummarizeAttributesWorkerTime(t *testing.T) {
-	defer lp.SetDense(lp.SetDense(false)) // the dense core never stops at the incumbent
 	path := writeTrace(t, 4, 11)
 	tr, err := parseTrace(path)
 	if err != nil {

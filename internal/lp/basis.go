@@ -32,8 +32,8 @@ type Basis struct {
 // valid reports whether the basis is structurally consistent for a problem
 // with m rows and n = NumVars+m columns: correct lengths, exactly m basic
 // columns, and every entry of Basic one of them. That Basic names no column
-// twice is checked where each core inverts it into its column → slot map
-// (initWarm, buildWarm), which needs no scratch: SolveFrom runs once per
+// twice is checked where the solver inverts it into its column → slot map
+// (initWarm), which needs no scratch: SolveFrom runs once per
 // branch-and-bound node and must not allocate to validate.
 func (b *Basis) valid(m, n int) bool {
 	if b == nil || len(b.Basic) != m || len(b.Stat) != n {
@@ -76,36 +76,26 @@ var (
 // SolveFrom re-optimizes p starting from a basis exported by a previous
 // solve of a problem with the same rows and objective (typically the parent
 // node of a branch-and-bound search, which differs only in one variable's
-// bounds). The basis is refactorized — an LU factorization with partial
-// pivoting on the sparse core, Gauss-Jordan on the dense one; if the
-// inherited point is primal-infeasible under the new bounds — the normal
-// case after a branching bound change — a bounded-variable dual simplex
-// phase restores feasibility before the primal phase finishes the solve.
+// bounds). The basis is refactorized (LU, partial pivoting); if the inherited
+// point is primal-infeasible under the new bounds — the normal case after a
+// branching bound change — a bounded-variable dual simplex phase restores
+// feasibility before the primal phase finishes the solve.
 //
 // Phase 1 never runs on the warm path, so Solution.Phase1Iters is 0 and
 // Solution.WarmStarted is true. When the basis is unusable — nil, built for
 // a different problem shape, singular under the new bounds, or no longer
-// dual-feasible — SolveFrom falls back to the cold two-phase Solve and the
-// returned Solution has WarmStarted false.
+// dual-feasible — or the warm solve collapses numerically, SolveFrom falls
+// back to the cold two-phase Solve and WarmStarted is false.
 func SolveFrom(p *Problem, b *Basis, opt *Options) (*Solution, error) {
 	if err := validate(p); err != nil {
 		return nil, err
 	}
-	m, nStr := len(p.Rows), p.NumVars
-	if !b.valid(m, nStr+m) {
-		return Solve(p, opt)
+	if m := len(p.Rows); b.valid(m, p.NumVars+m) {
+		if sol, ok := solveFromSparse(p, b, opt); ok {
+			cWarm.Inc()
+			cDualIters.Add(int64(sol.DualIters))
+			return record(sol), nil
+		}
 	}
-	var sol *Solution
-	var ok bool
-	if denseMode.Load() {
-		sol, ok = solveFromDense(p, b, opt)
-	} else {
-		sol, ok = solveFromSparse(p, b, opt)
-	}
-	if !ok {
-		return Solve(p, opt)
-	}
-	cWarm.Inc()
-	cDualIters.Add(int64(sol.DualIters))
-	return record(sol), nil
+	return Solve(p, opt)
 }

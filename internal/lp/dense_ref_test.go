@@ -1,13 +1,13 @@
 package lp
 
-// The legacy dense-tableau simplex. This was the original solver core; the
-// sparse revised simplex (sparse.go, lu.go) replaced it as the default, and
-// it is kept as the ground truth the sparse core is tested against (SetDense)
-// and as the silent last-resort fallback should the sparse factorization ever
-// collapse numerically. Its pivot rules —
+// The dense-tableau referee. This was the original solver core; the sparse
+// revised simplex (sparse.go, lu.go) replaced it, and it lives on here, on
+// the test side only, as the ground truth the sparse core is held to: the
+// equivalence tests call solveDense / solveFromDense directly, and no binary
+// links it. Its pivot rules —
 // Dantzig pricing with a Bland fallback, the bounded-variable ratio test,
 // the dual ratio test on the warm path — define the behavior the sparse
-// core reproduces, so changes here are semantic changes to both cores.
+// core reproduces, so changes here change what the referee checks.
 
 import "math"
 
@@ -180,7 +180,6 @@ func build(p *Problem) (*tableau, int) {
 	// Fill rows: sign·a·x + slack (+ artificial) = sign·rhs.
 	art := nStr + m
 	for i, r := range p.Rows {
-		//raha:lint-allow hot-alloc each dense row is retained as tableau storage; the build is once per solve, not per pivot
 		row := make([]float64, n)
 		for k, j := range r.Idx {
 			row[j] += sign[i] * r.Coef[k]
@@ -557,7 +556,6 @@ func buildWarm(p *Problem, bs *Basis) (*tableau, bool) {
 		if r.Rel == GE {
 			s = -1
 		}
-		//raha:lint-allow hot-alloc each dense row is retained as tableau storage; the build is once per refactorization, not per pivot
 		row := make([]float64, n)
 		for k, j := range r.Idx {
 			row[j] += s * r.Coef[k]

@@ -8,7 +8,7 @@
 // variables may rest at either bound), so branch-and-bound in package milp
 // can tighten bounds without growing the constraint matrix.
 //
-// The default path (sparse.go) maintains an LU factorization of the basis
+// The solver (sparse.go) maintains an LU factorization of the basis
 // with partial pivoting plus a product-form eta file that absorbs basis
 // changes between refactorizations; refactorization triggers on eta-chain
 // length, a small eta pivot, or accumulated growth (lu.go). The basis is
@@ -26,11 +26,11 @@
 // allocation per re-solve under branch and bound. DESIGN.md §2.13 is the
 // full writeup.
 //
-// The original dense-tableau two-phase solver is retained in dense.go as
-// executable ground truth: the dense-vs-sparse equivalence tests run every
-// corpus instance on both cores (SetDense is their lever; no flag or
-// environment variable reaches it), and a sparse factorization failure
-// silently falls back to it so callers never see the seam.
+// The original dense-tableau two-phase solver is the referee on the test
+// side (dense_ref_test.go): the equivalence tests call it directly on every
+// corpus instance, and no binary links it. A cold solve whose factorization
+// collapses numerically ends with status NumericalFailure, counted as
+// lp.numerical_failures — there is no second solver to fall back to.
 //
 // Optimal solutions carry their final simplex basis (Solution.Basis), and
 // SolveFrom re-solves a problem from such a basis: it refactorizes the

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"raha/internal/obs"
 )
@@ -99,6 +98,10 @@ const (
 	// bound on the optimum — passed Options.ObjLimit. Solution.Objective is
 	// the bound reached; the optimum itself was not computed.
 	ObjLimit
+	// NumericalFailure: a cold solve's factorization collapsed and no answer
+	// can be trusted. The Solution carries the status alone; the problem is
+	// unsolved (branch and bound abandons the node, its bound kept open).
+	NumericalFailure
 )
 
 func (s Status) String() string {
@@ -113,6 +116,8 @@ func (s Status) String() string {
 		return "iteration-limit"
 	case ObjLimit:
 		return "objective-limit"
+	case NumericalFailure:
+		return "numerical-failure"
 	}
 	return "unknown"
 }
@@ -150,8 +155,8 @@ type Options struct {
 	// basis it visits is dual-feasible, so by weak duality its objective is
 	// a lower bound on the optimum, and a caller that only wants to know
 	// whether the optimum can beat ObjLimit (branch and bound, with its
-	// incumbent) needs no more. Cold solves and the dense core have no such
-	// bound to watch and ignore it.
+	// incumbent) needs no more. A cold solve has no such bound to watch and
+	// ignores it.
 	ObjLimit    float64
 	UseObjLimit bool
 }
@@ -181,6 +186,7 @@ var (
 	cUnbounded = obs.Default.Counter("lp.unbounded")
 	cIterLimit = obs.Default.Counter("lp.iteration_limit")
 	cObjLimit  = obs.Default.Counter("lp.objlimit_stops")
+	cNumFail   = obs.Default.Counter("lp.numerical_failures")
 )
 
 // record folds one solve's telemetry into the process-wide counters and
@@ -200,11 +206,13 @@ func record(sol *Solution) *Solution {
 		cIterLimit.Inc()
 	case ObjLimit:
 		cObjLimit.Inc()
+	case NumericalFailure:
+		cNumFail.Inc()
 	}
 	return sol
 }
 
-// variable status within the simplex (shared by the dense and sparse cores).
+// variable status within the simplex.
 type vstat int8
 
 const (
@@ -213,39 +221,18 @@ const (
 	basic
 )
 
-// denseMode selects the legacy dense-tableau core instead of the sparse
-// revised simplex. It exists so the dense solver — the rewrite's ground
-// truth — stays compiled, tested, and reachable: the equivalence tests flip
-// it per trial through SetDense, and nothing outside tests does.
-var denseMode atomic.Bool
-
-// SetDense switches every subsequent Solve/SolveFrom in the process onto
-// the dense tableau core (true) or the sparse revised simplex (false,
-// the default), returning the previous setting. The two cores agree on
-// status and objective to solver tolerance — that equivalence is pinned by
-// the dense-vs-sparse corpus tests — so the knob is the test suites'
-// ground-truth lever, not a semantics switch; no binary exposes it.
-func SetDense(on bool) (prev bool) {
-	prev = denseMode.Load()
-	denseMode.Store(on)
-	return prev
-}
-
-// Solve minimizes p. The default core is the sparse revised simplex
-// (sparse.go); the legacy dense two-phase tableau (dense.go) serves under
-// SetDense and as a silent last-resort fallback should the sparse core's
-// factorization collapse numerically.
+// Solve minimizes p with the sparse revised simplex (sparse.go). A numerical
+// collapse of the factorization is status NumericalFailure, counted as
+// lp.numerical_failures — not an error, and there is no second solver.
 func Solve(p *Problem, opt *Options) (*Solution, error) {
 	if err := validate(p); err != nil {
 		return nil, err
 	}
-	if denseMode.Load() {
-		return record(solveDense(p, opt)), nil
+	sol, ok := solveSparse(p, opt)
+	if !ok {
+		sol = &Solution{Status: NumericalFailure}
 	}
-	if sol, ok := solveSparse(p, opt); ok {
-		return record(sol), nil
-	}
-	return record(solveDense(p, opt)), nil
+	return record(sol), nil
 }
 
 func validate(p *Problem) error {

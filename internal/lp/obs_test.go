@@ -105,3 +105,36 @@ func TestFillGaugeCoversWarmStart(t *testing.T) {
 		t.Errorf("lp.lu_fill_permille = %d after a warm solve, want within [1000, 1200]", fill)
 	}
 }
+
+// TestNumericalFailureStatus pins what a collapse of the factorization looks
+// like from outside: a status with a name, counted, carrying no basis — not
+// an error, and not an answer. In the fixture columns 0 and 1 are parallel to
+// one part in 10⁹; the simplex pivots both into the basis on an acceptable
+// ratio-test pivot, and the refactorization that follows, eliminating in its
+// own order, is left with a pivot under luPivotFloor. (The LP is bounded,
+// with its optimum near x₀ = 6·10¹²; the dense referee calls it unbounded,
+// which is why a collapse is reported rather than handed to another core.)
+func TestNumericalFailureStatus(t *testing.T) {
+	p := NewProblem(3)
+	p.Cost = []float64{0, -1, -3}
+	p.AddRow([]int{0, 1, 2}, []float64{-0.004, 4, 4.00000000004}, GE, -1)
+	p.AddRow([]int{0, 1, 2}, []float64{-0.001, 1.000000001, 10000}, EQ, 6)
+	before := obs.Default.Snapshot()
+	sol, err := Solve(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != NumericalFailure || sol.Status.String() != "numerical-failure" {
+		t.Fatalf("status %v, want numerical-failure (has the fixture stopped collapsing?)", sol.Status)
+	}
+	if sol.Basis != nil {
+		t.Fatalf("a failed solve exported a basis: %+v", sol.Basis)
+	}
+	after := obs.Default.Snapshot()
+	if d := after["lp.numerical_failures"] - before["lp.numerical_failures"]; d != 1 {
+		t.Fatalf("lp.numerical_failures advanced by %d, want 1", d)
+	}
+	if d := after["lp.solves"] - before["lp.solves"]; d != 1 {
+		t.Fatalf("lp.solves advanced by %d over one failed solve, want 1", d)
+	}
+}

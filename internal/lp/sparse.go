@@ -1,14 +1,14 @@
 package lp
 
-// The sparse revised simplex core — the default solver. The constraint
+// The sparse revised simplex core — the one solver. The constraint
 // matrix is held both column-wise (CSC) and row-wise (CSR) after
 // geometric-mean scaling; the basis is an LU factorization with a
 // product-form eta file (lu.go); pricing and the ratio test work against
-// FTRAN/BTRAN solves instead of a dense tableau. The dense core (dense.go)
-// defines the pivot-rule semantics this file reproduces and remains the
-// ground truth in the equivalence tests.
+// FTRAN/BTRAN solves instead of a dense tableau. The dense tableau it
+// replaced (dense_ref_test.go) defines the pivot-rule semantics this file
+// reproduces and remains the referee in the equivalence tests.
 //
-// Column layout, shared with the dense core and the exported Basis:
+// Column layout, shared with the dense referee and the exported Basis:
 // structural variables 0..nStr-1 (stored CSC columns), one slack per row
 // nStr..nStr+m-1 (implicit +1 unit columns; the row scaling is absorbed
 // into the slack variable itself, so the stored coefficient stays exactly
@@ -278,8 +278,7 @@ type spSolver struct {
 	dualIters   int
 
 	// fail marks a numerical catastrophe (the basis would not factorize
-	// mid-solve): the caller abandons the sparse attempt and the dispatcher
-	// falls back to the dense ground-truth core.
+	// mid-solve): a warm solve retries cold, a cold one ends NumericalFailure.
 	fail bool
 }
 
@@ -981,7 +980,7 @@ func (s *spSolver) dualFeasible() bool {
 // dual runs the bounded-variable dual simplex: drive the most-violating
 // basic variable to the bound it violates, entering by the dual ratio test
 // (minimum |d_j/a_rj| over sign-eligible columns, ties toward the larger
-// pivot — the same rule as the dense core). The pivot row comes from a
+// pivot — the same rule as the dense referee). The pivot row comes from a
 // BTRAN of e_r; the reduced costs update incrementally from it.
 //
 // With an objective limit set (s.objLimit finite) the loop also carries the
@@ -1216,7 +1215,7 @@ func (s *spSolver) finish(p *Problem, st Status, phase1Iters int, warm bool) *So
 
 // solveSparse runs the two-phase revised simplex on p (already validated).
 // ok = false reports a numerical catastrophe — a basis that would not
-// factorize — and asks the dispatcher for the dense fallback.
+// factorize — which Solve turns into status NumericalFailure.
 func solveSparse(p *Problem, opt *Options) (*Solution, bool) {
 	c := p.cache()
 	s := &c.s

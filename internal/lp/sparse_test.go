@@ -6,12 +6,15 @@ import (
 	"testing"
 )
 
-// withDense runs fn with the dense-tableau core forced on, restoring the
-// previous core selection afterwards.
-func withDense(fn func()) {
-	prev := SetDense(true)
-	defer SetDense(prev)
-	fn()
+// denseFrom is SolveFrom on the dense referee (dense_ref_test.go): the same
+// shape check and the same cold retry when the basis cannot be reused.
+func denseFrom(p *Problem, b *Basis, opt *Options) *Solution {
+	if m := len(p.Rows); b.valid(m, p.NumVars+m) {
+		if sol, ok := solveFromDense(p, b, opt); ok {
+			return sol
+		}
+	}
+	return solveDense(p, opt)
 }
 
 // solveBoth solves p cold on both cores and checks they agree on status
@@ -23,12 +26,7 @@ func solveBoth(t *testing.T, trial int, p *Problem) (sparse, dense *Solution) {
 	if err != nil {
 		t.Fatalf("trial %d: sparse Solve: %v", trial, err)
 	}
-	withDense(func() {
-		dense, err = Solve(p, nil)
-	})
-	if err != nil {
-		t.Fatalf("trial %d: dense Solve: %v", trial, err)
-	}
+	dense = solveDense(p, nil)
 	if sparse.Status != dense.Status {
 		t.Fatalf("trial %d: status sparse=%v dense=%v", trial, sparse.Status, dense.Status)
 	}
@@ -56,14 +54,7 @@ func TestDenseSparseEquivalenceCorpus(t *testing.T) {
 		}
 
 		tightenRandomBound(rng, p)
-		var childDense *Solution
-		var err error
-		withDense(func() {
-			childDense, err = Solve(p, nil)
-		})
-		if err != nil {
-			t.Fatalf("trial %d: dense child Solve: %v", trial, err)
-		}
+		childDense := solveDense(p, nil)
 
 		// Sparse warm from each core's parent basis vs the dense cold child.
 		for _, parent := range []*Basis{sparseCold.Basis, denseCold.Basis} {
@@ -206,10 +197,7 @@ func TestSparseBealeCycling(t *testing.T) {
 	// equivalent and also exercises the bounded-variable path.)
 	sol := solveOK(t, p)
 	wantObj(t, sol, -0.05)
-	withDense(func() {
-		sol = solveOK(t, p)
-	})
-	wantObj(t, sol, -0.05)
+	wantObj(t, solveDense(p, nil), -0.05)
 }
 
 // TestSparseBadScaling: coefficients spanning 14 orders of magnitude. The

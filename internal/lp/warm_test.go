@@ -233,7 +233,7 @@ func TestExportedBasisIsValid(t *testing.T) {
 // never returns Optimal — the solve stops with ObjLimit and an objective that
 // is above the limit and a true lower bound on z*. A child the dual simplex
 // proves infeasible may be reported either way under a limit (its dual
-// objective is unbounded, so it passes any limit on the way). The dense core
+// objective is unbounded, so it passes any limit on the way). The dense referee
 // has no dual bound to watch and solves every one of them out.
 func TestObjLimitCorpus(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -306,11 +306,9 @@ func TestObjLimitCorpus(t *testing.T) {
 				t.Fatalf("trial %d: the limited solve took %d iterations, the unlimited one %d", trial, got.Iters, free.Iters)
 			}
 			stops++
-			withDense(func() {
-				if d := limited(p, parent.Basis, lim); d.Status != Optimal || math.Abs(d.Objective-z) > 1e-6 {
-					t.Fatalf("trial %d: dense core under a limit: %v %g, want optimal %g", trial, d.Status, d.Objective, z)
-				}
-			})
+			if d := denseFrom(p, parent.Basis, &Options{ObjLimit: lim, UseObjLimit: true}); d.Status != Optimal || math.Abs(d.Objective-z) > 1e-6 {
+				t.Fatalf("trial %d: dense referee under a limit: %v %g, want optimal %g", trial, d.Status, d.Objective, z)
+			}
 		}
 	}
 	if optimal < 100 {

@@ -3,7 +3,6 @@ package metaopt
 import (
 	"testing"
 
-	"raha/internal/lp"
 	"raha/internal/milp"
 	"raha/internal/topology"
 )
@@ -33,7 +32,6 @@ import (
 // degradation, and a few branch choices differ), warm iterations fell 22%
 // and 30%.
 func TestSerialSearchCountsPinned(t *testing.T) {
-	defer lp.SetDense(lp.SetDense(false)) // the counts are the sparse core's
 	for _, tc := range []struct {
 		name string
 		top  *topology.Topology

@@ -338,7 +338,10 @@ type search struct {
 	stop      atomic.Bool           // a limit, the gap target, cancellation or an error ended the search
 	err       atomic.Pointer[error] // the first worker error
 	unbounded atomic.Bool           // the root relaxation is unbounded
-	tainted   atomic.Bool           // a node was abandoned at the LP iteration limit: exhaustion proves nothing
+
+	// abandoned: the best relaxation (Float64bits, model sense) among nodes
+	// dropped unsolved (abandon), worst by sense while there are none.
+	abandoned atomic.Uint64
 }
 
 // toObj maps the solver's internal minimized value back to model sense. The
@@ -360,9 +363,9 @@ func (s *search) better(a, b float64) bool {
 
 // solveLP solves the relaxation under the given bounds, warm-starting from
 // basis when one is available (the parent node's optimal basis; only the
-// root and the hint LPs have none). It holds no locks: the simplex builds a
-// private tableau per call and the lowered problem is per-worker scratch
-// (wid), so concurrent workers never share solver state. The elapsed nanoseconds are
+// root and the hint LPs have none). It holds no locks: the lowered problem
+// and the simplex workspace cached on it are per-worker scratch (wid), so
+// concurrent workers never share solver state. The elapsed nanoseconds are
 // returned (and charged to the warm or cold LP bucket) so callers can
 // subtract LP time from their own phase accounting.
 func (s *search) solveLP(wid int, lo, hi []float64, basis *lp.Basis) (*lp.Solution, int64, error) {
@@ -604,10 +607,10 @@ func (s *search) worker(id int) {
 }
 
 // emitNode reports how one processed node ended. The reason strings match
-// the Stats prune counters: infeasible, unbounded, iterlimit, bound,
-// integral, branched. depth is the node's tree depth (raha-trace builds
-// the depth histogram from it). cutoff marks a "bound" node whose LP stopped
-// at the incumbent instead of solving out (obj is then the bound reached).
+// the Stats prune counters: infeasible, unbounded, iterlimit (and
+// numerical-failure, counted with it), bound, integral, branched. depth
+// feeds raha-trace's depth histogram. cutoff marks a "bound" node whose LP
+// stopped at the incumbent instead of solving out (obj: the bound reached).
 func (s *search) emitNode(claimNo, depth int, reason string, obj float64, cutoff bool) {
 	if s.tracer == nil {
 		return
@@ -618,6 +621,23 @@ func (s *search) emitNode(claimNo, depth int, reason string, obj float64, cutoff
 	}
 	addFinite(f, "obj", obj)
 	s.tracer.Emit("milp", "node", f)
+}
+
+// abandon drops a node whose LP ended st, IterLimit or NumericalFailure. Its
+// subtree is neither explored nor pruned and may hold anything up to the
+// bound it inherited, which globalBound therefore keeps covering.
+func (s *search) abandon(claimNo int, n *node, st lp.Status) {
+	for old := s.abandoned.Load(); s.better(n.relax, math.Float64frombits(old)); old = s.abandoned.Load() {
+		if s.abandoned.CompareAndSwap(old, math.Float64bits(n.relax)) {
+			break
+		}
+	}
+	s.stats.prunedIterLimit.Add(1)
+	reason := "iterlimit"
+	if st == lp.NumericalFailure {
+		reason = st.String()
+	}
+	s.emitNode(claimNo, n.depth, reason, math.NaN(), false)
 }
 
 // process solves one node's relaxation and returns its children (nil when
@@ -665,10 +685,8 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 		s.stats.unboundedNodes.Add(1)
 		s.emitNode(claimNo, n.depth, "unbounded", math.NaN(), false)
 		return nil
-	case lp.IterLimit:
-		s.tainted.Store(true)
-		s.stats.prunedIterLimit.Add(1)
-		s.emitNode(claimNo, n.depth, "iterlimit", math.NaN(), false)
+	case lp.IterLimit, lp.NumericalFailure:
+		s.abandon(claimNo, n, sol.Status)
 		return nil
 	}
 
@@ -890,6 +908,7 @@ func newSearch(m *Model, p Params, pl *plan, start time.Time) *search {
 		s.stealRng[i] = uint64(i)*0x9E3779B97F4A7C15 + 0x6A09E667F3BCC909
 		s.pubBound[i].Store(worstBits)
 	}
+	s.abandoned.Store(worstBits)
 	s.inc.init(s.toObj(inf))
 	s.boundBits.Store(math.Float64bits(s.toObj(-inf)))
 	for v, t := range sm.vtype {
@@ -1129,7 +1148,7 @@ func (s *search) fold() *Result {
 		res.X = s.post.restore(res.X)
 	}
 	exhausted := s.outstanding.Load() == 0 && !s.stop.Load()
-	clean := !s.tainted.Load()
+	clean := s.abandoned.Load() == math.Float64bits(s.toObj(math.Inf(1))) // no node was abandoned
 	switch {
 	case s.unbounded.Load():
 		res.Status = Unbounded

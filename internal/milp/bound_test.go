@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"raha/internal/lp"
 )
 
 // boundTol absorbs the LP layer's numerical tolerance: a dual bound a
@@ -177,5 +179,49 @@ func TestNodeLimitBoundIsLiveBound(t *testing.T) {
 	}
 	if byOpenNode == 0 || byIncumbent == 0 {
 		t.Fatalf("limits covered %d open-node bounds and %d incumbent-clamped bounds; want both", byOpenNode, byIncumbent)
+	}
+}
+
+// TestAbandonedNodeKeepsBoundOpen pins Result.Bound after a node was dropped
+// unsolved (LP iteration limit or numerical failure): the subtree under it
+// was never explored, so the bound it inherited must outlive it — once the
+// node retires no published bound covers it any more, and a drained tree
+// would otherwise report gap 0 on a search that proved nothing. The lone
+// worker's steps are driven by hand: the root hands over one child at
+// relaxation 15 under an incumbent of 10, and the child is abandoned.
+func TestAbandonedNodeKeepsBoundOpen(t *testing.T) {
+	m := NewModel()
+	x := m.NewVar(0, 20, Integer, "x")
+	var obj Expr
+	obj.Add(1, x)
+	m.SetObjective(obj, Maximize)
+	p := Params{Workers: 1, DisablePresolve: true}
+	pl, err := m.prepare(&p)
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	s := newSearch(m, p, pl, time.Now())
+	s.wstats = make([]workerAcc, 1) // as runPool does before the workers start
+	s.offerIncumbent(10, []float64{10})
+	if root, _ := s.claim(0); root == nil {
+		t.Fatal("no root to claim")
+	}
+	s.publish(0, []*node{{relax: 15, depth: 1, bvar: -1}})
+	child, claimNo := s.claim(0)
+	if child == nil {
+		t.Fatal("the child at relaxation 15 was not claimed under incumbent 10")
+	}
+	s.abandon(claimNo, child, lp.NumericalFailure)
+	s.publish(0, nil)
+
+	res := s.fold()
+	if res.Status != Feasible || res.Objective != 10 {
+		t.Fatalf("status %v objective %g, want Feasible 10: an abandoned node proves nothing", res.Status, res.Objective)
+	}
+	if res.Bound < 15 || res.Gap() <= 0 {
+		t.Fatalf("Bound %g (gap %g) does not cover the abandoned subtree's relaxation 15", res.Bound, res.Gap())
+	}
+	if res.Stats.PrunedIterLimit != 1 {
+		t.Fatalf("PrunedIterLimit %d, want 1", res.Stats.PrunedIterLimit)
 	}
 }

@@ -15,9 +15,9 @@
 // branching, and each node below the root warm-starts its LP relaxation
 // from the parent's simplex basis via lp.SolveFrom, stopping early once its
 // dual bound passes the incumbent. The LP core underneath is package lp's
-// sparse revised simplex, but nothing here depends on that: branch and
-// bound sees only Solve/SolveFrom and Solution.Basis, and the equivalence
-// corpus re-runs on the dense fallback core to prove it. Warm-start
+// sparse revised simplex, the only one: branch and bound sees only
+// Solve/SolveFrom and Solution.Basis, and abandons a node whose LP ends
+// IterLimit or NumericalFailure with its bound kept open. Warm-start
 // accounting (Stats.WarmStarts, Stats.WarmIters, Stats.ColdFallbacks)
 // rides on Result.Stats next to the LP and prune counters. DESIGN.md §2.14
 // covers the scheduler, §2.8 the warm starts.

@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"raha/internal/lp"
 )
 
 // presolveMode lets CI run the corpus with the reduction layer off
@@ -137,19 +135,26 @@ func propCorpusSize(t *testing.T) int {
 // search passes its incumbent down whenever it has one; there is no other
 // path), so agreement with enumeration is also the cutoff's soundness check:
 // a node cut off wrongly would lose the optimum. The corpus must actually
-// cut nodes off for that to mean anything — on the sparse core; the dense
-// one ignores the limit — and a cut-off node is always a bound-pruned one.
+// cut nodes off for that to mean anything, and a cut-off node is always a
+// bound-pruned one.
 //
 // It also pins the warm accounting: every node LP below the root is a warm
 // attempt, so WarmStarts+ColdFallbacks > 0 whenever the tree branched, and
 // the corpus as a whole must warm-start somewhere. (That a warm re-solve
 // returns what a cold solve would is the LP layer's referee,
 // lp.TestWarmResolveMatchesCold.)
+//
+// Two instance streams: seed 42, and seed 4242 — the stream the retired
+// dense-vs-sparse MILP test drew, whose sparse cells were this same check.
 func TestRandomMILPsAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
+	for _, seed := range []int64{42, 4242} {
+		checkCorpusAgainstBruteForce(t, seed)
+	}
+}
+
+func checkCorpusAgainstBruteForce(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
 	n := propCorpusSize(t)
-	dense := lp.SetDense(false) // read the core in use ...
-	lp.SetDense(dense)          // ... and leave it as it was
 	var cutoffs, warmStarts int64
 	for trial := 0; trial < n; trial++ {
 		inst := genMILP(rng)
@@ -187,8 +192,8 @@ func TestRandomMILPsAgainstBruteForce(t *testing.T) {
 			t.Fatalf("trial %d: serial %g != parallel %g", trial, serial.Objective, par.Objective)
 		}
 	}
-	t.Logf("%d nodes cut off at the incumbent across the corpus", cutoffs)
-	if cutoffs == 0 && !dense {
+	t.Logf("seed %d: %d nodes cut off at the incumbent across the corpus", seed, cutoffs)
+	if cutoffs == 0 {
 		t.Error("no node LP stopped at the incumbent: the corpus does not exercise the objective cutoff")
 	}
 	if warmStarts == 0 {

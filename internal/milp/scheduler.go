@@ -96,12 +96,15 @@ func (s *search) localBest(id int) float64 {
 // globalBound min-reduces the per-worker published bounds into the global
 // dual bound. Each entry covers its owner's queued and in-flight
 // nodes (or is the covers-everything value during that owner's steal
-// window), so the reduction bounds every live node. When the result is
-// worse than the incumbent, the incumbent itself is the tightest sound
-// bound on the optimum — every remaining node would be pruned — which
-// is also what makes the bound collapse to the objective at exhaustion.
+// window), so the reduction bounds every live node; it starts from the
+// abandoned bound, which covers the subtrees no live node does any more
+// (worst by sense, the reduction's identity, while there are none). When
+// the result is worse than the incumbent, the incumbent itself is the
+// tightest sound bound on the optimum — every remaining node would be
+// pruned — which is also what makes the bound collapse to the objective at
+// exhaustion.
 func (s *search) globalBound() float64 {
-	b := s.toObj(math.Inf(1)) // worst by sense: the reduction's identity
+	b := math.Float64frombits(s.abandoned.Load())
 	for i := range s.pubBound {
 		if v := math.Float64frombits(s.pubBound[i].Load()); s.better(v, b) {
 			b = v

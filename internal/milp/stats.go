@@ -36,7 +36,7 @@ type Stats struct {
 	NodesBranched    int64 // processed nodes that produced two children
 	PrunedInfeasible int64 // node relaxation infeasible
 	PrunedBound      int64 // relaxation no better than the incumbent (LPCutoffs of them without solving it out)
-	PrunedIterLimit  int64 // relaxation hit the LP iteration cap
+	PrunedIterLimit  int64 // abandoned unsolved: the relaxation hit the LP iteration cap or failed numerically
 	Integral         int64 // relaxation integral — an incumbent candidate
 	UnboundedNodes   int64 // relaxation unbounded
 
