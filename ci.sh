@@ -87,6 +87,8 @@ go test ./internal/milp -run 'TestRandomMILPsAgainstBruteForce' -short -presolve
 # pre-merge failure instead. b4_budget is also the width-1 search-order
 # guard: its pinned degradation is only reached inside the 1 s budget by the
 # lone worker's best-bound order (a LIFO dive at width 1 fails its oracle).
+# Two of its three instances now end `optimal` inside the budget, stopped by
+# the lost-capacity bound (DESIGN.md §2.1); the third still runs its second.
 smoke() {
 	line=$(timeout 180 bash bench/run.sh --workload "$@" --seed 1 --seconds 3 --trace 0 | tail -n 1)
 	case $line in
@@ -112,6 +114,21 @@ smoke uninett_optimal --shift 1
 # (NaN Big-M, contradictory bounds, trivially infeasible rows) fails CI
 # even if the solver would have limped through.
 go run ./cmd/raha analyze -topology b4 -check -budget 2s -q -progress=false >/dev/null
+
+# The lost-capacity bound closing an analysis outright, deterministic and
+# clock-free: on a three-link line no single failure is as probable as 1e-3,
+# so the budget knapsack's optimum is 0, the all-up scenario is the answer,
+# and no model is built — a budget_bound event with closed:true and not one
+# branch-and-bound node in the trace.
+closed_tmp=$tmp/closed.jsonl
+go run ./cmd/raha analyze -topology internal/topology/testdata/line4.gml -pairs 4 -slack 0.3 \
+	-threshold 1e-3 -workers 1 -trace "$closed_tmp" -q -progress=false >/dev/null
+if ! grep '"ev":"budget_bound"' "$closed_tmp" | grep -q '"closed":true' ||
+	grep -q '"layer":"milp","ev":"node"' "$closed_tmp"; then
+	echo "ci: line4 was not closed by the budget bound (want budget_bound closed:true, no milp node event):" >&2
+	cat "$closed_tmp" >&2
+	exit 1
+fi
 
 # Whole-fleet batch alerting smoke: sweep the fixture corpus (which includes
 # two deliberately poisoned files) end to end through the CLI. The sweep

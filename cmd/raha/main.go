@@ -268,9 +268,17 @@ func printResult(ctx context.Context, o *runObs, budget time.Duration, top *raha
 	if why := stopReason(ctx, budget, res); why != "" {
 		status += " (" + why + ")"
 	}
+	if res.ClosedByBound {
+		status += " (closed by the budget bound)"
+	}
 	fmt.Printf("status:      %s — %d nodes explored in %v\n", status, res.Nodes, res.Runtime.Round(time.Millisecond))
 	if g := res.Gap; !math.IsInf(g, 0) && !math.IsNaN(g) && res.Status != raha.StatusOptimal {
 		fmt.Printf("gap:         %.2f%% (best bound %.2f)\n", 100*g, res.Bound)
+	}
+	if b := res.BudgetBound; b != nil {
+		// What the failure budget alone proves, before any model is built;
+		// the best bound above is never weaker than it.
+		fmt.Printf("budget bound: %.2f (%.3f × mean LAG capacity)\n", *b, *b/top.MeanLAGCapacity())
 	}
 	if o != nil {
 		st := res.Stats

@@ -181,8 +181,8 @@ func printSweepReport(rep *raha.SweepReport) {
 	if rep.NumShards > 1 {
 		shard = fmt.Sprintf(" [shard %d/%d]", rep.Shard, rep.NumShards)
 	}
-	fmt.Printf("sweep%s: %d topologies (%d failed), %d/%d cells ok, %v elapsed%s\n",
-		shard, rep.TopoCount, rep.TopoFailed, rep.CellsOK, rep.CellsTotal,
+	fmt.Printf("sweep%s: %d topologies (%d failed), %d/%d cells ok (%d closed by the budget bound), %v elapsed%s\n",
+		shard, rep.TopoCount, rep.TopoFailed, rep.CellsOK, rep.CellsTotal, rep.CellsClosedByBound,
 		rep.Elapsed.Round(time.Millisecond), status)
 
 	if len(rep.Ranking) > 0 {

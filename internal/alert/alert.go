@@ -83,13 +83,18 @@ type Report struct {
 	// topology's mean LAG capacity (the paper's reporting unit).
 	NormalizedDegradation float64
 
+	// Phase2 is nil when phase 1 raised, and when phase 1 ended Infeasible:
+	// both phases carry the same threshold, failure-count and CE rows over
+	// the same failure variables, so no demand envelope makes phase 2
+	// feasible and it is not built.
 	Phase1, Phase2 *metaopt.Result
 }
 
 // Run executes the two-phase check. Phase 2 is skipped when phase 1 already
-// raises. Cancelling ctx interrupts whichever phase is solving, which then
-// reports the best scenario found so far (see metaopt.AnalyzeContext) — a
-// cancelled run still returns a Report, not an error.
+// raises, or proves that no scenario fits the budget at all. Cancelling ctx
+// interrupts whichever phase is solving, which then reports the best scenario
+// found so far (see metaopt.AnalyzeContext) — a cancelled run still returns a
+// Report, not an error.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Topo == nil || len(cfg.Demands) == 0 {
 		return nil, fmt.Errorf("raha: alert config needs a topology and demands")
@@ -126,6 +131,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if rep.NormalizedDegradation > cfg.Tolerance {
 		rep.Raised = true
 		rep.Phase = 1
+		return rep, nil
+	}
+	if p1.Status == milp.Infeasible {
 		return rep, nil
 	}
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"raha/internal/demand"
+	"raha/internal/milp"
 	"raha/internal/paths"
 	"raha/internal/topology"
 )
@@ -58,7 +59,7 @@ func checkReportInvariants(t *testing.T, rep *Report, tolerance float64) {
 		t.Errorf("not raised but phase %d", rep.Phase)
 	case rep.Raised && rep.Phase == 1 && rep.Phase2 != nil:
 		t.Error("phase 1 raised but phase 2 ran anyway")
-	case !rep.Raised && rep.Phase2 == nil:
+	case !rep.Raised && rep.Phase2 == nil && rep.Phase1.Status != milp.Infeasible:
 		t.Error("quiet report without a phase 2 result")
 	}
 }
@@ -114,6 +115,25 @@ func TestAlertCancelledReturnsPartial(t *testing.T) {
 		t.Fatal("cancelled alert returned no phase 1 result")
 	}
 	checkReportInvariants(t, rep, 0.5)
+}
+
+// TestAlertInfeasibleSkipsPhase2: a threshold no scenario reaches (B4 with
+// every link up is far less probable than this) makes phase 1 infeasible, and
+// phase 2 — the same budget rows over a wider demand space — is not built.
+func TestAlertInfeasibleSkipsPhase2(t *testing.T) {
+	cfg := b4Config(t, 0.5)
+	cfg.ProbThreshold = 0.999999
+	rep, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReportInvariants(t, rep, 0.5)
+	if rep.Phase1.Status != milp.Infeasible {
+		t.Fatalf("phase 1 status %v, want infeasible", rep.Phase1.Status)
+	}
+	if rep.Phase2 != nil || rep.Raised {
+		t.Fatalf("infeasible phase 1 must end the run quietly: phase 2 %v, raised %v", rep.Phase2, rep.Raised)
+	}
 }
 
 // TestAlertMaxFailures pins the k-failure knob: capping simultaneous

@@ -185,14 +185,15 @@ func runTopology(ctx context.Context, cfg *Config, src Source, cells []Cell, wid
 		res.Runtime = time.Since(start)
 		cTopologies.Inc()
 		if tr := cfg.Tracer; tr != nil {
-			ok, failed := res.cellCounts()
+			ok, failed, closed := res.cellCounts()
 			tr.Emit("batch", "sweep_topo_end", obs.F{
-				"topology":     src.Name,
-				"cells_ok":     ok,
-				"cells_failed": failed,
-				"worst":        res.WorstNormalized,
-				"failed":       res.Err != "",
-				"runtime_s":    res.Runtime.Seconds(),
+				"topology":              src.Name,
+				"cells_ok":              ok,
+				"cells_failed":          failed,
+				"cells_closed_by_bound": closed,
+				"worst":                 res.WorstNormalized,
+				"failed":                res.Err != "",
+				"runtime_s":             res.Runtime.Seconds(),
 			})
 		}
 	}()
@@ -357,6 +358,7 @@ func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell
 	cr.Raised = rep.Raised
 	cr.Phase = rep.Phase
 	cr.Normalized = rep.NormalizedDegradation
+	cr.ClosedByBound = true
 	for _, p := range []*metaopt.Result{rep.Phase1, rep.Phase2} {
 		if p == nil {
 			continue
@@ -364,6 +366,7 @@ func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell
 		cr.NodesExplored += int64(p.Nodes)
 		cr.LPSolves += p.Stats.LPSolves
 		cr.Status = p.Status.String()
+		cr.ClosedByBound = cr.ClosedByBound && p.ClosedByBound
 	}
 	if err := checkCell(top, &acfg, rep); err != nil {
 		cr.Err = "invariant: " + err.Error()

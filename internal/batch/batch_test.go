@@ -234,6 +234,55 @@ func TestSweepFixtureCorpus(t *testing.T) {
 	}
 }
 
+// TestSweepBoundClosedAndInfeasibleCells: on a three-link line no single
+// failure is as probable as 1e-3, so the elastic cell's two phases are closed
+// by the lost-capacity bound — counted in the report, no MILP behind them —
+// and at a threshold above the all-up probability phase 1 is infeasible and
+// phase 2 is never analysed.
+func TestSweepBoundClosedAndInfeasibleCells(t *testing.T) {
+	sources, err := ZooDir("../topology/testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var line []Source
+	for _, s := range sources {
+		if s.Name == "line4" {
+			line = append(line, s)
+		}
+	}
+	for _, tc := range []struct {
+		threshold        float64
+		status           string
+		closed, analyses int
+	}{
+		{1e-3, "optimal", 1, 2},
+		{0.999, "infeasible", 0, 1},
+	} {
+		tr := &memTracer{}
+		rep, err := Run(context.Background(), Config{
+			Sources: line,
+			Grid:    Grid{MaxFailures: []int{0}, Thresholds: []float64{tc.threshold}, Demands: []DemandModel{namedDemandModels["elastic"]}},
+			Tracer:  tr,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.CellsOK != 1 || rep.CellsClosedByBound != tc.closed {
+			t.Fatalf("threshold %g: %d cells ok, %d closed by the bound, want 1 and %d (%+v)", tc.threshold, rep.CellsOK, rep.CellsClosedByBound, tc.closed, rep.Failures)
+		}
+		cr := rep.Topologies[0].Cells[0]
+		if cr.Status != tc.status || cr.NodesExplored != 0 || cr.ClosedByBound != (tc.closed == 1) {
+			t.Errorf("threshold %g: cell %+v, want %s at zero nodes", tc.threshold, cr, tc.status)
+		}
+		if got := tr.count("metaopt/analysis_start"); got != tc.analyses {
+			t.Errorf("threshold %g: %d analyses started, want %d", tc.threshold, got, tc.analyses)
+		}
+		if got := tr.count("milp/solve_start"); got != 0 {
+			t.Errorf("threshold %g: %d MILP solves in a cell the budget alone decides", tc.threshold, got)
+		}
+	}
+}
+
 // TestSweepWorkerRouting: Workers is the sweep's whole budget, split over
 // the source count — topologies first, the leftover inside each solve — and
 // where the workers go never changes what a cell computes.
@@ -330,7 +379,7 @@ func TestSweepSourceFaultTolerance(t *testing.T) {
 		if tres.Err != "" {
 			t.Errorf("b4 failed: %s", tres.Err)
 		}
-		if ok, _ := tres.cellCounts(); ok == 0 {
+		if ok, _, _ := tres.cellCounts(); ok == 0 {
 			t.Error("b4 produced no successful cells")
 		}
 	}

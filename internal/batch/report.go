@@ -28,6 +28,11 @@ type CellResult struct {
 	NodesExplored int64  // branch-and-bound nodes across both phases
 	LPSolves      int64  // LP relaxations across both phases
 	Runtime       time.Duration
+
+	// ClosedByBound: the lost-capacity bound ended every phase that ran
+	// (metaopt.Result.ClosedByBound) — nothing the budget allows hurts, or
+	// the first incumbent to reach the bound drained the tree.
+	ClosedByBound bool `json:",omitempty"`
 }
 
 // TopoResult is one topology's sweep outcome: either a topology-level
@@ -54,16 +59,21 @@ type TopoResult struct {
 	Runtime time.Duration
 }
 
-// cellCounts splits the topology's cells into succeeded and failed.
-func (t *TopoResult) cellCounts() (ok, failed int) {
+// cellCounts splits the topology's cells into succeeded and failed, and
+// counts the succeeded ones the budget bound closed.
+func (t *TopoResult) cellCounts() (ok, failed, closedByBound int) {
 	for i := range t.Cells {
-		if t.Cells[i].Err == "" {
-			ok++
-		} else {
+		c := &t.Cells[i]
+		if c.Err != "" {
 			failed++
+			continue
+		}
+		ok++
+		if c.ClosedByBound {
+			closedByBound++
 		}
 	}
-	return ok, failed
+	return ok, failed, closedByBound
 }
 
 // nodesAndSolves totals the branch-and-bound work across the topology's
@@ -119,6 +129,9 @@ type Report struct {
 	CellsTotal  int
 	CellsOK     int
 	CellsFailed int
+	// CellsClosedByBound counts the OK cells whose phases the lost-capacity
+	// bound ended (CellResult.ClosedByBound).
+	CellsClosedByBound int
 
 	// Cancelled reports that the parent context died mid-sweep; the
 	// report carries whatever completed first.
@@ -154,9 +167,10 @@ func assembleReport(cfg *Config, results []TopoResult, elapsed time.Duration, ca
 			rep.TopoFailed++
 			rep.Failures = append(rep.Failures, Failure{Topology: t.Name, Err: t.Err})
 		}
-		ok, failed := t.cellCounts()
+		ok, failed, closed := t.cellCounts()
 		rep.CellsOK += ok
 		rep.CellsFailed += failed
+		rep.CellsClosedByBound += closed
 		rep.CellsTotal += len(t.Cells)
 		for j := range t.Cells {
 			if t.Cells[j].Err != "" {

@@ -189,20 +189,12 @@ func Encode(m *milp.Model, t *topology.Topology, dps []paths.DemandPaths) *Encod
 	enc := &Encoding{
 		topo:     t,
 		dps:      dps,
-		Used:     make([]bool, t.NumLAGs()),
+		Used:     usedLAGs(t, dps),
 		LinkDown: make([][]milp.Var, t.NumLAGs()),
 		LAGDown:  make([]milp.Var, t.NumLAGs()),
 		PathDown: make([][]milp.Var, len(dps)),
 		Active:   make([][]*milp.Var, len(dps)),
 	}
-	for _, dp := range dps {
-		for _, p := range dp.Paths {
-			for _, e := range p.LAGs {
-				enc.Used[e] = true
-			}
-		}
-	}
-
 	for e := 0; e < t.NumLAGs(); e++ {
 		if !enc.Used[e] {
 			continue
@@ -266,32 +258,18 @@ func Encode(m *milp.Model, t *topology.Topology, dps []paths.DemandPaths) *Encod
 // treatments are exact for the optimization because no flow can traverse an
 // unused LAG.
 func (enc *Encoding) AddProbabilityThreshold(m *milp.Model, threshold float64, assumeUnusedWorst bool) error {
-	if threshold <= 0 || threshold >= 1 {
-		return fmt.Errorf("failures: probability threshold %g outside (0,1)", threshold)
+	row, err := probabilityBudget(enc.topo, enc.Used, threshold, assumeUnusedWorst)
+	if err != nil {
+		return err
 	}
-	enc.assumedFailed = nil
+	enc.assumedFailed = row.assumedFailed
 	expr := milp.NewExpr()
-	base := 0.0
-	for e := 0; e < enc.topo.NumLAGs(); e++ {
-		for l, ln := range enc.topo.LAG(e).Links {
-			p := ln.FailProb
-			if p <= 0 || p >= 1 {
-				return fmt.Errorf("failures: LAG %d link %d has failure probability %g outside (0,1)", e, l, p)
-			}
-			if !enc.Used[e] {
-				if assumeUnusedWorst && p > 0.5 {
-					base += math.Log(p)
-					enc.assumedFailed = append(enc.assumedFailed, [2]int{e, l})
-				} else {
-					base += math.Log(1 - p)
-				}
-				continue
-			}
-			expr.Add(math.Log(p)-math.Log(1-p), enc.LinkDown[e][l])
-			base += math.Log(1 - p)
+	for e := range enc.LinkDown {
+		for l, v := range enc.LinkDown[e] {
+			expr.Add(row.coef[e][l], v)
 		}
 	}
-	m.Add(expr, milp.GE, math.Log(threshold)-base, "probability-threshold")
+	m.Add(expr, milp.GE, row.rhs, "probability-threshold")
 	return nil
 }
 

@@ -150,6 +150,19 @@ type Result struct {
 	Bound float64
 	Gap   float64
 
+	// BudgetBound is the lost-capacity bound (DESIGN.md §2.1): what the
+	// failure budget alone proves about the degradation, before any model is
+	// built. Nil when the analysis has none — another objective, FailedOnly
+	// mode, neither a probability threshold nor a failure count set, or a
+	// knapsack search that was stopped before its root solved. Bound is
+	// never weaker than it.
+	BudgetBound *float64
+	// ClosedByBound reports that BudgetBound ended the analysis: outright
+	// when it is ≤ 0 and failing nothing is inside the budget (no model, no
+	// hint solves, zero nodes), or by draining the tree the moment an
+	// incumbent reached it (Stats.BoundPrunes > 0).
+	ClosedByBound bool
+
 	// Stats is the branch-and-bound accounting of the main MILP solve
 	// (hint solves excluded; they report under their own solves).
 	Stats milp.Stats
@@ -228,7 +241,9 @@ func AnalyzeContext(ctx context.Context, cfg Config) (*Result, error) {
 	)
 	switch cfg.Objective {
 	case TotalFlow:
-		res, err = analyzeTotalFlow(ctx, &cfg)
+		if res, err = boundTotalFlow(ctx, &cfg); res == nil && err == nil {
+			res, err = analyzeTotalFlow(ctx, &cfg)
+		}
 	case MLU:
 		res, err = analyzeMLU(ctx, &cfg)
 	case MaxMin:
@@ -251,6 +266,9 @@ func AnalyzeContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		if res.Scenario != nil {
 			f["degradation"] = res.Degradation
+		}
+		if res.ClosedByBound {
+			f["closed_by_bound"] = true
 		}
 		tr.Emit("metaopt", "analysis_end", f)
 	}
@@ -281,13 +299,15 @@ func solveModel(ctx context.Context, cfg *Config, m *milp.Model, enc *failures.E
 		return nil, err
 	}
 	res := &Result{
-		Status:       mres.Status,
-		Nodes:        mres.Nodes,
-		Bound:        mres.Bound,
-		Gap:          mres.Gap(),
-		Stats:        mres.Stats,
-		HintRuntime:  hintDur,
-		SolveRuntime: mres.Runtime,
+		Status:        mres.Status,
+		Nodes:         mres.Nodes,
+		Bound:         mres.Bound,
+		Gap:           mres.Gap(),
+		BudgetBound:   params.Bound,
+		ClosedByBound: mres.Status == milp.Optimal && mres.Stats.BoundPrunes > 0,
+		Stats:         mres.Stats,
+		HintRuntime:   hintDur,
+		SolveRuntime:  mres.Runtime,
 	}
 	if mres.X == nil {
 		return res, nil
@@ -298,23 +318,32 @@ func solveModel(ctx context.Context, cfg *Config, m *milp.Model, enc *failures.E
 	for k := range cfg.Demands {
 		res.Demands[k] = dv.value(k, mres.X)
 	}
-	vStart := time.Now()
 	if err := verify(cfg, res); err != nil {
 		return nil, err
 	}
-	res.VerifyRuntime = time.Since(vStart)
+	return res, nil
+}
+
+// verify re-solves both networks as plain LPs at the adversarial point,
+// fills in the verified degradation and the time that took, and traces it.
+func verify(cfg *Config, res *Result) error {
+	start := time.Now()
+	if err := resimulate(cfg, res); err != nil {
+		return err
+	}
+	res.VerifyRuntime = time.Since(start)
 	if tr := cfg.Solver.Tracer; tr != nil {
 		tr.Emit("metaopt", "verify", obs.F{
 			"degradation": res.Degradation,
 			"runtime_s":   res.VerifyRuntime.Seconds(),
 		})
 	}
-	return res, nil
+	return nil
 }
 
-// verify re-solves both networks as plain LPs at the adversarial point and
-// fills in the verified degradation.
-func verify(cfg *Config, res *Result) error {
+// resimulate solves the healthy and the failed network at res.Demands and
+// res.Scenario and fills in Healthy, Failed and Degradation.
+func resimulate(cfg *Config, res *Result) error {
 	caps := te.FullCapacities(cfg.Topo)
 	failedCaps := res.Scenario.Capacities(cfg.Topo)
 	healthyActive := te.HealthyActive(cfg.Demands)
@@ -385,13 +414,15 @@ func binBase(cfg *Config, b te.BinnerConfig) (float64, float64) {
 	return maxV / pow(b.Ratio, b.Bins-1), maxV
 }
 
+// assumeUnusedWorst: without a failure-count budget, unused links with π > ½
+// are assumed failed (their most probable state) — exact, and it keeps the
+// probability budget faithful on pruned topologies.
+func (c *Config) assumeUnusedWorst() bool { return c.MaxFailures == 0 }
+
 // addScenarioConstraints installs the §5.1 constraint menu on the encoding.
 func addScenarioConstraints(cfg *Config, m *milp.Model, enc *failures.Encoding) error {
 	if cfg.ProbThreshold > 0 {
-		// Without a failure-count budget, unused links with π > ½ are
-		// assumed failed (their most probable state) — exact, and it keeps
-		// the probability budget faithful on pruned topologies.
-		if err := enc.AddProbabilityThreshold(m, cfg.ProbThreshold, cfg.MaxFailures == 0); err != nil {
+		if err := enc.AddProbabilityThreshold(m, cfg.ProbThreshold, cfg.assumeUnusedWorst()); err != nil {
 			return err
 		}
 	}

@@ -155,16 +155,22 @@ func analyzeOK(t *testing.T, cfg Config) *Result {
 	return res
 }
 
-func TestTotalFlowGapMatchesBruteForce(t *testing.T) {
+// totalFlowCase is one named total-flow analysis small enough to enumerate.
+type totalFlowCase struct {
+	name string
+	cfg  Config
+}
+
+// totalFlowCases are the instances TestTotalFlowGapMatchesBruteForce
+// enumerates; TestBudgetBoundDominatesBruteForce referees the lost-capacity
+// bound on the same ones.
+func totalFlowCases() []totalFlowCase {
 	top, dps := tiny()
 	base := demand.Matrix{
 		{Src: dps[0].Src, Dst: dps[0].Dst, Volume: 12},
 		{Src: dps[1].Src, Dst: dps[1].Dst, Volume: 10},
 	}
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
+	return []totalFlowCase{
 		{"variable-unconstrained", Config{
 			Topo: top, Demands: dps, Envelope: demand.Around(base, 0.5), QuantBits: 2,
 		}},
@@ -190,7 +196,10 @@ func TestTotalFlowGapMatchesBruteForce(t *testing.T) {
 			Topo: top, Demands: dps, Envelope: demand.Fixed(base), MaxFailures: 2, NaiveFailover: true,
 		}},
 	}
-	for _, c := range cases {
+}
+
+func TestTotalFlowGapMatchesBruteForce(t *testing.T) {
+	for _, c := range totalFlowCases() {
 		t.Run(c.name, func(t *testing.T) {
 			res := analyzeOK(t, c.cfg)
 			wantGap, _ := bruteForceTotalFlow(t, &c.cfg)

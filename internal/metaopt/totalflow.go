@@ -3,9 +3,11 @@ package metaopt
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"raha/internal/failures"
 	"raha/internal/milp"
+	"raha/internal/obs"
 	"raha/internal/te"
 )
 
@@ -61,6 +63,60 @@ func analyzeTotalFlow(ctx context.Context, cfg *Config) (*Result, error) {
 	m.SetObjective(obj, milp.Maximize)
 
 	return solveModel(ctx, cfg, m, enc, dv)
+}
+
+// boundTotalFlow computes the lost-capacity bound of a Gap-mode total-flow
+// analysis with a failure budget (failures.LostCapacityBound) and installs it
+// as cfg.Solver.Bound, where the main solve and — through sub := *cfg — the
+// hint solves find it: fixing the demands restricts the envelope, so the
+// bound holds for them too. Two outcomes need no model at all and come back
+// as a finished Result: a budget no scenario fits is Infeasible (the model
+// has a superset of the knapsack's rows), and a bound ≤ 0 with the all-up
+// scenario inside the budget is Optimal at degradation 0 — no failure the
+// budget allows touches a LAG that carries primary load — reported at the top
+// of the envelope through the ordinary verification LPs. (nil, nil) means
+// the analysis goes on to analyzeTotalFlow.
+func boundTotalFlow(ctx context.Context, cfg *Config) (*Result, error) {
+	if cfg.Mode != Gap || cfg.ProbThreshold <= 0 && cfg.MaxFailures <= 0 {
+		return nil, nil
+	}
+	bb, err := failures.LostCapacityBound(ctx, cfg.Topo, cfg.Demands, cfg.Envelope.Hi,
+		cfg.ProbThreshold, cfg.assumeUnusedWorst(), cfg.MaxFailures)
+	if err != nil {
+		return nil, err
+	}
+	closed := bb.AllUp != nil && bb.Value <= 0 // AllUp is nil on an infeasible budget
+	if tr := cfg.Solver.Tracer; tr != nil {
+		f := obs.F{"links": bb.Links, "knapsack_nodes": bb.Nodes, "closed": closed}
+		if bb.Infeasible {
+			f["infeasible"] = true
+		} else if !math.IsInf(bb.Value, 0) {
+			f["bound"] = bb.Value
+		}
+		tr.Emit("metaopt", "budget_bound", f)
+	}
+	switch {
+	case bb.Infeasible:
+		return &Result{Status: milp.Infeasible, Bound: math.Inf(1), Gap: math.Inf(1)}, nil
+	case math.IsInf(bb.Value, 0):
+		return nil, nil
+	case !closed:
+		cfg.Solver.Bound = &bb.Value
+		return nil, nil
+	}
+	res := &Result{
+		Status:        milp.Optimal,
+		Scenario:      bb.AllUp,
+		Demands:       append([]float64(nil), cfg.Envelope.Hi...),
+		Bound:         bb.Value,
+		BudgetBound:   &bb.Value,
+		ClosedByBound: true,
+	}
+	if err := verify(cfg, res); err != nil {
+		return nil, err
+	}
+	res.ModelObjective = res.Degradation
+	return res, nil
 }
 
 // buildHealthyTotalFlow folds the healthy network's primal into the outer

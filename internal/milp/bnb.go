@@ -118,6 +118,18 @@ type Params struct {
 	// a commercial solver. NaN entries on integer variables skip the hint.
 	Hints [][]float64
 
+	// Bound, when non-nil, is a bound on the optimum that the caller has
+	// proved by other means, in model sense (an upper bound when maximizing)
+	// — the dual-side twin of Hints. The dual bound the solve reports
+	// (Progress.Bound, the MIPGap test, Result.Bound) is never weaker than
+	// it, and once an incumbent reaches it, within 1e-6·(1+|Bound|), every
+	// open node is discarded unsolved and the solve ends Optimal. It is used
+	// on the dual side only: no LP, branching decision or node order depends
+	// on it until then. A Bound below the true optimum makes the solve stop
+	// at a suboptimal point and call it optimal; proving it is the caller's
+	// job.
+	Bound *float64
+
 	// Tracer, when non-nil, receives the solve's event stream
 	// (solve_start, node, incumbent, worker_sample, solve_end — see
 	// internal/obs and DESIGN.md §7). A nil Tracer is the fast path:
@@ -359,6 +371,21 @@ func (s *search) better(a, b float64) bool {
 		return a > b
 	}
 	return a < b
+}
+
+// boundMet reports whether the incumbent objective inc has reached the
+// caller-proved Params.Bound, within the tolerance the objective cutoff uses:
+// nothing better than inc exists, whatever the open nodes' relaxations say.
+func (s *search) boundMet(inc float64) bool {
+	if s.p.Bound == nil {
+		return false
+	}
+	b := *s.p.Bound
+	tol := 1e-6 * (1 + math.Abs(b))
+	if s.maximize {
+		return inc >= b-tol
+	}
+	return inc <= b+tol
 }
 
 // solveLP solves the relaxation under the given bounds, warm-starting from
@@ -1219,6 +1246,10 @@ func (s *search) emitSolveEnd(res *Result) {
 			}
 		}
 		f["per_worker"] = pw
+	}
+	if res.Status == Optimal && res.Stats.BoundPrunes > 0 {
+		// The caller's bound, not the tree's, ended the search.
+		f["stop"] = "bound"
 	}
 	addFinite(f, "obj", res.Objective)
 	addFinite(f, "bound", res.Bound)

@@ -102,13 +102,17 @@ func (s *search) localBest(id int) float64 {
 // the result is worse than the incumbent, the incumbent itself is the
 // tightest sound bound on the optimum — every remaining node would be
 // pruned — which is also what makes the bound collapse to the objective at
-// exhaustion.
+// exhaustion. A caller-proved Params.Bound that is tighter than the tree's
+// replaces it: the reduction never reports weaker than what is known.
 func (s *search) globalBound() float64 {
 	b := math.Float64frombits(s.abandoned.Load())
 	for i := range s.pubBound {
 		if v := math.Float64frombits(s.pubBound[i].Load()); s.better(v, b) {
 			b = v
 		}
+	}
+	if s.p.Bound != nil && s.better(b, *s.p.Bound) {
+		b = *s.p.Bound
 	}
 	if inc, ok := s.incumbentObj(); ok && s.better(inc, b) {
 		b = inc
@@ -296,8 +300,16 @@ func (s *search) claim(id int) (n *node, claimNo int) {
 		s.pubBound[id].Store(math.Float64bits(b))
 
 		if inc, ok := s.incumbentObj(); ok {
-			// Prune by inherited bound (does not count as an explored node).
-			if !s.better(n.relax, inc) {
+			// Prune by inherited bound (does not count as an explored node):
+			// the parent's relaxation, or the caller's bound on the whole
+			// problem — once the incumbent has reached that one, every node
+			// goes this way and the tree drains. n.relax itself and the heap
+			// keys are left as they are.
+			byRelax := !s.better(n.relax, inc)
+			if byRelax || s.boundMet(inc) {
+				if !byRelax {
+					s.stats.boundPrunes.Add(1)
+				}
 				s.stats.prePruned.Add(1)
 				s.pools[id].put(n.lo)
 				s.pools[id].put(n.hi)
@@ -316,6 +328,15 @@ func (s *search) claim(id int) (n *node, claimNo int) {
 		}
 
 		claimNo = int(s.nodes.Add(1))
+		if s.p.NodeLimit > 0 && claimNo > s.p.NodeLimit {
+			// Another worker took the last number under the limit between
+			// the check above and here. Hand this one back and stop; the
+			// popped node stays counted in outstanding and covered by the
+			// bound published for it above, as any unexplored node is.
+			s.nodes.Add(-1)
+			s.halt()
+			return nil, 0
+		}
 		s.inflight.Add(1)
 		cNodes.Inc()
 		acc.nodes.Add(1)

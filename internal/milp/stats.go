@@ -46,6 +46,7 @@ type Stats struct {
 	LPObjLimitStops int64 // every LP that stopped that way: those nodes plus rounding-heuristic LPs
 
 	PrePruned        int64 // popped nodes discarded on the inherited parent bound (not in Result.Nodes)
+	BoundPrunes      int64 // those of them that only the caller's Params.Bound could discard: the incumbent had reached it
 	IncumbentUpdates int64 // times the incumbent improved
 	HeuristicSolves  int64 // rounding-heuristic LPs (includes warm-start hints)
 	MaxOpen          int64 // high-water mark of the open-node queue
@@ -130,6 +131,7 @@ type statsAcc struct {
 	lpObjLimitStops atomic.Int64
 
 	prePruned        atomic.Int64
+	boundPrunes      atomic.Int64
 	incumbentUpdates atomic.Int64
 	heuristicSolves  atomic.Int64
 
@@ -187,6 +189,7 @@ func (a *statsAcc) snapshot() Stats {
 		LPObjLimitStops: a.lpObjLimitStops.Load(),
 
 		PrePruned:        a.prePruned.Load(),
+		BoundPrunes:      a.boundPrunes.Load(),
 		IncumbentUpdates: a.incumbentUpdates.Load(),
 		HeuristicSolves:  a.heuristicSolves.Load(),
 		MaxOpen:          a.maxOpen.Load(),

@@ -47,6 +47,7 @@ func TestStatsAccSnapshotMapping(t *testing.T) {
 	a.stealNs.Store(36)
 	a.lpCutoffs.Store(37)
 	a.lpObjLimitStops.Store(38)
+	a.boundPrunes.Store(39)
 	a.maxOpen.Store(27)
 	a.presolveNs = 28
 	a.presolveFixedVars = 29
@@ -72,6 +73,7 @@ func TestStatsAccSnapshotMapping(t *testing.T) {
 		LPCutoffs:        37,
 		LPObjLimitStops:  38,
 		PrePruned:        14,
+		BoundPrunes:      39,
 		IncumbentUpdates: 15,
 		HeuristicSolves:  16,
 		MaxOpen:          27,
