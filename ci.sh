@@ -130,6 +130,23 @@ if ! grep '"ev":"budget_bound"' "$closed_tmp" | grep -q '"closed":true' ||
 	exit 1
 fi
 
+# The paper-evaluation command, end to end through the experiment registry
+# (internal/experiments): the two entries no clock bounds — Figure 1 on its
+# four-node network, Figure 2 on AfricaWAN — must write non-empty CSVs and
+# uphold their paper claims (a violated claim exits non-zero), and a
+# misspelled -only name must be refused rather than match nothing.
+go run ./cmd/raha-experiments -only figure1,figure2 -out "$tmp/exp" -q -progress=false
+for f in figure1 figure2; do
+	if [ ! -s "$tmp/exp/$f.csv" ]; then
+		echo "ci: raha-experiments wrote no $f.csv" >&2
+		exit 1
+	fi
+done
+if go run ./cmd/raha-experiments -only nosuch -out "$tmp/exp" -q -progress=false 2>/dev/null; then
+	echo "ci: raha-experiments -only nosuch exited 0" >&2
+	exit 1
+fi
+
 # Whole-fleet batch alerting smoke: sweep the fixture corpus (which includes
 # two deliberately poisoned files) end to end through the CLI. The sweep
 # must exit 0 with the failures recorded as partial results — a regression
@@ -164,6 +181,7 @@ go run ./cmd/raha-trace tree "$trace_tmp" >/dev/null
 go run ./cmd/raha-trace diff "$trace_tmp" "$trace_tmp" >/dev/null
 
 # One iteration of every layer benchmark, written nowhere: a smoke that they
-# still compile and run, not a measurement (see the header). The repo-root
-# benchmarks are full paper-scale sweeps and run only on demand.
+# still compile and run, not a measurement (see the header). The full
+# paper-scale sweeps are `go run ./cmd/raha-experiments` and run only on
+# demand.
 go test -run '^$' -bench . -benchtime 1x ./internal/... >/dev/null

@@ -12,6 +12,7 @@ func TestSetups(t *testing.T) {
 		name string
 		s    *Setup
 	}{
+		{"figure1", Figure1Setup(time.Second)},
 		{"production", Production(time.Second)},
 		{"africa", Africa(time.Second)},
 		{"uninett", Uninett(time.Second)},

@@ -50,6 +50,51 @@ func (s *Setup) envelope(v DemandVariant) demand.Envelope {
 	}
 }
 
+// --- Figure 1 -----------------------------------------------------------------
+
+// Fig1Row is one scenario of the motivating example, in raw volume units.
+type Fig1Row struct {
+	Scenario                     string
+	Healthy, Failed, Degradation float64
+}
+
+// Figure1 plays out §2.1 on Figure1Setup with one link failure: the fixed
+// typical demand, the naive baseline (the demand that minimizes the failed
+// network alone) and Raha's joint search, both within ±50% of the typical
+// demand. Degradation is healthy − failed flow for all three; the naive
+// adversary does not maximize it, which is the figure's point.
+func Figure1(s *Setup) ([]Fig1Row, error) {
+	dps, err := s.Paths()
+	if err != nil {
+		return nil, err
+	}
+	scenarios := []struct {
+		name string
+		env  demand.Envelope
+		mode metaopt.Mode
+	}{
+		{"fixed-demand", demand.Fixed(s.Base), metaopt.Gap},
+		{"naive-worst", demand.Around(s.Base, 0.5), metaopt.FailedOnly},
+		{"raha", demand.Around(s.Base, 0.5), metaopt.Gap},
+	}
+	tk := s.sweep("figure1", len(scenarios))
+	rows := make([]Fig1Row, 0, len(scenarios))
+	for _, sc := range scenarios {
+		res, err := metaopt.Analyze(metaopt.Config{
+			Topo: s.Topo, Demands: dps, Envelope: sc.env, Mode: sc.mode,
+			MaxFailures: 1, QuantBits: s.QuantBits,
+			Solver: s.solver(),
+		})
+		if err != nil {
+			return nil, err
+		}
+		tk.step()
+		h, f := res.Healthy.Objective, res.Failed.Objective
+		rows = append(rows, Fig1Row{Scenario: sc.name, Healthy: h, Failed: f, Degradation: h - f})
+	}
+	return rows, nil
+}
+
 // --- Figure 2 -----------------------------------------------------------------
 
 // Fig2Row is one point of Figure 2.
@@ -548,41 +593,43 @@ func Figure16(s *Setup, timeouts []time.Duration, threshold float64, k int) ([]T
 	return rows, nil
 }
 
-// --- §8.5: MLU and fixed-demand runtime -------------------------------------------
+// --- §8.5 and Appendix A: other objectives; fixed-demand runtime -------------------
 
-// MLURow is one worst-case MLU degradation measurement.
-type MLURow struct {
+// ObjectiveRow is one worst-case degradation measurement under another TE
+// objective than total flow, in that objective's own units (not normalized;
+// the paper reports raw MLU).
+type ObjectiveRow struct {
 	Slack       float64
-	Degradation float64 // MLU units (not normalized; the paper reports raw MLU)
+	Degradation float64
 	Runtime     time.Duration
 }
 
-// MLUSlack reproduces §8.5 "on other objectives": worst-case MLU
-// degradation at increasing slack, gravity demands.
-func MLUSlack(s *Setup, slacks []float64, threshold float64) ([]MLURow, error) {
+// ObjectiveSlack reproduces §8.5 "on other objectives" (MLU, which requires
+// CE constraints) and Appendix A's max-min objective (the geometric binner):
+// worst-case degradation under obj at increasing slack, gravity demands.
+// The production base is already well under capacity, so the healthy MLU
+// model can route every demand in full.
+func ObjectiveSlack(s *Setup, obj metaopt.Objective, slacks []float64, threshold float64) ([]ObjectiveRow, error) {
 	dps, err := s.Paths()
 	if err != nil {
 		return nil, err
 	}
-	// The production base is already well under capacity, so the healthy
-	// MLU model can route every demand in full.
-	base := s.Base
-	var rows []MLURow
-	tk := s.sweep("mlu-slack", len(slacks))
+	var rows []ObjectiveRow
+	tk := s.sweep(obj.String(), len(slacks))
 	for _, slack := range slacks {
 		res, err := metaopt.Analyze(metaopt.Config{
 			Topo: s.Topo, Demands: dps,
-			Envelope:             demand.UpTo(base, slack),
-			Objective:            metaopt.MLU,
+			Envelope:             demand.UpTo(s.Base, slack),
+			Objective:            obj,
 			ProbThreshold:        threshold,
-			ConnectivityEnforced: true,
+			ConnectivityEnforced: obj == metaopt.MLU,
 			QuantBits:            s.QuantBits,
 			Solver:               s.solver(),
 		})
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, MLURow{Slack: slack, Degradation: res.Degradation, Runtime: res.Runtime})
+		rows = append(rows, ObjectiveRow{Slack: slack, Degradation: res.Degradation, Runtime: res.Runtime})
 		tk.step()
 	}
 	return rows, nil

@@ -85,6 +85,25 @@ func (s *Setup) Paths() ([]paths.DemandPaths, error) {
 	return paths.Compute(s.Topo, s.Pairs, s.Primary, s.Backup, s.Weight)
 }
 
+// Figure1Setup returns the §2.1 motivating example: demands B→D (12) and
+// C→D (10) on the four-node Figure 1 network, two paths each, no backups.
+// Norm is 1: the figure reports raw volumes.
+func Figure1Setup(budget time.Duration) *Setup {
+	top := topology.Figure1()
+	b, _ := top.NodeByName("B")
+	c, _ := top.NodeByName("C")
+	d, _ := top.NodeByName("D")
+	return &Setup{
+		Topo:      top,
+		Pairs:     [][2]topology.Node{{b, d}, {c, d}},
+		Base:      demand.Matrix{{Src: b, Dst: d, Volume: 12}, {Src: c, Dst: d, Volume: 10}},
+		Norm:      1,
+		Primary:   2,
+		Budget:    budget,
+		QuantBits: 3,
+	}
+}
+
 // Production returns the default production-like setup: the SmallWAN
 // stand-in (multi-link LAGs, production failure mixture), gravity demands
 // scaled so the average matrix is demand-limited under failures while the

@@ -132,7 +132,7 @@ type Params struct {
 
 	// Tracer, when non-nil, receives the solve's event stream
 	// (solve_start, node, incumbent, worker_sample, solve_end — see
-	// internal/obs and DESIGN.md §7). A nil Tracer is the fast path:
+	// internal/obs and DESIGN.md §2.6). A nil Tracer is the fast path:
 	// every emit site is behind a nil check, so tracing disabled costs
 	// one predictable branch per site.
 	Tracer obs.Tracer

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -283,19 +284,47 @@ func TestTraceConcurrentWorkers(t *testing.T) {
 	}
 }
 
+// nodeGate is a Tracer that holds the first worker to report a node until
+// the first progress sample has been taken, so a solve that would finish
+// inside one sampler period still delivers a snapshot taken mid-search.
+// The wait is bounded: a sampler that never ticks shows up as zero
+// snapshots, not as a hung test.
+type nodeGate struct {
+	sampled    chan struct{}
+	sampleOnce sync.Once
+	nodeOnce   sync.Once
+}
+
+func (g *nodeGate) Emit(layer, ev string, _ obs.F) {
+	if ev != "node" {
+		return
+	}
+	g.nodeOnce.Do(func() {
+		select {
+		case <-g.sampled:
+		case <-time.After(10 * time.Second):
+		}
+	})
+}
+
+func (g *nodeGate) progressed() { g.sampleOnce.Do(func() { close(g.sampled) }) }
+
 // TestOnProgress checks the sampler delivers plausible snapshots and that
 // the Gurobi-style String renders without panicking on partial data.
 func TestOnProgress(t *testing.T) {
 	m := knapsack(18, 5)
+	gate := &nodeGate{sampled: make(chan struct{})}
 	got := make(chan Progress, 1024)
 	_, err := m.Solve(Params{
 		Workers:       2,
 		ProgressEvery: time.Millisecond,
+		Tracer:        gate,
 		OnProgress: func(p Progress) {
 			select {
 			case got <- p:
 			default:
 			}
+			gate.progressed()
 		},
 	})
 	if err != nil {
@@ -313,7 +342,7 @@ func TestOnProgress(t *testing.T) {
 		}
 	}
 	if n == 0 {
-		t.Skip("solve finished before the first sampler tick")
+		t.Fatal("no progress snapshot delivered while the search was held at its first node")
 	}
 }
 
