@@ -19,7 +19,8 @@ type AlertConfig = alert.Config
 type AlertReport = alert.Report
 
 // Alert runs the two-phase check. Phase 2 is skipped when phase 1 already
-// raises.
+// raises, and when phase 1 is Infeasible (no scenario fits the failure
+// budget, whatever the demands).
 func Alert(cfg AlertConfig) (*AlertReport, error) {
 	return alert.Run(context.Background(), cfg)
 }

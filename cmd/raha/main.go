@@ -21,6 +21,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -59,11 +60,18 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
+	if errors.Is(err, errAlertRaised) {
+		os.Exit(1) // the ALERT line on stdout already said why
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "raha: %v\n", err)
 		os.Exit(1)
 	}
 }
+
+// errAlertRaised is what a raised alert returns once its own teardown has
+// run: main maps it to exit status 1 without a "raha:" line.
+var errAlertRaised = errors.New("alert raised")
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: raha <probe|analyze|augment|alert> [flags]
@@ -427,7 +435,9 @@ func alert(ctx context.Context, args []string) (err error) {
 		return err
 	}
 	defer func() {
-		if cerr := o.close(); err == nil {
+		// A teardown error outranks a raised alert: both exit 1, and only
+		// the error has something left to print.
+		if cerr := o.close(); cerr != nil && (err == nil || errors.Is(err, errAlertRaised)) {
 			err = cerr
 		}
 	}()
@@ -476,7 +486,7 @@ func alert(ctx context.Context, args []string) (err error) {
 	if rep.Raised {
 		fmt.Printf("ALERT (phase %d): worst degradation %.3f × mean LAG capacity exceeds tolerance %.3f\n",
 			rep.Phase, rep.NormalizedDegradation, *tolerance)
-		os.Exit(1)
+		return errAlertRaised
 	}
 	fmt.Printf("ok: worst degradation %.3f × mean LAG capacity within tolerance %.3f\n",
 		rep.NormalizedDegradation, *tolerance)

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"raha"
@@ -61,5 +65,34 @@ func TestExpSafe(t *testing.T) {
 	}
 	if got := expSafe(0); got != 1 {
 		t.Fatalf("expSafe(0) = %g", got)
+	}
+}
+
+// TestAlertRaisedRunsTeardown: a raised alert hands errAlertRaised back to
+// main instead of exiting on the spot, so its deferred teardown still closes
+// the trace (and would report a trace error). A negative tolerance raises on
+// any result.
+func TestAlertRaisedRunsTeardown(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "alert.jsonl")
+	err := alert(context.Background(), []string{
+		"-tolerance", "-1", "-slack", "-1", "-workers", "1", "-q", "-progress=false", "-trace", path,
+	})
+	if !errors.Is(err, errAlertRaised) {
+		t.Fatalf("alert returned %v, want errAlertRaised", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	var last struct {
+		Layer string `json:"layer"`
+		Ev    string `json:"ev"`
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+		t.Fatalf("last trace line %q: %v", lines[len(lines)-1], err)
+	}
+	if last.Layer != "metaopt" || last.Ev != "analysis_end" {
+		t.Fatalf("closed trace ends with %s/%s, want metaopt/analysis_end", last.Layer, last.Ev)
 	}
 }

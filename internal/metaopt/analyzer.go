@@ -113,10 +113,12 @@ type Config struct {
 	// Gurobi timeout feature).
 	Solver milp.Params
 
-	// WarmStartScenario and WarmStartDemands optionally seed the search
-	// with a known-good point — typically the result of analyzing a
+	// WarmStartScenario and WarmStartDemands optionally seed a Gap-mode
+	// search with a known-good point — typically the result of analyzing a
 	// narrower envelope in a parameter sweep. Demands are rounded onto the
-	// quantizer grid. Ignored for fixed envelopes.
+	// quantizer grid; on a fixed envelope only the scenario seeds the search.
+	// The warm start is ignored unless both are set (one demand value per
+	// demand), and ignored in FailedOnly mode.
 	WarmStartScenario *failures.Scenario
 	WarmStartDemands  []float64
 }
@@ -178,20 +180,28 @@ type Result struct {
 // with a variable envelope.
 var ErrNaiveFailoverNeedsFixedDemand = errors.New("metaopt: naive fail-over requires a fixed demand envelope")
 
-func (c *Config) validate() error {
+// validate checks the config and returns its objective's formulation.
+func (c *Config) validate() (formulation, error) {
 	if c.Topo == nil || len(c.Demands) == 0 {
-		return fmt.Errorf("metaopt: config needs a topology and at least one demand")
+		return formulation{}, fmt.Errorf("metaopt: config needs a topology and at least one demand")
 	}
 	if len(c.Envelope.Lo) != len(c.Demands) {
-		return fmt.Errorf("metaopt: envelope covers %d demands, path set has %d", len(c.Envelope.Lo), len(c.Demands))
+		return formulation{}, fmt.Errorf("metaopt: envelope covers %d demands, path set has %d", len(c.Envelope.Lo), len(c.Demands))
 	}
 	if c.NaiveFailover && !c.Envelope.IsFixed() {
-		return ErrNaiveFailoverNeedsFixedDemand
+		return formulation{}, ErrNaiveFailoverNeedsFixedDemand
 	}
-	if c.Objective == MLU && !c.ConnectivityEnforced {
-		return fmt.Errorf("metaopt: the MLU objective requires ConnectivityEnforced (disconnected demands make the MLU model infeasible)")
+	f, err := c.formulation()
+	if err != nil {
+		return formulation{}, err
 	}
-	return nil
+	if c.NaiveFailover && f.naiveFailover == nil {
+		return formulation{}, fmt.Errorf("metaopt: naive fail-over is not modelled for the %v objective", c.Objective)
+	}
+	if f.requiresCE && !c.ConnectivityEnforced {
+		return formulation{}, fmt.Errorf("metaopt: the %v objective requires ConnectivityEnforced (disconnected demands make its model infeasible)", c.Objective)
+	}
+	return f, nil
 }
 
 func (c *Config) quantBits() int {
@@ -222,7 +232,8 @@ func Analyze(cfg Config) (*Result, error) {
 // far (Status Feasible), or Status Unknown with no scenario when nothing
 // was found yet — the same semantics as the solver's time limit.
 func AnalyzeContext(ctx context.Context, cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	f, err := cfg.validate()
+	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -235,28 +246,19 @@ func AnalyzeContext(ctx context.Context, cfg Config) (*Result, error) {
 			"fixed":     cfg.Envelope.IsFixed(),
 		})
 	}
-	var (
-		res *Result
-		err error
-	)
-	switch cfg.Objective {
-	case TotalFlow:
-		if res, err = boundTotalFlow(ctx, &cfg); res == nil && err == nil {
-			res, err = analyzeTotalFlow(ctx, &cfg)
-		}
-	case MLU:
-		res, err = analyzeMLU(ctx, &cfg)
-	case MaxMin:
-		res, err = analyzeMaxMin(ctx, &cfg)
-	default:
-		return nil, fmt.Errorf("metaopt: unknown objective %d", cfg.Objective)
+	var res *Result
+	if f.bound != nil {
+		res, err = f.bound(ctx, &cfg, f)
+	}
+	if res == nil && err == nil {
+		res, err = analyze(ctx, &cfg, f)
 	}
 	if err != nil {
 		return nil, err
 	}
 	res.Runtime = time.Since(start)
 	if tr := cfg.Solver.Tracer; tr != nil {
-		f := obs.F{
+		ev := obs.F{
 			"status":    res.Status.String(),
 			"nodes":     res.Nodes,
 			"runtime_s": res.Runtime.Seconds(),
@@ -265,29 +267,26 @@ func AnalyzeContext(ctx context.Context, cfg Config) (*Result, error) {
 			"verify_s":  res.VerifyRuntime.Seconds(),
 		}
 		if res.Scenario != nil {
-			f["degradation"] = res.Degradation
+			ev["degradation"] = res.Degradation
 		}
 		if res.ClosedByBound {
-			f["closed_by_bound"] = true
+			ev["closed_by_bound"] = true
 		}
-		tr.Emit("metaopt", "analysis_end", f)
+		tr.Emit("metaopt", "analysis_end", ev)
 	}
 	return res, nil
 }
 
-// solveModel runs the shared tail of every objective's analyze function:
-// warm-start hints, the MILP solve, solution extraction, and LP
-// verification. The time split (hints vs. exact solve vs. verification)
-// lands in the Result.
-func solveModel(ctx context.Context, cfg *Config, m *milp.Model, enc *failures.Encoding, dv *demandVars) (*Result, error) {
+// solveModel runs the shared tail of every analysis: warm-start hints, the
+// MILP solve, solution extraction, and LP verification. The time split
+// (hints vs. exact solve vs. verification) lands in the Result.
+func solveModel(ctx context.Context, cfg *Config, f formulation, m *milp.Model, enc *failures.Encoding, dv *demandVars) (*Result, error) {
 	params := cfg.Solver
 	var hintDur time.Duration
 	if cfg.Mode == Gap {
 		if !cfg.Envelope.IsFixed() {
 			hintStart := time.Now()
-			for _, h := range hintScenarios(ctx, cfg) {
-				params.Hints = append(params.Hints, buildHint(m, cfg, enc, dv, h.Scenario, h.Level))
-			}
+			params.Hints = append(params.Hints, fixedDemandHints(ctx, cfg, f, m, enc, dv)...)
 			hintDur = time.Since(hintStart)
 		}
 		if h := buildWarmStartHint(m, cfg, enc, dv); h != nil {
@@ -318,7 +317,7 @@ func solveModel(ctx context.Context, cfg *Config, m *milp.Model, enc *failures.E
 	for k := range cfg.Demands {
 		res.Demands[k] = dv.value(k, mres.X)
 	}
-	if err := verify(cfg, res); err != nil {
+	if err := verify(cfg, f, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -326,9 +325,9 @@ func solveModel(ctx context.Context, cfg *Config, m *milp.Model, enc *failures.E
 
 // verify re-solves both networks as plain LPs at the adversarial point,
 // fills in the verified degradation and the time that took, and traces it.
-func verify(cfg *Config, res *Result) error {
+func verify(cfg *Config, f formulation, res *Result) error {
 	start := time.Now()
-	if err := resimulate(cfg, res); err != nil {
+	if err := resimulate(cfg, f, res); err != nil {
 		return err
 	}
 	res.VerifyRuntime = time.Since(start)
@@ -342,76 +341,29 @@ func verify(cfg *Config, res *Result) error {
 }
 
 // resimulate solves the healthy and the failed network at res.Demands and
-// res.Scenario and fills in Healthy, Failed and Degradation.
-func resimulate(cfg *Config, res *Result) error {
-	caps := te.FullCapacities(cfg.Topo)
-	failedCaps := res.Scenario.Capacities(cfg.Topo)
-	healthyActive := te.HealthyActive(cfg.Demands)
-	failedActive := res.Scenario.ActivePaths(cfg.Demands)
-
-	switch cfg.Objective {
-	case TotalFlow:
-		h, err := te.MaxTotalFlow(cfg.Topo, cfg.Demands, res.Demands, caps, healthyActive)
-		if err != nil {
-			return err
-		}
-		var f *te.Result
-		if cfg.NaiveFailover {
-			f, err = naiveFailoverFlow(cfg, res.Demands, failedCaps, failedActive, h)
-		} else {
-			f, err = te.MaxTotalFlow(cfg.Topo, cfg.Demands, res.Demands, failedCaps, failedActive)
-		}
-		if err != nil {
-			return err
-		}
-		res.Healthy, res.Failed = h, f
-		res.Degradation = h.Objective - f.Objective
-	case MLU:
-		h, err := te.MinMLU(cfg.Topo, cfg.Demands, res.Demands, caps, healthyActive)
-		if err != nil {
-			return err
-		}
-		f, err := te.MinMLU(cfg.Topo, cfg.Demands, res.Demands, failedCaps, failedActive)
-		if err != nil {
-			return err
-		}
-		res.Healthy, res.Failed = h, f
-		if h.Feasible && f.Feasible {
-			res.Degradation = f.Objective - h.Objective
-		}
-	case MaxMin:
-		b := cfg.binner()
-		b.Base, _ = binBase(cfg, b)
-		h, err := te.MaxMinBinned(cfg.Topo, cfg.Demands, res.Demands, caps, healthyActive, b)
-		if err != nil {
-			return err
-		}
-		f, err := te.MaxMinBinned(cfg.Topo, cfg.Demands, res.Demands, failedCaps, failedActive, b)
-		if err != nil {
-			return err
-		}
-		res.Healthy, res.Failed = h, f
-		res.Degradation = h.Objective - f.Objective
+// res.Scenario and fills in Healthy, Failed and Degradation =
+// sign·(healthy − failed), left 0 unless both LPs solved.
+func resimulate(cfg *Config, f formulation, res *Result) error {
+	healthy, err := f.solve(cfg, res.Demands, te.FullCapacities(cfg.Topo), te.HealthyActive(cfg.Demands))
+	if err != nil {
+		return err
+	}
+	caps, active := res.Scenario.Capacities(cfg.Topo), res.Scenario.ActivePaths(cfg.Demands)
+	var failed *te.Result
+	if cfg.NaiveFailover {
+		failed, err = f.naiveFailover(cfg, res.Demands, caps, active, healthy)
+	} else {
+		failed, err = f.solve(cfg, res.Demands, caps, active)
+	}
+	if err != nil {
+		return err
+	}
+	res.Healthy, res.Failed = healthy, failed
+	if healthy.Feasible && failed.Feasible {
+		// Each side scaled on its own, so MLU's failed − healthy is exact.
+		res.Degradation = f.sign*healthy.Objective - f.sign*failed.Objective
 	}
 	return nil
-}
-
-// binBase pins the binner's base width to the envelope (not the per-call
-// volumes) so the MILP and the verification LPs use identical bins.
-func binBase(cfg *Config, b te.BinnerConfig) (float64, float64) {
-	maxV := 0.0
-	for _, hi := range cfg.Envelope.Hi {
-		if hi > maxV {
-			maxV = hi
-		}
-	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	if b.Base > 0 {
-		return b.Base, maxV
-	}
-	return maxV / pow(b.Ratio, b.Bins-1), maxV
 }
 
 // assumeUnusedWorst: without a failure-count budget, unused links with π > ½
@@ -477,13 +429,13 @@ func (dv *demandVars) value(k int, x []float64) float64 {
 	return milp.Value(dv.expr[k], x)
 }
 
-// buildHint translates a concrete (scenario, demand level) point into a
+// buildHint translates a concrete (scenario, demand) point into a
 // warm-start vector for the variable-demand MILP: every integer variable of
 // the failure encoding and the demand bits get values; the continuous
 // variables (flows, duals, McCormick products) are left to the LP.
-// level ∈ [0,1] selects the demand grid point Lo + level·(Hi − Lo), rounded
-// onto the quantizer grid.
-func buildHint(m *milp.Model, cfg *Config, enc *failures.Encoding, dv *demandVars, s *failures.Scenario, level float64) []float64 {
+// steps(k) places demand k on the quantizer grid, at Lo_k + steps·unit_k; it
+// is asked only for demands that have bits.
+func buildHint(m *milp.Model, cfg *Config, enc *failures.Encoding, dv *demandVars, s *failures.Scenario, steps func(k int) int) []float64 {
 	hint := make([]float64, m.NumVars())
 	for i := range hint {
 		hint[i] = math.NaN()
@@ -504,8 +456,6 @@ func buildHint(m *milp.Model, cfg *Config, enc *failures.Encoding, dv *demandVar
 		hint[enc.LAGDown[e]] = b2f(s.LAGDown(e))
 	}
 	act := s.ActivePaths(cfg.Demands)
-	maxLevel := (1 << uint(dv.q.Bits)) - 1
-	steps := int(math.Round(level * float64(maxLevel)))
 	for k, dp := range cfg.Demands {
 		for j, p := range dp.Paths {
 			hint[enc.PathDown[k][j]] = b2f(s.PathDown(p))
@@ -514,58 +464,37 @@ func buildHint(m *milp.Model, cfg *Config, enc *failures.Encoding, dv *demandVar
 			}
 		}
 		for i, b := range dv.bits[k] {
-			hint[b] = float64((steps >> uint(i)) & 1)
+			hint[b] = float64((steps(k) >> uint(i)) & 1)
 		}
 	}
 	return hint
 }
 
-// buildWarmStartHint encodes the user-supplied warm start: per-demand bit
-// levels rounded onto the quantizer grid plus the supplied scenario.
+// buildWarmStartHint encodes the user-supplied warm start: the supplied
+// scenario, and each demand rounded onto the quantizer grid.
 func buildWarmStartHint(m *milp.Model, cfg *Config, enc *failures.Encoding, dv *demandVars) []float64 {
 	s := cfg.WarmStartScenario
 	if s == nil || len(cfg.WarmStartDemands) != len(cfg.Demands) {
 		return nil
 	}
-	hint := buildHint(m, cfg, enc, dv, s, 0)
-	for k := range cfg.Demands {
-		var steps int
-		if unit := dv.q.Unit[k]; unit > 0 {
-			steps = int(math.Round((cfg.WarmStartDemands[k] - cfg.Envelope.Lo[k]) / unit))
-			if steps < 0 {
-				steps = 0
-			}
-			if max := (1 << uint(dv.q.Bits)) - 1; steps > max {
-				steps = max
-			}
-		}
-		for i, b := range dv.bits[k] {
-			hint[b] = float64((steps >> uint(i)) & 1)
-		}
-	}
-	return hint
+	maxLevel := (1 << uint(dv.q.Bits)) - 1
+	return buildHint(m, cfg, enc, dv, s, func(k int) int {
+		steps := int(math.Round((cfg.WarmStartDemands[k] - cfg.Envelope.Lo[k]) / dv.q.Unit[k]))
+		return min(max(steps, 0), maxLevel)
+	})
 }
 
-// hintScenarios runs quick fixed-demand analyses at a few demand levels of
-// the envelope (its top and midpoint) to obtain strong warm starts for the
-// variable search. Each returned scenario is paired with the level it was
-// found at.
-func hintScenarios(ctx context.Context, cfg *Config) []struct {
-	Scenario *failures.Scenario
-	Level    float64
-} {
+// fixedDemandHints runs quick fixed-demand analyses at two levels of the
+// envelope (its top and midpoint) and turns each scenario they find into a
+// warm start for the variable search, at the level it was found at.
+func fixedDemandHints(ctx context.Context, cfg *Config, f formulation, m *milp.Model, enc *failures.Encoding, dv *demandVars) [][]float64 {
 	budget := 10 * time.Second
 	if cfg.Solver.TimeLimit > 0 && cfg.Solver.TimeLimit/4 < budget {
 		budget = cfg.Solver.TimeLimit / 4
 	}
-	var out []struct {
-		Scenario *failures.Scenario
-		Level    float64
-	}
+	var hints [][]float64
 	for _, level := range []float64{1.0, 0.5} {
 		sub := *cfg
-		sub.Mode = Gap
-		sub.NaiveFailover = false
 		lo := make([]float64, len(cfg.Envelope.Lo))
 		for k := range lo {
 			lo[k] = cfg.Envelope.Lo[k] + level*(cfg.Envelope.Hi[k]-cfg.Envelope.Lo[k])
@@ -579,32 +508,21 @@ func hintScenarios(ctx context.Context, cfg *Config) []struct {
 		sub.Solver.TimeLimit, sub.Solver.MIPGap = budget, 0.05
 		sub.Solver.Hints, sub.Solver.OnProgress = nil, nil
 		hintStart := time.Now()
-		var (
-			res *Result
-			err error
-		)
-		switch cfg.Objective {
-		case TotalFlow:
-			res, err = analyzeTotalFlow(ctx, &sub)
-		case MLU:
-			res, err = analyzeMLU(ctx, &sub)
-		case MaxMin:
-			res, err = analyzeMaxMin(ctx, &sub)
-		}
+		res, err := analyze(ctx, &sub, f)
+		found := err == nil && res.Scenario != nil
 		if tr := cfg.Solver.Tracer; tr != nil {
 			tr.Emit("metaopt", "hint", obs.F{
 				"level":     level,
-				"found":     err == nil && res != nil && res.Scenario != nil,
+				"found":     found,
 				"runtime_s": time.Since(hintStart).Seconds(),
 			})
 		}
-		if err != nil || res == nil || res.Scenario == nil {
-			continue
+		if found {
+			// level ∈ [0,1] is the grid point Lo + level·(Hi − Lo), rounded.
+			maxLevel := (1 << uint(dv.q.Bits)) - 1
+			steps := int(math.Round(level * float64(maxLevel)))
+			hints = append(hints, buildHint(m, cfg, enc, dv, res.Scenario, func(int) int { return steps }))
 		}
-		out = append(out, struct {
-			Scenario *failures.Scenario
-			Level    float64
-		}{res.Scenario, level})
 	}
-	return out
+	return hints
 }

@@ -50,7 +50,7 @@ func AnalyzeClusteredContext(ctx context.Context, cfg ClusterConfig) (*Result, e
 	if cfg.Clusters < 2 {
 		return AnalyzeContext(ctx, cfg.Config)
 	}
-	if err := cfg.validate(); err != nil {
+	if _, err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	clusters := PartitionNodes(cfg.Topo, cfg.Clusters)

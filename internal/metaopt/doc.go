@@ -36,4 +36,10 @@
 // keeps the constraint satisfied wherever that component appears, and the
 // clamped solution's (nonnegative-weighted) objective can only move toward
 // the primal optimum, which weak duality bounds from below.
+//
+// None of this depends on the objective (Appendix A applies it unchanged),
+// so one builder runs it for all three (build, in rewrite.go), and each
+// objective supplies only a formulation: its TE LP, its healthy fold, its
+// failed dual and the sign of its degradation (totalflow.go, mlu.go,
+// maxmin.go).
 package metaopt

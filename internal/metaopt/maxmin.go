@@ -1,7 +1,6 @@
 package metaopt
 
 import (
-	"context"
 	"fmt"
 
 	"raha/internal/failures"
@@ -9,11 +8,11 @@ import (
 	"raha/internal/te"
 )
 
-// analyzeMaxMin builds and solves the single-level MILP for the Appendix A
-// max-min fairness objective in its single-shot geometric-binner form
-// (Soroush's binner family): each demand's flow is split across bins of
-// geometrically growing width, with geometrically decaying weights, so
-// early units of every demand dominate later units of any demand.
+// maxMin is the formulation of the Appendix A max-min fairness objective in
+// its single-shot geometric-binner form (Soroush's binner family): each
+// demand's flow is split across bins of geometrically growing width, with
+// geometrically decaying weights, so early units of every demand dominate
+// later units of any demand.
 // Degradation = healthy binned utility − failed binned utility.
 //
 // Failed binner LP (outer variables highlighted by name):
@@ -34,45 +33,45 @@ import (
 // Clipping can only raise the dual minimum, i.e. overestimate the failed
 // network's utility — an underestimate of the degradation, conservative
 // for alerting.
-func analyzeMaxMin(ctx context.Context, cfg *Config) (*Result, error) {
-	m := milp.NewModel()
-	enc := failures.Encode(m, cfg.Topo, cfg.Demands)
-	if err := addScenarioConstraints(cfg, m, enc); err != nil {
-		return nil, err
+//
+// Every LP of the analysis — the healthy constant of a fixed envelope, the
+// model's bins and both verification LPs — uses the bin base pinned to the
+// envelope by binBase, so they all see identical bins.
+func maxMin() formulation {
+	return formulation{
+		sign: 1,
+		solve: func(cfg *Config, volumes, caps []float64, active [][]bool) (*te.Result, error) {
+			b := cfg.binner()
+			b.Base, _ = binBase(cfg, b)
+			return te.MaxMinBinned(cfg.Topo, cfg.Demands, volumes, caps, active, b)
+		},
+		foldHealthy: foldHealthyMaxMin,
+		failedDual:  failedDualMaxMin,
 	}
-	dv, err := newDemandVars(cfg, m)
-	if err != nil {
-		return nil, err
-	}
-	binner := cfg.binner()
-	widths, weights := binShape(cfg, binner)
+}
 
-	obj := milp.NewExpr()
-	if cfg.Mode == Gap {
-		if cfg.Envelope.IsFixed() {
-			h, err := te.MaxMinBinned(cfg.Topo, cfg.Demands, cfg.Envelope.Lo, te.FullCapacities(cfg.Topo), te.HealthyActive(cfg.Demands), binner)
-			if err != nil {
-				return nil, err
-			}
-			if !h.Feasible {
-				return nil, fmt.Errorf("metaopt: healthy max-min network LP infeasible")
-			}
-			obj.AddConst(h.Objective)
-		} else {
-			buildHealthyMaxMin(cfg, m, dv, &obj, widths, weights)
+// binBase pins the binner's base width to the envelope (not the per-call
+// volumes) so the MILP and the verification LPs use identical bins.
+func binBase(cfg *Config, b te.BinnerConfig) (float64, float64) {
+	maxV := 0.0
+	for _, hi := range cfg.Envelope.Hi {
+		if hi > maxV {
+			maxV = hi
 		}
 	}
-
-	dualObj := buildFailedDualMaxMin(cfg, m, enc, dv, widths, weights)
-	obj.AddExpr(-1, dualObj)
-	m.SetObjective(obj, milp.Maximize)
-
-	return solveModel(ctx, cfg, m, enc, dv)
+	if maxV == 0 {
+		maxV = 1
+	}
+	if b.Base > 0 {
+		return b.Base, maxV
+	}
+	return maxV / pow(b.Ratio, b.Bins-1), maxV
 }
 
 // binShape materializes the binner's widths and weights, using the same
 // envelope-pinned base as verification (binBase).
-func binShape(cfg *Config, b te.BinnerConfig) (widths, weights []float64) {
+func binShape(cfg *Config) (widths, weights []float64) {
+	b := cfg.binner()
 	base, _ := binBase(cfg, b)
 	w := base
 	weight := 1.0
@@ -105,19 +104,12 @@ func (c *Config) binner() te.BinnerConfig {
 	return b
 }
 
-// buildHealthyMaxMin folds the healthy binner primal into the outer problem.
-func buildHealthyMaxMin(cfg *Config, m *milp.Model, dv *demandVars, obj *milp.Expr, widths, weights []float64) {
-	byLAG := make([][]milp.Var, cfg.Topo.NumLAGs())
-	for k, dp := range cfg.Demands {
-		hi := cfg.Envelope.Hi[k]
-		flowSum := milp.NewExpr()
-		for j := 0; j < dp.Primary; j++ {
-			f := m.ContinuousVar(0, hi, fmt.Sprintf("fo[%d][%d]", k, j))
-			flowSum.Add(1, f)
-			for _, e := range dp.Paths[j].LAGs {
-				byLAG[e] = append(byLAG[e], f)
-			}
-		}
+// foldHealthyMaxMin folds the healthy binner primal into the outer problem.
+func foldHealthyMaxMin(cfg *Config, m *milp.Model, dv *demandVars, obj *milp.Expr) {
+	widths, weights := binShape(cfg)
+	load := make([]milp.Expr, cfg.Topo.NumLAGs())
+	for k := range cfg.Demands {
+		flowSum := primaryFlows(cfg, m, k, load)
 		binSum := milp.NewExpr()
 		demandRow := milp.NewExpr()
 		for b := range widths {
@@ -133,64 +125,29 @@ func buildHealthyMaxMin(cfg *Config, m *milp.Model, dv *demandVars, obj *milp.Ex
 		demandRow.AddExpr(-1, dv.expr[k])
 		m.Add(demandRow, milp.LE, 0, fmt.Sprintf("healthy-demand[%d]", k))
 	}
-	for e, vars := range byLAG {
-		if len(vars) == 0 {
-			continue
-		}
-		row := milp.NewExpr()
-		for _, f := range vars {
-			row.Add(1, f)
-		}
-		m.Add(row, milp.LE, cfg.Topo.LAG(e).Capacity(), fmt.Sprintf("healthy-cap[%d]", e))
-	}
+	healthyCapacityRows(cfg, m, load)
 }
 
-// buildFailedDualMaxMin adds the failed binner's LP dual and returns its
+// failedDualMaxMin adds the failed binner's LP dual and returns its
 // objective expression (minimized by the outer maximization).
-func buildFailedDualMaxMin(cfg *Config, m *milp.Model, enc *failures.Encoding, dv *demandVars, widths, weights []float64) milp.Expr {
+func failedDualMaxMin(cfg *Config, m *milp.Model, enc *failures.Encoding, dv *demandVars, _ *te.Result) milp.Expr {
+	widths, weights := binShape(cfg)
 	bound := cfg.mluDualBound()
 	dual := milp.NewExpr()
-
 	lambda := make([]milp.Var, len(cfg.Demands))
-	alpha := make([]milp.Var, len(cfg.Demands))
 	for k := range cfg.Demands {
 		lambda[k] = m.ContinuousVar(-bound, bound, fmt.Sprintf("lambda[%d]", k))
-		alpha[k] = m.ContinuousVar(0, bound, fmt.Sprintf("alpha[%d]", k))
-		// d_k·α_k with quantized d.
-		if lo := cfg.Envelope.Lo[k]; lo != 0 {
-			dual.Add(lo, alpha[k])
-		}
-		if dv.bits[k] != nil {
-			scale := dv.q.Unit[k]
-			for i, b := range dv.bits[k] {
-				w := m.Product(b, alpha[k], fmt.Sprintf("w[%d][%d]", k, i))
-				dual.Add(scale, w)
-				scale *= 2
-			}
-		}
+		alpha := m.ContinuousVar(0, bound, fmt.Sprintf("alpha[%d]", k))
+		demandTerm(cfg, m, dv, k, alpha, &dual)
 		// Bin duals: −λ_k + α_k + μ_kb ≥ w_b, objective width_b·μ_kb.
 		for b := range widths {
 			mu := m.ContinuousVar(0, bound, fmt.Sprintf("mu[%d][%d]", k, b))
 			dual.Add(widths[b], mu)
-			m.Add(milp.NewExpr(milp.T(-1, lambda[k]), milp.T(1, alpha[k]), milp.T(1, mu)), milp.GE, weights[b], fmt.Sprintf("dualbin[%d][%d]", k, b))
+			m.Add(milp.NewExpr(milp.T(-1, lambda[k]), milp.T(1, alpha), milp.T(1, mu)), milp.GE, weights[b], fmt.Sprintf("dualbin[%d][%d]", k, b))
 		}
 	}
-
-	beta := make([]milp.Var, cfg.Topo.NumLAGs())
-	for e := 0; e < cfg.Topo.NumLAGs(); e++ {
-		if !enc.Used[e] {
-			continue
-		}
-		beta[e] = m.ContinuousVar(0, bound, fmt.Sprintf("beta[%d]", e))
-		for l, ln := range cfg.Topo.LAG(e).Links {
-			dual.Add(ln.Capacity, beta[e])
-			v := m.Product(enc.LinkDown[e][l], beta[e], fmt.Sprintf("v[%d][%d]", e, l))
-			dual.Add(-ln.Capacity, v)
-		}
-	}
-
+	beta := capacityTerm(cfg, m, enc, bound, &dual)
 	for k, dp := range cfg.Demands {
-		hi := cfg.Envelope.Hi[k]
 		for j := range dp.Paths {
 			gamma := m.ContinuousVar(0, bound, fmt.Sprintf("gamma[%d][%d]", k, j))
 			// λ_k + Σ β_e + γ_kj ≥ 0.
@@ -199,15 +156,7 @@ func buildFailedDualMaxMin(cfg *Config, m *milp.Model, enc *failures.Encoding, d
 				feas.Add(1, beta[e])
 			}
 			m.Add(feas, milp.GE, 0, fmt.Sprintf("dualfeas[%d][%d]", k, j))
-			if hi == 0 {
-				continue
-			}
-			if enc.Active[k][j] == nil {
-				dual.Add(hi, gamma)
-			} else {
-				g := m.Product(*enc.Active[k][j], gamma, fmt.Sprintf("g[%d][%d]", k, j))
-				dual.Add(hi, g)
-			}
+			gateTerm(cfg, m, enc, k, j, gamma, 1, &dual)
 		}
 	}
 	return dual

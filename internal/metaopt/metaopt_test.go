@@ -326,6 +326,13 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Analyze(Config{Topo: top, Demands: dps, Envelope: demand.Fixed(base), Objective: MLU}); err == nil {
 		t.Fatal("MLU without CE must error")
 	}
+	// Only the total-flow model carries the naive fail-over gates.
+	for _, o := range []Objective{MLU, MaxMin} {
+		cfg := Config{Topo: top, Demands: dps, Envelope: demand.Fixed(base), Objective: o, ConnectivityEnforced: true, NaiveFailover: true}
+		if _, err := Analyze(cfg); err == nil {
+			t.Fatalf("naive fail-over with the %v objective must error", o)
+		}
+	}
 	bad := Config{Topo: top, Demands: dps, Envelope: demand.Fixed(base), Objective: Objective(99)}
 	if _, err := Analyze(bad); err == nil {
 		t.Fatal("unknown objective must error")

@@ -1,7 +1,6 @@
 package metaopt
 
 import (
-	"context"
 	"fmt"
 
 	"raha/internal/failures"
@@ -9,8 +8,8 @@ import (
 	"raha/internal/te"
 )
 
-// analyzeMLU builds and solves the single-level MILP for the Appendix A
-// minimize-MLU objective. Degradation = U_failed − U_healthy.
+// mlu is the formulation of the Appendix A minimize-MLU objective.
+// Degradation = U_failed − U_healthy, hence sign −1.
 //
 // The roles mirror the total-flow case with signs flipped: the healthy
 // network is a minimization aligned with the outer problem (outer wants
@@ -27,113 +26,58 @@ import (
 //
 // Unlike the total-flow dual, these duals have no natural [0,1] box; they
 // are clipped to the configurable MLUDualBound. Too small a bound
-// underestimates the failed MLU (conservative for alerting).
-func analyzeMLU(ctx context.Context, cfg *Config) (*Result, error) {
-	m := milp.NewModel()
-	enc := failures.Encode(m, cfg.Topo, cfg.Demands)
-	if err := addScenarioConstraints(cfg, m, enc); err != nil {
-		return nil, err
+// underestimates the failed MLU (conservative for alerting). A demand cut
+// off by the failures makes the failed primal infeasible, hence the CE
+// requirement.
+func mlu() formulation {
+	return formulation{
+		sign: -1,
+		solve: func(cfg *Config, volumes, caps []float64, active [][]bool) (*te.Result, error) {
+			return te.MinMLU(cfg.Topo, cfg.Demands, volumes, caps, active)
+		},
+		foldHealthy: foldHealthyMLU,
+		failedDual:  failedDualMLU,
+		requiresCE:  true,
 	}
-	dv, err := newDemandVars(cfg, m)
-	if err != nil {
-		return nil, err
-	}
-
-	obj := milp.NewExpr()
-	if cfg.Mode == Gap {
-		if cfg.Envelope.IsFixed() {
-			h, err := te.MinMLU(cfg.Topo, cfg.Demands, cfg.Envelope.Lo, te.FullCapacities(cfg.Topo), te.HealthyActive(cfg.Demands))
-			if err != nil {
-				return nil, err
-			}
-			if !h.Feasible {
-				return nil, fmt.Errorf("metaopt: healthy MLU network cannot route the fixed demand")
-			}
-			obj.AddConst(-h.Objective)
-		} else {
-			buildHealthyMLU(cfg, m, dv, &obj)
-		}
-	}
-
-	dualObj := buildFailedDualMLU(cfg, m, enc, dv)
-	obj.AddExpr(1, dualObj)
-	m.SetObjective(obj, milp.Maximize)
-
-	return solveModel(ctx, cfg, m, enc, dv)
 }
 
-// buildHealthyMLU folds the healthy MLU primal into the outer problem:
+// foldHealthyMLU folds the healthy MLU primal into the outer problem:
 // minimize U° over primary paths at full capacity, demands routed in full.
-func buildHealthyMLU(cfg *Config, m *milp.Model, dv *demandVars, obj *milp.Expr) {
+func foldHealthyMLU(cfg *Config, m *milp.Model, dv *demandVars, obj *milp.Expr) {
 	u := m.ContinuousVar(0, 1e9, "U_healthy")
 	obj.Add(-1, u)
-	byLAG := make([][]milp.Var, cfg.Topo.NumLAGs())
-	for k, dp := range cfg.Demands {
-		row := milp.NewExpr()
-		for j := 0; j < dp.Primary; j++ {
-			f := m.ContinuousVar(0, cfg.Envelope.Hi[k], fmt.Sprintf("fo[%d][%d]", k, j))
-			row.Add(1, f)
-			for _, e := range dp.Paths[j].LAGs {
-				byLAG[e] = append(byLAG[e], f)
-			}
-		}
+	load := make([]milp.Expr, cfg.Topo.NumLAGs())
+	for k := range cfg.Demands {
+		row := primaryFlows(cfg, m, k, load)
 		row.AddExpr(-1, dv.expr[k])
 		m.Add(row, milp.EQ, 0, fmt.Sprintf("healthy-demand[%d]", k))
 	}
-	for e, vars := range byLAG {
-		if len(vars) == 0 {
+	for e, l := range load {
+		if len(l.Terms) == 0 {
 			continue
 		}
 		row := milp.NewExpr(milp.T(-cfg.Topo.LAG(e).Capacity(), u))
-		for _, f := range vars {
-			row.Add(1, f)
-		}
+		row.AddExpr(1, l)
 		m.Add(row, milp.LE, 0, fmt.Sprintf("healthy-util[%d]", e))
 	}
 }
 
-// buildFailedDualMLU adds the failed network's MLU dual and returns its
-// objective expression (to be maximized by the outer problem).
-func buildFailedDualMLU(cfg *Config, m *milp.Model, enc *failures.Encoding, dv *demandVars) milp.Expr {
+// failedDualMLU adds the failed network's MLU dual and returns its
+// objective expression, which the outer problem maximizes (−sign = +1).
+func failedDualMLU(cfg *Config, m *milp.Model, enc *failures.Encoding, dv *demandVars, _ *te.Result) milp.Expr {
 	bound := cfg.mluDualBound()
 	dual := milp.NewExpr()
-
 	lambda := make([]milp.Var, len(cfg.Demands))
 	for k := range cfg.Demands {
 		lambda[k] = m.ContinuousVar(-bound, bound, fmt.Sprintf("lambda[%d]", k))
-		// d_k·λ_k = Lo_k·λ_k + unit·Σ 2^i·(b_ki·λ_k).
-		if lo := cfg.Envelope.Lo[k]; lo != 0 {
-			dual.Add(lo, lambda[k])
-		}
-		if dv.bits[k] != nil {
-			scale := dv.q.Unit[k]
-			for i, b := range dv.bits[k] {
-				w := m.Product(b, lambda[k], fmt.Sprintf("w[%d][%d]", k, i))
-				dual.Add(scale, w)
-				scale *= 2
-			}
-		}
+		demandTerm(cfg, m, dv, k, lambda[k], &dual)
 	}
-
-	beta := make([]milp.Var, cfg.Topo.NumLAGs())
-	// Σ_e c_e·β_e ≤ 1 with c_e = Σ_l c_le(1−u_le), over used LAGs only
-	// (pruned LAGs carry no flow and need no utilization constraint).
+	// Σ_e c_e·β_e ≤ 1 over used LAGs only (pruned LAGs carry no flow and
+	// need no utilization constraint).
 	capRow := milp.NewExpr()
-	for e := 0; e < cfg.Topo.NumLAGs(); e++ {
-		if !enc.Used[e] {
-			continue
-		}
-		beta[e] = m.ContinuousVar(0, bound, fmt.Sprintf("beta[%d]", e))
-		for l, ln := range cfg.Topo.LAG(e).Links {
-			capRow.Add(ln.Capacity, beta[e])
-			v := m.Product(enc.LinkDown[e][l], beta[e], fmt.Sprintf("v[%d][%d]", e, l))
-			capRow.Add(-ln.Capacity, v)
-		}
-	}
+	beta := capacityTerm(cfg, m, enc, bound, &capRow)
 	m.Add(capRow, milp.LE, 1, "dual-U")
-
 	for k, dp := range cfg.Demands {
-		hi := cfg.Envelope.Hi[k]
 		for j := range dp.Paths {
 			gamma := m.ContinuousVar(0, bound, fmt.Sprintf("gamma[%d][%d]", k, j))
 			// λ_k − Σ β_e − γ_kj ≤ 0.
@@ -142,17 +86,7 @@ func buildFailedDualMLU(cfg *Config, m *milp.Model, enc *failures.Encoding, dv *
 				feas.Add(-1, beta[e])
 			}
 			m.Add(feas, milp.LE, 0, fmt.Sprintf("dualfeas[%d][%d]", k, j))
-
-			// −C_kj·γ_kj with C_kj = Hi_k·A_kj.
-			if hi == 0 {
-				continue
-			}
-			if enc.Active[k][j] == nil {
-				dual.Add(-hi, gamma)
-			} else {
-				g := m.Product(*enc.Active[k][j], gamma, fmt.Sprintf("g[%d][%d]", k, j))
-				dual.Add(-hi, g)
-			}
+			gateTerm(cfg, m, enc, k, j, gamma, -1, &dual)
 		}
 	}
 	return dual

@@ -11,58 +11,20 @@ import (
 	"raha/internal/te"
 )
 
-// analyzeTotalFlow builds and solves the single-level MILP for the
-// total-demand-met objective (Eq. 2).
-func analyzeTotalFlow(ctx context.Context, cfg *Config) (*Result, error) {
-	m := milp.NewModel()
-	enc := failures.Encode(m, cfg.Topo, cfg.Demands)
-	if err := addScenarioConstraints(cfg, m, enc); err != nil {
-		return nil, err
+// totalFlow is the formulation of the total-demand-met objective (Eq. 2):
+// degradation = healthy flow − failed flow. It is the only objective that
+// models naive fail-over and the only one with a budget-only dual bound.
+func totalFlow() formulation {
+	return formulation{
+		sign: 1,
+		solve: func(cfg *Config, volumes, caps []float64, active [][]bool) (*te.Result, error) {
+			return te.MaxTotalFlow(cfg.Topo, cfg.Demands, volumes, caps, active)
+		},
+		foldHealthy:   foldHealthyTotalFlow,
+		failedDual:    failedDualTotalFlow,
+		naiveFailover: naiveFailoverFlow,
+		bound:         boundTotalFlow,
 	}
-	dv, err := newDemandVars(cfg, m)
-	if err != nil {
-		return nil, err
-	}
-
-	obj := milp.NewExpr()
-
-	// Healthy network. With a fixed envelope the design point is a
-	// constant the analyzer computes once by LP (§6's easy-scaling case);
-	// otherwise its primal folds into the outer problem.
-	var healthyFlows *te.Result
-	if cfg.Mode == Gap {
-		if cfg.Envelope.IsFixed() {
-			h, err := te.MaxTotalFlow(cfg.Topo, cfg.Demands, cfg.Envelope.Lo, te.FullCapacities(cfg.Topo), te.HealthyActive(cfg.Demands))
-			if err != nil {
-				return nil, err
-			}
-			if !h.Feasible {
-				return nil, fmt.Errorf("metaopt: healthy network LP infeasible")
-			}
-			healthyFlows = h
-			obj.AddConst(h.Objective)
-		} else {
-			buildHealthyTotalFlow(cfg, m, dv, &obj)
-		}
-	} else if cfg.NaiveFailover {
-		// FailedOnly + naive fail-over still needs the healthy flows as
-		// gate constants.
-		h, err := te.MaxTotalFlow(cfg.Topo, cfg.Demands, cfg.Envelope.Lo, te.FullCapacities(cfg.Topo), te.HealthyActive(cfg.Demands))
-		if err != nil {
-			return nil, err
-		}
-		healthyFlows = h
-	}
-
-	// Failed network: dual objective, minimized by the outer maximization.
-	dualObj, err := buildFailedDualTotalFlow(cfg, m, enc, dv, healthyFlows)
-	if err != nil {
-		return nil, err
-	}
-	obj.AddExpr(-1, dualObj)
-	m.SetObjective(obj, milp.Maximize)
-
-	return solveModel(ctx, cfg, m, enc, dv)
 }
 
 // boundTotalFlow computes the lost-capacity bound of a Gap-mode total-flow
@@ -75,8 +37,8 @@ func analyzeTotalFlow(ctx context.Context, cfg *Config) (*Result, error) {
 // scenario inside the budget is Optimal at degradation 0 — no failure the
 // budget allows touches a LAG that carries primary load — reported at the top
 // of the envelope through the ordinary verification LPs. (nil, nil) means
-// the analysis goes on to analyzeTotalFlow.
-func boundTotalFlow(ctx context.Context, cfg *Config) (*Result, error) {
+// the analysis goes on to build the model.
+func boundTotalFlow(ctx context.Context, cfg *Config, f formulation) (*Result, error) {
 	if cfg.Mode != Gap || cfg.ProbThreshold <= 0 && cfg.MaxFailures <= 0 {
 		return nil, nil
 	}
@@ -87,13 +49,13 @@ func boundTotalFlow(ctx context.Context, cfg *Config) (*Result, error) {
 	}
 	closed := bb.AllUp != nil && bb.Value <= 0 // AllUp is nil on an infeasible budget
 	if tr := cfg.Solver.Tracer; tr != nil {
-		f := obs.F{"links": bb.Links, "knapsack_nodes": bb.Nodes, "closed": closed}
+		ev := obs.F{"links": bb.Links, "knapsack_nodes": bb.Nodes, "closed": closed}
 		if bb.Infeasible {
-			f["infeasible"] = true
+			ev["infeasible"] = true
 		} else if !math.IsInf(bb.Value, 0) {
-			f["bound"] = bb.Value
+			ev["bound"] = bb.Value
 		}
-		tr.Emit("metaopt", "budget_bound", f)
+		tr.Emit("metaopt", "budget_bound", ev)
 	}
 	switch {
 	case bb.Infeasible:
@@ -112,47 +74,30 @@ func boundTotalFlow(ctx context.Context, cfg *Config) (*Result, error) {
 		BudgetBound:   &bb.Value,
 		ClosedByBound: true,
 	}
-	if err := verify(cfg, res); err != nil {
+	if err := verify(cfg, f, res); err != nil {
 		return nil, err
 	}
 	res.ModelObjective = res.Degradation
 	return res, nil
 }
 
-// buildHealthyTotalFlow folds the healthy network's primal into the outer
+// foldHealthyTotalFlow folds the healthy network's primal into the outer
 // problem: flow variables on primary paths, demand rows against the
 // quantized demand expressions, capacity rows at full LAG capacity. The
 // flows' sum joins the outer objective.
-func buildHealthyTotalFlow(cfg *Config, m *milp.Model, dv *demandVars, obj *milp.Expr) {
-	byLAG := make([][]milp.Var, cfg.Topo.NumLAGs())
-	for k, dp := range cfg.Demands {
-		hi := cfg.Envelope.Hi[k]
-		row := milp.NewExpr()
-		for j := 0; j < dp.Primary; j++ {
-			f := m.ContinuousVar(0, hi, fmt.Sprintf("fo[%d][%d]", k, j))
-			obj.Add(1, f)
-			row.Add(1, f)
-			for _, e := range dp.Paths[j].LAGs {
-				byLAG[e] = append(byLAG[e], f)
-			}
-		}
+func foldHealthyTotalFlow(cfg *Config, m *milp.Model, dv *demandVars, obj *milp.Expr) {
+	load := make([]milp.Expr, cfg.Topo.NumLAGs())
+	for k := range cfg.Demands {
+		row := primaryFlows(cfg, m, k, load)
+		obj.AddExpr(1, row)
 		// Σ_j fo_kj ≤ d_k  ⇔  Σ_j fo_kj − (d_k − Lo_k) ≤ Lo_k.
 		row.AddExpr(-1, dv.expr[k])
 		m.Add(row, milp.LE, 0, fmt.Sprintf("healthy-demand[%d]", k))
 	}
-	for e, vars := range byLAG {
-		if len(vars) == 0 {
-			continue
-		}
-		row := milp.NewExpr()
-		for _, f := range vars {
-			row.Add(1, f)
-		}
-		m.Add(row, milp.LE, cfg.Topo.LAG(e).Capacity(), fmt.Sprintf("healthy-cap[%d]", e))
-	}
+	healthyCapacityRows(cfg, m, load)
 }
 
-// buildFailedDualTotalFlow adds the failed network's LP dual to the outer
+// failedDualTotalFlow adds the failed network's LP dual to the outer
 // problem and returns its objective expression.
 //
 // Failed primal (per §5, with outer variables highlighted):
@@ -165,42 +110,15 @@ func buildHealthyTotalFlow(cfg *Config, m *milp.Model, dv *demandVars, obj *milp
 // Dual: min Σ d_k α_k + Σ c_e β_e + Σ C_kj γ_kj (+ Σ n_kj δ_kj)
 // s.t. α_k + Σ_{e∈p_kj} β_e + γ_kj (+ δ_kj) ≥ 1, all duals in [0,1]
 // (restriction WLOG; see the package comment).
-func buildFailedDualTotalFlow(cfg *Config, m *milp.Model, enc *failures.Encoding, dv *demandVars, healthy *te.Result) (milp.Expr, error) {
+func failedDualTotalFlow(cfg *Config, m *milp.Model, enc *failures.Encoding, dv *demandVars, healthy *te.Result) milp.Expr {
 	dual := milp.NewExpr()
-
 	alpha := make([]milp.Var, len(cfg.Demands))
 	for k := range cfg.Demands {
 		alpha[k] = m.ContinuousVar(0, 1, fmt.Sprintf("alpha[%d]", k))
-		// d_k·α_k = Lo_k·α_k + unit·Σ 2^i·(b_ki·α_k).
-		if lo := cfg.Envelope.Lo[k]; lo != 0 {
-			dual.Add(lo, alpha[k])
-		}
-		if dv.bits[k] != nil {
-			scale := dv.q.Unit[k]
-			for i, b := range dv.bits[k] {
-				w := m.Product(b, alpha[k], fmt.Sprintf("w[%d][%d]", k, i))
-				dual.Add(scale, w)
-				scale *= 2
-			}
-		}
+		demandTerm(cfg, m, dv, k, alpha[k], &dual)
 	}
-
-	beta := make([]milp.Var, cfg.Topo.NumLAGs())
-	for e := 0; e < cfg.Topo.NumLAGs(); e++ {
-		if !enc.Used[e] {
-			continue // pruned: no flow, no capacity constraint, no dual
-		}
-		beta[e] = m.ContinuousVar(0, 1, fmt.Sprintf("beta[%d]", e))
-		// c_e·β_e = Σ_l c_le·β_e − Σ_l c_le·(u_le·β_e).
-		for l, ln := range cfg.Topo.LAG(e).Links {
-			dual.Add(ln.Capacity, beta[e])
-			v := m.Product(enc.LinkDown[e][l], beta[e], fmt.Sprintf("v[%d][%d]", e, l))
-			dual.Add(-ln.Capacity, v)
-		}
-	}
-
+	beta := capacityTerm(cfg, m, enc, 1, &dual)
 	for k, dp := range cfg.Demands {
-		hi := cfg.Envelope.Hi[k]
 		for j := range dp.Paths {
 			gamma := m.ContinuousVar(0, 1, fmt.Sprintf("gamma[%d][%d]", k, j))
 			// Dual feasibility for f_kj.
@@ -211,26 +129,15 @@ func buildFailedDualTotalFlow(cfg *Config, m *milp.Model, enc *failures.Encoding
 			if cfg.NaiveFailover {
 				delta := m.ContinuousVar(0, 1, fmt.Sprintf("delta[%d][%d]", k, j))
 				feas.Add(1, delta)
-				bound := naiveGate(healthy, k, j, dp.Primary)
-				if bound != 0 {
+				if bound := naiveGate(healthy, k, j, dp.Primary); bound != 0 {
 					dual.Add(bound, delta)
 				}
 			}
 			m.Add(feas, milp.GE, 1, fmt.Sprintf("dualfeas[%d][%d]", k, j))
-
-			// Gate term C_kj·γ_kj.
-			if hi == 0 {
-				continue
-			}
-			if enc.Active[k][j] == nil {
-				dual.Add(hi, gamma) // primary: always active
-			} else {
-				g := m.Product(*enc.Active[k][j], gamma, fmt.Sprintf("g[%d][%d]", k, j))
-				dual.Add(hi, g)
-			}
+			gateTerm(cfg, m, enc, k, j, gamma, 1, &dual)
 		}
 	}
-	return dual, nil
+	return dual
 }
 
 // naiveGate returns the §5.1 naive fail-over bound for path j of demand k:

@@ -7,8 +7,8 @@
 // failures) and the network under failure — over arbitrary failure
 // combinations (weighted by probability), arbitrary demand envelopes, any
 // tunnel-selection policy, and several TE objectives (total demand met,
-// MLU). It can also compute capacity augments that eliminate every probable
-// degradation.
+// MLU, max-min fairness). It can also compute capacity augments that
+// eliminate every probable degradation.
 //
 // # Quick start
 //
@@ -140,7 +140,7 @@ func TopPairs(t *Topology, n int, seed int64) [][2]Node { return demand.TopPairs
 
 // --- Analysis ----------------------------------------------------------------
 
-// Objective selects the TE formulation (TotalFlow or MLU).
+// Objective selects the TE formulation (TotalFlow, MLU or MaxMin).
 type Objective = metaopt.Objective
 
 // TE objectives.
