@@ -87,8 +87,9 @@ go test ./internal/milp -run 'TestRandomMILPsAgainstBruteForce' -short -presolve
 # pre-merge failure instead. b4_budget is also the width-1 search-order
 # guard: its pinned degradation is only reached inside the 1 s budget by the
 # lone worker's best-bound order (a LIFO dive at width 1 fails its oracle).
-# Two of its three instances now end `optimal` inside the budget, stopped by
-# the lost-capacity bound (DESIGN.md §2.1); the third still runs its second.
+# Two of its three instances end `optimal` inside the budget — instance 4 in
+# 64 nodes now that the lost-capacity bound caps every node, instance 6 at
+# its first incumbent (DESIGN.md §2.1); instance 5 still runs its second.
 smoke() {
 	line=$(timeout 180 bash bench/run.sh --workload "$@" --seed 1 --seconds 3 --trace 0 | tail -n 1)
 	case $line in
@@ -127,6 +128,19 @@ if ! grep '"ev":"budget_bound"' "$closed_tmp" | grep -q '"closed":true' ||
 	grep -q '"layer":"milp","ev":"node"' "$closed_tmp"; then
 	echo "ci: line4 was not closed by the budget bound (want budget_bound closed:true, no milp node event):" >&2
 	cat "$closed_tmp" >&2
+	exit 1
+fi
+
+# The same bound at every branch-and-bound node, also clock-free: a serial
+# variable-demand B4 analysis runs to proven optimality (about 0.4 s of its
+# 60 s budget), and its main solve — the trace's last solve_end — must have
+# discarded children on the lost-capacity bound of their boxes.
+budget_tmp=$tmp/budget.jsonl
+go run ./cmd/raha analyze -topology b4 -workers 1 -budget 60s -trace "$budget_tmp" -q -progress=false >/dev/null
+last_end=$(grep '"ev":"solve_end"' "$budget_tmp" | tail -n 1)
+if ! printf %s "$last_end" | grep -q '"budget_prunes":[1-9]' ||
+	! printf %s "$last_end" | grep -q '"status":"optimal"'; then
+	echo "ci: b4 did not end optimal with budget_prunes > 0: $last_end" >&2
 	exit 1
 fi
 

@@ -18,16 +18,28 @@ import (
 // returns the path of the JSONL trace it produced.
 func writeTrace(t *testing.T, workers int, seed int64) string {
 	t.Helper()
+	return writeKnapsackTrace(t, workers, seed, false)
+}
+
+// writeKnapsackTrace is writeTrace, with the knapsack's own row handed to
+// the solve as its per-node bound (milp.Params.Knapsack) when budget is set.
+func writeKnapsackTrace(t *testing.T, workers int, seed int64, budget bool) string {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	m := milp.NewModel()
 	var objE, wt milp.Expr
+	k := &milp.Knapsack{RHS: -80}
 	for i := 0; i < 16; i++ {
-		v := m.BinaryVar("x")
-		objE.Add(float64(1+rng.Intn(40)), v)
-		wt.Add(float64(1+rng.Intn(20)), v)
+		v, value, weight := m.BinaryVar("x"), float64(1+rng.Intn(40)), float64(1+rng.Intn(20))
+		objE.Add(value, v)
+		wt.Add(weight, v)
+		k.Vars, k.Weight, k.Coef = append(k.Vars, v), append(k.Weight, value), append(k.Coef, -weight)
 	}
 	m.SetObjective(objE, milp.Maximize)
 	m.Add(wt, milp.LE, 80, "cap")
+	if !budget {
+		k = nil
+	}
 
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	f, err := os.Create(path)
@@ -35,7 +47,7 @@ func writeTrace(t *testing.T, workers int, seed int64) string {
 		t.Fatal(err)
 	}
 	tr := obs.NewJSONLTracer(f)
-	res, err := m.Solve(milp.Params{Workers: workers, Tracer: tr, ProgressEvery: time.Millisecond})
+	res, err := m.Solve(milp.Params{Workers: workers, Knapsack: k, Tracer: tr, ProgressEvery: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +99,24 @@ func TestSummarizeAttributesWorkerTime(t *testing.T) {
 	if covered > denom || float64(covered) < 0.95*float64(denom) {
 		t.Fatalf("attribution covers %d of %d ns (%.1f%%), want ~100%%",
 			covered, denom, 100*float64(covered)/float64(denom))
+	}
+}
+
+// TestSummarizeReportsBudgetPrunes: solve_end's budget_prunes reaches the
+// summary as its own line, absent when nothing was discarded that way.
+func TestSummarizeReportsBudgetPrunes(t *testing.T) {
+	for _, budget := range []bool{false, true} {
+		tr, err := parseTrace(writeKnapsackTrace(t, 1, 2, budget))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := summarize(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(buf.String(), "budget bound:"); got != budget || budget != (tr.budgetPrunes > 0) {
+			t.Fatalf("knapsack %v: %d budget prunes, summary line %v:\n%s", budget, tr.budgetPrunes, got, buf.String())
+		}
 	}
 }
 

@@ -30,6 +30,7 @@ type trace struct {
 	queuePopNs, queuePops, queuePushNs, queuePushes  int64
 	warmStarts, coldFallbacks                        int64
 	lpCutoffs, objLimitStops                         int64 // nodes cut off at the incumbent; all LPs stopped there
+	budgetPrunes                                     int64 // children discarded at creation by the lost-capacity bound
 	steals, failedSteals, stolenNodes, stealNs       int64
 
 	workers []workerAgg // indexed by worker id, summed across solves
@@ -158,6 +159,7 @@ func (tr *trace) addMILP(e obs.Event) error {
 		tr.warmStarts += int64(fnum(f, "warm_starts"))
 		tr.coldFallbacks += int64(fnum(f, "cold_fallbacks"))
 		tr.lpCutoffs += int64(fnum(f, "lp_cutoffs"))
+		tr.budgetPrunes += int64(fnum(f, "budget_prunes"))
 		tr.objLimitStops += int64(fnum(f, "lp_objlimit_stops"))
 		tr.steals += int64(fnum(f, "steals"))
 		tr.failedSteals += int64(fnum(f, "failed_steals"))

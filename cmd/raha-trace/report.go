@@ -56,6 +56,9 @@ func summarize(out io.Writer, tr *trace) error {
 		fmt.Fprintf(w, "objective cutoff: %d LPs stopped at the incumbent; %d of %d bound-pruned nodes cut off\n",
 			tr.objLimitStops, tr.lpCutoffs, tr.reasons["bound"])
 	}
+	if tr.budgetPrunes > 0 {
+		fmt.Fprintf(w, "budget bound: %d children discarded at creation (not in the node count)\n", tr.budgetPrunes)
+	}
 	fmt.Fprintf(w, "\nphase attribution (of %s worker-time):\n", fmtNs(denom))
 	row := func(name string, ns int64) {
 		fmt.Fprintf(w, "  %-12s %10s  %5.1f%%\n", name, fmtNs(ns), pct(ns, denom))

@@ -295,9 +295,9 @@ func printResult(ctx context.Context, o *runObs, budget time.Duration, top *raha
 			st.WarmStarts, st.WarmIters, st.ColdFallbacks,
 			st.PrunedInfeasible, st.PrunedBound, st.LPCutoffs, st.PrunedIterLimit,
 			st.Integral, st.NodesBranched, st.IncumbentUpdates, st.MaxOpen)
-		o.log.Debugf("presolve stats: %d vars fixed, %d rows removed, %d bounds tightened, %d big-M coefs shrunk; %d propagation prunes, %d pseudocost branches",
+		o.log.Debugf("presolve stats: %d vars fixed, %d rows removed, %d bounds tightened, %d big-M coefs shrunk; %d propagation prunes, %d budget prunes, %d pseudocost branches",
 			st.PresolveFixedVars, st.PresolveRemovedRows, st.PresolveTightenedBounds,
-			st.PresolveTightenedCoefs, st.PropagationPrunes, st.PseudocostBranches)
+			st.PresolveTightenedCoefs, st.PropagationPrunes, st.BudgetPrunes, st.PseudocostBranches)
 		if st.PresolveNs+st.LPWarmNs+st.LPColdNs+st.HeurNs+st.BranchNs > 0 {
 			o.log.Debugf("time attribution: presolve %v, LP warm %v, LP cold %v, heuristic %v, branching %v, queue wait %v",
 				time.Duration(st.PresolveNs).Round(time.Microsecond),

@@ -23,29 +23,40 @@ func usedLAGs(t *topology.Topology, dps []paths.DemandPaths) []bool {
 	return used
 }
 
-// budgetRow is the §5.1 probability constraint as numbers:
-// Σ coef[e][l]·u_le ≥ rhs over the member links of the used LAGs (coef[e] is
-// nil for an unused one). The model row (AddProbabilityThreshold) and the
-// lost-capacity knapsack (LostCapacityBound) are both built from it, so the
-// two cannot drift apart.
-type budgetRow struct {
-	coef          [][]float64
-	rhs           float64
-	assumedFailed [][2]int // unused links accounted as failed, (LAG, link)
+// Budget is an analysis's §5.1 failure budget as numbers, over the member
+// links of the used LAGs (index [e][l]; nil for a LAG no path uses), with
+// each link's lost-capacity weight. The model's probability row
+// (AddProbabilityThreshold), the budget knapsack (LostCapacityBound) and the
+// per-node bound (Encoding.Knapsack) are all read from what NewBudget and
+// probabilityBudget produce, so the three cannot drift apart.
+type Budget struct {
+	// Weight[e][l] = min(c_le, Σ{hi[k] : LAG e lies on a primary path of
+	// demand k}), w_le of LostCapacityBound.
+	Weight [][]float64
+	// Coef and RHS are the probability row Σ Coef[e][l]·u_le ≥ RHS; Coef is
+	// nil without a threshold.
+	Coef [][]float64
+	RHS  float64
+	// K caps the failed links, Σ u_le ≤ K; 0 means no count row.
+	K int
+
+	topo          *topology.Topology
+	assumedFailed [][2]int // unused links the probability row accounts as failed, (LAG, link)
 }
 
-// probabilityBudget lowers threshold to its log-linear row. See
-// AddProbabilityThreshold for the treatment of unused links.
-func probabilityBudget(t *topology.Topology, used []bool, threshold float64, assumeUnusedWorst bool) (*budgetRow, error) {
+// probabilityBudget lowers threshold to its log-linear row, filling Coef,
+// RHS and assumedFailed of a Budget. See AddProbabilityThreshold for the
+// treatment of unused links.
+func probabilityBudget(t *topology.Topology, used []bool, threshold float64, assumeUnusedWorst bool) (*Budget, error) {
 	if threshold <= 0 || threshold >= 1 {
 		return nil, fmt.Errorf("failures: probability threshold %g outside (0,1)", threshold)
 	}
-	row := &budgetRow{coef: make([][]float64, t.NumLAGs())}
+	b := &Budget{Coef: make([][]float64, t.NumLAGs())}
 	base := 0.0
 	for e := 0; e < t.NumLAGs(); e++ {
 		links := t.LAG(e).Links
 		if used[e] {
-			row.coef[e] = make([]float64, len(links))
+			b.Coef[e] = make([]float64, len(links))
 		}
 		for l, ln := range links {
 			p := ln.FailProb
@@ -55,18 +66,62 @@ func probabilityBudget(t *topology.Topology, used []bool, threshold float64, ass
 			if !used[e] {
 				if assumeUnusedWorst && p > 0.5 {
 					base += math.Log(p)
-					row.assumedFailed = append(row.assumedFailed, [2]int{e, l})
+					b.assumedFailed = append(b.assumedFailed, [2]int{e, l})
 				} else {
 					base += math.Log(1 - p)
 				}
 				continue
 			}
-			row.coef[e][l] = math.Log(p) - math.Log(1-p)
+			b.Coef[e][l] = math.Log(p) - math.Log(1-p)
 			base += math.Log(1 - p)
 		}
 	}
-	row.rhs = math.Log(threshold) - base
-	return row, nil
+	b.RHS = math.Log(threshold) - base
+	return b, nil
+}
+
+// NewBudget builds the failure budget of a total-flow analysis over dps with
+// demands up to hi: the probability row of threshold (assumeUnusedWorst as in
+// AddProbabilityThreshold; threshold ≤ 0 leaves it out), the count row of
+// maxFailures (≤ 0 leaves it out) and the lost-capacity weights.
+func NewBudget(t *topology.Topology, dps []paths.DemandPaths, hi []float64, threshold float64, assumeUnusedWorst bool, maxFailures int) (*Budget, error) {
+	used := usedLAGs(t, dps)
+	b := &Budget{}
+	if threshold > 0 {
+		var err error
+		if b, err = probabilityBudget(t, used, threshold, assumeUnusedWorst); err != nil {
+			return nil, err
+		}
+	}
+	b.topo = t
+	b.K = max(maxFailures, 0)
+
+	// load[e] = Σ hi[k] over the demands with a primary path across LAG e,
+	// each demand once (counted[e] remembers the last demand added).
+	load := make([]float64, t.NumLAGs())
+	counted := make([]int, t.NumLAGs())
+	for k, dp := range dps {
+		for j := 0; j < dp.Primary; j++ {
+			for _, e := range dp.Paths[j].LAGs {
+				if counted[e] != k+1 {
+					counted[e] = k + 1
+					load[e] += hi[k]
+				}
+			}
+		}
+	}
+	b.Weight = make([][]float64, t.NumLAGs())
+	for e := range b.Weight {
+		if !used[e] {
+			continue
+		}
+		links := t.LAG(e).Links
+		b.Weight[e] = make([]float64, len(links))
+		for l, ln := range links {
+			b.Weight[e][l] = math.Min(ln.Capacity, load[e])
+		}
+	}
+	return b, nil
 }
 
 // knapsackNodeCap bounds the branch and bound on the budget knapsack. The
@@ -108,20 +163,15 @@ type BudgetBound struct {
 // failed flow, also under naive fail-over, whose gates cap each primary at
 // exactly the healthy flow it started from (DESIGN.md §2.1 has the proof).
 //
-// The bound is the optimum of that weight over the budget rows alone — the
-// same probability-threshold coefficients (assumeUnusedWorst as in
-// AddProbabilityThreshold) and the same ≤ maxFailures cardinality row the
-// model carries; threshold ≤ 0 or maxFailures ≤ 0 leaves that row out, as it
-// does for the model — a one- or two-row binary knapsack with no flows, no
-// duals and no products, solved exactly by a serial, untraced branch and
+// The bound is the optimum of that weight over b's budget rows alone — the
+// rows the model carries — a one- or two-row binary knapsack with no flows,
+// no duals and no products, solved exactly by a serial, untraced branch and
 // bound under a fixed node cap. Its LP relaxation would be sound too, but a
 // fractional failure always loses some capacity, so it never proves the zero
-// that closes an analysis outright.
-func LostCapacityBound(ctx context.Context, t *topology.Topology, dps []paths.DemandPaths, hi []float64, threshold float64, assumeUnusedWorst bool, maxFailures int) (*BudgetBound, error) {
-	m, row, err := budgetKnapsack(t, dps, hi, threshold, assumeUnusedWorst, maxFailures)
-	if err != nil {
-		return nil, err
-	}
+// that closes an analysis outright; branch and bound uses that relaxation
+// box by box instead (Encoding.Knapsack).
+func LostCapacityBound(ctx context.Context, b *Budget) (*BudgetBound, error) {
+	m := budgetKnapsack(b)
 	res, err := m.SolveContext(ctx, milp.Params{Workers: 1, NodeLimit: knapsackNodeCap})
 	if err != nil {
 		return nil, fmt.Errorf("failures: budget knapsack: %w", err)
@@ -136,11 +186,11 @@ func LostCapacityBound(ctx context.Context, t *topology.Topology, dps []paths.De
 	default:
 		bb.Value = res.Bound // +Inf until the root has solved
 	}
-	// All used links up: the probability row reads 0 ≥ rhs, the cardinality
+	// All used links up: the probability row reads 0 ≥ RHS, the cardinality
 	// row 0 ≤ k.
-	if row.rhs <= 0 {
-		bb.AllUp = NewScenario(t)
-		for _, el := range row.assumedFailed {
+	if b.RHS <= 0 {
+		bb.AllUp = NewScenario(b.topo)
+		for _, el := range b.assumedFailed {
 			bb.AllUp.LinkDown[el[0]][el[1]] = true
 		}
 	}
@@ -148,54 +198,26 @@ func LostCapacityBound(ctx context.Context, t *topology.Topology, dps []paths.De
 }
 
 // budgetKnapsack builds LostCapacityBound's model: one binary per member link
-// of every used LAG, in Encode's order, under the probability row (returned as
-// numbers too; the zero row without a threshold) and the cardinality row.
-func budgetKnapsack(t *topology.Topology, dps []paths.DemandPaths, hi []float64, threshold float64, assumeUnusedWorst bool, maxFailures int) (*milp.Model, *budgetRow, error) {
-	used := usedLAGs(t, dps)
-	row := &budgetRow{}
-	if threshold > 0 {
-		var err error
-		if row, err = probabilityBudget(t, used, threshold, assumeUnusedWorst); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	// load[e] = Σ hi[k] over the demands with a primary path across LAG e,
-	// each demand once (counted[e] remembers the last demand added).
-	load := make([]float64, t.NumLAGs())
-	counted := make([]int, t.NumLAGs())
-	for k, dp := range dps {
-		for j := 0; j < dp.Primary; j++ {
-			for _, e := range dp.Paths[j].LAGs {
-				if counted[e] != k+1 {
-					counted[e] = k + 1
-					load[e] += hi[k]
-				}
-			}
-		}
-	}
-
+// of every used LAG, in Encode's order, under b's rows.
+func budgetKnapsack(b *Budget) *milp.Model {
 	m := milp.NewModel()
 	obj, prob, count := milp.NewExpr(), milp.NewExpr(), milp.NewExpr()
-	for e := 0; e < t.NumLAGs(); e++ {
-		if !used[e] {
-			continue
-		}
-		for l, ln := range t.LAG(e).Links {
+	for e, ws := range b.Weight {
+		for l, w := range ws {
 			u := m.BinaryVar(fmt.Sprintf("u_link[%d][%d]", e, l))
-			obj.Add(math.Min(ln.Capacity, load[e]), u)
+			obj.Add(w, u)
 			count.Add(1, u)
-			if threshold > 0 {
-				prob.Add(row.coef[e][l], u)
+			if b.Coef != nil {
+				prob.Add(b.Coef[e][l], u)
 			}
 		}
 	}
-	if threshold > 0 {
-		m.Add(prob, milp.GE, row.rhs, "probability-threshold")
+	if b.Coef != nil {
+		m.Add(prob, milp.GE, b.RHS, "probability-threshold")
 	}
-	if maxFailures > 0 {
-		m.Add(count, milp.LE, float64(maxFailures), "max-failures")
+	if b.K > 0 {
+		m.Add(count, milp.LE, float64(b.K), "max-failures")
 	}
 	m.SetObjective(obj, milp.Maximize)
-	return m, row, nil
+	return m
 }

@@ -65,10 +65,11 @@ func TestKnapsackRowsEqualModelRows(t *testing.T) {
 				t.Fatal(err)
 			}
 			enc.AddMaxFailures(model, k)
-			knap, row, err := budgetKnapsack(top, dps, []float64{1}, threshold, assume, k)
+			b, err := NewBudget(top, dps, []float64{1}, threshold, assume, k)
 			if err != nil {
 				t.Fatal(err)
 			}
+			knap := budgetKnapsack(b)
 			for _, name := range []string{"probability-threshold", "max-failures"} {
 				wantCoef, wantRel, wantRHS := rowByName(t, model, name)
 				gotCoef, gotRel, gotRHS := rowByName(t, knap, name)
@@ -84,8 +85,8 @@ func TestKnapsackRowsEqualModelRows(t *testing.T) {
 					}
 				}
 			}
-			if len(row.assumedFailed) != len(enc.assumedFailed) {
-				t.Fatalf("seed %d: knapsack assumes %d unused links failed, the model %d", seed, len(row.assumedFailed), len(enc.assumedFailed))
+			if len(b.assumedFailed) != len(enc.assumedFailed) {
+				t.Fatalf("seed %d: knapsack assumes %d unused links failed, the model %d", seed, len(b.assumedFailed), len(enc.assumedFailed))
 			}
 		}
 	}
@@ -100,7 +101,14 @@ func TestLostCapacityBoundOutcomes(t *testing.T) {
 	hi := []float64{15}
 
 	// k = 1: the best single failure is LAG 2's only link — min(10, 15).
-	bb, err := LostCapacityBound(ctx, top, dps, hi, 0, false, 1)
+	bound := func(hi []float64, threshold float64, assume bool, k int) (*BudgetBound, error) {
+		b, err := NewBudget(top, dps, hi, threshold, assume, k)
+		if err != nil {
+			return nil, err
+		}
+		return LostCapacityBound(ctx, b)
+	}
+	bb, err := bound(hi, 0, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +116,13 @@ func TestLostCapacityBoundOutcomes(t *testing.T) {
 		t.Fatalf("k=1: %+v, want value 10 over 5 links with all-up inside the budget", bb)
 	}
 	// A load below the link capacity caps the weight: min(10, 4).
-	if bb, err = LostCapacityBound(ctx, top, dps, []float64{4}, 0, false, 1); err != nil || math.Abs(bb.Value-4) > 1e-9 {
+	if bb, err = bound([]float64{4}, 0, false, 1); err != nil || math.Abs(bb.Value-4) > 1e-9 {
 		t.Fatalf("k=1 at load 4: %+v, %v; want value 4", bb, err)
 	}
 
 	// All five links up has probability ≈ 0.94: a threshold of 0.9 admits
 	// that and nothing else, so nothing can be lost.
-	if bb, err = LostCapacityBound(ctx, top, dps, hi, 0.9, true, 0); err != nil {
+	if bb, err = bound(hi, 0.9, true, 0); err != nil {
 		t.Fatal(err)
 	}
 	if bb.Infeasible || bb.Value != 0 || bb.AllUp == nil || bb.AllUp.NumFailedLinks() != 0 {
@@ -122,21 +130,21 @@ func TestLostCapacityBoundOutcomes(t *testing.T) {
 	}
 
 	// No scenario is that probable.
-	if bb, err = LostCapacityBound(ctx, top, dps, hi, 0.99, true, 0); err != nil || !bb.Infeasible {
+	if bb, err = bound(hi, 0.99, true, 0); err != nil || !bb.Infeasible {
 		t.Fatalf("threshold 0.99: %+v, %v; want infeasible", bb, err)
 	}
 
 	// A used link more likely down than up: all-up falls outside a budget
 	// that failing it fits.
 	top.LAG(1).Links[0].FailProb = 0.9
-	if bb, err = LostCapacityBound(ctx, top, dps, hi, 0.5, true, 0); err != nil {
+	if bb, err = bound(hi, 0.5, true, 0); err != nil {
 		t.Fatal(err)
 	}
 	if bb.Infeasible || bb.AllUp != nil || bb.Value != 0 {
 		t.Fatalf("likely-down backup link: %+v, want a feasible budget without all-up and nothing lost", bb)
 	}
 
-	if _, err = LostCapacityBound(ctx, top, dps, hi, 1.5, true, 0); err == nil {
+	if _, err = bound(hi, 1.5, true, 0); err == nil {
 		t.Fatal("threshold 1.5 must error, as it does for the model row")
 	}
 }

@@ -258,19 +258,36 @@ func Encode(m *milp.Model, t *topology.Topology, dps []paths.DemandPaths) *Encod
 // treatments are exact for the optimization because no flow can traverse an
 // unused LAG.
 func (enc *Encoding) AddProbabilityThreshold(m *milp.Model, threshold float64, assumeUnusedWorst bool) error {
-	row, err := probabilityBudget(enc.topo, enc.Used, threshold, assumeUnusedWorst)
+	b, err := probabilityBudget(enc.topo, enc.Used, threshold, assumeUnusedWorst)
 	if err != nil {
 		return err
 	}
-	enc.assumedFailed = row.assumedFailed
+	enc.assumedFailed = b.assumedFailed
 	expr := milp.NewExpr()
 	for e := range enc.LinkDown {
 		for l, v := range enc.LinkDown[e] {
-			expr.Add(row.coef[e][l], v)
+			expr.Add(b.Coef[e][l], v)
 		}
 	}
-	m.Add(expr, milp.GE, row.rhs, "probability-threshold")
+	m.Add(expr, milp.GE, b.RHS, "probability-threshold")
 	return nil
+}
+
+// Knapsack hands b, a budget of enc's topology and paths, to branch and
+// bound as its per-node bound over enc's link binaries
+// (milp.Params.Knapsack).
+func (enc *Encoding) Knapsack(b *Budget) *milp.Knapsack {
+	k := &milp.Knapsack{RHS: b.RHS, Count: b.K}
+	for e, ws := range b.Weight {
+		for l, w := range ws {
+			k.Vars = append(k.Vars, enc.LinkDown[e][l])
+			k.Weight = append(k.Weight, w)
+			if b.Coef != nil {
+				k.Coef = append(k.Coef, b.Coef[e][l])
+			}
+		}
+	}
+	return k
 }
 
 // AddMaxFailures caps the total number of failed links at k (§5.1, the

@@ -69,8 +69,9 @@ const dualFeasTol = 1e-6
 
 // Warm-path counters (obs.Default, exported through expvar as raha.lp.*).
 var (
-	cWarm      = obs.Default.Counter("lp.warm_solves")
-	cDualIters = obs.Default.Counter("lp.dual_iterations")
+	cWarm       = obs.Default.Counter("lp.warm_solves")
+	cDualIters  = obs.Default.Counter("lp.dual_iterations")
+	cDualStalls = obs.Default.Counter("lp.dual_stalls") // warm solves given up to a dual-degenerate streak
 )
 
 // SolveFrom re-optimizes p starting from a basis exported by a previous

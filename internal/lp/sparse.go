@@ -989,11 +989,18 @@ func (s *spSolver) dualFeasible() bool {
 // passes the limit — confirmed by a from-scratch sum, since the carried one
 // drifts — the solve stops: the caller asked only whether the optimum can
 // stay under the limit.
+//
+// A dual-degenerate pivot (|d_q| < costTol) leaves the objective where it
+// is, and the ratio test's tie-breaking can cycle through such pivots up to
+// the iteration cap. After primal()'s streak length of them in a row the
+// basis is given up: fail asks SolveFrom for the cold two-phase solve,
+// counted as lp.dual_stalls.
 func (s *spSolver) dual() Status {
 	limited := !math.IsInf(s.objLimit, 1)
 	if limited {
 		s.dobj = s.objective()
 	}
+	stalled := 0
 	for {
 		if limited && s.dobj > s.objLimit {
 			if s.dobj = s.objective(); s.dobj > s.objLimit {
@@ -1075,6 +1082,14 @@ func (s *spSolver) dual() Status {
 			}
 			s.cap--
 			continue
+		}
+
+		if math.Abs(s.d[q]) >= costTol {
+			stalled = 0
+		} else if stalled++; stalled > 2*(s.m+10) {
+			cDualStalls.Inc()
+			s.fail = true
+			return IterLimit
 		}
 
 		s.iters++

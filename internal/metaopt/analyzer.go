@@ -231,12 +231,21 @@ func Analyze(cfg Config) (*Result, error) {
 // branch-and-bound search promptly and returns the best scenario found so
 // far (Status Feasible), or Status Unknown with no scenario when nothing
 // was found yet — the same semantics as the solver's time limit.
+//
+// Solver.TimeLimit is the budget of the whole analysis: the budget bound,
+// the hint solves and the main solve share one deadline, and only the
+// verification of the result runs past it.
 func AnalyzeContext(ctx context.Context, cfg Config) (*Result, error) {
 	f, err := cfg.validate()
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
+	if tl := cfg.Solver.TimeLimit; tl > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, tl)
+		defer cancel()
+	}
 	if tr := cfg.Solver.Tracer; tr != nil {
 		tr.Emit("metaopt", "analysis_start", obs.F{
 			"objective": cfg.Objective.String(),
@@ -248,7 +257,7 @@ func AnalyzeContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	var res *Result
 	if f.bound != nil {
-		res, err = f.bound(ctx, &cfg, f)
+		res, f.budget, err = f.bound(ctx, &cfg, f)
 	}
 	if res == nil && err == nil {
 		res, err = analyze(ctx, &cfg, f)
@@ -282,6 +291,9 @@ func AnalyzeContext(ctx context.Context, cfg Config) (*Result, error) {
 // (hints vs. exact solve vs. verification) lands in the Result.
 func solveModel(ctx context.Context, cfg *Config, f formulation, m *milp.Model, enc *failures.Encoding, dv *demandVars) (*Result, error) {
 	params := cfg.Solver
+	if f.budget != nil {
+		params.Knapsack = enc.Knapsack(f.budget)
+	}
 	var hintDur time.Duration
 	if cfg.Mode == Gap {
 		if !cfg.Envelope.IsFixed() {

@@ -95,8 +95,11 @@ func TestBudgetBoundDominatesBruteForce(t *testing.T) {
 			continue
 		}
 		want, _ := bruteForceTotalFlow(t, &cfg)
-		bb, err := failures.LostCapacityBound(context.Background(), cfg.Topo, cfg.Demands, cfg.Envelope.Hi,
-			cfg.ProbThreshold, cfg.assumeUnusedWorst(), cfg.MaxFailures)
+		b, err := failures.NewBudget(cfg.Topo, cfg.Demands, cfg.Envelope.Hi, cfg.ProbThreshold, cfg.assumeUnusedWorst(), cfg.MaxFailures)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		bb, err := failures.LostCapacityBound(context.Background(), b)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -203,5 +206,99 @@ func TestBudgetBoundTraceAndScope(t *testing.T) {
 		if got := res.BudgetBound != nil; got != tc.want {
 			t.Errorf("%s: budget bound computed = %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestNodeBoundDominatesBruteForce is the referee of the bound branch and
+// bound caps every child with: the failure budget handed to the solve as a
+// milp.Knapsack over the model's link binaries. On the cases above, over
+// random boxes that fix some links down, some up and leave the rest free,
+// its bound is never below the worst degradation of any allowed scenario
+// inside the box. The cases include links more likely down than up whose
+// failure the probability row needs (RHS > 0), multi-link LAGs, k ∈ {0, 1,
+// 2}, CE, naive fail-over, and fixed and variable envelopes.
+func TestNodeBoundDominatesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	var boxes, tighter, emptied, likelyDown int
+	for _, c := range append(totalFlowCases(), randomTotalFlowCases(100)...) {
+		cfg := c.cfg
+		if cfg.ProbThreshold <= 0 && cfg.MaxFailures <= 0 {
+			continue
+		}
+		f, err := cfg.validate()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		m, enc, _, err := build(&cfg, f)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		b, err := failures.NewBudget(cfg.Topo, cfg.Demands, cfg.Envelope.Hi, cfg.ProbThreshold, cfg.assumeUnusedWorst(), cfg.MaxFailures)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if b.Coef != nil && b.RHS > 0 {
+			likelyDown++
+		}
+		k := enc.Knapsack(b)
+
+		type scored struct {
+			s   *failures.Scenario
+			gap float64
+		}
+		var all []scored
+		bruteForceScenarios(t, &cfg, func(s *failures.Scenario, gap, _ float64) { all = append(all, scored{s, gap}) })
+
+		lo, hi := make([]float64, m.NumVars()), make([]float64, m.NumVars())
+		for v := range lo {
+			lo[v], hi[v] = m.Bounds(milp.Var(v))
+		}
+		root := k.Bound(lo, hi)
+		for box := 0; box < 24; box++ {
+			for v := range lo {
+				lo[v], hi[v] = m.Bounds(milp.Var(v))
+			}
+			for _, links := range enc.LinkDown {
+				for _, v := range links {
+					switch rng.Intn(3) {
+					case 0:
+						lo[v] = 1
+					case 1:
+						hi[v] = 0
+					}
+				}
+			}
+			inBox := func(s *failures.Scenario) bool {
+				for e, links := range enc.LinkDown {
+					for l, v := range links {
+						if s.LinkDown[e][l] && hi[v] < 0.5 || !s.LinkDown[e][l] && lo[v] > 0.5 {
+							return false
+						}
+					}
+				}
+				return true
+			}
+			want := math.Inf(-1)
+			for _, sc := range all {
+				if inBox(sc.s) {
+					want = math.Max(want, sc.gap)
+				}
+			}
+			got := k.Bound(lo, hi)
+			if got < want-1e-6 {
+				t.Fatalf("%s box %d: node bound %g below the brute-force degradation %g in the box", c.name, box, got, want)
+			}
+			boxes++
+			switch {
+			case math.IsInf(got, -1):
+				emptied++
+			case got < root-1e-9:
+				tighter++
+			}
+		}
+	}
+	t.Logf("%d boxes: %d bounded below the root's knapsack, %d emptied; %d budgets need a likely-down link", boxes, tighter, emptied, likelyDown)
+	if tighter == 0 || emptied == 0 || likelyDown == 0 {
+		t.Error("the boxes do not exercise the node bound")
 	}
 }

@@ -3,7 +3,10 @@ package metaopt
 import (
 	"testing"
 
+	"raha/internal/demand"
 	"raha/internal/milp"
+	"raha/internal/obs"
+	"raha/internal/paths"
 	"raha/internal/topology"
 )
 
@@ -40,8 +43,8 @@ func TestSerialSearchCountsPinned(t *testing.T) {
 		nodes               int
 		lpSolves, warmIters int64
 	}{
-		{"B4", topology.B4(), 4, 786, 797, 4034},
-		{"Uninett2010", topology.Uninett2010(), 2010, 1533, 1550, 7821},
+		{"B4", topology.B4(), 4, 311, 317, 1578},
+		{"Uninett2010", topology.Uninett2010(), 2010, 1283, 1296, 6894},
 	} {
 		res, err := Analyze(benchConfig(t, tc.top, tc.seed, 1))
 		if err != nil {
@@ -54,5 +57,37 @@ func TestSerialSearchCountsPinned(t *testing.T) {
 			t.Errorf("%s: %d nodes, %d LP solves, %d warm iterations; pinned %d, %d, %d",
 				tc.name, res.Nodes, res.Stats.LPSolves, res.Stats.WarmIters, tc.nodes, tc.lpSolves, tc.warmIters)
 		}
+	}
+}
+
+// TestWarmDualCycleFallsBackCold_Regression: on this B4 instance (the
+// b4_budget shape at generator seed 40) a warm node LP cycles through
+// dual-degenerate pivots. Without a stall rule the dual simplex ran to its
+// 62,200-iteration cap, the node was abandoned and the analysis overran its
+// 1 s budget by half. With the rule the warm solve gives up the basis after
+// a streak of such pivots, the cold path solves the node, and the search
+// proves optimality with nothing abandoned. Width 1 and a node limit in
+// place of the clock keep it deterministic.
+func TestWarmDualCycleFallsBackCold_Regression(t *testing.T) {
+	top := topology.B4()
+	pairs := demand.TopPairs(top, 12, 40)
+	dps, err := paths.Compute(top, pairs, 4, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := demand.Gravity(top, pairs, top.MeanLAGCapacity(), 40)
+	stalls := obs.Default.Counter("lp.dual_stalls")
+	before := stalls.Value()
+	res, err := Analyze(Config{
+		Topo: top, Demands: dps, Envelope: demand.UpTo(base, 0.5),
+		ProbThreshold: 1e-4, QuantBits: 3,
+		Solver: milp.Params{Workers: 1, NodeLimit: 1000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := stalls.Value() - before; n == 0 || res.Stats.PrunedIterLimit != 0 || res.Status != milp.Optimal {
+		t.Fatalf("%v after %d nodes, %d abandoned, %d dual stalls; want optimal with a stall and nothing abandoned",
+			res.Status, res.Nodes, res.Stats.PrunedIterLimit, n)
 	}
 }

@@ -84,6 +84,41 @@ func TestTimeLimitReturnsVerifiedIncumbent(t *testing.T) {
 	}
 }
 
+// TestAnalysisEndsAtItsTimeLimit: Solver.TimeLimit bounds the whole
+// analysis — the budget bound, the two fixed-demand hint solves and the
+// main solve — so only the verification runs past it. The fixed-demand hint
+// solves of this B4 instance take about a fifth of the budget; they used to
+// run outside the main solve's own full TimeLimit.
+func TestAnalysisEndsAtItsTimeLimit(t *testing.T) {
+	top := topology.B4()
+	pairs := demand.TopPairs(top, 30, 5)
+	base := demand.Gravity(top, pairs, top.MeanLAGCapacity(), 5)
+	dps, err := paths.Compute(top, pairs, 4, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// slack covers the node in flight at the deadline and the unwinding.
+	budget, slack := 400*time.Millisecond, 25*time.Millisecond
+	if raceEnabled {
+		budget, slack = 10*budget, 10*slack
+	}
+	res, err := Analyze(Config{
+		Topo: top, Demands: dps, Envelope: demand.UpTo(base, 0.5),
+		ProbThreshold: 1e-4, QuantBits: 3,
+		Solver: milp.Params{Workers: 1, TimeLimit: budget},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != milp.Feasible || res.HintRuntime == 0 {
+		t.Fatalf("%v with %v of hint solves: the instance must run out its budget after hinting", res.Status, res.HintRuntime)
+	}
+	if limit := budget + res.VerifyRuntime + slack; res.Runtime > limit {
+		t.Fatalf("analysis took %v on a %v budget (hints %v, solve %v, verify %v), over %v",
+			res.Runtime, budget, res.HintRuntime, res.SolveRuntime, res.VerifyRuntime, limit)
+	}
+}
+
 func TestWarmStartAcceptedAndHarmless(t *testing.T) {
 	// A warm start from a narrower envelope must never make results worse,
 	// and a nonsense warm start must not break anything.

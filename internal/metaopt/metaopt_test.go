@@ -104,20 +104,19 @@ func scenarioAllowed(cfg *Config, s *failures.Scenario) bool {
 	return true
 }
 
-// bruteForceTotalFlow computes the exact worst degradation over all allowed
-// scenarios and grid demands.
-func bruteForceTotalFlow(t *testing.T, cfg *Config) (bestGap float64, bestFailedOnly float64) {
+// bruteForceScenarios calls fn with every allowed scenario, its worst
+// degradation and its worst failed flow over the quantized demand grid.
+func bruteForceScenarios(t *testing.T, cfg *Config, fn func(s *failures.Scenario, gap, failed float64)) {
 	t.Helper()
 	caps := te.FullCapacities(cfg.Topo)
 	healthyActive := te.HealthyActive(cfg.Demands)
-	bestGap = math.Inf(-1)
-	bestFailedOnly = math.Inf(1)
 	enumerate(cfg.Topo, func(s *failures.Scenario) {
 		if !scenarioAllowed(cfg, s) {
 			return
 		}
 		failedCaps := s.Capacities(cfg.Topo)
 		act := s.ActivePaths(cfg.Demands)
+		gap, failed := math.Inf(-1), math.Inf(1)
 		demandGrid(cfg.Envelope, cfg.quantBits(), func(d []float64) {
 			h, err := te.MaxTotalFlow(cfg.Topo, cfg.Demands, d, caps, healthyActive)
 			if err != nil {
@@ -132,13 +131,21 @@ func bruteForceTotalFlow(t *testing.T, cfg *Config) (bestGap float64, bestFailed
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gap := h.Objective - f.Objective; gap > bestGap {
-				bestGap = gap
-			}
-			if f.Objective < bestFailedOnly {
-				bestFailedOnly = f.Objective
-			}
+			gap = math.Max(gap, h.Objective-f.Objective)
+			failed = math.Min(failed, f.Objective)
 		})
+		fn(s, gap, failed)
+	})
+}
+
+// bruteForceTotalFlow computes the exact worst degradation over all allowed
+// scenarios and grid demands.
+func bruteForceTotalFlow(t *testing.T, cfg *Config) (bestGap float64, bestFailedOnly float64) {
+	t.Helper()
+	bestGap, bestFailedOnly = math.Inf(-1), math.Inf(1)
+	bruteForceScenarios(t, cfg, func(_ *failures.Scenario, gap, failed float64) {
+		bestGap = math.Max(bestGap, gap)
+		bestFailedOnly = math.Min(bestFailedOnly, failed)
 	})
 	return bestGap, bestFailedOnly
 }

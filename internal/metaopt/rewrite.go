@@ -35,8 +35,13 @@ type formulation struct {
 	naiveFailover func(cfg *Config, volumes, caps []float64, active [][]bool, healthy *te.Result) (*te.Result, error)
 	// bound computes a budget-only dual bound before any model is built and
 	// may finish the analysis outright (see boundTotalFlow); nil when the
-	// objective has none.
-	bound func(ctx context.Context, cfg *Config, f formulation) (*Result, error)
+	// objective has none. When the analysis goes on, it also returns the
+	// failure budget the bound came from.
+	bound func(ctx context.Context, cfg *Config, f formulation) (*Result, *failures.Budget, error)
+	// budget is that failure budget, set once bound has returned one: every
+	// solve of the analysis, the hint solves included, bounds its nodes by it
+	// (milp.Params.Knapsack).
+	budget *failures.Budget
 	// requiresCE: a demand the failures disconnect makes the failed TE
 	// infeasible, so the analysis needs ConnectivityEnforced.
 	requiresCE bool

@@ -31,21 +31,26 @@ func totalFlow() formulation {
 // analysis with a failure budget (failures.LostCapacityBound) and installs it
 // as cfg.Solver.Bound, where the main solve and — through sub := *cfg — the
 // hint solves find it: fixing the demands restricts the envelope, so the
-// bound holds for them too. Two outcomes need no model at all and come back
-// as a finished Result: a budget no scenario fits is Infeasible (the model
-// has a superset of the knapsack's rows), and a bound ≤ 0 with the all-up
-// scenario inside the budget is Optimal at degradation 0 — no failure the
-// budget allows touches a LAG that carries primary load — reported at the top
-// of the envelope through the ordinary verification LPs. (nil, nil) means
-// the analysis goes on to build the model.
-func boundTotalFlow(ctx context.Context, cfg *Config, f formulation) (*Result, error) {
+// bound holds for them too. The budget it returns bounds their nodes the same
+// way. Two outcomes need no model at all and come back as a finished Result:
+// a budget no scenario fits is Infeasible (the model has a superset of the
+// knapsack's rows), and a bound ≤ 0 with the all-up scenario inside the
+// budget is Optimal at degradation 0 — no failure the budget allows touches a
+// LAG that carries primary load — reported at the top of the envelope through
+// the ordinary verification LPs. A nil Result means the analysis goes on to
+// build the model.
+func boundTotalFlow(ctx context.Context, cfg *Config, f formulation) (*Result, *failures.Budget, error) {
 	if cfg.Mode != Gap || cfg.ProbThreshold <= 0 && cfg.MaxFailures <= 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
-	bb, err := failures.LostCapacityBound(ctx, cfg.Topo, cfg.Demands, cfg.Envelope.Hi,
+	b, err := failures.NewBudget(cfg.Topo, cfg.Demands, cfg.Envelope.Hi,
 		cfg.ProbThreshold, cfg.assumeUnusedWorst(), cfg.MaxFailures)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	bb, err := failures.LostCapacityBound(ctx, b)
+	if err != nil {
+		return nil, nil, err
 	}
 	closed := bb.AllUp != nil && bb.Value <= 0 // AllUp is nil on an infeasible budget
 	if tr := cfg.Solver.Tracer; tr != nil {
@@ -59,12 +64,12 @@ func boundTotalFlow(ctx context.Context, cfg *Config, f formulation) (*Result, e
 	}
 	switch {
 	case bb.Infeasible:
-		return &Result{Status: milp.Infeasible, Bound: math.Inf(1), Gap: math.Inf(1)}, nil
+		return &Result{Status: milp.Infeasible, Bound: math.Inf(1), Gap: math.Inf(1)}, nil, nil
 	case math.IsInf(bb.Value, 0):
-		return nil, nil
+		return nil, b, nil
 	case !closed:
 		cfg.Solver.Bound = &bb.Value
-		return nil, nil
+		return nil, b, nil
 	}
 	res := &Result{
 		Status:        milp.Optimal,
@@ -75,10 +80,10 @@ func boundTotalFlow(ctx context.Context, cfg *Config, f formulation) (*Result, e
 		ClosedByBound: true,
 	}
 	if err := verify(cfg, f, res); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res.ModelObjective = res.Degradation
-	return res, nil
+	return res, nil, nil
 }
 
 // foldHealthyTotalFlow folds the healthy network's primal into the outer

@@ -27,6 +27,7 @@ var (
 	cPresolveBounds  = obs.Default.Counter("milp.presolve_tightened_bounds")
 	cPresolveCoefs   = obs.Default.Counter("milp.presolve_tightened_coefs")
 	cPropagationCuts = obs.Default.Counter("milp.propagation_prunes")
+	cBudgetPrunes    = obs.Default.Counter("milp.budget_prunes")
 
 	// Work-stealing traffic (Workers > 1): how often load had to move
 	// between workers and how much moved. A healthy parallel search steals
@@ -130,6 +131,16 @@ type Params struct {
 	// job.
 	Bound *float64
 
+	// Knapsack, when non-nil, is a caller-proved bound that holds box by box
+	// (see Knapsack) — Bound's per-node twin, for a Maximize model. After
+	// domain propagation, each child's inherited bound is capped at the
+	// knapsack's bound over the child's box, and a child whose cap the
+	// incumbent has reached (within Bound's tolerance) is discarded at
+	// creation, counted in Stats.BudgetPrunes. The capped bound orders the
+	// queue and feeds the reported dual bound; no LP and no pseudocost sees
+	// it. Like Bound, proving it is the caller's job.
+	Knapsack *Knapsack
+
 	// Tracer, when non-nil, receives the solve's event stream
 	// (solve_start, node, incumbent, worker_sample, solve_end — see
 	// internal/obs and DESIGN.md §2.6). A nil Tracer is the fast path:
@@ -197,7 +208,8 @@ func (r *Result) Gap() float64 {
 // node is one open subproblem of the search tree.
 type node struct {
 	lo, hi []float64
-	relax  float64   // bound inherited from the parent (model sense)
+	relax  float64   // bound inherited from the parent (model sense), capped by Params.Knapsack
+	parent float64   // the parent's LP objective, which pseudocosts measure from
 	seq    int       // creation order; 0 is the root
 	depth  int       // tree depth; 0 is the root
 	basis  *lp.Basis // parent relaxation's optimal basis (nil: solve cold)
@@ -319,6 +331,10 @@ type search struct {
 	pc     *pseudocosts
 	pools  []boundPool
 
+	// budget is Params.Knapsack mapped into the searched space (nil
+	// without one); read-only once the pool starts.
+	budget *boxBound
+
 	// Scheduler state (see scheduler.go). Each worker owns one local queue:
 	// deques[id] at width > 1 (LIFO dives; thieves batch-steal from the
 	// FIFO end), or — when the pool is one worker — the best-bound heap
@@ -374,13 +390,15 @@ func (s *search) better(a, b float64) bool {
 }
 
 // boundMet reports whether the incumbent objective inc has reached the
-// caller-proved Params.Bound, within the tolerance the objective cutoff uses:
-// nothing better than inc exists, whatever the open nodes' relaxations say.
+// caller-proved Params.Bound: nothing better than inc exists, whatever the
+// open nodes' relaxations say.
 func (s *search) boundMet(inc float64) bool {
-	if s.p.Bound == nil {
-		return false
-	}
-	b := *s.p.Bound
+	return s.p.Bound != nil && s.reached(inc, *s.p.Bound)
+}
+
+// reached reports whether the incumbent objective inc has reached the
+// caller-proved bound b, within the tolerance the objective cutoff uses.
+func (s *search) reached(inc, b float64) bool {
 	tol := 1e-6 * (1 + math.Abs(b))
 	if s.maximize {
 		return inc >= b-tol
@@ -730,9 +748,9 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 	// branch was expensive; leaving it out starves the scores of exactly the
 	// branches that prune.
 	if n.bvar >= 0 && n.bdist > 0 {
-		deg := obj - n.relax
+		deg := obj - n.parent
 		if s.maximize {
-			deg = n.relax - obj
+			deg = n.parent - obj
 		}
 		if deg < 0 {
 			deg = 0
@@ -773,12 +791,13 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 	// start — its optimal basis: a child differs only in one variable's
 	// bound, so the dual simplex re-optimizes in a handful of pivots.
 	// Domain propagation then pushes the new bound through the row network:
-	// a child whose box empties is pruned here, before any LP runs.
+	// a child whose box empties is pruned here, before any LP runs. So is one
+	// whose box the caller's knapsack caps at or below the incumbent.
 	xf := sol.X[v]
 	frac := xf - math.Floor(xf)
 	pool := &s.pools[wid]
 	child := func(up bool) *node {
-		c := &node{lo: pool.get(n.lo), hi: pool.get(n.hi), relax: obj, depth: n.depth + 1, basis: sol.Basis, bvar: v, bup: up}
+		c := &node{lo: pool.get(n.lo), hi: pool.get(n.hi), relax: obj, parent: obj, depth: n.depth + 1, basis: sol.Basis, bvar: v, bup: up}
 		if up {
 			c.lo[v] = math.Ceil(xf)
 			c.bdist = 1 - frac
@@ -786,9 +805,17 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 			c.hi[v] = math.Floor(xf)
 			c.bdist = frac
 		}
+		pruned := false
 		if s.props != nil && !s.propagate(wid, v, c.lo, c.hi) {
 			s.stats.propagationPrunes.Add(1)
 			cPropagationCuts.Inc()
+			pruned = true
+		} else if s.budget != nil && s.capByBudget(c) {
+			s.stats.budgetPrunes.Add(1)
+			cBudgetPrunes.Inc()
+			pruned = true
+		}
+		if pruned {
 			pool.put(c.lo)
 			pool.put(c.hi)
 			return nil
@@ -869,6 +896,11 @@ func (m *Model) prepare(p *Params) (*plan, error) {
 	}
 	if p.Check {
 		if err := runCheck(m, p.Tracer); err != nil {
+			return nil, err
+		}
+	}
+	if p.Knapsack != nil {
+		if err := p.Knapsack.validate(m); err != nil {
 			return nil, err
 		}
 	}
@@ -998,6 +1030,9 @@ func newSearch(m *Model, p Params, pl *plan, start time.Time) *search {
 	}
 	if len(s.intVars) > 0 {
 		s.pc = newPseudocosts(sm.NumVars())
+	}
+	if p.Knapsack != nil {
+		s.budget = newBoxBound(p.Knapsack, s.post)
 	}
 
 	s.pushLocal(0, &node{
@@ -1215,6 +1250,7 @@ func (s *search) emitSolveEnd(res *Result) {
 		"presolve_rows":       res.Stats.PresolveRemovedRows,
 		"presolve_bounds":     res.Stats.PresolveTightenedBounds,
 		"propagation_prunes":  res.Stats.PropagationPrunes,
+		"budget_prunes":       res.Stats.BudgetPrunes,
 		"pseudocost_branches": res.Stats.PseudocostBranches,
 		"lp_cutoffs":          res.Stats.LPCutoffs,
 		"lp_objlimit_stops":   res.Stats.LPObjLimitStops,

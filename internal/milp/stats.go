@@ -20,9 +20,9 @@ import (
 //	         PrunedIterLimit + Integral + UnboundedNodes
 //
 // holds on any clean solve (the stats regression test asserts it at
-// Workers 1 and 4). PrePruned and PropagationPrunes count subproblems
-// discarded before they were ever claimed as nodes, so both sit outside
-// Result.Nodes and the sum above.
+// Workers 1 and 4). PrePruned, PropagationPrunes and BudgetPrunes count
+// subproblems discarded before they were ever claimed as nodes, so all three
+// sit outside Result.Nodes and the sum above.
 type Stats struct {
 	LPSolves         int64 // LP relaxations solved (nodes, heuristics, hints)
 	LPIterations     int64 // simplex iterations across those solves
@@ -56,6 +56,7 @@ type Stats struct {
 	PresolveTightenedBounds int64 // bound tightenings root presolve applied
 	PresolveTightenedCoefs  int64 // big-M coefficients (or RHSs) shrunk
 	PropagationPrunes       int64 // children pruned by domain propagation before any LP (not in Result.Nodes)
+	BudgetPrunes            int64 // children discarded at creation by the Params.Knapsack cap (not in Result.Nodes)
 	PseudocostBranches      int64 // branch decisions scored by reliable pseudocosts (vs most-fractional fallback)
 
 	// Wall-clock attribution in nanoseconds, populated when the solve is
@@ -136,6 +137,7 @@ type statsAcc struct {
 	heuristicSolves  atomic.Int64
 
 	propagationPrunes  atomic.Int64
+	budgetPrunes       atomic.Int64
 	pseudocostBranches atomic.Int64
 
 	lpWarmNs    atomic.Int64
@@ -199,6 +201,7 @@ func (a *statsAcc) snapshot() Stats {
 		PresolveTightenedBounds: a.presolveTightenedBounds,
 		PresolveTightenedCoefs:  a.presolveTightenedCoefs,
 		PropagationPrunes:       a.propagationPrunes.Load(),
+		BudgetPrunes:            a.budgetPrunes.Load(),
 		PseudocostBranches:      a.pseudocostBranches.Load(),
 
 		PresolveNs: a.presolveNs,

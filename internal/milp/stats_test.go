@@ -48,6 +48,7 @@ func TestStatsAccSnapshotMapping(t *testing.T) {
 	a.lpCutoffs.Store(37)
 	a.lpObjLimitStops.Store(38)
 	a.boundPrunes.Store(39)
+	a.budgetPrunes.Store(40)
 	a.maxOpen.Store(27)
 	a.presolveNs = 28
 	a.presolveFixedVars = 29
@@ -83,6 +84,7 @@ func TestStatsAccSnapshotMapping(t *testing.T) {
 		PresolveTightenedBounds: 31,
 		PresolveTightenedCoefs:  32,
 		PropagationPrunes:       17,
+		BudgetPrunes:            40,
 		PseudocostBranches:      18,
 
 		PresolveNs: 28,
