@@ -26,10 +26,12 @@ go build ./...
 
 # Retired names must not drift back in: the solver has one scheduler, one
 # branching rule and warm starts always, one LP core with no switch (process
-# global or environment variable) to pick another, and a worker count is one
+# global or environment variable) to pick another, a worker count is one
 # `Workers` budget per layer split by conc.Split — no routing policy, no
-# second per-solve field. The grep reads _test.go files too, on purpose.
-if grep -rn 'QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel' --include='*.go' --exclude-dir=.bench_build .; then
+# second per-solve field — and each solver counter is declared once, as a
+# tagged milp.Stats field, with no shadow accumulator. The grep reads
+# _test.go files too, on purpose.
+if grep -rn 'QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel\|statsAcc' --include='*.go' --exclude-dir=.bench_build .; then
 	echo "ci: retired solver knob referenced above" >&2
 	exit 1
 fi
@@ -134,13 +136,15 @@ fi
 # The same bound at every branch-and-bound node, also clock-free: a serial
 # variable-demand B4 analysis runs to proven optimality (about 0.4 s of its
 # 60 s budget), and its main solve — the trace's last solve_end — must have
-# discarded children on the lost-capacity bound of their boxes.
+# discarded children on the lost-capacity bound of their boxes. It must also
+# carry pruned_bound, a key only the Stats field tags put on solve_end.
 budget_tmp=$tmp/budget.jsonl
 go run ./cmd/raha analyze -topology b4 -workers 1 -budget 60s -trace "$budget_tmp" -q -progress=false >/dev/null
 last_end=$(grep '"ev":"solve_end"' "$budget_tmp" | tail -n 1)
 if ! printf %s "$last_end" | grep -q '"budget_prunes":[1-9]' ||
+	! printf %s "$last_end" | grep -q '"pruned_bound":' ||
 	! printf %s "$last_end" | grep -q '"status":"optimal"'; then
-	echo "ci: b4 did not end optimal with budget_prunes > 0: $last_end" >&2
+	echo "ci: b4 did not end optimal with budget_prunes > 0 and a pruned_bound count: $last_end" >&2
 	exit 1
 fi
 

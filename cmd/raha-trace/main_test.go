@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -18,12 +19,14 @@ import (
 // returns the path of the JSONL trace it produced.
 func writeTrace(t *testing.T, workers int, seed int64) string {
 	t.Helper()
-	return writeKnapsackTrace(t, workers, seed, false)
+	path, _ := writeKnapsackTrace(t, workers, seed, false)
+	return path
 }
 
 // writeKnapsackTrace is writeTrace, with the knapsack's own row handed to
-// the solve as its per-node bound (milp.Params.Knapsack) when budget is set.
-func writeKnapsackTrace(t *testing.T, workers int, seed int64, budget bool) string {
+// the solve as its per-node bound (milp.Params.Knapsack) when budget is set,
+// that also returns the solve's Result.
+func writeKnapsackTrace(t *testing.T, workers int, seed int64, budget bool) (string, *milp.Result) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	m := milp.NewModel()
@@ -60,7 +63,34 @@ func writeKnapsackTrace(t *testing.T, workers int, seed int64, budget bool) stri
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return path
+	return path, res
+}
+
+// TestTraceRoundTripsStats: the solve_end a traced solve writes decodes back
+// into exactly its Result.Stats — every counter field for field, and
+// per_worker into Stats.PerWorker — at one worker and at four.
+func TestTraceRoundTripsStats(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		path, res := writeKnapsackTrace(t, workers, 11, true)
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := parseTraceFrom(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.solves != 1 || tr.nodes != int64(res.Nodes) {
+			t.Fatalf("workers=%d: %d solves, %d nodes; want 1, %d", workers, tr.solves, tr.nodes, res.Nodes)
+		}
+		if len(res.Stats.PerWorker) != workers {
+			t.Fatalf("workers=%d: Result has %d PerWorker entries", workers, len(res.Stats.PerWorker))
+		}
+		if !reflect.DeepEqual(tr.stats, res.Stats) {
+			t.Fatalf("workers=%d: decoded stats differ from Result.Stats:\ngot  %+v\nwant %+v", workers, tr.stats, res.Stats)
+		}
+	}
 }
 
 func TestSummarizeAttributesWorkerTime(t *testing.T) {
@@ -84,9 +114,10 @@ func TestSummarizeAttributesWorkerTime(t *testing.T) {
 	}
 	// The objective-cutoff line reports solve_end's two counters against the
 	// node events' own count of bound prunes.
-	if tr.objLimitStops == 0 || tr.lpCutoffs > tr.objLimitStops || tr.lpCutoffs > tr.reasons["bound"] {
+	st := tr.stats
+	if st.LPObjLimitStops == 0 || st.LPCutoffs > st.LPObjLimitStops || st.LPCutoffs > tr.reasons["bound"] {
 		t.Fatalf("cutoff counters: %d LPs stopped, %d nodes cut off, %d bound prunes",
-			tr.objLimitStops, tr.lpCutoffs, tr.reasons["bound"])
+			st.LPObjLimitStops, st.LPCutoffs, tr.reasons["bound"])
 	}
 	if !strings.Contains(out, "objective cutoff:") {
 		t.Fatalf("summarize output missing the objective cutoff line:\n%s", out)
@@ -94,7 +125,7 @@ func TestSummarizeAttributesWorkerTime(t *testing.T) {
 	// The disjoint buckets plus idle must cover the worker wall clock:
 	// busy == lp + heur + branch by construction, so attribution + idle
 	// lands within rounding of presolve + wall.
-	denom := tr.presolveNs + tr.workerWallNs()
+	denom := st.PresolveNs + tr.workerWallNs()
 	covered := tr.attributedNs() + tr.idleNs()
 	if covered > denom || float64(covered) < 0.95*float64(denom) {
 		t.Fatalf("attribution covers %d of %d ns (%.1f%%), want ~100%%",
@@ -106,7 +137,8 @@ func TestSummarizeAttributesWorkerTime(t *testing.T) {
 // summary as its own line, absent when nothing was discarded that way.
 func TestSummarizeReportsBudgetPrunes(t *testing.T) {
 	for _, budget := range []bool{false, true} {
-		tr, err := parseTrace(writeKnapsackTrace(t, 1, 2, budget))
+		path, _ := writeKnapsackTrace(t, 1, 2, budget)
+		tr, err := parseTrace(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,8 +146,8 @@ func TestSummarizeReportsBudgetPrunes(t *testing.T) {
 		if err := summarize(&buf, tr); err != nil {
 			t.Fatal(err)
 		}
-		if got := strings.Contains(buf.String(), "budget bound:"); got != budget || budget != (tr.budgetPrunes > 0) {
-			t.Fatalf("knapsack %v: %d budget prunes, summary line %v:\n%s", budget, tr.budgetPrunes, got, buf.String())
+		if got := strings.Contains(buf.String(), "budget bound:"); got != budget || budget != (tr.stats.BudgetPrunes > 0) {
+			t.Fatalf("knapsack %v: %d budget prunes, summary line %v:\n%s", budget, tr.stats.BudgetPrunes, got, buf.String())
 		}
 	}
 }
@@ -126,14 +158,14 @@ func TestWorkersReportSharesSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.workers) != 4 {
-		t.Fatalf("got %d workers, want 4", len(tr.workers))
+	if len(tr.stats.PerWorker) != 4 {
+		t.Fatalf("got %d workers, want 4", len(tr.stats.PerWorker))
 	}
 	var nodes int64
-	for i, w := range tr.workers {
-		nodes += w.nodes
-		if got := w.busyNs + w.waitNs + w.idleNs; got != w.wallNs {
-			t.Fatalf("worker %d: busy+wait+idle %d != wall %d", i, got, w.wallNs)
+	for i, w := range tr.stats.PerWorker {
+		nodes += w.Nodes
+		if got := w.BusyNs + w.QueueWaitNs + w.IdleNs; got != w.WallNs {
+			t.Fatalf("worker %d: busy+wait+idle %d != wall %d", i, got, w.WallNs)
 		}
 	}
 	if nodes != tr.nodes {
@@ -174,12 +206,12 @@ func TestWorkersStealColumnsAndAssertions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.steals != 3 || tr.failedSteals != 7 || tr.stolenNodes != 12 || tr.stealNs != 9000 {
+	if st := tr.stats; st.Steals != 3 || st.FailedSteals != 7 || st.StolenNodes != 12 || st.StealNs != 9000 {
 		t.Fatalf("steal aggregates = %d/%d/%d/%d, want 3/7/12/9000",
-			tr.steals, tr.failedSteals, tr.stolenNodes, tr.stealNs)
+			st.Steals, st.FailedSteals, st.StolenNodes, st.StealNs)
 	}
-	if tr.workers[1].steals != 3 || tr.workers[1].stolenNodes != 12 {
-		t.Fatalf("worker 1 steals = %d/%d, want 3/12", tr.workers[1].steals, tr.workers[1].stolenNodes)
+	if w := tr.stats.PerWorker[1]; w.Steals != 3 || w.StolenNodes != 12 {
+		t.Fatalf("worker 1 steals = %d/%d, want 3/12", w.Steals, w.StolenNodes)
 	}
 	var buf bytes.Buffer
 	if err := workersReport(&buf, tr, false); err != nil {
@@ -211,8 +243,8 @@ func TestWorkersRequireStealsFailsOnSerialTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.steals != 0 {
-		t.Fatalf("serial trace records %d steals, want 0", tr.steals)
+	if tr.stats.Steals != 0 {
+		t.Fatalf("serial trace records %d steals, want 0", tr.stats.Steals)
 	}
 	if err := assertWorkers(tr, true, -1); err == nil || !strings.Contains(err.Error(), "no successful steals") {
 		t.Fatalf("want require-steals failure, got %v", err)

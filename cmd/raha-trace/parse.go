@@ -8,6 +8,7 @@ import (
 	"os"
 	"sort"
 
+	"raha/internal/milp"
 	"raha/internal/obs"
 )
 
@@ -22,28 +23,15 @@ type trace struct {
 	solves   int     // solve_end events seen
 	runtimeS float64 // summed solve wall clock
 	nodes    int64
-	lpSolves int64
-	maxOpen  int64
 
-	// Disjoint phase attribution, summed over solve_end events (ns).
-	presolveNs, lpWarmNs, lpColdNs, heurNs, branchNs int64
-	queuePopNs, queuePops, queuePushNs, queuePushes  int64
-	warmStarts, coldFallbacks                        int64
-	lpCutoffs, objLimitStops                         int64 // nodes cut off at the incumbent; all LPs stopped there
-	budgetPrunes                                     int64 // children discarded at creation by the lost-capacity bound
-	steals, failedSteals, stolenNodes, stealNs       int64
-
-	workers []workerAgg // indexed by worker id, summed across solves
+	// stats sums every solve_end's counters (milp.Stats.AddTrace); its
+	// PerWorker is indexed by worker id, summed across solves.
+	stats milp.Stats
 
 	depths     map[int]int64    // node depth -> count
 	reasons    map[string]int64 // fathom reason -> count
 	incumbents []incPoint
 	samples    []sample // worker_sample timeline, in file order
-}
-
-type workerAgg struct {
-	nodes, busyNs, waitNs, idleNs, wallNs int64
-	steals, stolenNodes                   int64
 }
 
 type incPoint struct {
@@ -145,44 +133,7 @@ func (tr *trace) addMILP(e obs.Event) error {
 		tr.solves++
 		tr.runtimeS += fnum(f, "runtime_s")
 		tr.nodes += int64(fnum(f, "nodes"))
-		tr.lpSolves += int64(fnum(f, "lp_solves"))
-		tr.maxOpen += int64(fnum(f, "max_open"))
-		tr.presolveNs += int64(fnum(f, "presolve_ns"))
-		tr.lpWarmNs += int64(fnum(f, "lp_warm_ns"))
-		tr.lpColdNs += int64(fnum(f, "lp_cold_ns"))
-		tr.heurNs += int64(fnum(f, "heur_ns"))
-		tr.branchNs += int64(fnum(f, "branch_ns"))
-		tr.queuePopNs += int64(fnum(f, "queue_pop_ns"))
-		tr.queuePops += int64(fnum(f, "queue_pops"))
-		tr.queuePushNs += int64(fnum(f, "queue_push_ns"))
-		tr.queuePushes += int64(fnum(f, "queue_pushes"))
-		tr.warmStarts += int64(fnum(f, "warm_starts"))
-		tr.coldFallbacks += int64(fnum(f, "cold_fallbacks"))
-		tr.lpCutoffs += int64(fnum(f, "lp_cutoffs"))
-		tr.budgetPrunes += int64(fnum(f, "budget_prunes"))
-		tr.objLimitStops += int64(fnum(f, "lp_objlimit_stops"))
-		tr.steals += int64(fnum(f, "steals"))
-		tr.failedSteals += int64(fnum(f, "failed_steals"))
-		tr.stolenNodes += int64(fnum(f, "stolen_nodes"))
-		tr.stealNs += int64(fnum(f, "steal_ns"))
-		if pw, ok := f["per_worker"].([]any); ok {
-			for i, raw := range pw {
-				w, ok := raw.(map[string]any)
-				if !ok {
-					return fmt.Errorf("per_worker[%d] is not an object", i)
-				}
-				for len(tr.workers) <= i {
-					tr.workers = append(tr.workers, workerAgg{})
-				}
-				tr.workers[i].nodes += int64(fnum(w, "nodes"))
-				tr.workers[i].busyNs += int64(fnum(w, "busy_ns"))
-				tr.workers[i].waitNs += int64(fnum(w, "wait_ns"))
-				tr.workers[i].idleNs += int64(fnum(w, "idle_ns"))
-				tr.workers[i].wallNs += int64(fnum(w, "wall_ns"))
-				tr.workers[i].steals += int64(fnum(w, "steals"))
-				tr.workers[i].stolenNodes += int64(fnum(w, "stolen_nodes"))
-			}
-		}
+		return tr.stats.AddTrace(f)
 	}
 	return nil
 }
@@ -191,16 +142,17 @@ func (tr *trace) addMILP(e obs.Event) error {
 // every disjoint in-node bucket plus queue wait. Zero means the trace came
 // from an unobserved or solver-free run and there is nothing to analyze.
 func (tr *trace) attributedNs() int64 {
-	return tr.presolveNs + tr.lpWarmNs + tr.lpColdNs + tr.heurNs + tr.branchNs +
-		tr.queuePopNs + tr.queuePushNs
+	st := &tr.stats
+	return st.PresolveNs + st.LPWarmNs + st.LPColdNs + st.HeurNs + st.BranchNs +
+		st.QueuePopNs + st.QueuePushNs
 }
 
 // workerWallNs sums every worker's lifetime; the denominator for worker-
 // time shares. Falls back to runtime_s when the trace predates per_worker.
 func (tr *trace) workerWallNs() int64 {
 	var total int64
-	for _, w := range tr.workers {
-		total += w.wallNs
+	for _, w := range tr.stats.PerWorker {
+		total += w.WallNs
 	}
 	if total == 0 {
 		total = int64(tr.runtimeS * 1e9)
@@ -211,8 +163,8 @@ func (tr *trace) workerWallNs() int64 {
 // idleNs is the summed worker idle remainder.
 func (tr *trace) idleNs() int64 {
 	var total int64
-	for _, w := range tr.workers {
-		total += w.idleNs
+	for _, w := range tr.stats.PerWorker {
+		total += w.IdleNs
 	}
 	return total
 }
@@ -234,22 +186,11 @@ func (tr *trace) sortedLayers() string {
 	return out
 }
 
-// fnum reads a numeric field, tolerating the int64/float64 split between
-// freshly-emitted and JSON-roundtripped events. Missing fields read as 0:
-// older traces simply lack newer counters.
+// fnum reads a numeric field (JSON numbers decode as float64). Missing
+// fields read as 0: older traces simply lack newer fields.
 func fnum(f obs.F, key string) float64 {
-	switch v := f[key].(type) {
-	case float64:
-		return v
-	case int64:
-		return float64(v)
-	case int:
-		return float64(v)
-	case json.Number:
-		x, _ := v.Float64()
-		return x
-	}
-	return 0
+	v, _ := f[key].(float64)
+	return v
 }
 
 // fints reads an []int64 field from a decoded event ([]any of float64).

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"raha/internal/milp"
 )
 
 func summarizeCmd(args []string) error {
@@ -37,47 +39,44 @@ func summarize(out io.Writer, tr *trace) error {
 	if attributed <= 0 {
 		return fmt.Errorf("%s: zero attributed time — trace was written without timing instrumentation", tr.path)
 	}
-	denom := tr.presolveNs + tr.workerWallNs()
+	st := &tr.stats
+	denom := st.PresolveNs + tr.workerWallNs()
 	w := &strings.Builder{}
 
 	fmt.Fprintf(w, "trace: %s  (%d events: %s)\n", tr.path, tr.events, tr.sortedLayers())
 	fmt.Fprintf(w, "solves %d  nodes %d  lp solves %d  wall %.3fs",
-		tr.solves, tr.nodes, tr.lpSolves, tr.runtimeS)
+		tr.solves, tr.nodes, st.LPSolves, tr.runtimeS)
 	if tr.runtimeS > 0 {
 		fmt.Fprintf(w, "  (%.0f nodes/sec)", float64(tr.nodes)/tr.runtimeS)
 	}
 	fmt.Fprintln(w)
-	if tr.lpSolves > 0 {
+	if st.LPSolves > 0 {
 		fmt.Fprintf(w, "warm starts %d/%d (%.0f%%)  cold fallbacks %d\n",
-			tr.warmStarts, tr.lpSolves, 100*float64(tr.warmStarts)/float64(tr.lpSolves),
-			tr.coldFallbacks)
+			st.WarmStarts, st.LPSolves, 100*float64(st.WarmStarts)/float64(st.LPSolves),
+			st.ColdFallbacks)
 	}
-	if tr.objLimitStops > 0 {
+	if st.LPObjLimitStops > 0 {
 		fmt.Fprintf(w, "objective cutoff: %d LPs stopped at the incumbent; %d of %d bound-pruned nodes cut off\n",
-			tr.objLimitStops, tr.lpCutoffs, tr.reasons["bound"])
+			st.LPObjLimitStops, st.LPCutoffs, tr.reasons["bound"])
 	}
-	if tr.budgetPrunes > 0 {
-		fmt.Fprintf(w, "budget bound: %d children discarded at creation (not in the node count)\n", tr.budgetPrunes)
+	if st.BudgetPrunes > 0 {
+		fmt.Fprintf(w, "budget bound: %d children discarded at creation (not in the node count)\n", st.BudgetPrunes)
 	}
 	fmt.Fprintf(w, "\nphase attribution (of %s worker-time):\n", fmtNs(denom))
 	row := func(name string, ns int64) {
 		fmt.Fprintf(w, "  %-12s %10s  %5.1f%%\n", name, fmtNs(ns), pct(ns, denom))
 	}
-	row("presolve", tr.presolveNs)
-	row("LP warm", tr.lpWarmNs)
-	row("LP cold", tr.lpColdNs)
-	row("heuristic", tr.heurNs)
-	row("branching", tr.branchNs)
-	row("queue wait", tr.queuePopNs+tr.queuePushNs)
+	row("presolve", st.PresolveNs)
+	row("LP warm", st.LPWarmNs)
+	row("LP cold", st.LPColdNs)
+	row("heuristic", st.HeurNs)
+	row("branching", st.BranchNs)
+	row("queue wait", st.QueuePopNs+st.QueuePushNs)
 	row("idle", tr.idleNs())
 	if rest := denom - attributed - tr.idleNs(); rest > 0 {
 		row("unaccounted", rest)
 	}
-	if tr.queuePops > 0 {
-		fmt.Fprintf(w, "\nqueue: %d pops avg %s, %d pushes avg %s\n",
-			tr.queuePops, fmtNs(tr.queuePopNs/tr.queuePops),
-			tr.queuePushes, fmtNs(safeDiv(tr.queuePushNs, tr.queuePushes)))
-	}
+	printQueue(w, st)
 	_, err := io.WriteString(out, w.String())
 	return err
 }
@@ -106,8 +105,8 @@ func workersCmd(args []string) error {
 // lifetime idle, means the scheduler is not moving load — the report
 // above still prints, so the failure log shows the table it judged.
 func assertWorkers(tr *trace, requireSteals bool, maxIdlePct float64) error {
-	if requireSteals && tr.steals == 0 {
-		return fmt.Errorf("%s: no successful steals recorded (%d attempts failed) — work never moved between workers", tr.path, tr.failedSteals)
+	if requireSteals && tr.stats.Steals == 0 {
+		return fmt.Errorf("%s: no successful steals recorded (%d attempts failed) — work never moved between workers", tr.path, tr.stats.FailedSteals)
 	}
 	if maxIdlePct >= 0 {
 		if idle := pct(tr.idleNs(), tr.workerWallNs()); idle > maxIdlePct {
@@ -121,45 +120,51 @@ func assertWorkers(tr *trace, requireSteals bool, maxIdlePct float64) error {
 // answer to "why is Workers=4 slower than serial": high wait shares mean
 // queue contention, high idle shares mean starvation.
 func workersReport(out io.Writer, tr *trace, timeline bool) error {
-	if len(tr.workers) == 0 {
+	st := &tr.stats
+	if len(st.PerWorker) == 0 {
 		return fmt.Errorf("%s: no per-worker data (trace predates worker accounting or solve was unobserved)", tr.path)
 	}
 	w := &strings.Builder{}
-	fmt.Fprintf(w, "trace: %s  (%d solves, %d workers)\n\n", tr.path, tr.solves, len(tr.workers))
+	fmt.Fprintf(w, "trace: %s  (%d solves, %d workers)\n\n", tr.path, tr.solves, len(st.PerWorker))
 	fmt.Fprintf(w, "worker    nodes   steals   stolen       busy       wait       idle       wall\n")
-	var tot workerAgg
-	for i, wk := range tr.workers {
-		fmt.Fprintf(w, "%6d %8d %8d %8d %9.1f%% %9.1f%% %9.1f%% %10s\n",
-			i, wk.nodes, wk.steals, wk.stolenNodes,
-			pct(wk.busyNs, wk.wallNs), pct(wk.waitNs, wk.wallNs),
-			pct(wk.idleNs, wk.wallNs), fmtNs(wk.wallNs))
-		tot.nodes += wk.nodes
-		tot.steals += wk.steals
-		tot.stolenNodes += wk.stolenNodes
-		tot.busyNs += wk.busyNs
-		tot.waitNs += wk.waitNs
-		tot.idleNs += wk.idleNs
-		tot.wallNs += wk.wallNs
+	row := func(name string, wk milp.WorkerStats) {
+		fmt.Fprintf(w, "%6s %8d %8d %8d %9.1f%% %9.1f%% %9.1f%% %10s\n",
+			name, wk.Nodes, wk.Steals, wk.StolenNodes,
+			pct(wk.BusyNs, wk.WallNs), pct(wk.QueueWaitNs, wk.WallNs),
+			pct(wk.IdleNs, wk.WallNs), fmtNs(wk.WallNs))
 	}
-	fmt.Fprintf(w, " total %8d %8d %8d %9.1f%% %9.1f%% %9.1f%% %10s\n",
-		tot.nodes, tot.steals, tot.stolenNodes,
-		pct(tot.busyNs, tot.wallNs), pct(tot.waitNs, tot.wallNs),
-		pct(tot.idleNs, tot.wallNs), fmtNs(tot.wallNs))
-	if tr.queuePops > 0 {
-		fmt.Fprintf(w, "\nqueue: %d pops avg %s, %d pushes avg %s\n",
-			tr.queuePops, fmtNs(tr.queuePopNs/tr.queuePops),
-			tr.queuePushes, fmtNs(safeDiv(tr.queuePushNs, tr.queuePushes)))
+	var tot milp.WorkerStats
+	for i, wk := range st.PerWorker {
+		row(fmt.Sprint(i), wk)
+		tot.Nodes += wk.Nodes
+		tot.Steals += wk.Steals
+		tot.StolenNodes += wk.StolenNodes
+		tot.BusyNs += wk.BusyNs
+		tot.QueueWaitNs += wk.QueueWaitNs
+		tot.IdleNs += wk.IdleNs
+		tot.WallNs += wk.WallNs
 	}
-	if tr.steals > 0 || tr.failedSteals > 0 {
+	row("total", tot)
+	printQueue(w, st)
+	if st.Steals > 0 || st.FailedSteals > 0 {
 		fmt.Fprintf(w, "steals: %d ok (%d nodes moved, avg %s), %d failed scans\n",
-			tr.steals, tr.stolenNodes, fmtNs(safeDiv(tr.stealNs, tr.steals)),
-			tr.failedSteals)
+			st.Steals, st.StolenNodes, fmtNs(safeDiv(st.StealNs, st.Steals)),
+			st.FailedSteals)
 	}
 	if timeline {
 		printTimeline(w, tr)
 	}
 	_, err := io.WriteString(out, w.String())
 	return err
+}
+
+// printQueue prints the average claim and publish latencies.
+func printQueue(w *strings.Builder, st *milp.Stats) {
+	if st.QueuePops > 0 {
+		fmt.Fprintf(w, "\nqueue: %d pops avg %s, %d pushes avg %s\n",
+			st.QueuePops, fmtNs(st.QueuePopNs/st.QueuePops),
+			st.QueuePushes, fmtNs(safeDiv(st.QueuePushNs, st.QueuePushes)))
+	}
 }
 
 // printTimeline differences consecutive worker_sample events into interval
@@ -303,17 +308,18 @@ func diffReport(out io.Writer, old, cur *trace) error {
 	ns := func(name string, o, n int64) {
 		num(name, float64(o)/1e6, float64(n)/1e6, "%.1fms")
 	}
-	ns("presolve", old.presolveNs, cur.presolveNs)
-	ns("LP warm", old.lpWarmNs, cur.lpWarmNs)
-	ns("LP cold", old.lpColdNs, cur.lpColdNs)
-	ns("heuristic", old.heurNs, cur.heurNs)
-	ns("branching", old.branchNs, cur.branchNs)
-	ns("queue wait", old.queuePopNs+old.queuePushNs, cur.queuePopNs+cur.queuePushNs)
+	o, c := &old.stats, &cur.stats
+	ns("presolve", o.PresolveNs, c.PresolveNs)
+	ns("LP warm", o.LPWarmNs, c.LPWarmNs)
+	ns("LP cold", o.LPColdNs, c.LPColdNs)
+	ns("heuristic", o.HeurNs, c.HeurNs)
+	ns("branching", o.BranchNs, c.BranchNs)
+	ns("queue wait", o.QueuePopNs+o.QueuePushNs, c.QueuePopNs+c.QueuePushNs)
 	ns("idle", old.idleNs(), cur.idleNs())
-	num("pop avg ns", avg(old.queuePopNs, old.queuePops), avg(cur.queuePopNs, cur.queuePops), "%.0f")
-	num("push avg ns", avg(old.queuePushNs, old.queuePushes), avg(cur.queuePushNs, cur.queuePushes), "%.0f")
-	num("steals", float64(old.steals), float64(cur.steals), "%.0f")
-	num("stolen nodes", float64(old.stolenNodes), float64(cur.stolenNodes), "%.0f")
+	num("pop avg ns", avg(o.QueuePopNs, o.QueuePops), avg(c.QueuePopNs, c.QueuePops), "%.0f")
+	num("push avg ns", avg(o.QueuePushNs, o.QueuePushes), avg(c.QueuePushNs, c.QueuePushes), "%.0f")
+	num("steals", float64(o.Steals), float64(c.Steals), "%.0f")
+	num("stolen nodes", float64(o.StolenNodes), float64(c.StolenNodes), "%.0f")
 	_, err := io.WriteString(out, w.String())
 	return err
 }

@@ -360,18 +360,17 @@ func augmentCmd(args []string) (err error) {
 			err = cerr
 		}
 	}()
-	top, _, base, env, err := c.setup()
+	top, _, _, env, err := c.setup()
 	if err != nil {
 		return err
 	}
-	_ = base
 	solver, err := c.solver(o)
 	if err != nil {
 		return err
 	}
 	cfg := raha.AugmentConfig{
 		Topo:                 top,
-		Pairs:                pairsOf(env),
+		Pairs:                env.Pairs,
 		Envelope:             env,
 		Primary:              *c.primary,
 		Backup:               *c.backup,
@@ -405,8 +404,6 @@ func augmentCmd(args []string) (err error) {
 	}
 	return nil
 }
-
-func pairsOf(env raha.Envelope) [][2]raha.Node { return env.Pairs }
 
 // candidateLAGs proposes absent pairs between high-degree nodes.
 func candidateLAGs(top *raha.Topology, n int) [][2]raha.Node {

@@ -96,3 +96,29 @@ func TestAlertRaisedRunsTeardown(t *testing.T) {
 		t.Fatalf("closed trace ends with %s/%s, want metaopt/analysis_end", last.Layer, last.Ev)
 	}
 }
+
+// TestAlertAllRejectsSingleAnalysisFlags: alert -all reads none of the
+// single-analysis flags, so one set explicitly is refused with the sweep's
+// own spelling instead of being silently ignored. -builtins=false leaves the
+// sweep no topology, so a flag that got past the check fails differently.
+func TestAlertAllRejectsSingleAnalysisFlags(t *testing.T) {
+	for _, tc := range []struct{ flag, want string }{
+		{"-topology=b4", "-zoo-dir"},
+		{"-pairs=3", "-grid 'd="},
+		{"-slack=0.2", "-grid 'd="},
+		{"-primary=3", "2 primary"},
+		{"-backup=2", "1 backup"},
+		{"-threshold=1e-3", "-grid 'k=…;p=…'"},
+		{"-k=0", "-grid 'k=…;p=…'"},
+		{"-budget=5s", "-budget-per-topo"},
+	} {
+		err := alert(context.Background(), []string{"-all", "-builtins=false", "-q", "-progress=false", tc.flag})
+		if err == nil || !strings.Contains(err.Error(), "alert -all does not read") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("alert -all %s: got %v, want a refusal naming %q", tc.flag, err, tc.want)
+		}
+	}
+	err := alert(context.Background(), []string{"-all", "-builtins=false", "-q", "-progress=false", "-workers=1", "-seed=2", "-ce"})
+	if err == nil || !strings.Contains(err.Error(), "no topologies selected") {
+		t.Fatalf("alert -all with only sweep-read flags: got %v, want the empty-fleet error", err)
+	}
+}

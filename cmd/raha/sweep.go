@@ -39,6 +39,31 @@ func newSweepFlags(fs *flag.FlagSet) *sweepFlags {
 	}
 }
 
+// sweepSpelling lists the single-analysis flags alert -all does not read,
+// each with how a sweep expresses the same choice.
+var sweepSpelling = map[string]string{
+	"topology":  "choose the fleet with -builtins, -zoo-dir or -synthetic",
+	"pairs":     "choose demand models with -grid 'd=…'",
+	"slack":     "choose demand models with -grid 'd=…'",
+	"primary":   "every sweep cell routes 2 primary and 1 backup path per demand",
+	"backup":    "every sweep cell routes 2 primary and 1 backup path per demand",
+	"threshold": "sweep thresholds with -grid 'k=…;p=…'",
+	"k":         "sweep failure depths with -grid 'k=…;p=…'",
+	"budget":    "bound each topology's grid with -budget-per-topo",
+}
+
+// rejectIgnored refuses any single-analysis flag set explicitly on an alert
+// -all command line rather than let the sweep silently ignore it.
+func rejectIgnored(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if hint, ok := sweepSpelling[f.Name]; ok && err == nil {
+			err = fmt.Errorf("alert -all does not read -%s: %s", f.Name, hint)
+		}
+	})
+	return err
+}
+
 // parseShard parses the -shard "i/m" selector; empty means the whole fleet.
 func parseShard(spec string) (shard, numShards int, err error) {
 	if strings.TrimSpace(spec) == "" {
@@ -79,6 +104,9 @@ func sweepSources(sw *sweepFlags, seed int64) ([]raha.SweepSource, error) {
 // partial results inside the report, so the sweep itself exits 0; only
 // configuration mistakes return an error.
 func alertAll(ctx context.Context, c *commonFlags, sw *sweepFlags, tolerance float64) (err error) {
+	if err := rejectIgnored(c.fs); err != nil {
+		return err
+	}
 	o, err := c.obs.start()
 	if err != nil {
 		return err

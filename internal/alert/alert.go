@@ -111,13 +111,14 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 
 	rep := &Report{}
+	env1, env2 := cfg.PhaseEnvelopes()
 
 	// Phase 1: fixed peak demand — the healthy optimum is a constant and
 	// the MILP carries only failure variables.
 	p1, err := metaopt.AnalyzeContext(ctx, metaopt.Config{
 		Topo:                 cfg.Topo,
 		Demands:              cfg.Demands,
-		Envelope:             demand.Fixed(cfg.Peak),
+		Envelope:             env1,
 		ProbThreshold:        cfg.ProbThreshold,
 		MaxFailures:          cfg.MaxFailures,
 		ConnectivityEnforced: cfg.ConnectivityEnforced,
@@ -138,14 +139,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 
 	// Phase 2: search the demand envelope too.
-	env := cfg.Envelope
-	if len(env.Lo) == 0 {
-		env = demand.UpTo(cfg.Peak, 0)
-	}
 	p2, err := metaopt.AnalyzeContext(ctx, metaopt.Config{
 		Topo:                 cfg.Topo,
 		Demands:              cfg.Demands,
-		Envelope:             env,
+		Envelope:             env2,
 		ProbThreshold:        cfg.ProbThreshold,
 		MaxFailures:          cfg.MaxFailures,
 		ConnectivityEnforced: cfg.ConnectivityEnforced,
@@ -164,6 +161,17 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		rep.Phase = 2
 	}
 	return rep, nil
+}
+
+// PhaseEnvelopes returns the demand space each phase searches: the fixed
+// peak matrix for phase 1, and for phase 2 Envelope, or [0, peak] per demand
+// when Envelope is the zero value.
+func (cfg *Config) PhaseEnvelopes() (phase1, phase2 demand.Envelope) {
+	phase2 = cfg.Envelope
+	if len(phase2.Lo) == 0 {
+		phase2 = demand.UpTo(cfg.Peak, 0)
+	}
+	return demand.Fixed(cfg.Peak), phase2
 }
 
 // solver assembles one phase's solver params from the shared knobs.

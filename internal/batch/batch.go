@@ -407,12 +407,7 @@ func checkCell(top *topology.Topology, acfg *alert.Config, rep *alert.Report) er
 		return fmt.Errorf("normalized degradation %g is not finite", rep.NormalizedDegradation)
 	}
 
-	// Phase envelopes as alert.Run derives them.
-	p1env := demand.Fixed(acfg.Peak)
-	p2env := acfg.Envelope
-	if len(p2env.Lo) == 0 {
-		p2env = demand.UpTo(acfg.Peak, 0)
-	}
+	p1env, p2env := acfg.PhaseEnvelopes()
 	if err := checkPhase(top, rep.Phase1, p1env); err != nil {
 		return fmt.Errorf("phase 1: %w", err)
 	}

@@ -14,35 +14,14 @@ import (
 )
 
 // Process-wide solver counters (obs.Default, exported through expvar as
-// raha.milp.*). Nodes and incumbents tick live so /debug/vars shows a
-// running search move.
+// raha.milp.*) that tick live, mid-solve, so /debug/vars shows a running
+// search move. These three are the only ones: every other milp counter is
+// declared by a `counter` tag on Stats or WorkerStats and added once the
+// solve ends, so a solve that returns an error adds nothing to it.
 var (
-	cSolves          = obs.Default.Counter("milp.solves")
-	cNodes           = obs.Default.Counter("milp.nodes")
-	cIncumbents      = obs.Default.Counter("milp.incumbents")
-	cWarmStarts      = obs.Default.Counter("milp.warm_starts")
-	cColdFallbacks   = obs.Default.Counter("milp.cold_fallbacks")
-	cPresolveFixed   = obs.Default.Counter("milp.presolve_fixed_vars")
-	cPresolveRows    = obs.Default.Counter("milp.presolve_removed_rows")
-	cPresolveBounds  = obs.Default.Counter("milp.presolve_tightened_bounds")
-	cPresolveCoefs   = obs.Default.Counter("milp.presolve_tightened_coefs")
-	cPropagationCuts = obs.Default.Counter("milp.propagation_prunes")
-	cBudgetPrunes    = obs.Default.Counter("milp.budget_prunes")
-
-	// Work-stealing traffic (Workers > 1): how often load had to move
-	// between workers and how much moved. A healthy parallel search steals
-	// rarely — each steal is a worker that ran its own subtree dry.
-	cSteals       = obs.Default.Counter("milp.steals")
-	cStolenNodes  = obs.Default.Counter("milp.stolen_nodes")
-	cFailedSteals = obs.Default.Counter("milp.failed_steals")
-
-	// Run-wide worker-utilization totals, accumulated once per solve from
-	// the per-worker accounting (cheap: three adds per solve, not per
-	// node). Together they answer "where did the worker-seconds go" for a
-	// whole process, e.g. at the end of a figure sweep.
-	cWorkerBusyNs = obs.Default.Counter("milp.worker_busy_ns")
-	cWorkerWaitNs = obs.Default.Counter("milp.worker_wait_ns")
-	cWorkerIdleNs = obs.Default.Counter("milp.worker_idle_ns")
+	cSolves     = obs.Default.Counter("milp.solves")
+	cNodes      = obs.Default.Counter("milp.nodes")
+	cIncumbents = obs.Default.Counter("milp.incumbents")
 )
 
 // Hot-path latency histograms (obs.Default, published via /metrics and
@@ -301,17 +280,13 @@ type search struct {
 	tracer   obs.Tracer // copy of p.Tracer; nil disables all emit sites
 	timed    bool       // wall-clock attribution on (Tracer, OnProgress, or Params.Timing)
 
-	// stats is the live accumulator: concurrent counters are typed atomics
-	// and the presolve figures are written before the pool starts. Result
-	// gets a plain snapshot after the pool drains.
-	stats statsAcc
+	pl *plan // what prepare decided; fold takes the presolve figures from it
 
-	// wstats is the per-worker utilization accounting, indexed by worker
-	// id, allocated when the pool starts. Workers write their own entry
-	// with atomics; the sampler reads all entries atomically for the
-	// worker_sample timeline. Folded into Stats.PerWorker once the pool
-	// drains.
-	wstats []workerAcc
+	// wstats is the per-worker accounting, indexed by worker id (empty when
+	// presolve proved infeasibility). fold sums it into Result.Stats once
+	// the pool drains.
+	wstats  []workerAcc
+	maxOpen atomic.Int64 // high-water mark of openCount, CAS-maxed by publish
 
 	// probs holds one reusable lp.Problem per worker: the lowered rows and
 	// objective are bound-independent, so each node solve only copies its
@@ -447,28 +422,27 @@ func (s *search) solveLP(wid int, lo, hi []float64, basis *lp.Basis) (*lp.Soluti
 		ns = time.Since(lpStart).Nanoseconds()
 	}
 	if sol != nil {
-		s.stats.lpSolves.Add(1)
-		s.stats.lpIterations.Add(int64(sol.Iters))
-		s.stats.degeneratePivots.Add(int64(sol.DegeneratePivots))
-		s.stats.blandPivots.Add(int64(sol.BlandPivots))
+		st := &s.wstats[wid].stats
+		st.LPSolves++
+		st.LPIterations += int64(sol.Iters)
+		st.DegeneratePivots += int64(sol.DegeneratePivots)
+		st.BlandPivots += int64(sol.BlandPivots)
 		if sol.Status == lp.ObjLimit {
-			s.stats.lpObjLimitStops.Add(1)
+			st.LPObjLimitStops++
 		}
 		if warm && sol.WarmStarted {
-			s.stats.warmStarts.Add(1)
-			s.stats.warmIters.Add(int64(sol.Iters))
-			cWarmStarts.Inc()
+			st.WarmStarts++
+			st.WarmIters += int64(sol.Iters)
 			if s.timed {
-				s.stats.lpWarmNs.Add(ns)
+				st.LPWarmNs += ns
 				hLPWarm.Observe(ns)
 			}
 		} else {
 			if warm {
-				s.stats.coldFallbacks.Add(1)
-				cColdFallbacks.Inc()
+				st.ColdFallbacks++
 			}
 			if s.timed {
-				s.stats.lpColdNs.Add(ns)
+				st.LPColdNs += ns
 				hLPCold.Observe(ns)
 			}
 		}
@@ -493,6 +467,7 @@ func addFinite(f obs.F, key string, v float64) {
 // phase buckets disjoint); the slice excluding the inner LP solve is
 // charged to Stats.HeurNs.
 func (s *search) tryRound(wid int, nlo, nhi, x []float64, basis *lp.Basis) (totalNs int64) {
+	st := &s.wstats[wid].stats
 	var heurStart time.Time
 	var lpNs int64
 	if s.timed {
@@ -500,11 +475,11 @@ func (s *search) tryRound(wid int, nlo, nhi, x []float64, basis *lp.Basis) (tota
 		defer func() {
 			totalNs = time.Since(heurStart).Nanoseconds()
 			if ov := totalNs - lpNs; ov > 0 {
-				s.stats.heurNs.Add(ov)
+				st.HeurNs += ov
 			}
 		}()
 	}
-	s.stats.heuristicSolves.Add(1)
+	st.HeuristicSolves++
 	pool := &s.pools[wid]
 	lo := pool.get(nlo)
 	hi := pool.get(nhi)
@@ -558,7 +533,7 @@ func (s *search) sample() {
 		Open:          int(s.openCount.Load()),
 		Inflight:      int(s.inflight.Load()),
 		Workers:       s.workers,
-		Incumbents:    s.stats.incumbentUpdates.Load(),
+		Incumbents:    s.inc.updates.Load(),
 		HaveIncumbent: have,
 		Incumbent:     inc,
 		Bound:         s.globalBound(),
@@ -606,17 +581,17 @@ func (s *search) sample() {
 	}
 }
 
-// workerAcc is one worker's live utilization accounting. The fields are
-// typed atomics because the sampler goroutine reads a running timeline
-// while the owning worker is still writing; wallNs is stored once when the
-// worker exits.
+// workerAcc is one worker's accounting. Only the owning worker writes it
+// (seedHints, which runs before the pool starts, writes worker 0's), and
+// fold reads it after the pool has drained, so stats and wallNs are plain.
+// The other three are typed atomics because the sampler goroutine reads a
+// running timeline from them while the worker is still writing.
 type workerAcc struct {
-	nodes       atomic.Int64 // nodes claimed and processed
-	busyNs      atomic.Int64 // inside process(): LP, heuristic, branching
-	waitNs      atomic.Int64 // claiming from / publishing to the queue
-	wallNs      atomic.Int64 // goroutine lifetime, set on exit
-	steals      atomic.Int64 // successful steals this worker performed
-	stolenNodes atomic.Int64 // nodes this worker took in those steals
+	stats  Stats        // this worker's share of Result.Stats
+	wallNs int64        // goroutine lifetime, set on exit
+	nodes  atomic.Int64 // nodes claimed and processed
+	busyNs atomic.Int64 // inside process(): LP, heuristic, branching
+	waitNs atomic.Int64 // claiming from / publishing to the queue
 }
 
 // worker claims nodes until the tree is exhausted, a limit fires, or an
@@ -629,7 +604,7 @@ func (s *search) worker(id int) {
 	if s.timed {
 		workerStart := time.Now()
 		defer func() {
-			s.wstats[id].wallNs.Store(time.Since(workerStart).Nanoseconds())
+			s.wstats[id].wallNs = time.Since(workerStart).Nanoseconds()
 		}()
 	}
 	claimed := 0
@@ -671,13 +646,13 @@ func (s *search) emitNode(claimNo, depth int, reason string, obj float64, cutoff
 // abandon drops a node whose LP ended st, IterLimit or NumericalFailure. Its
 // subtree is neither explored nor pruned and may hold anything up to the
 // bound it inherited, which globalBound therefore keeps covering.
-func (s *search) abandon(claimNo int, n *node, st lp.Status) {
+func (s *search) abandon(wid, claimNo int, n *node, st lp.Status) {
 	for old := s.abandoned.Load(); s.better(n.relax, math.Float64frombits(old)); old = s.abandoned.Load() {
 		if s.abandoned.CompareAndSwap(old, math.Float64bits(n.relax)) {
 			break
 		}
 	}
-	s.stats.prunedIterLimit.Add(1)
+	s.wstats[wid].stats.PrunedIterLimit++
 	reason := "iterlimit"
 	if st == lp.NumericalFailure {
 		reason = st.String()
@@ -695,6 +670,7 @@ func (s *search) abandon(claimNo int, n *node, st lp.Status) {
 // heuristic (both accounted inside their own calls) lands in
 // Stats.BranchNs, keeping the phase buckets disjoint.
 func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
+	st := &s.wstats[wid].stats
 	var lpNs, heurNs int64
 	if s.timed {
 		nodeStart := time.Now()
@@ -703,7 +679,7 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 			s.wstats[wid].busyNs.Add(nodeNs)
 			hNodeProcess.Observe(nodeNs)
 			if b := nodeNs - lpNs - heurNs; b > 0 {
-				s.stats.branchNs.Add(b)
+				st.BranchNs += b
 			}
 		}()
 	}
@@ -716,7 +692,7 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 	}
 	switch sol.Status {
 	case lp.Infeasible:
-		s.stats.prunedInfeasible.Add(1)
+		st.PrunedInfeasible++
 		s.emitNode(claimNo, n.depth, "infeasible", math.NaN(), false)
 		return nil
 	case lp.Unbounded:
@@ -727,11 +703,11 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 			s.unbounded.Store(true)
 			s.halt()
 		}
-		s.stats.unboundedNodes.Add(1)
+		st.UnboundedNodes++
 		s.emitNode(claimNo, n.depth, "unbounded", math.NaN(), false)
 		return nil
 	case lp.IterLimit, lp.NumericalFailure:
-		s.abandon(claimNo, n, sol.Status)
+		s.abandon(wid, claimNo, n, sol.Status)
 		return nil
 	}
 
@@ -761,9 +737,9 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 	inc, haveInc := s.incumbentObj()
 	if cutoff || haveInc && !s.better(obj, inc) {
 		if cutoff {
-			s.stats.lpCutoffs.Add(1)
+			st.LPCutoffs++
 		}
-		s.stats.prunedBound.Add(1)
+		st.PrunedBound++
 		s.emitNode(claimNo, n.depth, "bound", obj, cutoff)
 		return nil
 	}
@@ -771,20 +747,20 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 	v, scored := s.branchVar(sol.X)
 	if v < 0 {
 		// Integral: new incumbent.
-		s.stats.integral.Add(1)
+		st.Integral++
 		s.emitNode(claimNo, n.depth, "integral", obj, false)
 		s.offerIncumbent(obj, sol.X)
 		return nil
 	}
 	if scored {
-		s.stats.pseudocostBranches.Add(1)
+		st.PseudocostBranches++
 	}
 
 	if claimed == 1 || claimed%heurEvery == 0 {
 		heurNs = s.tryRound(wid, n.lo, n.hi, sol.X, sol.Basis)
 	}
 
-	s.stats.nodesBranched.Add(1)
+	st.NodesBranched++
 	s.emitNode(claimNo, n.depth, "branched", obj, false)
 
 	// Branch: child bounds inherit the node's LP bound, and — the warm
@@ -807,12 +783,10 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 		}
 		pruned := false
 		if s.props != nil && !s.propagate(wid, v, c.lo, c.hi) {
-			s.stats.propagationPrunes.Add(1)
-			cPropagationCuts.Inc()
+			st.PropagationPrunes++
 			pruned = true
 		} else if s.budget != nil && s.capByBudget(c) {
-			s.stats.budgetPrunes.Add(1)
-			cBudgetPrunes.Inc()
+			st.BudgetPrunes++
 			pruned = true
 		}
 		if pruned {
@@ -912,10 +886,6 @@ func (m *Model) prepare(p *Params) (*plan, error) {
 		presolveStart := time.Now()
 		pl.pres = presolve(m, p.IntTol)
 		pl.presolveNs = time.Since(presolveStart).Nanoseconds()
-		cPresolveFixed.Add(pl.pres.fixedVars)
-		cPresolveRows.Add(pl.pres.removedRows)
-		cPresolveBounds.Add(pl.pres.tightenedBounds)
-		cPresolveCoefs.Add(pl.pres.tightenedCoefs)
 		if !pl.pres.infeasible {
 			pl.sm = pl.pres.model
 		}
@@ -944,6 +914,7 @@ func newSearch(m *Model, p Params, pl *plan, start time.Time) *search {
 		maximize: sm.sense == Maximize,
 		objConst: sm.obj.Const,
 		start:    start,
+		pl:       pl,
 		tracer:   p.Tracer,
 		timed:    p.Tracer != nil || p.OnProgress != nil || p.Timing,
 		probs:    make([]*lp.Problem, workers),
@@ -974,13 +945,6 @@ func newSearch(m *Model, p Params, pl *plan, start time.Time) *search {
 		if t != Continuous {
 			s.intVars = append(s.intVars, Var(v))
 		}
-	}
-	s.stats.presolveNs = pl.presolveNs
-	if pres := pl.pres; pres != nil {
-		s.stats.presolveFixedVars = pres.fixedVars
-		s.stats.presolveRemovedRows = pres.removedRows
-		s.stats.presolveTightenedBounds = pres.tightenedBounds
-		s.stats.presolveTightenedCoefs = pres.tightenedCoefs
 	}
 
 	if s.tracer != nil {
@@ -1013,6 +977,7 @@ func newSearch(m *Model, p Params, pl *plan, start time.Time) *search {
 	if pl.infeasible() {
 		return s
 	}
+	s.wstats = make([]workerAcc, workers)
 
 	if pl.pres != nil {
 		s.post = pl.pres.post
@@ -1044,7 +1009,7 @@ func newSearch(m *Model, p Params, pl *plan, start time.Time) *search {
 	s.pubBound[0].Store(math.Float64bits(s.toObj(-inf)))
 	s.outstanding.Store(1)
 	s.openCount.Store(1)
-	s.stats.maxOpen.Store(1)
+	s.maxOpen.Store(1)
 	return s
 }
 
@@ -1085,8 +1050,6 @@ func (s *search) seedHints() {
 // the watcher, then the sampler — so a cancelled solve leaks no goroutine
 // and solve_end is always the trace's final event.
 func (s *search) runPool(ctx context.Context) error {
-	s.wstats = make([]workerAcc, s.workers)
-
 	// A context that is already dead halts the search before any node is
 	// claimed instead of racing the watcher goroutine's first wake-up.
 	if ctx.Err() != nil {
@@ -1154,39 +1117,44 @@ func (s *search) runPool(ctx context.Context) error {
 	return nil
 }
 
-// fold turns the quiescent search state into the Result: the stats
-// snapshot with the per-worker shares, the final bound, the status, the
-// incumbent mapped back to the caller's variable space, and solve_end.
+// fold turns the quiescent search state into the Result — the workers'
+// stats summed, with the solve-wide figures and the per-worker shares, the
+// final bound, the status, the incumbent mapped back to the caller's
+// variable space — then adds its counters to the process-wide ones and
+// writes solve_end.
 func (s *search) fold() *Result {
+	var stats Stats
+	for i := range s.wstats {
+		add(&stats, &s.wstats[i].stats)
+	}
+	stats.MaxOpen = s.maxOpen.Load()
+	stats.IncumbentUpdates = s.inc.updates.Load()
+	stats.PresolveNs = s.pl.presolveNs
+	if pres := s.pl.pres; pres != nil {
+		stats.PresolveFixedVars = pres.fixedVars
+		stats.PresolveRemovedRows = pres.removedRows
+		stats.PresolveTightenedBounds = pres.tightenedBounds
+		stats.PresolveTightenedCoefs = pres.tightenedCoefs
+	}
 	// Idle is the remainder of the worker's wall clock, so the three shares
 	// always sum to the whole. An unobserved solve has no wall clocks to
 	// attribute, and a solve that never started its pool has no workers, so
 	// neither publishes a per-worker summary.
-	stats := s.stats.snapshot()
 	if s.timed && len(s.wstats) > 0 {
 		stats.PerWorker = make([]WorkerStats, len(s.wstats))
-		var busyTot, waitTot, idleTot int64
 		for i := range s.wstats {
 			a := &s.wstats[i]
 			stats.PerWorker[i] = WorkerStats{
 				Nodes:       a.nodes.Load(),
 				BusyNs:      a.busyNs.Load(),
 				QueueWaitNs: a.waitNs.Load(),
-				WallNs:      a.wallNs.Load(),
-				Steals:      a.steals.Load(),
-				StolenNodes: a.stolenNodes.Load(),
+				WallNs:      a.wallNs,
+				Steals:      a.stats.Steals,
+				StolenNodes: a.stats.StolenNodes,
 			}
 			w := &stats.PerWorker[i]
-			if idle := w.WallNs - w.BusyNs - w.QueueWaitNs; idle > 0 {
-				w.IdleNs = idle
-			}
-			busyTot += w.BusyNs
-			waitTot += w.QueueWaitNs
-			idleTot += w.IdleNs
+			w.IdleNs = max(w.WallNs-w.BusyNs-w.QueueWaitNs, 0)
 		}
-		cWorkerBusyNs.Add(busyTot)
-		cWorkerWaitNs.Add(waitTot)
-		cWorkerIdleNs.Add(idleTot)
 	}
 
 	incObj, haveInc := s.incumbentObj() // without one, the sentinel verbatim
@@ -1226,60 +1194,28 @@ func (s *search) fold() *Result {
 	}
 	res.Runtime = time.Since(s.start)
 
+	count(&res.Stats)
 	s.emitSolveEnd(res)
 	return res
 }
 
-// emitSolveEnd writes the trace's final event, mirroring the Result.
+// emitSolveEnd writes the trace's final event, mirroring the Result: every
+// Stats counter under its trace tag.
 func (s *search) emitSolveEnd(res *Result) {
 	if s.tracer == nil {
 		return
 	}
 	f := obs.F{
-		"status":              res.Status.String(),
-		"nodes":               res.Nodes,
-		"runtime_s":           res.Runtime.Seconds(),
-		"lp_solves":           res.Stats.LPSolves,
-		"lp_iters":            res.Stats.LPIterations,
-		"incumbents":          res.Stats.IncumbentUpdates,
-		"max_open":            res.Stats.MaxOpen,
-		"warm_starts":         res.Stats.WarmStarts,
-		"warm_iters":          res.Stats.WarmIters,
-		"cold_fallbacks":      res.Stats.ColdFallbacks,
-		"presolve_fixed":      res.Stats.PresolveFixedVars,
-		"presolve_rows":       res.Stats.PresolveRemovedRows,
-		"presolve_bounds":     res.Stats.PresolveTightenedBounds,
-		"propagation_prunes":  res.Stats.PropagationPrunes,
-		"budget_prunes":       res.Stats.BudgetPrunes,
-		"pseudocost_branches": res.Stats.PseudocostBranches,
-		"lp_cutoffs":          res.Stats.LPCutoffs,
-		"lp_objlimit_stops":   res.Stats.LPObjLimitStops,
-		"presolve_ns":         res.Stats.PresolveNs,
-		"lp_warm_ns":          res.Stats.LPWarmNs,
-		"lp_cold_ns":          res.Stats.LPColdNs,
-		"heur_ns":             res.Stats.HeurNs,
-		"branch_ns":           res.Stats.BranchNs,
-		"queue_pop_ns":        res.Stats.QueuePopNs,
-		"queue_pops":          res.Stats.QueuePops,
-		"queue_push_ns":       res.Stats.QueuePushNs,
-		"queue_pushes":        res.Stats.QueuePushes,
-		"steals":              res.Stats.Steals,
-		"failed_steals":       res.Stats.FailedSteals,
-		"stolen_nodes":        res.Stats.StolenNodes,
-		"steal_ns":            res.Stats.StealNs,
+		"status":    res.Status.String(),
+		"nodes":     res.Nodes,
+		"runtime_s": res.Runtime.Seconds(),
 	}
+	putTrace(f, &res.Stats)
 	if len(res.Stats.PerWorker) > 0 {
 		pw := make([]obs.F, len(res.Stats.PerWorker))
-		for i, w := range res.Stats.PerWorker {
-			pw[i] = obs.F{
-				"nodes":        w.Nodes,
-				"busy_ns":      w.BusyNs,
-				"wait_ns":      w.QueueWaitNs,
-				"idle_ns":      w.IdleNs,
-				"wall_ns":      w.WallNs,
-				"steals":       w.Steals,
-				"stolen_nodes": w.StolenNodes,
-			}
+		for i := range pw {
+			pw[i] = obs.F{}
+			putTrace(pw[i], &res.Stats.PerWorker[i])
 		}
 		f["per_worker"] = pw
 	}

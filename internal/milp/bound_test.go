@@ -201,7 +201,6 @@ func TestAbandonedNodeKeepsBoundOpen(t *testing.T) {
 		t.Fatalf("prepare: %v", err)
 	}
 	s := newSearch(m, p, pl, time.Now())
-	s.wstats = make([]workerAcc, 1) // as runPool does before the workers start
 	s.offerIncumbent(10, []float64{10})
 	if root, _ := s.claim(0); root == nil {
 		t.Fatal("no root to claim")
@@ -211,7 +210,7 @@ func TestAbandonedNodeKeepsBoundOpen(t *testing.T) {
 	if child == nil {
 		t.Fatal("the child at relaxation 15 was not claimed under incumbent 10")
 	}
-	s.abandon(claimNo, child, lp.NumericalFailure)
+	s.abandon(0, claimNo, child, lp.NumericalFailure)
 	s.publish(0, nil)
 
 	res := s.fold()

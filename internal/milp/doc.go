@@ -17,8 +17,8 @@
 // dual bound passes the incumbent. The LP core underneath is package lp's
 // sparse revised simplex, the only one: branch and bound sees only
 // Solve/SolveFrom and Solution.Basis, and abandons a node whose LP ends
-// IterLimit or NumericalFailure with its bound kept open. Warm-start
-// accounting (Stats.WarmStarts, Stats.WarmIters, Stats.ColdFallbacks)
-// rides on Result.Stats next to the LP and prune counters. DESIGN.md §2.14
-// covers the scheduler, §2.8 the warm starts.
+// IterLimit or NumericalFailure with its bound kept open. Each worker counts
+// its own work into a plain Stats, and Result.Stats is their sum; a Stats
+// field's tags name its solve_end key and process counter. DESIGN.md §2.14
+// covers the scheduler, §2.8 the warm starts, §2.6 the counters.
 package milp

@@ -31,9 +31,9 @@ type incumbent struct {
 	// allocation per install.
 	x atomic.Pointer[[]float64]
 
-	// seq counts published installs; readers can use it as a cheap
-	// version check to skip re-copying an unchanged point.
-	seq atomic.Uint64
+	// updates counts published installs: Stats.IncumbentUpdates, which
+	// Progress.Incumbents reads live.
+	updates atomic.Int64
 
 	// mu serializes installs (x swap, stats, trace emit) only. The CAS on
 	// bits decides winners outside it, so fathoming and losing offers
@@ -94,8 +94,7 @@ func (s *search) offerIncumbent(obj float64, x []float64) {
 	if s.inc.bits.Load() == objBits {
 		cp := append([]float64(nil), x...)
 		s.inc.x.Store(&cp)
-		s.inc.seq.Add(1)
-		s.stats.incumbentUpdates.Add(1)
+		s.inc.updates.Add(1)
 		cIncumbents.Inc()
 		if s.tracer != nil {
 			f := obs.F{"obj": obj, "nodes": int(s.nodes.Load())}

@@ -375,13 +375,19 @@ func atomicAddCost(p *int64) {
 	atomic.AddInt64(p, 1)
 }
 
+//go:noinline
+func plainAddCost(p *int64) {
+	*p++
+}
+
 // TestNilTracerOverhead is the benchmark-guarded regression test for the
 // nil-tracer fast path: the cost an unobserved node pays for the
 // observability hooks must stay under 2% of per-node solve time. The
 // hooks are (a) the nil-tracer branch at each emit site, (b) the s.timed
 // branch at each clock-read site (the clock reads and histogram observes
-// themselves are gated off), and (c) a few always-on atomic counter adds
-// (per-worker node count, queue pop/push counts). Measured directly
+// themselves are gated off), (c) the always-on atomic add of the per-worker
+// node count the sampler reads, and (d) the queue pop/push counts, plain
+// writes to the worker's own Stats. Measured directly
 // (primitive cost × sites per node vs. per-node solve time) rather than by
 // comparing two full solves, which would drown the signal in scheduler
 // noise.
@@ -430,14 +436,20 @@ func TestNilTracerOverhead(t *testing.T) {
 	}
 	add := time.Since(start).Seconds() / addIters
 
+	start = time.Now()
+	for i := 0; i < addIters; i++ {
+		plainAddCost(&counter)
+	}
+	plain := time.Since(start).Seconds() / addIters
+
 	// A node touches at most a handful of emit sites (claim, outcome,
 	// incumbent, heuristic) — call it 8 to be safe — plus the timing
 	// guards in claim, publish, process, solveLP, and tryRound (again 8 to
-	// be safe) and 3 uncontended atomic adds (Workers=1 here).
-	const guardsPerNode, timedPerNode, addsPerNode = 8, 8, 3
-	overhead := (guardsPerNode*guard + timedPerNode*tguard + addsPerNode*add) / perNode
-	t.Logf("per-node %.3gs, emit guard %.3gns, timed guard %.3gns, atomic add %.3gns, overhead %.4f%%",
-		perNode, guard*1e9, tguard*1e9, add*1e9, overhead*100)
+	// be safe), 1 uncontended atomic add (Workers=1 here) and 2 plain adds.
+	const guardsPerNode, timedPerNode, addsPerNode, plainPerNode = 8, 8, 1, 2
+	overhead := (guardsPerNode*guard + timedPerNode*tguard + addsPerNode*add + plainPerNode*plain) / perNode
+	t.Logf("per-node %.3gs, emit guard %.3gns, timed guard %.3gns, atomic add %.3gns, plain add %.3gns, overhead %.4f%%",
+		perNode, guard*1e9, tguard*1e9, add*1e9, plain*1e9, overhead*100)
 	if overhead > 0.02 {
 		t.Fatalf("unobserved-solve instrumentation overhead %.2f%% exceeds 2%% budget", overhead*100)
 	}

@@ -188,29 +188,25 @@ func (s *search) stealScan(id int) []*node {
 }
 
 // stealFrom performs one steal attempt for claim, with accounting:
-// successful steals tick the worker and solve counters and feed the
-// steal-latency histogram; a full scan of empty victims counts as a
-// failed steal (the signal that the search is in its starved tail).
+// successful steals tick the worker's counters and feed the steal-latency
+// histogram; a full scan of empty victims counts as a failed steal (the
+// signal that the search is in its starved tail).
 func (s *search) stealFrom(id int) bool {
 	var t0 time.Time
 	if s.timed {
 		t0 = time.Now()
 	}
+	st := &s.wstats[id].stats
 	batch := s.stealScan(id)
 	if len(batch) == 0 {
-		s.stats.failedSteals.Add(1)
-		cFailedSteals.Inc()
+		st.FailedSteals++
 		return false
 	}
-	s.stats.steals.Add(1)
-	s.stats.stolenNodes.Add(int64(len(batch)))
-	s.wstats[id].steals.Add(1)
-	s.wstats[id].stolenNodes.Add(int64(len(batch)))
-	cSteals.Inc()
-	cStolenNodes.Add(int64(len(batch)))
+	st.Steals++
+	st.StolenNodes += int64(len(batch))
 	if s.timed {
 		ns := time.Since(t0).Nanoseconds()
-		s.stats.stealNs.Add(ns)
+		st.StealNs += ns
 		hSteal.Observe(ns)
 	}
 	return true
@@ -256,7 +252,7 @@ func (s *search) claim(id int) (n *node, claimNo int) {
 				// queuePopNs+queuePushNs to cover the summed worker wait
 				// share. The latency histogram stays successful-claims-only
 				// so its percentiles mean pop latency.
-				s.stats.queuePopNs.Add(ns)
+				acc.stats.QueuePopNs += ns
 				if n != nil {
 					hQueuePop.Observe(ns)
 				}
@@ -308,9 +304,9 @@ func (s *search) claim(id int) (n *node, claimNo int) {
 			byRelax := !s.better(n.relax, inc)
 			if byRelax || s.boundMet(inc) {
 				if !byRelax {
-					s.stats.boundPrunes.Add(1)
+					acc.stats.BoundPrunes++
 				}
-				s.stats.prePruned.Add(1)
+				acc.stats.PrePruned++
 				s.pools[id].put(n.lo)
 				s.pools[id].put(n.hi)
 				s.outstanding.Add(-1)
@@ -340,7 +336,7 @@ func (s *search) claim(id int) (n *node, claimNo int) {
 		s.inflight.Add(1)
 		cNodes.Inc()
 		acc.nodes.Add(1)
-		s.stats.queuePops.Add(1)
+		acc.stats.QueuePops++
 		return n, claimNo
 	}
 }
@@ -362,8 +358,8 @@ func (s *search) publish(id int, children []*node) {
 	if k := int64(len(children)); k > 0 {
 		cur := s.openCount.Add(k)
 		for {
-			old := s.stats.maxOpen.Load()
-			if cur <= old || s.stats.maxOpen.CompareAndSwap(old, cur) {
+			old := s.maxOpen.Load()
+			if cur <= old || s.maxOpen.CompareAndSwap(old, cur) {
 				break
 			}
 		}
@@ -371,11 +367,12 @@ func (s *search) publish(id int, children []*node) {
 	s.pubBound[id].Store(math.Float64bits(s.localBest(id)))
 	s.inflight.Add(-1)
 	s.outstanding.Add(int64(len(children)) - 1)
-	s.stats.queuePushes.Add(1)
+	acc := &s.wstats[id]
+	acc.stats.QueuePushes++
 	if s.timed {
 		ns := time.Since(pushStart).Nanoseconds()
-		s.wstats[id].waitNs.Add(ns)
-		s.stats.queuePushNs.Add(ns)
+		acc.waitNs.Add(ns)
+		acc.stats.QueuePushNs += ns
 		hQueuePush.Observe(ns)
 	}
 }
