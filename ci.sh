@@ -21,6 +21,8 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+# go vet's copylocks check is the repository's mutex-copy check: a
+# sync.Mutex, RWMutex or WaitGroup received or passed by value fails here.
 go vet ./...
 go build ./...
 
@@ -29,10 +31,11 @@ go build ./...
 # global or environment variable) to pick another, a worker count is one
 # `Workers` budget per layer split by conc.Split — no routing policy, no
 # second per-solve field — and each solver counter is declared once, as a
-# tagged milp.Stats field, with no shadow accumulator. The grep reads
-# _test.go files too, on purpose.
-if grep -rn 'QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel\|statsAcc' --include='*.go' --exclude-dir=.bench_build .; then
-	echo "ci: retired solver knob referenced above" >&2
+# tagged milp.Stats field, with no shadow accumulator. The five lint rules
+# that never fired are gone too, so a fixture marker or allow directive
+# naming one is stale. The grep reads _test.go files too, on purpose.
+if grep -rn 'QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel\|statsAcc\|lock-order\|goroutine-leak\|ctx-first\|mutex-value\|tracer-guard' --include='*.go' --exclude-dir=.bench_build .; then
+	echo "ci: retired solver knob or lint rule referenced above" >&2
 	exit 1
 fi
 
@@ -46,13 +49,14 @@ if go tool nm "$tmp/raha" | grep -q 'lp\.solveDense\|lp\.(\*tableau)'; then
 fi
 
 # Project-specific analyzer suite (cmd/raha-lint → internal/lint): five
-# style rules (float equality, wall-clock or randomness in solver loops,
-# context placement, mutex copies, unguarded tracer Emits) plus five
-# cross-function concurrency rules (atomic-mix, lock-order, goroutine-leak,
-# hot-alloc, err-drop). Runs over the full tree including _test.go files;
-# any finding fails the build (suppressions need a //raha:lint-allow with a
-# reason). -json keeps a machine-readable record on stdout while the
-# file:line findings still land on stderr for the failure log.
+# rules — float-cmp, hot-loop-time (wall-clock or randomness in solver
+# loops), atomic-mix (a field reached both atomically and plainly,
+# whole-program), hot-alloc (allocation sites in solver loops) and err-drop.
+# Mutex copies are go vet's, above. Runs over the full tree including
+# _test.go files; any finding fails the build (suppressions need a
+# //raha:lint-allow with a reason). -json keeps a machine-readable record on
+# stdout while the file:line findings still land on stderr for the failure
+# log.
 go run ./cmd/raha-lint -json ./... >/dev/null
 
 # -shuffle=on randomizes test order within each package so inter-test state

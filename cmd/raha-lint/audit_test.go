@@ -9,7 +9,7 @@ import (
 // TestTreeCleanAndDirectiveAudit is the dogfood gate and the allow-directive
 // audit in one pass over the real tree:
 //
-//   - the repository must be clean under all ten rules (a finding here is a
+//   - the repository must be clean under all five rules (a finding here is a
 //     regression — fix it or, with a reviewed reason, suppress it);
 //   - every //raha:lint-allow directive must name an existing rule, carry a
 //     non-empty reason, and actually suppress a finding — a stale directive

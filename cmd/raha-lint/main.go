@@ -6,19 +6,8 @@
 //	                or compare against a tolerance.
 //	hot-loop-time   no time.* or math/rand calls inside loops of the solver
 //	                packages (internal/lp, internal/milp).
-//	ctx-first       context.Context, when a function takes one, is the
-//	                first parameter.
-//	mutex-value     no sync.Mutex / sync.RWMutex / sync.WaitGroup received
-//	                or passed by value.
-//	tracer-guard    calls to an obs.Tracer-shaped interface's Emit are nil
-//	                guarded — nil is the documented "tracing off" value.
 //	atomic-mix      a field accessed via sync/atomic anywhere must never be
 //	                accessed plainly elsewhere (whole-program, via facts).
-//	lock-order      the interprocedural mutex-acquisition graph must be
-//	                acyclic; any cycle is a potential deadlock.
-//	goroutine-leak  every go statement needs a visible lifetime bound:
-//	                WaitGroup Done, channel receive, ctx.Done, or a joined
-//	                close.
 //	hot-alloc       no allocation sites (make/new, growing append,
 //	                composite literals, closures) inside loops of the
 //	                solver packages.
@@ -37,7 +26,8 @@
 // -json writes a machine-readable report to stdout (stable finding IDs,
 // paths relative to the working directory) and, when findings exist, the
 // human-readable file:line lines to stderr so CI logs stay greppable.
-// -rules restricts the run to a comma-separated subset of the rules above.
+// -rules restricts the run to a comma-separated subset of the rules above;
+// a repeated name runs once, and a list that names no rule is an error.
 //
 // Exit status is 0 when clean, 1 when findings were reported, 2 when the
 // packages failed to load or type-check. Implemented entirely with the

@@ -93,10 +93,9 @@ func compare(t *testing.T, findings []lint.Finding, want []marker) {
 	}
 }
 
-// legacyRules are the five original single-pass rules; the legacy fixture
-// corpus is asserted against exactly these (the newer rules have their own
-// fixture packages).
-var legacyRules = []string{"float-cmp", "hot-loop-time", "ctx-first", "mutex-value", "tracer-guard"}
+// legacyRules are the two single-file rules the legacy fixture corpus is
+// asserted against (the other rules have their own fixture packages).
+var legacyRules = []string{"float-cmp", "hot-loop-time"}
 
 // TestFixture lints the legacy fixture corpus twice: once under its real
 // import path, where the hot-loop-time rule is dormant (it only applies to

@@ -16,42 +16,6 @@ func TestAtomicMixFixture(t *testing.T) {
 	compare(t, run(t, pkgs, "atomic-mix").Findings, collectMarkers(t, pkgs))
 }
 
-func TestLockOrderFixture(t *testing.T) {
-	p := loadOne(t, "./testdata/src/lockorder")
-	pkgs := []*lint.Package{p}
-	compare(t, run(t, pkgs, "lock-order").Findings, collectMarkers(t, pkgs))
-}
-
-// TestLockOrderCrossPackage is the fact-propagation case: package a
-// acquires MuA→MuB, package b acquires MuB→MuA. Neither package alone has
-// a cycle; the two-package run must report exactly one.
-func TestLockOrderCrossPackage(t *testing.T) {
-	pkgs := loadPkgs(t, "./testdata/src/lockcross/...")
-	if len(pkgs) != 2 {
-		t.Fatalf("loaded %d packages, want 2", len(pkgs))
-	}
-	res := run(t, pkgs, "lock-order")
-	compare(t, res.Findings, collectMarkers(t, pkgs))
-	if len(res.Findings) != 1 {
-		t.Fatalf("cross-package cycle reported %d findings, want exactly 1", len(res.Findings))
-	}
-
-	// And each package alone must stay silent: the cycle does not exist on
-	// either side of the boundary.
-	for _, p := range pkgs {
-		solo := run(t, []*lint.Package{p}, "lock-order")
-		if len(solo.Findings) != 0 {
-			t.Errorf("package %s alone reported %d lock-order findings, want 0", p.Path, len(solo.Findings))
-		}
-	}
-}
-
-func TestGoroutineLeakFixture(t *testing.T) {
-	p := loadOne(t, "./testdata/src/goroleak")
-	pkgs := []*lint.Package{p}
-	compare(t, run(t, pkgs, "goroutine-leak").Findings, collectMarkers(t, pkgs))
-}
-
 // TestHotAllocFixture masquerades the fixture as internal/milp, the same
 // trick the legacy hot-loop-time corpus uses: the rule is dormant
 // elsewhere.
@@ -75,16 +39,48 @@ func TestErrDropFixture(t *testing.T) {
 	compare(t, run(t, pkgs, "err-drop").Findings, collectMarkers(t, pkgs))
 }
 
-// TestRulesFilter pins -rules semantics: an unknown rule is an error, and a
-// subset runs only that subset.
+// TestRulesFilter pins -rules semantics: an unknown rule is an error, a
+// subset runs only that subset, a repeated name runs once, and a list that
+// names no rule (`-rules ,`) is an error rather than the whole suite.
 func TestRulesFilter(t *testing.T) {
 	p := loadOne(t, "./testdata/src/errdrop")
-	if _, err := lint.Run([]*lint.Package{p}, []string{"no-such-rule"}); err == nil {
+	pkgs := []*lint.Package{p}
+	if _, err := lint.Run(pkgs, []string{"no-such-rule"}); err == nil {
 		t.Error("unknown rule name did not error")
 	}
-	res := run(t, []*lint.Package{p}, "float-cmp")
+	res := run(t, pkgs, "float-cmp")
 	if len(res.Findings) != 0 {
 		t.Errorf("float-cmp-only run on the errdrop fixture found %d findings, want 0", len(res.Findings))
+	}
+	once, twice := run(t, pkgs, "err-drop"), run(t, pkgs, "err-drop", "err-drop")
+	if len(once.Findings) == 0 || len(twice.Findings) != len(once.Findings) {
+		t.Errorf("-rules err-drop,err-drop found %d findings, -rules err-drop %d", len(twice.Findings), len(once.Findings))
+	}
+	if _, err := lint.Run(pkgs, []string{"", ""}); err == nil {
+		t.Error("-rules , named no rule and did not error")
+	}
+}
+
+// TestEveryRuleHasAFixture keeps the rule list and the fixture corpus in
+// step: every registered rule has at least one want marker under
+// testdata/src, and every marker names a registered rule.
+func TestEveryRuleHasAFixture(t *testing.T) {
+	markers := collectMarkers(t, loadPkgs(t, "./testdata/src/..."))
+	marked := map[string]bool{}
+	for _, m := range markers {
+		marked[m.rule] = true
+	}
+	known := map[string]bool{}
+	for _, name := range lint.RuleNames() {
+		known[name] = true
+		if !marked[name] {
+			t.Errorf("rule %s has no want marker under testdata/src", name)
+		}
+	}
+	for _, m := range markers {
+		if !known[m.rule] {
+			t.Errorf("%s: marker names unregistered rule %q", m, m.rule)
+		}
 	}
 }
 

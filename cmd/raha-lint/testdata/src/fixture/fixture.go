@@ -1,22 +1,12 @@
-// Package fixture is the raha-lint test corpus: every rule has at least
-// one deliberate violation and one legal near-miss. Lines that must be
-// flagged carry a trailing marker comment naming the rule (the word "want",
-// a colon, the rule); the linter's tests compare its findings against these
-// markers, so the file must compile but is never imported.
+// Package fixture is the raha-lint test corpus for the two single-file
+// rules, float-cmp and hot-loop-time: each has deliberate violations and
+// legal near-misses (the other rules have a fixture package each). Lines
+// that must be flagged carry a trailing marker comment naming the rule (the
+// word "want", a colon, the rule); the linter's tests compare its findings
+// against these markers, so the file must compile but is never imported.
 package fixture
 
-import (
-	"context"
-	"math/rand"
-	"sync"
-	"time"
-)
-
-// Tracer mirrors the obs.Tracer shape: any interface with an Emit method
-// is subject to the tracer-guard rule.
-type Tracer interface {
-	Emit(layer, ev string, fields map[string]any)
-}
+import "time"
 
 // --- float-cmp ---------------------------------------------------------------
 
@@ -55,101 +45,3 @@ func notSolverLoop() time.Duration {
 	}
 	return total
 }
-
-// --- ctx-first ---------------------------------------------------------------
-
-func ctxSecond(name string, ctx context.Context) error { // want:ctx-first
-	_ = name
-	<-ctx.Done()
-	return ctx.Err()
-}
-
-func ctxFirst(ctx context.Context, name string) error { // legal
-	_ = name
-	return ctx.Err()
-}
-
-func noCtx(a, b int) int { return a + b } // legal
-
-var ctxLit = func(n int, ctx context.Context) { _ = n } // want:ctx-first
-
-// --- mutex-value -------------------------------------------------------------
-
-type lockedCounter struct {
-	mu sync.Mutex
-	n  int
-}
-
-func byValue(mu sync.Mutex) { // want:mutex-value
-	mu.Lock()
-}
-
-func structByValue(c lockedCounter) int { // want:mutex-value
-	return c.n
-}
-
-func byPointer(mu *sync.Mutex, c *lockedCounter) { // legal
-	mu.Lock()
-	defer mu.Unlock()
-	c.n++
-}
-
-func (c lockedCounter) valueReceiver() int { // want:mutex-value
-	return c.n
-}
-
-func (c *lockedCounter) pointerReceiver() int { // legal
-	return c.n
-}
-
-func wgByValue(wg sync.WaitGroup) { // want:mutex-value
-	wg.Wait()
-}
-
-// --- tracer-guard ------------------------------------------------------------
-
-type solver struct {
-	tracer Tracer
-}
-
-func (s *solver) unguarded() {
-	s.tracer.Emit("fixture", "ev", nil) // want:tracer-guard
-}
-
-func (s *solver) wrapped() {
-	if s.tracer != nil {
-		s.tracer.Emit("fixture", "ev", nil) // legal: enclosing guard
-	}
-}
-
-func (s *solver) earlyReturn() {
-	if s.tracer == nil {
-		return
-	}
-	s.tracer.Emit("fixture", "ev", nil) // legal: early-return guard
-}
-
-func (s *solver) guardAfter() {
-	s.tracer.Emit("fixture", "ev", nil) // want:tracer-guard
-	if s.tracer == nil {
-		return // the guard below the call does not help the call above it
-	}
-}
-
-func initGuard(mk func() Tracer) {
-	if tr := mk(); tr != nil {
-		tr.Emit("fixture", "ev", nil) // legal: if-init guard
-	}
-}
-
-func concreteEmit() {
-	var c emitter
-	c.Emit("fixture", "ev", nil) // legal: concrete type, not a nilable interface
-}
-
-type emitter struct{}
-
-func (emitter) Emit(layer, ev string, fields map[string]any) {}
-
-// seed the loop variables so the file has no unused symbols
-var _ = rand.Int

@@ -12,9 +12,10 @@ import (
 // is accessed through sync/atomic anywhere in the program must never be
 // read or written plainly anywhere else. One plain load racing one atomic
 // store is a data race the race detector only catches when a test happens
-// to schedule it; this rule catches it structurally. It guards the CAS
-// float-bit pseudocosts, the lock-free histograms, and the per-worker
-// search stats.
+// to schedule it; this rule catches it structurally. The histograms and the
+// search stats have moved to typed atomics or owner-only writes; what it
+// still guards is milp/pseudocost.go, whose slice elements are updated with
+// function-style atomics (the CAS float-bit pseudocosts).
 //
 // Access taxonomy, per field (fieldKey):
 //
@@ -41,8 +42,7 @@ import (
 // opaque case above.
 var ruleAtomicMix = &Rule{
 	Name: "atomic-mix",
-	Doc:  "a field accessed via sync/atomic anywhere must never be accessed plainly elsewhere",
-	New: func(p *Pass) (func(*ast.File), func()) {
+	New: func(p *Pass) func(*ast.File) {
 		facts := atomicMixFacts(p.Prog)
 		return func(f *ast.File) {
 			// Pass 1: classify the arguments of sync/atomic calls and every
@@ -99,7 +99,7 @@ var ruleAtomicMix = &Rule{
 				}
 				return true
 			})
-		}, nil
+		}
 	},
 	Join: func(prog *Program) {
 		facts := atomicMixFacts(prog)

@@ -26,8 +26,7 @@ import (
 // only direct call statements are examined.
 var ruleErrDrop = &Rule{
 	Name: "err-drop",
-	Doc:  "no discarded error results outside tests; assign to _ if the drop is deliberate",
-	New: func(p *Pass) (func(*ast.File), func()) {
+	New: func(p *Pass) func(*ast.File) {
 		return func(f *ast.File) {
 			if strings.HasSuffix(p.Position(f.Pos()).Filename, "_test.go") {
 				return
@@ -51,7 +50,7 @@ var ruleErrDrop = &Rule{
 					"result of %s includes an error that is silently discarded; handle it or assign to _", callName(call))
 				return true
 			})
-		}, nil
+		}
 	},
 }
 

@@ -34,10 +34,9 @@ import (
 // allocations inside callees.
 var ruleHotAlloc = &Rule{
 	Name: "hot-alloc",
-	Doc:  "no allocation sites inside loops of internal/lp and internal/milp",
-	New: func(p *Pass) (func(*ast.File), func()) {
+	New: func(p *Pass) func(*ast.File) {
 		if !solverPkgs[p.Pkg.Path] {
-			return nil, nil
+			return nil
 		}
 		return func(f *ast.File) {
 			if strings.HasSuffix(p.Position(f.Pos()).Filename, "_test.go") {
@@ -80,7 +79,7 @@ var ruleHotAlloc = &Rule{
 					p.Report(n.Pos(), "closure created inside a loop of %s; hoist it out of the loop", p.Pkg.Path)
 				}
 			})
-		}, nil
+		}
 	},
 }
 

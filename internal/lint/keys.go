@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/types"
 
 // Cross-package facts cannot key on types.Object identity: each lint target
 // is type-checked in its own universe, so the same field seen from two
@@ -39,46 +36,6 @@ func fieldKey(sel *types.Selection) string {
 	return pkg + "." + owner + "." + f.Name()
 }
 
-// varKey returns the stable key of a package-level variable, or "" for
-// anything else (locals are not nameable across packages).
-func varKey(v *types.Var) string {
-	if v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
-		return ""
-	}
-	return v.Pkg().Path() + "." + v.Name()
-}
-
-// funcKey returns the stable cross-package key of a function or method:
-// types.Func.FullName(), e.g. "(*raha/internal/milp.search).claim".
-func funcKey(fn *types.Func) string { return fn.FullName() }
-
-// calleeFunc resolves a call expression to the *types.Func it statically
-// invokes (package function or method), or nil for anything dynamic:
-// function values, interface methods, conversions, builtins.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := info.Uses[fun].(*types.Func); ok {
-			return f
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			if sel.Kind() == types.MethodVal {
-				if _, ok := sel.Recv().Underlying().(*types.Interface); ok {
-					return nil // dynamic dispatch
-				}
-				return sel.Obj().(*types.Func)
-			}
-			return nil
-		}
-		// Qualified identifier: pkg.Func.
-		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return f
-		}
-	}
-	return nil
-}
-
 // underStruct returns t's underlying struct, looking through one level of
 // pointer, or nil.
 func underStruct(t types.Type) *types.Struct {
@@ -97,14 +54,4 @@ func namedOf(t types.Type) *types.Named {
 	}
 	n, _ := t.(*types.Named)
 	return n
-}
-
-// isNamed reports whether t (through one pointer) is the named type
-// pkg.name.
-func isNamed(t types.Type, pkg, name string) bool {
-	n := namedOf(t)
-	if n == nil || n.Obj().Pkg() == nil {
-		return false
-	}
-	return n.Obj().Pkg().Path() == pkg && n.Obj().Name() == name
 }

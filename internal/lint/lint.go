@@ -10,11 +10,15 @@
 //     always analyzed before it.
 //   - Each rule gets a Pass per package (shared type info, thread-safe
 //     Report) and visits the package's files in parallel.
-//   - Rules that reason across function and package boundaries export
-//     facts — rule-private records keyed by stable object keys (see
-//     ObjKey/FuncKey) — into the Program, and join them once every package
-//     has been analyzed (Rule.Join). Lock-order graphs, atomic access
-//     maps, and goroutine join evidence all cross packages this way.
+//   - A rule that reasons across package boundaries exports facts —
+//     rule-private records keyed by stable strings (see fieldKey) — into
+//     the Program, and joins them once every package has been analyzed
+//     (Rule.Join). atomic-mix's per-field access sites cross packages this
+//     way.
+//
+// The suite is five rules: float-cmp, hot-loop-time, atomic-mix, hot-alloc
+// and err-drop (DESIGN.md §2.12). Copying a mutex by value is go vet's
+// copylocks check, which CI already runs.
 //
 // A finding is suppressed by a `//raha:lint-allow <rule> <why>` comment on
 // the same line or the line above. The justification is mandatory: the
@@ -71,27 +75,21 @@ type Result struct {
 // Rule is one analyzer in the suite.
 type Rule struct {
 	Name string
-	Doc  string
 
-	// New returns the rule's per-package pass: file is called for every
-	// file of the package, concurrently (one goroutine per file), so it
-	// must only touch per-call state or lock; finish, when non-nil, runs
-	// once after every file, single-threaded — the place to export facts.
-	// Either closure may be nil.
-	New func(p *Pass) (file func(*ast.File), finish func())
+	// New returns the rule's visitor for one package, or nil when the rule
+	// does not apply to it. The visitor is called for every file of the
+	// package, concurrently (one goroutine per file), so it must only touch
+	// per-call state or lock.
+	New func(p *Pass) func(*ast.File)
 
 	// Join, when non-nil, runs once after every package has been analyzed
-	// — the whole-program step where cross-package facts meet (cycle
-	// detection, atomic/plain access matching, goroutine join evidence).
+	// — the whole-program step where cross-package facts meet.
 	Join func(prog *Program)
 }
 
 // All is the rule suite in catalogue order (DESIGN.md §2.12).
 func All() []*Rule {
-	return []*Rule{
-		ruleFloatCmp, ruleHotLoopTime, ruleCtxFirst, ruleMutexValue, ruleTracerGuard,
-		ruleAtomicMix, ruleLockOrder, ruleGoroutineLeak, ruleHotAlloc, ruleErrDrop,
-	}
+	return []*Rule{ruleFloatCmp, ruleHotLoopTime, ruleAtomicMix, ruleHotAlloc, ruleErrDrop}
 }
 
 // RuleNames returns every registered rule name, in catalogue order.
@@ -199,33 +197,22 @@ func Run(pkgs []*Package, ruleNames []string) (*Result, error) {
 	for _, pkg := range pkgs {
 		prog.collectAllows(pkg)
 
-		type instance struct {
-			file   func(*ast.File)
-			finish func()
-		}
-		insts := make([]instance, 0, len(rules))
+		var visitors []func(*ast.File)
 		for _, r := range rules {
-			pass := &Pass{Pkg: pkg, Prog: prog, rule: r.Name}
-			file, finish := r.New(pass)
-			insts = append(insts, instance{file, finish})
+			if v := r.New(&Pass{Pkg: pkg, Prog: prog, rule: r.Name}); v != nil {
+				visitors = append(visitors, v)
+			}
 		}
 		// Files in parallel; every rule walks each file. The workers=0
 		// default selects GOMAXPROCS.
 		err := conc.ForEach(context.Background(), len(pkg.Files), 0, func(_ context.Context, i int) error {
-			for _, in := range insts {
-				if in.file != nil {
-					in.file(pkg.Files[i])
-				}
+			for _, visit := range visitors {
+				visit(pkg.Files[i])
 			}
 			return nil
 		})
 		if err != nil {
 			return nil, err
-		}
-		for _, in := range insts {
-			if in.finish != nil {
-				in.finish()
-			}
 		}
 	}
 
@@ -270,6 +257,9 @@ func Run(pkgs []*Package, ruleNames []string) (*Result, error) {
 	return res, nil
 }
 
+// selectRules resolves rule names, each at most once and in the order
+// given. A nil or empty list is the full suite; a non-empty list that names
+// no rule (only blanks, as from `-rules ,`) is an error, not the full suite.
 func selectRules(names []string) ([]*Rule, error) {
 	all := All()
 	if len(names) == 0 {
@@ -289,10 +279,13 @@ func selectRules(names []string) ([]*Rule, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown rule %q (known: %s)", n, strings.Join(RuleNames(), ", "))
 		}
-		out = append(out, r)
+		if r != nil {
+			out = append(out, r)
+			byName[n] = nil // a repeated name runs once
+		}
 	}
 	if len(out) == 0 {
-		return all, nil
+		return nil, fmt.Errorf("no rule named in %q (known: %s)", strings.Join(names, ","), strings.Join(RuleNames(), ", "))
 	}
 	return out, nil
 }

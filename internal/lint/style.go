@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// This file carries the original five single-pass rules (PR 3), ported onto
-// the framework's Pass API with identical semantics.
+// This file carries the two single-file rules, float-cmp and hot-loop-time,
+// and the helpers hot-alloc shares with them.
 
 // solverPkgs are the hot-path packages where wall-clock, randomness, and
 // (under hot-alloc) per-iteration allocation are banned inside loops — the
@@ -41,8 +41,7 @@ func inspectStack(f *ast.File, visit func(n ast.Node, stack []ast.Node)) {
 // silently depends on rounding.
 var ruleFloatCmp = &Rule{
 	Name: "float-cmp",
-	Doc:  "no == / != between two non-constant floats",
-	New: func(p *Pass) (func(*ast.File), func()) {
+	New: func(p *Pass) func(*ast.File) {
 		return func(f *ast.File) {
 			inspectStack(f, func(n ast.Node, _ []ast.Node) {
 				e, ok := n.(*ast.BinaryExpr)
@@ -58,7 +57,7 @@ var ruleFloatCmp = &Rule{
 						"%s between two non-constant floats; order them or compare against a tolerance", e.Op)
 				}
 			})
-		}, nil
+		}
 	},
 }
 
@@ -77,10 +76,9 @@ func isFloat(t types.Type) bool {
 // Functions with "sample" in their name and _test.go files are exempt.
 var ruleHotLoopTime = &Rule{
 	Name: "hot-loop-time",
-	Doc:  "no time.* or math/rand calls inside loops of internal/lp and internal/milp",
-	New: func(p *Pass) (func(*ast.File), func()) {
+	New: func(p *Pass) func(*ast.File) {
 		if !solverPkgs[p.Pkg.Path] {
-			return nil, nil
+			return nil
 		}
 		return func(f *ast.File) {
 			if strings.HasSuffix(p.Position(f.Pos()).Filename, "_test.go") {
@@ -135,216 +133,6 @@ var ruleHotLoopTime = &Rule{
 					}
 				}
 			})
-		}, nil
+		}
 	},
-}
-
-// --- ctx-first ---------------------------------------------------------------
-
-// ruleCtxFirst enforces the standard library convention: a context.Context
-// parameter, when present, is the first parameter.
-var ruleCtxFirst = &Rule{
-	Name: "ctx-first",
-	Doc:  "context.Context, when a function takes one, is the first parameter",
-	New: func(p *Pass) (func(*ast.File), func()) {
-		check := func(ft *ast.FuncType, name string) {
-			if ft.Params == nil {
-				return
-			}
-			idx := 0
-			for _, field := range ft.Params.List {
-				n := len(field.Names)
-				if n == 0 {
-					n = 1
-				}
-				if isContext(p, field.Type) && idx > 0 {
-					p.Report(field.Type.Pos(),
-						"%s takes context.Context as parameter %d; context must be the first parameter", name, idx+1)
-					return
-				}
-				idx += n
-			}
-		}
-		return func(f *ast.File) {
-			inspectStack(f, func(n ast.Node, _ []ast.Node) {
-				switch n := n.(type) {
-				case *ast.FuncDecl:
-					check(n.Type, n.Name.Name)
-				case *ast.FuncLit:
-					check(n.Type, "func literal")
-				}
-			})
-		}, nil
-	},
-}
-
-func isContext(p *Pass, e ast.Expr) bool {
-	t := p.Pkg.Info.Types[e].Type
-	if t == nil {
-		return false
-	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return false
-	}
-	return n.Obj().Pkg().Path() == "context" && n.Obj().Name() == "Context"
-}
-
-// --- mutex-value -------------------------------------------------------------
-
-// ruleMutexValue flags receivers and parameters that carry a sync.Mutex,
-// sync.RWMutex, or sync.WaitGroup by value — the copy locks nothing.
-var ruleMutexValue = &Rule{
-	Name: "mutex-value",
-	Doc:  "no sync.Mutex / sync.RWMutex / sync.WaitGroup received or passed by value",
-	New: func(p *Pass) (func(*ast.File), func()) {
-		check := func(fields *ast.FieldList, fn string, recv bool) {
-			if fields == nil {
-				return
-			}
-			kind := "parameter"
-			if recv {
-				kind = "receiver"
-			}
-			for _, field := range fields.List {
-				t := p.Pkg.Info.Types[field.Type].Type
-				if t == nil {
-					continue
-				}
-				if carrier := syncByValue(t, nil); carrier != "" {
-					p.Report(field.Type.Pos(),
-						"%s of %s passes %s by value; use a pointer", kind, fn, carrier)
-				}
-			}
-		}
-		return func(f *ast.File) {
-			inspectStack(f, func(n ast.Node, _ []ast.Node) {
-				switch n := n.(type) {
-				case *ast.FuncDecl:
-					check(n.Recv, n.Name.Name, true)
-					check(n.Type.Params, n.Name.Name, false)
-				case *ast.FuncLit:
-					check(n.Type.Params, "func literal", false)
-				}
-			})
-		}, nil
-	},
-}
-
-// syncByValue reports the sync primitive a non-pointer type would copy, or
-// "" if there is none. Struct fields are searched transitively.
-func syncByValue(t types.Type, seen map[types.Type]bool) string {
-	if n, ok := t.(*types.Named); ok {
-		if pkg := n.Obj().Pkg(); pkg != nil && pkg.Path() == "sync" {
-			switch n.Obj().Name() {
-			case "Mutex", "RWMutex", "WaitGroup":
-				return "sync." + n.Obj().Name()
-			}
-		}
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return ""
-	}
-	if seen[t] {
-		return ""
-	}
-	if seen == nil {
-		seen = map[types.Type]bool{}
-	}
-	seen[t] = true
-	for i := 0; i < st.NumFields(); i++ {
-		if s := syncByValue(st.Field(i).Type(), seen); s != "" {
-			return s
-		}
-	}
-	return ""
-}
-
-// --- tracer-guard ------------------------------------------------------------
-
-// ruleTracerGuard flags r.Emit(...) where r is an interface value with an
-// Emit method (the obs.Tracer shape) and no nil guard is in sight: neither
-// an enclosing `if r != nil` nor an earlier `if r == nil { return }` in the
-// same function. Tracers are optional everywhere in this codebase — nil is
-// the documented "tracing off" value — so an unguarded Emit is a latent
-// panic on the untraced path.
-var ruleTracerGuard = &Rule{
-	Name: "tracer-guard",
-	Doc:  "calls to an obs.Tracer-shaped interface's Emit must be nil guarded",
-	New: func(p *Pass) (func(*ast.File), func()) {
-		return func(f *ast.File) {
-			inspectStack(f, func(n ast.Node, stack []ast.Node) {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "Emit" {
-					return
-				}
-				t := p.Pkg.Info.Types[sel.X].Type
-				if t == nil {
-					return
-				}
-				iface, ok := t.Underlying().(*types.Interface)
-				if !ok || !hasEmit(iface) {
-					return
-				}
-				recv := types.ExprString(sel.X)
-
-				// An enclosing if (or if-init) whose condition mentions
-				// `recv != nil`.
-				var encl ast.Node // innermost enclosing FuncDecl or FuncLit
-				for i := len(stack) - 2; i >= 0; i-- {
-					switch n := stack[i].(type) {
-					case *ast.IfStmt:
-						if strings.Contains(types.ExprString(n.Cond), recv+" != nil") {
-							return
-						}
-					case *ast.FuncDecl, *ast.FuncLit:
-						if encl == nil {
-							encl = n
-						}
-					}
-				}
-				if encl != nil && hasNilReturnGuard(encl, recv, call.Pos()) {
-					return
-				}
-				p.Report(call.Pos(),
-					"%s.Emit without a nil guard; wrap in `if %s != nil` or return early when nil", recv, recv)
-			})
-		}, nil
-	},
-}
-
-func hasEmit(iface *types.Interface) bool {
-	for i := 0; i < iface.NumMethods(); i++ {
-		if iface.Method(i).Name() == "Emit" {
-			return true
-		}
-	}
-	return false
-}
-
-// hasNilReturnGuard reports whether fn contains, before pos, an
-// `if <recv> == nil` statement whose body returns.
-func hasNilReturnGuard(fn ast.Node, recv string, pos token.Pos) bool {
-	found := false
-	ast.Inspect(fn, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok || ifs.End() >= pos || found {
-			return !found
-		}
-		if types.ExprString(ifs.Cond) != recv+" == nil" {
-			return true
-		}
-		for _, s := range ifs.Body.List {
-			if _, ok := s.(*ast.ReturnStmt); ok {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
 }
