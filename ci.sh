@@ -31,10 +31,13 @@ go build ./...
 # global or environment variable) to pick another, a worker count is one
 # `Workers` budget per layer split by conc.Split — no routing policy, no
 # second per-solve field — and each solver counter is declared once, as a
-# tagged milp.Stats field, with no shadow accumulator. The five lint rules
-# that never fired are gone too, so a fixture marker or allow directive
-# naming one is stale. The grep reads _test.go files too, on purpose.
-if grep -rn 'QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel\|statsAcc\|lock-order\|goroutine-leak\|ctx-first\|mutex-value\|tracer-guard' --include='*.go' --exclude-dir=.bench_build .; then
+# tagged milp.Stats field, with no shadow accumulator. Presolve is always on
+# outside internal/milp's own tests (their switch is the unexported
+# disablePresolve), so no config or CLI re-lists a public one. The five lint
+# rules that never fired are gone too, so a fixture marker or allow
+# directive naming one is stale. The grep reads _test.go files too, on
+# purpose.
+if grep -rn 'QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel\|statsAcc\|DisablePresolve\|lock-order\|goroutine-leak\|ctx-first\|mutex-value\|tracer-guard' --include='*.go' --exclude-dir=.bench_build .; then
 	echo "ci: retired solver knob or lint rule referenced above" >&2
 	exit 1
 fi
@@ -178,16 +181,21 @@ fi
 # in the fault isolation turns them into a non-zero exit and fails CI here.
 # The second pass gives the ten fixtures a budget of 32 workers, so the
 # leftover goes inside each solve: the sweep-over-wide-solves path, end to
-# end. And the routing flag that used to select that is gone, not ignored.
+# end. And the routing flag that used to select that is gone, not ignored,
+# as is the presolve switch both CLIs once carried.
 for w in 0 32; do
 	go run ./cmd/raha alert -all -builtins=false -zoo-dir internal/topology/testdata \
 		-grid 'k=1;p=1e-3;d=peak' -budget-per-topo 10s -workers "$w" -q -progress=false >/dev/null
 done
-if out=$(go run ./cmd/raha alert -all -builtins=false -zoo-dir internal/topology/testdata \
-	-parallelism auto 2>&1) || ! printf %s "$out" | grep -q 'flag provided but not defined'; then
-	echo "ci: raha alert -all -parallelism auto was not rejected as an undefined flag: $out" >&2
-	exit 1
-fi
+undefined_flag() {
+	if out=$(go run "$@" 2>&1) || ! printf %s "$out" | grep -q 'flag provided but not defined'; then
+		echo "ci: $* was not rejected as an undefined flag: $out" >&2
+		exit 1
+	fi
+}
+undefined_flag ./cmd/raha alert -all -builtins=false -zoo-dir internal/topology/testdata -parallelism auto
+undefined_flag ./cmd/raha analyze -presolve off
+undefined_flag ./cmd/raha-experiments -presolve off
 
 # Trace-analysis smoke: a real traced solve must round-trip through
 # raha-trace. summarize exits non-zero on a malformed trace or one with

@@ -30,16 +30,12 @@ func run() int {
 	only := flag.String("only", "", "comma-separated experiment names (default: all)")
 	workers := flag.Int("workers", 0, "worker budget per sweep stage: spent across its independent analyses first, the leftover inside each solve (0 = all cores, 1 = serial)")
 	check := flag.Bool("check", false, "run the static model checker before every solve; error diagnostics abort the sweep")
-	presolve := flag.String("presolve", "on", "MILP presolve and per-node domain propagation: on or off")
 	quiet := flag.Bool("q", false, "quiet: print errors only")
 	verbose := flag.Bool("v", false, "verbose: per-sweep diagnostics (overrides -q)")
 	progress := flag.Bool("progress", obs.IsTerminal(os.Stderr), "live per-figure progress line with ETA on stderr")
 	metricsAddr := flag.String("metrics-addr", "", "serve live solver counters (expvar) and pprof on this address")
 	tracePath := flag.String("trace", "", "write a JSONL event trace of every sweep to this file")
 	flag.Parse()
-	if *presolve != "on" && *presolve != "off" {
-		fail(fmt.Errorf("-presolve must be on or off, got %q", *presolve))
-	}
 	selected, err := experiments.Select(*only)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "raha-experiments: -only: %v\n", err)
@@ -100,7 +96,6 @@ func run() int {
 	tune := func(s *experiments.Setup) {
 		s.Workers = *workers
 		s.Check = *check
-		s.DisablePresolve = *presolve == "off"
 		s.Tracer = tracer
 		s.OnProgress = func(p experiments.SweepProgress) { prog.Update(p.String()) }
 	}

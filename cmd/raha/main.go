@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"raha"
-	"raha/internal/obs"
 )
 
 func main() {
@@ -123,7 +122,6 @@ type commonFlags struct {
 	seed      *int64
 	workers   *int
 	check     *bool
-	presolve  *string
 	obs       *obsFlags
 }
 
@@ -143,42 +141,21 @@ func newCommon(name string) *commonFlags {
 		seed:      fs.Int64("seed", 1, "seed for the gravity demand model"),
 		workers:   fs.Int("workers", 0, "worker budget: branch-and-bound workers of a solve; a sweep (alert -all) spends it across topologies first (0 = all cores, 1 = serial)"),
 		check:     fs.Bool("check", false, "run the static model checker before each solve; error diagnostics abort the solve"),
-		presolve:  fs.String("presolve", "on", "MILP presolve and per-node domain propagation: on or off"),
 		obs:       newObsFlags(fs),
 	}
 }
 
-// disablePresolve maps the -presolve flag string onto the solver knob,
-// rejecting anything but the documented spellings.
-func (c *commonFlags) disablePresolve() (bool, error) {
-	switch *c.presolve {
-	case "on":
-		return false, nil
-	case "off":
-		return true, nil
-	default:
-		return false, fmt.Errorf("-presolve must be on or off, got %q", *c.presolve)
-	}
-}
-
 // solver assembles the solver params from the flags and the run's
-// observability bundle.
-func (c *commonFlags) solver(o *runObs) (raha.SolverParams, error) {
-	noPresolve, err := c.disablePresolve()
-	if err != nil {
-		return raha.SolverParams{}, err
-	}
+// observability bundle. The solve is timed exactly when it is observed
+// (-trace or -progress), which is what -v's time attribution reads.
+func (c *commonFlags) solver(o *runObs) raha.SolverParams {
 	return raha.SolverParams{
-		TimeLimit:       *c.budget,
-		Workers:         *c.workers,
-		Tracer:          o.tracer(),
-		OnProgress:      o.solveProgress(),
-		Check:           *c.check,
-		DisablePresolve: noPresolve,
-		// -v prints the phase-attribution and worker-utilization summaries,
-		// which need per-node timing even without a tracer attached.
-		Timing: o.log.Level() >= obs.Verbose,
-	}, nil
+		TimeLimit:  *c.budget,
+		Workers:    *c.workers,
+		Tracer:     o.tracer(),
+		OnProgress: o.solveProgress(),
+		Check:      *c.check,
+	}
 }
 
 func (c *commonFlags) setup() (*raha.Topology, []raha.DemandPaths, raha.Matrix, raha.Envelope, error) {
@@ -230,11 +207,6 @@ func analyze(ctx context.Context, args []string) error {
 		_ = o.close() // the setup error wins; teardown is best-effort
 		return err
 	}
-	solver, err := c.solver(o)
-	if err != nil {
-		_ = o.close() // the setup error wins; teardown is best-effort
-		return err
-	}
 	o.log.Infof("analyzing %s: %d demands, %d LAGs, threshold %.0e, budget %v",
 		*c.topology, len(dps), top.NumLAGs(), *c.threshold, *c.budget)
 	res, err := raha.AnalyzeContext(ctx, raha.Config{
@@ -244,7 +216,7 @@ func analyze(ctx context.Context, args []string) error {
 		ProbThreshold:        *c.threshold,
 		MaxFailures:          *c.maxFail,
 		ConnectivityEnforced: *c.ce,
-		Solver:               solver,
+		Solver:               c.solver(o),
 	})
 	if cerr := o.close(); err == nil {
 		err = cerr
@@ -298,7 +270,11 @@ func printResult(ctx context.Context, o *runObs, budget time.Duration, top *raha
 		o.log.Debugf("presolve stats: %d vars fixed, %d rows removed, %d bounds tightened, %d big-M coefs shrunk; %d propagation prunes, %d budget prunes, %d pseudocost branches",
 			st.PresolveFixedVars, st.PresolveRemovedRows, st.PresolveTightenedBounds,
 			st.PresolveTightenedCoefs, st.PropagationPrunes, st.BudgetPrunes, st.PseudocostBranches)
-		if st.PresolveNs+st.LPWarmNs+st.LPColdNs+st.HeurNs+st.BranchNs > 0 {
+		// Only an observed solve (-trace or -progress) keeps wall clocks,
+		// and only a timed one has per-worker shares to show.
+		if len(st.PerWorker) == 0 {
+			o.log.Debugf("time attribution: the solve was not observed, so not timed; rerun with -trace FILE and read it with raha-trace summarize FILE")
+		} else {
 			o.log.Debugf("time attribution: presolve %v, LP warm %v, LP cold %v, heuristic %v, branching %v, queue wait %v",
 				time.Duration(st.PresolveNs).Round(time.Microsecond),
 				time.Duration(st.LPWarmNs).Round(time.Microsecond),
@@ -306,8 +282,6 @@ func printResult(ctx context.Context, o *runObs, budget time.Duration, top *raha
 				time.Duration(st.HeurNs).Round(time.Microsecond),
 				time.Duration(st.BranchNs).Round(time.Microsecond),
 				time.Duration(st.QueuePopNs+st.QueuePushNs).Round(time.Microsecond))
-		}
-		if len(st.PerWorker) > 0 {
 			parts := make([]string, len(st.PerWorker))
 			for i, w := range st.PerWorker {
 				parts[i] = fmt.Sprintf("w%d: %d nodes, busy %.0f%%, wait %.0f%%, idle %.0f%%",
@@ -364,10 +338,6 @@ func augmentCmd(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	solver, err := c.solver(o)
-	if err != nil {
-		return err
-	}
 	cfg := raha.AugmentConfig{
 		Topo:                 top,
 		Pairs:                env.Pairs,
@@ -377,7 +347,7 @@ func augmentCmd(args []string) (err error) {
 		ProbThreshold:        *c.threshold,
 		MaxFailures:          *c.maxFail,
 		ConnectivityEnforced: *c.ce,
-		Solver:               solver,
+		Solver:               c.solver(o),
 		NewCapacityCanFail:   *canFail,
 	}
 	o.log.Infof("augmenting %s until no probable failure degrades it (threshold %.0e)", *c.topology, *c.threshold)
@@ -442,10 +412,6 @@ func alert(ctx context.Context, args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	noPresolve, err := c.disablePresolve()
-	if err != nil {
-		return err
-	}
 	o.log.Infof("alert check on %s: phase 1 at fixed peak demand, phase 2 over the envelope (tolerance %.2f)",
 		*c.topology, *tolerance)
 	rep, err := raha.AlertContext(ctx, raha.AlertConfig{
@@ -463,7 +429,6 @@ func alert(ctx context.Context, args []string) (err error) {
 		Tracer:               o.tracer(),
 		OnProgress:           o.solveProgress(),
 		Check:                *c.check,
-		DisablePresolve:      noPresolve,
 	})
 	if err != nil {
 		return err

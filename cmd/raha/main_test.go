@@ -70,12 +70,12 @@ func TestExpSafe(t *testing.T) {
 
 // TestAlertRaisedRunsTeardown: a raised alert hands errAlertRaised back to
 // main instead of exiting on the spot, so its deferred teardown still closes
-// the trace (and would report a trace error). A negative tolerance raises on
-// any result.
+// the trace (and would report a trace error). Tolerance 0 raises on any
+// degradation, and the default smallwan instance has one at peak demand.
 func TestAlertRaisedRunsTeardown(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "alert.jsonl")
 	err := alert(context.Background(), []string{
-		"-tolerance", "-1", "-slack", "-1", "-workers", "1", "-q", "-progress=false", "-trace", path,
+		"-tolerance", "0", "-slack", "-1", "-workers", "1", "-q", "-progress=false", "-trace", path,
 	})
 	if !errors.Is(err, errAlertRaised) {
 		t.Fatalf("alert returned %v, want errAlertRaised", err)

@@ -128,10 +128,6 @@ func alertAll(ctx context.Context, c *commonFlags, sw *sweepFlags, tolerance flo
 	if err != nil {
 		return err
 	}
-	noPresolve, err := c.disablePresolve()
-	if err != nil {
-		return err
-	}
 
 	total := len(sources)
 	if numShards > 1 {
@@ -179,7 +175,6 @@ func alertAll(ctx context.Context, c *commonFlags, sw *sweepFlags, tolerance flo
 		Seed:                 *c.seed,
 		Check:                *c.check,
 		ConnectivityEnforced: *c.ce,
-		DisablePresolve:      noPresolve,
 		Tracer:               o.tracer(),
 		OnTopoDone:           onTopoDone,
 	})

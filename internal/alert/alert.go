@@ -36,7 +36,7 @@ type Config struct {
 
 	// Tolerance is the operator's pain threshold, normalized by mean LAG
 	// capacity: an alert is raised when degradation / meanLAGCapacity
-	// exceeds it.
+	// exceeds it. It must be ≥ 0; 0 raises on any degradation.
 	Tolerance float64
 
 	// MaxFailures, when positive, caps the number of simultaneously failed
@@ -50,13 +50,10 @@ type Config struct {
 	Phase1Budget, Phase2Budget time.Duration
 
 	// Workers bounds the branch-and-bound parallelism of each phase's
-	// solve; 0 uses all cores.
+	// solve; 0 uses all cores. Each solve may run narrower: a root
+	// relaxation with only a handful of fractional integers runs serial
+	// (milp.Params.AutoWidth).
 	Workers int
-
-	// AutoWidth lets each phase's solve shrink Workers from the solver's
-	// root-LP tree-size estimate (milp.Params.AutoWidth) — set by the
-	// fleet sweep, which hands each cell a share of its worker budget.
-	AutoWidth bool
 
 	// Tracer and OnProgress flow into both phases' solver params (see
 	// milp.Params); either may be nil.
@@ -66,10 +63,6 @@ type Config struct {
 	// Check runs the static model checker before each phase's solve
 	// (milp.Params.Check).
 	Check bool
-
-	// DisablePresolve flows into both phases' solver params
-	// (milp.Params.DisablePresolve).
-	DisablePresolve bool
 }
 
 // Report is the outcome of an alerting run.
@@ -99,8 +92,12 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Topo == nil || len(cfg.Demands) == 0 {
 		return nil, fmt.Errorf("raha: alert config needs a topology and demands")
 	}
-	if cfg.ProbThreshold <= 0 {
+	// Written so that a NaN fails the comparison and is refused too.
+	if !(cfg.ProbThreshold > 0) {
 		return nil, fmt.Errorf("raha: alerting requires a probability threshold (got %g)", cfg.ProbThreshold)
+	}
+	if !(cfg.Tolerance >= 0) {
+		return nil, fmt.Errorf("raha: alert tolerance %g is not a non-negative number", cfg.Tolerance)
 	}
 	if len(cfg.Peak) != len(cfg.Demands) {
 		return nil, fmt.Errorf("raha: peak matrix covers %d demands, path set has %d", len(cfg.Peak), len(cfg.Demands))
@@ -177,12 +174,11 @@ func (cfg *Config) PhaseEnvelopes() (phase1, phase2 demand.Envelope) {
 // solver assembles one phase's solver params from the shared knobs.
 func (cfg *Config) solver(budget time.Duration) milp.Params {
 	return milp.Params{
-		TimeLimit:       budget,
-		Workers:         cfg.Workers,
-		AutoWidth:       cfg.AutoWidth,
-		Tracer:          cfg.Tracer,
-		OnProgress:      cfg.OnProgress,
-		Check:           cfg.Check,
-		DisablePresolve: cfg.DisablePresolve,
+		TimeLimit:  budget,
+		Workers:    cfg.Workers,
+		AutoWidth:  true,
+		Tracer:     cfg.Tracer,
+		OnProgress: cfg.OnProgress,
+		Check:      cfg.Check,
 	}
 }

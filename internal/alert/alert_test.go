@@ -2,6 +2,7 @@ package alert
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -166,6 +167,9 @@ func TestAlertValidationErrors(t *testing.T) {
 		{"nil topology", func(c *Config) { c.Topo = nil }},
 		{"no demands", func(c *Config) { c.Demands = nil }},
 		{"no threshold", func(c *Config) { c.ProbThreshold = 0 }},
+		{"NaN threshold", func(c *Config) { c.ProbThreshold = math.NaN() }},
+		{"NaN tolerance", func(c *Config) { c.Tolerance = math.NaN() }},
+		{"negative tolerance", func(c *Config) { c.Tolerance = -1 }},
 		{"peak shape mismatch", func(c *Config) { c.Peak = c.Peak[:1] }},
 		{"no capacity", func(c *Config) { c.Topo = topology.New(); c.Topo.AddNode("only") }},
 	}

@@ -67,9 +67,6 @@ type Config struct {
 	// error-severity diagnostic becomes that cell's recorded failure.
 	Check bool
 
-	// DisablePresolve flows into every cell's solver params.
-	DisablePresolve bool
-
 	// Tracer receives sweep_topo_start/sweep_topo_end events plus
 	// everything the per-cell solves emit. May be nil.
 	Tracer obs.Tracer
@@ -85,6 +82,9 @@ func (cfg *Config) validate() error {
 	}
 	if cfg.Tolerance < 0 {
 		return fmt.Errorf("batch: negative tolerance %g", cfg.Tolerance)
+	}
+	if math.IsNaN(cfg.Tolerance) {
+		return fmt.Errorf("batch: tolerance is NaN")
 	}
 	if cfg.NumShards < 0 || cfg.Shard < 0 {
 		return fmt.Errorf("batch: negative shard selector %d/%d", cfg.Shard, cfg.NumShards)
@@ -344,10 +344,8 @@ func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell
 		Phase1Budget:         phaseBudget,
 		Phase2Budget:         phaseBudget,
 		Workers:              width,
-		AutoWidth:            true,
 		Tracer:               cfg.Tracer,
 		Check:                cfg.Check,
-		DisablePresolve:      cfg.DisablePresolve,
 	}
 	rep, err := alert.Run(ctx, acfg)
 	if err != nil {

@@ -480,7 +480,9 @@ func TestSweepConfigValidation(t *testing.T) {
 		{"shard out of range", Config{Sources: []Source{{Name: "x", Load: good}}, Shard: 3, NumShards: 2}, "does not exist"},
 		{"negative shard", Config{Sources: []Source{{Name: "x", Load: good}}, Shard: -1, NumShards: -1}, "negative shard"},
 		{"bad grid", Config{Sources: []Source{{Name: "x", Load: good}}, Grid: Grid{MaxFailures: []int{-1}, Thresholds: []float64{1e-3}, Demands: []DemandModel{namedDemandModels["peak"]}}}, "negative k-failure"},
-		{"bad threshold", Config{Sources: []Source{{Name: "x", Load: good}}, Grid: Grid{MaxFailures: []int{0}, Thresholds: []float64{2}, Demands: []DemandModel{namedDemandModels["peak"]}}}, "outside (0, 1]"},
+		{"bad threshold", Config{Sources: []Source{{Name: "x", Load: good}}, Grid: Grid{MaxFailures: []int{0}, Thresholds: []float64{2}, Demands: []DemandModel{namedDemandModels["peak"]}}}, "outside (0, 1)"},
+		{"NaN threshold", Config{Sources: []Source{{Name: "x", Load: good}}, Grid: Grid{MaxFailures: []int{0}, Thresholds: []float64{math.NaN()}, Demands: []DemandModel{namedDemandModels["peak"]}}}, "outside (0, 1)"},
+		{"NaN tolerance", Config{Sources: []Source{{Name: "x", Load: good}}, Tolerance: math.NaN()}, "tolerance is NaN"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -539,7 +541,7 @@ func TestParseGrid(t *testing.T) {
 		{"d=nope", "unknown demand model"},
 		{"q=1", "unknown grid dimension"},
 		{"k0,2", "not key=v1,v2"},
-		{"p=0", "outside (0, 1]"},
+		{"p=0", "outside (0, 1)"},
 		{"k=-1", "negative k-failure"},
 	}
 	for _, tc := range bad {

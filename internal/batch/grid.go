@@ -99,8 +99,8 @@ func (g Grid) validate() error {
 		}
 	}
 	for _, p := range g.Thresholds {
-		if p <= 0 || p > 1 {
-			return fmt.Errorf("batch: probability threshold %g outside (0, 1]", p)
+		if !(p > 0 && p < 1) { // NaN fails the comparison too
+			return fmt.Errorf("batch: probability threshold %g outside (0, 1)", p)
 		}
 	}
 	for _, d := range g.Demands {

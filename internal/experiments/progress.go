@@ -92,11 +92,10 @@ func (t *sweepTracker) step() {
 // as the sweep's own.
 func (s *Setup) solver() milp.Params {
 	return milp.Params{
-		TimeLimit:       s.Budget,
-		Workers:         s.Workers,
-		AutoWidth:       true,
-		Tracer:          s.Tracer,
-		Check:           s.Check,
-		DisablePresolve: s.DisablePresolve,
+		TimeLimit: s.Budget,
+		Workers:   s.Workers,
+		AutoWidth: true,
+		Tracer:    s.Tracer,
+		Check:     s.Check,
 	}
 }

@@ -32,7 +32,7 @@ type Table struct {
 
 // Run regenerates the experiment on its own instance. A positive budget
 // overrides the experiment's default; tune, when non-nil, applies the
-// run-wide settings (Workers, Tracer, Check, DisablePresolve, OnProgress)
+// run-wide settings (Workers, Tracer, Check, OnProgress)
 // before the first analysis.
 func (e Experiment) Run(budget time.Duration, tune func(*Setup)) (*Table, error) {
 	if budget <= 0 {

@@ -50,10 +50,6 @@ type Setup struct {
 	// that analysis with a *milp.CheckError instead of solving.
 	Check bool
 
-	// DisablePresolve turns off root presolve and per-node domain
-	// propagation in every solve of the sweep (milp.Params.DisablePresolve).
-	DisablePresolve bool
-
 	// OnProgress, when non-nil, is called after every completed analysis
 	// of a sweep with the running count and an ETA — the CLI's live
 	// per-figure progress line. Called from sweep worker goroutines; must

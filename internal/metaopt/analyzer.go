@@ -185,8 +185,18 @@ func (c *Config) validate() (formulation, error) {
 	if c.Topo == nil || len(c.Demands) == 0 {
 		return formulation{}, fmt.Errorf("metaopt: config needs a topology and at least one demand")
 	}
-	if len(c.Envelope.Lo) != len(c.Demands) {
-		return formulation{}, fmt.Errorf("metaopt: envelope covers %d demands, path set has %d", len(c.Envelope.Lo), len(c.Demands))
+	if len(c.Envelope.Lo) != len(c.Demands) || len(c.Envelope.Hi) != len(c.Demands) {
+		return formulation{}, fmt.Errorf("metaopt: envelope covers %d/%d demands (lo/hi), path set has %d", len(c.Envelope.Lo), len(c.Envelope.Hi), len(c.Demands))
+	}
+	// Written so that a NaN fails every comparison and is refused with the
+	// out-of-range values.
+	for k, lo := range c.Envelope.Lo {
+		if hi := c.Envelope.Hi[k]; !(lo >= 0 && lo <= hi && !math.IsInf(hi, 1)) {
+			return formulation{}, fmt.Errorf("metaopt: demand %d has envelope [%g, %g]; want finite 0 ≤ lo ≤ hi", k, lo, hi)
+		}
+	}
+	if p := c.ProbThreshold; !(p >= 0 && p < 1) {
+		return formulation{}, fmt.Errorf("metaopt: probability threshold %g outside [0, 1)", p)
 	}
 	if c.NaiveFailover && !c.Envelope.IsFixed() {
 		return formulation{}, ErrNaiveFailoverNeedsFixedDemand

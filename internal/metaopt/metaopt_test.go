@@ -2,6 +2,7 @@ package metaopt
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"raha/internal/demand"
@@ -343,5 +344,29 @@ func TestConfigValidation(t *testing.T) {
 	bad := Config{Topo: top, Demands: dps, Envelope: demand.Fixed(base), Objective: Objective(99)}
 	if _, err := Analyze(bad); err == nil {
 		t.Fatal("unknown objective must error")
+	}
+	// Non-finite and out-of-range input is refused up front, the envelope
+	// naming its demand, rather than solved into a wrong status or failing
+	// deep inside the solver.
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		want   string
+	}{
+		{"infinite hi", func(c *Config) { c.Envelope.Hi[1] = math.Inf(1) }, "demand 1"},
+		{"lo above hi", func(c *Config) { c.Envelope.Lo[1], c.Envelope.Hi[1] = 10, 1 }, "demand 1"},
+		{"NaN lo", func(c *Config) { c.Envelope.Lo[1] = math.NaN() }, "demand 1"},
+		{"NaN hi", func(c *Config) { c.Envelope.Hi[1] = math.NaN() }, "demand 1"},
+		{"negative lo", func(c *Config) { c.Envelope.Lo[1] = -1 }, "demand 1"},
+		{"short hi", func(c *Config) { c.Envelope.Hi = c.Envelope.Hi[:1] }, "envelope covers"},
+		{"NaN threshold", func(c *Config) { c.ProbThreshold = math.NaN() }, "probability threshold"},
+		{"negative threshold", func(c *Config) { c.ProbThreshold = -1e-3 }, "probability threshold"},
+		{"threshold one", func(c *Config) { c.ProbThreshold = 1 }, "probability threshold"},
+	} {
+		cfg := Config{Topo: top, Demands: dps, Envelope: demand.UpTo(base, 0.5)}
+		tc.mutate(&cfg)
+		if _, err := Analyze(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error naming %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -67,6 +67,13 @@ func (s Status) String() string {
 }
 
 // Params tunes the branch-and-bound search. Zero values select defaults.
+//
+// A solve with a Tracer or OnProgress is observed, and only an observed
+// solve keeps wall-clock attribution: per-worker busy/queue-wait/idle
+// accounting (Stats.PerWorker), the queue pop/push and LP warm/cold latency
+// histograms, and the per-node Stats *Ns fields. On an unobserved solve
+// every per-node clock read is behind one predictable branch — the same
+// contract as the nil Tracer.
 type Params struct {
 	TimeLimit time.Duration // wall-clock budget; 0 = unlimited
 	NodeLimit int           // maximum explored nodes; 0 = unlimited
@@ -135,16 +142,8 @@ type Params struct {
 
 	// ProgressEvery is the sampler period for OnProgress and the
 	// worker_sample trace events; 0 defaults to 250ms.
-	ProgressEvery time.Duration
 
-	// Timing turns on wall-clock attribution for a solve that has neither
-	// a Tracer nor OnProgress: per-worker busy/queue-wait/idle accounting,
-	// queue pop/push and LP warm/cold latency histograms, and the Stats
-	// *Ns fields. Observed solves (Tracer or OnProgress set) collect it
-	// implicitly. On an unobserved solve every per-node clock read is
-	// behind this flag, so the disabled cost is one predictable branch per
-	// site — the same contract as the nil Tracer.
-	Timing bool
+	ProgressEvery time.Duration
 
 	// Check, when set, runs the modelcheck diagnostic pass (see
 	// internal/modelcheck) before the search starts — the stand-in for a
@@ -155,12 +154,13 @@ type Params struct {
 	// is explored.
 	Check bool
 
-	// DisablePresolve turns off the whole reduction layer: the root
+	// disablePresolve turns off the whole reduction layer: the root
 	// presolve (bound propagation, singleton/redundant-row elimination,
 	// fixed-variable substitution, big-M tightening) and the per-node
-	// domain propagation that runs after every branch. The corpus
-	// equivalence test solves every instance both ways.
-	DisablePresolve bool
+	// domain propagation that runs after every branch. It is the package
+	// tests' referee: the corpus equivalence test solves every instance
+	// both ways, and -presolve=off runs the brute-force corpus without it.
+	disablePresolve bool
 }
 
 // Result is the outcome of a MILP solve.
@@ -278,7 +278,7 @@ type search struct {
 	start    time.Time
 	post     *postsolve // maps searched-space points back to the caller's; nil without presolve
 	tracer   obs.Tracer // copy of p.Tracer; nil disables all emit sites
-	timed    bool       // wall-clock attribution on (Tracer, OnProgress, or Params.Timing)
+	timed    bool       // wall-clock attribution on: the solve is observed (Tracer or OnProgress)
 
 	pl *plan // what prepare decided; fold takes the presolve figures from it
 
@@ -382,10 +382,10 @@ func (s *search) reached(inc, b float64) bool {
 }
 
 // solveLP solves the relaxation under the given bounds, warm-starting from
-// basis when one is available (the parent node's optimal basis; only the
-// root and the hint LPs have none). It holds no locks: the lowered problem
-// and the simplex workspace cached on it are per-worker scratch (wid), so
-// concurrent workers never share solver state. The elapsed nanoseconds are
+// basis when one is available (the parent node's optimal basis, or the
+// auto-width probe's for the root; the hint LPs have none). It holds no
+// locks: the lowered problem and the simplex workspace cached on it are
+// per-worker scratch (wid), so concurrent workers never share solver state. The elapsed nanoseconds are
 // returned (and charged to the warm or cold LP bucket) so callers can
 // subtract LP time from their own phase accounting.
 func (s *search) solveLP(wid int, lo, hi []float64, basis *lp.Basis) (*lp.Solution, int64, error) {
@@ -665,7 +665,7 @@ func (s *search) abandon(wid, claimNo int, n *node, st lp.Status) {
 // counter — the invariant the stats regression test checks. claimed is the
 // per-worker claim count driving the rounding-heuristic cadence.
 //
-// Timing: the whole call is the worker's busy time and the node_ns
+// On a timed solve the whole call is the worker's busy time and the node_ns
 // histogram's unit; whatever is not the LP relaxation or the rounding
 // heuristic (both accounted inside their own calls) lands in
 // Stats.BranchNs, keeping the phase buckets disjoint.
@@ -856,8 +856,11 @@ type plan struct {
 	workers    int // resolved pool width
 
 	// Auto width: the width asked for and the root fractional count behind
-	// the choice; autoRequested 0 means auto width did not run.
+	// the choice; autoRequested 0 means auto width did not run. rootBasis is
+	// the probe's optimal root basis, which the search's root node
+	// warm-starts from (nil: the root solves cold).
 	autoRequested, autoFrac int
+	rootBasis               *lp.Basis
 }
 
 func (pl *plan) infeasible() bool { return pl.pres != nil && pl.pres.infeasible }
@@ -882,7 +885,7 @@ func (m *Model) prepare(p *Params) (*plan, error) {
 
 	// Root presolve: the search runs on the reduced model and postsolve
 	// maps its solutions back to the caller's variable space.
-	if !p.DisablePresolve {
+	if !p.disablePresolve {
 		presolveStart := time.Now()
 		pl.pres = presolve(m, p.IntTol)
 		pl.presolveNs = time.Since(presolveStart).Nanoseconds()
@@ -891,13 +894,13 @@ func (m *Model) prepare(p *Params) (*plan, error) {
 		}
 	}
 
-	// Auto width: solve the root relaxation once (off the books — the
-	// search's own root solve still happens and is the one Stats counts)
-	// and shrink the pool when the fractional count says the tree cannot
-	// keep it fed.
+	// Auto width: solve the root relaxation once and shrink the pool when
+	// the fractional count says the tree cannot keep it fed. The probe is
+	// off the books; its basis makes the search's own root solve, the one
+	// Stats counts, a warm re-solve with nothing left to pivot.
 	if p.AutoWidth && pl.workers > 1 && !pl.infeasible() {
 		pl.autoRequested = pl.workers
-		pl.workers, pl.autoFrac = autoWidth(pl.sm, p.IntTol, pl.workers)
+		pl.workers, pl.autoFrac, pl.rootBasis = autoWidth(pl.sm, p.IntTol, pl.workers)
 	}
 	return pl, nil
 }
@@ -916,7 +919,7 @@ func newSearch(m *Model, p Params, pl *plan, start time.Time) *search {
 		start:    start,
 		pl:       pl,
 		tracer:   p.Tracer,
-		timed:    p.Tracer != nil || p.OnProgress != nil || p.Timing,
+		timed:    p.Tracer != nil || p.OnProgress != nil,
 		probs:    make([]*lp.Problem, workers),
 		pools:    make([]boundPool, workers),
 		deques:   make([]conc.Deque[*node], workers),
@@ -1004,6 +1007,7 @@ func newSearch(m *Model, p Params, pl *plan, start time.Time) *search {
 		lo:    append([]float64(nil), sm.lo...),
 		hi:    append([]float64(nil), sm.hi...),
 		relax: s.toObj(-inf),
+		basis: pl.rootBasis,
 		bvar:  -1,
 	})
 	s.pubBound[0].Store(math.Float64bits(s.toObj(-inf)))

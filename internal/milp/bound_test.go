@@ -195,7 +195,7 @@ func TestAbandonedNodeKeepsBoundOpen(t *testing.T) {
 	var obj Expr
 	obj.Add(1, x)
 	m.SetObjective(obj, Maximize)
-	p := Params{Workers: 1, DisablePresolve: true}
+	p := Params{Workers: 1, disablePresolve: true}
 	pl, err := m.prepare(&p)
 	if err != nil {
 		t.Fatalf("prepare: %v", err)

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"raha/internal/lp"
 )
 
 // wideKnapsack builds a knapsack wide enough that the search tree has real
@@ -175,5 +177,51 @@ func TestWorkersDefault(t *testing.T) {
 		if pl.workers != tt.want {
 			t.Errorf("Workers %d resolves to a %d-wide pool, want %d", tt.workers, pl.workers, tt.want)
 		}
+	}
+}
+
+// blockKnapsacks builds n independent three-item knapsacks. Each block's
+// LP relaxation takes its best item whole and the next one in part, so the
+// root has one fractional binary per block.
+func blockKnapsacks(n int) *Model {
+	m := NewModel()
+	var obj Expr
+	for k := 0; k < n; k++ {
+		a, b, c := m.BinaryVar("a"), m.BinaryVar("b"), m.BinaryVar("c")
+		obj.Add(5, a)
+		obj.Add(6, b)
+		obj.Add(7, c)
+		m.Add(NewExpr(T(3, a), T(4, b), T(5, c)), LE, 6, "block")
+	}
+	m.SetObjective(obj, Maximize)
+	return m
+}
+
+// TestAutoWidthProbeWarmStartsRoot: the auto-width probe solves the root
+// relaxation once, and the search's own root LP re-solves from the probe's
+// optimal basis — a warm start with no pivot left to make — instead of
+// solving the same LP cold a second time.
+func TestAutoWidthProbeWarmStartsRoot(t *testing.T) {
+	m := blockKnapsacks(6)
+	p := Params{Workers: 2, AutoWidth: true}
+	pl, err := m.prepare(&p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.autoFrac <= autoWidthMinFrac {
+		t.Fatalf("root has %d fractional binaries, want more than %d", pl.autoFrac, autoWidthMinFrac)
+	}
+	s := newSearch(m, p, pl, time.Now())
+	root, _ := s.claim(0)
+	if root == nil || root.depth != 0 {
+		t.Fatalf("first claim %+v, want the root", root)
+	}
+	sol, _, err := s.solveLP(0, root.lo, root.hi, root.basis)
+	if err != nil || sol.Status != lp.Optimal {
+		t.Fatalf("root LP: %v, %v", sol, err)
+	}
+	if st := s.wstats[0].stats; st.WarmStarts != 1 || st.WarmIters != 0 || st.LPIterations != 0 {
+		t.Fatalf("root LP: %d warm starts, %d warm iterations, %d iterations; want 1, 0, 0",
+			st.WarmStarts, st.WarmIters, st.LPIterations)
 	}
 }

@@ -87,7 +87,6 @@ type Model struct {
 	cons  []constraint
 	obj   Expr
 	sense Sense
-	naux  int // counter for generated helper-variable names
 }
 
 // NewModel returns an empty model (default sense: Maximize, matching Raha's
@@ -200,11 +199,6 @@ func (m *Model) exprBounds(e Expr) (lo, hi float64) {
 		hi += b
 	}
 	return lo, hi
-}
-
-func (m *Model) auxName(prefix string) string {
-	m.naux++
-	return fmt.Sprintf("%s#%d", prefix, m.naux)
 }
 
 // Product returns a variable y constrained to equal b·x for a binary b and a

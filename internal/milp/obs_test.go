@@ -24,13 +24,13 @@ func statsOutcomes(st Stats) int64 {
 // corpus, every explored node must land in exactly one outcome counter, at
 // Workers 1 and at Workers 4 — and the same partition must hold per worker:
 // the per-worker node counts sum to Nodes, and each worker's busy +
-// queue-wait + idle time adds up to its wall clock (Timing on).
+// queue-wait + idle time adds up to its wall clock (observed, so timed).
 func TestStatsNodeAccounting(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		rng := rand.New(rand.NewSource(2025))
 		for i := 0; i < 40; i++ {
 			inst := genMILP(rng)
-			res, err := inst.m.Solve(Params{Workers: workers, Timing: true})
+			res, err := inst.m.Solve(Params{Workers: workers, OnProgress: func(Progress) {}})
 			if err != nil {
 				t.Fatalf("workers=%d inst=%d: %v", workers, i, err)
 			}
@@ -360,7 +360,7 @@ func emitGuard(tr obs.Tracer) int {
 
 // timedGuard is the disabled-timing fast path in isolation: the one bool
 // branch each timing site pays when the solve is unobserved (no tracer, no
-// progress callback, Params.Timing off).
+// progress callback).
 //
 //go:noinline
 func timedGuard(timed bool) int {

@@ -436,7 +436,7 @@ func presolve(m *Model, intTol float64) *presolveResult {
 	}
 	res.fixedVars = int64(n - kept)
 
-	red := &Model{sense: m.sense, naux: m.naux}
+	red := &Model{sense: m.sense}
 	keep := make([]Var, 0, kept)
 	for v := 0; v < n; v++ {
 		if idx[v] < 0 {

@@ -203,14 +203,14 @@ func TestPropagationPrunes(t *testing.T) {
 	}
 }
 
-// TestDisablePresolveZeroStats: the opt-out leaves no reduction fingerprints.
-func TestDisablePresolveZeroStats(t *testing.T) {
+// TestPresolveOffZeroStats: the opt-out leaves no reduction fingerprints.
+func TestPresolveOffZeroStats(t *testing.T) {
 	m := knapsack(12, 21)
-	res := solveOK(t, m, Params{Workers: 1, DisablePresolve: true})
+	res := solveOK(t, m, Params{Workers: 1, disablePresolve: true})
 	st := res.Stats
 	if st.PresolveFixedVars != 0 || st.PresolveRemovedRows != 0 ||
 		st.PresolveTightenedBounds != 0 || st.PresolveTightenedCoefs != 0 || st.PropagationPrunes != 0 {
-		t.Fatalf("DisablePresolve left reduction stats %+v", st)
+		t.Fatalf("presolve off left reduction stats %+v", st)
 	}
 }
 
@@ -220,7 +220,7 @@ func TestDisablePresolveZeroStats(t *testing.T) {
 // keeps this flat; allocs/node is the headline metric.
 func BenchmarkSolveNodeAllocs(b *testing.B) {
 	m := knapsack(18, 9)
-	p := Params{Workers: 1, DisablePresolve: true}
+	p := Params{Workers: 1, disablePresolve: true}
 	res, err := m.Solve(p)
 	if err != nil || res.Nodes == 0 {
 		b.Fatalf("warmup solve: %v (nodes %d)", err, res.Nodes)
@@ -259,7 +259,7 @@ func TestNodeAllocsBudget(t *testing.T) {
 		t.Skip("allocation counting is slow under -short")
 	}
 	m := knapsack(18, 9)
-	p := Params{Workers: 1, DisablePresolve: true}
+	p := Params{Workers: 1, disablePresolve: true}
 	res, err := m.Solve(p)
 	if err != nil || res.Nodes == 0 {
 		t.Fatalf("warmup solve: %v (nodes %d)", err, res.Nodes)

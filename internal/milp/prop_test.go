@@ -15,7 +15,7 @@ var presolveMode = flag.String("presolve", "on", `corpus presolve mode: "on" or 
 
 func corpusParams(p Params) Params {
 	if *presolveMode == "off" {
-		p.DisablePresolve = true
+		p.disablePresolve = true
 	}
 	return p
 }
@@ -260,7 +260,7 @@ func nodeAccounting(t *testing.T, trial int, label string, res *Result, p Params
 		t.Fatalf("trial %d (%s): PseudocostBranches %d > NodesBranched %d",
 			trial, label, st.PseudocostBranches, st.NodesBranched)
 	}
-	if p.DisablePresolve {
+	if p.disablePresolve {
 		if st.PresolveFixedVars != 0 || st.PresolveRemovedRows != 0 ||
 			st.PresolveTightenedBounds != 0 || st.PresolveTightenedCoefs != 0 ||
 			st.PropagationPrunes != 0 {
@@ -284,8 +284,8 @@ func TestRandomMILPsPresolveBranchingEquivalence(t *testing.T) {
 		p     Params
 	}
 	cfgs := []cfg{
-		{"off-1", Params{Workers: 1, DisablePresolve: true}},
-		{"off-4", Params{Workers: 4, DisablePresolve: true}},
+		{"off-1", Params{Workers: 1, disablePresolve: true}},
+		{"off-4", Params{Workers: 4, disablePresolve: true}},
 		{"on-1", Params{Workers: 1}},
 		{"on-4", Params{Workers: 4}},
 	}
@@ -362,7 +362,7 @@ func TestWorkers1StatsDeterminism(t *testing.T) {
 	n := propCorpusSize(t) / 5
 	cfgs := []Params{
 		{Workers: 1},
-		{Workers: 1, DisablePresolve: true},
+		{Workers: 1, disablePresolve: true},
 	}
 	for trial := 0; trial < n; trial++ {
 		inst := genMILP(rng)

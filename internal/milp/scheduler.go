@@ -387,18 +387,19 @@ const autoWidthMinFrac = 3
 
 // autoWidth estimates whether the solve is a long-tail tree worth
 // intra-solve workers, by solving the root relaxation once and counting
-// fractional integer variables. The probe LP is off the books (the
-// search re-solves its own root, and that one is what Stats counts).
-// Width is also capped at GOMAXPROCS: branch and bound is CPU-bound, and
-// oversubscribed workers only add contention.
-func autoWidth(m *Model, intTol float64, workers int) (width, frac int) {
+// fractional integer variables. The probe LP is off the books; its optimal
+// basis is returned for the search's root to warm-start from, so the root
+// LP is solved cold once, not twice. Width is also capped at GOMAXPROCS:
+// branch and bound is CPU-bound, and oversubscribed workers only add
+// contention.
+func autoWidth(m *Model, intTol float64, workers int) (width, frac int, basis *lp.Basis) {
 	width = workers
 	if g := runtime.GOMAXPROCS(0); width > g {
 		width = g
 	}
 	sol, err := lp.Solve(m.reuseLP(nil, m.lo, m.hi), nil)
 	if err != nil || sol.Status != lp.Optimal {
-		return width, -1
+		return width, -1, nil
 	}
 	for v, t := range m.vtype {
 		if t == Continuous {
@@ -410,7 +411,7 @@ func autoWidth(m *Model, intTol float64, workers int) (width, frac int) {
 		}
 	}
 	if frac <= autoWidthMinFrac {
-		return 1, frac
+		return 1, frac, sol.Basis
 	}
-	return width, frac
+	return width, frac, sol.Basis
 }

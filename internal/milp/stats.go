@@ -68,16 +68,17 @@ type Stats struct {
 	BudgetPrunes            int64 `trace:"budget_prunes" counter:"milp.budget_prunes"`               // children discarded at creation by the Params.Knapsack cap (not in Result.Nodes)
 	PseudocostBranches      int64 `trace:"pseudocost_branches"`                                      // branch decisions scored by reliable pseudocosts (vs most-fractional fallback)
 
-	// Wall-clock attribution in nanoseconds, populated when the solve is
-	// observed (Params.Tracer, Params.OnProgress, or Params.Timing) and
-	// zero otherwise — an unobserved solve pays no per-node clock reads
-	// (TestNilTracerOverhead guards the budget). The first five buckets are
-	// disjoint: every nanosecond a worker spends inside a node lands in
-	// exactly one of LPWarmNs/LPColdNs (the simplex), HeurNs (rounding-
-	// heuristic overhead around its own LP solves), or BranchNs (everything
-	// else in node processing: status handling, pseudocost scoring, branch
-	// selection, child setup, domain propagation). PresolveNs is the root
-	// presolve, spent once before the workers start.
+	// Wall-clock attribution in nanoseconds. PresolveNs is the root
+	// presolve, spent once before the workers start, and is measured on
+	// every solve. The other four are populated only when the solve is
+	// observed (Params.Tracer or Params.OnProgress) and are zero otherwise —
+	// an unobserved solve pays no per-node clock reads (TestNilTracerOverhead
+	// guards the budget). They are disjoint: every nanosecond a worker
+	// spends inside a node lands in exactly one of LPWarmNs/LPColdNs (the
+	// simplex), HeurNs (rounding-heuristic overhead around its own LP
+	// solves), or BranchNs (everything else in node processing: status
+	// handling, pseudocost scoring, branch selection, child setup, domain
+	// propagation).
 	PresolveNs int64 `trace:"presolve_ns"` // root presolve wall clock
 	LPWarmNs   int64 `trace:"lp_warm_ns"`  // LP solves that re-optimized from an inherited basis
 	LPColdNs   int64 `trace:"lp_cold_ns"`  // cold two-phase LP solves (incl. warm-start fallbacks)

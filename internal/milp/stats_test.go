@@ -21,7 +21,7 @@ import (
 // other field of its struct (nor a solve_end key of the Result's own) uses.
 func TestStatsAccSnapshotMapping(t *testing.T) {
 	m := knapsack(8, 1)
-	p := Params{Workers: 3, Timing: true}
+	p := Params{Workers: 3, OnProgress: func(Progress) {}} // observed, so timed
 	pl, err := m.prepare(&p)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestStatsAccSnapshotMapping(t *testing.T) {
 func TestProcessCountersMatchStats(t *testing.T) {
 	m := knapsack(18, 3)
 	before := obs.Default.Snapshot()
-	res, err := m.Solve(Params{Workers: 4, Timing: true})
+	res, err := m.Solve(Params{Workers: 4, OnProgress: func(Progress) {}}) // observed, so timed
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,6 @@ func TestStatsConcurrentSampling(t *testing.T) {
 		var liveMax int64
 		res, err := m.Solve(Params{
 			Workers:       4,
-			Timing:        true,
 			ProgressEvery: time.Millisecond,
 			OnProgress: func(p Progress) {
 				if p.Incumbents < 0 {

@@ -168,7 +168,10 @@ type Result = metaopt.Result
 
 // SolverParams forwards limits to the MILP backend (time, nodes, gap) and
 // carries its observability hooks (Tracer, OnProgress) plus the Check
-// pre-solve gate (see ModelCheckReport).
+// pre-solve gate (see ModelCheckReport). Its behaviour knobs are Workers,
+// AutoWidth and Check; presolve is always on, and a solve reads wall
+// clocks for its time attribution only when a Tracer or OnProgress
+// observes it.
 type SolverParams = milp.Params
 
 // SolveStatus is the MILP solve outcome.
