@@ -187,6 +187,19 @@ for w in 0 32; do
 	go run ./cmd/raha alert -all -builtins=false -zoo-dir internal/topology/testdata \
 		-grid 'k=1;p=1e-3;d=peak' -budget-per-topo 10s -workers "$w" -q -progress=false >/dev/null
 done
+# The one-cell grid above never lets a cell reuse another's proof. A traced
+# pass of the default grid over the same corpus must: the peak and elastic
+# cells ask one phase-1 question, so some cell answers its phase 1 from an
+# earlier cell's (a phase_reused event), and some tighter (k, p) cell is
+# closed by what its looser neighbours proved.
+fleet_tmp=$tmp/fleet.jsonl
+go run ./cmd/raha alert -all -builtins=false -zoo-dir internal/topology/testdata \
+	-budget-per-topo 10s -workers 2 -q -progress=false -trace "$fleet_tmp" >/dev/null
+if ! grep '"ev":"phase_reused"' "$fleet_tmp" | grep -q '"phase":1' ||
+	! grep '"ev":"sweep_topo_end"' "$fleet_tmp" | grep -q '"cells_closed_by_neighbour":[1-9]'; then
+	echo "ci: the default-grid fixture sweep reused no phase 1 or closed no cell by a looser neighbour" >&2
+	exit 1
+fi
 undefined_flag() {
 	if out=$(go run "$@" 2>&1) || ! printf %s "$out" | grep -q 'flag provided but not defined'; then
 		echo "ci: $* was not rejected as an undefined flag: $out" >&2

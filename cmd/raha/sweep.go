@@ -204,8 +204,8 @@ func printSweepReport(rep *raha.SweepReport) {
 	if rep.NumShards > 1 {
 		shard = fmt.Sprintf(" [shard %d/%d]", rep.Shard, rep.NumShards)
 	}
-	fmt.Printf("sweep%s: %d topologies (%d failed), %d/%d cells ok (%d closed by the budget bound), %v elapsed%s\n",
-		shard, rep.TopoCount, rep.TopoFailed, rep.CellsOK, rep.CellsTotal, rep.CellsClosedByBound,
+	fmt.Printf("sweep%s: %d topologies (%d failed), %d/%d cells ok (%d closed by the budget bound, %d by a looser neighbour), %v elapsed%s\n",
+		shard, rep.TopoCount, rep.TopoFailed, rep.CellsOK, rep.CellsTotal, rep.CellsClosedByBound, rep.CellsClosedByNeighbour,
 		rep.Elapsed.Round(time.Millisecond), status)
 
 	if len(rep.Ranking) > 0 {

@@ -89,6 +89,13 @@ type Report struct {
 // found so far (see metaopt.AnalyzeContext) — a cancelled run still returns a
 // Report, not an error.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
+	return RunWith(ctx, cfg, metaopt.AnalyzeContext)
+}
+
+// RunWith is Run with each phase's analysis handed to solve, which must
+// answer it as metaopt.AnalyzeContext would. A fleet sweep passes a solve
+// that answers from what its grid has already proved (internal/batch).
+func RunWith(ctx context.Context, cfg Config, solve func(context.Context, metaopt.Config) (*metaopt.Result, error)) (*Report, error) {
 	if cfg.Topo == nil || len(cfg.Demands) == 0 {
 		return nil, fmt.Errorf("raha: alert config needs a topology and demands")
 	}
@@ -112,7 +119,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	// Phase 1: fixed peak demand — the healthy optimum is a constant and
 	// the MILP carries only failure variables.
-	p1, err := metaopt.AnalyzeContext(ctx, metaopt.Config{
+	p1, err := solve(ctx, metaopt.Config{
 		Topo:                 cfg.Topo,
 		Demands:              cfg.Demands,
 		Envelope:             env1,
@@ -136,7 +143,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 
 	// Phase 2: search the demand envelope too.
-	p2, err := metaopt.AnalyzeContext(ctx, metaopt.Config{
+	p2, err := solve(ctx, metaopt.Config{
 		Topo:                 cfg.Topo,
 		Demands:              cfg.Demands,
 		Envelope:             env2,

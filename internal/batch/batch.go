@@ -10,6 +10,7 @@ import (
 	"raha/internal/conc"
 	"raha/internal/demand"
 	"raha/internal/metaopt"
+	"raha/internal/milp"
 	"raha/internal/obs"
 	"raha/internal/paths"
 	"raha/internal/topology"
@@ -185,15 +186,16 @@ func runTopology(ctx context.Context, cfg *Config, src Source, cells []Cell, wid
 		res.Runtime = time.Since(start)
 		cTopologies.Inc()
 		if tr := cfg.Tracer; tr != nil {
-			ok, failed, closed := res.cellCounts()
+			ok, failed, closed, byNeighbour := res.cellCounts()
 			tr.Emit("batch", "sweep_topo_end", obs.F{
-				"topology":              src.Name,
-				"cells_ok":              ok,
-				"cells_failed":          failed,
-				"cells_closed_by_bound": closed,
-				"worst":                 res.WorstNormalized,
-				"failed":                res.Err != "",
-				"runtime_s":             res.Runtime.Seconds(),
+				"topology":                  src.Name,
+				"cells_ok":                  ok,
+				"cells_failed":              failed,
+				"cells_closed_by_bound":     closed,
+				"cells_closed_by_neighbour": byNeighbour,
+				"worst":                     res.WorstNormalized,
+				"failed":                    res.Err != "",
+				"runtime_s":                 res.Runtime.Seconds(),
 			})
 		}
 	}()
@@ -228,12 +230,15 @@ func runTopology(ctx context.Context, cfg *Config, src Source, cells []Cell, wid
 		}
 	}
 
-	res.Cells = make([]CellResult, 0, len(cells))
 	// The pair selection and the tunnels over it depend on the topology, the
 	// seed and the model's pair count only, so cells share them instead of
-	// re-ranking all n·(n−1) pairs and re-running Yen's algorithm each.
-	shared := make(map[int]tunnels)
-	for _, cell := range cells {
+	// re-ranking all n·(n−1) pairs and re-running Yen's algorithm each. They
+	// share what their phases proved too, so the cells are solved loosest
+	// first and reported in grid order.
+	memo := newTopoMemo(src.Name)
+	res.Cells = make([]CellResult, len(cells))
+	for _, i := range solveOrder(cells) {
+		cell := cells[i]
 		var cr CellResult
 		switch {
 		case ctx.Err() != nil:
@@ -241,18 +246,21 @@ func runTopology(ctx context.Context, cfg *Config, src Source, cells []Cell, wid
 		case topoCtx.Err() != nil:
 			cr = CellResult{Cell: cell, Err: "topology budget exhausted"}
 		default:
-			cr = runCell(topoCtx, cfg, top, cell, phaseBudget, width, shared)
+			cr = runCell(topoCtx, cfg, top, cell, phaseBudget, width, memo)
 		}
 		cCells.Inc()
 		if cr.Err != "" {
 			cFailures.Inc()
-		} else if cr.Normalized > res.WorstNormalized || res.WorstCell == "" {
+		}
+		res.Cells[i] = cr
+	}
+	for _, cr := range res.Cells {
+		if cr.Err == "" && (cr.Normalized > res.WorstNormalized || res.WorstCell == "") {
 			res.WorstNormalized = cr.Normalized
-			res.WorstCell = cell.Name()
+			res.WorstCell = cr.Name()
 			res.WorstPhase = cr.Phase
 			res.WorstRaised = cr.Raised
 		}
-		res.Cells = append(res.Cells, cr)
 	}
 	return res
 }
@@ -286,9 +294,11 @@ type tunnels struct {
 // runCell runs the two-phase alert check for one grid cell and self-checks
 // the result's invariants. Panics anywhere below (path computation, model
 // build, solver, verification) are caught and recorded as the cell's
-// failure. shared caches the topology's tunnels, keyed by pair count; a
-// computation that panics caches nothing, so every cell reports it.
-func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell, phaseBudget time.Duration, width int, shared map[int]tunnels) (cr CellResult) {
+// failure. memo holds what the topology's cells share: its tunnels, keyed by
+// pair count — a computation that panics caches nothing, so every cell
+// reports it — and the phases they have solved, which answer or seed this
+// cell's (topoMemo.solve).
+func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell, phaseBudget time.Duration, width int, memo *topoMemo) (cr CellResult) {
 	cr.Cell = cell
 	start := time.Now()
 	defer func() {
@@ -303,13 +313,13 @@ func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell
 		seed = 1
 	}
 	dm := cell.Demand
-	tn, ok := shared[dm.Pairs]
+	tn, ok := memo.tunnels[dm.Pairs]
 	if !ok {
 		tn.pairs = demand.TopPairs(top, dm.Pairs, seed)
 		if len(tn.pairs) > 0 {
 			tn.dps, tn.err = paths.Compute(top, tn.pairs, 2, 1, nil)
 		}
-		shared[dm.Pairs] = tn
+		memo.tunnels[dm.Pairs] = tn
 	}
 	pairs, dps := tn.pairs, tn.dps
 	if len(pairs) == 0 {
@@ -347,7 +357,24 @@ func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell
 		Tracer:               cfg.Tracer,
 		Check:                cfg.Check,
 	}
-	rep, err := alert.Run(ctx, acfg)
+	var reused [2]bool // per phase: answered by an earlier cell's proof
+	phase := 0
+	rep, err := alert.RunWith(ctx, acfg, func(ctx context.Context, q metaopt.Config) (*metaopt.Result, error) {
+		res, from, err := memo.solve(ctx, cell, q)
+		phase++
+		if from != nil {
+			reused[phase-1] = true
+			if tr := cfg.Tracer; tr != nil {
+				tr.Emit("batch", "phase_reused", obs.F{
+					"topology": memo.name,
+					"cell":     cell.Name(),
+					"phase":    phase,
+					"from":     from.cell.Name(),
+				})
+			}
+		}
+		return res, err
+	})
 	if err != nil {
 		cr.Err = err.Error()
 		return cr
@@ -357,15 +384,26 @@ func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell
 	cr.Phase = rep.Phase
 	cr.Normalized = rep.NormalizedDegradation
 	cr.ClosedByBound = true
-	for _, p := range []*metaopt.Result{rep.Phase1, rep.Phase2} {
+	closed := true // every phase was reused or ended by a bound
+	for i, p := range []*metaopt.Result{rep.Phase1, rep.Phase2} {
 		if p == nil {
 			continue
 		}
-		cr.NodesExplored += int64(p.Nodes)
-		cr.LPSolves += p.Stats.LPSolves
+		// A reused phase's search was the earlier cell's, and counted there.
+		if !reused[i] {
+			cr.NodesExplored += int64(p.Nodes)
+			cr.LPSolves += p.Stats.LPSolves
+		}
 		cr.Status = p.Status.String()
 		cr.ClosedByBound = cr.ClosedByBound && p.ClosedByBound
+		// Solver.Bound drained the search: the knapsack's bound, or the looser
+		// neighbours' where that was tighter — the only other bound a sweep
+		// hands a solve. ClosedByBound alone also covers the knapsack closing
+		// the analysis before any search.
+		drained := p.Status == milp.Optimal && p.Stats.BoundPrunes > 0
+		closed = closed && (reused[i] || drained || p.ClosedByBound)
 	}
+	cr.ClosedByNeighbour = closed && !cr.ClosedByBound
 	if err := checkCell(top, &acfg, rep); err != nil {
 		cr.Err = "invariant: " + err.Error()
 	}

@@ -215,16 +215,16 @@ func TestSweepFixtureCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("topology %s: %v", src.Name, err)
 		}
-		shared := make(map[int]tunnels)
+		shared := newTopoMemo(src.Name)
 		for _, cell := range cells {
 			if cr := runCell(context.Background(), &cfg, top, cell, 0, 1, shared); cr.Err != "" {
 				t.Errorf("topology %s cell %s failed: %s", src.Name, cell.Name(), cr.Err)
 			}
 		}
-		if len(shared) != 2 {
-			t.Errorf("topology %s: %d tunnel sets cached for two pair counts", src.Name, len(shared))
+		if len(shared.tunnels) != 2 {
+			t.Errorf("topology %s: %d tunnel sets cached for two pair counts", src.Name, len(shared.tunnels))
 		}
-		for n, tn := range shared {
+		for n, tn := range shared.tunnels {
 			pairs := demand.TopPairs(top, n, 1)
 			dps, err := paths.Compute(top, pairs, 2, 1, nil)
 			if err != nil || !reflect.DeepEqual(tn.pairs, pairs) || !reflect.DeepEqual(tn.dps, dps) {
@@ -379,7 +379,7 @@ func TestSweepSourceFaultTolerance(t *testing.T) {
 		if tres.Err != "" {
 			t.Errorf("b4 failed: %s", tres.Err)
 		}
-		if ok, _, _ := tres.cellCounts(); ok == 0 {
+		if ok, _, _, _ := tres.cellCounts(); ok == 0 {
 			t.Error("b4 produced no successful cells")
 		}
 	}

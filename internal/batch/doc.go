@@ -15,6 +15,11 @@
 // Raised ⇒ NormalizedDegradation > Tolerance consistency before its result
 // joins the report; a violation is recorded as that cell's failure.
 //
+// Within one topology the cells share what they prove (topoMemo): cells are
+// solved loosest budget first, a phase question an earlier cell proved is
+// answered with that proof, and every other phase starts from its looser
+// neighbours' dual bound and admissible scenario.
+//
 // DESIGN.md §2.10 documents the architecture, the shard/budget semantics,
-// and the sweep_topo_start/sweep_topo_end trace events.
+// the grid reuse and the sweep_topo_start/sweep_topo_end trace events.
 package batch

@@ -33,6 +33,11 @@ type CellResult struct {
 	// (metaopt.Result.ClosedByBound) — nothing the budget allows hurts, or
 	// the first incumbent to reach the bound drained the tree.
 	ClosedByBound bool `json:",omitempty"`
+	// ClosedByNeighbour: what the topology's looser cells had proved ended
+	// every phase that ran, and not the lost-capacity bound alone — a phase
+	// reused from an identical proven question, or a search the looser
+	// cells' dual bound drained (DESIGN.md §2.10).
+	ClosedByNeighbour bool `json:",omitempty"`
 }
 
 // TopoResult is one topology's sweep outcome: either a topology-level
@@ -60,8 +65,9 @@ type TopoResult struct {
 }
 
 // cellCounts splits the topology's cells into succeeded and failed, and
-// counts the succeeded ones the budget bound closed.
-func (t *TopoResult) cellCounts() (ok, failed, closedByBound int) {
+// counts the succeeded ones the budget bound closed and the ones their
+// looser neighbours closed.
+func (t *TopoResult) cellCounts() (ok, failed, closedByBound, closedByNeighbour int) {
 	for i := range t.Cells {
 		c := &t.Cells[i]
 		if c.Err != "" {
@@ -72,8 +78,11 @@ func (t *TopoResult) cellCounts() (ok, failed, closedByBound int) {
 		if c.ClosedByBound {
 			closedByBound++
 		}
+		if c.ClosedByNeighbour {
+			closedByNeighbour++
+		}
 	}
-	return ok, failed, closedByBound
+	return ok, failed, closedByBound, closedByNeighbour
 }
 
 // nodesAndSolves totals the branch-and-bound work across the topology's
@@ -132,6 +141,9 @@ type Report struct {
 	// CellsClosedByBound counts the OK cells whose phases the lost-capacity
 	// bound ended (CellResult.ClosedByBound).
 	CellsClosedByBound int
+	// CellsClosedByNeighbour counts the OK cells their topology's looser
+	// cells closed (CellResult.ClosedByNeighbour).
+	CellsClosedByNeighbour int
 
 	// Cancelled reports that the parent context died mid-sweep; the
 	// report carries whatever completed first.
@@ -167,10 +179,11 @@ func assembleReport(cfg *Config, results []TopoResult, elapsed time.Duration, ca
 			rep.TopoFailed++
 			rep.Failures = append(rep.Failures, Failure{Topology: t.Name, Err: t.Err})
 		}
-		ok, failed, closed := t.cellCounts()
+		ok, failed, closed, byNeighbour := t.cellCounts()
 		rep.CellsOK += ok
 		rep.CellsFailed += failed
 		rep.CellsClosedByBound += closed
+		rep.CellsClosedByNeighbour += byNeighbour
 		rep.CellsTotal += len(t.Cells)
 		for j := range t.Cells {
 			if t.Cells[j].Err != "" {

@@ -124,6 +124,29 @@ func NewBudget(t *topology.Topology, dps []paths.DemandPaths, hi []float64, thre
 	return b, nil
 }
 
+// Admits reports whether s satisfies b's rows as the model carries them: the
+// probability row and the count row, read over the member links of the used
+// LAGs only. Unused links are left out on purpose. A scenario found under a
+// budget without a count row reports the unused links that budget assumed
+// failed, and those are not variables of any model, so they count against
+// neither row here. The probability row allows a 1e-9 relative slack for
+// the rounding of its sum.
+func (b *Budget) Admits(s *Scenario) bool {
+	failed, logp := 0, 0.0
+	for e, ws := range b.Weight {
+		for l := range ws {
+			if !s.LinkDown[e][l] {
+				continue
+			}
+			failed++
+			if b.Coef != nil {
+				logp += b.Coef[e][l]
+			}
+		}
+	}
+	return (b.K == 0 || failed <= b.K) && (b.Coef == nil || logp >= b.RHS-1e-9*(1+math.Abs(b.RHS)))
+}
+
 // knapsackNodeCap bounds the branch and bound on the budget knapsack. The
 // knapsacks of the paper's topologies take tens to a few hundred nodes (two
 // rows, microseconds per node); one that runs into the cap still yields a

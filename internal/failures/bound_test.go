@@ -2,6 +2,7 @@ package failures
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -146,5 +147,103 @@ func TestLostCapacityBoundOutcomes(t *testing.T) {
 
 	if _, err = bound(hi, 1.5, true, 0); err == nil {
 		t.Fatal("threshold 1.5 must error, as it does for the model row")
+	}
+}
+
+// TestBudgetAdmits holds Budget.Admits to the rows the model carries. The
+// diamond gets a fifth LAG, B–C, that no path uses, with two links more
+// likely down than up: a budget without a count row assumes them failed, and
+// a scenario found under it reports them failed. Every scenario over the five
+// used links, with that unused pair failed, must be admitted exactly when the
+// model's probability and count rows hold at it, under both treatments of
+// unused links; the named cases pin which row refuses.
+func TestBudgetAdmits(t *testing.T) {
+	top, dps := diamond()
+	b, c := topology.Node(1), topology.Node(2)
+	top.MustAddLAG(b, c, []topology.Link{{Capacity: 10, FailProb: 0.9}, {Capacity: 10, FailProb: 0.9}})
+	hi := []float64{15}
+	// used lists the five used links as (LAG, link).
+	used := [][2]int{{0, 0}, {0, 1}, {1, 0}, {2, 0}, {3, 0}}
+	scenario := func(mask int) *Scenario {
+		s := NewScenario(top)
+		s.FailLAG(4) // what a k = 0 analysis reports for the unused pair
+		for i, el := range used {
+			if mask&(1<<i) != 0 {
+				s.LinkDown[el[0]][el[1]] = true
+			}
+		}
+		return s
+	}
+
+	for _, tc := range []struct {
+		threshold float64
+		assume    bool
+		k         int
+	}{
+		{1e-5, true, 0}, {1e-5, false, 2}, {1e-9, false, 2}, {1e-3, false, 1}, {0, false, 2}, {1e-3, true, 0},
+	} {
+		budget, err := NewBudget(top, dps, hi, tc.threshold, tc.assume, tc.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := milp.NewModel()
+		enc := Encode(model, top, dps)
+		if tc.threshold > 0 {
+			if err := enc.AddProbabilityThreshold(model, tc.threshold, tc.assume); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tc.k > 0 {
+			enc.AddMaxFailures(model, tc.k)
+		}
+		rowHolds := func(name string, s *Scenario) bool {
+			if tc.threshold <= 0 && name == "probability-threshold" || tc.k == 0 && name == "max-failures" {
+				return true
+			}
+			coef, rel, rhs := rowByName(t, model, name)
+			lhs := 0.0
+			for _, el := range used {
+				if s.LinkDown[el[0]][el[1]] {
+					lhs += coef[fmt.Sprintf("u_link[%d][%d]", el[0], el[1])]
+				}
+			}
+			if rel == milp.GE {
+				return lhs >= rhs
+			}
+			return lhs <= rhs
+		}
+		for mask := 0; mask < 1<<len(used); mask++ {
+			s := scenario(mask)
+			want := rowHolds("probability-threshold", s) && rowHolds("max-failures", s)
+			if got := budget.Admits(s); got != want {
+				t.Errorf("threshold %g assume %v k %d, failed links %v: Admits %v, model rows %v",
+					tc.threshold, tc.assume, tc.k, s.LinkDown, got, want)
+			}
+		}
+	}
+
+	// One, two and three used failures (LAG 2, then LAG 1, then LAG 3), each
+	// with the unused pair failed: 3, 4 and 5 failed links in all.
+	one, two, three := scenario(1<<3), scenario(1<<3|1<<2), scenario(1<<3|1<<2|1<<4)
+	admits := func(threshold float64, assume bool, k int, s *Scenario) bool {
+		budget, err := NewBudget(top, dps, hi, threshold, assume, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return budget.Admits(s)
+	}
+	// A k = 2 budget counts used links only: it admits the k = 0 scenarios
+	// whose used failures fit, whatever the unused pair adds.
+	if !admits(1e-9, false, 2, one) || !admits(1e-9, false, 2, two) || admits(1e-9, false, 2, three) {
+		t.Error("k = 2 at 1e-9: want one and two used failures admitted, three refused by the count row")
+	}
+	// Two used failures fit the count row of k = 2 but not its probability
+	// row at 1e-5, where the unused pair is taken as up (≈ 9.6e-7 in all).
+	// Assumed failed, as without a count row, the same links reach ≈ 7.8e-5.
+	if !admits(1e-5, false, 2, one) || admits(1e-5, false, 2, two) {
+		t.Error("k = 2 at 1e-5: want one used failure admitted, two refused by the probability row alone")
+	}
+	if !admits(1e-5, true, 0, two) || admits(1e-5, true, 0, three) {
+		t.Error("k = 0 at 1e-5: want two used failures admitted, three refused")
 	}
 }

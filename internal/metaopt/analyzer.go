@@ -162,7 +162,9 @@ type Result struct {
 	// ClosedByBound reports that BudgetBound ended the analysis: outright
 	// when it is ≤ 0 and failing nothing is inside the budget (no model, no
 	// hint solves, zero nodes), or by draining the tree the moment an
-	// incumbent reached it (Stats.BoundPrunes > 0).
+	// incumbent reached it (Stats.BoundPrunes > 0). A Solver.Bound of the
+	// caller's that is tighter than BudgetBound replaces it in the solve, and
+	// a tree that bound drains is not closed by this one.
 	ClosedByBound bool
 
 	// Stats is the branch-and-bound accounting of the main MILP solve
@@ -267,7 +269,7 @@ func AnalyzeContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	var res *Result
 	if f.bound != nil {
-		res, f.budget, err = f.bound(ctx, &cfg, f)
+		res, err = f.bound(ctx, &cfg, &f)
 	}
 	if res == nil && err == nil {
 		res, err = analyze(ctx, &cfg, f)
@@ -319,13 +321,18 @@ func solveModel(ctx context.Context, cfg *Config, f formulation, m *milp.Model, 
 	if err != nil {
 		return nil, err
 	}
+	// The knapsack closed the solve if the solve ran under its bound, not a
+	// tighter one of the caller's (see boundTotalFlow), and an incumbent
+	// reaching that bound drained the tree.
+	closed := f.budgetBound != nil && params.Bound == f.budgetBound &&
+		mres.Status == milp.Optimal && mres.Stats.BoundPrunes > 0
 	res := &Result{
 		Status:        mres.Status,
 		Nodes:         mres.Nodes,
 		Bound:         mres.Bound,
 		Gap:           mres.Gap(),
-		BudgetBound:   params.Bound,
-		ClosedByBound: mres.Status == milp.Optimal && mres.Stats.BoundPrunes > 0,
+		BudgetBound:   f.budgetBound,
+		ClosedByBound: closed,
 		Stats:         mres.Stats,
 		HintRuntime:   hintDur,
 		SolveRuntime:  mres.Runtime,
@@ -386,6 +393,15 @@ func resimulate(cfg *Config, f formulation, res *Result) error {
 		res.Degradation = f.sign*healthy.Objective - f.sign*failed.Objective
 	}
 	return nil
+}
+
+// FailureBudget returns the §5.1 failure budget the analysis's model carries,
+// as numbers: the probability row of ProbThreshold and the count row of
+// MaxFailures over the used links, with each link's lost-capacity weight at
+// the top of the envelope (failures.NewBudget). A scenario it Admits is
+// inside the model's budget rows.
+func (c *Config) FailureBudget() (*failures.Budget, error) {
+	return failures.NewBudget(c.Topo, c.Demands, c.Envelope.Hi, c.ProbThreshold, c.assumeUnusedWorst(), c.MaxFailures)
 }
 
 // assumeUnusedWorst: without a failure-count budget, unused links with π > ½

@@ -95,7 +95,7 @@ func TestBudgetBoundDominatesBruteForce(t *testing.T) {
 			continue
 		}
 		want, _ := bruteForceTotalFlow(t, &cfg)
-		b, err := failures.NewBudget(cfg.Topo, cfg.Demands, cfg.Envelope.Hi, cfg.ProbThreshold, cfg.assumeUnusedWorst(), cfg.MaxFailures)
+		b, err := cfg.FailureBudget()
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -233,7 +233,7 @@ func TestNodeBoundDominatesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		b, err := failures.NewBudget(cfg.Topo, cfg.Demands, cfg.Envelope.Hi, cfg.ProbThreshold, cfg.assumeUnusedWorst(), cfg.MaxFailures)
+		b, err := cfg.FailureBudget()
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -300,5 +300,47 @@ func TestNodeBoundDominatesBruteForce(t *testing.T) {
 	t.Logf("%d boxes: %d bounded below the root's knapsack, %d emptied; %d budgets need a likely-down link", boxes, tighter, emptied, likelyDown)
 	if tighter == 0 || emptied == 0 || likelyDown == 0 {
 		t.Error("the boxes do not exercise the node bound")
+	}
+}
+
+// TestCallerBoundKeptUnderBudgetBound: a dual bound the caller proved by
+// other means (a looser sweep cell's, say) survives the lost-capacity bound
+// when it is the tighter one. On the uninett_optimal benchmark's first
+// instance the knapsack proves 5.95× mean LAG capacity against an optimum of
+// 2.44, so a caller bound at the optimum must drain the tree once the
+// incumbent reaches it: fewer nodes, the same answer. BudgetBound still
+// reports the knapsack's own value, and ClosedByBound stays false, because
+// the caller's bound, not the knapsack, ended the search.
+func TestCallerBoundKeptUnderBudgetBound(t *testing.T) {
+	top := topology.Uninett2010()
+	pairs := demand.TopPairs(top, 10, 2014)
+	dps, err := paths.Compute(top, pairs, 4, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := demand.Gravity(top, pairs, top.MeanLAGCapacity(), 2014)
+	cfg := Config{
+		Topo: top, Demands: dps, Envelope: demand.UpTo(base, 0.5), QuantBits: 2,
+		ProbThreshold: 1e-4, Solver: milp.Params{Workers: 1},
+	}
+	free := analyzeOK(t, cfg)
+	if free.BudgetBound == nil || *free.BudgetBound < 2*free.ModelObjective {
+		t.Fatalf("budget bound %v is not loose against the optimum %g", free.BudgetBound, free.ModelObjective)
+	}
+	opt := free.ModelObjective
+	cfg.Solver.Bound = &opt
+	capped := analyzeOK(t, cfg)
+	if capped.Nodes >= free.Nodes || capped.Stats.BoundPrunes == 0 {
+		t.Errorf("caller bound at the optimum: %d nodes (%d bound prunes), %d without it", capped.Nodes, capped.Stats.BoundPrunes, free.Nodes)
+	}
+	if math.Abs(capped.Degradation-free.Degradation) > 1e-6*(1+free.Degradation) || capped.Bound > opt+1e-6*(1+opt) {
+		t.Errorf("caller bound moved the answer: degradation %g bound %g, want %g under %g", capped.Degradation, capped.Bound, free.Degradation, opt)
+	}
+	//raha:lint-allow float-cmp the analysis reports the knapsack's value verbatim
+	if capped.BudgetBound == nil || *capped.BudgetBound != *free.BudgetBound {
+		t.Errorf("budget bound %v under a caller bound, %g without one", capped.BudgetBound, *free.BudgetBound)
+	}
+	if free.ClosedByBound || capped.ClosedByBound {
+		t.Errorf("closed by the budget bound: %v without a caller bound, %v with one", free.ClosedByBound, capped.ClosedByBound)
 	}
 }

@@ -28,29 +28,29 @@ func totalFlow() formulation {
 }
 
 // boundTotalFlow computes the lost-capacity bound of a Gap-mode total-flow
-// analysis with a failure budget (failures.LostCapacityBound) and installs it
-// as cfg.Solver.Bound, where the main solve and — through sub := *cfg — the
-// hint solves find it: fixing the demands restricts the envelope, so the
-// bound holds for them too. The budget it returns bounds their nodes the same
-// way. Two outcomes need no model at all and come back as a finished Result:
-// a budget no scenario fits is Infeasible (the model has a superset of the
-// knapsack's rows), and a bound ≤ 0 with the all-up scenario inside the
-// budget is Optimal at degradation 0 — no failure the budget allows touches a
-// LAG that carries primary load — reported at the top of the envelope through
-// the ordinary verification LPs. A nil Result means the analysis goes on to
-// build the model.
-func boundTotalFlow(ctx context.Context, cfg *Config, f formulation) (*Result, *failures.Budget, error) {
+// analysis with a failure budget (failures.LostCapacityBound) and records it
+// and its budget in f. Unless the caller's cfg.Solver.Bound is already
+// tighter, it installs the bound there, where the main solve and — through
+// sub := *cfg — the hint solves find it: fixing the demands restricts the
+// envelope, so the bound holds for them too. The budget bounds their nodes
+// the same way. Two outcomes need no model at all and come back as a
+// finished Result: a budget no scenario fits is Infeasible (the model has a
+// superset of the knapsack's rows), and a bound ≤ 0 with the all-up scenario
+// inside the budget is Optimal at degradation 0 — no failure the budget
+// allows touches a LAG that carries primary load — reported at the top of the
+// envelope through the ordinary verification LPs. A nil Result means the
+// analysis goes on to build the model.
+func boundTotalFlow(ctx context.Context, cfg *Config, f *formulation) (*Result, error) {
 	if cfg.Mode != Gap || cfg.ProbThreshold <= 0 && cfg.MaxFailures <= 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
-	b, err := failures.NewBudget(cfg.Topo, cfg.Demands, cfg.Envelope.Hi,
-		cfg.ProbThreshold, cfg.assumeUnusedWorst(), cfg.MaxFailures)
+	b, err := cfg.FailureBudget()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	bb, err := failures.LostCapacityBound(ctx, b)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	closed := bb.AllUp != nil && bb.Value <= 0 // AllUp is nil on an infeasible budget
 	if tr := cfg.Solver.Tracer; tr != nil {
@@ -64,12 +64,16 @@ func boundTotalFlow(ctx context.Context, cfg *Config, f formulation) (*Result, *
 	}
 	switch {
 	case bb.Infeasible:
-		return &Result{Status: milp.Infeasible, Bound: math.Inf(1), Gap: math.Inf(1)}, nil, nil
+		return &Result{Status: milp.Infeasible, Bound: math.Inf(1), Gap: math.Inf(1)}, nil
 	case math.IsInf(bb.Value, 0):
-		return nil, b, nil
+		f.budget = b
+		return nil, nil
 	case !closed:
-		cfg.Solver.Bound = &bb.Value
-		return nil, b, nil
+		f.budget, f.budgetBound = b, &bb.Value
+		if cfg.Solver.Bound == nil || bb.Value <= *cfg.Solver.Bound {
+			cfg.Solver.Bound = f.budgetBound
+		}
+		return nil, nil
 	}
 	res := &Result{
 		Status:        milp.Optimal,
@@ -79,11 +83,11 @@ func boundTotalFlow(ctx context.Context, cfg *Config, f formulation) (*Result, *
 		BudgetBound:   &bb.Value,
 		ClosedByBound: true,
 	}
-	if err := verify(cfg, f, res); err != nil {
-		return nil, nil, err
+	if err := verify(cfg, *f, res); err != nil {
+		return nil, err
 	}
 	res.ModelObjective = res.Degradation
-	return res, nil, nil
+	return res, nil
 }
 
 // foldHealthyTotalFlow folds the healthy network's primal into the outer
