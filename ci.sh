@@ -35,9 +35,10 @@ go build ./...
 # outside internal/milp's own tests (their switch is the unexported
 # disablePresolve), so no config or CLI re-lists a public one. The five lint
 # rules that never fired are gone too, so a fixture marker or allow
-# directive naming one is stale. The grep reads _test.go files too, on
-# purpose.
-if grep -rn 'QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel\|statsAcc\|DisablePresolve\|lock-order\|goroutine-leak\|ctx-first\|mutex-value\|tracer-guard' --include='*.go' --exclude-dir=.bench_build .; then
+# directive naming one is stale. Pseudocosts are trusted from their first
+# observation, with no reliability threshold to tune. The grep reads
+# _test.go files too, on purpose.
+if grep -rn 'pcReliability\|QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel\|statsAcc\|DisablePresolve\|lock-order\|goroutine-leak\|ctx-first\|mutex-value\|tracer-guard' --include='*.go' --exclude-dir=.bench_build .; then
 	echo "ci: retired solver knob or lint rule referenced above" >&2
 	exit 1
 fi
@@ -93,12 +94,10 @@ go test ./internal/milp -run 'TestRandomMILPsAgainstBruteForce' -short -presolve
 # re-simulation oracle and the pinned answers hold on this tree) and
 # "failed":0. A solver change that returns a wrong or worse scenario is
 # refused by the benchmark pipeline after the fact; this makes it a
-# pre-merge failure instead. b4_budget is also the width-1 search-order
-# guard: its pinned degradation is only reached inside the 1 s budget by the
-# lone worker's best-bound order (a LIFO dive at width 1 fails its oracle).
-# Two of its three instances end `optimal` inside the budget — instance 4 in
-# 64 nodes now that the lost-capacity bound caps every node, instance 6 at
-# its first incumbent (DESIGN.md §2.1); instance 5 still runs its second.
+# pre-merge failure instead. All three b4_budget instances end `optimal`
+# inside the 1 s budget, and a LIFO dive at width 1 (the deque discipline)
+# reaches the same pinned degradations, so this smoke does not guard the
+# width-1 search order; TestSerialSearchCountsPinned's node counts do.
 smoke() {
 	line=$(timeout 180 bash bench/run.sh --workload "$@" --seed 1 --seconds 3 --trace 0 | tail -n 1)
 	case $line in
@@ -141,7 +140,7 @@ if ! grep '"ev":"budget_bound"' "$closed_tmp" | grep -q '"closed":true' ||
 fi
 
 # The same bound at every branch-and-bound node, also clock-free: a serial
-# variable-demand B4 analysis runs to proven optimality (about 0.4 s of its
+# variable-demand B4 analysis runs to proven optimality (about 0.3 s of its
 # 60 s budget), and its main solve — the trace's last solve_end — must have
 # discarded children on the lost-capacity bound of their boxes. It must also
 # carry pruned_bound, a key only the Stats field tags put on solve_end.

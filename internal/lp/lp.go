@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"raha/internal/obs"
 )
@@ -159,7 +160,17 @@ type Options struct {
 	// ignores it.
 	ObjLimit    float64
 	UseObjLimit bool
+
+	// Stop, when non-nil, is polled every stopPollIters iterations of
+	// either simplex; once it reads true the solve ends IterLimit. It lets
+	// a caller with a deadline (branch and bound's halt flag) interrupt an
+	// LP in flight without the solver reading a clock.
+	Stop *atomic.Bool
 }
+
+// stopPollIters is how often, in iterations, a solve reads Options.Stop: a
+// power of two, so the poll is a mask test on the iteration count.
+const stopPollIters = 32
 
 // Numerical tolerances. These are deliberately package-level constants: the
 // MILP layer above depends on the same notions of "zero".

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -452,5 +453,71 @@ func TestRelString(t *testing.T) {
 	if Optimal.String() != "optimal" || Infeasible.String() != "infeasible" ||
 		Unbounded.String() != "unbounded" || IterLimit.String() != "iteration-limit" {
 		t.Fatal("Status.String mismatch")
+	}
+}
+
+// TestStopFlagEndsSolve: a caller's stop flag that is already set ends a
+// cold Solve and a warm SolveFrom IterLimit within one poll interval, where
+// the same solves without it run to Optimal. The warm one must end on the
+// dual path it started on, not in the cold fallback.
+func TestStopFlagEndsSolve(t *testing.T) {
+	// An assignment LP: n×n variables in [0, 1], every row summing to one
+	// and every column to at most one (no redundant row, so the optimum
+	// carries a basis), seeded costs. Phase 1 alone needs a pivot per row.
+	const n = 40
+	rng := rand.New(rand.NewSource(3))
+	p := NewProblem(n * n)
+	for j := range p.Cost {
+		p.Cost[j] = rng.Float64()
+		p.Hi[j] = 1
+	}
+	ones := make([]float64, n)
+	for k := range ones {
+		ones[k] = 1
+	}
+	for i := 0; i < n; i++ {
+		row, col := make([]int, n), make([]int, n)
+		for k := 0; k < n; k++ {
+			row[k], col[k] = i*n+k, k*n+i
+		}
+		p.AddRow(row, ones, EQ, 1)
+		p.AddRow(col, ones, LE, 1)
+	}
+	var stop atomic.Bool
+	stop.Store(true)
+
+	free := solveOK(t, p)
+	if free.Status != Optimal || free.Iters <= stopPollIters {
+		t.Fatalf("cold solve without a stop: %v in %d iterations, want optimal past %d", free.Status, free.Iters, stopPollIters)
+	}
+	cold, err := Solve(p, &Options{Stop: &stop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Status != IterLimit || cold.Iters > stopPollIters {
+		t.Errorf("cold solve with the stop set: %v after %d iterations, want iteration-limit within %d", cold.Status, cold.Iters, stopPollIters)
+	}
+
+	// Forbid one assignment of the optimum: the dual simplex has pivots to
+	// make from the old basis.
+	for j, x := range free.X {
+		if x > 0.5 {
+			p.Hi[j] = 0
+			break
+		}
+	}
+	warmFree, err := SolveFrom(p, free.Basis, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warmFree.Status != Optimal || !warmFree.WarmStarted || warmFree.Iters == 0 {
+		t.Fatalf("warm solve without a stop: %v in %d iterations (warm %v), want a warm optimal with pivots", warmFree.Status, warmFree.Iters, warmFree.WarmStarted)
+	}
+	warm, err := SolveFrom(p, free.Basis, &Options{Stop: &stop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Status != IterLimit || !warm.WarmStarted || warm.Iters > stopPollIters {
+		t.Errorf("warm solve with the stop set: %v after %d iterations (warm %v), want a warm iteration-limit within %d", warm.Status, warm.Iters, warm.WarmStarted, stopPollIters)
 	}
 }

@@ -16,6 +16,7 @@ package lp
 
 import (
 	"math"
+	"sync/atomic"
 
 	"raha/internal/obs"
 )
@@ -266,6 +267,7 @@ type spSolver struct {
 
 	iters int
 	cap   int
+	stop  *atomic.Bool // Options.Stop; nil when the caller gave none
 
 	// Objective cutoff of the warm dual phase (Options.ObjLimit; +Inf when
 	// none): dobj is the objective Σ cost·xval of the current dual-feasible
@@ -323,6 +325,7 @@ func (s *spSolver) sizeFor(m, nTot int) {
 	s.blandPivots = 0
 	s.dualIters = 0
 	s.fail = false
+	s.stop = nil
 }
 
 // scatterColToW writes column j (scaled) into the original-row-indexed
@@ -784,13 +787,19 @@ func (s *spSolver) price(bland bool) (int, float64) {
 	return q, dir
 }
 
+// stopped reports whether the caller's stop flag is set, reading it only on
+// every stopPollIters-th iteration.
+func (s *spSolver) stopped() bool {
+	return s.iters&(stopPollIters-1) == 0 && s.stop != nil && s.stop.Load()
+}
+
 // primal iterates the bounded primal simplex to optimality for the current
 // phase objective, mirroring the dense run(): Dantzig pricing with a Bland
 // fallback after a long degenerate streak.
 func (s *spSolver) primal() Status {
 	degenerate := 0
 	for {
-		if s.iters >= s.cap {
+		if s.iters >= s.cap || s.stopped() {
 			return IterLimit
 		}
 		bland := degenerate > 2*(s.m+10)
@@ -1007,7 +1016,7 @@ func (s *spSolver) dual() Status {
 				return ObjLimit
 			}
 		}
-		if s.iters >= s.cap {
+		if s.iters >= s.cap || s.stopped() {
 			return IterLimit
 		}
 
@@ -1238,6 +1247,9 @@ func solveSparse(p *Problem, opt *Options) (*Solution, bool) {
 	if opt != nil && opt.MaxIters > 0 {
 		s.cap = opt.MaxIters
 	}
+	if opt != nil {
+		s.stop = opt.Stop
+	}
 	if !s.factorize(luPivotFloor) {
 		return nil, false // cannot happen for a slack/artificial basis; belt and braces
 	}
@@ -1283,6 +1295,9 @@ func solveFromSparse(p *Problem, b *Basis, opt *Options) (*Solution, bool) {
 	}
 	if opt != nil && opt.UseObjLimit {
 		s.objLimit = opt.ObjLimit
+	}
+	if opt != nil {
+		s.stop = opt.Stop
 	}
 	if !s.factorize(warmPivTol) {
 		return nil, false

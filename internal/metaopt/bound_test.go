@@ -305,20 +305,23 @@ func TestNodeBoundDominatesBruteForce(t *testing.T) {
 
 // TestCallerBoundKeptUnderBudgetBound: a dual bound the caller proved by
 // other means (a looser sweep cell's, say) survives the lost-capacity bound
-// when it is the tighter one. On the uninett_optimal benchmark's first
-// instance the knapsack proves 5.95× mean LAG capacity against an optimum of
-// 2.44, so a caller bound at the optimum must drain the tree once the
-// incumbent reaches it: fewer nodes, the same answer. BudgetBound still
+// when it is the tighter one. On the Uninett instance of generator seed 2012
+// (the uninett_optimal benchmark's shape) the knapsack proves 3.41× the
+// optimum, so a caller bound at the optimum must drain the tree once the
+// incumbent reaches it: fewer nodes, the same answer. (The benchmark's first
+// instance, seed 2014, served until the search began finding its optimum on
+// the last node it explores, where a caller bound has nothing left to
+// prune.) BudgetBound still
 // reports the knapsack's own value, and ClosedByBound stays false, because
 // the caller's bound, not the knapsack, ended the search.
 func TestCallerBoundKeptUnderBudgetBound(t *testing.T) {
 	top := topology.Uninett2010()
-	pairs := demand.TopPairs(top, 10, 2014)
+	pairs := demand.TopPairs(top, 10, 2012)
 	dps, err := paths.Compute(top, pairs, 4, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := demand.Gravity(top, pairs, top.MeanLAGCapacity(), 2014)
+	base := demand.Gravity(top, pairs, top.MeanLAGCapacity(), 2012)
 	cfg := Config{
 		Topo: top, Demands: dps, Envelope: demand.UpTo(base, 0.5), QuantBits: 2,
 		ProbThreshold: 1e-4, Solver: milp.Params{Workers: 1},

@@ -398,6 +398,10 @@ func (s *search) solveLP(wid int, lo, hi []float64, basis *lp.Basis) (*lp.Soluti
 	if s.timed {
 		lpStart = time.Now()
 	}
+	// A halt (deadline, cancellation, the gap target) interrupts the LP in
+	// flight: it ends IterLimit and its node is abandoned with its bound
+	// kept, so a long LP cannot overrun the budget.
+	opt := lp.Options{Stop: &s.stop}
 	if warm {
 		// Whatever this LP is for — a node or the rounding heuristic — its
 		// optimum is only of use if it beats the incumbent, so the dual
@@ -405,17 +409,16 @@ func (s *search) solveLP(wid int, lo, hi []float64, basis *lp.Basis) (*lp.Soluti
 		// limit is the incumbent in the LP's own terms (minimized, constant
 		// term left out) plus a relative margin, so that a bound within
 		// rounding of the incumbent is solved out rather than cut off.
-		var opt *lp.Options
 		if inc, ok := s.incumbentObj(); ok {
 			lim := inc - s.objConst
 			if s.maximize {
 				lim = -lim
 			}
-			opt = &lp.Options{ObjLimit: lim + 1e-6*(1+math.Abs(lim)), UseObjLimit: true}
+			opt.ObjLimit, opt.UseObjLimit = lim+1e-6*(1+math.Abs(lim)), true
 		}
-		sol, err = lp.SolveFrom(prob, basis, opt)
+		sol, err = lp.SolveFrom(prob, basis, &opt)
 	} else {
-		sol, err = lp.Solve(prob, nil)
+		sol, err = lp.Solve(prob, &opt)
 	}
 	var ns int64
 	if s.timed {
@@ -744,16 +747,13 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 		return nil
 	}
 
-	v, scored := s.branchVar(sol.X)
+	v := s.branchVar(sol.X, st)
 	if v < 0 {
 		// Integral: new incumbent.
 		st.Integral++
 		s.emitNode(claimNo, n.depth, "integral", obj, false)
 		s.offerIncumbent(obj, sol.X)
 		return nil
-	}
-	if scored {
-		st.PseudocostBranches++
 	}
 
 	if claimed == 1 || claimed%heurEvery == 0 {

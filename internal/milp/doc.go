@@ -12,13 +12,15 @@
 // solves is the caller's conc.Split) — a best-bound heap when the pool is
 // one worker, work-stealing deques otherwise (scheduler.go) — with a
 // lock-free incumbent and a min-reduced dual bound. Branching is
-// reliability-initialized pseudocost branching, and each node below the
+// pseudocost branching trusted from each variable's first observation per
+// direction (pseudocost.go), and each node below the
 // root warm-starts its LP relaxation from the parent's simplex basis via
 // lp.SolveFrom, stopping early once its dual bound passes the incumbent;
 // under AutoWidth the root itself warm-starts from the width probe's basis. The LP core underneath is package lp's
 // sparse revised simplex, the only one: branch and bound sees only
 // Solve/SolveFrom and Solution.Basis, and abandons a node whose LP ends
-// IterLimit or NumericalFailure with its bound kept open. Each worker counts
+// IterLimit or NumericalFailure with its bound kept open — including the
+// node whose LP a halt interrupted (lp.Options.Stop). Each worker counts
 // its own work into a plain Stats, and Result.Stats is their sum; a Stats
 // field's tags name its solve_end key and process counter. Wall clocks are
 // read only on an observed solve (a Tracer or OnProgress). DESIGN.md §2.14

@@ -5,21 +5,19 @@ import (
 	"sync/atomic"
 )
 
-// Branching is reliability-initialized pseudocost branching, the only rule:
-// candidates are scored by the per-unit objective degradation their past
-// branches caused, and until a variable has pcReliability observations in
-// each direction it is treated as unknown and the most fractional unknown
-// is branched to gather data.
-const (
-	// pcReliability is the per-direction observation count below which a
-	// variable's pseudocosts are not yet trusted.
-	pcReliability = 4
+// Branching is pseudocost branching, the only rule: candidates are scored by
+// the per-unit objective degradation their past branches caused, trusted
+// from the first observation in each direction. A candidate with no
+// observation in some direction is unknown, and the most fractional unknown
+// is branched first to gather data — reliability-initialized pseudocost
+// branching (Achterberg, Koch & Martin 2005) with the threshold at one. A
+// higher threshold left most decisions to the most-fractional choice and
+// grew the trees (DESIGN.md §2.9).
 
-	// pcScoreEps floors each direction's estimated degradation in the
-	// product score, so a zero estimate doesn't erase the other direction
-	// (Achterberg's product rule).
-	pcScoreEps = 1e-6
-)
+// pcScoreEps floors each direction's estimated degradation in the product
+// score, so a zero estimate doesn't erase the other direction (Achterberg's
+// product rule).
+const pcScoreEps = 1e-6
 
 // pseudocosts holds the per-variable branching statistics: the summed
 // per-unit objective degradation and observation count for each direction.
@@ -69,14 +67,14 @@ func (pc *pseudocosts) observe(v Var, up bool, perUnit float64) {
 }
 
 // branchVar picks the branching variable for the point x, returning -1 when
-// x is integral. scored reports a genuine pseudocost decision (both
-// directions reliable), as opposed to the most-fractional fallback — the
-// count Stats.PseudocostBranches tracks.
-func (s *search) branchVar(x []float64) (v Var, scored bool) {
+// x is integral. A genuine pseudocost decision (both directions observed),
+// as opposed to the most-fractional choice among unobserved candidates, is
+// counted in st.PseudocostBranches.
+func (s *search) branchVar(x []float64, st *Stats) Var {
 	best := Var(-1)
 	bestScore := 0.0
-	fallback := Var(-1)
-	fallbackDist := s.p.IntTol
+	unknown := Var(-1)
+	unknownDist := s.p.IntTol
 	for _, cand := range s.intVars {
 		f := x[cand] - math.Floor(x[cand])
 		dist := math.Min(f, 1-f)
@@ -85,10 +83,9 @@ func (s *search) branchVar(x []float64) (v Var, scored bool) {
 		}
 		cu := atomic.LoadInt64(&s.pc.upCnt[cand])
 		cd := atomic.LoadInt64(&s.pc.dnCnt[cand])
-		if cu < pcReliability || cd < pcReliability {
-			// Unreliable: candidate for the information-gathering fallback.
-			if dist > fallbackDist {
-				fallback, fallbackDist = cand, dist
+		if cu == 0 || cd == 0 {
+			if dist > unknownDist {
+				unknown, unknownDist = cand, dist
 			}
 			continue
 		}
@@ -101,14 +98,14 @@ func (s *search) branchVar(x []float64) (v Var, scored bool) {
 			best, bestScore = cand, score
 		}
 	}
-	// Prefer gathering observations over trusting partial data: any
-	// unreliable fractional variable is branched (most fractional first)
-	// before the scored choice among the reliable ones.
-	if fallback >= 0 {
-		return fallback, false
+	// Gather before trusting: a fractional variable missing an observation
+	// in either direction is branched (most fractional first) before the
+	// scored choice among the observed ones.
+	if unknown >= 0 {
+		return unknown
 	}
 	if best >= 0 {
-		return best, true
+		st.PseudocostBranches++
 	}
-	return -1, false
+	return best
 }

@@ -66,7 +66,7 @@ type Stats struct {
 	PresolveTightenedCoefs  int64 `trace:"presolve_coefs" counter:"milp.presolve_tightened_coefs"`   // big-M coefficients (or RHSs) shrunk
 	PropagationPrunes       int64 `trace:"propagation_prunes" counter:"milp.propagation_prunes"`     // children pruned by domain propagation before any LP (not in Result.Nodes)
 	BudgetPrunes            int64 `trace:"budget_prunes" counter:"milp.budget_prunes"`               // children discarded at creation by the Params.Knapsack cap (not in Result.Nodes)
-	PseudocostBranches      int64 `trace:"pseudocost_branches"`                                      // branch decisions scored by reliable pseudocosts (vs most-fractional fallback)
+	PseudocostBranches      int64 `trace:"pseudocost_branches"`                                      // branch decisions scored by pseudocosts observed in both directions (vs most-fractional among unobserved)
 
 	// Wall-clock attribution in nanoseconds. PresolveNs is the root
 	// presolve, spent once before the workers start, and is measured on
