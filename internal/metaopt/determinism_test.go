@@ -40,6 +40,13 @@ import (
 // read 311 / 317 / 1,578 and 1,283 / 1,296 / 6,894: with a score in reach of
 // most decisions instead of a few, the trees shrank by 44% and 40%, and the
 // answers stayed the same.
+//
+// And they are pinned to the restart: once a solve has claimed as many
+// nodes as its searched model has integer variables it drops the open tree
+// and searches again from the root with the pseudocosts the first pass
+// learned. Before it the counts read 175 / 180 / 868 and 768 / 777 / 5,420:
+// B4's tree grows by 4 nodes, Uninett's shrinks by 13%, and on both the
+// warm iterations move with the second pass's different branch choices.
 func TestSerialSearchCountsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -49,8 +56,8 @@ func TestSerialSearchCountsPinned(t *testing.T) {
 		nodes               int
 		lpSolves, warmIters int64
 	}{
-		{"B4", topology.B4(), 4, 175, 180, 868},
-		{"Uninett2010", topology.Uninett2010(), 2010, 768, 777, 5420},
+		{"B4", topology.B4(), 4, 179, 183, 1006},
+		{"Uninett2010", topology.Uninett2010(), 2010, 665, 673, 5763},
 	} {
 		res, err := Analyze(benchConfig(t, tc.top, tc.seed, 1))
 		if err != nil {

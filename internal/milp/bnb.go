@@ -345,6 +345,18 @@ type search struct {
 	// abandoned: the best relaxation (Float64bits, model sense) among nodes
 	// dropped unsolved (abandon), worst by sense while there are none.
 	abandoned atomic.Uint64
+
+	// The restart (scheduler.go). restartAt is the claim count at which the
+	// first pass ends — the searched model's integer count — and 0 once the
+	// restart is taken (or when there are no integers); it is written only
+	// between pool runs. floor (Float64bits, model sense) is the bound
+	// globalBound never reports weaker than: Params.Bound, then what the
+	// first pass proved; best by sense when neither exists. rootBasis is the
+	// root relaxation's optimal basis, kept by the worker that branched the
+	// root for the second pass's root to warm-start from.
+	restartAt int64
+	floor     atomic.Uint64
+	rootBasis *lp.Basis
 }
 
 // toObj maps the solver's internal minimized value back to model sense. The
@@ -591,32 +603,33 @@ func (s *search) sample() {
 // running timeline from them while the worker is still writing.
 type workerAcc struct {
 	stats  Stats        // this worker's share of Result.Stats
-	wallNs int64        // goroutine lifetime, set on exit
+	wallNs int64        // goroutine lifetime, added on exit (a restart runs the worker twice)
 	nodes  atomic.Int64 // nodes claimed and processed
 	busyNs atomic.Int64 // inside process(): LP, heuristic, branching
 	waitNs atomic.Int64 // claiming from / publishing to the queue
 }
 
-// worker claims nodes until the tree is exhausted, a limit fires, or an
-// error occurs. claimed counts this worker's own nodes — the
+// worker claims nodes until the tree is exhausted, a limit fires, the
+// restart point is reached, or an error occurs. claimed counts this
+// worker's own nodes, across both passes of a restarted search — the
 // rounding-heuristic cadence keys off it rather than the global claim
 // number, so heuristic timing is deterministic per worker (and, at
 // Workers 1, identical run to run) instead of depending on how a race for
-// the global counter interleaved.
+// the global counter interleaved, and the second pass's root is not
+// rounded again.
 func (s *search) worker(id int) {
 	if s.timed {
 		workerStart := time.Now()
 		defer func() {
-			s.wstats[id].wallNs = time.Since(workerStart).Nanoseconds()
+			s.wstats[id].wallNs += time.Since(workerStart).Nanoseconds()
 		}()
 	}
-	claimed := 0
 	for {
 		n, claimNo := s.claim(id)
 		if n == nil {
 			return
 		}
-		claimed++
+		claimed := int(s.wstats[id].nodes.Load())
 
 		children := s.process(id, n, claimNo, claimed)
 
@@ -759,6 +772,9 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 	if claimed == 1 || claimed%heurEvery == 0 {
 		heurNs = s.tryRound(wid, n.lo, n.hi, sol.X, sol.Basis)
 	}
+	if n.depth == 0 {
+		s.rootBasis = sol.Basis
+	}
 
 	st.NodesBranched++
 	s.emitNode(claimNo, n.depth, "branched", obj, false)
@@ -830,7 +846,11 @@ func (m *Model) SolveContext(ctx context.Context, p Params) (*Result, error) {
 		ctx, cancel = context.WithTimeout(ctx, p.TimeLimit)
 		defer cancel()
 	}
-	pl, err := m.prepare(&p)
+	// The auto-width probe runs before runPool's watcher exists, so ctx
+	// reaches its LP through a flag of its own.
+	var probeStop atomic.Bool
+	defer context.AfterFunc(ctx, func() { probeStop.Store(true) })()
+	pl, err := m.prepare(&p, &probeStop)
 	if err != nil {
 		return nil, err
 	}
@@ -866,8 +886,9 @@ type plan struct {
 func (pl *plan) infeasible() bool { return pl.pres != nil && pl.pres.infeasible }
 
 // prepare applies the parameter defaults, runs the model-check gate,
-// presolves, and lets auto width shrink the pool.
-func (m *Model) prepare(p *Params) (*plan, error) {
+// presolves, and lets auto width shrink the pool. stop interrupts the
+// auto-width probe's LP (nil: nothing does).
+func (m *Model) prepare(p *Params, stop *atomic.Bool) (*plan, error) {
 	if p.IntTol == 0 {
 		p.IntTol = 1e-6
 	}
@@ -900,7 +921,7 @@ func (m *Model) prepare(p *Params) (*plan, error) {
 	// Stats counts, a warm re-solve with nothing left to pivot.
 	if p.AutoWidth && pl.workers > 1 && !pl.infeasible() {
 		pl.autoRequested = pl.workers
-		pl.workers, pl.autoFrac, pl.rootBasis = autoWidth(pl.sm, p.IntTol, pl.workers)
+		pl.workers, pl.autoFrac, pl.rootBasis = autoWidth(pl.sm, p.IntTol, pl.workers, stop)
 	}
 	return pl, nil
 }
@@ -942,6 +963,11 @@ func newSearch(m *Model, p Params, pl *plan, start time.Time) *search {
 		s.pubBound[i].Store(worstBits)
 	}
 	s.abandoned.Store(worstBits)
+	floor := s.toObj(-inf)
+	if p.Bound != nil {
+		floor = *p.Bound
+	}
+	s.floor.Store(math.Float64bits(floor))
 	s.inc.init(s.toObj(inf))
 	s.boundBits.Store(math.Float64bits(s.toObj(-inf)))
 	for v, t := range sm.vtype {
@@ -1003,16 +1029,8 @@ func newSearch(m *Model, p Params, pl *plan, start time.Time) *search {
 		s.budget = newBoxBound(p.Knapsack, s.post)
 	}
 
-	s.pushLocal(0, &node{
-		lo:    append([]float64(nil), sm.lo...),
-		hi:    append([]float64(nil), sm.hi...),
-		relax: s.toObj(-inf),
-		basis: pl.rootBasis,
-		bvar:  -1,
-	})
-	s.pubBound[0].Store(math.Float64bits(s.toObj(-inf)))
-	s.outstanding.Store(1)
-	s.openCount.Store(1)
+	s.restartAt = int64(len(s.intVars))
+	s.pushRoot(s.toObj(-inf), pl.rootBasis)
 	s.maxOpen.Store(1)
 	return s
 }
@@ -1053,6 +1071,11 @@ func (s *search) seedHints() {
 // progress sampler, both torn down before it returns — workers first, then
 // the watcher, then the sampler — so a cancelled solve leaks no goroutine
 // and solve_end is always the trace's final event.
+//
+// The workers run once, or twice when the search restarts: they leave the
+// first run at the restart point without halting (claim), and if the tree
+// still has open nodes and nothing stopped the search, runPool re-roots it
+// (restart) and runs them again under the same watcher and sampler.
 func (s *search) runPool(ctx context.Context) error {
 	// A context that is already dead halts the search before any node is
 	// claimed instead of racing the watcher goroutine's first wake-up.
@@ -1105,11 +1128,17 @@ func (s *search) runPool(ctx context.Context) error {
 		defer wg.Done()
 		s.worker(id)
 	}
-	for w := 0; w < s.workers; w++ {
-		wg.Add(1)
-		go runWorker(w)
+	for {
+		for w := 0; w < s.workers; w++ {
+			wg.Add(1)
+			go runWorker(w)
+		}
+		wg.Wait()
+		if s.restartAt == 0 || s.stop.Load() || s.outstanding.Load() == 0 {
+			break
+		}
+		s.restart()
 	}
-	wg.Wait()
 	close(watchDone)
 	watchWG.Wait()
 	close(sampleDone)

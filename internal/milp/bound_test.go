@@ -135,16 +135,19 @@ func TestCancelledBoundIsTrueBound(t *testing.T) {
 // the better of the incumbent and the best relaxation among the nodes still
 // open when the pool drained — not whatever was published at the last
 // claim, which misses the children published afterwards and an incumbent
-// that already prunes every open node. The serial search is driven through
-// SolveContext's own steps so the open heap can be read between runPool and
-// fold, independently of the published bounds fold reduces.
+// that already prunes every open node. Past the restart (24 binaries, so at
+// node 24) the open relaxations are capped by the floor the first pass
+// proved: the second pass's nodes inherit their parents' LP bounds, which
+// can be weaker than it. The serial search is driven through SolveContext's
+// own steps so the open heap can be read between runPool and fold,
+// independently of the published bounds fold reduces.
 func TestNodeLimitBoundIsLiveBound(t *testing.T) {
 	const seed, n = 7, 24
-	var byOpenNode, byIncumbent int
+	var byOpenNode, byIncumbent, restarted int
 	for limit := 1; limit <= 64; limit++ {
 		m := wideKnapsack(seed, n)
 		p := Params{Workers: 1, NodeLimit: limit}
-		pl, err := m.prepare(&p)
+		pl, err := m.prepare(&p, nil)
 		if err != nil {
 			t.Fatalf("prepare: %v", err)
 		}
@@ -157,6 +160,9 @@ func TestNodeLimitBoundIsLiveBound(t *testing.T) {
 			if s.better(nd.relax, want) {
 				want = nd.relax
 			}
+		}
+		if floor := math.Float64frombits(s.floor.Load()); s.better(want, floor) {
+			want = floor
 		}
 		fromInc := false
 		if inc, ok := s.incumbentObj(); ok && s.better(inc, want) {
@@ -176,9 +182,13 @@ func TestNodeLimitBoundIsLiveBound(t *testing.T) {
 		} else {
 			byOpenNode++
 		}
+		if res.Stats.Restarts > 0 {
+			restarted++
+		}
 	}
-	if byOpenNode == 0 || byIncumbent == 0 {
-		t.Fatalf("limits covered %d open-node bounds and %d incumbent-clamped bounds; want both", byOpenNode, byIncumbent)
+	if byOpenNode == 0 || byIncumbent == 0 || restarted == 0 {
+		t.Fatalf("limits covered %d open-node bounds and %d incumbent-clamped bounds, %d past the restart; want all three",
+			byOpenNode, byIncumbent, restarted)
 	}
 }
 
@@ -196,11 +206,12 @@ func TestAbandonedNodeKeepsBoundOpen(t *testing.T) {
 	obj.Add(1, x)
 	m.SetObjective(obj, Maximize)
 	p := Params{Workers: 1, disablePresolve: true}
-	pl, err := m.prepare(&p)
+	pl, err := m.prepare(&p, nil)
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
 	s := newSearch(m, p, pl, time.Now())
+	s.restartAt = 0 // one integer: claim would stop at the restart point after the root
 	s.offerIncumbent(10, []float64{10})
 	if root, _ := s.claim(0); root == nil {
 		t.Fatal("no root to claim")

@@ -170,7 +170,7 @@ func TestGapInfiniteWithoutIncumbent(t *testing.T) {
 // explicit widths pass through.
 func TestWorkersDefault(t *testing.T) {
 	for _, tt := range []struct{ workers, want int }{{0, runtime.GOMAXPROCS(0)}, {3, 3}} {
-		pl, err := NewModel().prepare(&Params{Workers: tt.workers})
+		pl, err := NewModel().prepare(&Params{Workers: tt.workers}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func blockKnapsacks(n int) *Model {
 func TestAutoWidthProbeWarmStartsRoot(t *testing.T) {
 	m := blockKnapsacks(6)
 	p := Params{Workers: 2, AutoWidth: true}
-	pl, err := m.prepare(&p)
+	pl, err := m.prepare(&p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,10 @@
 // one worker, work-stealing deques otherwise (scheduler.go) — with a
 // lock-free incumbent and a min-reduced dual bound. Branching is
 // pseudocost branching trusted from each variable's first observation per
-// direction (pseudocost.go), and each node below the
+// direction (pseudocost.go); a solve that has claimed as many nodes as its
+// searched model has integer variables restarts once from the root with
+// the table it has learned, keeping its incumbent and proved bound
+// (scheduler.go's restart). Each node below the
 // root warm-starts its LP relaxation from the parent's simplex basis via
 // lp.SolveFrom, stopping early once its dual bound passes the incumbent;
 // under AutoWidth the root itself warm-starts from the width probe's basis. The LP core underneath is package lp's

@@ -142,7 +142,9 @@ func propCorpusSize(t *testing.T) int {
 // attempt, so WarmStarts+ColdFallbacks > 0 whenever the tree branched, and
 // the corpus as a whole must warm-start somewhere. (That a warm re-solve
 // returns what a cold solve would is the LP layer's referee,
-// lp.TestWarmResolveMatchesCold.)
+// lp.TestWarmResolveMatchesCold.) It is the restart's soundness check in
+// the same way as the cutoff's: the corpus must restart somewhere at
+// Workers 1 and at Workers 4, or agreement says nothing about it.
 //
 // Two instance streams: seed 42, and seed 4242 — the stream the retired
 // dense-vs-sparse MILP test drew, whose sparse cells were this same check.
@@ -156,6 +158,7 @@ func checkCorpusAgainstBruteForce(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	n := propCorpusSize(t)
 	var cutoffs, warmStarts int64
+	restarts := map[string]int64{}
 	for trial := 0; trial < n; trial++ {
 		inst := genMILP(rng)
 		want := inst.bruteForce(t)
@@ -172,6 +175,8 @@ func checkCorpusAgainstBruteForce(t *testing.T, seed int64) {
 			}
 			cutoffs += st.LPCutoffs
 			warmStarts += st.WarmStarts
+			restarts[which] += st.Restarts
+			checkRestart(t, trial, which, res)
 			if st.NodesBranched > 0 && st.WarmStarts+st.ColdFallbacks == 0 {
 				t.Fatalf("trial %d (%s): %d branched nodes but no warm attempt recorded", trial, which, st.NodesBranched)
 			}
@@ -198,6 +203,21 @@ func checkCorpusAgainstBruteForce(t *testing.T, seed int64) {
 	}
 	if warmStarts == 0 {
 		t.Error("no warm-started node LP across the whole corpus")
+	}
+	t.Logf("seed %d: %d serial and %d parallel solves restarted", seed, restarts["serial"], restarts["parallel"])
+	if restarts["serial"] == 0 || restarts["parallel"] == 0 {
+		t.Errorf("restarts: %d serial, %d parallel; the corpus must restart at both widths", restarts["serial"], restarts["parallel"])
+	}
+}
+
+// checkRestart asserts the restart's accounting on one result: at most one
+// restart, and one drops at least one open node (the barrier only re-roots
+// a tree that still has some) while a solve without one drops none.
+func checkRestart(t *testing.T, trial int, label string, res *Result) {
+	t.Helper()
+	st := res.Stats
+	if st.Restarts > 1 || (st.Restarts == 1) != (st.RestartDiscarded > 0) {
+		t.Fatalf("trial %d (%s): %d restarts, %d open nodes discarded", trial, label, st.Restarts, st.RestartDiscarded)
 	}
 }
 
@@ -260,6 +280,7 @@ func nodeAccounting(t *testing.T, trial int, label string, res *Result, p Params
 		t.Fatalf("trial %d (%s): PseudocostBranches %d > NodesBranched %d",
 			trial, label, st.PseudocostBranches, st.NodesBranched)
 	}
+	checkRestart(t, trial, label, res)
 	if p.disablePresolve {
 		if st.PresolveFixedVars != 0 || st.PresolveRemovedRows != 0 ||
 			st.PresolveTightenedBounds != 0 || st.PresolveTightenedCoefs != 0 ||
@@ -404,6 +425,10 @@ func TestWorkers1StatsDeterminism(t *testing.T) {
 // the node-accounting invariant, report Bound == Objective at optimality,
 // and return a point of the original model. Width 1 is the best-bound heap,
 // the others the deques (or the heap again, when auto width shrinks them).
+// The fixed widths 1 and 4 must each restart somewhere in the corpus; the
+// generated instances are small enough that a trimmed (-short) corpus may
+// hold no tree that outgrows its integer count, so three 10-item knapsacks
+// whose trees do (checked against enumeration) close the corpus.
 // Run under -race in CI, this is the concurrency check for the deque
 // protocol, the lock-free incumbent, and the per-worker bound publications.
 func TestRandomMILPsWidthMatrix(t *testing.T) {
@@ -421,12 +446,22 @@ func TestRandomMILPsWidthMatrix(t *testing.T) {
 		{"auto-4", Params{Workers: 4, AutoWidth: true}},
 		{"auto-8", Params{Workers: 8, AutoWidth: true}},
 	}
-	for trial := 0; trial < n; trial++ {
-		inst := genMILP(rng)
-		want := inst.bruteForce(t)
+	restarts := map[string]int64{}
+	knapsackSeeds := []int64{2, 3, 4}
+	for trial := 0; trial < n+len(knapsackSeeds); trial++ {
+		var m *Model
+		var want float64
+		if trial < n {
+			inst := genMILP(rng)
+			m, want = inst.m, inst.bruteForce(t)
+		} else {
+			m = knapsack(10, knapsackSeeds[trial-n])
+			want = enumerateBinaries(m)
+		}
 		for _, c := range cfgs {
-			res := solveOK(t, inst.m, c.p)
+			res := solveOK(t, m, c.p)
 			nodeAccounting(t, trial, c.label, res, c.p)
+			restarts[c.label] += res.Stats.Restarts
 			if c.p.Workers == 1 && (res.Stats.Steals != 0 || res.Stats.StolenNodes != 0 || res.Stats.FailedSteals != 0) {
 				t.Fatalf("trial %d (%s): single worker recorded steals %+v", trial, c.label, res.Stats)
 			}
@@ -442,11 +477,15 @@ func TestRandomMILPsWidthMatrix(t *testing.T) {
 			if math.Abs(res.Objective-want) > 1e-5 {
 				t.Fatalf("trial %d (%s): objective %g, brute force %g", trial, c.label, res.Objective, want)
 			}
-			assertOriginalSpace(t, inst.m, res.X, c.label)
+			assertOriginalSpace(t, m, res.X, c.label)
 			if math.Abs(res.Bound-res.Objective) > 1e-6 {
 				t.Fatalf("trial %d (%s): optimal bound %g != objective %g", trial, c.label, res.Bound, res.Objective)
 			}
 		}
+	}
+	t.Logf("restarts per cell: %v", restarts)
+	if restarts["fixed-1"] == 0 || restarts["fixed-4"] == 0 {
+		t.Errorf("restarts per cell %v: the corpus must restart at widths 1 and 4", restarts)
 	}
 }
 

@@ -12,7 +12,9 @@ import (
 // is branched first to gather data — reliability-initialized pseudocost
 // branching (Achterberg, Koch & Martin 2005) with the threshold at one. A
 // higher threshold left most decisions to the most-fractional choice and
-// grew the trees (DESIGN.md §2.9).
+// grew the trees (DESIGN.md §2.9). The top of a tree is still branched
+// while the table is nearly empty; the restart (scheduler.go) searches it
+// again once the table has been filled.
 
 // pcScoreEps floors each direction's estimated degradation in the product
 // score, so a zero estimate doesn't erase the other direction (Achterberg's

@@ -4,9 +4,11 @@ import (
 	"container/heap"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"raha/internal/lp"
+	"raha/internal/obs"
 )
 
 // The branch-and-bound scheduler: one worker loop (worker → claim →
@@ -102,8 +104,11 @@ func (s *search) localBest(id int) float64 {
 // the result is worse than the incumbent, the incumbent itself is the
 // tightest sound bound on the optimum — every remaining node would be
 // pruned — which is also what makes the bound collapse to the objective at
-// exhaustion. A caller-proved Params.Bound that is tighter than the tree's
-// replaces it: the reduction never reports weaker than what is known.
+// exhaustion. A floor that is tighter than the tree's bound replaces it:
+// the caller-proved Params.Bound, or the bound the first pass had proved
+// when the search restarted (restart) — the reduction never reports weaker
+// than what is known, so the reported bound cannot move backwards when the
+// second pass re-opens the root.
 func (s *search) globalBound() float64 {
 	b := math.Float64frombits(s.abandoned.Load())
 	for i := range s.pubBound {
@@ -111,8 +116,8 @@ func (s *search) globalBound() float64 {
 			b = v
 		}
 	}
-	if s.p.Bound != nil && s.better(b, *s.p.Bound) {
-		b = *s.p.Bound
+	if f := math.Float64frombits(s.floor.Load()); s.better(b, f) {
+		b = f
 	}
 	if inc, ok := s.incumbentObj(); ok && s.better(inc, b) {
 		b = inc
@@ -233,10 +238,12 @@ func (s *search) stealWait(round int) int64 {
 // claim obtains the worker's next node: pop locally, steal when the local
 // queue is dry, park with backoff when there is nothing to steal anywhere,
 // and return nil — the search is over for this worker — when outstanding
-// hits zero or the search stops. A lone worker never reaches the steal: its
-// queue is the whole tree, so an empty pop means outstanding is zero. The
-// whole call's latency minus backoff sleep is charged to the worker's
-// queue-wait share.
+// hits zero or the search stops. It also returns nil, without halting, once
+// the claim count reaches the restart point: every worker leaves with the
+// node in hand finished, and runPool re-roots the tree. A lone worker never
+// reaches the steal: its queue is the whole tree, so an empty pop means
+// outstanding is zero. The whole call's latency minus backoff sleep is
+// charged to the worker's queue-wait share.
 func (s *search) claim(id int) (n *node, claimNo int) {
 	acc := &s.wstats[id]
 	var backoffNs int64
@@ -267,6 +274,9 @@ func (s *search) claim(id int) (n *node, claimNo int) {
 		}
 		if s.p.NodeLimit > 0 && int(s.nodes.Load()) >= s.p.NodeLimit {
 			s.halt()
+			return nil, 0
+		}
+		if s.restartAt > 0 && s.nodes.Load() >= s.restartAt {
 			return nil, 0
 		}
 		if n = s.popLocal(id); n == nil {
@@ -377,6 +387,65 @@ func (s *search) publish(id int, children []*node) {
 	}
 }
 
+// pushRoot queues the root — the searched model's whole box at the given
+// relaxation bound, warm-starting from basis — as the only node of the tree,
+// on worker 0's queue.
+func (s *search) pushRoot(relax float64, basis *lp.Basis) {
+	pool := &s.pools[0]
+	s.pushLocal(0, &node{lo: pool.get(s.m.lo), hi: pool.get(s.m.hi), relax: relax, basis: basis, bvar: -1})
+	s.pubBound[0].Store(math.Float64bits(relax))
+	s.outstanding.Store(1)
+	s.openCount.Store(1)
+}
+
+// restart re-roots the search once its first pass has claimed as many
+// nodes as the searched model has integer variables: by then the pass has
+// observed most candidates in both directions, and a tree whose top levels
+// were branched before those observations existed is cheaper searched again
+// than finished. The incumbent, the pseudocost table and the stats carry
+// over; the open nodes are dropped and the root is queued again.
+//
+// It runs between two runs of the pool, with no node in flight, so the
+// queues are quiescent and globalBound is exact; that bound becomes the
+// floor no later report may be weaker than. The sampler may still read the
+// bound while the state is reset, so the floor and the root's cover on
+// worker 0's entry are stored before anything else changes: every
+// intermediate state reads as the floor. The abandoned bound resets with
+// the tree, since the subtrees it covered are searched again.
+func (s *search) restart() {
+	floor := s.globalBound()
+	bits := math.Float64bits(floor)
+	s.floor.Store(bits)
+	s.pubBound[0].Store(bits)
+	worst := math.Float64bits(s.toObj(math.Inf(1)))
+	for i := 1; i < len(s.pubBound); i++ {
+		s.pubBound[i].Store(worst)
+	}
+	s.abandoned.Store(worst)
+
+	var dropped int64
+	for id := range s.pools {
+		for n := s.popLocal(id); n != nil; n = s.popLocal(id) {
+			s.pools[id].put(n.lo)
+			s.pools[id].put(n.hi)
+			dropped++
+		}
+	}
+	s.restartAt = 0
+	// No worker runs, so worker 0's accounting is free to write (as in
+	// seedHints).
+	st := &s.wstats[0].stats
+	st.Restarts++
+	st.RestartDiscarded += dropped
+	s.pushRoot(floor, s.rootBasis)
+
+	if s.tracer != nil {
+		f := obs.F{"nodes": s.nodes.Load(), "discarded": dropped}
+		addFinite(f, "bound", floor)
+		s.tracer.Emit("milp", "restart", f)
+	}
+}
+
 // autoWidthMinFrac is the root-fractionality threshold below which a
 // solve runs serial regardless of the requested width: F fractional
 // integer variables at the root bound the interesting tree to roughly
@@ -391,13 +460,14 @@ const autoWidthMinFrac = 3
 // basis is returned for the search's root to warm-start from, so the root
 // LP is solved cold once, not twice. Width is also capped at GOMAXPROCS:
 // branch and bound is CPU-bound, and oversubscribed workers only add
-// contention.
-func autoWidth(m *Model, intTol float64, workers int) (width, frac int, basis *lp.Basis) {
+// contention. The probe polls stop like any node LP: a probe it interrupts
+// reports frac -1 and no basis, and leaves the width as asked.
+func autoWidth(m *Model, intTol float64, workers int, stop *atomic.Bool) (width, frac int, basis *lp.Basis) {
 	width = workers
 	if g := runtime.GOMAXPROCS(0); width > g {
 		width = g
 	}
-	sol, err := lp.Solve(m.reuseLP(nil, m.lo, m.hi), nil)
+	sol, err := lp.Solve(m.reuseLP(nil, m.lo, m.hi), &lp.Options{Stop: stop})
 	if err != nil || sol.Status != lp.Optimal {
 		return width, -1, nil
 	}

@@ -27,9 +27,10 @@ import (
 //	         PrunedIterLimit + Integral + UnboundedNodes
 //
 // holds on any clean solve (the stats regression test asserts it at
-// Workers 1 and 4). PrePruned, PropagationPrunes and BudgetPrunes count
-// subproblems discarded before they were ever claimed as nodes, so all three
-// sit outside Result.Nodes and the sum above.
+// Workers 1 and 4), across both passes of a restarted one. PrePruned,
+// PropagationPrunes, BudgetPrunes and RestartDiscarded count subproblems
+// discarded before they were ever claimed as nodes, so all four sit outside
+// Result.Nodes and the sum above.
 type Stats struct {
 	LPSolves         int64 `trace:"lp_solves"`         // LP relaxations solved (nodes, heuristics, hints)
 	LPIterations     int64 `trace:"lp_iters"`          // simplex iterations across those solves
@@ -57,6 +58,12 @@ type Stats struct {
 	IncumbentUpdates int64 `trace:"incumbents"`       // times the incumbent improved (solve-wide: Progress reads it live)
 	HeuristicSolves  int64 `trace:"heuristic_solves"` // rounding-heuristic LPs (includes warm-start hints)
 	MaxOpen          int64 `trace:"max_open"`         // high-water mark of the open-node queue (solve-wide)
+
+	// The restart (solve-wide): once a solve has claimed as many nodes as its
+	// searched model has integer variables, with open nodes left, it drops
+	// them and searches again from the root with what it has learned.
+	Restarts         int64 `trace:"restarts" counter:"milp.restarts"` // 0 or 1
+	RestartDiscarded int64 `trace:"restart_discarded"`                // open nodes the restart dropped unexplored (not in Result.Nodes)
 
 	// The presolve figures are solve-wide: root presolve runs once, before
 	// the workers start.

@@ -22,7 +22,7 @@ import (
 func TestStatsAccSnapshotMapping(t *testing.T) {
 	m := knapsack(8, 1)
 	p := Params{Workers: 3, OnProgress: func(Progress) {}} // observed, so timed
-	pl, err := m.prepare(&p)
+	pl, err := m.prepare(&p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,14 +140,14 @@ func TestProcessCountersMatchStats(t *testing.T) {
 		"milp.warm_starts", "milp.cold_fallbacks", "milp.propagation_prunes", "milp.budget_prunes",
 		"milp.presolve_fixed_vars", "milp.presolve_removed_rows", "milp.presolve_tightened_bounds",
 		"milp.presolve_tightened_coefs", "milp.steals", "milp.stolen_nodes", "milp.failed_steals",
-		"milp.worker_busy_ns", "milp.worker_wait_ns", "milp.worker_idle_ns",
+		"milp.worker_busy_ns", "milp.worker_wait_ns", "milp.worker_idle_ns", "milp.restarts",
 	} {
 		if _, ok := want[name]; !ok {
 			t.Errorf("no Stats or WorkerStats field is tagged counter:%q", name)
 		}
 	}
-	if len(want) != 3+14 {
-		t.Errorf("%d counters, want the 3 live ones and 14 tagged: %v", len(want), want)
+	if len(want) != 3+15 {
+		t.Errorf("%d counters, want the 3 live ones and 15 tagged: %v", len(want), want)
 	}
 	if want["milp.warm_starts"] == 0 || want["milp.worker_busy_ns"] == 0 {
 		t.Fatalf("solve too small to move the counters: %v", want)
