@@ -11,12 +11,22 @@ import (
 )
 
 // TestSerialSearchCountsPinned pins the exact work of the two benchmark
-// analyses at Workers 1: nodes explored, LP relaxations solved and simplex
-// iterations spent in warm re-solves. The serial search is deterministic, so
-// these move only when a pivot somewhere came out differently — a change to
-// the LP kernels that claims to keep every floating-point operation as it
-// was (internal/lp/lu_ref_test.go referees the kernels one by one) has to
-// leave them alone; a change that means to alter the search updates them.
+// analyses and of the AfricaWAN fixed-demand alert at Workers 1: nodes
+// explored, LP relaxations solved, simplex iterations in all and those
+// spent in warm re-solves. The serial search is deterministic, so these move
+// only when a pivot somewhere came out differently — a change to the LP
+// kernels that claims to keep every floating-point operation as it was
+// (internal/lp/lu_ref_test.go referees the kernels one by one) has to leave
+// them alone; a change that means to alter the search updates them, and
+// the AfricaWAN count gate in ci.sh with them.
+//
+// The total iteration count is pinned next to the warm one because a change
+// to the cold primal can hide behind unchanged warm counts: the root LP is
+// cold, and on the AfricaWAN rows (m ≈ 2,600 after presolve, the
+// benchmark's africa_fixed instances: 150 pairs, 2 primary paths, peak 1.5 ×
+// gravity) it is most of the iterations. Those rows are the alert's phase 1
+// solved directly, its main solve's counts; under the race detector only
+// seed 2 runs.
 //
 // The counts are pinned to the LU's elimination order. They were 526 / 536 /
 // 3,082 and 637 / 644 / 6,179 while the basis was eliminated in slot order;
@@ -47,29 +57,58 @@ import (
 // learned. Before it the counts read 175 / 180 / 868 and 768 / 777 / 5,420:
 // B4's tree grows by 4 nodes, Uninett's shrinks by 13%, and on both the
 // warm iterations move with the second pass's different branch choices.
+//
+// The total iteration counts (B4 1,291, Uninett 6,124) and the AfricaWAN
+// rows were added when FTRAN, BTRAN, pricing and both ratio tests went
+// hyper-sparse: walking only their supports left every count here as it
+// was, which is the point of pinning them.
 func TestSerialSearchCountsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		top  *topology.Topology
-		seed int64
+		cfg  func(testing.TB) Config
+		race bool // also runs under the race detector
 
-		nodes               int
-		lpSolves, warmIters int64
+		nodes                        int
+		lpSolves, lpIters, warmIters int64
 	}{
-		{"B4", topology.B4(), 4, 179, 183, 1006},
-		{"Uninett2010", topology.Uninett2010(), 2010, 665, 673, 5763},
+		{"B4", func(tb testing.TB) Config { return benchConfig(tb, topology.B4(), 4, 1) }, true, 179, 183, 1291, 1006},
+		{"Uninett2010", func(tb testing.TB) Config { return benchConfig(tb, topology.Uninett2010(), 2010, 1) }, true, 665, 673, 6124, 5763},
+		{"AfricaWAN/seed=2", func(tb testing.TB) Config { return africaAlertConfig(tb, 2) }, true, 85, 86, 2651, 745},
+		{"AfricaWAN/seed=3", func(tb testing.TB) Config { return africaAlertConfig(tb, 3) }, false, 80, 82, 2740, 836},
+		{"AfricaWAN/seed=4", func(tb testing.TB) Config { return africaAlertConfig(tb, 4) }, false, 124, 126, 3656, 1357},
 	} {
-		res, err := Analyze(benchConfig(t, tc.top, tc.seed, 1))
+		if raceEnabled && !tc.race {
+			continue
+		}
+		res, err := Analyze(tc.cfg(t))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if res.Status != milp.Optimal {
 			t.Fatalf("%s: status %v, want optimal", tc.name, res.Status)
 		}
-		if res.Nodes != tc.nodes || res.Stats.LPSolves != tc.lpSolves || res.Stats.WarmIters != tc.warmIters {
-			t.Errorf("%s: %d nodes, %d LP solves, %d warm iterations; pinned %d, %d, %d",
-				tc.name, res.Nodes, res.Stats.LPSolves, res.Stats.WarmIters, tc.nodes, tc.lpSolves, tc.warmIters)
+		st := res.Stats
+		if res.Nodes != tc.nodes || st.LPSolves != tc.lpSolves || st.LPIterations != tc.lpIters || st.WarmIters != tc.warmIters {
+			t.Errorf("%s: %d nodes, %d LP solves, %d iterations (%d warm); pinned %d, %d, %d (%d)",
+				tc.name, res.Nodes, st.LPSolves, st.LPIterations, st.WarmIters, tc.nodes, tc.lpSolves, tc.lpIters, tc.warmIters)
 		}
+	}
+}
+
+// africaAlertConfig is phase 1 of the benchmark's africa_fixed alert on
+// instance seed, as alert.Run would pose it at one worker.
+func africaAlertConfig(tb testing.TB, seed int64) Config {
+	tb.Helper()
+	top := topology.AfricaWAN()
+	pairs := demand.TopPairs(top, 150, seed)
+	dps, err := paths.Compute(top, pairs, 2, 1, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	peak := demand.Gravity(top, pairs, top.MeanLAGCapacity(), seed).Scale(1.5)
+	return Config{
+		Topo: top, Demands: dps, Envelope: demand.Fixed(peak), ProbThreshold: 1e-4,
+		Solver: milp.Params{Workers: 1, AutoWidth: true},
 	}
 }
 
