@@ -157,6 +157,28 @@ if ! printf %s "$last_end" | grep -q '"budget_prunes":[1-9]' ||
 	exit 1
 fi
 
+# The paper-scale cold primal, pinned by count and clock-free: the serial
+# AfricaWAN alert (150 pairs, seed 2; m ≈ 2,600 after presolve) through the
+# binary. It exits 1 because it raises the alert, which is expected; its main
+# solve — the trace's last solve_end — must have taken exactly the nodes, LP
+# solves and simplex iterations pinned here. The B4 gate above checks
+# qualitative keys only, so this is the one that sees a pivot move in a big
+# cold root LP end to end. A change that means to alter the search re-pins
+# it together with TestSerialSearchCountsPinned (internal/metaopt).
+africa_tmp=$tmp/africa.jsonl
+if "$tmp/raha" alert -topology africawan -pairs 150 -seed 2 -workers 1 -q -progress=false \
+	-trace "$africa_tmp" >/dev/null; then
+	echo "ci: the AfricaWAN alert did not raise (exit 0)" >&2
+	exit 1
+fi
+last_end=$(grep '"ev":"solve_end"' "$africa_tmp" | tail -n 1)
+if ! printf %s "$last_end" | grep -q '"nodes":124[,}]' ||
+	! printf %s "$last_end" | grep -q '"lp_solves":126[,}]' ||
+	! printf %s "$last_end" | grep -q '"lp_iters":3360[,}]'; then
+	echo "ci: the AfricaWAN alert's main solve moved (want nodes 124, lp_solves 126, lp_iters 3360): $last_end" >&2
+	exit 1
+fi
+
 # The paper-evaluation command, end to end through the experiment registry
 # (internal/experiments): the three entries no clock bounds — Figure 1 on its
 # four-node network, Figure 2 on AfricaWAN, and max-min, whose analyses prove

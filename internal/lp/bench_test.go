@@ -8,16 +8,20 @@ import (
 )
 
 // Layer benchmarks for the LP kernels (ROADMAP item 1a): factorize, FTRAN,
-// unit BTRAN, the dual pivot row, and a whole warm re-solve, each at three
-// basis sizes — the fleet sweep's small cells, a Uninett2010 analysis and an
-// AfricaWAN alert. The LPs are generated (internal/lp cannot import the
+// unit BTRAN, the dual pivot row, a whole warm re-solve and a whole cold
+// solve, each at three basis sizes — the fleet sweep's small cells, a
+// Uninett2010 analysis and an AfricaWAN alert. The LPs are generated (internal/lp cannot import the
 // model builders) to the shape those relaxations have: a few nonzeros per
 // column and an optimal basis that is mostly slack (at m = 2,600 about 800
 // structural columns basic, nnz(L) ≈ 3,200, nnz(U) ≈ 3,900 — AfricaWAN's
 // root bases measure 600, 2,500–4,000 and 2,000–4,000). Every kernel
 // benchmark reports nnz-touched/op next to ns/op — the matrix and factor
 // entries one call visits, counted by the replicas at the bottom of this
-// file — so a kernel whose time grows faster than what it touches shows.
+// file — so a kernel whose time grows faster than what it touches shows —
+// and the solves next to it report words-walked/op, the 64-bit words of
+// their support bitsets one call reads: the part of their cost that grows
+// with m rather than with what they touch, which is what would show at the
+// fleet's m = 90 if the bitsets cost more than they save.
 //
 //	go test ./internal/lp -run '^$' -bench . -benchtime 200x
 
@@ -154,28 +158,39 @@ func BenchmarkFactorize(b *testing.B) {
 	}
 }
 
+// reportWords reports the support-bitset words one call walks: ftran walks
+// its two step bitsets and drains the slot set, btran drains the slot set
+// into step order, walks both step bitsets and drains the row set, and the
+// pivot row adds the column set's drain.
+func reportWords(b *testing.B, s *spSolver, ftrans, btrans, rows int) {
+	f := &s.fac
+	words := ftrans*(len(f.steps)+len(f.steps2)+len(f.slotSet)) +
+		btrans*(len(f.slotSet)+len(f.steps)+len(f.steps2)+len(f.rowSet)) +
+		rows*len(s.colSet)
+	b.ReportMetric(float64(words), "words-walked/op")
+}
+
 func BenchmarkFtran(b *testing.B) {
 	forSizes(b, func(b *testing.B, _ *Problem, s *spSolver, _ *Basis) {
 		cols := nonbasicStructurals(s)
 		per := make([]int, len(cols))
 		for i, j := range cols {
-			s.scatterColToW(j)
-			per[i] = ftranTouched(&s.fac, s.w)
+			per[i] = ftranTouched(&s.fac, s.w, s.scatterColToW(j))
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.scatterColToW(cols[i%len(cols)])
-			s.fac.ftran(s.w, s.alpha)
+			s.fac.ftran(s.w, s.scatterColToW(cols[i%len(cols)]), s.alpha)
 		}
 		reportTouched(b, per)
+		reportWords(b, s, 1, 0, 0)
 	})
 }
 
-// unitBtran solves Bᵀy = e_r into s.y.
-func unitBtran(s *spSolver, r int) {
-	clear(s.cbuf)
+// unitBtran solves Bᵀy = e_r into s.y and returns y's support.
+func unitBtran(s *spSolver, r int) []int32 {
 	s.cbuf[r] = 1
-	s.fac.btran(s.cbuf, s.y)
+	s.cslots[0] = int32(r)
+	return s.fac.btran(s.cbuf, s.cslots[:1], s.y)
 }
 
 func BenchmarkBtranUnit(b *testing.B) {
@@ -190,6 +205,7 @@ func BenchmarkBtranUnit(b *testing.B) {
 			unitBtran(s, i%s.m)
 		}
 		reportTouched(b, per)
+		reportWords(b, s, 0, 1, 0)
 	})
 }
 
@@ -200,20 +216,48 @@ func BenchmarkDualPivotRow(b *testing.B) {
 		per := make([]int, s.m)
 		for r := range per {
 			unitBtran(s, r)
-			per[r] = btranTouched(&s.fac, r, s.y) + s.nTot - s.nStr
+			per[r] = btranTouched(&s.fac, r, s.y) + s.nArt
 			for i, yi := range s.y {
 				if yi != 0 {
-					per[r] += int(s.c.rptr[i+1] - s.c.rptr[i])
+					per[r] += int(s.c.rptr[i+1]-s.c.rptr[i]) + 1 // the row's structurals and its slack
 				}
 			}
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			unitBtran(s, i%s.m)
-			s.yTimesA()
+			s.yTimesA(unitBtran(s, i%s.m), nil)
 		}
 		reportTouched(b, per)
+		reportWords(b, s, 0, 1, 1)
 	})
+}
+
+// BenchmarkColdSolve is the LP that dominates the AfricaWAN alert: a cold
+// two-phase solve from the slack-and-artificial basis, at each size. It has
+// no single kernel to count entries for, so it reports the pivots, in all
+// and in phase 1.
+func BenchmarkColdSolve(b *testing.B) {
+	for _, m := range benchSizes {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			p := genSparseLP(int64(m), m)
+			if _, err := Solve(p, nil); err != nil { // builds the cache and sizes the workspace
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			iters, phase1 := 0, 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sol, err := Solve(p, nil)
+				if err != nil || sol.Status != Optimal {
+					b.Fatalf("cold solve: %v %+v", err, sol)
+				}
+				iters += sol.Iters
+				phase1 += sol.Phase1Iters
+			}
+			b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+			b.ReportMetric(float64(phase1)/float64(b.N), "phase1-iters/op")
+		})
+	}
 }
 
 // BenchmarkWarmResolve is what one branch-and-bound node costs the LP
@@ -259,17 +303,23 @@ func factorizeTouched(s *spSolver) int {
 }
 
 // ftranTouched counts the L, U and eta entries ftran visits for the
-// original-row-indexed input x (left untouched).
-func ftranTouched(f *luFactor, x []float64) int {
+// original-row-indexed input x (left untouched), nonzero on rows.
+func ftranTouched(f *luFactor, x []float64, rows []int32) int {
 	x = append([]float64(nil), x...)
 	out := make([]float64, f.m)
+	y := append([]float64(nil), x...) // the L pass, replayed to see which steps apply a column
 	n := 0
 	for t := 0; t < f.m; t++ {
-		if x[f.prow[t]] != 0 {
-			n += int(f.lptr[t+1] - f.lptr[t])
+		pf := y[f.prow[t]]
+		if pf == 0 {
+			continue
+		}
+		n += int(f.lptr[t+1] - f.lptr[t])
+		for e := f.lptr[t]; e < f.lptr[t+1]; e++ {
+			y[f.lrow[e]] -= f.lval[e] * pf
 		}
 	}
-	f.ftran(x, out)
+	f.ftran(x, rows, out)
 	// out's pre-eta pattern decides the U columns visited; with a fresh
 	// factor (no etas) out is exactly that.
 	for k, v := range out {

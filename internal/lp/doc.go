@@ -16,9 +16,12 @@
 // then structural columns by nonzero count — which keeps L nearly empty on
 // the mostly-slack bases branch and bound produces. Factorization,
 // FTRAN/BTRAN and the pivot row all cost what they touch rather than the
-// basis dimension, while doing exactly the arithmetic of their
-// straightforward versions (kept as references in lu_ref_test.go). Ratio
-// tests use a Harris-style two-pass scheme that trades bounded
+// basis dimension: each solve carries the support of its vector as a
+// bitset, walks it in the order the straightforward loop scanned, and
+// returns the support of its result, so pricing, both ratio tests and the
+// eta update walk only the nonzeros too — while doing exactly the
+// arithmetic of the straightforward versions (kept as references in
+// lu_ref_test.go), so every pivot is theirs. Ratio tests use a Harris-style two-pass scheme that trades bounded
 // infeasibility within the feasibility tolerance for larger, more stable
 // pivots, and problems are equilibrated at load with power-of-two
 // geometric-mean row/column scaling that is undone exactly on extraction.

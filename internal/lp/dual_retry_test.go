@@ -70,14 +70,12 @@ func TestDualRetryTerminates(t *testing.T) {
 			t.Fatalf("fixture: slot %d infeasible = %v", k, over)
 		}
 	}
-	unitBtran(s, 1)
-	s.yTimesA()
+	s.yTimesA(unitBtran(s, 1), nil)
 	if math.Max(s.arow[3], s.arow[4]) <= pivTol {
 		t.Fatalf("fixture: pivot row offers neither copy: %g, %g", s.arow[3], s.arow[4])
 	}
 	for _, q := range []int{3, 4} {
-		s.scatterColToW(q)
-		s.fac.ftran(s.w, s.alpha)
+		s.fac.ftran(s.w, s.scatterColToW(q), s.alpha)
 		if math.Abs(s.alpha[1]) >= pivTol {
 			t.Fatalf("fixture: FTRAN pivot of column %d is %g, not below pivTol", q, s.alpha[1])
 		}

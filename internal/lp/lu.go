@@ -8,7 +8,11 @@ package lp
 // factorization with partial pivoting (P) over a static triangular column
 // order (Q, see spSolver.orderSteps) — plus a product-form eta file, one
 // eta per basis change since. FTRAN solves Bx = b and BTRAN solves Bᵀy = c
-// against that representation; both run in O(nnz(L)+nnz(U)+nnz(etas)).
+// against that representation. Both are hyper-sparse: they carry the support
+// of their vector — the steps, slots or rows where it may be nonzero — as a
+// bitset, walk only that, and return the support of the result, so a solve
+// costs the factor and eta entries it applies plus one bit per index, not a
+// test per step (see the bitset type below).
 //
 // Indexing convention, because three index spaces meet here: constraint
 // rows are "original rows" (0..m-1), basis positions are "slots" (0..m-1),
@@ -20,7 +24,10 @@ package lp
 // classic revised-simplex bug, so every method below states which space
 // each argument lives in.
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Factor-update policy knobs. The eta file is cheap per pivot but its error
 // compounds multiplicatively, so both the chain length and an accumulated
@@ -58,13 +65,26 @@ type luFactor struct {
 	// utcol/utval[utptr[t]:utptr[t+1]], addressing later steps in ascending
 	// order) and the pattern of L by original row (ltstep[ltptr[r]:
 	// ltptr[r+1]] lists the steps whose L column holds row r). lneed is the
-	// Lᵀ pass's pending-step marks, all false between solves.
+	// Lᵀ pass's pending-step marks, all false between solves. stepOf is the
+	// inverse of slot (slot → step), for BTRAN's gather.
 	utptr  []int32
 	utcol  []int32
 	utval  []float64
 	ltptr  []int32
 	ltstep []int32
 	lneed  []bool
+	stepOf []int32
+
+	// The solves' supports: two step bitsets (FTRAN's L and U passes,
+	// BTRAN's Uᵀ and Lᵀ passes), one over slots and one over rows, all empty
+	// between calls because every walk clears the bits it consumes; the
+	// ascending index lists FTRAN and BTRAN return (valid until the next
+	// call of the same solve); and cs, BTRAN's step-indexed Uᵀ vector, all
+	// zero between calls for the same reason.
+	steps, steps2     bitset
+	slotSet, rowSet   bitset
+	slotList, rowList []int32
+	cs                []float64
 
 	// Product-form eta file: eta e (in push order) replaces basis slot
 	// epiv[e] with the FTRANned entering column alpha; its off-pivot
@@ -87,9 +107,7 @@ type luFactor struct {
 	// (original row → step, -1 while unpivoted). reach is a binary min-heap
 	// of the earlier steps the column being factored must be eliminated
 	// against (see factorColumn). bucket is the counting sort's histogram
-	// (spSolver.orderSteps). Between factorizations btran borrows w as its
-	// step-indexed Uᵀ vector; the stamps keep factorColumn from reading it.
-	// unitSteps is how many leading steps spSolver.factorize's unit-column
+	// (spSolver.orderSteps). unitSteps is how many leading steps spSolver.factorize's unit-column
 	// fast path took (their rows skip the heap, see spSolver.loadColumn), and
 	// reachPops counts the heap pops of one factorization, for the tests.
 	unitSteps int32
@@ -115,6 +133,10 @@ func (f *luFactor) reset(m int) {
 		f.w = make([]float64, m)
 		f.wmark = make([]int32, m)
 		f.lneed = make([]bool, m)
+		f.stepOf = make([]int32, m)
+		f.slotList = make([]int32, m)
+		f.rowList = make([]int32, m)
+		f.cs = make([]float64, m)
 	}
 	if cap(f.lptr) < m+1 {
 		f.lptr = make([]int32, m+1)
@@ -128,6 +150,15 @@ func (f *luFactor) reset(m int) {
 	f.w = f.w[:m]
 	f.wmark = f.wmark[:m]
 	f.lneed = f.lneed[:m]
+	f.stepOf = f.stepOf[:m]
+	f.slotList = f.slotList[:m]
+	f.rowList = f.rowList[:m]
+	f.cs = f.cs[:m]
+	clear(f.cs)
+	f.steps = f.steps.sized(m)
+	f.steps2 = f.steps2.sized(m)
+	f.slotSet = f.slotSet.sized(m)
+	f.rowSet = f.rowSet.sized(m)
 	f.lptr = f.lptr[:m+1]
 	f.uptr = f.uptr[:m+1]
 	f.bucket = f.bucket[:m+1]
@@ -294,8 +325,12 @@ func (f *luFactor) beginColumn() {
 }
 
 // finish completes a factorization after the last factorColumn: it builds
-// the row-wise copies of U and of L's pattern that btran runs on.
+// the row-wise copies of U and of L's pattern that btran runs on, and the
+// slot → step map.
 func (f *luFactor) finish() {
+	for t, k := range f.slot {
+		f.stepOf[k] = int32(t)
+	}
 	f.utptr, f.utcol, f.utval = transposeCS(f.m, f.uptr, f.urow, f.uval, f.utptr, f.utcol, f.utval)
 	f.ltptr, f.ltstep, _ = transposeCS(f.m, f.lptr, f.lrow, nil, f.ltptr, f.ltstep, nil)
 }
@@ -344,31 +379,110 @@ func transposeCS(n int, ptr, idx []int32, val []float64, tptr, tidx []int32, tva
 	return tptr, tidx, tval
 }
 
-// ftran solves B·out = x. x is original-row-indexed and is consumed as
-// scratch; out is slot-indexed. Both must have length m.
-func (f *luFactor) ftran(x, out []float64) {
-	m := f.m
-	// Forward elimination by L, in step order, in place on x.
-	for t := 0; t < m; t++ {
-		pf := x[f.prow[t]]
-		if pf == 0 {
-			continue
-		}
-		for e := f.lptr[t]; e < f.lptr[t+1]; e++ {
-			x[f.lrow[e]] -= f.lval[e] * pf
-		}
+// bitset is a set of indices 0..n-1, one bit each, in 64-bit words. The
+// solves walk one as a worklist: ascending (lowest bit first) or descending,
+// clearing each bit as they take it. A walk may add indices while it runs,
+// as long as each lands ahead of the cursor — above it in an ascending walk,
+// below it in a descending one — and then visits exactly the indices a scan
+// over 0..n-1 would have acted on, in the scan's order, at a cost of one
+// word read per 64 indices plus one step per member.
+type bitset []uint64
+
+// sized returns b resized to hold n indices, empty, reusing its storage.
+func (b bitset) sized(n int) bitset {
+	nw := (n + 63) >> 6
+	if cap(b) < nw {
+		return make(bitset, nw)
 	}
-	// Back substitution by U, column-oriented; step k's component is the
-	// value of the slot whose column it factored.
-	for k := m - 1; k >= 0; k-- {
-		xk := x[f.prow[k]]
-		if xk != 0 {
-			xk /= f.diag[k]
-			for e := f.uptr[k]; e < f.uptr[k+1]; e++ {
-				x[f.prow[f.urow[e]]] -= f.uval[e] * xk
+	b = b[:nw]
+	clear(b)
+	return b
+}
+
+func (b bitset) set(i int32) { b[i>>6] |= 1 << (uint32(i) & 63) }
+
+// fill adds every index 0..n-1 (b sized for n).
+func (b bitset) fill(n int) {
+	for w := range b {
+		b[w] = ^uint64(0)
+	}
+	if r := n & 63; r != 0 {
+		b[len(b)-1] = 1<<r - 1
+	}
+}
+
+// drain writes b's members into list in ascending order, emptying b, and
+// returns the filled prefix of list.
+func (b bitset) drain(list []int32) []int32 {
+	n := 0
+	for w, word := range b {
+		for ; word != 0; word &= word - 1 {
+			list[n] = int32(w<<6 | bits.TrailingZeros64(word))
+			n++
+		}
+		b[w] = 0
+	}
+	return list[:n]
+}
+
+// ftran solves B·out = x. x is original-row-indexed, nonzero only on the
+// rows listed in rows (nil: on any row), and is consumed as scratch; out is
+// slot-indexed and overwritten. Both have length m. It returns out's
+// support: the slots where out may be nonzero, ascending, in f.slotList.
+//
+// Each pass walks a step bitset instead of every step, in the dense loop's
+// order, and every step it skips is one whose component the dense loop found
+// zero and left alone: L column t addresses rows pivoted at later steps, so
+// the L pass (ascending) only ever adds steps ahead of its cursor; U column
+// k addresses earlier steps, so the U pass (descending, over every step the
+// L pass visited) does too. The eta pass is as it was, marking the slots it
+// writes.
+func (f *luFactor) ftran(x []float64, rows []int32, out []float64) []int32 {
+	lset, uset := f.steps, f.steps2
+	if rows == nil {
+		lset.fill(f.m)
+	}
+	for _, r := range rows {
+		lset.set(f.pstep[r])
+	}
+	// Forward elimination by L, ascending, in place on x.
+	for w := range lset {
+		for lset[w] != 0 {
+			b := bits.TrailingZeros64(lset[w])
+			lset[w] &= lset[w] - 1
+			uset[w] |= 1 << b
+			t := w<<6 | b
+			pf := x[f.prow[t]]
+			if pf == 0 {
+				continue
+			}
+			for e := f.lptr[t]; e < f.lptr[t+1]; e++ {
+				r := f.lrow[e]
+				x[r] -= f.lval[e] * pf
+				lset.set(f.pstep[r])
 			}
 		}
-		out[f.slot[k]] = xk
+	}
+	// Back substitution by U, column-oriented, descending; step k's
+	// component is the value of the slot whose column it factored.
+	clear(out)
+	for w := len(uset) - 1; w >= 0; w-- {
+		for uset[w] != 0 {
+			b := 63 - bits.LeadingZeros64(uset[w])
+			uset[w] &^= 1 << b
+			k := w<<6 | b
+			xk := x[f.prow[k]]
+			if xk != 0 {
+				xk /= f.diag[k]
+				for e := f.uptr[k]; e < f.uptr[k+1]; e++ {
+					t := f.urow[e]
+					x[f.prow[t]] -= f.uval[e] * xk
+					uset.set(t)
+				}
+			}
+			out[f.slot[k]] = xk
+			f.slotSet.set(f.slot[k])
+		}
 	}
 	// Eta file, oldest first: each eta maps slot r's value through its
 	// pivot and folds the off-pivot entries into the other slots.
@@ -378,16 +492,34 @@ func (f *luFactor) ftran(x, out []float64) {
 		if pf != 0 {
 			for t := f.eptr[e]; t < f.eptr[e+1]; t++ {
 				out[f.eslot[t]] -= f.eval[t] * pf
+				f.slotSet.set(f.eslot[t])
 			}
 		}
 		out[r] = pf
 	}
+	return f.slotSet.drain(f.slotList)
 }
 
-// btran solves Bᵀ·y = c. c is slot-indexed and is consumed as scratch; y is
-// original-row-indexed. Both must have length m.
-func (f *luFactor) btran(c, y []float64) {
-	m := f.m
+// btran solves Bᵀ·y = c. c is slot-indexed, nonzero only on the slots listed
+// in slots (nil: on any slot), and is consumed — left all zero; y is
+// original-row-indexed and overwritten. Both have length m. It returns y's
+// support: the rows where y may be nonzero, ascending, in f.rowList.
+//
+// The eta pass runs over the whole file, as before, marking each pivot slot
+// that comes out nonzero; the gather into step order then visits only the
+// marked slots, the Uᵀ pass (ascending) only the steps they and U's rows
+// reach, and the Lᵀ pass (descending) only the steps where a nonzero sits
+// or a dot product is due — U's row t addresses later steps and an Lᵀ mark
+// on row prow[t] earlier ones, so each walk only adds steps ahead of its
+// cursor.
+func (f *luFactor) btran(c []float64, slots []int32, y []float64) []int32 {
+	sset := f.slotSet
+	if slots == nil {
+		sset.fill(f.m)
+	}
+	for _, k := range slots {
+		sset.set(k)
+	}
 	// Eta file transposed, newest first.
 	for e := len(f.epiv) - 1; e >= 0; e-- {
 		r := f.epiv[e]
@@ -395,64 +527,97 @@ func (f *luFactor) btran(c, y []float64) {
 		for t := f.eptr[e]; t < f.eptr[e+1]; t++ {
 			sum += f.eval[t] * c[f.eslot[t]]
 		}
-		c[r] = (c[r] - sum) / f.epval[e]
+		if c[r] = (c[r] - sum) / f.epval[e]; c[r] != 0 {
+			sset.set(r)
+		}
 	}
 	// U's entries address steps, so gather c from slot into step order.
-	cs := f.w
-	for t, k := range f.slot {
-		cs[t] = c[k]
+	cs, uset, lset := f.cs, f.steps, f.steps2
+	for w := range sset {
+		for word := sset[w]; word != 0; word &= word - 1 {
+			k := w<<6 | bits.TrailingZeros64(word)
+			if v := c[k]; v != 0 {
+				c[k] = 0
+				t := f.stepOf[k]
+				cs[t] = v
+				uset.set(t)
+			}
+		}
+		sset[w] = 0
 	}
 	// Uᵀ forward substitution in step order, row-wise: once cs[t] is final
 	// it is subtracted from the later steps of U's row t, so every component
 	// receives its terms in ascending t — the order a dot product down U's
-	// column would use — and a zero cs[t] costs nothing. The finished value
-	// lands in original-row space on the way out.
-	for t := 0; t < m; t++ {
-		v := cs[t]
-		if v != 0 {
+	// column would use. The finished value lands in original-row space on
+	// the way out.
+	clear(y)
+	for w := range uset {
+		for uset[w] != 0 {
+			b := bits.TrailingZeros64(uset[w])
+			uset[w] &= uset[w] - 1
+			t := w<<6 | b
+			v := cs[t]
+			cs[t] = 0
+			if v == 0 {
+				continue
+			}
 			v /= f.diag[t]
 			for e := f.utptr[t]; e < f.utptr[t+1]; e++ {
-				cs[f.utcol[e]] -= f.utval[e] * v
+				u := f.utcol[e]
+				cs[u] -= f.utval[e] * v
+				uset.set(u)
 			}
+			y[f.prow[t]] = v
+			lset[w] |= 1 << b
 		}
-		y[f.prow[t]] = v
 	}
 	// Lᵀ backward substitution. Component t is y_t − Σ l·y over L column t
 	// in storage order; a scatter would reorder those terms, so the dot
 	// product stays and is merely skipped when every y it would read is
 	// zero: a step is marked only once a nonzero lands on a row its column
-	// holds. Every mark is consumed further down this loop.
-	for t := m - 1; t >= 0; t-- {
-		r := f.prow[t]
-		if f.lneed[t] {
-			f.lneed[t] = false
-			sum := y[r]
-			for e := f.lptr[t]; e < f.lptr[t+1]; e++ {
-				sum -= f.lval[e] * y[f.lrow[e]]
+	// holds. Every mark is consumed further down this walk.
+	for w := len(lset) - 1; w >= 0; w-- {
+		for lset[w] != 0 {
+			b := 63 - bits.LeadingZeros64(lset[w])
+			lset[w] &^= 1 << b
+			t := w<<6 | b
+			r := f.prow[t]
+			if f.lneed[t] {
+				f.lneed[t] = false
+				sum := y[r]
+				for e := f.lptr[t]; e < f.lptr[t+1]; e++ {
+					sum -= f.lval[e] * y[f.lrow[e]]
+				}
+				y[r] = sum
 			}
-			y[r] = sum
-		}
-		if y[r] != 0 {
-			for e := f.ltptr[r]; e < f.ltptr[r+1]; e++ {
-				f.lneed[f.ltstep[e]] = true
+			if y[r] != 0 {
+				for e := f.ltptr[r]; e < f.ltptr[r+1]; e++ {
+					u := f.ltstep[e]
+					f.lneed[u] = true
+					lset.set(u)
+				}
+				f.rowSet.set(r)
 			}
 		}
 	}
+	return f.rowSet.drain(f.rowList)
 }
 
 // pushEta appends a product-form eta replacing basis slot r with the
-// FTRANned entering column alpha (slot-indexed, length m), and folds its
+// FTRANned entering column alpha (slot-indexed, length m, nonzero only on
+// the ascending slots sup — FTRAN's support), and folds its
 // off-pivot/pivot magnitude ratio into the growth proxy. The caller has
 // already checked |alpha[r]| against etaPivFloor.
-func (f *luFactor) pushEta(alpha []float64, r int) {
+func (f *luFactor) pushEta(alpha []float64, sup []int32, r int) {
 	pv := alpha[r]
 	maxab := 0.0
-	for i, v := range alpha {
-		if i == r {
+	for _, i := range sup {
+		if int(i) == r {
 			continue
 		}
+		v := alpha[i]
 		if a := math.Abs(v); a > luDropTol {
-			f.eslot = append(f.eslot, int32(i))
+			f.eslot = append(f.eslot, i)
 			f.eval = append(f.eval, v)
 			if a > maxab {
 				maxab = a

@@ -239,12 +239,60 @@ func wantSameI(t *testing.T, what string, got, want []int32) {
 	}
 }
 
+// wantSupport checks a support a solve returned for its result v: strictly
+// ascending, in range, and holding every index where v is nonzero.
+func wantSupport(t *testing.T, what string, sup []int32, v []float64) {
+	t.Helper()
+	for n, i := range sup {
+		if i < 0 || int(i) >= len(v) || n > 0 && i <= sup[n-1] {
+			t.Fatalf("%s: support %v is not strictly ascending within [0, %d)", what, sup, len(v))
+		}
+	}
+	n := 0
+	for i, x := range v {
+		if x == 0 {
+			continue
+		}
+		for n < len(sup) && int(sup[n]) < i {
+			n++
+		}
+		if n == len(sup) || int(sup[n]) != i {
+			t.Fatalf("%s[%d] = %v lies outside the support", what, i, x)
+		}
+	}
+}
+
+// wantClean checks the state every solve must leave behind: each support
+// bitset empty (a leaked bit would silently widen the next walk), BTRAN's
+// step vector all zero and no Lᵀ mark pending.
+func wantClean(t *testing.T, what string, s *spSolver) {
+	t.Helper()
+	f := &s.fac
+	for _, set := range []struct {
+		name string
+		b    bitset
+	}{{"steps", f.steps}, {"steps2", f.steps2}, {"slotSet", f.slotSet}, {"rowSet", f.rowSet}, {"colSet", s.colSet}} {
+		for w, word := range set.b {
+			if word != 0 {
+				t.Fatalf("%s: %s word %d = %#x after the call", what, set.name, w, word)
+			}
+		}
+	}
+	for t2, v := range f.cs {
+		if v != 0 || f.lneed[t2] {
+			t.Fatalf("%s: step %d left cs = %v, lneed = %v", what, t2, v, f.lneed[t2])
+		}
+	}
+}
+
 // referee checks the solver state s — whatever basis, factors and eta file a
 // solve left there — against the reference kernels: FTRAN of up to nVec
 // columns and of a dense vector, BTRAN of as many unit vectors and of a dense
-// vector, the pivot row of each BTRAN, and finally a fresh factorization of
-// the basis. It returns false when the basis is singular (both sides must
-// agree on that too).
+// vector, the pivot row of each BTRAN, the current phase objective's duals
+// and dual row, and finally a fresh factorization of the basis. Every
+// support a kernel returns must be ascending and cover its result, and every
+// call must leave its bitsets empty. It returns false when the basis is
+// singular (both sides must agree on that too).
 func referee(t *testing.T, s *spSolver, rng *rand.Rand, nVec int, minPiv float64) bool {
 	t.Helper()
 	m, f := s.m, &s.fac
@@ -256,30 +304,38 @@ func referee(t *testing.T, s *spSolver, rng *rand.Rand, nVec int, minPiv float64
 			in[i] = rng.NormFloat64()
 		}
 	}
-	ftranBoth := func(what string) {
+	ftranBoth := func(what string, rows []int32) {
 		t.Helper()
 		refFtran(f, append([]float64(nil), in...), want)
-		f.ftran(append([]float64(nil), in...), got)
+		sup := f.ftran(append([]float64(nil), in...), rows, got)
 		wantSameF(t, what, got, want)
+		wantSupport(t, what, sup, got)
+		wantClean(t, what, s)
 	}
-	btranBoth := func(what string) {
+	btranBoth := func(what string, slots []int32) {
 		t.Helper()
 		refBtran(f, append([]float64(nil), in...), want)
-		f.btran(append([]float64(nil), in...), got)
+		c := append([]float64(nil), in...)
+		rows := f.btran(c, slots, got)
 		wantSameF(t, what, got, want)
+		wantSupport(t, what, rows, got)
+		wantSameF(t, what+" consumed c", c, make([]float64, m))
+		wantClean(t, what, s)
 		copy(s.y, got)
-		s.yTimesA()
+		cols := s.yTimesA(rows, nil)
 		refYTimesA(s, arow)
 		wantSameF(t, what+" pivot row", s.arow, arow)
+		wantSupport(t, what+" pivot row", cols, s.arow)
+		wantClean(t, what+" pivot row", s)
 	}
 	for n := 0; n < min(nVec, s.nTot); n++ {
 		j := n
 		if nVec < s.nTot {
 			j = rng.Intn(s.nTot)
 		}
-		s.scatterColToW(j)
+		rows := s.scatterColToW(j)
 		copy(in, s.w)
-		ftranBoth("ftran(column)")
+		ftranBoth("ftran(column)", rows)
 	}
 	for n := 0; n < min(nVec, m); n++ {
 		r := n
@@ -288,12 +344,31 @@ func referee(t *testing.T, s *spSolver, rng *rand.Rand, nVec int, minPiv float64
 		}
 		clear(in)
 		in[r] = 1
-		btranBoth("btran(unit)")
+		btranBoth("btran(unit)", []int32{int32(r)})
 	}
 	dense()
-	ftranBoth("ftran(dense)")
+	ftranBoth("ftran(dense)", nil)
 	dense()
-	btranBoth("btran(dense)")
+	btranBoth("btran(dense)", nil)
+
+	// The phase objective's dual row, as price and recomputeD see it: c_B
+	// built from costCols alone must give the duals and the row the whole
+	// of c_B gives, and the columns returned must hold every nonzero cost
+	// and every nonzero of the row.
+	for k, j := range s.basic {
+		in[k] = s.cost[j]
+	}
+	refBtran(f, in, want)
+	cols := s.costRow()
+	wantSameF(t, "costRow duals", s.y, want)
+	refYTimesA(s, arow)
+	wantSameF(t, "costRow row", s.arow, arow)
+	for j := range arow {
+		arow[j] = math.Abs(arow[j]) + math.Abs(s.cost[j])
+	}
+	wantSupport(t, "costRow columns", cols, arow)
+	wantClean(t, "costRow", s)
+	wantSameF(t, "costRow consumed c_B", s.cbuf, make([]float64, m))
 
 	ok := s.factorize(minPiv) // leaves the whole step order in f.slot even when it fails
 	var ref luFactor
@@ -448,6 +523,76 @@ func TestKernelsBitIdenticalFixtures(t *testing.T) {
 		}
 		if states == 0 {
 			t.Errorf("%s: no basis refereed", fx.name)
+		}
+	}
+}
+
+// TestFtranSupportHoldsExactZero: with x0 basic beside row 1's slack, FTRAN
+// of x1 — a copy of x0 — reaches both slots, and slot 1's component cancels
+// to an exact zero in the U pass (1 − 1·1). The support keeps the slot; the
+// ratio tests and the eta must pass over the zero as they would a slot
+// outside it, and the referee must agree on every kernel at this basis.
+func TestFtranSupportHoldsExactZero(t *testing.T) {
+	p := NewProblem(2)
+	p.Cost = []float64{-1, -1}
+	p.Hi = []float64{1, 1}
+	p.AddRow([]int{0, 1}, []float64{1, 1}, LE, 1)
+	p.AddRow([]int{0, 1}, []float64{1, 1}, LE, 2)
+	c := p.cache()
+	s := &c.s
+	b := &Basis{Basic: []int{0, 3}, Stat: []BasisStatus{BasisBasic, BasisAtLower, BasisAtLower, BasisBasic}}
+	if !s.initWarm(p, c, b) || !s.factorize(warmPivTol) {
+		t.Fatal("fixture basis rejected")
+	}
+	sup := s.fac.ftran(s.w, s.scatterColToW(1), s.alpha)
+	wantSameI(t, "support", sup, []int32{0, 1})
+	if s.alpha[0] != 1 || s.alpha[1] != 0 {
+		t.Fatalf("alpha = %v, want [1 0]", s.alpha)
+	}
+	s.fac.pushEta(s.alpha, sup, 0)
+	if n := len(s.fac.eval); n != 0 {
+		t.Fatalf("eta holds %d off-pivot entries, want none (the zero is not one)", n)
+	}
+	if !referee(t, s, rand.New(rand.NewSource(1)), 1<<30, luPivotFloor) {
+		t.Fatal("basis reported singular")
+	}
+}
+
+// TestKernelsBitIdenticalSlackBasis runs the referee on the cold start's
+// basis — slacks and artificials only, so L and U are empty and every solve
+// is the diagonal and the eta file alone — fresh, and again after one eta.
+func TestKernelsBitIdenticalSlackBasis(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, m := range []int{5, 90, 450} {
+		p := genSparseLP(int64(m), m)
+		c := p.cache()
+		s := &c.s
+		s.initCold(p, c)
+		if !s.factorize(luPivotFloor) {
+			t.Fatalf("m=%d: slack basis would not factorize", m)
+		}
+		if f := &s.fac; len(f.lval) != 0 || len(f.uval) != 0 || s.nArt == 0 {
+			t.Fatalf("m=%d: %d L and %d U entries with %d artificials; want an empty L and U and some artificials",
+				m, len(f.lval), len(f.uval), s.nArt)
+		}
+		if !referee(t, s, rng, 1<<30, luPivotFloor) {
+			t.Fatalf("m=%d: slack basis reported singular", m)
+		}
+		// One column exchange on the largest pivot, as the simplex would
+		// push it; the referee left the slack basis freshly factored.
+		sup := s.fac.ftran(s.w, s.scatterColToW(0), s.alpha)
+		r := sup[0]
+		for _, k := range sup {
+			if math.Abs(s.alpha[k]) > math.Abs(s.alpha[r]) {
+				r = k
+			}
+		}
+		s.fac.pushEta(s.alpha, sup, int(r))
+		out := s.basic[r]
+		s.stat[out], s.slotOf[out] = atLower, -1
+		s.setBasic(int(r), 0, 0)
+		if !referee(t, s, rng, 1<<30, luPivotFloor) {
+			t.Fatalf("m=%d: slack basis with one eta reported singular", m)
 		}
 	}
 }

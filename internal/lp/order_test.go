@@ -134,8 +134,8 @@ func basisResiduals(s *spSolver, rng *rand.Rand) (fres, bres float64) {
 		b[i], c[i] = rng.NormFloat64(), rng.NormFloat64()
 	}
 	x, y := make([]float64, m), make([]float64, m)
-	s.fac.ftran(append([]float64(nil), b...), x)
-	s.fac.btran(append([]float64(nil), c...), y)
+	s.fac.ftran(append([]float64(nil), b...), nil, x)
+	s.fac.btran(append([]float64(nil), c...), nil, y)
 	bx := make([]float64, m)
 	for k := 0; k < m; k++ {
 		s.scatterColToW(int(s.basic[k]))
@@ -180,8 +180,7 @@ func TestSolvesOnShuffledSlots(t *testing.T) {
 		}
 		check()
 		for _, j := range nonbasicStructurals(s)[:maxEta] {
-			s.scatterColToW(j)
-			s.fac.ftran(s.w, s.alpha)
+			sup := s.fac.ftran(s.w, s.scatterColToW(j), s.alpha)
 			r := 0
 			for k, v := range s.alpha {
 				if math.Abs(v) > math.Abs(s.alpha[r]) {
@@ -191,7 +190,7 @@ func TestSolvesOnShuffledSlots(t *testing.T) {
 			if math.Abs(s.alpha[r]) < etaPivFloor {
 				t.Fatalf("m=%d: column %d has no usable pivot", m, j)
 			}
-			s.fac.pushEta(s.alpha, r)
+			s.fac.pushEta(s.alpha, sup, r)
 			s.basic[r] = int32(j)
 			if n := s.fac.nEtas(); n == 1 || n == maxEta {
 				check()

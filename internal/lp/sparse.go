@@ -258,10 +258,20 @@ type spSolver struct {
 	artSign []float64 // ±1 coefficient of each artificial
 
 	// Length-m scratch.
-	w     []float64 // original-row-indexed FTRAN input / residual buffer
-	alpha []float64 // slot-indexed FTRAN output (entering column)
-	cbuf  []float64 // slot-indexed BTRAN input
-	y     []float64 // original-row-indexed BTRAN output (duals)
+	w      []float64 // original-row-indexed FTRAN input / residual buffer
+	alpha  []float64 // slot-indexed FTRAN output (entering column)
+	cbuf   []float64 // slot-indexed BTRAN input, all zero between calls
+	y      []float64 // original-row-indexed BTRAN output (duals)
+	cslots []int32   // the slots of cbuf's nonzeros, for btran
+
+	// Supports over columns: colSet collects the pivot row's, colList is
+	// yTimesA's ascending answer, and costCols lists, ascending, the columns
+	// with a nonzero cost in the current phase objective (noteCostCols).
+	// unitRow is the one row of a unit column scattered into w.
+	colSet   bitset
+	colList  []int32
+	costCols []int32
+	unitRow  [1]int32
 
 	fac luFactor
 
@@ -295,6 +305,8 @@ func (s *spSolver) sizeFor(m, nTot int) {
 		s.arow = make([]float64, nTot)
 		s.stat = make([]vstat, nTot)
 		s.slotOf = make([]int32, nTot)
+		s.colList = make([]int32, nTot)
+		s.costCols = make([]int32, 0, nTot)
 	}
 	s.lo = s.lo[:nTot]
 	s.hi = s.hi[:nTot]
@@ -304,11 +316,14 @@ func (s *spSolver) sizeFor(m, nTot int) {
 	s.arow = s.arow[:nTot]
 	s.stat = s.stat[:nTot]
 	s.slotOf = s.slotOf[:nTot]
+	s.colList = s.colList[:nTot]
+	s.colSet = s.colSet.sized(nTot)
 	if cap(s.basic) < m {
 		s.basic = make([]int32, m)
 		s.alpha = make([]float64, m)
 		s.cbuf = make([]float64, m)
 		s.y = make([]float64, m)
+		s.cslots = make([]int32, m)
 	}
 	// w is sized separately: initCold borrows it as a residual buffer
 	// before sizeFor runs, and that aliasing must survive this call.
@@ -319,7 +334,9 @@ func (s *spSolver) sizeFor(m, nTot int) {
 	s.w = s.w[:m]
 	s.alpha = s.alpha[:m]
 	s.cbuf = s.cbuf[:m]
+	clear(s.cbuf)
 	s.y = s.y[:m]
+	s.cslots = s.cslots[:m]
 	s.iters = 0
 	s.degenPivots = 0
 	s.blandPivots = 0
@@ -329,63 +346,95 @@ func (s *spSolver) sizeFor(m, nTot int) {
 }
 
 // scatterColToW writes column j (scaled) into the original-row-indexed
-// working vector w, zeroing it first.
-func (s *spSolver) scatterColToW(j int) {
-	for i := range s.w {
-		s.w[i] = 0
-	}
+// working vector w, zeroing it first, and returns the rows it wrote — FTRAN's
+// input support.
+func (s *spSolver) scatterColToW(j int) []int32 {
+	clear(s.w)
 	if j >= s.nStr {
 		r, v := s.unitColumn(j)
 		s.w[r] = v
-		return
+		s.unitRow[0] = r
+		return s.unitRow[:]
 	}
 	c := s.c
 	for e := c.ptr[j]; e < c.ptr[j+1]; e++ {
 		s.w[c.rix[e]] = c.val[e]
 	}
+	return c.rix[c.ptr[j]:c.ptr[j+1]]
 }
 
 // yTimesA fills arow[j] = yᵀA_j for every column j, for the
-// original-row-indexed y. The structural part is accumulated row by row over
-// the rows with y_i ≠ 0, in ascending i: the CSC columns are row-sorted, so
-// each arow[j] receives exactly the addends a dot product down column j
-// would, in the same order, minus terms that are exact zeros — at a cost
-// proportional to the nonzeros of y's rows rather than of A.
-func (s *spSolver) yTimesA() {
+// original-row-indexed y whose nonzeros lie on the ascending rows (BTRAN's
+// support). The structural part is accumulated row by row over those rows,
+// in ascending i: the CSC columns are row-sorted, so each arow[j] receives
+// exactly the addends a dot product down column j would, in the same order,
+// minus terms that are exact zeros — at a cost proportional to the nonzeros
+// of y's rows rather than of A. It returns the ascending columns where arow
+// may be nonzero — the structurals those rows hit, the slacks of y's
+// nonzeros and the nonzero artificials — together with the columns also
+// lists.
+func (s *spSolver) yTimesA(rows, also []int32) []int32 {
 	c := s.c
-	arow := s.arow
+	arow, cols := s.arow, s.colSet
 	clear(arow[:s.nStr])
-	for i, yi := range s.y {
+	for _, j := range also {
+		cols.set(j)
+	}
+	for _, i := range rows {
+		yi := s.y[i]
 		if yi == 0 {
 			continue
 		}
 		for e := c.rptr[i]; e < c.rptr[i+1]; e++ {
-			arow[c.cix[e]] += c.rval[e] * yi
+			j := c.cix[e]
+			arow[j] += c.rval[e] * yi
+			cols.set(j)
 		}
+		cols.set(int32(s.nStr) + i)
 	}
 	copy(arow[s.nStr:], s.y) // slacks are unit columns
 	for a, r := range s.artRow {
-		arow[s.nStr+s.m+a] = s.artSign[a] * s.y[r]
+		j := s.nStr + s.m + a
+		if arow[j] = s.artSign[a] * s.y[r]; arow[j] != 0 {
+			cols.set(int32(j))
+		}
 	}
+	return cols.drain(s.colList)
 }
 
 // costRow sets y to the duals B⁻ᵀc_B of the current phase objective and arow
-// to yᵀA, so that column j's reduced cost is cost[j] − arow[j].
-func (s *spSolver) costRow() {
-	needY := false
-	for k := 0; k < s.m; k++ {
-		cb := s.cost[s.basic[k]]
-		s.cbuf[k] = cb
-		if cb != 0 {
-			needY = true
+// to yᵀA, so that column j's reduced cost is cost[j] − arow[j]. c_B is built
+// from the basic columns among costCols, every other slot's cost being zero.
+// It returns the ascending columns where cost or arow may be nonzero: at
+// every other column the reduced cost is 0 − 0.
+func (s *spSolver) costRow() []int32 {
+	n := 0
+	for _, j := range s.costCols {
+		if s.stat[j] == basic {
+			k := s.slotOf[j]
+			s.cbuf[k] = s.cost[j]
+			s.cslots[n] = k
+			n++
 		}
 	}
-	if needY {
-		s.fac.btran(s.cbuf, s.y)
+	var rows []int32
+	if n > 0 {
+		rows = s.fac.btran(s.cbuf, s.cslots[:n], s.y)
 	} else {
 		clear(s.y)
 	}
-	s.yTimesA()
+	return s.yTimesA(rows, s.costCols)
+}
+
+// noteCostCols records costCols for the objective just installed in cost.
+func (s *spSolver) noteCostCols() {
+	cc := s.costCols[:0]
+	for j, c := range s.cost {
+		if c != 0 {
+			cc = append(cc, int32(j))
+		}
+	}
+	s.costCols = cc
 }
 
 // unitColumn returns the row and the ±1 coefficient of slack or artificial
@@ -548,7 +597,7 @@ func (s *spSolver) recomputeXB() {
 			s.w[s.artRow[a]] -= s.artSign[a] * s.xval[j]
 		}
 	}
-	s.fac.ftran(s.w, s.alpha)
+	s.fac.ftran(s.w, nil, s.alpha)
 	for k := 0; k < s.m; k++ {
 		s.xval[s.basic[k]] = s.alpha[k]
 	}
@@ -651,6 +700,7 @@ func (s *spSolver) initCold(p *Problem, c *spCache) {
 			s.setBasic(i, nStr+i, resid[i])
 		}
 	}
+	s.noteCostCols()
 	s.cap = 50*(m+nTot) + 1000
 }
 
@@ -685,6 +735,7 @@ func (s *spSolver) initWarm(p *Problem, c *spCache, b *Basis) bool {
 		}
 		s.cost[j] = 0
 	}
+	s.noteCostCols()
 	// Statuses from the basis; a nonbasic-at-upper column with an infinite
 	// upper bound under the new problem drops to its lower bound (same rule
 	// as the dense warm build).
@@ -727,6 +778,7 @@ func (s *spSolver) setPhase2Cost(p *Problem) {
 	for j := s.nStr; j < s.nTot; j++ {
 		s.cost[j] = 0
 	}
+	s.noteCostCols()
 }
 
 // objective is Σ cost·xval over every column, in scaled space.
@@ -757,13 +809,15 @@ func (s *spSolver) pinArtificials() {
 // price selects an entering column and direction by Dantzig pricing over
 // freshly BTRANned duals (the revised simplex reprices every iteration
 // instead of carrying an updated reduced-cost row). Returns q = -1 at
-// optimality; under Bland's rule it returns the first improving column.
+// optimality; under Bland's rule it returns the first improving column. It
+// looks only at the columns costRow returns, in ascending order: any other
+// has d_j = 0 − 0 and cannot improve.
 func (s *spSolver) price(bland bool) (int, float64) {
-	s.costRow()
 	best := costTol
 	q := -1
 	dir := 1.0
-	for j := 0; j < s.nTot; j++ {
+	for _, j32 := range s.costRow() {
+		j := int(j32)
 		if s.stat[j] == basic || s.hi[j]-s.lo[j] < feasTol {
 			continue // basic or fixed
 		}
@@ -834,15 +888,17 @@ func (s *spSolver) primal() Status {
 // several near-zero ratios, and the classic test's smallest-ratio rule is
 // forced to take whichever pivot that row happens to have; paying up to
 // harrisDelta of bound violation buys the numerically best pivot instead.
+//
+// Both passes, the update of the basics and the eta walk alpha's support,
+// in ascending slot order: a slot outside it has alpha_i = 0, which no pass
+// acts on.
 func (s *spSolver) step(q int, dir float64) (float64, Status) {
-	s.scatterColToW(q)
-	s.fac.ftran(s.w, s.alpha)
-	m := s.m
+	sup := s.fac.ftran(s.w, s.scatterColToW(q), s.alpha)
 	own := s.hi[q] - s.lo[q] // may be +Inf
 
 	// Pass 1: relaxed limits.
 	theta := own
-	for i := 0; i < m; i++ {
+	for _, i := range sup {
 		a := dir * s.alpha[i] // xB_i decreases at rate a
 		b := s.basic[i]
 		var lim float64
@@ -875,7 +931,7 @@ func (s *spSolver) step(q int, dir float64) (float64, Status) {
 	pivAbs := 0.0
 	step := own
 	if theta < own {
-		for i := 0; i < m; i++ {
+		for _, i := range sup {
 			a := dir * s.alpha[i]
 			b := s.basic[i]
 			var lim float64
@@ -896,7 +952,7 @@ func (s *spSolver) step(q int, dir float64) (float64, Status) {
 			}
 			if lim <= theta {
 				if ab := math.Abs(s.alpha[i]); ab > pivAbs {
-					leave, pivAbs, step, leaveAtUpper = i, ab, lim, up
+					leave, pivAbs, step, leaveAtUpper = int(i), ab, lim, up
 				}
 			}
 		}
@@ -904,7 +960,7 @@ func (s *spSolver) step(q int, dir float64) (float64, Status) {
 
 	// Move the basics and the entering variable.
 	if step > 0 {
-		for i := 0; i < m; i++ {
+		for _, i := range sup {
 			a := dir * s.alpha[i]
 			if a != 0 {
 				s.xval[s.basic[i]] -= step * a
@@ -946,7 +1002,7 @@ func (s *spSolver) step(q int, dir float64) (float64, Status) {
 			return step, IterLimit
 		}
 	} else {
-		s.fac.pushEta(s.alpha, leave)
+		s.fac.pushEta(s.alpha, sup, leave)
 	}
 	return step, Optimal
 }
@@ -1039,18 +1095,18 @@ func (s *spSolver) dual() Status {
 		out := int(s.basic[r])
 
 		// Pivot row: arow_j = (B⁻ᵀe_r)·A_j, for every column (basic columns
-		// included — arow_out ≈ 1 feeds the incremental d update below).
-		for k := range s.cbuf {
-			s.cbuf[k] = 0
-		}
+		// included — arow_out ≈ 1 feeds the incremental d update below). The
+		// ratio test and that update walk its support, ascending: a column
+		// outside it has arow_j = 0, which neither acts on.
 		s.cbuf[r] = 1
-		s.fac.btran(s.cbuf, s.y)
-		s.yTimesA()
+		s.cslots[0] = int32(r)
+		cols := s.yTimesA(s.fac.btran(s.cbuf, s.cslots[:1], s.y), nil)
 
 		q := -1
 		best := math.Inf(1)
 		bestAbs := 0.0
-		for j := 0; j < s.nTot; j++ {
+		for _, j32 := range cols {
+			j := int(j32)
 			a := s.arow[j]
 			if s.stat[j] == basic || s.hi[j]-s.lo[j] < feasTol {
 				continue
@@ -1081,8 +1137,7 @@ func (s *spSolver) dual() Status {
 		// the factors already are fresh: the retry would pick the same (r, q)
 		// and disagree again, for ever. Then the basis is too ill-conditioned
 		// to price from and the cold path takes over.
-		s.scatterColToW(q)
-		s.fac.ftran(s.w, s.alpha)
+		sup := s.fac.ftran(s.w, s.scatterColToW(q), s.alpha)
 		piv := s.alpha[r]
 		if math.Abs(piv) < pivTol {
 			if s.fac.nEtas() == 0 || !s.refactorDual() {
@@ -1112,8 +1167,8 @@ func (s *spSolver) dual() Status {
 		}
 		dx := (s.xval[out] - beta) / piv
 		s.dobj += s.d[q] * dx
-		for i := 0; i < s.m; i++ {
-			if i == r {
+		for _, i := range sup {
+			if int(i) == r {
 				continue
 			}
 			if a := s.alpha[i]; a != 0 {
@@ -1140,7 +1195,7 @@ func (s *spSolver) dual() Status {
 		// and every other basic column has arow ≈ 0.
 		f := s.d[q] / s.arow[q]
 		if f != 0 {
-			for j := 0; j < s.nTot; j++ {
+			for _, j := range cols {
 				if a := s.arow[j]; a != 0 {
 					s.d[j] -= f * a
 				}
@@ -1154,7 +1209,7 @@ func (s *spSolver) dual() Status {
 				return IterLimit
 			}
 		} else {
-			s.fac.pushEta(s.alpha, r)
+			s.fac.pushEta(s.alpha, sup, r)
 		}
 	}
 }

@@ -269,7 +269,7 @@ func TestLUFactorRoundTrip(t *testing.T) {
 	xWant := []float64{1, -2, 0.5, 3}
 	b := mul(xWant)
 	out := make([]float64, m)
-	f.ftran(b, out) // consumes b
+	f.ftran(b, nil, out) // consumes b
 	for k := 0; k < m; k++ {
 		if math.Abs(out[k]-xWant[k]) > 1e-10 {
 			t.Fatalf("ftran: out[%d] = %g, want %g", k, out[k], xWant[k])
@@ -279,7 +279,7 @@ func TestLUFactorRoundTrip(t *testing.T) {
 	yWant := []float64{-1, 0.25, 2, -3}
 	c := mulT(yWant)
 	y := make([]float64, m)
-	f.btran(c, y) // consumes c
+	f.btran(c, nil, y) // consumes c
 	for i := 0; i < m; i++ {
 		if math.Abs(y[i]-yWant[i]) > 1e-10 {
 			t.Fatalf("btran: y[%d] = %g, want %g", i, y[i], yWant[i])
@@ -289,19 +289,18 @@ func TestLUFactorRoundTrip(t *testing.T) {
 	// Replace slot 2's column through an eta update: alpha = B⁻¹·newCol.
 	newCol := []float64{1, 1, 2, 0}
 	alpha := make([]float64, m)
-	f.ftran(append([]float64(nil), newCol...), alpha)
-	f.pushEta(alpha, 2)
+	f.pushEta(alpha, f.ftran(append([]float64(nil), newCol...), nil, alpha), 2)
 	cols[2] = newCol
 
 	b = mul(xWant)
-	f.ftran(b, out)
+	f.ftran(b, nil, out)
 	for k := 0; k < m; k++ {
 		if math.Abs(out[k]-xWant[k]) > 1e-9 {
 			t.Fatalf("post-eta ftran: out[%d] = %g, want %g", k, out[k], xWant[k])
 		}
 	}
 	c = mulT(yWant)
-	f.btran(c, y)
+	f.btran(c, nil, y)
 	for i := 0; i < m; i++ {
 		if math.Abs(y[i]-yWant[i]) > 1e-9 {
 			t.Fatalf("post-eta btran: y[%d] = %g, want %g", i, y[i], yWant[i])

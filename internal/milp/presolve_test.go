@@ -245,11 +245,12 @@ func BenchmarkSolveNodeAllocs(b *testing.B) {
 // pool, every branched node costs two fresh []float64 copies of the full
 // bound box plus whatever fathomed siblings leaked. With it, the whole-solve
 // allocation count divided by nodes must stay small.
-// nodeAllocBudget sits between the measured steady state on the 57-node tree
-// below — 422 allocations, 7.40 per node: the node LPs, the node structs and
-// a fixed ~30 of per-solve state (the pseudocost table, the local queue,
-// per-worker scratch) — and the 9.05 per node the same tree costs with the
-// pool reverted to per-child copies. Allocation counts are exact and
+// nodeAllocBudget sits above the measured steady state on the 75-node tree
+// below — 564 allocations, 7.52 per node: the node LPs, the node structs and
+// a fixed ~40 of per-solve state (the pseudocost table, the local queue,
+// per-worker scratch, the LP workspace's support bitsets and index lists) —
+// and below the 9.05 per node a tree of this kind cost with the pool
+// reverted to per-child copies. Allocation counts are exact and
 // deterministic here (one worker, presolve off), so the margin is for Go
 // releases, not for noise.
 const nodeAllocBudget = 8.2
