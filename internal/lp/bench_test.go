@@ -10,8 +10,8 @@ import (
 // Layer benchmarks for the LP kernels (ROADMAP item 1a): factorize, FTRAN,
 // unit BTRAN, the dual pivot row, a whole warm re-solve and a whole cold
 // solve, each at three basis sizes — the fleet sweep's small cells, a
-// Uninett2010 analysis and an AfricaWAN alert. The LPs are generated (internal/lp cannot import the
-// model builders) to the shape those relaxations have: a few nonzeros per
+// Uninett2010 analysis and an AfricaWAN alert. The LPs are generated
+// (internal/lp cannot import the model builders) to the shape those relaxations have: a few nonzeros per
 // column and an optimal basis that is mostly slack (at m = 2,600 about 800
 // structural columns basic, nnz(L) ≈ 3,200, nnz(U) ≈ 3,900 — AfricaWAN's
 // root bases measure 600, 2,500–4,000 and 2,000–4,000). Every kernel
@@ -175,11 +175,12 @@ func BenchmarkFtran(b *testing.B) {
 		cols := nonbasicStructurals(s)
 		per := make([]int, len(cols))
 		for i, j := range cols {
-			per[i] = ftranTouched(&s.fac, s.w, s.scatterColToW(j))
+			rows := s.scatterColToW(j)
+			per[i] = ftranTouched(&s.fac, s.w, rows)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.fac.ftran(s.w, s.scatterColToW(cols[i%len(cols)]), s.alpha)
+			s.ftranColumn(cols[i%len(cols)])
 		}
 		reportTouched(b, per)
 		reportWords(b, s, 1, 0, 0)

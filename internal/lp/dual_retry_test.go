@@ -75,7 +75,7 @@ func TestDualRetryTerminates(t *testing.T) {
 		t.Fatalf("fixture: pivot row offers neither copy: %g, %g", s.arow[3], s.arow[4])
 	}
 	for _, q := range []int{3, 4} {
-		s.fac.ftran(s.w, s.scatterColToW(q), s.alpha)
+		s.ftranColumn(q)
 		if math.Abs(s.alpha[1]) >= pivTol {
 			t.Fatalf("fixture: FTRAN pivot of column %d is %g, not below pivTol", q, s.alpha[1])
 		}

@@ -11,8 +11,8 @@ package lp
 // against that representation. Both are hyper-sparse: they carry the support
 // of their vector — the steps, slots or rows where it may be nonzero — as a
 // bitset, walk only that, and return the support of the result, so a solve
-// costs the factor and eta entries it applies plus one bit per index, not a
-// test per step (see the bitset type below).
+// costs the factor and eta entries it applies plus one bit per index it
+// visits, not the basis dimension (see the bitset type below).
 //
 // Indexing convention, because three index spaces meet here: constraint
 // rows are "original rows" (0..m-1), basis positions are "slots" (0..m-1),
@@ -107,9 +107,10 @@ type luFactor struct {
 	// (original row → step, -1 while unpivoted). reach is a binary min-heap
 	// of the earlier steps the column being factored must be eliminated
 	// against (see factorColumn). bucket is the counting sort's histogram
-	// (spSolver.orderSteps). unitSteps is how many leading steps spSolver.factorize's unit-column
-	// fast path took (their rows skip the heap, see spSolver.loadColumn), and
-	// reachPops counts the heap pops of one factorization, for the tests.
+	// (spSolver.orderSteps). unitSteps is how many leading steps
+	// spSolver.factorize's unit-column fast path took (their rows skip the
+	// heap, see spSolver.loadColumn), and reachPops counts the heap pops of
+	// one factorization, for the tests.
 	unitSteps int32
 	reachPops int
 	pstep     []int32
@@ -154,7 +155,6 @@ func (f *luFactor) reset(m int) {
 	f.slotList = f.slotList[:m]
 	f.rowList = f.rowList[:m]
 	f.cs = f.cs[:m]
-	clear(f.cs)
 	f.steps = f.steps.sized(m)
 	f.steps2 = f.steps2.sized(m)
 	f.slotSet = f.slotSet.sized(m)
@@ -430,13 +430,13 @@ func (b bitset) drain(list []int32) []int32 {
 // slot-indexed and overwritten. Both have length m. It returns out's
 // support: the slots where out may be nonzero, ascending, in f.slotList.
 //
-// Each pass walks a step bitset instead of every step, in the dense loop's
-// order, and every step it skips is one whose component the dense loop found
-// zero and left alone: L column t addresses rows pivoted at later steps, so
-// the L pass (ascending) only ever adds steps ahead of its cursor; U column
-// k addresses earlier steps, so the U pass (descending, over every step the
-// L pass visited) does too. The eta pass is as it was, marking the slots it
-// writes.
+// Each pass walks a step bitset in the order a scan over every step would
+// (refFtran, lu_ref_test.go), and every step it skips is one whose component
+// the scan would find zero and leave alone: L column t addresses rows
+// pivoted at later steps, so the L pass (ascending) only ever adds steps
+// ahead of its cursor; U column k addresses earlier steps, so the U pass
+// (descending, over every step the L pass visited) does too. The eta pass
+// runs over the whole file, marking the slots it writes.
 func (f *luFactor) ftran(x []float64, rows []int32, out []float64) []int32 {
 	lset, uset := f.steps, f.steps2
 	if rows == nil {
@@ -505,8 +505,8 @@ func (f *luFactor) ftran(x []float64, rows []int32, out []float64) []int32 {
 // original-row-indexed and overwritten. Both have length m. It returns y's
 // support: the rows where y may be nonzero, ascending, in f.rowList.
 //
-// The eta pass runs over the whole file, as before, marking each pivot slot
-// that comes out nonzero; the gather into step order then visits only the
+// The eta pass runs over the whole file, marking each pivot slot that comes
+// out nonzero; the gather into step order then visits only the
 // marked slots, the Uᵀ pass (ascending) only the steps they and U's rows
 // reach, and the Lᵀ pass (descending) only the steps where a nonzero sits
 // or a dot product is due — U's row t addresses later steps and an Lᵀ mark

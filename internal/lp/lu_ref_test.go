@@ -544,7 +544,7 @@ func TestFtranSupportHoldsExactZero(t *testing.T) {
 	if !s.initWarm(p, c, b) || !s.factorize(warmPivTol) {
 		t.Fatal("fixture basis rejected")
 	}
-	sup := s.fac.ftran(s.w, s.scatterColToW(1), s.alpha)
+	sup := s.ftranColumn(1)
 	wantSameI(t, "support", sup, []int32{0, 1})
 	if s.alpha[0] != 1 || s.alpha[1] != 0 {
 		t.Fatalf("alpha = %v, want [1 0]", s.alpha)
@@ -580,7 +580,7 @@ func TestKernelsBitIdenticalSlackBasis(t *testing.T) {
 		}
 		// One column exchange on the largest pivot, as the simplex would
 		// push it; the referee left the slack basis freshly factored.
-		sup := s.fac.ftran(s.w, s.scatterColToW(0), s.alpha)
+		sup := s.ftranColumn(0)
 		r := sup[0]
 		for _, k := range sup {
 			if math.Abs(s.alpha[k]) > math.Abs(s.alpha[r]) {

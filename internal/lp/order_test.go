@@ -180,7 +180,7 @@ func TestSolvesOnShuffledSlots(t *testing.T) {
 		}
 		check()
 		for _, j := range nonbasicStructurals(s)[:maxEta] {
-			sup := s.fac.ftran(s.w, s.scatterColToW(j), s.alpha)
+			sup := s.ftranColumn(j)
 			r := 0
 			for k, v := range s.alpha {
 				if math.Abs(v) > math.Abs(s.alpha[r]) {

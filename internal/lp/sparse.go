@@ -334,7 +334,6 @@ func (s *spSolver) sizeFor(m, nTot int) {
 	s.w = s.w[:m]
 	s.alpha = s.alpha[:m]
 	s.cbuf = s.cbuf[:m]
-	clear(s.cbuf)
 	s.y = s.y[:m]
 	s.cslots = s.cslots[:m]
 	s.iters = 0
@@ -361,6 +360,13 @@ func (s *spSolver) scatterColToW(j int) []int32 {
 		s.w[c.rix[e]] = c.val[e]
 	}
 	return c.rix[c.ptr[j]:c.ptr[j+1]]
+}
+
+// ftranColumn solves B·alpha = A_j into alpha and returns alpha's support
+// (FTRAN's ascending slots).
+func (s *spSolver) ftranColumn(j int) []int32 {
+	rows := s.scatterColToW(j)
+	return s.fac.ftran(s.w, rows, s.alpha)
 }
 
 // yTimesA fills arow[j] = yᵀA_j for every column j, for the
@@ -893,7 +899,7 @@ func (s *spSolver) primal() Status {
 // in ascending slot order: a slot outside it has alpha_i = 0, which no pass
 // acts on.
 func (s *spSolver) step(q int, dir float64) (float64, Status) {
-	sup := s.fac.ftran(s.w, s.scatterColToW(q), s.alpha)
+	sup := s.ftranColumn(q)
 	own := s.hi[q] - s.lo[q] // may be +Inf
 
 	// Pass 1: relaxed limits.
@@ -1137,7 +1143,7 @@ func (s *spSolver) dual() Status {
 		// the factors already are fresh: the retry would pick the same (r, q)
 		// and disagree again, for ever. Then the basis is too ill-conditioned
 		// to price from and the cold path takes over.
-		sup := s.fac.ftran(s.w, s.scatterColToW(q), s.alpha)
+		sup := s.ftranColumn(q)
 		piv := s.alpha[r]
 		if math.Abs(piv) < pivTol {
 			if s.fac.nEtas() == 0 || !s.refactorDual() {
