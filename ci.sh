@@ -33,22 +33,31 @@ go build ./...
 # second per-solve field — and each solver counter is declared once, as a
 # tagged milp.Stats field, with no shadow accumulator. Presolve is always on
 # outside internal/milp's own tests (their switch is the unexported
-# disablePresolve), so no config or CLI re-lists a public one. The five lint
+# disablePresolve), so no config or CLI re-lists a public one. So is the
+# auto-width probe above width 1 (the tests' switch is fixedWidth), and no
+# solve runs the model checker: it is a test oracle, with no gate, error
+# type, facade alias or trace event of its own. The five lint
 # rules that never fired are gone too, so a fixture marker or allow
 # directive naming one is stale. Pseudocosts are trusted from their first
 # observation, with no reliability threshold to tune. The grep reads
 # _test.go files too, on purpose.
-if grep -rn 'pcReliability\|QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel\|statsAcc\|DisablePresolve\|lock-order\|goroutine-leak\|ctx-first\|mutex-value\|tracer-guard' --include='*.go' --exclude-dir=.bench_build .; then
+if grep -rn 'pcReliability\|QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel\|statsAcc\|DisablePresolve\|CheckError\|ModelCheck\|ModelDiagnostic\|runCheck\|model_check\|AutoWidth:\|\.AutoWidth\b\|lock-order\|goroutine-leak\|ctx-first\|mutex-value\|tracer-guard' --include='*.go' --exclude-dir=.bench_build .; then
 	echo "ci: retired solver knob or lint rule referenced above" >&2
 	exit 1
 fi
 
-# And the dense tableau stays on the test side: no binary may link it.
+# And the dense tableau stays on the test side: no binary may link it. Nor
+# the model-check catalogue: presolve links modelcheck's interval arithmetic,
+# but only tests call modelcheck.Check.
 tmp=$(mktemp -d /tmp/raha-ci.XXXXXX)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/raha" ./cmd/raha
 if go tool nm "$tmp/raha" | grep -q 'lp\.solveDense\|lp\.(\*tableau)'; then
 	echo "ci: cmd/raha links the dense LP referee (internal/lp/dense_ref_test.go belongs to the tests)" >&2
+	exit 1
+fi
+if go tool nm "$tmp/raha" | grep -q 'modelcheck\.Check'; then
+	echo "ci: cmd/raha links modelcheck.Check (the catalogue is a test oracle)" >&2
 	exit 1
 fi
 
@@ -116,13 +125,6 @@ done
 # TestDualRetryTerminates). Every smoke runs under a timeout, so a solver
 # that stops terminating fails CI instead of blocking it.
 smoke uninett_optimal --shift 1
-
-# Static model check over a real paper model: -check runs the
-# internal/modelcheck diagnostic pass before the solve and exits non-zero
-# on any error-severity diagnostic, so a regression in the §5 encodings
-# (NaN Big-M, contradictory bounds, trivially infeasible rows) fails CI
-# even if the solver would have limped through.
-go run ./cmd/raha analyze -topology b4 -check -budget 2s -q -progress=false >/dev/null
 
 # The lost-capacity bound closing an analysis outright, deterministic and
 # clock-free: on a three-link line no single failure is as probable as 1e-3,
@@ -233,17 +235,24 @@ undefined_flag() {
 undefined_flag ./cmd/raha alert -all -builtins=false -zoo-dir internal/topology/testdata -parallelism auto
 undefined_flag ./cmd/raha analyze -presolve off
 undefined_flag ./cmd/raha-experiments -presolve off
+# The pre-solve model check is gone from both CLIs too. What its smoke
+# guarded — no error diagnostic on a real §5 model — is internal/metaopt's
+# TestBuiltModelsCheckClean, over every objective and topology shape.
+undefined_flag ./cmd/raha analyze -check
+undefined_flag ./cmd/raha-experiments -check
 
 # Trace-analysis smoke: a real traced solve must round-trip through
 # raha-trace. summarize exits non-zero on a malformed trace or one with
 # zero attributed time, workers on missing per-worker data — so a schema
 # drift between the solver's emit sites and the analyzer fails CI here.
-# The workers pass doubles as the width > 1 scheduler health gate: a 4-worker
-# B4 analysis must record successful steals (work actually moved between
-# workers) and keep the summed idle share under 50% (workers spent their
-# time searching, not spinning in steal backoff).
+# The workers pass doubles as the width > 1 scheduler health gate: a B4
+# analysis at -workers 4 must record successful steals (work actually moved
+# between workers) and keep the summed idle share under 50% (workers spent
+# their time searching, not spinning in steal backoff). Its root LP has
+# enough fractional integers to keep the width, and the solve caps the
+# width at GOMAXPROCS, so GOMAXPROCS=4 keeps the pool 4 wide on any host.
 trace_tmp=$tmp/trace.jsonl
-go run ./cmd/raha analyze -topology b4 -budget 5s -workers 4 \
+GOMAXPROCS=4 go run ./cmd/raha analyze -topology b4 -budget 5s -workers 4 \
 	-trace "$trace_tmp" -q -progress=false >/dev/null
 go run ./cmd/raha-trace summarize "$trace_tmp" >/dev/null
 go run ./cmd/raha-trace workers -require-steals -max-idle 50 "$trace_tmp" >/dev/null

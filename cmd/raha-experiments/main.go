@@ -29,7 +29,6 @@ func run() int {
 	budget := flag.Duration("budget", 0, "solver time budget per analysis, overriding every experiment's own (0 = each experiment's default)")
 	only := flag.String("only", "", "comma-separated experiment names (default: all)")
 	workers := flag.Int("workers", 0, "worker budget per sweep stage: spent across its independent analyses first, the leftover inside each solve (0 = all cores, 1 = serial)")
-	check := flag.Bool("check", false, "run the static model checker before every solve; error diagnostics abort the sweep")
 	quiet := flag.Bool("q", false, "quiet: print errors only")
 	verbose := flag.Bool("v", false, "verbose: per-sweep diagnostics (overrides -q)")
 	progress := flag.Bool("progress", obs.IsTerminal(os.Stderr), "live per-figure progress line with ETA on stderr")
@@ -95,7 +94,6 @@ func run() int {
 	var prog *obs.ProgressLine // non-nil only while an experiment runs with -progress
 	tune := func(s *experiments.Setup) {
 		s.Workers = *workers
-		s.Check = *check
 		s.Tracer = tracer
 		s.OnProgress = func(p experiments.SweepProgress) { prog.Update(p.String()) }
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -25,21 +26,33 @@ func writeTrace(t *testing.T, workers int, seed int64) string {
 
 // writeKnapsackTrace is writeTrace, with the knapsack's own row handed to
 // the solve as its per-node bound (milp.Params.Knapsack) when budget is set,
-// that also returns the solve's Result.
+// that also returns the solve's Result. Above one worker the 16 items form
+// four 4-item knapsacks instead of one, so the root LP has a fractional item
+// in each and the solver keeps the width asked; the solve runs at
+// GOMAXPROCS 4, since the solver caps its width there. The single-row total
+// still bounds every box, so the knapsack stays valid.
 func writeKnapsackTrace(t *testing.T, workers int, seed int64, budget bool) (string, *milp.Result) {
 	t.Helper()
+	rows := 1
+	if workers > 1 {
+		rows = 4
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	}
 	rng := rand.New(rand.NewSource(seed))
 	m := milp.NewModel()
-	var objE, wt milp.Expr
+	var objE milp.Expr
+	wt := make([]milp.Expr, rows)
 	k := &milp.Knapsack{RHS: -80}
 	for i := 0; i < 16; i++ {
 		v, value, weight := m.BinaryVar("x"), float64(1+rng.Intn(40)), float64(1+rng.Intn(20))
 		objE.Add(value, v)
-		wt.Add(weight, v)
+		wt[i*rows/16].Add(weight, v)
 		k.Vars, k.Weight, k.Coef = append(k.Vars, v), append(k.Weight, value), append(k.Coef, -weight)
 	}
 	m.SetObjective(objE, milp.Maximize)
-	m.Add(wt, milp.LE, 80, "cap")
+	for _, row := range wt {
+		m.Add(row, milp.LE, float64(80/rows), "cap")
+	}
 	if !budget {
 		k = nil
 	}

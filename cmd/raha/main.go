@@ -121,7 +121,6 @@ type commonFlags struct {
 	budget    *time.Duration
 	seed      *int64
 	workers   *int
-	check     *bool
 	obs       *obsFlags
 }
 
@@ -139,8 +138,7 @@ func newCommon(name string) *commonFlags {
 		ce:        fs.Bool("ce", false, "enforce connectivity (at least one path up per demand)"),
 		budget:    fs.Duration("budget", 30*time.Second, "solver time budget"),
 		seed:      fs.Int64("seed", 1, "seed for the gravity demand model"),
-		workers:   fs.Int("workers", 0, "worker budget: branch-and-bound workers of a solve; a sweep (alert -all) spends it across topologies first (0 = all cores, 1 = serial)"),
-		check:     fs.Bool("check", false, "run the static model checker before each solve; error diagnostics abort the solve"),
+		workers:   fs.Int("workers", 0, "worker budget: branch-and-bound workers of a solve, at most one per core, serial when its root LP has few fractional integers; a sweep (alert -all) spends it across topologies first (0 = all cores, 1 = serial)"),
 		obs:       newObsFlags(fs),
 	}
 }
@@ -154,7 +152,6 @@ func (c *commonFlags) solver(o *runObs) raha.SolverParams {
 		Workers:    *c.workers,
 		Tracer:     o.tracer(),
 		OnProgress: o.solveProgress(),
-		Check:      *c.check,
 	}
 }
 
@@ -428,7 +425,6 @@ func alert(ctx context.Context, args []string) (err error) {
 		Workers:              *c.workers,
 		Tracer:               o.tracer(),
 		OnProgress:           o.solveProgress(),
-		Check:                *c.check,
 	})
 	if err != nil {
 		return err

@@ -173,7 +173,6 @@ func alertAll(ctx context.Context, c *commonFlags, sw *sweepFlags, tolerance flo
 		Shard:                shard,
 		NumShards:            numShards,
 		Seed:                 *c.seed,
-		Check:                *c.check,
 		ConnectivityEnforced: *c.ce,
 		Tracer:               o.tracer(),
 		OnTopoDone:           onTopoDone,

@@ -50,19 +50,14 @@ type Config struct {
 	Phase1Budget, Phase2Budget time.Duration
 
 	// Workers bounds the branch-and-bound parallelism of each phase's
-	// solve; 0 uses all cores. Each solve may run narrower: a root
-	// relaxation with only a handful of fractional integers runs serial
-	// (milp.Params.AutoWidth).
+	// solve; 0 uses all cores. Each solve may run narrower (see
+	// milp.Params.Workers).
 	Workers int
 
 	// Tracer and OnProgress flow into both phases' solver params (see
 	// milp.Params); either may be nil.
 	Tracer     obs.Tracer
 	OnProgress func(milp.Progress)
-
-	// Check runs the static model checker before each phase's solve
-	// (milp.Params.Check).
-	Check bool
 }
 
 // Report is the outcome of an alerting run.
@@ -183,9 +178,7 @@ func (cfg *Config) solver(budget time.Duration) milp.Params {
 	return milp.Params{
 		TimeLimit:  budget,
 		Workers:    cfg.Workers,
-		AutoWidth:  true,
 		Tracer:     cfg.Tracer,
 		OnProgress: cfg.OnProgress,
-		Check:      cfg.Check,
 	}
 }

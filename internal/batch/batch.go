@@ -64,10 +64,6 @@ type Config struct {
 	// Seed drives the gravity demand models (0 defaults to 1).
 	Seed int64
 
-	// Check runs the static model checker before every solve; an
-	// error-severity diagnostic becomes that cell's recorded failure.
-	Check bool
-
 	// Tracer receives sweep_topo_start/sweep_topo_end events plus
 	// everything the per-cell solves emit. May be nil.
 	Tracer obs.Tracer
@@ -355,7 +351,6 @@ func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell
 		Phase2Budget:         phaseBudget,
 		Workers:              width,
 		Tracer:               cfg.Tracer,
-		Check:                cfg.Check,
 	}
 	var reused [2]bool // per phase: answered by an earlier cell's proof
 	phase := 0

@@ -7,8 +7,8 @@
 // topologies" report.
 //
 // The sweep is fault-tolerant by construction: a topology that fails to
-// load, a cell that panics, times out, or trips a model-check gate is
-// recorded as a partial result and never kills the sweep. It is also a
+// load, or a cell that panics or times out, is recorded as a partial
+// result and never kills the sweep. It is also a
 // self-checking harness — every cell asserts the branch-and-bound node
 // accounting invariant, the postsolve round-trip (demands inside the
 // envelope, scenario shaped like the topology), and the

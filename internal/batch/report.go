@@ -15,8 +15,8 @@ var hCellLatency = obs.Default.Histogram("batch.cell_ns")
 type CellResult struct {
 	Cell
 
-	// Err is non-empty when the cell failed: a solver error, a panic, a
-	// model-check gate, an exhausted budget, or an invariant violation.
+	// Err is non-empty when the cell failed: a solver error, a panic,
+	// an exhausted budget, or an invariant violation.
 	// The other fields are meaningful only when Err is empty.
 	Err string `json:",omitempty"`
 

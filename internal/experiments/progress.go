@@ -94,8 +94,6 @@ func (s *Setup) solver() milp.Params {
 	return milp.Params{
 		TimeLimit: s.Budget,
 		Workers:   s.Workers,
-		AutoWidth: true,
 		Tracer:    s.Tracer,
-		Check:     s.Check,
 	}
 }

@@ -45,11 +45,6 @@ type Setup struct {
 	// metaopt and milp layers below emit (see internal/obs).
 	Tracer obs.Tracer
 
-	// Check runs the internal/modelcheck diagnostic pass before every solve
-	// of the sweep (milp.Params.Check). An error-severity diagnostic aborts
-	// that analysis with a *milp.CheckError instead of solving.
-	Check bool
-
 	// OnProgress, when non-nil, is called after every completed analysis
 	// of a sweep with the running count and an ETA — the CLI's live
 	// per-figure progress line. Called from sweep worker goroutines; must

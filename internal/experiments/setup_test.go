@@ -14,8 +14,8 @@ func TestSetupPlan(t *testing.T) {
 		{16, 4, 1},
 	} {
 		stage, fanout := s.plan(tt.units)
-		if p := stage.solver(); fanout != tt.fanout || p.Workers != tt.perSolve || !p.AutoWidth {
-			t.Errorf("plan(%d) = %d × %d (auto width %v), want %d × %d", tt.units, fanout, p.Workers, p.AutoWidth, tt.fanout, tt.perSolve)
+		if p := stage.solver(); fanout != tt.fanout || p.Workers != tt.perSolve {
+			t.Errorf("plan(%d) = %d × %d, want %d × %d", tt.units, fanout, p.Workers, tt.fanout, tt.perSolve)
 		}
 		if s.Workers != 4 {
 			t.Fatalf("plan(%d) changed the setup's budget to %d", tt.units, s.Workers)

@@ -110,7 +110,7 @@ func AnalyzeClusteredContext(ctx context.Context, cfg ClusterConfig) (*Result, e
 		// Split the worker budget over this wave's independent pair solves.
 		fanout, perSolve := conc.Split(cfg.Solver.Workers, len(keys))
 		waveSolver := per
-		waveSolver.Workers, waveSolver.AutoWidth = perSolve, true
+		waveSolver.Workers = perSolve
 		if tr := cfg.Solver.Tracer; tr != nil {
 			tr.Emit("metaopt", "parallelism", obs.F{
 				"units":          len(keys),

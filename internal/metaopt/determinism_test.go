@@ -108,7 +108,7 @@ func africaAlertConfig(tb testing.TB, seed int64) Config {
 	peak := demand.Gravity(top, pairs, top.MeanLAGCapacity(), seed).Scale(1.5)
 	return Config{
 		Topo: top, Demands: dps, Envelope: demand.Fixed(peak), ProbThreshold: 1e-4,
-		Solver: milp.Params{Workers: 1, AutoWidth: true},
+		Solver: milp.Params{Workers: 1},
 	}
 }
 

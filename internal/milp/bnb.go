@@ -88,15 +88,14 @@ type Params struct {
 	// solutions is returned may. A caller running several independent
 	// solves at once divides its own budget with conc.Split and passes
 	// each solve its share here.
+	//
+	// Above 1, Workers is a ceiling: before the pool starts the solver
+	// solves the root relaxation once, caps the width at GOMAXPROCS, and
+	// runs serial when only a handful of integer variables are fractional
+	// there, since such a tree cannot keep several workers fed. The root
+	// node then warm-starts from that probe's basis, and the chosen width
+	// is emitted as an "auto_width" trace event.
 	Workers int
-
-	// AutoWidth lets the solver shrink Workers from a root-LP tree-size
-	// estimate before the pool starts: a relaxation with only a handful of
-	// fractional integer variables yields a tree too small to keep several
-	// workers fed, so the solve runs serial instead of paying
-	// synchronization for nothing. The chosen width is emitted as an
-	// "auto_width" trace event. A no-op at Workers 1.
-	AutoWidth bool
 
 	// Hints are warm-start candidates: full-length value vectors whose
 	// integer entries are fixed (rounded, clamped to bounds) and whose
@@ -145,14 +144,10 @@ type Params struct {
 
 	ProgressEvery time.Duration
 
-	// Check, when set, runs the modelcheck diagnostic pass (see
-	// internal/modelcheck) before the search starts — the stand-in for a
-	// commercial solver's presolve guardrails. Every diagnostic is emitted
-	// through Tracer as a "model_check" event; error-severity diagnostics
-	// (contradictory bounds, trivially infeasible rows, NaN/Inf
-	// coefficients, …) abort the solve with a *CheckError before any node
-	// is explored.
-	Check bool
+	// fixedWidth keeps the resolved width as asked: no auto-width probe
+	// runs. It is the package tests' switch, for tests that pin node
+	// counts, per-worker accounting or the deques at a given width.
+	fixedWidth bool
 
 	// disablePresolve turns off the whole reduction layer: the root
 	// presolve (bound propagation, singleton/redundant-row elimination,
@@ -885,17 +880,12 @@ type plan struct {
 
 func (pl *plan) infeasible() bool { return pl.pres != nil && pl.pres.infeasible }
 
-// prepare applies the parameter defaults, runs the model-check gate,
-// presolves, and lets auto width shrink the pool. stop interrupts the
-// auto-width probe's LP (nil: nothing does).
+// prepare applies the parameter defaults, presolves, and lets auto width
+// shrink the pool. stop interrupts the auto-width probe's LP (nil: nothing
+// does).
 func (m *Model) prepare(p *Params, stop *atomic.Bool) (*plan, error) {
 	if p.IntTol == 0 {
 		p.IntTol = 1e-6
-	}
-	if p.Check {
-		if err := runCheck(m, p.Tracer); err != nil {
-			return nil, err
-		}
 	}
 	if p.Knapsack != nil {
 		if err := p.Knapsack.validate(m); err != nil {
@@ -919,7 +909,7 @@ func (m *Model) prepare(p *Params, stop *atomic.Bool) (*plan, error) {
 	// the fractional count says the tree cannot keep it fed. The probe is
 	// off the books; its basis makes the search's own root solve, the one
 	// Stats counts, a warm re-solve with nothing left to pivot.
-	if p.AutoWidth && pl.workers > 1 && !pl.infeasible() {
+	if pl.workers > 1 && !pl.infeasible() && !p.fixedWidth {
 		pl.autoRequested = pl.workers
 		pl.workers, pl.autoFrac, pl.rootBasis = autoWidth(pl.sm, p.IntTol, pl.workers, stop)
 	}

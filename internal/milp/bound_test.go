@@ -61,6 +61,7 @@ func TestProgressBoundIsTrueBound(t *testing.T) {
 		)
 		res := solveOK(t, wideKnapsack(seed, n), Params{
 			Workers:       workers,
+			fixedWidth:    true,
 			ProgressEvery: 200 * time.Microsecond,
 			OnProgress: func(p Progress) {
 				mu.Lock()
@@ -105,7 +106,7 @@ func TestCancelledBoundIsTrueBound(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		// A NodeLimit stops the solve deterministically mid-tree; a second
 		// run is stopped by context cancellation racing the workers.
-		res, err := wideKnapsack(seed, n).Solve(Params{Workers: workers, NodeLimit: 20})
+		res, err := wideKnapsack(seed, n).Solve(Params{Workers: workers, fixedWidth: true, NodeLimit: 20})
 		if err != nil {
 			t.Fatalf("workers=%d node-limited solve: %v", workers, err)
 		}
@@ -119,7 +120,7 @@ func TestCancelledBoundIsTrueBound(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 			cancel()
 		}()
-		res, err = wideKnapsack(seed, n).SolveContext(ctx, Params{Workers: workers})
+		res, err = wideKnapsack(seed, n).SolveContext(ctx, Params{Workers: workers, fixedWidth: true})
 		cancel()
 		if err != nil {
 			t.Fatalf("workers=%d cancelled solve: %v", workers, err)

@@ -63,12 +63,12 @@ func TestCallerBoundOnCorpus(t *testing.T) {
 		}
 
 		for _, workers := range []int{1, 4} {
-			res := solveOK(t, inst.m, corpusParams(Params{Workers: workers, Bound: weaker(inst.m, want, 0.5)}))
+			res := solveOK(t, inst.m, corpusParams(Params{Workers: workers, fixedWidth: true, Bound: weaker(inst.m, want, 0.5)}))
 			if res.Status != Optimal || math.Abs(res.Objective-want) > 1e-5 {
 				t.Fatalf("trial %d (loose, %d workers): %v at %g, brute force %g", trial, workers, res.Status, res.Objective, want)
 			}
 
-			res = solveOK(t, inst.m, corpusParams(Params{Workers: workers, Bound: weaker(inst.m, want, 0)}))
+			res = solveOK(t, inst.m, corpusParams(Params{Workers: workers, fixedWidth: true, Bound: weaker(inst.m, want, 0)}))
 			if res.Status != Optimal || math.Abs(res.Objective-want) > 1e-5 {
 				t.Fatalf("trial %d (tight, %d workers): %v at %g, brute force %g", trial, workers, res.Status, res.Objective, want)
 			}
@@ -76,7 +76,7 @@ func TestCallerBoundOnCorpus(t *testing.T) {
 			if res.Bound != res.Objective {
 				t.Fatalf("trial %d (tight, %d workers): bound %g != objective %g", trial, workers, res.Bound, res.Objective)
 			}
-			nodeAccounting(t, trial, "tight", res, Params{Workers: workers})
+			nodeAccounting(t, trial, "tight", res, Params{Workers: workers, fixedWidth: true})
 			if workers == 1 {
 				if res.Nodes > base.Nodes {
 					t.Fatalf("trial %d: %d nodes under the tight bound, %d without", trial, res.Nodes, base.Nodes)
@@ -106,7 +106,7 @@ func TestBoundMetByHintStopsAtZeroNodes(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var buf bytes.Buffer
 		bound := ref.Objective
-		res := solveOK(t, m, Params{Workers: workers, Hints: [][]float64{ref.X}, Bound: &bound, Tracer: obs.NewJSONLTracer(&buf)})
+		res := solveOK(t, m, Params{Workers: workers, fixedWidth: true, Hints: [][]float64{ref.X}, Bound: &bound, Tracer: obs.NewJSONLTracer(&buf)})
 		if res.Status != Optimal || res.Nodes != 0 || res.Stats.BoundPrunes != 1 {
 			t.Fatalf("%d workers: %v in %d nodes with %d bound prunes, want optimal at zero nodes by one bound prune",
 				workers, res.Status, res.Nodes, res.Stats.BoundPrunes)

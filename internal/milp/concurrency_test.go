@@ -34,7 +34,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		m := wideKnapsack(seed, 22)
 		serial := solveOK(t, m, Params{Workers: 1})
-		par := solveOK(t, m, Params{Workers: 8})
+		par := solveOK(t, m, Params{Workers: 8, fixedWidth: true})
 		if serial.Status != Optimal || par.Status != Optimal {
 			t.Fatalf("seed %d: status %v/%v", seed, serial.Status, par.Status)
 		}
@@ -70,7 +70,7 @@ func TestCancellationReturnsIncumbent(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, err := m.SolveContext(ctx, Params{Workers: 4})
+	res, err := m.SolveContext(ctx, Params{Workers: 4, fixedWidth: true})
 	elapsed := time.Since(start)
 	cancel()
 	if err != nil {
@@ -97,7 +97,7 @@ func TestPreCancelledContext(t *testing.T) {
 	m := wideKnapsack(23, 30)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := m.SolveContext(ctx, Params{Workers: 4})
+	res, err := m.SolveContext(ctx, Params{Workers: 4, fixedWidth: true})
 	if err != nil {
 		t.Fatalf("SolveContext: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestContextDeadlineActsAsTimeLimit(t *testing.T) {
 	m := wideKnapsack(29, 44)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	res, err := m.SolveContext(ctx, Params{Workers: 2})
+	res, err := m.SolveContext(ctx, Params{Workers: 2, fixedWidth: true})
 	if err != nil {
 		t.Fatalf("SolveContext: %v", err)
 	}
@@ -134,7 +134,7 @@ func TestConcurrentSolves(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func(seed int64) {
 			m := wideKnapsack(seed, 16)
-			res, err := m.Solve(Params{Workers: 2})
+			res, err := m.Solve(Params{Workers: 2, fixedWidth: true})
 			if err != nil || res.Status != Optimal {
 				done <- math.NaN()
 				return
@@ -167,10 +167,10 @@ func TestGapInfiniteWithoutIncumbent(t *testing.T) {
 }
 
 // TestWorkersDefault: the zero value must resolve to GOMAXPROCS, and
-// explicit widths pass through.
+// explicit widths pass through when no probe narrows them.
 func TestWorkersDefault(t *testing.T) {
 	for _, tt := range []struct{ workers, want int }{{0, runtime.GOMAXPROCS(0)}, {3, 3}} {
-		pl, err := NewModel().prepare(&Params{Workers: tt.workers}, nil)
+		pl, err := NewModel().prepare(&Params{Workers: tt.workers, fixedWidth: true}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,19 +197,31 @@ func blockKnapsacks(n int) *Model {
 	return m
 }
 
-// TestAutoWidthProbeWarmStartsRoot: the auto-width probe solves the root
-// relaxation once, and the search's own root LP re-solves from the probe's
-// optimal basis — a warm start with no pivot left to make — instead of
-// solving the same LP cold a second time.
+// TestAutoWidthProbeWarmStartsRoot: a solve above width 1 runs the
+// auto-width probe, which solves the root relaxation once, and the search's
+// own root LP re-solves from the probe's optimal basis — a warm start with
+// no pivot left to make — instead of solving the same LP cold a second
+// time. With fixedWidth no probe runs, and the width stays as asked, even
+// above GOMAXPROCS.
 func TestAutoWidthProbeWarmStartsRoot(t *testing.T) {
 	m := blockKnapsacks(6)
-	p := Params{Workers: 2, AutoWidth: true}
-	pl, err := m.prepare(&p, nil)
+	fixed := runtime.GOMAXPROCS(0) + 1
+	pl, err := m.prepare(&Params{Workers: fixed, fixedWidth: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.autoFrac <= autoWidthMinFrac {
-		t.Fatalf("root has %d fractional binaries, want more than %d", pl.autoFrac, autoWidthMinFrac)
+	if pl.workers != fixed || pl.autoRequested != 0 || pl.rootBasis != nil {
+		t.Fatalf("fixedWidth: width %d, probe asked %d, basis %v; want %d, no probe", pl.workers, pl.autoRequested, pl.rootBasis != nil, fixed)
+	}
+
+	p := Params{Workers: 2}
+	pl, err = m.prepare(&p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.autoRequested != 2 || pl.autoFrac <= autoWidthMinFrac || pl.rootBasis == nil {
+		t.Fatalf("probe asked %d, root has %d fractional binaries, basis %v; want 2, more than %d, a basis",
+			pl.autoRequested, pl.autoFrac, pl.rootBasis != nil, autoWidthMinFrac)
 	}
 	s := newSearch(m, p, pl, time.Now())
 	root, _ := s.claim(0)

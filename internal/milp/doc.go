@@ -7,9 +7,8 @@
 // uses, including its timeout-with-incumbent behaviour.
 //
 // The search is one worker loop over per-worker local queues, as wide as
-// Params.Workers says (the only thing this package knows about width
-// besides AutoWidth's root-LP shrink; dividing a budget between concurrent
-// solves is the caller's conc.Split) — a best-bound heap when the pool is
+// Params.Workers allows (above 1, a root-LP probe may run it narrower;
+// dividing a budget between concurrent solves is the caller's conc.Split) — a best-bound heap when the pool is
 // one worker, work-stealing deques otherwise (scheduler.go) — with a
 // lock-free incumbent and a min-reduced dual bound. Branching is
 // pseudocost branching trusted from each variable's first observation per
@@ -19,7 +18,8 @@
 // (scheduler.go's restart). Each node below the
 // root warm-starts its LP relaxation from the parent's simplex basis via
 // lp.SolveFrom, stopping early once its dual bound passes the incumbent;
-// under AutoWidth the root itself warm-starts from the width probe's basis. The LP core underneath is package lp's
+// above width 1 the root itself warm-starts from the width probe's basis.
+// The LP core underneath is package lp's
 // sparse revised simplex, the only one: branch and bound sees only
 // Solve/SolveFrom and Solution.Basis, and abandons a node whose LP ends
 // IterLimit or NumericalFailure with its bound kept open — including the

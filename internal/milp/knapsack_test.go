@@ -177,7 +177,7 @@ func TestKnapsackPrunesChildren(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		m := wideKnapsack(seed, 18)
 		k := rowKnapsack(m)
-		for _, p := range []Params{{Workers: 1}, {Workers: 4}, {Workers: 1, disablePresolve: true}} {
+		for _, p := range []Params{{Workers: 1}, {Workers: 4, fixedWidth: true}, {Workers: 1, disablePresolve: true}} {
 			base := solveOK(t, m, p)
 			var buf bytes.Buffer
 			p.Knapsack, p.Tracer = k, obs.NewJSONLTracer(&buf)

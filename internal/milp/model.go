@@ -139,8 +139,8 @@ func (m *Model) TypeOf(v Var) VarType { return m.vtype[v] }
 
 // ConstraintAt returns row i of the model: its expression (shared storage —
 // callers must not mutate the terms), relation, right-hand side, and name.
-// Together with Objective it is the read-only view the modelcheck diagnostic
-// pass walks.
+// Together with Name, Bounds, TypeOf and Objective it is the read-only view
+// that tests adapt for the modelcheck diagnostic pass.
 func (m *Model) ConstraintAt(i int) (expr Expr, rel Rel, rhs float64, name string) {
 	c := &m.cons[i]
 	return c.expr, c.rel, c.rhs, c.name

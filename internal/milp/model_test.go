@@ -1,0 +1,79 @@
+package milp
+
+import (
+	"math"
+	"testing"
+)
+
+// TestExprBoundsZeroCoefInfUpper is the regression test for the NaN
+// propagation bug: a term with coefficient 0 on a variable with an infinite
+// upper bound must contribute exactly 0 to the interval, not IEEE
+// 0·(+Inf) = NaN.
+func TestExprBoundsZeroCoefInfUpper(t *testing.T) {
+	m := NewModel()
+	free := m.ContinuousVar(0, math.Inf(1), "free")
+	x := m.ContinuousVar(0, 4, "x")
+	e := NewExpr(T(0, free), T(2, x))
+	e.AddConst(1)
+	lo, hi := m.exprBounds(e)
+	if lo != 1 || hi != 9 {
+		t.Fatalf("exprBounds = [%g, %g], want [1, 9]", lo, hi)
+	}
+}
+
+// TestIndicatorGEZeroCoefBigM: before the fix, the poisoned interval turned
+// the IndicatorGE Big-M coefficients into NaN silently (IsInf(NaN) is
+// false, so the bounded-expression panic never fired). Now the encoding
+// must come out finite and the indicator semantics must hold.
+func TestIndicatorGEZeroCoefBigM(t *testing.T) {
+	m := NewModel()
+	free := m.ContinuousVar(0, math.Inf(1), "free")
+	x := m.ContinuousVar(0, 4, "x")
+	expr := NewExpr(T(0, free), T(1, x))
+	z := m.IndicatorGE(expr, 3, 1e-6, "ind")
+
+	for i := 0; i < m.NumConstraints(); i++ {
+		e, _, rhs, name := m.ConstraintAt(i)
+		if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
+			t.Fatalf("constraint %s: non-finite rhs %g", name, rhs)
+		}
+		for _, term := range e.Terms {
+			if math.IsNaN(term.C) || math.IsInf(term.C, 0) {
+				t.Fatalf("constraint %s: non-finite coefficient %g", name, term.C)
+			}
+		}
+	}
+
+	// Force x to 4: the indicator must switch on; maximize z to check it may.
+	m.Fix(x, 4)
+	m.Fix(free, 0)
+	m.SetObjective(NewExpr(T(1, z)), Maximize)
+	res, err := m.Solve(Params{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantObj(t, res, 1)
+}
+
+// TestAccessors covers the read-only model view the modelcheck adapter in
+// internal/metaopt's tests walks.
+func TestAccessors(t *testing.T) {
+	m := NewModel()
+	b := m.BinaryVar("b")
+	x := m.ContinuousVar(-1, 2, "x")
+	n := m.NewVar(0, 9, Integer, "n")
+	m.Add(NewExpr(T(2, x), T(1, b)), LE, 5, "row")
+	m.SetObjective(NewExpr(T(1, n)), Minimize)
+
+	if m.TypeOf(b) != Binary || m.TypeOf(x) != Continuous || m.TypeOf(n) != Integer {
+		t.Fatal("TypeOf mismatch")
+	}
+	expr, rel, rhs, name := m.ConstraintAt(0)
+	if name != "row" || rel != LE || rhs != 5 || len(expr.Terms) != 2 {
+		t.Fatalf("ConstraintAt = %v %v %v %q", expr, rel, rhs, name)
+	}
+	obj, sense := m.Objective()
+	if sense != Minimize || len(obj.Terms) != 1 || obj.Terms[0].V != n {
+		t.Fatalf("Objective = %v %v", obj, sense)
+	}
+}

@@ -30,7 +30,7 @@ func TestStatsNodeAccounting(t *testing.T) {
 		rng := rand.New(rand.NewSource(2025))
 		for i := 0; i < 40; i++ {
 			inst := genMILP(rng)
-			res, err := inst.m.Solve(Params{Workers: workers, OnProgress: func(Progress) {}})
+			res, err := inst.m.Solve(Params{Workers: workers, fixedWidth: true, OnProgress: func(Progress) {}})
 			if err != nil {
 				t.Fatalf("workers=%d inst=%d: %v", workers, i, err)
 			}
@@ -115,7 +115,7 @@ func TestSolveTraceJSONL(t *testing.T) {
 	m := knapsack(16, 11)
 	var buf bytes.Buffer
 	tr := obs.NewJSONLTracer(&buf)
-	res, err := m.Solve(Params{Workers: 4, Tracer: tr, ProgressEvery: time.Millisecond})
+	res, err := m.Solve(Params{Workers: 4, fixedWidth: true, Tracer: tr, ProgressEvery: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestTraceConcurrentWorkers(t *testing.T) {
 	m := knapsack(18, 3)
 	var buf bytes.Buffer
 	tr := obs.NewJSONLTracer(&buf)
-	if _, err := m.Solve(Params{Workers: 8, Tracer: tr, ProgressEvery: time.Millisecond}); err != nil {
+	if _, err := m.Solve(Params{Workers: 8, fixedWidth: true, Tracer: tr, ProgressEvery: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	for i, ln := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
@@ -317,6 +317,7 @@ func TestOnProgress(t *testing.T) {
 	got := make(chan Progress, 1024)
 	_, err := m.Solve(Params{
 		Workers:       2,
+		fixedWidth:    true,
 		ProgressEvery: time.Millisecond,
 		Tracer:        gate,
 		OnProgress: func(p Progress) {

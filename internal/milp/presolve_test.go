@@ -88,7 +88,7 @@ func TestPresolveInfeasibleShortCircuit(t *testing.T) {
 
 	var buf bytes.Buffer
 	tr := obs.NewJSONLTracer(&buf)
-	res := solveOK(t, m, Params{Workers: 4, Tracer: tr})
+	res := solveOK(t, m, Params{Workers: 4, fixedWidth: true, Tracer: tr})
 	if res.Status != Infeasible {
 		t.Fatalf("status %v, want infeasible", res.Status)
 	}

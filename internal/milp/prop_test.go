@@ -165,7 +165,7 @@ func checkCorpusAgainstBruteForce(t *testing.T, seed int64) {
 		infeasible := math.IsInf(want, 0)
 
 		serial := solveOK(t, inst.m, corpusParams(Params{Workers: 1}))
-		par := solveOK(t, inst.m, corpusParams(Params{Workers: 4}))
+		par := solveOK(t, inst.m, corpusParams(Params{Workers: 4, fixedWidth: true}))
 
 		for which, res := range map[string]*Result{"serial": serial, "parallel": par} {
 			st := res.Stats
@@ -306,9 +306,9 @@ func TestRandomMILPsPresolveBranchingEquivalence(t *testing.T) {
 	}
 	cfgs := []cfg{
 		{"off-1", Params{Workers: 1, disablePresolve: true}},
-		{"off-4", Params{Workers: 4, disablePresolve: true}},
+		{"off-4", Params{Workers: 4, fixedWidth: true, disablePresolve: true}},
 		{"on-1", Params{Workers: 1}},
-		{"on-4", Params{Workers: 4}},
+		{"on-4", Params{Workers: 4, fixedWidth: true}},
 	}
 	for trial := 0; trial < n; trial++ {
 		inst := genMILP(rng)
@@ -420,11 +420,12 @@ func TestWorkers1StatsDeterminism(t *testing.T) {
 }
 
 // TestRandomMILPsWidthMatrix is the scheduler equivalence harness: across
-// the random corpus, worker widths {1, 4, 8} × width policy {fixed, root-LP
-// auto} must each reach the brute-force optimum, and every cell must keep
-// the node-accounting invariant, report Bound == Objective at optimality,
-// and return a point of the original model. Width 1 is the best-bound heap,
-// the others the deques (or the heap again, when auto width shrinks them).
+// the random corpus, width 1 and widths {4, 8} both as asked (fixedWidth)
+// and as the root-LP probe resolves them must each reach the brute-force
+// optimum, and every cell must keep the node-accounting invariant, report
+// Bound == Objective at optimality, and return a point of the original
+// model. Width 1 is the best-bound heap, the others the deques (or the heap
+// again, when the probe shrinks them).
 // The fixed widths 1 and 4 must each restart somewhere in the corpus; the
 // generated instances are small enough that a trimmed (-short) corpus may
 // hold no tree that outgrows its integer count, so three 10-item knapsacks
@@ -440,11 +441,10 @@ func TestRandomMILPsWidthMatrix(t *testing.T) {
 	}
 	cfgs := []cfg{
 		{"fixed-1", Params{Workers: 1}},
-		{"fixed-4", Params{Workers: 4}},
-		{"fixed-8", Params{Workers: 8}},
-		{"auto-1", Params{Workers: 1, AutoWidth: true}},
-		{"auto-4", Params{Workers: 4, AutoWidth: true}},
-		{"auto-8", Params{Workers: 8, AutoWidth: true}},
+		{"fixed-4", Params{Workers: 4, fixedWidth: true}},
+		{"fixed-8", Params{Workers: 8, fixedWidth: true}},
+		{"auto-4", Params{Workers: 4}},
+		{"auto-8", Params{Workers: 8}},
 	}
 	restarts := map[string]int64{}
 	knapsackSeeds := []int64{2, 3, 4}

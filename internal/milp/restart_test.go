@@ -279,11 +279,12 @@ func TestStopInSecondPassKeepsIncumbentAndBound(t *testing.T) {
 	check("node limit", res, tr.restart)
 }
 
-// TestAutoWidthProbeHonoursStop: the auto-width probe runs before the
-// search's cancellation watcher exists, so its root LP polls a stop flag of
-// its own. With the flag already set, the probe gives up within one poll
-// interval of the LP — on a root that takes more than that unstopped — and
-// reports no estimate: frac -1, no basis, the width as asked.
+// TestAutoWidthProbeHonoursStop: a solve above width 1 runs the auto-width
+// probe before the search's cancellation watcher exists, so its root LP
+// polls a stop flag of its own. With the flag already set, the probe gives
+// up within one poll interval of the LP — on a root that takes more than
+// that unstopped — and reports no estimate: frac -1, no basis, and the width
+// as asked capped at GOMAXPROCS.
 func TestAutoWidthProbeHonoursStop(t *testing.T) {
 	// A 20×20 assignment: every row sums to one, every column to at most
 	// one, seeded costs, so the root LP needs a pivot per row at least.
@@ -313,16 +314,22 @@ func TestAutoWidthProbeHonoursStop(t *testing.T) {
 	width := min(4, runtime.GOMAXPROCS(0))
 
 	before := iters.Value()
-	if _, frac, basis := autoWidth(m, 1e-6, 4, nil); frac < 0 || basis == nil || iters.Value()-before <= pollIters {
+	pl, err := m.prepare(&Params{Workers: 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.autoFrac < 0 || pl.rootBasis == nil || iters.Value()-before <= pollIters {
 		t.Fatalf("unstopped probe: frac %d, basis %v, %d iterations; want a solved root past %d iterations",
-			frac, basis != nil, iters.Value()-before, pollIters)
+			pl.autoFrac, pl.rootBasis != nil, iters.Value()-before, pollIters)
 	}
 	var stop atomic.Bool
 	stop.Store(true)
 	before = iters.Value()
-	w, frac, basis := autoWidth(m, 1e-6, 4, &stop)
-	if n := iters.Value() - before; w != width || frac != -1 || basis != nil || n > pollIters {
+	if pl, err = m.prepare(&Params{Workers: 4}, &stop); err != nil {
+		t.Fatal(err)
+	}
+	if n := iters.Value() - before; pl.workers != width || pl.autoFrac != -1 || pl.rootBasis != nil || n > pollIters {
 		t.Fatalf("stopped probe: width %d, frac %d, basis %v after %d iterations; want %d, -1, none within %d",
-			w, frac, basis != nil, n, width, pollIters)
+			pl.workers, pl.autoFrac, pl.rootBasis != nil, n, width, pollIters)
 	}
 }

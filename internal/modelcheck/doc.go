@@ -6,12 +6,14 @@
 // pathological coefficient ranges (bad Big-M magnitudes), duplicate rows,
 // and NaN/Inf coefficients.
 //
-// The pass operates on a neutral model representation so that package milp
-// can depend on it (milp.Params.Check runs the pass as an opt-in pre-solve
-// gate) without an import cycle; milp.(*Model).Check adapts its model into
-// a Model here. Every function is pure: no I/O, no globals, deterministic
-// output order (variable checks first, then per-constraint checks in row
-// order, then model-wide checks).
+// No binary runs the pass: it is a test oracle. internal/metaopt's tests
+// adapt every model shape the rewrite builds into a Model here and require
+// it to come out without error- or warning-severity diagnostics. The pass
+// operates on a neutral model representation, with no imports of its own,
+// so that package milp can depend on it too: presolve's interval arithmetic
+// is Activity and TermBounds. Every function is pure: no I/O, no globals,
+// deterministic output order (variable checks first, then per-constraint
+// checks in row order, then model-wide checks).
 //
 // The diagnostic catalogue — ids, severities, and what each means — is
 // documented in DESIGN.md §2.7.

@@ -147,7 +147,7 @@ type Constraint struct {
 }
 
 // Model is the neutral MILP representation the pass walks. Adapters (see
-// milp.(*Model).Check) fill it from their own model types.
+// checkModel in metaopt's tests) fill it from their own model types.
 type Model struct {
 	Vars []Var
 	Cons []Constraint

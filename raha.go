@@ -40,7 +40,6 @@ import (
 	"raha/internal/failures"
 	"raha/internal/metaopt"
 	"raha/internal/milp"
-	"raha/internal/modelcheck"
 	"raha/internal/obs"
 	"raha/internal/paths"
 	"raha/internal/probability"
@@ -167,9 +166,9 @@ type Config = metaopt.Config
 type Result = metaopt.Result
 
 // SolverParams forwards limits to the MILP backend (time, nodes, gap) and
-// carries its observability hooks (Tracer, OnProgress) plus the Check
-// pre-solve gate (see ModelCheckReport). Its behaviour knobs are Workers,
-// AutoWidth and Check; presolve is always on, and a solve reads wall
+// carries its observability hooks (Tracer, OnProgress). Its one behaviour
+// knob is Workers, a ceiling above 1: a root LP with few fractional
+// integers runs serial. Presolve is always on, and a solve reads wall
 // clocks for its time attribution only when a Tracer or OnProgress
 // observes it.
 type SolverParams = milp.Params
@@ -194,29 +193,6 @@ type SolveStats = milp.Stats
 // SolveProgress is a live snapshot of a running solve, delivered to
 // SolverParams.OnProgress.
 type SolveProgress = milp.Progress
-
-// --- Model checking ------------------------------------------------------------
-
-// ModelDiagnostic is one finding of the static model checker: an ID from
-// the internal/modelcheck catalogue, a severity, the variable or constraint
-// involved, and a human-readable message.
-type ModelDiagnostic = modelcheck.Diagnostic
-
-// ModelCheckReport is every diagnostic of one checker run, ordered by the
-// catalogue's pass order.
-type ModelCheckReport = modelcheck.Report
-
-// ModelCheckError is returned from a solve when SolverParams.Check is set
-// and the checker found error-severity diagnostics; its Report carries all
-// diagnostics of the run.
-type ModelCheckError = milp.CheckError
-
-// Diagnostic severities.
-const (
-	DiagInfo    = modelcheck.Info
-	DiagWarning = modelcheck.Warning
-	DiagError   = modelcheck.Error
-)
 
 // --- Observability -------------------------------------------------------------
 
