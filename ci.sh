@@ -2,10 +2,11 @@
 # ci.sh — the repository's verification gate: format check, vet, build, the
 # full test suite under the race detector (the branch-and-bound worker pool
 # and the sweep fan-outs are concurrent code; plain `go test` would not
-# exercise their synchronization), the benchmark module's oracle smokes, and
-# a one-iteration pass over the layer benchmarks. Performance regressions are
-# not gated here: that is `bash bench/run.sh --sets 10` on the parent and the
-# change plus `--compare` (bench/README.md), and nothing else.
+# exercise their synchronization), the benchmark module's oracle smokes, a
+# run of every example, and a one-iteration pass over the layer benchmarks.
+# Performance regressions are not gated here: that is `bash bench/run.sh
+# --sets 10` on the parent and the change plus `--compare` (bench/README.md),
+# and nothing else.
 #
 # Extra arguments pass through to `go test`, e.g.:
 #
@@ -39,9 +40,10 @@ go build ./...
 # type, facade alias or trace event of its own. The five lint
 # rules that never fired are gone too, so a fixture marker or allow
 # directive naming one is stale. Pseudocosts are trusted from their first
-# observation, with no reliability threshold to tune. The grep reads
+# observation, with no reliability threshold to tune, and the integrality
+# tolerance is milp's intTol constant, not a parameter. The grep reads
 # _test.go files too, on purpose.
-if grep -rn 'pcReliability\|QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel\|statsAcc\|DisablePresolve\|CheckError\|ModelCheck\|ModelDiagnostic\|runCheck\|model_check\|AutoWidth:\|\.AutoWidth\b\|lock-order\|goroutine-leak\|ctx-first\|mutex-value\|tracer-guard' --include='*.go' --exclude-dir=.bench_build .; then
+if grep -rn 'p\.IntTol\|Params{[^}]*IntTol\|pcReliability\|QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel\|statsAcc\|DisablePresolve\|CheckError\|ModelCheck\|ModelDiagnostic\|runCheck\|model_check\|AutoWidth:\|\.AutoWidth\b\|lock-order\|goroutine-leak\|ctx-first\|mutex-value\|tracer-guard' --include='*.go' --exclude-dir=.bench_build .; then
 	echo "ci: retired solver knob or lint rule referenced above" >&2
 	exit 1
 fi
@@ -200,6 +202,18 @@ if go run ./cmd/raha-experiments -only nosuch -out "$tmp/exp" -q -progress=false
 	echo "ci: raha-experiments -only nosuch exited 0" >&2
 	exit 1
 fi
+
+# The examples: `go build ./...` compiles them, and this runs each one (all
+# five take about a second), so an API change that leaves an example
+# compiling but failing at run time fails CI too.
+for d in examples/*/; do
+	name=$(basename "$d")
+	go build -o "$tmp/example-$name" "./$d"
+	if ! "$tmp/example-$name" >/dev/null; then
+		echo "ci: examples/$name exited non-zero" >&2
+		exit 1
+	fi
+done
 
 # Whole-fleet batch alerting smoke: sweep the fixture corpus (which includes
 # two deliberately poisoned files) end to end through the CLI. The sweep

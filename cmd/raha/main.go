@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"raha"
+	"raha/internal/augment"
 )
 
 func main() {
@@ -319,7 +320,7 @@ func expSafe(logp float64) float64 {
 func augmentCmd(args []string) (err error) {
 	c := newCommon("augment")
 	newLAGs := c.fs.Bool("new-lags", false, "add new LAGs (Appendix C) instead of augmenting existing ones")
-	candidates := c.fs.Int("candidates", 8, "candidate new-LAG count (with -new-lags)")
+	candidates := c.fs.Int("candidates", 8, "high-degree candidate new-LAG count, plus one per absent demand pair (with -new-lags)")
 	canFail := c.fs.Bool("can-fail", false, "added capacity can itself fail")
 	_ = c.fs.Parse(args) // ExitOnError: flag errors exit instead of returning
 	o, err := c.obs.start()
@@ -349,7 +350,7 @@ func augmentCmd(args []string) (err error) {
 	}
 	o.log.Infof("augmenting %s until no probable failure degrades it (threshold %.0e)", *c.topology, *c.threshold)
 	if *newLAGs {
-		res, err := raha.AugmentNewLAGs(cfg, candidateLAGs(top, *candidates))
+		res, err := raha.AugmentNewLAGs(cfg, augment.CandidateLAGs(top, env.Pairs, *candidates))
 		if err != nil {
 			return err
 		}
@@ -370,20 +371,6 @@ func augmentCmd(args []string) (err error) {
 		fmt.Printf("  step %d: degradation %.1f, added %d links across %d LAGs\n", i+1, st.Degradation, st.LinksAdded, len(st.Added))
 	}
 	return nil
-}
-
-// candidateLAGs proposes absent pairs between high-degree nodes.
-func candidateLAGs(top *raha.Topology, n int) [][2]raha.Node {
-	var out [][2]raha.Node
-	for a := 0; a < top.NumNodes() && len(out) < n; a++ {
-		for b := a + 1; b < top.NumNodes() && len(out) < n; b++ {
-			na, nb := raha.Node(a), raha.Node(b)
-			if top.LAGBetween(na, nb) < 0 {
-				out = append(out, [2]raha.Node{na, nb})
-			}
-		}
-	}
-	return out
 }
 
 func alert(ctx context.Context, args []string) (err error) {

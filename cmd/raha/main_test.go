@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"raha"
+	"raha/internal/augment"
 )
 
 func TestLoadTopologyBuiltins(t *testing.T) {
@@ -51,9 +52,17 @@ func TestLoadTopologyGMLFile(t *testing.T) {
 	}
 }
 
+// TestCandidateLAGsHelper: the -new-lags candidate set the augment command
+// builds names each absent pair once, however many demand pairs ask for it.
 func TestCandidateLAGsHelper(t *testing.T) {
 	top := raha.Figure1() // K4 minus B-C
-	cands := candidateLAGs(top, 10)
+	var pairs [][2]raha.Node
+	for a := 0; a < top.NumNodes(); a++ {
+		for b := 0; b < top.NumNodes(); b++ {
+			pairs = append(pairs, [2]raha.Node{raha.Node(a), raha.Node(b)})
+		}
+	}
+	cands := augment.CandidateLAGs(top, pairs, 10)
 	if len(cands) != 1 {
 		t.Fatalf("Figure1 has exactly one absent pair, got %d", len(cands))
 	}

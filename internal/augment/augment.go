@@ -47,7 +47,8 @@ type Config struct {
 	Primary, Backup int          // path policy (k shortest paths)
 	Weight          paths.Weight // nil = hop count
 
-	// Analysis options forwarded to the analyzer.
+	// Analysis options forwarded to the analyzer. Solver's width, budget,
+	// tracer and progress callback apply to the augment MILPs as well.
 	ProbThreshold        float64
 	MaxFailures          int
 	ConnectivityEnforced bool
@@ -123,6 +124,15 @@ func (c *Config) analyze(t *topology.Topology, dps []paths.DemandPaths) (*metaop
 	})
 }
 
+// augmentParams is the params of an augment MILP: the run's Solver, but
+// without the inputs that belong to the analyzer's model. Override, never
+// re-list, so a new Params field reaches these solves too.
+func (c *Config) augmentParams() milp.Params {
+	p := c.Solver
+	p.Hints, p.Bound, p.Knapsack = nil, nil, nil
+	return p
+}
+
 // AugmentExisting runs the §7 loop, adding member links to existing LAGs.
 func AugmentExisting(cfg Config) (*Result, error) {
 	t := cfg.Topo.Clone()
@@ -147,7 +157,7 @@ func AugmentExisting(cfg Config) (*Result, error) {
 			return out, nil
 		}
 
-		added, err := solveExistingAugment(t, dps, res, unit)
+		added, err := solveExistingAugment(t, dps, res, unit, cfg.augmentParams())
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +212,7 @@ func applyLinks(t *topology.Topology, e, n int, unit float64, canFail bool) {
 // solveExistingAugment solves the per-scenario minimum-augment MILP: choose
 // integer link counts n_e so the failed network (with its fail-over path
 // availability) can carry each demand's healthy flow; minimize Σ n_e.
-func solveExistingAugment(t *topology.Topology, dps []paths.DemandPaths, res *metaopt.Result, unit float64) (map[int]int, error) {
+func solveExistingAugment(t *topology.Topology, dps []paths.DemandPaths, res *metaopt.Result, unit float64, params milp.Params) (map[int]int, error) {
 	m := milp.NewModel()
 	scenCaps := res.Scenario.Capacities(t)
 	active := res.Scenario.ActivePaths(dps)
@@ -248,7 +258,7 @@ func solveExistingAugment(t *topology.Topology, dps []paths.DemandPaths, res *me
 		m.Add(row, milp.LE, scenCaps[e], fmt.Sprintf("cap[%d]", e))
 	}
 	m.SetObjective(obj, milp.Minimize)
-	sol, err := m.Solve(milp.Params{})
+	sol, err := m.Solve(params)
 	if err != nil {
 		return nil, err
 	}

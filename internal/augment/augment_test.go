@@ -1,9 +1,12 @@
 package augment
 
 import (
+	"sync"
 	"testing"
 
 	"raha/internal/demand"
+	"raha/internal/milp"
+	"raha/internal/obs"
 	"raha/internal/topology"
 )
 
@@ -59,6 +62,72 @@ func TestAugmentExistingRemovesDegradation(t *testing.T) {
 			t.Fatalf("step %d: degradation %g, links %d", i, st.Degradation, st.LinksAdded)
 		}
 	}
+}
+
+// solveTracer records the width of every milp solve_start, and how many of
+// them fell outside any metaopt analysis: at Workers 1 the events arrive in
+// order, so those are the augment MILPs.
+type solveTracer struct {
+	mu      sync.Mutex
+	depth   int
+	widths  []int
+	outside int
+}
+
+func (r *solveTracer) Emit(layer, ev string, f obs.F) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch layer + "/" + ev {
+	case "metaopt/analysis_start":
+		r.depth++
+	case "metaopt/analysis_end":
+		r.depth--
+	case "milp/solve_start":
+		r.widths = append(r.widths, f["workers"].(int))
+		if r.depth == 0 {
+			r.outside++
+		}
+	}
+}
+
+// check fails unless every solve ran at width 1 and each of the run's
+// augment MILPs traced its own solve_start.
+func (r *solveTracer) check(t *testing.T, augments int) {
+	t.Helper()
+	if r.outside != augments {
+		t.Fatalf("%d solve_start events, %d outside an analysis; want %d, one per augment MILP",
+			len(r.widths), r.outside, augments)
+	}
+	for i, w := range r.widths {
+		if w != 1 {
+			t.Fatalf("solve_start %d ran %d workers wide, want Solver.Workers 1", i, w)
+		}
+	}
+}
+
+// TestAugmentSolvesObeySolver: the augment MILPs run under Config.Solver —
+// its width and its tracer — not under the solver's defaults.
+func TestAugmentSolvesObeySolver(t *testing.T) {
+	top := topology.SmallWAN()
+	pairs := demand.TopPairs(top, 6, 4)
+	base := demand.Gravity(top, pairs, top.MeanLAGCapacity()*0.2, 4)
+	tr := &solveTracer{}
+	res, err := AugmentExisting(Config{
+		Topo:          top,
+		Pairs:         pairs,
+		Envelope:      demand.UpTo(base, 0.5),
+		Primary:       2,
+		Backup:        1,
+		ProbThreshold: 1e-4,
+		Solver:        milp.Params{Workers: 1, Tracer: tr},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Steps) == 0 {
+		t.Fatal("no augment step ran")
+	}
+	tr.check(t, len(res.Steps))
 }
 
 func TestAugmentExistingAlreadyHealthy(t *testing.T) {
@@ -125,17 +194,20 @@ func TestAugmentNewLAGs(t *testing.T) {
 	top.MustAddLAG(b, c, mk())
 	pairs := [][2]topology.Node{{a, c}}
 	base := demand.Matrix{{Src: a, Dst: c, Volume: 8}}
+	tr := &solveTracer{}
 	cfg := Config{
 		Topo:          top,
 		Pairs:         pairs,
 		Envelope:      demand.Fixed(base),
 		Primary:       1,
 		ProbThreshold: 1e-3, // single original-link failures only
+		Solver:        milp.Params{Workers: 1, Tracer: tr},
 	}
 	res, err := AugmentNewLAGs(cfg, [][2]topology.Node{{a, c}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr.check(t, len(res.Steps))
 	if !res.Converged {
 		t.Fatalf("did not converge; final %g after %d steps", res.FinalDegradation, len(res.Steps))
 	}
@@ -178,5 +250,41 @@ func TestLinkCapacityDefault(t *testing.T) {
 	cfg.LinkCapacity = 42
 	if cfg.linkCapacity(top) != 42 {
 		t.Fatal("explicit capacity ignored")
+	}
+}
+
+func TestCandidateLAGs(t *testing.T) {
+	top := topology.SmallWAN()
+	degree := func(c [2]topology.Node) int { return len(top.Incident(c[0])) + len(top.Incident(c[1])) }
+	cands := CandidateLAGs(top, nil, 5)
+	if len(cands) != 5 {
+		t.Fatalf("candidates = %d", len(cands))
+	}
+	for i, c := range cands {
+		if c[0] == c[1] {
+			t.Fatal("self candidate")
+		}
+		if top.LAGBetween(c[0], c[1]) >= 0 {
+			t.Fatal("candidate already exists")
+		}
+		if i > 0 && degree(c) > degree(cands[i-1]) {
+			t.Fatalf("candidate %d has degree sum %d, above its predecessor's %d", i, degree(c), degree(cands[i-1]))
+		}
+	}
+	// Requesting more than exist truncates.
+	all := CandidateLAGs(top, nil, 1<<20)
+	possible := top.NumNodes()*(top.NumNodes()-1)/2 - top.NumLAGs()
+	if len(all) != possible {
+		t.Fatalf("got %d candidates, want %d", len(all), possible)
+	}
+	// An absent demand pair is proposed after the high-degree pairs; a pair
+	// already proposed (in either direction), one with a LAG and a self
+	// pair are not.
+	last := all[len(all)-1]
+	lag := top.LAG(0)
+	pairs := [][2]topology.Node{{cands[0][1], cands[0][0]}, {lag.A, lag.B}, {last[0], last[0]}, {last[1], last[0]}}
+	got := CandidateLAGs(top, pairs, 5)
+	if len(got) != 6 || got[5] != pairs[3] {
+		t.Fatalf("with demand pairs %v: got %v, want the 5 high-degree pairs then %v", pairs, got, pairs[3])
 	}
 }

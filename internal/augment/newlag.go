@@ -68,7 +68,7 @@ func AugmentNewLAGs(cfg Config, candidates [][2]topology.Node) (*NewLAGResult, e
 			out.FinalDegradation = res.Degradation
 			return out, fmt.Errorf("augment: degradation %g remains but every candidate LAG is already placed", res.Degradation)
 		}
-		added, err := solveNewLAGAugment(t, dps, res, open, unit)
+		added, err := solveNewLAGAugment(t, dps, res, open, unit, cfg.augmentParams())
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +145,7 @@ func meanFailProb(t *topology.Topology) float64 {
 // may use (a) the LAGs of its configured paths at their scenario capacity
 // and (b) any open candidate at capacity n_q·unit. Each demand must match
 // its healthy flow; the objective minimizes distance-weighted link counts.
-func solveNewLAGAugment(t *topology.Topology, dps []paths.DemandPaths, res *metaopt.Result, open [][2]topology.Node, unit float64) ([]int, error) {
+func solveNewLAGAugment(t *topology.Topology, dps []paths.DemandPaths, res *metaopt.Result, open [][2]topology.Node, unit float64, params milp.Params) ([]int, error) {
 	m := milp.NewModel()
 	scenCaps := res.Scenario.Capacities(t)
 	nl := t.NumLAGs()
@@ -296,7 +296,7 @@ func solveNewLAGAugment(t *topology.Topology, dps []paths.DemandPaths, res *meta
 	}
 
 	m.SetObjective(obj, milp.Minimize)
-	sol, err := m.Solve(milp.Params{})
+	sol, err := m.Solve(params)
 	if err != nil {
 		return nil, err
 	}
@@ -335,4 +335,52 @@ func bfsHops(t *topology.Topology, from []topology.Node) []int {
 		}
 	}
 	return dist
+}
+
+// CandidateLAGs proposes the operator's "viable new edges" input for
+// AugmentNewLAGs: up to n absent node pairs, highest degree sum first, then
+// every absent demand pair not already proposed. Without a direct candidate
+// per demand pair, a demand whose paths the worst scenario cuts may have no
+// candidate that reconnects it, and the new-LAG MILP is infeasible by
+// construction.
+func CandidateLAGs(t *topology.Topology, pairs [][2]topology.Node, n int) [][2]topology.Node {
+	type scored struct {
+		p [2]topology.Node
+		d int
+	}
+	var all []scored
+	for a := 0; a < t.NumNodes(); a++ {
+		for b := a + 1; b < t.NumNodes(); b++ {
+			na, nb := topology.Node(a), topology.Node(b)
+			if t.LAGBetween(na, nb) >= 0 {
+				continue
+			}
+			all = append(all, scored{p: [2]topology.Node{na, nb}, d: len(t.Incident(na)) + len(t.Incident(nb))})
+		}
+	}
+	n = min(n, len(all))
+	for i := 0; i < n; i++ {
+		best := i
+		for j := i + 1; j < len(all); j++ {
+			if all[j].d > all[best].d {
+				best = j
+			}
+		}
+		all[i], all[best] = all[best], all[i]
+	}
+	out := make([][2]topology.Node, 0, n)
+	seen := make(map[[2]topology.Node]bool)
+	add := func(p [2]topology.Node) {
+		out = append(out, p)
+		seen[p], seen[[2]topology.Node{p[1], p[0]}] = true, true
+	}
+	for _, c := range all[:n] {
+		add(c.p)
+	}
+	for _, p := range pairs {
+		if p[0] != p[1] && !seen[p] && t.LAGBetween(p[0], p[1]) < 0 {
+			add(p)
+		}
+	}
+	return out
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"raha/internal/augment"
 	"raha/internal/demand"
-	"raha/internal/topology"
 )
 
 // AugmentRow is one point of the augmentation sweeps (Figures 11, 17, 18).
@@ -49,26 +48,10 @@ func Figure11(s *Setup, slacks []float64, threshold float64, canFail bool) ([]Au
 }
 
 // Figure18 sweeps the demand slack and runs the new-LAG (Appendix C)
-// augment loop with non-failing new capacity. The candidate set combines
-// absent high-degree pairs with a direct candidate per demand pair, so a
-// sufficient augment always exists (operators provide viable candidate
-// sets; a candidate set that cannot reconnect a demand makes the augment
-// MILP infeasible by construction).
+// augment loop with non-failing new capacity, over augment.CandidateLAGs'
+// candidates for the setup's demand pairs.
 func Figure18(s *Setup, slacks []float64, threshold float64, maxCandidates int) ([]AugmentRow, error) {
-	candidates := CandidateLAGs(s.Topo, maxCandidates)
-	seen := make(map[[2]topology.Node]bool)
-	for _, c := range candidates {
-		seen[c] = true
-		seen[[2]topology.Node{c[1], c[0]}] = true
-	}
-	for _, p := range s.Pairs {
-		if p[0] == p[1] || seen[p] || s.Topo.LAGBetween(p[0], p[1]) >= 0 {
-			continue
-		}
-		candidates = append(candidates, p)
-		seen[p] = true
-		seen[[2]topology.Node{p[1], p[0]}] = true
-	}
+	candidates := augment.CandidateLAGs(s.Topo, s.Pairs, maxCandidates)
 	var rows []AugmentRow
 	for _, slack := range slacks {
 		res, err := augment.AugmentNewLAGs(augment.Config{
@@ -100,42 +83,6 @@ func Figure18(s *Setup, slacks []float64, threshold float64, maxCandidates int) 
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// CandidateLAGs proposes up to n absent node pairs, preferring pairs of
-// high-degree nodes (the operator's "viable new edges" input).
-func CandidateLAGs(t *topology.Topology, n int) [][2]topology.Node {
-	type scored struct {
-		p [2]topology.Node
-		d int
-	}
-	var all []scored
-	for a := 0; a < t.NumNodes(); a++ {
-		for b := a + 1; b < t.NumNodes(); b++ {
-			na, nb := topology.Node(a), topology.Node(b)
-			if t.LAGBetween(na, nb) >= 0 {
-				continue
-			}
-			all = append(all, scored{p: [2]topology.Node{na, nb}, d: len(t.Incident(na)) + len(t.Incident(nb))})
-		}
-	}
-	if n > len(all) {
-		n = len(all)
-	}
-	for i := 0; i < n; i++ {
-		best := i
-		for j := i + 1; j < len(all); j++ {
-			if all[j].d > all[best].d {
-				best = j
-			}
-		}
-		all[i], all[best] = all[best], all[i]
-	}
-	out := make([][2]topology.Node, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].p
-	}
-	return out
 }
 
 func stepDegradations(res *augment.Result) []float64 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"raha/internal/augment"
 	"raha/internal/topology"
 )
 
@@ -95,25 +96,30 @@ func TestKLabel(t *testing.T) {
 	}
 }
 
+// TestCandidateLAGs: Figure 18's candidate set reconnects every demand pair
+// of the setup (a LAG or a candidate joins its ends), so the new-LAG augment
+// MILP always has a sufficient augment, and it proposes no LAG twice.
 func TestCandidateLAGs(t *testing.T) {
-	top := topology.SmallWAN()
-	cands := CandidateLAGs(top, 5)
-	if len(cands) != 5 {
-		t.Fatalf("candidates = %d", len(cands))
-	}
-	for _, c := range cands {
-		if c[0] == c[1] {
-			t.Fatal("self candidate")
+	for _, s := range []*Setup{Figure1Setup(time.Second), Production(time.Second)} {
+		cands := augment.CandidateLAGs(s.Topo, s.Pairs, 5)
+		proposed := make(map[[2]topology.Node]bool)
+		for _, c := range cands {
+			if c[0] == c[1] {
+				t.Fatal("self candidate")
+			}
+			if s.Topo.LAGBetween(c[0], c[1]) >= 0 {
+				t.Fatalf("candidate %v already exists", c)
+			}
+			if proposed[c] {
+				t.Fatalf("candidate %v proposed twice", c)
+			}
+			proposed[c], proposed[[2]topology.Node{c[1], c[0]}] = true, true
 		}
-		if top.LAGBetween(c[0], c[1]) >= 0 {
-			t.Fatal("candidate already exists")
+		for _, p := range s.Pairs {
+			if p[0] != p[1] && s.Topo.LAGBetween(p[0], p[1]) < 0 && !proposed[p] {
+				t.Fatalf("demand pair %v has neither a LAG nor a candidate", p)
+			}
 		}
-	}
-	// Requesting more than exist truncates.
-	all := CandidateLAGs(top, 1<<20)
-	possible := top.NumNodes()*(top.NumNodes()-1)/2 - top.NumLAGs()
-	if len(all) != possible {
-		t.Fatalf("got %d candidates, want %d", len(all), possible)
 	}
 }
 

@@ -66,6 +66,9 @@ func (s Status) String() string {
 	return "unknown"
 }
 
+// intTol is the integrality tolerance of branching, auto width and presolve.
+const intTol = 1e-6
+
 // Params tunes the branch-and-bound search. Zero values select defaults.
 //
 // A solve with a Tracer or OnProgress is observed, and only an observed
@@ -78,7 +81,6 @@ type Params struct {
 	TimeLimit time.Duration // wall-clock budget; 0 = unlimited
 	NodeLimit int           // maximum explored nodes; 0 = unlimited
 	MIPGap    float64       // relative gap at which to stop; 0 = prove optimality
-	IntTol    float64       // integrality tolerance; 0 = 1e-6
 
 	// Workers is the worker budget of this solve: the number of concurrent
 	// branch-and-bound workers, each re-solving node LPs on its own
@@ -880,13 +882,10 @@ type plan struct {
 
 func (pl *plan) infeasible() bool { return pl.pres != nil && pl.pres.infeasible }
 
-// prepare applies the parameter defaults, presolves, and lets auto width
+// prepare validates the knapsack, presolves, and lets auto width
 // shrink the pool. stop interrupts the auto-width probe's LP (nil: nothing
 // does).
 func (m *Model) prepare(p *Params, stop *atomic.Bool) (*plan, error) {
-	if p.IntTol == 0 {
-		p.IntTol = 1e-6
-	}
 	if p.Knapsack != nil {
 		if err := p.Knapsack.validate(m); err != nil {
 			return nil, err
@@ -898,7 +897,7 @@ func (m *Model) prepare(p *Params, stop *atomic.Bool) (*plan, error) {
 	// maps its solutions back to the caller's variable space.
 	if !p.disablePresolve {
 		presolveStart := time.Now()
-		pl.pres = presolve(m, p.IntTol)
+		pl.pres = presolve(m)
 		pl.presolveNs = time.Since(presolveStart).Nanoseconds()
 		if !pl.pres.infeasible {
 			pl.sm = pl.pres.model
@@ -911,7 +910,7 @@ func (m *Model) prepare(p *Params, stop *atomic.Bool) (*plan, error) {
 	// Stats counts, a warm re-solve with nothing left to pivot.
 	if pl.workers > 1 && !pl.infeasible() && !p.fixedWidth {
 		pl.autoRequested = pl.workers
-		pl.workers, pl.autoFrac, pl.rootBasis = autoWidth(pl.sm, p.IntTol, pl.workers, stop)
+		pl.workers, pl.autoFrac, pl.rootBasis = autoWidth(pl.sm, pl.workers, stop)
 	}
 	return pl, nil
 }

@@ -56,7 +56,7 @@ func rowActivity(terms []Term, lo, hi []float64) modelcheck.Activity {
 // applyUpper installs the derived upper bound b on v (rounded for integer
 // variables, relaxed outward for continuous ones) when it is a meaningful
 // improvement. It reports false when the variable's box becomes empty.
-func applyUpper(v Var, b float64, lo, hi []float64, isInt []bool, intTol float64, onTighten func(Var)) bool {
+func applyUpper(v Var, b float64, lo, hi []float64, isInt []bool, onTighten func(Var)) bool {
 	if math.IsNaN(b) || math.IsInf(b, 0) {
 		return true // no information
 	}
@@ -82,7 +82,7 @@ func applyUpper(v Var, b float64, lo, hi []float64, isInt []bool, intTol float64
 }
 
 // applyLower is applyUpper for the lower side.
-func applyLower(v Var, b float64, lo, hi []float64, isInt []bool, intTol float64, onTighten func(Var)) bool {
+func applyLower(v Var, b float64, lo, hi []float64, isInt []bool, onTighten func(Var)) bool {
 	if math.IsNaN(b) || math.IsInf(b, 0) {
 		return true
 	}
@@ -116,7 +116,7 @@ func applyLower(v Var, b float64, lo, hi []float64, isInt []bool, intTol float64
 // The residuals are computed against the activity of the box at entry; a
 // bound tightened mid-row makes later residuals conservative, never invalid
 // (the fixpoint loop and the propagation queue recover the slack).
-func tightenFromRow(terms []Term, rel Rel, rhs float64, lo, hi []float64, isInt []bool, intTol float64, onTighten func(Var)) bool {
+func tightenFromRow(terms []Term, rel Rel, rhs float64, lo, hi []float64, isInt []bool, onTighten func(Var)) bool {
 	if !finite(rhs) {
 		return true // leave non-finite rows to modelcheck / the LP
 	}
@@ -140,10 +140,10 @@ func tightenFromRow(terms []Term, rel Rel, rhs float64, lo, hi []float64, isInt 
 			}
 			b := (rhs - res) / t.C
 			if t.C > 0 {
-				if !applyUpper(t.V, b, lo, hi, isInt, intTol, onTighten) {
+				if !applyUpper(t.V, b, lo, hi, isInt, onTighten) {
 					return false
 				}
-			} else if !applyLower(t.V, b, lo, hi, isInt, intTol, onTighten) {
+			} else if !applyLower(t.V, b, lo, hi, isInt, onTighten) {
 				return false
 			}
 		}
@@ -173,10 +173,10 @@ func tightenFromRow(terms []Term, rel Rel, rhs float64, lo, hi []float64, isInt 
 			}
 			b := (rhs - res) / t.C
 			if t.C > 0 {
-				if !applyLower(t.V, b, lo, hi, isInt, intTol, onTighten) {
+				if !applyLower(t.V, b, lo, hi, isInt, onTighten) {
 					return false
 				}
-			} else if !applyUpper(t.V, b, lo, hi, isInt, intTol, onTighten) {
+			} else if !applyUpper(t.V, b, lo, hi, isInt, onTighten) {
 				return false
 			}
 		}
@@ -257,7 +257,7 @@ type presolveResult struct {
 // bounds, redundant-row removal, big-M coefficient tightening on binary
 // terms, and substitution of fixed variables. The input model is never
 // mutated. On infeasible models the result has infeasible set and no model.
-func presolve(m *Model, intTol float64) *presolveResult {
+func presolve(m *Model) *presolveResult {
 	n := m.NumVars()
 	res := &presolveResult{}
 	lo := append([]float64(nil), m.lo...)
@@ -371,7 +371,7 @@ func presolve(m *Model, intTol float64) *presolveResult {
 				}
 
 				before := res.tightenedBounds
-				if !tightenFromRow(r.terms, r.rel, r.rhs, lo, hi, isInt, intTol, count) {
+				if !tightenFromRow(r.terms, r.rel, r.rhs, lo, hi, isInt, count) {
 					res.infeasible = true
 					return
 				}
@@ -633,7 +633,7 @@ func (s *search) propagate(wid int, bvar Var, lo, hi []float64) bool {
 		ri := np.queue[qi]
 		np.queued[ri] = false
 		c := &s.m.cons[ri]
-		if !tightenFromRow(c.expr.Terms, c.rel, c.rhs, lo, hi, s.isInt, s.p.IntTol, push) {
+		if !tightenFromRow(c.expr.Terms, c.rel, c.rhs, lo, hi, s.isInt, push) {
 			ok = false
 			break
 		}

@@ -76,11 +76,11 @@ func (s *search) branchVar(x []float64, st *Stats) Var {
 	best := Var(-1)
 	bestScore := 0.0
 	unknown := Var(-1)
-	unknownDist := s.p.IntTol
+	unknownDist := intTol
 	for _, cand := range s.intVars {
 		f := x[cand] - math.Floor(x[cand])
 		dist := math.Min(f, 1-f)
-		if dist <= s.p.IntTol {
+		if dist <= intTol {
 			continue
 		}
 		cu := atomic.LoadInt64(&s.pc.upCnt[cand])

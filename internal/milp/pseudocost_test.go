@@ -9,7 +9,7 @@ import "testing"
 func TestBranchVarTrustsFirstObservation(t *testing.T) {
 	// over is a search over n integer variables with an empty table.
 	over := func(n int) *search {
-		s := &search{p: Params{IntTol: 1e-6}, pc: newPseudocosts(n)}
+		s := &search{p: Params{}, pc: newPseudocosts(n)}
 		for v := 0; v < n; v++ {
 			s.intVars = append(s.intVars, Var(v))
 		}

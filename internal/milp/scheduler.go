@@ -462,7 +462,7 @@ const autoWidthMinFrac = 3
 // branch and bound is CPU-bound, and oversubscribed workers only add
 // contention. The probe polls stop like any node LP: a probe it interrupts
 // reports frac -1 and no basis, and leaves the width at that cap.
-func autoWidth(m *Model, intTol float64, workers int, stop *atomic.Bool) (width, frac int, basis *lp.Basis) {
+func autoWidth(m *Model, workers int, stop *atomic.Bool) (width, frac int, basis *lp.Basis) {
 	width = workers
 	if g := runtime.GOMAXPROCS(0); width > g {
 		width = g

@@ -167,7 +167,7 @@ type Options struct {
 	FeasTol float64
 
 	// IntTol is the integrality tolerance of the int-bounds check; 0
-	// defaults to 1e-6 (milp.Params.IntTol's default).
+	// defaults to 1e-6 (package milp's intTol).
 	IntTol float64
 }
 
