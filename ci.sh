@@ -41,9 +41,10 @@ go build ./...
 # rules that never fired are gone too, so a fixture marker or allow
 # directive naming one is stale. Pseudocosts are trusted from their first
 # observation, with no reliability threshold to tune, and the integrality
-# tolerance is milp's intTol constant, not a parameter. The grep reads
-# _test.go files too, on purpose.
-if grep -rn 'p\.IntTol\|Params{[^}]*IntTol\|pcReliability\|QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel\|statsAcc\|DisablePresolve\|CheckError\|ModelCheck\|ModelDiagnostic\|runCheck\|model_check\|AutoWidth:\|\.AutoWidth\b\|lock-order\|goroutine-leak\|ctx-first\|mutex-value\|tracer-guard' --include='*.go' --exclude-dir=.bench_build .; then
+# tolerance is milp's intTol constant, not a parameter. Both augment forms
+# share one loop and one Result, and Appendix C's edge form lives in the
+# new-LAG augment MILP only. The grep reads _test.go files too, on purpose.
+if grep -rn 'p\.IntTol\|Params{[^}]*IntTol\|pcReliability\|QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel\|statsAcc\|DisablePresolve\|CheckError\|ModelCheck\|ModelDiagnostic\|runCheck\|model_check\|AutoWidth:\|\.AutoWidth\b\|lock-order\|goroutine-leak\|ctx-first\|mutex-value\|tracer-guard\|EdgeFormMaxFlow\|NewLAGResult\|NewLAGStep' --include='*.go' --exclude-dir=.bench_build .; then
 	echo "ci: retired solver knob or lint rule referenced above" >&2
 	exit 1
 fi
@@ -182,6 +183,18 @@ if ! printf %s "$last_end" | grep -q '"nodes":124[,}]' ||
 	echo "ci: the AfricaWAN alert's main solve moved (want nodes 124, lp_solves 126, lp_iters 3360): $last_end" >&2
 	exit 1
 fi
+
+# The new-LAG augment (Appendix C) on the CLI's own defaults, SmallWAN and
+# B4, serial: it must exit 0 and converge. A step whose edge-form MILP is
+# infeasible or places nothing takes the existing-LAG step (§7) instead of
+# ending the run (DESIGN.md §2.5).
+for topo in smallwan b4; do
+	if ! out=$("$tmp/raha" augment -new-lags -topology "$topo" -workers 1 -q -progress=false) ||
+		! printf %s "$out" | grep -q '^converged: true'; then
+		echo "ci: raha augment -new-lags did not converge on $topo: $out" >&2
+		exit 1
+	fi
+done
 
 # The paper-evaluation command, end to end through the experiment registry
 # (internal/experiments): the three entries no clock bounds — Figure 1 on its

@@ -349,24 +349,27 @@ func augmentCmd(args []string) (err error) {
 		NewCapacityCanFail:   *canFail,
 	}
 	o.log.Infof("augmenting %s until no probable failure degrades it (threshold %.0e)", *c.topology, *c.threshold)
+	var res *raha.AugmentResult
 	if *newLAGs {
-		res, err := raha.AugmentNewLAGs(cfg, augment.CandidateLAGs(top, env.Pairs, *candidates))
-		if err != nil {
-			return err
-		}
-		fmt.Printf("converged: %v after %d steps, %d links in %d new LAGs, final degradation %.1f\n",
-			res.Converged, len(res.Steps), res.TotalLinksAdded, res.Topo.NumLAGs()-top.NumLAGs(), res.FinalDegradation)
-		for i, st := range res.Steps {
-			fmt.Printf("  step %d: degradation %.1f, added %d links\n", i+1, st.Degradation, st.LinksAdded)
-		}
-		return nil
+		res, err = raha.AugmentNewLAGs(cfg, augment.CandidateLAGs(top, env.Pairs, *candidates))
+	} else {
+		res, err = raha.AugmentExisting(cfg)
 	}
-	res, err := raha.AugmentExisting(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("converged: %v after %d steps, %d links added, final degradation %.1f\n",
-		res.Converged, len(res.Steps), res.TotalLinksAdded, res.FinalDegradation)
+	// LAGs past the input's count are placed candidates. A new-LAG run can
+	// also add links to existing LAGs, in a step the edge form cannot serve.
+	var placed string
+	if n := res.Topo.NumLAGs() - top.NumLAGs(); n > 0 {
+		links := 0
+		for e := top.NumLAGs(); e < res.Topo.NumLAGs(); e++ {
+			links += len(res.Topo.LAG(e).Links)
+		}
+		placed = fmt.Sprintf(" (%d in %d new LAGs)", links, n)
+	}
+	fmt.Printf("converged: %v after %d steps, %d links added%s, final degradation %.1f\n",
+		res.Converged, len(res.Steps), res.TotalLinksAdded, placed, res.FinalDegradation)
 	for i, st := range res.Steps {
 		fmt.Printf("  step %d: degradation %.1f, added %d links across %d LAGs\n", i+1, st.Degradation, st.LinksAdded, len(st.Added))
 	}

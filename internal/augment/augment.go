@@ -4,7 +4,8 @@
 // failed network's ability to match the healthy network's per-demand flows
 // under that scenario, until no probable failure degrades the network.
 //
-// Two augment forms are supported, matching the paper:
+// Two augment forms share that one loop and its Result, matching the
+// paper; each supplies the loop's augment step:
 //
 //   - AugmentExisting adds member links to existing LAGs (the form
 //     operators prefer) using the path-form model — the paths available to
@@ -14,6 +15,7 @@
 //     using the edge-form multi-commodity flow restricted to each demand's
 //     original-path LAGs plus the candidates (Appendix C), with
 //     distance-based weights that prefer candidates near impacted demands.
+//     A step the edge form cannot serve takes AugmentExisting's step.
 //
 // New capacity either can fail (its links get the average failure
 // probability of the LAG it joins — Figure 11's setting) or cannot
@@ -75,7 +77,7 @@ type Config struct {
 // Step records one iteration of the loop.
 type Step struct {
 	Degradation float64     // worst-case degradation found before augmenting
-	Added       map[int]int // LAG id → member links added this step
+	Added       map[int]int // LAG id → member links added this step (a new LAG under its new id)
 	LinksAdded  int
 }
 
@@ -111,8 +113,14 @@ func (c *Config) linkCapacity(t *topology.Topology) float64 {
 	return 1
 }
 
-func (c *Config) analyze(t *topology.Topology, dps []paths.DemandPaths) (*metaopt.Result, error) {
-	return metaopt.Analyze(metaopt.Config{
+// worst analyzes t under the current path policy: the demands' tunnel
+// sets and the worst probable degradation scenario.
+func (c *Config) worst(t *topology.Topology) ([]paths.DemandPaths, *metaopt.Result, error) {
+	dps, err := paths.Compute(t, c.Pairs, c.Primary, c.Backup, c.Weight)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := metaopt.Analyze(metaopt.Config{
 		Topo:                 t,
 		Demands:              dps,
 		Envelope:             c.Envelope,
@@ -122,6 +130,10 @@ func (c *Config) analyze(t *topology.Topology, dps []paths.DemandPaths) (*metaop
 		QuantBits:            c.QuantBits,
 		Solver:               c.Solver,
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return dps, res, nil
 }
 
 // augmentParams is the params of an augment MILP: the run's Solver, but
@@ -133,18 +145,28 @@ func (c *Config) augmentParams() milp.Params {
 	return p
 }
 
+// proposal is one form's augment step: solve its augment MILP against the
+// worst scenario res of t, add the capacity it asks for to t, and return
+// the member links added per LAG id.
+type proposal func(t *topology.Topology, dps []paths.DemandPaths, res *metaopt.Result, unit float64) (map[int]int, error)
+
 // AugmentExisting runs the §7 loop, adding member links to existing LAGs.
 func AugmentExisting(cfg Config) (*Result, error) {
+	return run(cfg, cfg.addToExisting)
+}
+
+// run is the loop both augment forms share (§7, Appendix C): analyze a
+// clone of the topology, stop once the worst degradation is within
+// tolerance, else let propose add capacity against that scenario, and
+// repeat. Paths are recomputed every step, so new LAGs join the tunnel
+// sets. A non-nil error comes with a nil Result.
+func run(cfg Config, propose proposal) (*Result, error) {
 	t := cfg.Topo.Clone()
 	unit := cfg.linkCapacity(t)
 	out := &Result{Topo: t}
 
 	for step := 0; step < cfg.maxSteps(); step++ {
-		dps, err := paths.Compute(t, cfg.Pairs, cfg.Primary, cfg.Backup, cfg.Weight)
-		if err != nil {
-			return nil, err
-		}
-		res, err := cfg.analyze(t, dps)
+		dps, res, err := cfg.worst(t)
 		if err != nil {
 			return nil, err
 		}
@@ -157,30 +179,24 @@ func AugmentExisting(cfg Config) (*Result, error) {
 			return out, nil
 		}
 
-		added, err := solveExistingAugment(t, dps, res, unit, cfg.augmentParams())
+		added, err := propose(t, dps, res, unit)
 		if err != nil {
 			return nil, err
 		}
 		st := Step{Degradation: res.Degradation, Added: added}
-		for e, n := range added {
-			applyLinks(t, e, n, unit, cfg.NewCapacityCanFail)
+		for _, n := range added {
 			st.LinksAdded += n
 		}
-		out.TotalLinksAdded += st.LinksAdded
-		out.Steps = append(out.Steps, st)
-		out.FinalDegradation = res.Degradation
 		if st.LinksAdded == 0 {
 			// The augment model could not improve on this scenario —
 			// should not happen, but avoid a livelock.
-			return out, fmt.Errorf("augment: no links added for a degrading scenario (degradation %g)", res.Degradation)
+			return nil, fmt.Errorf("augment: no links added for a degrading scenario (degradation %g)", res.Degradation)
 		}
+		out.TotalLinksAdded += st.LinksAdded
+		out.Steps = append(out.Steps, st)
 	}
 	// One final check so FinalDegradation reflects the augmented network.
-	dps, err := paths.Compute(t, cfg.Pairs, cfg.Primary, cfg.Backup, cfg.Weight)
-	if err != nil {
-		return nil, err
-	}
-	res, err := cfg.analyze(t, dps)
+	_, res, err := cfg.worst(t)
 	if err != nil {
 		return nil, err
 	}
@@ -189,24 +205,40 @@ func AugmentExisting(cfg Config) (*Result, error) {
 	return out, nil
 }
 
-// applyLinks appends n member links of the given capacity to LAG e.
-func applyLinks(t *topology.Topology, e, n int, unit float64, canFail bool) {
-	lag := t.LAG(e)
+// addToExisting is §7's step: the path-form MILP over the existing LAGs,
+// whose chosen member links join those LAGs.
+func (c *Config) addToExisting(t *topology.Topology, dps []paths.DemandPaths, res *metaopt.Result, unit float64) (map[int]int, error) {
+	added, err := solveExistingAugment(t, dps, res, unit, c.augmentParams())
+	if err != nil {
+		return nil, err
+	}
+	for e, n := range added {
+		lag := t.LAG(e)
+		lag.Links = append(lag.Links, newLinks(n, unit, c.NewCapacityCanFail, lag.Links)...)
+	}
+	return added, nil
+}
+
+// newLinks returns n member links of capacity unit. When they can fail,
+// they take the average failure probability of the links like them
+// (§8.6); otherwise, or when that average is outside (0,1), a negligible
+// one.
+func newLinks(n int, unit float64, canFail bool, like []topology.Link) []topology.Link {
 	prob := negligibleFailProb
-	if canFail {
-		// Average failure probability of the LAG's existing links (§8.6).
+	if canFail && len(like) > 0 {
 		var s float64
-		for _, ln := range lag.Links {
+		for _, ln := range like {
 			s += ln.FailProb
 		}
-		prob = s / float64(len(lag.Links))
-		if prob <= 0 || prob >= 1 {
-			prob = negligibleFailProb
+		if p := s / float64(len(like)); p > 0 && p < 1 {
+			prob = p
 		}
 	}
-	for i := 0; i < n; i++ {
-		lag.Links = append(lag.Links, topology.Link{Capacity: unit, FailProb: prob})
+	links := make([]topology.Link, n)
+	for i := range links {
+		links[i] = topology.Link{Capacity: unit, FailProb: prob}
 	}
+	return links
 }
 
 // solveExistingAugment solves the per-scenario minimum-augment MILP: choose

@@ -1,8 +1,10 @@
 package augment
 
 import (
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"raha/internal/demand"
 	"raha/internal/milp"
@@ -219,6 +221,64 @@ func TestAugmentNewLAGs(t *testing.T) {
 	}
 	if res.Steps[0].Degradation < 8-1e-6 {
 		t.Fatalf("first-step degradation %g, want 8 (full demand dropped)", res.Steps[0].Degradation)
+	}
+	// The step records the placed candidate under its new LAG id, and that
+	// LAG joins the candidate's endpoints.
+	added := res.Steps[0].Added
+	if len(added) != 1 || added[2] != res.TotalLinksAdded {
+		t.Fatalf("step 1 added %v, want all %d links on new LAG 2", added, res.TotalLinksAdded)
+	}
+	if l := res.Topo.LAG(2); l.A != a || l.B != c {
+		t.Fatalf("new LAG joins %v-%v, want the candidate %v-%v", l.A, l.B, a, c)
+	}
+}
+
+// TestAugmentNewLAGsCLIDefaults_Regression: `raha augment -new-lags` on its
+// defaults converges on SmallWAN and on B4. Its edge-form MILP is
+// infeasible in a SmallWAN step (no open candidate reconnects a cut
+// demand) and places nothing in a B4 step whose configured tunnels still
+// degrade; both steps take §7's instead of ending the run. A second run must repeat the first step for step: the
+// edge form's pick among tied optima may not depend on map order.
+func TestAugmentNewLAGsCLIDefaults_Regression(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		top  *topology.Topology
+	}{
+		{"smallwan", topology.SmallWAN()},
+		{"b4", topology.B4()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			top := tc.top
+			pairs := demand.TopPairs(top, 6, 1)
+			base := demand.Gravity(top, pairs, top.MeanLAGCapacity()*0.8, 1)
+			cfg := Config{
+				Topo:          top,
+				Pairs:         pairs,
+				Envelope:      demand.UpTo(base, 0.5),
+				Primary:       2,
+				Backup:        1,
+				ProbThreshold: 1e-4,
+				Solver:        milp.Params{TimeLimit: 30 * time.Second, Workers: 1},
+			}
+			candidates := CandidateLAGs(top, pairs, 8)
+			res, err := AugmentNewLAGs(cfg, candidates)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := AugmentNewLAGs(cfg, candidates)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Steps, again.Steps) {
+				t.Fatalf("two runs differ:\n%+v\n%+v", res.Steps, again.Steps)
+			}
+			if !res.Converged {
+				t.Fatalf("did not converge: final degradation %g after %d steps", res.FinalDegradation, len(res.Steps))
+			}
+			if res.Topo.NumLAGs() == top.NumLAGs() {
+				t.Fatal("no candidate LAG placed")
+			}
+		})
 	}
 }
 

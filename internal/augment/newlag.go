@@ -10,105 +10,51 @@ import (
 	"raha/internal/topology"
 )
 
-// NewLAG describes a LAG added between two nodes.
-type NewLAG struct {
-	A, B  topology.Node
-	Links int
-}
-
-// NewLAGStep records one iteration of the new-LAG augment loop.
-type NewLAGStep struct {
-	Degradation float64
-	Added       []NewLAG
-	LinksAdded  int
-}
-
-// NewLAGResult reports a full new-LAG augmentation run.
-type NewLAGResult struct {
-	Topo             *topology.Topology
-	Steps            []NewLAGStep
-	FinalDegradation float64
-	TotalLinksAdded  int
-	Converged        bool
-}
-
-// AugmentNewLAGs runs the Appendix C loop: each iteration analyzes the
-// network, then solves an edge-form multi-commodity flow restricted to each
-// demand's original-path LAGs plus the operator's candidate new LAGs, with
-// distance-based weights, and materializes the chosen candidates. Paths are
-// recomputed between iterations so new LAGs join the tunnel sets.
-func AugmentNewLAGs(cfg Config, candidates [][2]topology.Node) (*NewLAGResult, error) {
+// AugmentNewLAGs runs the Appendix C loop: each step solves an edge-form
+// multi-commodity flow restricted to each demand's original-path LAGs plus
+// the operator's candidate new LAGs that are still absent, with
+// distance-based weights, and places the chosen candidates as new LAGs.
+//
+// The edge form is not the TE the analyzer runs: it relaxes the configured
+// tunnels, so it can find nothing to add while they still degrade, and it
+// routes only over original-path LAGs and open candidates, so it is
+// infeasible when none of them reconnects a cut demand. A step
+// whose edge-form MILP is infeasible or places no link takes §7's step
+// (AugmentExisting's) instead. Only an exhausted candidate list ends the
+// run with an error.
+func AugmentNewLAGs(cfg Config, candidates [][2]topology.Node) (*Result, error) {
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("augment: no candidate LAGs supplied")
 	}
-	t := cfg.Topo.Clone()
-	unit := cfg.linkCapacity(t)
-	out := &NewLAGResult{Topo: t}
-
-	for step := 0; step < cfg.maxSteps(); step++ {
-		dps, err := paths.Compute(t, cfg.Pairs, cfg.Primary, cfg.Backup, cfg.Weight)
-		if err != nil {
-			return nil, err
-		}
-		res, err := cfg.analyze(t, dps)
-		if err != nil {
-			return nil, err
-		}
-		if res.Scenario == nil {
-			return nil, fmt.Errorf("augment: analysis returned no scenario (status %v)", res.Status)
-		}
-		if res.Degradation <= cfg.Tolerance+1e-9 {
-			out.FinalDegradation = res.Degradation
-			out.Converged = true
-			return out, nil
-		}
-
+	return run(cfg, func(t *topology.Topology, dps []paths.DemandPaths, res *metaopt.Result, unit float64) (map[int]int, error) {
 		open := openCandidates(t, candidates)
 		if len(open) == 0 {
-			out.FinalDegradation = res.Degradation
-			return out, fmt.Errorf("augment: degradation %g remains but every candidate LAG is already placed", res.Degradation)
+			return nil, fmt.Errorf("augment: degradation %g remains but every candidate LAG is already placed", res.Degradation)
 		}
-		added, err := solveNewLAGAugment(t, dps, res, open, unit, cfg.augmentParams())
+		counts, err := solveNewLAGAugment(t, dps, res, open, unit, cfg.augmentParams())
 		if err != nil {
 			return nil, err
 		}
-		st := NewLAGStep{Degradation: res.Degradation}
-		prob := negligibleFailProb
-		if cfg.NewCapacityCanFail {
-			prob = meanFailProb(t)
+		var like []topology.Link // new LAGs' links fail like the network's average
+		for _, l := range t.LAGs() {
+			like = append(like, l.Links...)
 		}
-		for qi, n := range added {
+		added := make(map[int]int)
+		for q, n := range counts {
 			if n == 0 {
 				continue
 			}
-			links := make([]topology.Link, n)
-			for i := range links {
-				links[i] = topology.Link{Capacity: unit, FailProb: prob}
-			}
-			if _, err := t.AddLAG(open[qi][0], open[qi][1], links); err != nil {
+			id, err := t.AddLAG(open[q][0], open[q][1], newLinks(n, unit, cfg.NewCapacityCanFail, like))
+			if err != nil {
 				return nil, err
 			}
-			st.Added = append(st.Added, NewLAG{A: open[qi][0], B: open[qi][1], Links: n})
-			st.LinksAdded += n
+			added[id] = n
 		}
-		out.TotalLinksAdded += st.LinksAdded
-		out.Steps = append(out.Steps, st)
-		out.FinalDegradation = res.Degradation
-		if st.LinksAdded == 0 {
-			return out, fmt.Errorf("augment: no candidate helps the degrading scenario (degradation %g)", res.Degradation)
+		if len(added) == 0 {
+			return cfg.addToExisting(t, dps, res, unit)
 		}
-	}
-	dps, err := paths.Compute(t, cfg.Pairs, cfg.Primary, cfg.Backup, cfg.Weight)
-	if err != nil {
-		return nil, err
-	}
-	res, err := cfg.analyze(t, dps)
-	if err != nil {
-		return nil, err
-	}
-	out.FinalDegradation = res.Degradation
-	out.Converged = res.Degradation <= cfg.Tolerance+1e-9
-	return out, nil
+		return added, nil
+	})
 }
 
 // openCandidates filters out candidates that already exist as LAGs.
@@ -122,29 +68,12 @@ func openCandidates(t *topology.Topology, candidates [][2]topology.Node) [][2]to
 	return open
 }
 
-func meanFailProb(t *topology.Topology) float64 {
-	var s float64
-	n := 0
-	for _, l := range t.LAGs() {
-		for _, ln := range l.Links {
-			s += ln.FailProb
-			n++
-		}
-	}
-	if n == 0 {
-		return negligibleFailProb
-	}
-	p := s / float64(n)
-	if p <= 0 || p >= 1 {
-		return negligibleFailProb
-	}
-	return p
-}
-
 // solveNewLAGAugment builds the Appendix C edge-form MILP. Per demand, flow
 // may use (a) the LAGs of its configured paths at their scenario capacity
 // and (b) any open candidate at capacity n_q·unit. Each demand must match
 // its healthy flow; the objective minimizes distance-weighted link counts.
+// An infeasible model returns nil counts: no candidate set can match every
+// healthy flow.
 func solveNewLAGAugment(t *topology.Topology, dps []paths.DemandPaths, res *metaopt.Result, open [][2]topology.Node, unit float64, params milp.Params) ([]int, error) {
 	m := milp.NewModel()
 	scenCaps := res.Scenario.Capacities(t)
@@ -190,9 +119,9 @@ func solveNewLAGAugment(t *topology.Topology, dps []paths.DemandPaths, res *meta
 
 	// Per-demand allowed existing LAGs = the union of its configured paths'
 	// LAGs (Appendix C's first tightening).
-	allowed := make([]map[int]bool, nd)
+	allowed := make([][]bool, nd)
 	for k, dp := range dps {
-		allowed[k] = make(map[int]bool)
+		allowed[k] = make([]bool, nl)
 		for _, p := range dp.Paths {
 			for _, e := range p.LAGs {
 				allowed[k][e] = true
@@ -201,15 +130,20 @@ func solveNewLAGAugment(t *topology.Topology, dps []paths.DemandPaths, res *meta
 	}
 
 	// Directed flow variables per demand on allowed existing LAGs and on
-	// every candidate. fk is the demand's total flow.
+	// every candidate, created in LAG-id order so the model, and the
+	// optimum it picks among ties, is the same run to run. fk is the
+	// demand's total flow.
 	type arc struct{ fwd, rev milp.Var }
-	flows := make([]map[int]arc, nd) // existing LAG id → arc
-	cand := make([][]arc, nd)        // candidate index → arc
+	flows := make([][]arc, nd) // existing LAG id → arc, where allowed
+	cand := make([][]arc, nd)  // candidate index → arc
 	fk := make([]milp.Var, nd)
 	inf := totalDemand + 1
 	for k := range dps {
-		flows[k] = make(map[int]arc)
-		for e := range allowed[k] {
+		flows[k] = make([]arc, nl)
+		for e := range flows[k] {
+			if !allowed[k][e] {
+				continue
+			}
 			flows[k][e] = arc{
 				fwd: m.ContinuousVar(0, inf, fmt.Sprintf("f[%d][%d]+", k, e)),
 				rev: m.ContinuousVar(0, inf, fmt.Sprintf("f[%d][%d]-", k, e)),
@@ -231,8 +165,11 @@ func solveNewLAGAugment(t *topology.Topology, dps []paths.DemandPaths, res *meta
 			node := topology.Node(i)
 			row := milp.NewExpr()
 			touched := false
-			for e, a := range flows[k] {
-				l := t.LAG(e)
+			for _, e := range t.Incident(node) {
+				if !allowed[k][e] {
+					continue
+				}
+				a, l := flows[k][e], t.LAG(e)
 				switch node {
 				case l.A:
 					row.Add(1, a.fwd)
@@ -276,9 +213,9 @@ func solveNewLAGAugment(t *topology.Topology, dps []paths.DemandPaths, res *meta
 		row := milp.NewExpr()
 		any := false
 		for k := range dps {
-			if a, ok := flows[k][e]; ok {
-				row.Add(1, a.fwd)
-				row.Add(1, a.rev)
+			if allowed[k][e] {
+				row.Add(1, flows[k][e].fwd)
+				row.Add(1, flows[k][e].rev)
 				any = true
 			}
 		}
@@ -299,6 +236,9 @@ func solveNewLAGAugment(t *topology.Topology, dps []paths.DemandPaths, res *meta
 	sol, err := m.Solve(params)
 	if err != nil {
 		return nil, err
+	}
+	if sol.Status == milp.Infeasible {
+		return nil, nil
 	}
 	if sol.Status != milp.Optimal && sol.Status != milp.Feasible {
 		return nil, fmt.Errorf("augment: new-LAG MILP %v", sol.Status)

@@ -18,33 +18,11 @@ type AugmentRow struct {
 // with new capacity that can fail (the paper's hardest setting). Figure 17
 // is the same sweep with non-failing capacity.
 func Figure11(s *Setup, slacks []float64, threshold float64, canFail bool) ([]AugmentRow, error) {
-	var rows []AugmentRow
-	for _, slack := range slacks {
-		res, err := augment.AugmentExisting(augment.Config{
-			Topo:               s.Topo,
-			Pairs:              s.Pairs,
-			Envelope:           demand.UpTo(s.Base, slack),
-			Primary:            s.Primary,
-			Backup:             s.Backup,
-			Weight:             s.Weight,
-			ProbThreshold:      threshold,
-			QuantBits:          s.QuantBits,
-			Solver:             s.solver(),
-			NewCapacityCanFail: canFail,
-			MaxSteps:           8,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AugmentRow{
-			Slack:        slack,
-			Steps:        len(res.Steps),
-			AvgReduction: avgReduction(stepDegradations(res)),
-			LinksAdded:   res.TotalLinksAdded,
-			Converged:    res.Converged,
-		})
-	}
-	return rows, nil
+	return augmentSweep(slacks, func(slack float64) (*augment.Result, error) {
+		cfg := s.augmentConfig(slack, threshold)
+		cfg.NewCapacityCanFail = canFail
+		return augment.AugmentExisting(cfg)
+	})
 }
 
 // Figure18 sweeps the demand slack and runs the new-LAG (Appendix C)
@@ -52,45 +30,50 @@ func Figure11(s *Setup, slacks []float64, threshold float64, canFail bool) ([]Au
 // candidates for the setup's demand pairs.
 func Figure18(s *Setup, slacks []float64, threshold float64, maxCandidates int) ([]AugmentRow, error) {
 	candidates := augment.CandidateLAGs(s.Topo, s.Pairs, maxCandidates)
-	var rows []AugmentRow
-	for _, slack := range slacks {
-		res, err := augment.AugmentNewLAGs(augment.Config{
-			Topo:          s.Topo,
-			Pairs:         s.Pairs,
-			Envelope:      demand.UpTo(s.Base, slack),
-			Primary:       s.Primary,
-			Backup:        s.Backup,
-			Weight:        s.Weight,
-			ProbThreshold: threshold,
-			QuantBits:     s.QuantBits,
-			Solver:        s.solver(),
-			MaxSteps:      8,
-		}, candidates)
-		row := AugmentRow{Slack: slack}
-		if res != nil {
-			row.Steps = len(res.Steps)
-			row.LinksAdded = res.TotalLinksAdded
-			row.Converged = res.Converged
-			var degs []float64
-			for _, st := range res.Steps {
-				degs = append(degs, st.Degradation)
-			}
-			row.AvgReduction = avgReduction(degs)
-		}
-		if err != nil && res == nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return augmentSweep(slacks, func(slack float64) (*augment.Result, error) {
+		return augment.AugmentNewLAGs(s.augmentConfig(slack, threshold), candidates)
+	})
 }
 
-func stepDegradations(res *augment.Result) []float64 {
-	var degs []float64
-	for _, st := range res.Steps {
-		degs = append(degs, st.Degradation)
+// augmentConfig is the augment run of one sweep point: the setup's demands
+// within the slack envelope, at most 8 steps.
+func (s *Setup) augmentConfig(slack, threshold float64) augment.Config {
+	return augment.Config{
+		Topo:          s.Topo,
+		Pairs:         s.Pairs,
+		Envelope:      demand.UpTo(s.Base, slack),
+		Primary:       s.Primary,
+		Backup:        s.Backup,
+		Weight:        s.Weight,
+		ProbThreshold: threshold,
+		QuantBits:     s.QuantBits,
+		Solver:        s.solver(),
+		MaxSteps:      8,
 	}
-	return degs
+}
+
+// augmentSweep runs one augment loop per slack; a loop's error ends the
+// sweep.
+func augmentSweep(slacks []float64, run func(slack float64) (*augment.Result, error)) ([]AugmentRow, error) {
+	var rows []AugmentRow
+	for _, slack := range slacks {
+		res, err := run(slack)
+		if err != nil {
+			return nil, err
+		}
+		var degs []float64
+		for _, st := range res.Steps {
+			degs = append(degs, st.Degradation)
+		}
+		rows = append(rows, AugmentRow{
+			Slack:        slack,
+			Steps:        len(res.Steps),
+			AvgReduction: avgReduction(degs),
+			LinksAdded:   res.TotalLinksAdded,
+			Converged:    res.Converged,
+		})
+	}
+	return rows, nil
 }
 
 // avgReduction reports the mean per-step fractional reduction relative to

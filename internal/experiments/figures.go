@@ -145,18 +145,9 @@ func Figure3(s *Setup, slacks []float64, threshold float64) ([]Fig3Row, error) {
 			return nil, err
 		}
 		tk.step()
-		cfg := metaopt.Config{
-			Topo: s.Topo, Demands: dps, Envelope: demand.UpTo(s.Base, slack),
-			ProbThreshold: threshold, QuantBits: s.QuantBits,
-			Solver: s.solver(),
-		}
 		// Seed with the previous (narrower-envelope) solution so the curve
 		// is monotone by construction even under tight solver budgets.
-		if prev != nil {
-			cfg.WarmStartScenario = prev.Scenario
-			cfg.WarmStartDemands = prev.Demands
-		}
-		rahaRes, err := metaopt.Analyze(cfg)
+		rahaRes, err := s.analyze(dps, demand.UpTo(s.Base, slack), threshold, 0, false, prev)
 		if err != nil {
 			return nil, err
 		}
@@ -259,16 +250,7 @@ func Figure7(s *Setup, slacks []float64, ks []int, threshold float64) ([]SlackRo
 		slack := slack
 		step := make([]*metaopt.Result, len(ks))
 		err := conc.ForEach(context.Background(), len(ks), fanout, func(_ context.Context, i int) error {
-			cfg := metaopt.Config{
-				Topo: s.Topo, Demands: dps, Envelope: demand.UpTo(s.Base, slack),
-				ProbThreshold: threshold, MaxFailures: ks[i], QuantBits: s.QuantBits,
-				Solver: s.solver(),
-			}
-			if p := prev[ks[i]]; p != nil {
-				cfg.WarmStartScenario = p.Scenario
-				cfg.WarmStartDemands = p.Demands
-			}
-			res, err := metaopt.Analyze(cfg)
+			res, err := s.analyze(dps, demand.UpTo(s.Base, slack), threshold, ks[i], false, prev[ks[i]])
 			step[i] = res
 			if err == nil {
 				tk.step()
@@ -321,15 +303,7 @@ func Figure8(s *Setup, clusters int, thresholds []float64, ks []int) ([]ClusterR
 	tk := s.sweep("figure8", len(grid))
 	err = conc.ForEach(context.Background(), len(grid), fanout, func(_ context.Context, i int) error {
 		c := grid[i]
-		res, err := metaopt.AnalyzeClustered(metaopt.ClusterConfig{
-			Config: metaopt.Config{
-				Topo: s.Topo, Demands: dps, Envelope: env,
-				ProbThreshold: c.th, MaxFailures: c.k,
-				QuantBits: s.QuantBits,
-				Solver:    s.solver(),
-			},
-			Clusters: clusters,
-		})
+		res, err := s.analyzeClustered(dps, env, c.th, c.k, clusters)
 		if err != nil {
 			return err
 		}
@@ -358,15 +332,7 @@ func Figure9(s *Setup, clusterCounts []int, threshold float64, k int) ([]Cluster
 	tk := s.sweep("figure9", len(clusterCounts))
 	for _, n := range clusterCounts {
 		start := time.Now()
-		res, err := metaopt.AnalyzeClustered(metaopt.ClusterConfig{
-			Config: metaopt.Config{
-				Topo: s.Topo, Demands: dps, Envelope: env,
-				ProbThreshold: threshold, MaxFailures: k,
-				QuantBits: s.QuantBits,
-				Solver:    s.solver(),
-			},
-			Clusters: n,
-		})
+		res, err := s.analyzeClustered(dps, env, threshold, k, n)
 		if err != nil {
 			return nil, err
 		}

@@ -211,6 +211,20 @@ func (s *Setup) analyze(dps []paths.DemandPaths, env demand.Envelope, threshold 
 	return metaopt.Analyze(cfg)
 }
 
+// analyzeClustered runs one Algorithm 1 analysis with the given cluster
+// count under the setup's budget; threshold and k as in analyze.
+func (s *Setup) analyzeClustered(dps []paths.DemandPaths, env demand.Envelope, threshold float64, k, clusters int) (*metaopt.Result, error) {
+	return metaopt.AnalyzeClustered(metaopt.ClusterConfig{
+		Config: metaopt.Config{
+			Topo: s.Topo, Demands: dps, Envelope: env,
+			ProbThreshold: threshold, MaxFailures: k,
+			QuantBits: s.QuantBits,
+			Solver:    s.solver(),
+		},
+		Clusters: clusters,
+	})
+}
+
 // KLabel renders a failure budget for table output (0 = ∞).
 func KLabel(k int) string {
 	if k == 0 {

@@ -64,15 +64,7 @@ func Table4(s *Setup, clusters int, thresholds []float64, ks []int) ([]TableRow,
 	var rows []TableRow
 	for _, th := range thresholds {
 		for _, k := range ks {
-			res, err := metaopt.AnalyzeClustered(metaopt.ClusterConfig{
-				Config: metaopt.Config{
-					Topo: s.Topo, Demands: dps, Envelope: env,
-					ProbThreshold: th, MaxFailures: k,
-					QuantBits: s.QuantBits,
-					Solver:    s.solver(),
-				},
-				Clusters: clusters,
-			})
+			res, err := s.analyzeClustered(dps, env, th, k, clusters)
 			if err != nil {
 				return nil, err
 			}

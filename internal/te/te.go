@@ -1,8 +1,8 @@
 // Package te implements the traffic-engineering optimizations Raha analyzes:
 // the paper's production objective (maximize total demand met, Eq. 2 — the
-// SWAN/B4 family), minimize-MLU (Appendix A), a single-shot max-min
-// fairness approximation via geometric binning (Appendix A), and the
-// edge-form multi-commodity flow used by Appendix C's new-LAG augments.
+// SWAN/B4 family), minimize-MLU (Appendix A), and a single-shot max-min
+// fairness approximation via geometric binning (Appendix A). Appendix C's
+// edge-form multi-commodity flow lives in internal/augment's new-LAG MILP.
 //
 // Every solver takes explicit per-LAG capacities and per-path availability
 // flags, so the same formulations serve the healthy network (full

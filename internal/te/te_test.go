@@ -205,52 +205,3 @@ func TestMaxMinBinnedFairness(t *testing.T) {
 		t.Fatalf("bottleneck must saturate: %v", res.PerDemand)
 	}
 }
-
-func TestEdgeFormMaxFlow(t *testing.T) {
-	top, n := diamond()
-	res, err := EdgeFormMaxFlow(top, []EdgeDemand{{Src: n[0], Dst: n[3], Volume: 100}}, FullCapacities(top), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Feasible || math.Abs(res.Objective-20) > 1e-6 {
-		t.Fatalf("objective = %g, want 20", res.Objective)
-	}
-}
-
-func TestEdgeFormUpperBoundsPathForm(t *testing.T) {
-	// With a single configured path the path form routes less than the edge
-	// form, which implicitly has every path.
-	top, n := diamond()
-	dps, _ := paths.Compute(top, [][2]topology.Node{{n[0], n[3]}}, 1, 0, nil)
-	pf, _ := MaxTotalFlow(top, dps, []float64{100}, FullCapacities(top), HealthyActive(dps))
-	ef, _ := EdgeFormMaxFlow(top, []EdgeDemand{{Src: n[0], Dst: n[3], Volume: 100}}, FullCapacities(top), nil)
-	if pf.Objective > ef.Objective+1e-6 {
-		t.Fatalf("path form %g exceeds edge form %g", pf.Objective, ef.Objective)
-	}
-	if ef.Objective <= pf.Objective {
-		t.Fatalf("edge form should strictly exceed single-path routing here: %g vs %g", ef.Objective, pf.Objective)
-	}
-}
-
-func TestEdgeFormAllowedRestriction(t *testing.T) {
-	top, n := diamond()
-	allowed := make([][]bool, 1)
-	allowed[0] = []bool{true, false, true, false} // only A-B and B-D usable
-	res, err := EdgeFormMaxFlow(top, []EdgeDemand{{Src: n[0], Dst: n[3], Volume: 100}}, FullCapacities(top), allowed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Objective-10) > 1e-6 {
-		t.Fatalf("objective = %g, want 10 (restricted to one path)", res.Objective)
-	}
-}
-
-func TestEdgeFormErrors(t *testing.T) {
-	top, n := diamond()
-	if _, err := EdgeFormMaxFlow(top, nil, []float64{1}, nil); err == nil {
-		t.Fatal("capacity mismatch must error")
-	}
-	if _, err := EdgeFormMaxFlow(top, []EdgeDemand{{Src: n[0], Dst: n[3], Volume: 1}}, FullCapacities(top), [][]bool{}); err == nil {
-		t.Fatal("allowed shape mismatch must error")
-	}
-}

@@ -269,14 +269,11 @@ type Scenario = failures.Scenario
 // AugmentConfig parameterizes the §7 augmentation loop.
 type AugmentConfig = augment.Config
 
-// AugmentResult reports an existing-LAG augmentation run.
+// AugmentResult reports an augmentation run of either form.
 type AugmentResult = augment.Result
 
 // AugmentStep is one iteration of the loop.
 type AugmentStep = augment.Step
-
-// NewLAGResult reports a new-LAG (Appendix C) augmentation run.
-type NewLAGResult = augment.NewLAGResult
 
 // AugmentExisting adds member links to existing LAGs until no probable
 // failure degrades the network.
@@ -285,7 +282,7 @@ func AugmentExisting(cfg AugmentConfig) (*AugmentResult, error) {
 }
 
 // AugmentNewLAGs adds new LAGs from a candidate set (Appendix C).
-func AugmentNewLAGs(cfg AugmentConfig, candidates [][2]Node) (*NewLAGResult, error) {
+func AugmentNewLAGs(cfg AugmentConfig, candidates [][2]Node) (*AugmentResult, error) {
 	return augment.AugmentNewLAGs(cfg, candidates)
 }
 
