@@ -184,6 +184,24 @@ if ! printf %s "$last_end" | grep -q '"nodes":124[,}]' ||
 	exit 1
 fi
 
+# The warm node re-solve, pinned the same way: the serial B4 analysis of the
+# b4_budget shape (12 pairs, generator seed 5, 4 primary paths) runs to
+# proven optimality in well under a second, almost all of it warm dual
+# re-solves, and its main solve must take exactly these nodes, LP solves
+# and simplex iterations. A warm start that reuses its basis's factors and
+# reduced costs (DESIGN.md §2.13) must pivot bit for bit as one that
+# rebuilds them, so these counts do not move with it.
+b4_tmp=$tmp/b4.jsonl
+"$tmp/raha" analyze -topology b4 -pairs 12 -seed 5 -primary 4 -workers 1 -q -progress=false \
+	-trace "$b4_tmp" >/dev/null
+last_end=$(grep '"ev":"solve_end"' "$b4_tmp" | tail -n 1)
+if ! printf %s "$last_end" | grep -q '"nodes":1519[,}]' ||
+	! printf %s "$last_end" | grep -q '"lp_solves":1539[,}]' ||
+	! printf %s "$last_end" | grep -q '"lp_iters":7089[,}]'; then
+	echo "ci: the B4 analysis's main solve moved (want nodes 1519, lp_solves 1539, lp_iters 7089): $last_end" >&2
+	exit 1
+fi
+
 # The new-LAG augment (Appendix C) on the CLI's own defaults, SmallWAN and
 # B4, serial: it must exit 0 and converge. A step whose edge-form MILP is
 # infeasible or places nothing takes the existing-LAG step (§7) instead of

@@ -88,15 +88,16 @@ var (
 // dual-feasible — or the warm solve collapses numerically, SolveFrom falls
 // back to the cold two-phase Solve and WarmStarted is false.
 func SolveFrom(p *Problem, b *Basis, opt *Options) (*Solution, error) {
-	if err := validate(p); err != nil {
+	c, err := p.prepare()
+	if err != nil {
 		return nil, err
 	}
 	if m := len(p.Rows); b.valid(m, p.NumVars+m) {
-		if sol, ok := solveFromSparse(p, b, opt); ok {
+		if sol, ok := solveFromSparse(p, c, b, opt); ok {
 			cWarm.Inc()
 			cDualIters.Add(int64(sol.DualIters))
 			return record(sol), nil
 		}
 	}
-	return Solve(p, opt)
+	return solveCold(p, c, opt), nil
 }

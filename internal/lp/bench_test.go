@@ -80,7 +80,7 @@ func benchStateOf(tb testing.TB, p *Problem) (*Problem, *spSolver, *Basis) {
 	if err != nil || sol.Status != Optimal || sol.Basis == nil {
 		tb.Fatalf("m=%d: setup solve: %v %+v", m, err, sol)
 	}
-	c := p.cache()
+	c := mustCache(tb, p)
 	s := &c.s
 	s.initWarm(p, c, sol.Basis)
 	if !s.factorize(warmPivTol) {
@@ -89,6 +89,16 @@ func benchStateOf(tb testing.TB, p *Problem) (*Problem, *spSolver, *Basis) {
 	s.recomputeXB()
 	s.recomputeD()
 	return p, s, sol.Basis
+}
+
+// mustCache returns p's sparse lowering, failing tb on a malformed row.
+func mustCache(tb testing.TB, p *Problem) *spCache {
+	tb.Helper()
+	c, err := p.cache()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
 }
 
 // nonbasicStructurals lists the columns FTRAN is benchmarked on.

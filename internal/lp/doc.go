@@ -39,7 +39,10 @@
 // SolveFrom re-solves a problem from such a basis: it refactorizes the
 // basis and runs bounded-variable dual simplex instead of the two-phase
 // method, which is how branch-and-bound warm-starts child nodes after a
-// single bound change. When a basis cannot be reused — wrong shape,
+// single bound change. When the basis is, slot for slot, the one the
+// Problem's workspace factorized last, the warm start reuses those factors
+// (and their reduced costs, when the costs are unchanged) instead: they are
+// the bits a refactorization would produce, so the pivots are the same. When a basis cannot be reused — wrong shape,
 // singular after the bound change, or dual-infeasible — SolveFrom falls
 // back to a cold Solve; the fallback rules and tolerances are in
 // DESIGN.md §2.8.

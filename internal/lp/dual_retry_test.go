@@ -54,7 +54,7 @@ func TestDualRetryTerminates(t *testing.T) {
 	// The fixture must still force the disagreement, or this test guards
 	// nothing: fresh factors, slot 1 the only infeasible one, a pivot row
 	// that offers column 3 or 4, and an FTRAN pivot of zero for both.
-	c := p.cache()
+	c := mustCache(t, p)
 	s := &c.s
 	if !s.initWarm(p, c, basis) || !s.factorize(warmPivTol) {
 		t.Fatal("fixture: the warm path rejects the basis outright")

@@ -51,7 +51,8 @@ type Row struct {
 // the cache is what makes those re-solves allocation-free. The cache keys on
 // the row and variable counts, so appending rows or growing the variable set
 // rebuilds it — but mutating an existing row's coefficients in place between
-// solves does not, and is therefore not supported. A Problem must not be
+// solves does not, and is therefore not supported: it would also escape the
+// row check, which runs where the lowering is built. A Problem must not be
 // solved from multiple goroutines concurrently (the MILP layer keeps one
 // Problem per worker for exactly this reason).
 type Problem struct {
@@ -236,36 +237,42 @@ const (
 // collapse of the factorization is status NumericalFailure, counted as
 // lp.numerical_failures — not an error, and there is no second solver.
 func Solve(p *Problem, opt *Options) (*Solution, error) {
-	if err := validate(p); err != nil {
+	c, err := p.prepare()
+	if err != nil {
 		return nil, err
 	}
-	sol, ok := solveSparse(p, opt)
+	return solveCold(p, c, opt), nil
+}
+
+// solveCold is Solve on a prepared problem.
+func solveCold(p *Problem, c *spCache, opt *Options) *Solution {
+	sol, ok := solveSparse(p, c, opt)
 	if !ok {
 		sol = &Solution{Status: NumericalFailure}
 	}
-	return record(sol), nil
+	return record(sol)
 }
 
-func validate(p *Problem) error {
+// prepare checks what may change between solves — the lengths of the cost
+// and bound vectors, the bounds, NaN costs — and returns the sparse
+// lowering, whose build checks the rows (buildCache): they may not change in
+// place, so a cached lowering stands for rows already checked.
+func (p *Problem) prepare() (*spCache, error) {
 	if len(p.Cost) != p.NumVars || len(p.Lo) != p.NumVars || len(p.Hi) != p.NumVars {
-		return fmt.Errorf("lp: cost/bounds length must equal NumVars=%d", p.NumVars)
+		return nil, fmt.Errorf("lp: cost/bounds length must equal NumVars=%d", p.NumVars)
 	}
 	for j := 0; j < p.NumVars; j++ {
 		if math.IsInf(p.Lo[j], -1) || math.IsNaN(p.Lo[j]) || math.IsNaN(p.Hi[j]) {
-			return fmt.Errorf("%w: variable %d lower bound must be finite", ErrBadBounds, j)
+			return nil, fmt.Errorf("%w: variable %d lower bound must be finite", ErrBadBounds, j)
 		}
 		if p.Lo[j] > p.Hi[j]+feasTol {
-			return fmt.Errorf("%w: variable %d has Lo %g > Hi %g", ErrBadBounds, j, p.Lo[j], p.Hi[j])
+			return nil, fmt.Errorf("%w: variable %d has Lo %g > Hi %g", ErrBadBounds, j, p.Lo[j], p.Hi[j])
+		}
+		if math.IsNaN(p.Cost[j]) {
+			return nil, fmt.Errorf("lp: variable %d has a NaN cost", j)
 		}
 	}
-	for i, r := range p.Rows {
-		for _, j := range r.Idx {
-			if j < 0 || j >= p.NumVars {
-				return fmt.Errorf("lp: row %d references variable %d out of range", i, j)
-			}
-		}
-	}
-	return nil
+	return p.cache()
 }
 
 func dot(c, x []float64) float64 {

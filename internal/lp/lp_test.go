@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -151,6 +152,74 @@ func TestBadBounds(t *testing.T) {
 	p2.Lo[0], p2.Hi[0] = 2, 1
 	if _, err := Solve(p2, nil); err == nil {
 		t.Fatal("expected error for Lo > Hi")
+	}
+}
+
+// TestSolveRejectsMalformedRows_Regression: rows are checked where their
+// lowering is built, and a malformed one is an error from Solve and
+// SolveFrom alike, before any solve — not a panic in the build (a missing
+// coefficient) and not an answer computed from a bad number (an extra
+// coefficient, a NaN or infinite one and a NaN right-hand side all came
+// back "optimal", the NaN cost "optimal" with objective NaN). Each case is
+// also met by a Problem already solved once, so a lowering is cached when
+// the edit arrives.
+func TestSolveRejectsMalformedRows_Regression(t *testing.T) {
+	base := func() *Problem {
+		p := NewProblem(2)
+		p.Cost = []float64{-1, -1}
+		p.Hi = []float64{5, 5}
+		p.AddRow([]int{0, 1}, []float64{1, 1}, LE, 10)
+		return p
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		edit func(p *Problem)
+	}{
+		{"coefficient missing", func(p *Problem) { p.Rows = append(p.Rows, Row{Idx: []int{0, 1}, Coef: []float64{1}}) }},
+		{"coefficient extra", func(p *Problem) { p.Rows = append(p.Rows, Row{Idx: []int{0}, Coef: []float64{1, 1}}) }},
+		{"index out of range", func(p *Problem) { p.AddRow([]int{0, 2}, []float64{1, 1}, LE, 4) }},
+		{"negative index", func(p *Problem) { p.AddRow([]int{-1}, []float64{1}, LE, 4) }},
+		{"NaN coefficient", func(p *Problem) { p.AddRow([]int{0, 1}, []float64{nan, 1}, LE, 4) }},
+		{"infinite coefficient", func(p *Problem) { p.AddRow([]int{0, 1}, []float64{1, -inf}, LE, 4) }},
+		{"NaN right-hand side", func(p *Problem) { p.AddRow([]int{0, 1}, []float64{1, 1}, LE, nan) }},
+		{"NaN cost", func(p *Problem) { p.Cost[1] = nan }},
+	} {
+		for _, solved := range []bool{false, true} {
+			p := base()
+			var basis *Basis
+			if solved {
+				basis = solveOK(t, p).Basis
+			}
+			tc.edit(p)
+			for _, warm := range []bool{false, true} {
+				what := fmt.Sprintf("%s (solved before %v, warm %v)", tc.name, solved, warm)
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s: panicked: %v", what, r)
+						}
+					}()
+					var sol *Solution
+					var err error
+					if warm {
+						sol, err = SolveFrom(p, basis, nil)
+					} else {
+						sol, err = Solve(p, nil)
+					}
+					if err == nil {
+						t.Errorf("%s: %v, objective %g; want an error", what, sol.Status, sol.Objective)
+					}
+				}()
+			}
+		}
+	}
+
+	// An infinite right-hand side is no error: the row never binds.
+	p := base()
+	p.AddRow([]int{0, 1}, []float64{1, 1}, LE, inf)
+	if sol := solveOK(t, p); sol.Status != Optimal || sol.Objective != -10 {
+		t.Errorf("infinite right-hand side: %v, objective %g; want optimal −10", sol.Status, sol.Objective)
 	}
 }
 

@@ -195,6 +195,18 @@ func (f *luFactor) clearEtas() {
 
 func (f *luFactor) nEtas() int { return len(f.epiv) }
 
+// pivotsAbove reports whether every pivot of the factorization exceeds tol
+// in magnitude: whether factorColumn, at the floor tol, would have taken
+// the same pivots.
+func (f *luFactor) pivotsAbove(tol float64) bool {
+	for _, d := range f.diag {
+		if !(math.Abs(d) > tol) {
+			return false
+		}
+	}
+	return true
+}
+
 // fillPermille reports LU fill-in as nnz(L+U) per 1000 nonzeros of the
 // factored basis — 1000 means no fill at all.
 func (f *luFactor) fillPermille() int64 {
@@ -400,6 +412,8 @@ func (b bitset) sized(n int) bitset {
 }
 
 func (b bitset) set(i int32) { b[i>>6] |= 1 << (uint32(i) & 63) }
+
+func (b bitset) unset(i int32) { b[i>>6] &^= 1 << (uint32(i) & 63) }
 
 // fill adds every index 0..n-1 (b sized for n).
 func (b bitset) fill(n int) {

@@ -414,12 +414,12 @@ func refereeSolves(t *testing.T, p *Problem, rng *rand.Rand, tighten func(*Probl
 		}
 		return full
 	}
-	cold := visit(func(opt *Options) (*Solution, bool) { return solveSparse(p, opt) })
+	cold := visit(func(opt *Options) (*Solution, bool) { return solveSparse(p, mustCache(t, p), opt) })
 	if cold == nil || cold.Status != Optimal || cold.Basis == nil || tighten == nil {
 		return states
 	}
 	tighten(p)
-	visit(func(opt *Options) (*Solution, bool) { return solveFromSparse(p, cold.Basis, opt) })
+	visit(func(opt *Options) (*Solution, bool) { return solveFromSparse(p, mustCache(t, p), cold.Basis, opt) })
 	return states
 }
 
@@ -538,7 +538,7 @@ func TestFtranSupportHoldsExactZero(t *testing.T) {
 	p.Hi = []float64{1, 1}
 	p.AddRow([]int{0, 1}, []float64{1, 1}, LE, 1)
 	p.AddRow([]int{0, 1}, []float64{1, 1}, LE, 2)
-	c := p.cache()
+	c := mustCache(t, p)
 	s := &c.s
 	b := &Basis{Basic: []int{0, 3}, Stat: []BasisStatus{BasisBasic, BasisAtLower, BasisAtLower, BasisBasic}}
 	if !s.initWarm(p, c, b) || !s.factorize(warmPivTol) {
@@ -565,7 +565,7 @@ func TestKernelsBitIdenticalSlackBasis(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, m := range []int{5, 90, 450} {
 		p := genSparseLP(int64(m), m)
-		c := p.cache()
+		c := mustCache(t, p)
 		s := &c.s
 		s.initCold(p, c)
 		if !s.factorize(luPivotFloor) {
@@ -607,7 +607,7 @@ func TestKernelsBitIdenticalLargeBasis(t *testing.T) {
 	if !referee(t, s, rng, 60, warmPivTol) {
 		t.Fatal("optimal basis reported singular")
 	}
-	if _, ok := solveSparse(p, &Options{MaxIters: 5*maxEta + maxEta/2}); !ok {
+	if _, ok := solveSparse(p, mustCache(t, p), &Options{MaxIters: 5*maxEta + maxEta/2}); !ok {
 		t.Fatal("capped cold solve failed")
 	}
 	if n := s.fac.nEtas(); n < maxEta/4 {
@@ -645,5 +645,111 @@ func TestReachHeapPopsAscending(t *testing.T) {
 			delete(pending, want)
 		}
 		f.reach = f.reach[:0]
+	}
+}
+
+// refLeavingRow is leavingRow as the scan over every slot it replaced: the
+// basic variable with the largest bound violation above feasTol, the first
+// in slot order among equals.
+func refLeavingRow(s *spSolver) (r int, below bool) {
+	r = -1
+	viol := feasTol
+	for i := 0; i < s.m; i++ {
+		b := s.basic[i]
+		if v := s.lo[b] - s.xval[b]; v > viol {
+			r, viol, below = i, v, true
+		}
+		if v := s.xval[b] - s.hi[b]; v > viol {
+			r, viol, below = i, v, false
+		}
+	}
+	return r, below
+}
+
+// refereeLeavingRows re-solves p warm from b once per iteration cap 1, 2, …
+// up to the dual iterations of the uncapped solve. A capped solve stopped
+// in the dual phase leaves the workspace at the top of the dual loop, where
+// the next leaving row is chosen, with the infeasible set as the loop keeps
+// it; there leavingRow must agree with the scan. It returns the number of
+// choices checked and how many of them came after a refactorization.
+func refereeLeavingRows(t *testing.T, p *Problem, b *Basis) (checked, afterRefactor int) {
+	t.Helper()
+	c := mustCache(t, p)
+	s := &c.s
+	full, ok := solveFromSparse(p, c, b, nil)
+	if !ok {
+		return 0, 0
+	}
+	for k := 1; k <= full.DualIters; k++ {
+		refacs := cRefacs.Value()
+		sol, ok := solveFromSparse(p, c, b, &Options{MaxIters: k})
+		if !ok || sol.Status != IterLimit || sol.DualIters != sol.Iters {
+			continue
+		}
+		wantR, wantBelow := refLeavingRow(s)
+		r, below := s.leavingRow()
+		if r != wantR || (r >= 0 && below != wantBelow) {
+			t.Fatalf("after %d dual pivots: leavingRow = (%d, below %v), the scan's (%d, below %v)",
+				sol.DualIters, r, below, wantR, wantBelow)
+		}
+		checked++
+		if cRefacs.Value() > refacs {
+			afterRefactor++
+		}
+	}
+	return checked, afterRefactor
+}
+
+// TestLeavingRowMatchesDenseScan referees the dual's leaving row at every
+// dual pivot of the warm re-solves of the 400-LP corpus, and of re-solves
+// of larger generated LPs after most of their basic structurals have been
+// bounded below their values — dual runs long enough to refactorize
+// (maxEta), so the set is also checked where refactorDual rebuilt it — and
+// half their nonbasic boxes narrowed, so that a column entering the basis
+// can land outside its box and make slot r infeasible.
+func TestLeavingRowMatchesDenseScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	checked, afterRefactor := 0, 0
+	add := func(n, a int) { checked, afterRefactor = checked+n, afterRefactor+a }
+	for trial := 0; trial < 400; trial++ {
+		p := genLP(rng)
+		root, err := Solve(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if root.Status != Optimal || root.Basis == nil {
+			continue
+		}
+		for k := 0; k < 3; k++ {
+			tightenRandomBound(rng, p)
+		}
+		add(refereeLeavingRows(t, p, root.Basis))
+	}
+	for _, m := range []int{90, 200} {
+		for seed := int64(1); seed <= 6; seed++ {
+			p := genSparseLPCols(seed, m, m, true)
+			root, err := Solve(p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if root.Status != Optimal || root.Basis == nil {
+				continue
+			}
+			for j, x := range root.X {
+				switch st := root.Basis.Stat[j]; {
+				case st == BasisBasic && rng.Intn(4) != 0:
+					p.Hi[j] = (p.Lo[j] + x) / 2
+				case st == BasisAtLower && rng.Intn(2) == 0:
+					p.Hi[j] = p.Lo[j] + 0.01 // an entering column may overshoot its box
+				case st == BasisAtUpper && rng.Intn(2) == 0:
+					p.Lo[j] = p.Hi[j] - 0.01
+				}
+			}
+			add(refereeLeavingRows(t, p, root.Basis))
+		}
+	}
+	t.Logf("%d leaving rows checked, %d after a refactorization", checked, afterRefactor)
+	if checked < 1000 || afterRefactor < 50 {
+		t.Fatalf("%d leaving rows checked, %d after a refactorization; the corpus no longer exercises the set", checked, afterRefactor)
 	}
 }

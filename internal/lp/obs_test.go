@@ -106,6 +106,25 @@ func TestFillGaugeCoversWarmStart(t *testing.T) {
 	}
 }
 
+// TestWarmFactorReuseCounter: lp.warm_factor_reuses counts the warm starts
+// that found their basis already factored and skipped factorize. A warm
+// start on a fresh Problem has nothing to find; repeating it on the same
+// Problem finds the factors the first one built.
+func TestWarmFactorReuseCounter(t *testing.T) {
+	p, _, basis := benchState(t, 90)
+	fresh := cloneProblem(p)
+	reuses := func() int64 { return obs.Default.Snapshot()["lp.warm_factor_reuses"] }
+	before := reuses()
+	for n := int64(0); n < 3; n++ {
+		if sol, err := SolveFrom(fresh, basis, nil); err != nil || !sol.WarmStarted {
+			t.Fatalf("warm re-solve %d: %v %+v", n, err, sol)
+		}
+		if got := reuses() - before; got != n {
+			t.Fatalf("after %d warm starts on one Problem lp.warm_factor_reuses moved by %d, want %d", n+1, got, n)
+		}
+	}
+}
+
 // TestNumericalFailureStatus pins what a collapse of the factorization looks
 // like from outside: a status with a name, counted, carrying no basis — not
 // an error, and not an answer. In the fixture columns 0 and 1 are parallel to

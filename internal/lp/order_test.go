@@ -112,7 +112,7 @@ func reachBound(s *spSolver) (onStruct, bound int) {
 // is never touched.
 func TestAllUnitBasisPopsNothing(t *testing.T) {
 	p := genSparseLP(90, 90)
-	c := p.cache()
+	c := mustCache(t, p)
 	s := &c.s
 	s.initCold(p, c)
 	if !s.factorize(luPivotFloor) {
@@ -221,7 +221,7 @@ func TestSingularBasesStillReported(t *testing.T) {
 	p.AddRow([]int{0, 1}, []float64{1, 1}, GE, 2) // needs an artificial
 	p.AddRow([]int{0, 1}, []float64{1, -1}, LE, 1)
 	for _, swap := range []bool{false, true} {
-		c := p.cache()
+		c := mustCache(t, p)
 		s = &c.s
 		s.initCold(p, c)
 		if s.nArt != 1 || int(s.basic[0]) != s.nStr+s.m {
@@ -307,7 +307,7 @@ func TestSolveFromRejectsRepeatedColumn(t *testing.T) {
 	try("dense", denseFrom(p, bad, nil))
 	// A repeated column also makes the basis singular, so the factorization
 	// would turn it away on rounding; the structural check must come first.
-	if c := p.cache(); c.s.initWarm(p, c, bad) {
+	if c := mustCache(t, p); c.s.initWarm(p, c, bad) {
 		t.Error("initWarm accepted a basis naming column 0 twice")
 	}
 }

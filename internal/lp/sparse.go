@@ -15,7 +15,10 @@ package lp
 // 1), then any phase-1 artificials (implicit ±1 unit columns).
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"raha/internal/obs"
@@ -31,6 +34,7 @@ const harrisDelta = 1e-8
 // Sparse-core counters and gauges (obs.Default, exported as raha.lp.*).
 var (
 	cRefacs = obs.Default.Counter("lp.refactorizations")
+	cReuses = obs.Default.Counter("lp.warm_factor_reuses") // warm starts that skipped factorize
 	gEtaLen = obs.Default.Gauge("lp.eta_len")
 	gFill   = obs.Default.Gauge("lp.lu_fill_permille")
 )
@@ -67,12 +71,17 @@ type spCache struct {
 
 // cache returns the problem's sparse lowering, rebuilding it when the shape
 // changed (reuseLP keeps the shape, so the rebuild happens once per model).
-func (p *Problem) cache() *spCache {
+// The error is a malformed row, found by the build.
+func (p *Problem) cache() (*spCache, error) {
 	if p.sp != nil && p.sp.nVars == p.NumVars && p.sp.nRows == len(p.Rows) {
-		return p.sp
+		return p.sp, nil
 	}
-	p.sp = buildCache(p)
-	return p.sp
+	c, err := buildCache(p)
+	if err != nil {
+		return nil, err
+	}
+	p.sp = c
+	return c, nil
 }
 
 // pow2Round rounds a positive scale factor to the nearest power of two:
@@ -100,8 +109,11 @@ func clampScale(s float64) float64 {
 
 // buildCache lowers p to scaled CSC form: merge duplicate indices, fold GE
 // signs, then two passes of geometric-mean row/column equilibration with
-// power-of-two scales.
-func buildCache(p *Problem) *spCache {
+// power-of-two scales. Its first pass over the rows is also their check: an
+// index out of range, a coefficient count that differs from the index
+// count, a non-finite coefficient or a NaN right-hand side is an error (an
+// infinite right-hand side is not).
+func buildCache(p *Problem) (*spCache, error) {
 	m, n := len(p.Rows), p.NumVars
 	c := &spCache{nVars: n, nRows: m}
 
@@ -122,7 +134,19 @@ func buildCache(p *Problem) *spCache {
 	}
 	ptr := make([]int32, n+1)
 	for i, r := range p.Rows {
-		for _, j := range r.Idx {
+		if len(r.Coef) != len(r.Idx) {
+			return nil, fmt.Errorf("lp: row %d has %d indices but %d coefficients", i, len(r.Idx), len(r.Coef))
+		}
+		if math.IsNaN(r.RHS) {
+			return nil, fmt.Errorf("lp: row %d has a NaN right-hand side", i)
+		}
+		for k, j := range r.Idx {
+			if j < 0 || j >= n {
+				return nil, fmt.Errorf("lp: row %d references variable %d out of range", i, j)
+			}
+			if v := r.Coef[k]; math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("lp: row %d has coefficient %g on variable %d", i, v, j)
+			}
 			if mark[j] != int32(i) {
 				mark[j] = int32(i)
 				ptr[j+1]++
@@ -232,7 +256,7 @@ func buildCache(p *Problem) *spCache {
 	c.rptr, c.cix, c.rval = transposeCS(m, ptr, rix, val, nil, nil, nil)
 	c.rowScale, c.colScale = rs, cs
 	c.bhat, c.eqRow = bhat, eq
-	return c
+	return c, nil
 }
 
 // spSolver is the revised-simplex working state. It lives inside the
@@ -274,6 +298,23 @@ type spSolver struct {
 	unitRow  [1]int32
 
 	fac luFactor
+
+	// What a warm start may reuse (startFactors, startD). facBasic is the
+	// basis, slot by slot, that fac's L and U were built for, and facWarm
+	// reports that every pivot of that factorization cleared warmPivTol, so
+	// factorize(warmPivTol) would rebuild those factors bit for bit. dKeep
+	// holds the reduced costs last computed on them with an empty eta file,
+	// and dCost the scaled costs they came from; dKept says both are
+	// current. Keyed by content, never by a *Basis: a Basis carries no state.
+	facBasic     []int32
+	facWarm      bool
+	dKeep, dCost []float64
+	dKept        bool
+
+	// infeas holds, during the dual phase, every slot whose basic violates
+	// a bound by more than feasTol, and possibly some that no longer do
+	// (leavingRow drops those as it meets them).
+	infeas bitset
 
 	iters int
 	cap   int
@@ -324,6 +365,7 @@ func (s *spSolver) sizeFor(m, nTot int) {
 		s.cbuf = make([]float64, m)
 		s.y = make([]float64, m)
 		s.cslots = make([]int32, m)
+		s.facBasic = make([]int32, m)
 	}
 	// w is sized separately: initCold borrows it as a residual buffer
 	// before sizeFor runs, and that aliasing must survive this call.
@@ -336,6 +378,8 @@ func (s *spSolver) sizeFor(m, nTot int) {
 	s.cbuf = s.cbuf[:m]
 	s.y = s.y[:m]
 	s.cslots = s.cslots[:m]
+	s.facBasic = s.facBasic[:m]
+	s.infeas = s.infeas.sized(m)
 	s.iters = 0
 	s.degenPivots = 0
 	s.blandPivots = 0
@@ -519,10 +563,13 @@ func (s *spSolver) orderSteps() {
 
 // factorize rebuilds the LU of the current basis from scratch, in the order
 // orderSteps lays down, clearing the eta file. It reports false when the
-// basis is numerically singular at the given pivot floor.
+// basis is numerically singular at the given pivot floor. The factors
+// depend on nothing but the slot order of the basis and the scaled matrix,
+// so it records that basis for startFactors.
 func (s *spSolver) factorize(minPiv float64) bool {
 	f := &s.fac
 	f.reset(s.m)
+	s.facWarm, s.dKept = false, false
 	s.orderSteps()
 	nnz := 0
 	for k, slot := range f.slot {
@@ -549,6 +596,23 @@ func (s *spSolver) factorize(minPiv float64) bool {
 	f.finish()
 	f.basisNnz = nnz
 	gFill.Set(f.fillPermille())
+	copy(s.facBasic, s.basic)
+	s.facWarm = f.pivotsAbove(warmPivTol)
+	return true
+}
+
+// startFactors gives a warm start the LU of its basis: fac's own when it
+// was built for this basis, slot for slot, with every pivot above
+// warmPivTol — factorize(warmPivTol) would produce the same bits — with the
+// eta file cleared, else a factorization at warmPivTol. It reports false
+// when the basis will not factorize.
+func (s *spSolver) startFactors() bool {
+	if !s.facWarm || !slices.Equal(s.basic, s.facBasic) {
+		return s.factorize(warmPivTol)
+	}
+	s.fac.clearEtas()
+	gFill.Set(s.fac.fillPermille())
+	cReuses.Inc()
 	return true
 }
 
@@ -1014,7 +1078,9 @@ func (s *spSolver) step(q int, dir float64) (float64, Status) {
 }
 
 // recomputeD refreshes the full reduced-cost vector from a BTRAN of the
-// basic costs (dual path bookkeeping; the primal path reprices inline).
+// basic costs (dual path bookkeeping; the primal path reprices inline). It
+// runs on fresh factors only — a warm start's or refactorDual's — so it
+// keeps the result, with the costs it came from, for startD.
 func (s *spSolver) recomputeD() {
 	s.costRow()
 	for j := 0; j < s.nTot; j++ {
@@ -1024,6 +1090,23 @@ func (s *spSolver) recomputeD() {
 			s.d[j] = s.cost[j] - s.arow[j]
 		}
 	}
+	s.dKeep = append(s.dKeep[:0], s.d...)
+	s.dCost = append(s.dCost[:0], s.cost...)
+	s.dKept = true
+}
+
+// startD gives a warm start its reduced costs, after startFactors: the
+// ones kept from these factors when the scaled costs they came from are
+// unchanged (they depend on nothing else: the basis is the factors', and a
+// nonbasic column's reduced cost ignores its bound), else recomputed. Costs
+// are never NaN, and a cost zero that changed sign can flip only the sign of
+// a zero reduced cost, which no comparison or value downstream depends on.
+func (s *spSolver) startD() {
+	if s.dKept && slices.Equal(s.dCost, s.cost) {
+		copy(s.d, s.dKeep)
+		return
+	}
+	s.recomputeD()
 }
 
 // dualFeasible reports whether s.d is consistent with every nonbasic
@@ -1071,6 +1154,7 @@ func (s *spSolver) dual() Status {
 	if limited {
 		s.dobj = s.objective()
 	}
+	s.rebuildInfeas()
 	stalled := 0
 	for {
 		if limited && s.dobj > s.objLimit {
@@ -1082,19 +1166,7 @@ func (s *spSolver) dual() Status {
 			return IterLimit
 		}
 
-		// Leaving slot: the basic variable with the largest bound violation.
-		r := -1
-		viol := feasTol
-		below := false
-		for i := 0; i < s.m; i++ {
-			b := s.basic[i]
-			if v := s.lo[b] - s.xval[b]; v > viol {
-				r, viol, below = i, v, true
-			}
-			if v := s.xval[b] - s.hi[b]; v > viol {
-				r, viol, below = i, v, false
-			}
-		}
+		r, below := s.leavingRow()
 		if r < 0 {
 			return Optimal
 		}
@@ -1216,20 +1288,90 @@ func (s *spSolver) dual() Status {
 			}
 		} else {
 			s.fac.pushEta(s.alpha, sup, r)
+			s.retestInfeas(sup, r)
 		}
 	}
 }
 
 // refactorDual is refactor for the dual phase: fresh factors and basic
 // values, then everything the loop carries incrementally — the reduced
-// costs and the objective — recomputed from them.
+// costs, the objective and the infeasible set — recomputed from them.
 func (s *spSolver) refactorDual() bool {
 	if !s.refactor() {
 		return false
 	}
 	s.recomputeD()
 	s.dobj = s.objective()
+	s.rebuildInfeas()
 	return true
+}
+
+// violates reports whether slot i's basic lies more than feasTol outside
+// its bounds: whether the dual may choose slot i to leave.
+func (s *spSolver) violates(i int) bool {
+	b := s.basic[i]
+	return s.lo[b]-s.xval[b] > feasTol || s.xval[b]-s.hi[b] > feasTol
+}
+
+// rebuildInfeas refills the infeasible set by a scan over every slot.
+func (s *spSolver) rebuildInfeas() {
+	clear(s.infeas)
+	for i := 0; i < s.m; i++ {
+		if s.violates(i) {
+			s.infeas.set(int32(i))
+		}
+	}
+}
+
+// retestInfeas keeps the infeasible set after a pivot on slot r that
+// pushed an eta (a refactorization rebuilds it instead): the basics that
+// moved are those of alpha's support, and slot r holds a new one.
+func (s *spSolver) retestInfeas(sup []int32, r int) {
+	for _, i := range sup {
+		if int(i) != r && s.alpha[i] != 0 && s.violates(int(i)) {
+			s.infeas.set(i)
+		}
+	}
+	if s.violates(r) {
+		s.infeas.set(int32(r))
+	}
+}
+
+// leavingRow picks the dual's leaving slot: the basic variable with the
+// largest bound violation above feasTol, the first in slot order among
+// equals; below reports that it violates its lower bound. It walks the
+// infeasible set in ascending order with the tests a scan over every slot
+// would apply (refLeavingRow, lu_ref_test.go) — a slot outside the set
+// violates by no more than feasTol, which passes neither test — and drops
+// the members it finds feasible. r is -1 when there is none.
+//
+// The chosen slot leaves the set too: its basic is about to leave the basis
+// at the bound it violates. Every way out of the dual loop between here and
+// the pivot either ends the phase or refactorizes, which rebuilds the set,
+// and the pivot has retestInfeas judge the column that takes slot r.
+func (s *spSolver) leavingRow() (r int, below bool) {
+	r = -1
+	viol := feasTol
+	for w, word := range s.infeas {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			b := s.basic[i]
+			lv, uv := s.lo[b]-s.xval[b], s.xval[b]-s.hi[b]
+			if lv > viol {
+				r, viol, below = i, lv, true
+			}
+			if uv > viol {
+				r, viol, below = i, uv, false
+			}
+			if !(lv > feasTol) && !(uv > feasTol) {
+				s.infeas.unset(int32(i))
+			}
+		}
+	}
+	if r >= 0 {
+		s.infeas.unset(int32(r))
+	}
+	return r, below
 }
 
 // structX extracts structural values back into original units (undo the
@@ -1298,11 +1440,10 @@ func (s *spSolver) finish(p *Problem, st Status, phase1Iters int, warm bool) *So
 	return sol
 }
 
-// solveSparse runs the two-phase revised simplex on p (already validated).
-// ok = false reports a numerical catastrophe — a basis that would not
-// factorize — which Solve turns into status NumericalFailure.
-func solveSparse(p *Problem, opt *Options) (*Solution, bool) {
-	c := p.cache()
+// solveSparse runs the two-phase revised simplex on p, whose lowering is
+// c (Problem.prepare). ok = false reports a numerical catastrophe — a basis
+// that would not factorize — which Solve turns into status NumericalFailure.
+func solveSparse(p *Problem, c *spCache, opt *Options) (*Solution, bool) {
 	s := &c.s
 	s.initCold(p, c)
 	if opt != nil && opt.MaxIters > 0 {
@@ -1341,12 +1482,12 @@ func solveSparse(p *Problem, opt *Options) (*Solution, bool) {
 	return s.finish(p, st, phase1Iters, false), true
 }
 
-// solveFromSparse re-optimizes p from an inherited basis on the sparse
-// core. ok = false requests the cold fallback: the basis names a column
-// twice or would not factorize at warmPivTol, it is no longer dual-feasible
-// under the new bounds, or the solve hit a numerical catastrophe mid-flight.
-func solveFromSparse(p *Problem, b *Basis, opt *Options) (*Solution, bool) {
-	c := p.cache()
+// solveFromSparse re-optimizes p, whose lowering is c, from an inherited
+// basis on the sparse core. ok = false requests the cold fallback: the basis
+// names a column twice or would not factorize at warmPivTol, it is no
+// longer dual-feasible under the new bounds, or the solve hit a numerical
+// catastrophe mid-flight.
+func solveFromSparse(p *Problem, c *spCache, b *Basis, opt *Options) (*Solution, bool) {
 	s := &c.s
 	if !s.initWarm(p, c, b) {
 		return nil, false
@@ -1360,11 +1501,11 @@ func solveFromSparse(p *Problem, b *Basis, opt *Options) (*Solution, bool) {
 	if opt != nil {
 		s.stop = opt.Stop
 	}
-	if !s.factorize(warmPivTol) {
+	if !s.startFactors() {
 		return nil, false
 	}
 	s.recomputeXB()
-	s.recomputeD()
+	s.startD()
 	if !s.dualFeasible() {
 		return nil, false
 	}

@@ -1,9 +1,11 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"raha/internal/obs"
@@ -317,4 +319,182 @@ func TestObjLimitCorpus(t *testing.T) {
 	if d := obs.Default.Counter("lp.objlimit_stops").Value() - stopsBefore; d < int64(stops) {
 		t.Errorf("lp.objlimit_stops advanced by %d over %d stops", d, stops)
 	}
+}
+
+// cloneProblem copies p into a Problem with no lowering yet: no factors and
+// no reduced costs a warm start could reuse. The rows are shared; no solve
+// edits them.
+func cloneProblem(p *Problem) *Problem {
+	return &Problem{
+		NumVars: p.NumVars,
+		Cost:    slices.Clone(p.Cost),
+		Rows:    p.Rows,
+		Lo:      slices.Clone(p.Lo),
+		Hi:      slices.Clone(p.Hi),
+	}
+}
+
+// wantSameSolution checks a re-solve against the same call made where
+// nothing could be reused: the same status, pivots, point and basis, bit for
+// bit (zeros of either sign equal).
+func wantSameSolution(t *testing.T, what string, got, want *Solution) {
+	t.Helper()
+	if got.Status != want.Status || got.WarmStarted != want.WarmStarted ||
+		got.Iters != want.Iters || got.DualIters != want.DualIters ||
+		got.DegeneratePivots != want.DegeneratePivots || got.BlandPivots != want.BlandPivots {
+		t.Fatalf("%s: %v warm %v, %d iterations (%d dual, %d degenerate, %d Bland); fresh: %v warm %v, %d (%d, %d, %d)",
+			what, got.Status, got.WarmStarted, got.Iters, got.DualIters, got.DegeneratePivots, got.BlandPivots,
+			want.Status, want.WarmStarted, want.Iters, want.DualIters, want.DegeneratePivots, want.BlandPivots)
+	}
+	if !sameBits(got.Objective, want.Objective) {
+		t.Fatalf("%s: objective %v, fresh %v", what, got.Objective, want.Objective)
+	}
+	wantSameF(t, what+": X", got.X, want.X)
+	if !reflect.DeepEqual(got.Basis, want.Basis) {
+		t.Fatalf("%s: basis %+v, fresh %+v", what, got.Basis, want.Basis)
+	}
+}
+
+// TestWarmReuseBitIdentical is the referee for the start state a warm
+// solve reuses (startFactors, startD). Each LP of the corpus is re-solved
+// from its optimal basis twice in a row, under two different bound
+// changes: the first factorizes that basis, the second finds it already
+// factored. Each result must be, bit for bit, the same call's on a fresh
+// copy of the Problem, where nothing is kept to reuse.
+func TestWarmReuseBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	hits := 0
+	for trial := 0; trial < 400; trial++ {
+		p := genLP(rng)
+		root, err := Solve(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if root.Status != Optimal || root.Basis == nil {
+			continue
+		}
+		lo, hi := slices.Clone(p.Lo), slices.Clone(p.Hi)
+		for call := 0; call < 2; call++ {
+			copy(p.Lo, lo)
+			copy(p.Hi, hi)
+			tightenRandomBound(rng, p)
+			fresh := cloneProblem(p)
+			before := cReuses.Value()
+			got, err := SolveFrom(p, root.Basis, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reused := cReuses.Value() - before
+			want, err := SolveFrom(fresh, root.Basis, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := cReuses.Value() - before - reused; n != 0 {
+				t.Fatalf("trial %d: a fresh Problem's warm start reused factors (%d)", trial, n)
+			}
+			hits += int(reused)
+			wantSameSolution(t, fmt.Sprintf("trial %d, call %d", trial, call), got, want)
+		}
+	}
+	t.Logf("%d warm starts reused their factors", hits)
+	if hits < 150 {
+		t.Fatalf("only %d warm starts reused their factors; the referee no longer exercises the reuse", hits)
+	}
+}
+
+// TestWarmReuseRecomputesChangedCosts: the reduced costs a warm start keeps
+// belong to the scaled costs they came from. After an edit to Cost the next
+// warm start on the same basis reuses the factors but recomputes the
+// reduced costs, and its solve is the one a fresh Problem makes.
+func TestWarmReuseRecomputesChangedCosts(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	checked := 0
+	for trial := 0; trial < 400; trial++ {
+		p := genLP(rng)
+		root, err := Solve(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if root.Status != Optimal || root.Basis == nil {
+			continue
+		}
+		if sol, err := SolveFrom(p, root.Basis, nil); err != nil || !sol.WarmStarted || sol.Iters != 0 {
+			continue // the reduced costs kept are those of the optimal basis, fresh
+		}
+		p.Cost[rng.Intn(p.NumVars)] += rng.NormFloat64()
+
+		// White-box: the start state the next solve will build.
+		c := mustCache(t, p)
+		s := &c.s
+		if !s.initWarm(p, c, root.Basis) {
+			t.Fatalf("trial %d: initWarm refused the optimal basis", trial)
+		}
+		before := cReuses.Value()
+		if !s.startFactors() || cReuses.Value() != before+1 {
+			t.Fatalf("trial %d: the factors of the optimal basis were not reused", trial)
+		}
+		s.recomputeXB()
+		s.startD()
+		d := slices.Clone(s.d)
+		s.recomputeD()
+		wantSameF(t, fmt.Sprintf("trial %d: reduced costs after a cost edit", trial), d, s.d)
+
+		tightenRandomBound(rng, p)
+		fresh := cloneProblem(p)
+		got, err := SolveFrom(p, root.Basis, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := SolveFrom(fresh, root.Basis, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSameSolution(t, fmt.Sprintf("trial %d", trial), got, want)
+		checked++
+	}
+	t.Logf("%d cost edits checked", checked)
+	if checked < 150 {
+		t.Fatalf("only %d trials checked", checked)
+	}
+}
+
+// TestWarmReuseRefusesLowPivotFactor: a mid-solve refactorization runs at
+// luPivotFloor, below warmPivTol, so its factors may hold a pivot the warm
+// path would turn down. They must not be reused: a warm start on their
+// basis factorizes it itself, fails at warmPivTol and falls back cold,
+// exactly as on a Problem that never held them. In the fixture the second
+// pivot of the basis {x0, x1} is 2⁻²⁶ ≈ 1.5e-8.
+func TestWarmReuseRefusesLowPivotFactor(t *testing.T) {
+	const eps = 1.0 / (1 << 26)
+	build := func() *Problem {
+		p := NewProblem(2)
+		p.Cost = []float64{-1, -1}
+		p.Hi = []float64{4, 4}
+		p.AddRow([]int{0, 1}, []float64{1, 1}, LE, 3)
+		p.AddRow([]int{0, 1}, []float64{1, 1 + eps}, LE, 3)
+		return p
+	}
+	basis := &Basis{Basic: []int{0, 1}, Stat: []BasisStatus{BasisBasic, BasisBasic, BasisAtLower, BasisAtLower}}
+	p := build()
+	c := mustCache(t, p)
+	s := &c.s
+	if !s.initWarm(p, c, basis) || !s.refactor() {
+		t.Fatal("fixture: the basis does not factorize at luPivotFloor")
+	}
+	if s.fac.pivotsAbove(warmPivTol) || !s.fac.pivotsAbove(luPivotFloor) {
+		t.Fatalf("fixture: pivots %v, want the smallest in [luPivotFloor, warmPivTol)", s.fac.diag)
+	}
+	before := cReuses.Value()
+	got, err := SolveFrom(p, basis, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := cReuses.Value() - before; n != 0 || got.WarmStarted {
+		t.Fatalf("factors with a pivot under warmPivTol were reused (%d) or the solve stayed warm (%v)", n, got.WarmStarted)
+	}
+	want, err := SolveFrom(build(), basis, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSameSolution(t, "low-pivot basis", got, want)
 }
