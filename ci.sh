@@ -80,6 +80,11 @@ go run ./cmd/raha-lint -json ./... >/dev/null
 # failure for reproduction).
 go test -race -shuffle=on "$@" ./...
 
+# The per-cell allocation budget (internal/batch TestCellAllocBudget) skips
+# itself under the race detector, whose instrumentation allocates on its own
+# account, so it runs here without it.
+go test ./internal/batch -run '^TestCellAllocBudget$' -count=1
+
 # Ten seconds of native fuzzing on the Topology Zoo GML parser, seeded from
 # the committed fixture corpus: a crash or invariant violation found here
 # fails the build before it can land (the full campaigns run on demand with

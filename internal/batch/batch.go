@@ -226,11 +226,12 @@ func runTopology(ctx context.Context, cfg *Config, src Source, cells []Cell, wid
 		}
 	}
 
-	// The pair selection and the tunnels over it depend on the topology, the
-	// seed and the model's pair count only, so cells share them instead of
-	// re-ranking all n·(n−1) pairs and re-running Yen's algorithm each. They
-	// share what their phases proved too, so the cells are solved loosest
-	// first and reported in grid order.
+	// The pair selection, the tunnels over it and the gravity matrix on it
+	// depend on the topology, the seed, the model's pair count and its scale
+	// only, so cells share them instead of re-ranking the pairs, re-running
+	// Yen's algorithm and re-seeding the mass generator each. They share what
+	// their phases proved too, so the cells are solved loosest first and
+	// reported in grid order.
 	memo := newTopoMemo(src.Name)
 	res.Cells = make([]CellResult, len(cells))
 	for _, i := range solveOrder(cells) {
@@ -292,8 +293,9 @@ type tunnels struct {
 // build, solver, verification) are caught and recorded as the cell's
 // failure. memo holds what the topology's cells share: its tunnels, keyed by
 // pair count — a computation that panics caches nothing, so every cell
-// reports it — and the phases they have solved, which answer or seed this
-// cell's (topoMemo.solve).
+// reports it — the gravity matrices over them (read only below: Scale,
+// Fixed and UpTo copy), and the phases they have solved, which answer or
+// seed this cell's (topoMemo.solve).
 func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell, phaseBudget time.Duration, width int, memo *topoMemo) (cr CellResult) {
 	cr.Cell = cell
 	start := time.Now()
@@ -326,7 +328,12 @@ func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell
 		cr.Err = tn.err.Error()
 		return cr
 	}
-	base := demand.Gravity(top, pairs, top.MeanLAGCapacity()*dm.Scale, seed)
+	gk := gravityKey{pairs: dm.Pairs, scale: top.MeanLAGCapacity() * dm.Scale, seed: seed}
+	base, ok := memo.gravity[gk]
+	if !ok {
+		base = demand.Gravity(top, pairs, gk.scale, seed)
+		memo.gravity[gk] = base
+	}
 	pf := dm.PeakFactor
 	if pf <= 0 {
 		pf = 1.5

@@ -5,21 +5,32 @@ import (
 	"math"
 	"sort"
 
+	"raha/internal/demand"
 	"raha/internal/metaopt"
 	"raha/internal/milp"
 )
 
 // topoMemo is what one topology's cells share: the tunnels per pair count,
-// and every phase analysis its grid has finished. DESIGN.md §2.10 has the
-// monotonicity argument the phase memo rests on.
+// the gravity matrices over them, and every phase analysis its grid has
+// finished. DESIGN.md §2.10 has the monotonicity argument the phase memo
+// rests on.
 type topoMemo struct {
 	name    string // the topology's, for trace events
 	tunnels map[int]tunnels
+	gravity map[gravityKey]demand.Matrix
 	phases  []phaseRecord
 }
 
+// gravityKey names one demand.Gravity matrix of a topology: its pair count
+// (the tunnels' pair set), scale and seed.
+type gravityKey struct {
+	pairs int
+	scale float64
+	seed  int64
+}
+
 func newTopoMemo(name string) *topoMemo {
-	return &topoMemo{name: name, tunnels: make(map[int]tunnels)}
+	return &topoMemo{name: name, tunnels: make(map[int]tunnels), gravity: make(map[gravityKey]demand.Matrix)}
 }
 
 // phaseRecord is one finished phase analysis: the cell that asked, its

@@ -111,3 +111,23 @@ func TestWorkers(t *testing.T) {
 		t.Fatal("Workers must default non-positive values to GOMAXPROCS")
 	}
 }
+
+// TestFreeList: last in, first out; bounded by Max; GetN takes the newest.
+func TestFreeList(t *testing.T) {
+	l := FreeList[int]{Max: 3}
+	if _, ok := l.Get(); ok {
+		t.Fatal("empty list returned a value")
+	}
+	for i := 1; i <= 5; i++ {
+		l.Put(i)
+	}
+	if got := l.GetN(nil, 2); len(got) != 2 || got[0] != 2 || got[1] != 3 {
+		t.Fatalf("GetN(2) = %v, want [2 3] (Max 3 kept 1, 2, 3)", got)
+	}
+	if v, ok := l.Get(); !ok || v != 1 {
+		t.Fatalf("Get = %d, %v; want 1", v, ok)
+	}
+	if got := l.GetN(nil, 4); len(got) != 0 {
+		t.Fatalf("GetN on an empty list = %v", got)
+	}
+}

@@ -3,6 +3,7 @@
 // sweep and the experiment figures run their independent solves through
 // (errgroup-shaped but stdlib-only, per the repository's no-dependency
 // rule); Split, the one rule for dividing a worker budget between that
-// fan-out and the workers inside each solve; and Deque, the work-stealing
-// queue of the branch-and-bound workers.
+// fan-out and the workers inside each solve; Deque, the work-stealing
+// queue of the branch-and-bound workers; and FreeList, the bounded stack in
+// which solver scratch outlives the job that grew it.
 package conc

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"raha/internal/conc"
 	"raha/internal/topology"
 )
 
@@ -142,44 +143,66 @@ func Gravity(t *topology.Topology, pairs [][2]topology.Node, scale float64, seed
 
 // TopPairs picks the n node pairs with the highest gravity product — a
 // deterministic way to select the demand subset an experiment models.
+//
+// The ranking is a partial selection sort over every ordered pair (a, b),
+// a ≠ b, enumerated a-major: step i takes the first pair of largest product
+// among positions i onward and swaps it into position i. Each candidate is a
+// compact code a·N+b in an int32 slice with its product in a parallel
+// float64 slice — 12 bytes where a pair and its product took 24 — and both
+// slices are kept for the next call (pairScratch).
 func TopPairs(t *topology.Topology, n int, seed int64) [][2]topology.Node {
 	rng := rand.New(rand.NewSource(seed))
-	mass := make([]float64, t.NumNodes())
+	nn := t.NumNodes()
+	mass := make([]float64, nn)
 	for i := range mass {
 		mass[i] = 0.2 + rng.Float64()
 	}
-	type scored struct {
-		p [2]topology.Node
-		v float64
+	sc, ok := sparePairs.Get()
+	if !ok {
+		sc = &pairScratch{}
 	}
-	all := make([]scored, 0, t.NumNodes()*(t.NumNodes()-1))
-	for a := 0; a < t.NumNodes(); a++ {
-		for b := 0; b < t.NumNodes(); b++ {
+	code, prod := sc.code[:0], sc.prod[:0]
+	for a := 0; a < nn; a++ {
+		for b := 0; b < nn; b++ {
 			if a == b {
 				continue
 			}
-			all = append(all, scored{p: [2]topology.Node{topology.Node(a), topology.Node(b)}, v: mass[a] * mass[b]})
+			code = append(code, int32(a*nn+b))
+			prod = append(prod, mass[a]*mass[b])
 		}
 	}
 	// Partial selection sort: n is small.
-	if n > len(all) {
-		n = len(all)
+	if n > len(prod) {
+		n = len(prod)
 	}
 	for i := 0; i < n; i++ {
-		best := i
-		for j := i + 1; j < len(all); j++ {
-			if all[j].v > all[best].v {
-				best = j
+		best, bv := i, prod[i]
+		for j, v := range prod[i+1:] {
+			if v > bv {
+				best, bv = i+1+j, v
 			}
 		}
-		all[i], all[best] = all[best], all[i]
+		prod[i], prod[best] = prod[best], prod[i]
+		code[i], code[best] = code[best], code[i]
 	}
 	out := make([][2]topology.Node, n)
 	for i := 0; i < n; i++ {
-		out[i] = all[i].p
+		out[i] = [2]topology.Node{topology.Node(int(code[i]) / nn), topology.Node(int(code[i]) % nn)}
 	}
+	sc.code, sc.prod = code, prod
+	sparePairs.Put(sc)
 	return out
 }
+
+// pairScratch is TopPairs' candidate storage, kept in a small free list
+// across calls: a sweep ranks the pairs of every topology it visits, and
+// the slices grow to the largest.
+type pairScratch struct {
+	code []int32
+	prod []float64
+}
+
+var sparePairs = conc.FreeList[*pairScratch]{Max: 4}
 
 // Quantizer maps a demand envelope onto MetaOpt-style pinned demand levels:
 // d_k = Lo_k + unit_k·(binary expansion of `bits` bits), with unit chosen so

@@ -14,8 +14,9 @@ import (
 // (under hot-alloc) per-iteration allocation are banned inside loops — the
 // determinism and reproducibility contract of the solver stack (DESIGN.md).
 var solverPkgs = map[string]bool{
-	"raha/internal/lp":   true,
-	"raha/internal/milp": true,
+	"raha/internal/lp":    true,
+	"raha/internal/milp":  true,
+	"raha/internal/paths": true,
 }
 
 // inspectStack walks f depth-first, calling visit with each node and the

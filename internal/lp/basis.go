@@ -25,7 +25,7 @@ const (
 // which is exactly how branch and bound re-solves a child node — see
 // SolveFrom.
 type Basis struct {
-	Basic []int         // basic column per row, length = number of rows
+	Basic []int32       // basic column per row, length = number of rows
 	Stat  []BasisStatus // status per column, length = NumVars + rows
 }
 
@@ -49,7 +49,7 @@ func (b *Basis) valid(m, n int) bool {
 		return false
 	}
 	for _, q := range b.Basic {
-		if q < 0 || q >= n || b.Stat[q] != BasisBasic {
+		if q < 0 || int(q) >= n || b.Stat[q] != BasisBasic {
 			return false
 		}
 	}

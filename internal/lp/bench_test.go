@@ -277,7 +277,7 @@ func BenchmarkColdSolve(b *testing.B) {
 // reports the pivots instead.
 func BenchmarkWarmResolve(b *testing.B) {
 	forSizes(b, func(b *testing.B, p *Problem, s *spSolver, basis *Basis) {
-		x := s.structX(p)
+		x := s.structX(p, nil)
 		var cand []int // basic structurals: bounding one below its value forces dual pivots
 		for j := 0; j < s.nStr; j++ {
 			if s.stat[j] == basic {

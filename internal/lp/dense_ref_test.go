@@ -476,8 +476,10 @@ func (t *tableau) exportBasis() *Basis {
 			return nil
 		}
 	}
-	b := &Basis{Basic: make([]int, t.m), Stat: make([]BasisStatus, n)}
-	copy(b.Basic, t.bvar)
+	b := &Basis{Basic: make([]int32, t.m), Stat: make([]BasisStatus, n)}
+	for i, q := range t.bvar {
+		b.Basic[i] = int32(q)
+	}
 	for j := 0; j < n; j++ {
 		switch t.stat[j] {
 		case basic:
@@ -570,7 +572,8 @@ func buildWarm(p *Problem, bs *Basis) (*tableau, bool) {
 	// holding its largest pivot. A pivot below warmPivTol means the basis is
 	// (numerically) singular.
 	assigned := make([]bool, m)
-	for _, q := range bs.Basic {
+	for _, q32 := range bs.Basic {
+		q := int(q32)
 		if t.brow[q] >= 0 {
 			return nil, false // named twice (Basis.valid leaves this check here)
 		}

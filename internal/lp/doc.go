@@ -26,8 +26,9 @@
 // pivots, and problems are equilibrated at load with power-of-two
 // geometric-mean row/column scaling that is undone exactly on extraction.
 // Per-Problem workspaces (Problem.sp) amortize all of this to near-zero
-// allocation per re-solve under branch and bound. DESIGN.md §2.13 is the
-// full writeup.
+// allocation per re-solve under branch and bound; Problem.Release hands a
+// workspace on to the next Problem lowered, and Problem.Recycle a Solution's
+// storage to the next solve. DESIGN.md §2.13 is the full writeup.
 //
 // The original dense-tableau two-phase solver is the referee on the test
 // side (dense_ref_test.go): the equivalence tests call it directly on every

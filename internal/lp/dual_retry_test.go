@@ -41,7 +41,7 @@ func illConditionedWarmStart() (*Problem, *Basis) {
 	p.Hi = []float64{10, 0.5, 10, 10, 10}
 	stat := make([]BasisStatus, 8)
 	stat[0], stat[1], stat[2] = BasisBasic, BasisBasic, BasisBasic
-	return p, &Basis{Basic: []int{0, 1, 2}, Stat: stat}
+	return p, &Basis{Basic: []int32{0, 1, 2}, Stat: stat}
 }
 
 // TestDualRetryTerminates: when FTRAN and BTRAN disagree on the pivot with no

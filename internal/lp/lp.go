@@ -48,7 +48,8 @@ type Row struct {
 // A Problem caches its sparse lowering (the scaled CSC matrix and the
 // solver workspace, see sparse.go) across solves: branch and bound re-solves
 // the same rows under different bounds thousands of times per search, and
-// the cache is what makes those re-solves allocation-free. The cache keys on
+// the cache is what makes those re-solves allocation-free (Release hands it
+// on once the Problem's solves are done, workspace.go). The cache keys on
 // the row and variable counts, so appending rows or growing the variable set
 // rebuilds it — but mutating an existing row's coefficients in place between
 // solves does not, and is therefore not supported: it would also escape the

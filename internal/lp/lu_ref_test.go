@@ -540,7 +540,7 @@ func TestFtranSupportHoldsExactZero(t *testing.T) {
 	p.AddRow([]int{0, 1}, []float64{1, 1}, LE, 2)
 	c := mustCache(t, p)
 	s := &c.s
-	b := &Basis{Basic: []int{0, 3}, Stat: []BasisStatus{BasisBasic, BasisAtLower, BasisAtLower, BasisBasic}}
+	b := &Basis{Basic: []int32{0, 3}, Stat: []BasisStatus{BasisBasic, BasisAtLower, BasisAtLower, BasisBasic}}
 	if !s.initWarm(p, c, b) || !s.factorize(warmPivTol) {
 		t.Fatal("fixture basis rejected")
 	}

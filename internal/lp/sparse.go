@@ -44,7 +44,10 @@ var (
 // scaled right-hand side, and the solver workspace. Branch and bound
 // re-solves one Problem thousands of times with only bound changes
 // (Model.reuseLP), so everything here amortizes to zero allocations per
-// solve. Not safe for concurrent solves of the same Problem.
+// solve. Its storage outlives the Problem too: Problem.Release hands it to a
+// process-wide free list (workspace.go), and the next lowering is built into
+// it, so a fleet of short searches does not regrow the same buffers search
+// after search. Not safe for concurrent solves of the same Problem.
 type spCache struct {
 	nVars, nRows int // shape stamp; a mismatch rebuilds the cache
 
@@ -66,18 +69,34 @@ type spCache struct {
 	bhat     []float64 // scaled right-hand side R·sign·RHS
 	eqRow    []bool    // row is EQ (its slack is fixed at 0)
 
+	// buildCache's scratch, kept for the next build into this cache.
+	sign, rmin, rmax []float64
+	mark, next, epos []int32
+
 	s spSolver // reusable solver workspace
+
+	// Recycled results (Problem.Recycle, Problem.RecycleBasis) that finish
+	// hands out again instead of allocating.
+	freeSols  []*Solution
+	freeBases []*Basis
 }
 
 // cache returns the problem's sparse lowering, rebuilding it when the shape
 // changed (reuseLP keeps the shape, so the rebuild happens once per model).
-// The error is a malformed row, found by the build.
+// A rebuild goes into the storage the problem already holds, else into a
+// released workspace's (takeWorkspace). The error is a malformed row, found
+// by the build.
 func (p *Problem) cache() (*spCache, error) {
 	if p.sp != nil && p.sp.nVars == p.NumVars && p.sp.nRows == len(p.Rows) {
 		return p.sp, nil
 	}
-	c, err := buildCache(p)
-	if err != nil {
+	c := p.sp
+	if c == nil {
+		c = takeWorkspace()
+	}
+	if err := buildCache(p, c); err != nil {
+		p.sp = nil
+		putWorkspace(c)
 		return nil, err
 	}
 	p.sp = c
@@ -107,17 +126,24 @@ func clampScale(s float64) float64 {
 	return s
 }
 
-// buildCache lowers p to scaled CSC form: merge duplicate indices, fold GE
-// signs, then two passes of geometric-mean row/column equilibration with
-// power-of-two scales. Its first pass over the rows is also their check: an
-// index out of range, a coefficient count that differs from the index
-// count, a non-finite coefficient or a NaN right-hand side is an error (an
-// infinite right-hand side is not).
-func buildCache(p *Problem) (*spCache, error) {
+// buildCache lowers p to scaled CSC form into c, reusing c's storage: merge
+// duplicate indices, fold GE signs, then two passes of geometric-mean
+// row/column equilibration with power-of-two scales. Its first pass over the
+// rows is also their check: an index out of range, a coefficient count that
+// differs from the index count, a non-finite coefficient or a NaN right-hand
+// side is an error (an infinite right-hand side is not).
+//
+// c's workspace may hold the factors and reduced costs of another lowering,
+// and a warm start keys its reuse of them by content alone (startFactors,
+// startD): a basis that matches the old factorization slot for slot would
+// otherwise take L and U built from other coefficients. So the build drops
+// both first, before anything can fail.
+func buildCache(p *Problem, c *spCache) error {
 	m, n := len(p.Rows), p.NumVars
-	c := &spCache{nVars: n, nRows: m}
+	c.nVars, c.nRows = -1, -1 // not a lowering of anything until the build succeeds
+	c.s.facWarm, c.s.dKept = false, false
 
-	sign := make([]float64, m)
+	sign := resize(&c.sign, m)
 	for i, r := range p.Rows {
 		if r.Rel == GE {
 			sign[i] = -1
@@ -128,24 +154,25 @@ func buildCache(p *Problem) (*spCache, error) {
 
 	// Count merged nonzeros per column (rows may repeat an index; the milp
 	// lowering does, and the dense build summed them with +=).
-	mark := make([]int32, n)
+	mark := resize(&c.mark, n)
 	for i := range mark {
 		mark[i] = -1
 	}
-	ptr := make([]int32, n+1)
+	ptr := resize(&c.ptr, n+1)
+	clear(ptr)
 	for i, r := range p.Rows {
 		if len(r.Coef) != len(r.Idx) {
-			return nil, fmt.Errorf("lp: row %d has %d indices but %d coefficients", i, len(r.Idx), len(r.Coef))
+			return fmt.Errorf("lp: row %d has %d indices but %d coefficients", i, len(r.Idx), len(r.Coef))
 		}
 		if math.IsNaN(r.RHS) {
-			return nil, fmt.Errorf("lp: row %d has a NaN right-hand side", i)
+			return fmt.Errorf("lp: row %d has a NaN right-hand side", i)
 		}
 		for k, j := range r.Idx {
 			if j < 0 || j >= n {
-				return nil, fmt.Errorf("lp: row %d references variable %d out of range", i, j)
+				return fmt.Errorf("lp: row %d references variable %d out of range", i, j)
 			}
 			if v := r.Coef[k]; math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("lp: row %d has coefficient %g on variable %d", i, v, j)
+				return fmt.Errorf("lp: row %d has coefficient %g on variable %d", i, v, j)
 			}
 			if mark[j] != int32(i) {
 				mark[j] = int32(i)
@@ -156,12 +183,12 @@ func buildCache(p *Problem) (*spCache, error) {
 	for j := 0; j < n; j++ {
 		ptr[j+1] += ptr[j]
 	}
-	nnz := ptr[n]
-	rix := make([]int32, nnz)
-	val := make([]float64, nnz)
-	next := make([]int32, n)
+	nnz := int(ptr[n])
+	rix := resize(&c.rix, nnz)
+	val := resize(&c.val, nnz)
+	next := resize(&c.next, n)
 	copy(next, ptr[:n])
-	epos := make([]int32, n)
+	epos := resize(&c.epos, n)
 	for i := range mark {
 		mark[i] = -1
 	}
@@ -185,16 +212,16 @@ func buildCache(p *Problem) (*spCache, error) {
 	// rounded to a power of two. Two passes bring the B4/Uninett models
 	// within a decade of unit magnitude, which is all the LU pivoting
 	// needs; more passes buy nothing measurable.
-	rs := make([]float64, m)
-	cs := make([]float64, n)
+	rs := resize(&c.rowScale, m)
+	cs := resize(&c.colScale, n)
 	for i := range rs {
 		rs[i] = 1
 	}
 	for j := range cs {
 		cs[j] = 1
 	}
-	rmin := make([]float64, m)
-	rmax := make([]float64, m)
+	rmin := resize(&c.rmin, m)
+	rmax := resize(&c.rmax, m)
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < m; i++ {
 			rmin[i] = math.Inf(1)
@@ -245,18 +272,26 @@ func buildCache(p *Problem) (*spCache, error) {
 		}
 	}
 
-	bhat := make([]float64, m)
-	eq := make([]bool, m)
+	bhat := resize(&c.bhat, m)
+	eq := resize(&c.eqRow, m)
 	for i, r := range p.Rows {
 		bhat[i] = sign[i] * rs[i] * r.RHS
 		eq[i] = r.Rel == EQ
 	}
 
-	c.ptr, c.rix, c.val = ptr, rix, val
-	c.rptr, c.cix, c.rval = transposeCS(m, ptr, rix, val, nil, nil, nil)
-	c.rowScale, c.colScale = rs, cs
-	c.bhat, c.eqRow = bhat, eq
-	return c, nil
+	c.rptr, c.cix, c.rval = transposeCS(m, ptr, rix, val, c.rptr, c.cix, c.rval)
+	c.nVars, c.nRows = n, m
+	return nil
+}
+
+// resize sets *buf to length n, reallocating only when its capacity is
+// short, and returns it. The contents are whatever the storage held.
+func resize[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // spSolver is the revised-simplex working state. It lives inside the
@@ -832,7 +867,7 @@ func (s *spSolver) initWarm(p *Problem, c *spCache, b *Basis) bool {
 		if s.slotOf[q] >= 0 {
 			return false
 		}
-		s.basic[k] = int32(q)
+		s.basic[k] = q
 		s.slotOf[q] = int32(k)
 	}
 	s.cap = 50*(m+nTot) + 1000
@@ -1376,9 +1411,13 @@ func (s *spSolver) leavingRow() (r int, below bool) {
 
 // structX extracts structural values back into original units (undo the
 // column scaling) and clamps to the original bounds, shedding both
-// round-off and any residual Harris shift.
-func (s *spSolver) structX(p *Problem) []float64 {
-	x := make([]float64, s.nStr)
+// round-off and any residual Harris shift. It writes into x's storage when
+// that holds nStr values.
+func (s *spSolver) structX(p *Problem, x []float64) []float64 {
+	if cap(x) < s.nStr {
+		x = make([]float64, s.nStr)
+	}
+	x = x[:s.nStr]
 	for j := 0; j < s.nStr; j++ {
 		v := s.xval[j] * s.c.colScale[j]
 		if v < p.Lo[j] {
@@ -1393,7 +1432,8 @@ func (s *spSolver) structX(p *Problem) []float64 {
 }
 
 // exportBasis mirrors the dense exportBasis: nil when an artificial is
-// still basic, otherwise the statuses over structural+slack columns.
+// still basic, otherwise the statuses over structural+slack columns,
+// written into a recycled Basis when the cache holds one.
 func (s *spSolver) exportBasis() *Basis {
 	n := s.nStr + s.m
 	for k := 0; k < s.m; k++ {
@@ -1401,10 +1441,9 @@ func (s *spSolver) exportBasis() *Basis {
 			return nil
 		}
 	}
-	b := &Basis{Basic: make([]int, s.m), Stat: make([]BasisStatus, n)}
-	for k := 0; k < s.m; k++ {
-		b.Basic[k] = int(s.basic[k])
-	}
+	b := s.c.takeBasis()
+	b.Basic = append(b.Basic[:0], s.basic[:s.m]...)
+	b.Stat = resize(&b.Stat, n)
 	for j := 0; j < n; j++ {
 		switch s.stat[j] {
 		case basic:
@@ -1418,11 +1457,13 @@ func (s *spSolver) exportBasis() *Basis {
 	return b
 }
 
-// finish assembles the Solution for the current state.
+// finish assembles the Solution for the current state, into a recycled one
+// when the cache holds one.
 func (s *spSolver) finish(p *Problem, st Status, phase1Iters int, warm bool) *Solution {
-	sol := &Solution{
+	sol := s.c.takeSolution()
+	*sol = Solution{
 		Status:           st,
-		X:                s.structX(p),
+		X:                s.structX(p, sol.X),
 		Iters:            s.iters,
 		Phase1Iters:      phase1Iters,
 		DegeneratePivots: s.degenPivots,

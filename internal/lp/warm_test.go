@@ -188,12 +188,12 @@ func TestSolveFromFallsBack(t *testing.T) {
 
 	bad := []*Basis{
 		nil,
-		{Basic: []int{0}, Stat: []BasisStatus{BasisBasic}},                                // wrong Stat length
-		{Basic: []int{0, 1}, Stat: []BasisStatus{BasisBasic, BasisBasic, BasisAtLower}},   // wrong Basic length
-		{Basic: []int{2}, Stat: []BasisStatus{BasisAtLower, BasisAtLower, BasisAtLower}},  // Basic not marked basic
-		{Basic: []int{5}, Stat: []BasisStatus{BasisBasic, BasisAtLower, BasisAtLower}},    // out of range
-		{Basic: []int{0}, Stat: []BasisStatus{BasisBasic, BasisBasic, BasisAtLower}},      // count mismatch
-		{Basic: []int{0, 0}, Stat: []BasisStatus{BasisBasic, BasisAtLower, BasisAtLower}}, // duplicate
+		{Basic: []int32{0}, Stat: []BasisStatus{BasisBasic}},                                // wrong Stat length
+		{Basic: []int32{0, 1}, Stat: []BasisStatus{BasisBasic, BasisBasic, BasisAtLower}},   // wrong Basic length
+		{Basic: []int32{2}, Stat: []BasisStatus{BasisAtLower, BasisAtLower, BasisAtLower}},  // Basic not marked basic
+		{Basic: []int32{5}, Stat: []BasisStatus{BasisBasic, BasisAtLower, BasisAtLower}},    // out of range
+		{Basic: []int32{0}, Stat: []BasisStatus{BasisBasic, BasisBasic, BasisAtLower}},      // count mismatch
+		{Basic: []int32{0, 0}, Stat: []BasisStatus{BasisBasic, BasisAtLower, BasisAtLower}}, // duplicate
 	}
 	for i, b := range bad {
 		sol, err := SolveFrom(p, b, nil)
@@ -474,7 +474,7 @@ func TestWarmReuseRefusesLowPivotFactor(t *testing.T) {
 		p.AddRow([]int{0, 1}, []float64{1, 1 + eps}, LE, 3)
 		return p
 	}
-	basis := &Basis{Basic: []int{0, 1}, Stat: []BasisStatus{BasisBasic, BasisBasic, BasisAtLower, BasisAtLower}}
+	basis := &Basis{Basic: []int32{0, 1}, Stat: []BasisStatus{BasisBasic, BasisBasic, BasisAtLower, BasisAtLower}}
 	p := build()
 	c := mustCache(t, p)
 	s := &c.s

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -184,11 +185,11 @@ func (r *Result) Gap() float64 {
 // node is one open subproblem of the search tree.
 type node struct {
 	lo, hi []float64
-	relax  float64   // bound inherited from the parent (model sense), capped by Params.Knapsack
-	parent float64   // the parent's LP objective, which pseudocosts measure from
-	seq    int       // creation order; 0 is the root
-	depth  int       // tree depth; 0 is the root
-	basis  *lp.Basis // parent relaxation's optimal basis (nil: solve cold)
+	relax  float64    // bound inherited from the parent (model sense), capped by Params.Knapsack
+	parent float64    // the parent's LP objective, which pseudocosts measure from
+	seq    int        // creation order; 0 is the root
+	depth  int        // tree depth; 0 is the root
+	basis  *nodeBasis // parent relaxation's optimal basis (nil: solve cold)
 
 	// The branch that created this node, for pseudocost accounting once its
 	// relaxation solves: variable, direction, and the fractional distance
@@ -198,12 +199,40 @@ type node struct {
 	bdist float64
 }
 
+// nodeBasis is a relaxation's optimal basis, shared by the children that
+// warm-start from it. pending counts the children that have neither started
+// their LP nor been pruned; the worker that brings it to zero hands the
+// basis back to its LP (lp.Problem.RecycleBasis), whose next export fills it.
+// A root basis is kept: restart queues the root with it again.
+type nodeBasis struct {
+	b       *lp.Basis
+	pending atomic.Int32
+	keep    bool
+}
+
+// get returns the basis to warm-start from (nil: solve cold).
+func (nb *nodeBasis) get() *lp.Basis {
+	if nb == nil {
+		return nil
+	}
+	return nb.b
+}
+
+// started records that one child is done reading nb — its LP has started,
+// or it was pruned — on worker wid.
+func (s *search) started(wid int, nb *nodeBasis) {
+	if nb != nil && !nb.keep && nb.pending.Add(-1) == 0 {
+		s.probs[wid].RecycleBasis(nb.b)
+	}
+}
+
 // boundPool is one worker's free list of bound slices. Branching copies the
 // parent's lo/hi for each child; recycling the slices of fathomed nodes
 // into the claiming worker's pool removes the two full allocations per
 // branch (the allocs/op benchmark guards this). Every slice has exactly one
 // holder — an open node, or the pool of the worker that fathomed it — so
-// pools are never shared across goroutines.
+// pools are never shared across goroutines. A pool that runs dry draws on
+// spareBounds, where the pools of finished searches leave their slices.
 type boundPool struct {
 	free [][]float64
 }
@@ -212,15 +241,45 @@ type boundPool struct {
 // GC rather than hoarded.
 const poolCap = 128
 
+// spareBounds holds the bound slices of finished searches for the next
+// ones, whatever their variable count, by size class: class k holds slices
+// of capacity at least 1<<k, and the slices get allocates have capacity
+// exactly the power of two at or above their length, so a search finds the
+// slices of any search of its size class.
+var spareBounds [bits.UintSize]conc.FreeList[[]float64]
+
+func init() {
+	for k := range spareBounds {
+		spareBounds[k].Max = 2 * poolCap
+	}
+}
+
+// sizeClass is the smallest k with 1<<k ≥ n.
+func sizeClass(n int) int { return bits.Len(uint(n - 1)) }
+
 // get returns a copy of src, reusing a pooled slice when one is available.
 func (p *boundPool) get(src []float64) []float64 {
+	if len(p.free) == 0 {
+		p.refill(len(src))
+	}
 	if n := len(p.free); n > 0 {
 		s := p.free[n-1]
 		p.free = p.free[:n-1]
-		copy(s, src)
-		return s
+		if cap(s) >= len(src) {
+			s = s[:len(src)]
+			copy(s, src)
+			return s
+		}
 	}
-	return append([]float64(nil), src...)
+	s := make([]float64, len(src), 1<<sizeClass(len(src)))
+	copy(s, src)
+	return s
+}
+
+// refill moves up to poolCap/4 spare slices that fit n values into the
+// empty pool.
+func (p *boundPool) refill(n int) {
+	p.free = spareBounds[sizeClass(n)].GetN(p.free, poolCap/4)
 }
 
 // put recycles a slice whose node was fathomed.
@@ -228,6 +287,18 @@ func (p *boundPool) put(s []float64) {
 	if s != nil && len(p.free) < poolCap {
 		p.free = append(p.free, s)
 	}
+}
+
+// release hands the pool's slices to spareBounds once its search is over,
+// each to the largest class its capacity covers.
+func (p *boundPool) release() {
+	for _, s := range p.free {
+		if c := cap(s); c > 0 {
+			spareBounds[bits.Len(uint(c))-1].Put(s)
+		}
+	}
+	clear(p.free)
+	p.free = nil
 }
 
 // nodeHeap orders open nodes best-bound-first (ties: most recently created,
@@ -398,7 +469,7 @@ func (s *search) reached(inc, b float64) bool {
 // returned (and charged to the warm or cold LP bucket) so callers can
 // subtract LP time from their own phase accounting.
 func (s *search) solveLP(wid int, lo, hi []float64, basis *lp.Basis) (*lp.Solution, int64, error) {
-	prob := s.m.reuseLP(s.probs[wid], lo, hi)
+	prob := reuseLP(s.probs[wid], s.pl.lowered, lo, hi)
 	s.probs[wid] = prob
 	warm := basis != nil
 	var sol *lp.Solution
@@ -511,10 +582,13 @@ func (s *search) tryRound(wid int, nlo, nhi, x []float64, basis *lp.Basis) (tota
 	}
 	sol, ns, err := s.solveLP(wid, lo, hi, basis)
 	lpNs = ns
-	if err != nil || sol.Status != lp.Optimal {
+	if err != nil {
 		return
 	}
-	s.offerIncumbent(s.toObj(sol.Objective), sol.X)
+	if sol.Status == lp.Optimal {
+		s.offerIncumbent(s.toObj(sol.Objective), sol.X) // copies X
+	}
+	s.probs[wid].Recycle(sol)
 	return
 }
 
@@ -697,12 +771,24 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 		}()
 	}
 
-	sol, ns, err := s.solveLP(wid, n.lo, n.hi, n.basis)
+	sol, ns, err := s.solveLP(wid, n.lo, n.hi, n.basis.get())
 	lpNs = ns
+	s.started(wid, n.basis)
 	if err != nil {
 		s.fail(fmt.Errorf("milp: node relaxation: %w", err))
 		return nil
 	}
+	children := s.branch(wid, n, sol, claimNo, claimed, &heurNs)
+	s.probs[wid].Recycle(sol)
+	return children
+}
+
+// branch is process after the node's LP: it fathoms the node or returns its
+// children. sol goes back to the worker's LP afterwards, so whatever branch
+// keeps of it — the basis its children and the root share — it detaches
+// from sol (X is copied where it is kept: offerIncumbent).
+func (s *search) branch(wid int, n *node, sol *lp.Solution, claimNo, claimed int, heurNs *int64) []*node {
+	st := &s.wstats[wid].stats
 	switch sol.Status {
 	case lp.Infeasible:
 		st.PrunedInfeasible++
@@ -767,10 +853,7 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 	}
 
 	if claimed == 1 || claimed%heurEvery == 0 {
-		heurNs = s.tryRound(wid, n.lo, n.hi, sol.X, sol.Basis)
-	}
-	if n.depth == 0 {
-		s.rootBasis = sol.Basis
+		*heurNs = s.tryRound(wid, n.lo, n.hi, sol.X, sol.Basis)
 	}
 
 	st.NodesBranched++
@@ -786,7 +869,7 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 	frac := xf - math.Floor(xf)
 	pool := &s.pools[wid]
 	child := func(up bool) *node {
-		c := &node{lo: pool.get(n.lo), hi: pool.get(n.hi), relax: obj, parent: obj, depth: n.depth + 1, basis: sol.Basis, bvar: v, bup: up}
+		c := &node{lo: pool.get(n.lo), hi: pool.get(n.hi), relax: obj, parent: obj, depth: n.depth + 1, bvar: v, bup: up}
 		if up {
 			c.lo[v] = math.Ceil(xf)
 			c.bdist = 1 - frac
@@ -820,6 +903,22 @@ func (s *search) process(wid int, n *node, claimNo, claimed int) []*node {
 	}
 	if second != nil {
 		children = append(children, second)
+	}
+
+	// The children share the node's basis; the root's stays with the search
+	// too, for restart.
+	if sol.Basis != nil && (len(children) > 0 || n.depth == 0) {
+		nb := &nodeBasis{b: sol.Basis, keep: n.depth == 0}
+		nb.pending.Store(int32(len(children)))
+		for _, c := range children {
+			c.basis = nb
+		}
+		if n.depth == 0 {
+			s.rootBasis = sol.Basis
+		}
+		sol.Basis = nil
+	} else if n.depth == 0 {
+		s.rootBasis = nil
 	}
 	return children
 }
@@ -857,11 +956,28 @@ func (m *Model) SolveContext(ctx context.Context, p Params) (*Result, error) {
 	// exhausted without an incumbent.
 	if !pl.infeasible() {
 		s.seedHints()
-		if err := s.runPool(ctx); err != nil {
+		err := s.runPool(ctx)
+		s.releaseLPs()
+		if err != nil {
 			return nil, err
 		}
 	}
 	return s.fold(), nil
+}
+
+// releaseLPs hands the workers' LP workspaces, and the bound slices their
+// pools hold, on to the next search once the pool has drained. It runs on a
+// normal return only: a worker that panicked ends the process, so no
+// workspace a panic left half-updated is ever handed on.
+func (s *search) releaseLPs() {
+	for _, p := range s.probs {
+		if p != nil {
+			p.Release()
+		}
+	}
+	for i := range s.pools {
+		s.pools[i].release()
+	}
 }
 
 // plan is what prepare decides before any search state exists: the model
@@ -878,6 +994,11 @@ type plan struct {
 	// warm-starts from (nil: the root solves cold).
 	autoRequested, autoFrac int
 	rootBasis               *lp.Basis
+
+	// lowered is the search model's LP relaxation at its own bounds: the
+	// probe's problem, then worker 0's; the other workers' problems share its
+	// rows and costs (reuseLP). nil until the probe or newSearch lowers it.
+	lowered *lp.Problem
 }
 
 func (pl *plan) infeasible() bool { return pl.pres != nil && pl.pres.infeasible }
@@ -910,7 +1031,8 @@ func (m *Model) prepare(p *Params, stop *atomic.Bool) (*plan, error) {
 	// Stats counts, a warm re-solve with nothing left to pivot.
 	if pl.workers > 1 && !pl.infeasible() && !p.fixedWidth {
 		pl.autoRequested = pl.workers
-		pl.workers, pl.autoFrac, pl.rootBasis = autoWidth(pl.sm, pl.workers, stop)
+		pl.lowered = pl.sm.toLP(pl.sm.lo, pl.sm.hi)
+		pl.workers, pl.autoFrac, pl.rootBasis = autoWidth(pl.sm, pl.lowered, pl.workers, stop)
 	}
 	return pl, nil
 }
@@ -1017,6 +1139,11 @@ func newSearch(m *Model, p Params, pl *plan, start time.Time) *search {
 	if p.Knapsack != nil {
 		s.budget = newBoxBound(p.Knapsack, s.post)
 	}
+
+	if pl.lowered == nil {
+		pl.lowered = sm.toLP(sm.lo, sm.hi)
+	}
+	s.probs[0] = pl.lowered
 
 	s.restartAt = int64(len(s.intVars))
 	s.pushRoot(s.toObj(-inf), pl.rootBasis)

@@ -228,7 +228,7 @@ func TestAutoWidthProbeWarmStartsRoot(t *testing.T) {
 	if root == nil || root.depth != 0 {
 		t.Fatalf("first claim %+v, want the root", root)
 	}
-	sol, _, err := s.solveLP(0, root.lo, root.hi, root.basis)
+	sol, _, err := s.solveLP(0, root.lo, root.hi, root.basis.get())
 	if err != nil || sol.Status != lp.Optimal {
 		t.Fatalf("root LP: %v, %v", sol, err)
 	}

@@ -247,15 +247,22 @@ func (m *Model) IndicatorGE(expr Expr, rhs, eps float64, name string) Var {
 	return z
 }
 
-// reuseLP lowers the model into prob's storage when possible. The lowered
-// rows and objective depend only on the model — never on the per-node
-// bounds branch and bound varies — so a worker's scratch problem is reused
-// by copying the new bound vectors over it; only the first call per worker
-// (prob nil) pays the full toLP build. The model must not be mutated while
-// solves are running (the same contract SolveContext documents).
-func (m *Model) reuseLP(prob *lp.Problem, lo, hi []float64) *lp.Problem {
+// reuseLP returns a worker's scratch problem under the bounds lo, hi. The
+// lowered rows and objective depend only on the model — never on the
+// per-node bounds branch and bound varies — so a worker's problem is reused
+// by copying the new bound vectors over it, and a worker's first problem
+// (prob nil) shares the rows and costs of the search's lowering, which no
+// solve writes. The model must not be mutated while solves are running (the
+// same contract SolveContext documents).
+func reuseLP(prob, lowered *lp.Problem, lo, hi []float64) *lp.Problem {
 	if prob == nil {
-		return m.toLP(lo, hi)
+		return &lp.Problem{
+			NumVars: lowered.NumVars,
+			Cost:    lowered.Cost,
+			Rows:    lowered.Rows,
+			Lo:      append([]float64(nil), lo...),
+			Hi:      append([]float64(nil), hi...),
+		}
 	}
 	copy(prob.Lo, lo)
 	copy(prob.Hi, hi)
@@ -275,15 +282,23 @@ func (m *Model) toLP(lo, hi []float64) *lp.Problem {
 	for _, t := range m.obj.Terms {
 		p.Cost[t.V] += sgn * t.C
 	}
+	// Every row's indices and coefficients share two slices, each row capped
+	// at its own end.
+	nt := 0
+	for i := range m.cons {
+		nt += len(m.cons[i].expr.Terms)
+	}
+	idx, coef := make([]int, nt), make([]float64, nt)
+	p.Rows = make([]lp.Row, 0, len(m.cons))
+	at := 0
 	for i := range m.cons {
 		c := &m.cons[i]
-		//raha:lint-allow hot-alloc AddRow retains both slices as the row's storage; lowering runs once per solve (reuseLP skips it per node)
-		idx, coef := make([]int, len(c.expr.Terms)), make([]float64, len(c.expr.Terms))
-		for k, t := range c.expr.Terms {
-			idx[k] = int(t.V)
-			coef[k] = t.C
+		start := at
+		for _, t := range c.expr.Terms {
+			idx[at], coef[at] = int(t.V), t.C
+			at++
 		}
-		p.AddRow(idx, coef, c.rel, c.rhs)
+		p.AddRow(idx[start:at:at], coef[start:at:at], c.rel, c.rhs)
 	}
 	return p
 }

@@ -3,6 +3,7 @@ package milp
 import (
 	"math"
 
+	"raha/internal/conc"
 	"raha/internal/modelcheck"
 )
 
@@ -258,27 +259,80 @@ type presolveResult struct {
 // terms, and substitution of fixed variables. The input model is never
 // mutated. On infeasible models the result has infeasible set and no model.
 func presolve(m *Model) *presolveResult {
+	sc := takeScratch()
+	res := sc.presolve(m)
+	putScratch(sc)
+	return res
+}
+
+// presolveScratch is presolve's working set — the row copies, their terms
+// back to back in one slice, the working box — kept across solves in
+// spareScratch so that a sweep's thousands of small presolves do not
+// allocate it afresh each time. Nothing presolve returns points into it.
+type presolveScratch struct {
+	rows   []prow
+	terms  []Term
+	lo, hi []float64
+	isInt  []bool
+	idx    []Var
+}
+
+// spareScratch keeps one scratch per concurrent presolve: all the reuse
+// there is.
+var spareScratch = conc.FreeList[*presolveScratch]{Max: 8}
+
+func takeScratch() *presolveScratch {
+	if sc, ok := spareScratch.Get(); ok {
+		return sc
+	}
+	return &presolveScratch{}
+}
+
+// putScratch keeps sc for the next presolve, dropping its references into
+// the model it worked on.
+func putScratch(sc *presolveScratch) {
+	clear(sc.rows)
+	sc.rows = sc.rows[:0]
+	spareScratch.Put(sc)
+}
+
+// grow returns buf resized to n, reallocating only when it is too short;
+// the contents are whatever the storage held.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+func (sc *presolveScratch) presolve(m *Model) *presolveResult {
 	n := m.NumVars()
 	res := &presolveResult{}
-	lo := append([]float64(nil), m.lo...)
-	hi := append([]float64(nil), m.hi...)
-	isInt := make([]bool, n)
+	sc.lo, sc.hi = append(sc.lo[:0], m.lo...), append(sc.hi[:0], m.hi...)
+	lo, hi := sc.lo, sc.hi
+	sc.isInt = grow(sc.isInt, n)
+	isInt := sc.isInt
 	for v, t := range m.vtype {
 		isInt[v] = t != Continuous
 	}
 
-	rows := make([]prow, 0, len(m.cons))
+	nt := 0
+	for i := range m.cons {
+		nt += len(m.cons[i].expr.Terms)
+	}
+	sc.terms = grow(sc.terms, nt)[:0]
+	rows := sc.rows[:0]
 	for i := range m.cons {
 		c := &m.cons[i]
-		//raha:lint-allow hot-alloc each row's term snapshot is retained in the presolve working set; runs once per solve
-		terms := make([]Term, 0, len(c.expr.Terms))
+		start := len(sc.terms)
 		for _, t := range c.expr.Terms {
 			if t.C != 0 {
-				terms = append(terms, t)
+				sc.terms = append(sc.terms, t)
 			}
 		}
-		rows = append(rows, prow{terms: terms, rel: c.rel, rhs: c.rhs, name: c.name})
+		rows = append(rows, prow{terms: sc.terms[start:len(sc.terms):len(sc.terms)], rel: c.rel, rhs: c.rhs, name: c.name})
 	}
+	sc.rows = rows
 
 	// Integer bound rounding: the feasible integers of [lo, hi] are
 	// [ceil(lo), floor(hi)] (the modelcheck int-bounds diagnostic, applied).
@@ -413,7 +467,8 @@ func presolve(m *Model) *presolveResult {
 	// Fix variables whose box collapsed, then build the reduced model with
 	// the fixed variables substituted out.
 	fixed := make([]float64, n)
-	idx := make([]Var, n)
+	sc.idx = grow(sc.idx, n)
+	idx := sc.idx
 	kept := 0
 	for v := 0; v < n; v++ {
 		if hi[v]-lo[v] <= presolveFixTol*(1+math.Abs(lo[v])) {
@@ -436,7 +491,13 @@ func presolve(m *Model) *presolveResult {
 	}
 	res.fixedVars = int64(n - kept)
 
-	red := &Model{sense: m.sense}
+	red := &Model{
+		sense: m.sense,
+		names: make([]string, 0, kept),
+		lo:    make([]float64, 0, kept),
+		hi:    make([]float64, 0, kept),
+		vtype: make([]VarType, 0, kept),
+	}
 	keep := make([]Var, 0, kept)
 	for v := 0; v < n; v++ {
 		if idx[v] < 0 {
@@ -450,7 +511,7 @@ func presolve(m *Model) *presolveResult {
 		red.vtype = append(red.vtype, m.vtype[v])
 	}
 
-	obj := Expr{Const: m.obj.Const}
+	obj := Expr{Const: m.obj.Const, Terms: make([]Term, 0, len(m.obj.Terms))}
 	for _, t := range m.obj.Terms {
 		if t.C == 0 {
 			continue
@@ -463,21 +524,32 @@ func presolve(m *Model) *presolveResult {
 	}
 	red.obj = obj
 
+	// The reduced rows' terms share one slice, each row capped at its own
+	// end so that no append to one can run into the next.
+	live, liveTerms := 0, 0
+	for ri := range rows {
+		if !rows[ri].dead {
+			live++
+			liveTerms += len(rows[ri].terms)
+		}
+	}
+	red.cons = make([]constraint, 0, live)
+	arena := make([]Term, 0, liveTerms)
 	for ri := range rows {
 		r := &rows[ri]
 		if r.dead {
 			continue
 		}
-		//raha:lint-allow hot-alloc each reduced row's terms are retained by the rebuilt model; runs once per solve
-		terms := make([]Term, 0, len(r.terms))
+		start := len(arena)
 		rhs := r.rhs
 		for _, t := range r.terms {
 			if idx[t.V] < 0 {
 				rhs -= t.C * fixed[t.V]
 			} else {
-				terms = append(terms, Term{V: idx[t.V], C: t.C})
+				arena = append(arena, Term{V: idx[t.V], C: t.C})
 			}
 		}
+		terms := arena[start:len(arena):len(arena)]
 		if len(terms) == 0 {
 			if zeroRowViolated(r.rel, rhs) {
 				res.infeasible = true

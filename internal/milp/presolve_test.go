@@ -246,14 +246,17 @@ func BenchmarkSolveNodeAllocs(b *testing.B) {
 // bound box plus whatever fathomed siblings leaked. With it, the whole-solve
 // allocation count divided by nodes must stay small.
 // nodeAllocBudget sits above the measured steady state on the 75-node tree
-// below — 564 allocations, 7.52 per node: the node LPs, the node structs and
-// a fixed ~40 of per-solve state (the pseudocost table, the local queue,
-// per-worker scratch, the LP workspace's support bitsets and index lists) —
-// and below the 9.05 per node a tree of this kind cost with the pool
-// reverted to per-child copies. Allocation counts are exact and
-// deterministic here (one worker, presolve off), so the margin is for Go
-// releases, not for noise.
-const nodeAllocBudget = 8.2
+// below — 249 allocations, 3.32 per node: the node structs, the shared
+// basis holders and a fixed per-solve state (the pseudocost table, the
+// local queue, per-worker scratch, the LP problem header) — and well below
+// the 7.52 per node the tree cost while every node LP returned a fresh
+// Solution, X and Basis (lp.Problem.Recycle, nodeBasis), and the 9.05 with
+// the bound pool reverted to per-child copies. The LP workspace and the
+// bound slices come from the previous solve's (lp.Problem.Release,
+// spareBounds), which AllocsPerRun's warm-up run provides. Allocation
+// counts are exact and deterministic here (one worker, presolve off), so
+// the margin is for Go releases, not for noise.
+const nodeAllocBudget = 3.6
 
 func TestNodeAllocsBudget(t *testing.T) {
 	if testing.Short() {

@@ -392,7 +392,11 @@ func (s *search) publish(id int, children []*node) {
 // on worker 0's queue.
 func (s *search) pushRoot(relax float64, basis *lp.Basis) {
 	pool := &s.pools[0]
-	s.pushLocal(0, &node{lo: pool.get(s.m.lo), hi: pool.get(s.m.hi), relax: relax, basis: basis, bvar: -1})
+	root := &node{lo: pool.get(s.m.lo), hi: pool.get(s.m.hi), relax: relax, bvar: -1}
+	if basis != nil {
+		root.basis = &nodeBasis{b: basis, keep: true}
+	}
+	s.pushLocal(0, root)
 	s.pubBound[0].Store(math.Float64bits(relax))
 	s.outstanding.Store(1)
 	s.openCount.Store(1)
@@ -462,12 +466,16 @@ const autoWidthMinFrac = 3
 // branch and bound is CPU-bound, and oversubscribed workers only add
 // contention. The probe polls stop like any node LP: a probe it interrupts
 // reports frac -1 and no basis, and leaves the width at that cap.
-func autoWidth(m *Model, workers int, stop *atomic.Bool) (width, frac int, basis *lp.Basis) {
+func autoWidth(m *Model, prob *lp.Problem, workers int, stop *atomic.Bool) (width, frac int, basis *lp.Basis) {
 	width = workers
 	if g := runtime.GOMAXPROCS(0); width > g {
 		width = g
 	}
-	sol, err := lp.Solve(m.reuseLP(nil, m.lo, m.hi), &lp.Options{Stop: stop})
+	sol, err := lp.Solve(prob, &lp.Options{Stop: stop})
+	// The probe's workspace goes back to the free list: worker 0 solves this
+	// problem again, from a workspace lowered afresh, so that the root warm
+	// start factorizes as it would on a problem of its own.
+	prob.Release()
 	if err != nil || sol.Status != lp.Optimal {
 		return width, -1, nil
 	}

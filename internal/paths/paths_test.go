@@ -165,7 +165,7 @@ func TestKShortestPropertyRandom(t *testing.T) {
 		if len(ps) == 0 {
 			t.Fatal("generated topologies are connected; a path must exist")
 		}
-		sp, _ := shortest(top, src, dst, HopWeight, nil, nil)
+		sp, _ := refShortest(top, src, dst, HopWeight, nil, nil)
 		if len(ps[0].LAGs) != len(sp.LAGs) {
 			t.Fatalf("trial %d: first KSP path length %d != Dijkstra %d", trial, len(ps[0].LAGs), len(sp.LAGs))
 		}

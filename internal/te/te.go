@@ -154,6 +154,7 @@ func MaxTotalFlowWithPathCaps(t *topology.Topology, dps []paths.DemandPaths, vol
 		p.AddRow(vars, ones(len(vars)), lp.LE, caps[e])
 	}
 	sol, err := lp.Solve(p, nil)
+	p.Release() // the solve is the problem's only one; sol owns its X
 	if err != nil {
 		return nil, err
 	}
@@ -204,6 +205,7 @@ func MinMLU(t *topology.Topology, dps []paths.DemandPaths, volumes, caps []float
 		p.AddRow(idx, coef, lp.LE, 0)
 	}
 	sol, err := lp.Solve(p, nil)
+	p.Release() // the solve is the problem's only one; sol owns its X
 	if err != nil {
 		return nil, err
 	}
@@ -298,6 +300,7 @@ func MaxMinBinned(t *topology.Topology, dps []paths.DemandPaths, volumes, caps [
 		p.AddRow(vars, ones(len(vars)), lp.LE, caps[e])
 	}
 	sol, err := lp.Solve(p, nil)
+	p.Release() // the solve is the problem's only one; sol owns its X
 	if err != nil {
 		return nil, err
 	}
