@@ -43,7 +43,7 @@ var (
 // and reused across solves: the scaled CSC matrix, the scaling vectors, the
 // scaled right-hand side, and the solver workspace. Branch and bound
 // re-solves one Problem thousands of times with only bound changes
-// (Model.reuseLP), so everything here amortizes to zero allocations per
+// (milp.reuseLP), so everything here amortizes to zero allocations per
 // solve. Its storage outlives the Problem too: Problem.Release hands it to a
 // process-wide free list (workspace.go), and the next lowering is built into
 // it, so a fleet of short searches does not regrow the same buffers search
