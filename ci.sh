@@ -80,10 +80,12 @@ go run ./cmd/raha-lint -json ./... >/dev/null
 # failure for reproduction).
 go test -race -shuffle=on "$@" ./...
 
-# The per-cell allocation budget (internal/batch TestCellAllocBudget) skips
-# itself under the race detector, whose instrumentation allocates on its own
-# account, so it runs here without it.
+# The per-cell allocation budget (internal/batch TestCellAllocBudget) and the
+# TE re-simulation's (internal/te TestMaxTotalFlowAllocBudget) skip
+# themselves under the race detector, whose instrumentation allocates on its
+# own account, so they run here without it.
 go test ./internal/batch -run '^TestCellAllocBudget$' -count=1
+go test ./internal/te -run '^TestMaxTotalFlowAllocBudget$' -count=1
 
 # Ten seconds of native fuzzing on the Topology Zoo GML parser, seeded from
 # the committed fixture corpus: a crash or invariant violation found here
@@ -274,6 +276,22 @@ go run ./cmd/raha alert -all -builtins=false -zoo-dir internal/topology/testdata
 if ! grep '"ev":"phase_reused"' "$fleet_tmp" | grep -q '"phase":1' ||
 	! grep '"ev":"sweep_topo_end"' "$fleet_tmp" | grep -q '"cells_closed_by_neighbour":[1-9]'; then
 	echo "ci: the default-grid fixture sweep reused no phase 1 or closed no cell by a looser neighbour" >&2
+	exit 1
+fi
+# The sessions answer a question whose model presolves to the same reduction
+# as a proved question's without a search (the identity rule, DESIGN.md
+# §2.10). A clock-free gate on the built-ins plus 40 synthetic WANs at one
+# worker: the cell outcomes must be the ones every cell's own search gave
+# before the rule (352 OK, 208 optimal, 144 infeasible), and the rule must
+# answer exactly 3 phases.
+sessions_tmp=$tmp/sessions.json
+go run ./cmd/raha alert -all -synthetic 40 -workers 1 -q -progress=false -report "$sessions_tmp" >/dev/null
+ok=$(grep -m1 '"CellsOK":' "$sessions_tmp" | grep -o '[0-9]*')
+optimal=$(grep -c '"Status": "optimal"' "$sessions_tmp")
+infeasible=$(grep -c '"Status": "infeasible"' "$sessions_tmp")
+identical=$(grep -m1 '"PhasesIdentical":' "$sessions_tmp" | grep -o '[0-9]*')
+if [ "$ok/$optimal/$infeasible/$identical" != "352/208/144/3" ]; then
+	echo "ci: the session sweep read $ok OK / $optimal optimal / $infeasible infeasible cells and $identical identical phases, want 352/208/144/3" >&2
 	exit 1
 fi
 undefined_flag() {

@@ -203,9 +203,9 @@ func printSweepReport(rep *raha.SweepReport) {
 	if rep.NumShards > 1 {
 		shard = fmt.Sprintf(" [shard %d/%d]", rep.Shard, rep.NumShards)
 	}
-	fmt.Printf("sweep%s: %d topologies (%d failed), %d/%d cells ok (%d closed by the budget bound, %d by a looser neighbour), %v elapsed%s\n",
+	fmt.Printf("sweep%s: %d topologies (%d failed), %d/%d cells ok (%d closed by the budget bound, %d by earlier cells' proofs; %d phases by an identical model), %v elapsed%s\n",
 		shard, rep.TopoCount, rep.TopoFailed, rep.CellsOK, rep.CellsTotal, rep.CellsClosedByBound, rep.CellsClosedByNeighbour,
-		rep.Elapsed.Round(time.Millisecond), status)
+		rep.PhasesIdentical, rep.Elapsed.Round(time.Millisecond), status)
 
 	if len(rep.Ranking) > 0 {
 		fmt.Println("\nmost fragile topologies:")

@@ -291,11 +291,12 @@ type tunnels struct {
 // runCell runs the two-phase alert check for one grid cell and self-checks
 // the result's invariants. Panics anywhere below (path computation, model
 // build, solver, verification) are caught and recorded as the cell's
-// failure. memo holds what the topology's cells share: its tunnels, keyed by
-// pair count — a computation that panics caches nothing, so every cell
-// reports it — the gravity matrices over them (read only below: Scale,
-// Fixed and UpTo copy), and the phases they have solved, which answer or
-// seed this cell's (topoMemo.solve).
+// failure; a panic inside an analysis also drops the session it was
+// editing (metaopt.Sessions.Analyze). memo holds what the topology's cells
+// share: its tunnels, keyed by pair count — a computation that panics
+// caches nothing, so every cell reports it — the gravity matrices over them
+// (read only below: Scale, Fixed and UpTo copy), and the sessions that
+// answer this cell's phases, from earlier cells' proofs where they can.
 func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell, phaseBudget time.Duration, width int, memo *topoMemo) (cr CellResult) {
 	cr.Cell = cell
 	start := time.Now()
@@ -306,72 +307,30 @@ func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell
 		}
 	}()
 
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	dm := cell.Demand
-	tn, ok := memo.tunnels[dm.Pairs]
-	if !ok {
-		tn.pairs = demand.TopPairs(top, dm.Pairs, seed)
-		if len(tn.pairs) > 0 {
-			tn.dps, tn.err = paths.Compute(top, tn.pairs, 2, 1, nil)
-		}
-		memo.tunnels[dm.Pairs] = tn
-	}
-	pairs, dps := tn.pairs, tn.dps
-	if len(pairs) == 0 {
-		cr.Err = "no demand pairs"
+	acfg, err := memo.alertConfig(cfg, top, cell, phaseBudget, width)
+	if err != nil {
+		cr.Err = err.Error()
 		return cr
 	}
-	if tn.err != nil {
-		cr.Err = tn.err.Error()
-		return cr
-	}
-	gk := gravityKey{pairs: dm.Pairs, scale: top.MeanLAGCapacity() * dm.Scale, seed: seed}
-	base, ok := memo.gravity[gk]
-	if !ok {
-		base = demand.Gravity(top, pairs, gk.scale, seed)
-		memo.gravity[gk] = base
-	}
-	pf := dm.PeakFactor
-	if pf <= 0 {
-		pf = 1.5
-	}
-	peak := base.Scale(pf)
-	env := demand.Fixed(base)
-	if dm.Slack >= 0 {
-		env = demand.UpTo(base, dm.Slack)
-	}
-
-	acfg := alert.Config{
-		Topo:                 top,
-		Demands:              dps,
-		Peak:                 peak,
-		Envelope:             env,
-		ProbThreshold:        cell.Threshold,
-		Tolerance:            cfg.Tolerance,
-		MaxFailures:          cell.MaxFailures,
-		ConnectivityEnforced: cfg.ConnectivityEnforced,
-		QuantBits:            cfg.QuantBits,
-		Phase1Budget:         phaseBudget,
-		Phase2Budget:         phaseBudget,
-		Workers:              width,
-		Tracer:               cfg.Tracer,
-	}
+	name := cell.Name()
 	var reused [2]bool // per phase: answered by an earlier cell's proof
 	phase := 0
 	rep, err := alert.RunWith(ctx, acfg, func(ctx context.Context, q metaopt.Config) (*metaopt.Result, error) {
-		res, from, err := memo.solve(ctx, cell, q)
+		res, reuse, err := memo.sessions.Analyze(ctx, q, name)
 		phase++
-		if from != nil {
+		if reuse.From != "" {
 			reused[phase-1] = true
+			ev := "phase_reused"
+			if reuse.Identical {
+				cr.IdenticalPhases++
+				ev = "phase_identical"
+			}
 			if tr := cfg.Tracer; tr != nil {
-				tr.Emit("batch", "phase_reused", obs.F{
+				tr.Emit("batch", ev, obs.F{
 					"topology": memo.name,
-					"cell":     cell.Name(),
+					"cell":     name,
 					"phase":    phase,
-					"from":     from.cell.Name(),
+					"from":     reuse.From,
 				})
 			}
 		}
@@ -410,6 +369,61 @@ func runCell(ctx context.Context, cfg *Config, top *topology.Topology, cell Cell
 		cr.Err = "invariant: " + err.Error()
 	}
 	return cr
+}
+
+// alertConfig assembles cell's two-phase alert check on top: the cell's
+// demand model's pairs, tunnels and gravity matrix, computed once per
+// topology (memo), its peak and envelope, and the sweep's settings.
+func (memo *topoMemo) alertConfig(cfg *Config, top *topology.Topology, cell Cell, phaseBudget time.Duration, width int) (alert.Config, error) {
+	seed := cfg.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	dm := cell.Demand
+	tn, ok := memo.tunnels[dm.Pairs]
+	if !ok {
+		tn.pairs = demand.TopPairs(top, dm.Pairs, seed)
+		if len(tn.pairs) > 0 {
+			tn.dps, tn.err = paths.Compute(top, tn.pairs, 2, 1, nil)
+		}
+		memo.tunnels[dm.Pairs] = tn
+	}
+	pairs, dps := tn.pairs, tn.dps
+	if len(pairs) == 0 {
+		return alert.Config{}, fmt.Errorf("no demand pairs")
+	}
+	if tn.err != nil {
+		return alert.Config{}, tn.err
+	}
+	gk := gravityKey{pairs: dm.Pairs, scale: top.MeanLAGCapacity() * dm.Scale, seed: seed}
+	base, ok := memo.gravity[gk]
+	if !ok {
+		base = demand.Gravity(top, pairs, gk.scale, seed)
+		memo.gravity[gk] = base
+	}
+	pf := dm.PeakFactor
+	if pf <= 0 {
+		pf = 1.5
+	}
+	env := demand.Fixed(base)
+	if dm.Slack >= 0 {
+		env = demand.UpTo(base, dm.Slack)
+	}
+	return alert.Config{
+		Topo:                 top,
+		Demands:              dps,
+		Peak:                 base.Scale(pf),
+		Envelope:             env,
+		ProbThreshold:        cell.Threshold,
+		Tolerance:            cfg.Tolerance,
+		MaxFailures:          cell.MaxFailures,
+		ConnectivityEnforced: cfg.ConnectivityEnforced,
+		QuantBits:            cfg.QuantBits,
+		Phase1Budget:         phaseBudget,
+		Phase2Budget:         phaseBudget,
+		Workers:              width,
+		Tracer:               cfg.Tracer,
+	}, nil
 }
 
 // checkCell asserts the self-checking harness's three invariant families on

@@ -15,8 +15,10 @@
 // Raised ⇒ NormalizedDegradation > Tolerance consistency before its result
 // joins the report; a violation is recorded as that cell's failure.
 //
-// Within one topology the cells share what they prove (topoMemo): cells are
-// solved loosest budget first, a phase question an earlier cell proved is
+// Within one topology the cells share their models and what they prove
+// through metaopt.Sessions (topoMemo), which holds every reuse rule: cells
+// are solved loosest budget first, a phase question an earlier cell proved
+// — asked in identical form, or presolving to the model it proved — is
 // answered with that proof, and every other phase starts from its looser
 // neighbours' dual bound and admissible scenario.
 //

@@ -33,11 +33,16 @@ type CellResult struct {
 	// (metaopt.Result.ClosedByBound) — nothing the budget allows hurts, or
 	// the first incumbent to reach the bound drained the tree.
 	ClosedByBound bool `json:",omitempty"`
-	// ClosedByNeighbour: what the topology's looser cells had proved ended
+	// ClosedByNeighbour: what the topology's earlier cells had proved ended
 	// every phase that ran, and not the lost-capacity bound alone — a phase
-	// reused from an identical proven question, or a search the looser
-	// cells' dual bound drained (DESIGN.md §2.10).
+	// answered by an earlier proof of the same question or of one whose
+	// model presolves identically, or a search the looser cells' dual bound
+	// drained (DESIGN.md §2.10).
 	ClosedByNeighbour bool `json:",omitempty"`
+	// IdenticalPhases counts the phases the identity rule answered: an
+	// earlier cell's model presolved to the same reduction and its search
+	// proved the answer, so this cell's ran none (metaopt.Sessions).
+	IdenticalPhases int `json:",omitempty"`
 }
 
 // TopoResult is one topology's sweep outcome: either a topology-level
@@ -66,7 +71,7 @@ type TopoResult struct {
 
 // cellCounts splits the topology's cells into succeeded and failed, and
 // counts the succeeded ones the budget bound closed and the ones their
-// looser neighbours closed.
+// earlier cells closed.
 func (t *TopoResult) cellCounts() (ok, failed, closedByBound, closedByNeighbour int) {
 	for i := range t.Cells {
 		c := &t.Cells[i]
@@ -141,9 +146,12 @@ type Report struct {
 	// CellsClosedByBound counts the OK cells whose phases the lost-capacity
 	// bound ended (CellResult.ClosedByBound).
 	CellsClosedByBound int
-	// CellsClosedByNeighbour counts the OK cells their topology's looser
+	// CellsClosedByNeighbour counts the OK cells their topology's earlier
 	// cells closed (CellResult.ClosedByNeighbour).
 	CellsClosedByNeighbour int
+	// PhasesIdentical counts the phases the identity rule answered
+	// (CellResult.IdenticalPhases).
+	PhasesIdentical int
 
 	// Cancelled reports that the parent context died mid-sweep; the
 	// report carries whatever completed first.
@@ -186,6 +194,7 @@ func assembleReport(cfg *Config, results []TopoResult, elapsed time.Duration, ca
 		rep.CellsClosedByNeighbour += byNeighbour
 		rep.CellsTotal += len(t.Cells)
 		for j := range t.Cells {
+			rep.PhasesIdentical += t.Cells[j].IdenticalPhases
 			if t.Cells[j].Err != "" {
 				rep.Failures = append(rep.Failures, Failure{
 					Topology: t.Name,

@@ -42,6 +42,7 @@ type Budget struct {
 
 	topo          *topology.Topology
 	assumedFailed [][2]int // unused links the probability row accounts as failed, (LAG, link)
+	base          float64  // Σ log of every link's probability-row state at u = 0: RHS = log(threshold) − base
 }
 
 // probabilityBudget lowers threshold to its log-linear row, filling Coef,
@@ -76,8 +77,30 @@ func probabilityBudget(t *topology.Topology, used []bool, threshold float64, ass
 			base += math.Log(1 - p)
 		}
 	}
+	b.base = base
 	b.RHS = math.Log(threshold) - base
 	return b, nil
+}
+
+// Limit returns b under another threshold and failure count: the
+// probability row's right-hand side and the count row's bound computed as
+// NewBudget computes them, with b's weights, coefficients and unused-link
+// accounting, which they share. b must carry a probability row exactly when
+// threshold > 0 (a question of b's shape). It is the only difference between
+// the budgets of two such questions.
+func (b *Budget) Limit(threshold float64, maxFailures int) (*Budget, error) {
+	if (b.Coef != nil) != (threshold > 0) {
+		return nil, fmt.Errorf("failures: threshold %g does not match the budget's probability row", threshold)
+	}
+	l := *b
+	if b.Coef != nil {
+		if threshold >= 1 {
+			return nil, fmt.Errorf("failures: probability threshold %g outside (0,1)", threshold)
+		}
+		l.RHS = math.Log(threshold) - b.base
+	}
+	l.K = max(maxFailures, 0)
+	return &l, nil
 }
 
 // NewBudget builds the failure budget of a total-flow analysis over dps with
@@ -194,7 +217,43 @@ type BudgetBound struct {
 // that closes an analysis outright; branch and bound uses that relaxation
 // box by box instead (Encoding.Knapsack).
 func LostCapacityBound(ctx context.Context, b *Budget) (*BudgetBound, error) {
-	m := budgetKnapsack(b)
+	return NewBoundModel(b).Bound(ctx, b)
+}
+
+// BoundModel is LostCapacityBound's knapsack for the budgets of one shape,
+// built once: its binaries, weights and coefficients are the shape's, and
+// each budget of the shape (Budget.Limit) moves only its two right-hand
+// sides.
+type BoundModel struct {
+	m                 *milp.Model
+	probRow, countRow int // −1 when the knapsack has no such row
+}
+
+// NewBoundModel builds the knapsack of b's shape.
+func NewBoundModel(b *Budget) *BoundModel {
+	k := &BoundModel{m: budgetKnapsack(b), probRow: -1, countRow: -1}
+	if b.Coef != nil {
+		k.probRow = 0
+	}
+	if b.K > 0 {
+		k.countRow = k.m.NumConstraints() - 1
+	}
+	return k
+}
+
+// Bound is LostCapacityBound of b, a budget of the model's shape: with a
+// probability row and a count row exactly when the model has them.
+func (k *BoundModel) Bound(ctx context.Context, b *Budget) (*BudgetBound, error) {
+	if (k.probRow >= 0) != (b.Coef != nil) || (k.countRow >= 0) != (b.K > 0) {
+		return nil, fmt.Errorf("failures: budget rows do not match the knapsack's")
+	}
+	m := k.m
+	if k.probRow >= 0 {
+		m.SetRHS(k.probRow, b.RHS)
+	}
+	if k.countRow >= 0 {
+		m.SetRHS(k.countRow, float64(b.K))
+	}
 	res, err := m.SolveContext(ctx, milp.Params{Workers: 1, NodeLimit: knapsackNodeCap})
 	if err != nil {
 		return nil, fmt.Errorf("failures: budget knapsack: %w", err)

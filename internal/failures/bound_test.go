@@ -247,3 +247,76 @@ func TestBudgetAdmits(t *testing.T) {
 		t.Error("k = 0 at 1e-5: want two used failures admitted, three refused")
 	}
 }
+
+// TestBudgetLimitMatchesNewBudget: a budget moved to another threshold and
+// failure count by Limit is, bit for bit, the budget NewBudget builds for
+// them — the right-hand side a session writes into its model's probability
+// row — for both treatments of unused links, on random topologies with
+// links more likely down than up; and one BoundModel moved from budget to
+// budget bounds each as LostCapacityBound on a fresh knapsack does. A limit
+// the budget's rows cannot take is refused.
+func TestBudgetLimitMatchesNewBudget(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		top, err := topology.Generate(topology.GenConfig{Nodes: 8, LAGs: 11, ExtraLinks: 3, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e := 0; e < top.NumLAGs(); e++ {
+			for l := range top.LAG(e).Links {
+				if rng.Intn(4) == 0 {
+					top.LAG(e).Links[l].FailProb = 0.5 + 0.4*rng.Float64()
+				}
+			}
+		}
+		dps, err := paths.Compute(top, [][2]topology.Node{{0, 5}}, 1, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hi := []float64{3}
+		for _, assume := range []bool{true, false} {
+			first, err := NewBudget(top, dps, hi, 1e-4, assume, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bm := NewBoundModel(first)
+			for i := 0; i < 5; i++ {
+				threshold, k := math.Pow(10, -1-5*rng.Float64()), rng.Intn(4)
+				got, err := first.Limit(threshold, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := NewBudget(top, dps, hi, threshold, assume, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got.RHS) != math.Float64bits(want.RHS) || got.K != want.K ||
+					fmt.Sprint(got.Coef, got.Weight, got.assumedFailed) != fmt.Sprint(want.Coef, want.Weight, want.assumedFailed) {
+					t.Fatalf("seed %d, assume %v, p %g, k %d: Limit gives RHS %v k %d, NewBudget RHS %v k %d",
+						seed, assume, threshold, k, got.RHS, got.K, want.RHS, want.K)
+				}
+				if k == 0 {
+					if _, err := bm.Bound(context.Background(), got); err == nil {
+						t.Fatalf("seed %d: a knapsack with a count row bounded a budget without one", seed)
+					}
+					continue
+				}
+				gotB, err := bm.Bound(context.Background(), got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantB, err := LostCapacityBound(context.Background(), want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(gotB.Value) != math.Float64bits(wantB.Value) || gotB.Infeasible != wantB.Infeasible ||
+					gotB.Nodes != wantB.Nodes || (gotB.AllUp == nil) != (wantB.AllUp == nil) {
+					t.Fatalf("seed %d, assume %v, p %g, k %d: kept knapsack %+v, fresh %+v", seed, assume, threshold, k, gotB, wantB)
+				}
+			}
+			if _, err := first.Limit(0, 1); err == nil {
+				t.Errorf("seed %d: a budget with a probability row took threshold 0", seed)
+			}
+		}
+	}
+}

@@ -34,6 +34,7 @@ const harrisDelta = 1e-8
 // Sparse-core counters and gauges (obs.Default, exported as raha.lp.*).
 var (
 	cRefacs = obs.Default.Counter("lp.refactorizations")
+	cLowers = obs.Default.Counter("lp.lowerings")          // buildCache runs: a Problem's rows scaled into CSC
 	cReuses = obs.Default.Counter("lp.warm_factor_reuses") // warm starts that skipped factorize
 	gEtaLen = obs.Default.Gauge("lp.eta_len")
 	gFill   = obs.Default.Gauge("lp.lu_fill_permille")
@@ -281,6 +282,7 @@ func buildCache(p *Problem, c *spCache) error {
 
 	c.rptr, c.cix, c.rval = transposeCS(m, ptr, rix, val, c.rptr, c.cix, c.rval)
 	c.nVars, c.nRows = n, m
+	cLowers.Inc()
 	return nil
 }
 

@@ -1,6 +1,9 @@
 package lp
 
-import "raha/internal/conc"
+import (
+	"raha/internal/conc"
+	"raha/internal/obs"
+)
 
 // Workspace lifetime. A Problem's lowering and solver workspace (spCache)
 // are built on its first solve and kept while it is re-solved. Release
@@ -21,7 +24,10 @@ const (
 	maxFreeBases      = 64 // per cache: the open nodes' parent bases
 )
 
-var freeWorkspaces = conc.FreeList[*spCache]{Max: maxFreeWorkspaces}
+var (
+	freeWorkspaces = conc.FreeList[*spCache]{Max: maxFreeWorkspaces}
+	cReleases      = obs.Default.Counter("lp.workspace_releases") // Release calls that handed a workspace on
+)
 
 // takeWorkspace returns a released workspace, or a new empty one.
 func takeWorkspace() *spCache {
@@ -48,6 +54,17 @@ func (p *Problem) Release() {
 	if c := p.sp; c != nil {
 		p.sp = nil
 		putWorkspace(c)
+		cReleases.Inc()
+	}
+}
+
+// DropFactors keeps p's lowering but forgets the factorization and the
+// reduced costs its last solve left in the workspace, as buildCache does
+// for a workspace taken from the free list: the next solve of p starts
+// exactly as it would on a Problem lowered afresh, without lowering again.
+func (p *Problem) DropFactors() {
+	if c := p.sp; c != nil {
+		c.s.facWarm, c.s.dKept = false, false
 	}
 }
 

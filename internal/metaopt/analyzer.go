@@ -252,104 +252,8 @@ func AnalyzeContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	if tl := cfg.Solver.TimeLimit; tl > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, tl)
-		defer cancel()
-	}
-	if tr := cfg.Solver.Tracer; tr != nil {
-		tr.Emit("metaopt", "analysis_start", obs.F{
-			"objective": cfg.Objective.String(),
-			"mode":      cfg.Mode.String(),
-			"demands":   len(cfg.Demands),
-			"lags":      cfg.Topo.NumLAGs(),
-			"fixed":     cfg.Envelope.IsFixed(),
-		})
-	}
-	var res *Result
-	if f.bound != nil {
-		res, err = f.bound(ctx, &cfg, &f)
-	}
-	if res == nil && err == nil {
-		res, err = analyze(ctx, &cfg, f)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res.Runtime = time.Since(start)
-	if tr := cfg.Solver.Tracer; tr != nil {
-		ev := obs.F{
-			"status":    res.Status.String(),
-			"nodes":     res.Nodes,
-			"runtime_s": res.Runtime.Seconds(),
-			"hint_s":    res.HintRuntime.Seconds(),
-			"solve_s":   res.SolveRuntime.Seconds(),
-			"verify_s":  res.VerifyRuntime.Seconds(),
-		}
-		if res.Scenario != nil {
-			ev["degradation"] = res.Degradation
-		}
-		if res.ClosedByBound {
-			ev["closed_by_bound"] = true
-		}
-		tr.Emit("metaopt", "analysis_end", ev)
-	}
-	return res, nil
-}
-
-// solveModel runs the shared tail of every analysis: warm-start hints, the
-// MILP solve, solution extraction, and LP verification. The time split
-// (hints vs. exact solve vs. verification) lands in the Result.
-func solveModel(ctx context.Context, cfg *Config, f formulation, m *milp.Model, enc *failures.Encoding, dv *demandVars) (*Result, error) {
-	params := cfg.Solver
-	if f.budget != nil {
-		params.Knapsack = enc.Knapsack(f.budget)
-	}
-	var hintDur time.Duration
-	if cfg.Mode == Gap {
-		if !cfg.Envelope.IsFixed() {
-			hintStart := time.Now()
-			params.Hints = append(params.Hints, fixedDemandHints(ctx, cfg, f, m, enc, dv)...)
-			hintDur = time.Since(hintStart)
-		}
-		if h := buildWarmStartHint(m, cfg, enc, dv); h != nil {
-			params.Hints = append(params.Hints, h)
-		}
-	}
-	mres, err := m.SolveContext(ctx, params)
-	if err != nil {
-		return nil, err
-	}
-	// The knapsack closed the solve if the solve ran under its bound, not a
-	// tighter one of the caller's (see boundTotalFlow), and an incumbent
-	// reaching that bound drained the tree.
-	closed := f.budgetBound != nil && params.Bound == f.budgetBound &&
-		mres.Status == milp.Optimal && mres.Stats.BoundPrunes > 0
-	res := &Result{
-		Status:        mres.Status,
-		Nodes:         mres.Nodes,
-		Bound:         mres.Bound,
-		Gap:           mres.Gap(),
-		BudgetBound:   f.budgetBound,
-		ClosedByBound: closed,
-		Stats:         mres.Stats,
-		HintRuntime:   hintDur,
-		SolveRuntime:  mres.Runtime,
-	}
-	if mres.X == nil {
-		return res, nil
-	}
-	res.ModelObjective = mres.Objective
-	res.Scenario = enc.ScenarioFromSolution(mres.X)
-	res.Demands = make([]float64, len(cfg.Demands))
-	for k := range cfg.Demands {
-		res.Demands[k] = dv.value(k, mres.X)
-	}
-	if err := verify(cfg, f, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	res, _, _, err := newSession(&cfg, f).analyze(ctx, cfg, nil)
+	return res, err
 }
 
 // verify re-solves both networks as plain LPs at the adversarial point,
@@ -409,20 +313,25 @@ func (c *Config) FailureBudget() (*failures.Budget, error) {
 // probability budget faithful on pruned topologies.
 func (c *Config) assumeUnusedWorst() bool { return c.MaxFailures == 0 }
 
-// addScenarioConstraints installs the §5.1 constraint menu on the encoding.
-func addScenarioConstraints(cfg *Config, m *milp.Model, enc *failures.Encoding) error {
+// addScenarioConstraints installs the §5.1 constraint menu on the encoding
+// and returns the indices of its probability and failure-count rows (−1 for
+// a row the question does not ask for).
+func addScenarioConstraints(cfg *Config, m *milp.Model, enc *failures.Encoding) (probRow, countRow int, err error) {
+	probRow, countRow = -1, -1
 	if cfg.ProbThreshold > 0 {
+		probRow = m.NumConstraints()
 		if err := enc.AddProbabilityThreshold(m, cfg.ProbThreshold, cfg.assumeUnusedWorst()); err != nil {
-			return err
+			return -1, -1, err
 		}
 	}
 	if cfg.MaxFailures > 0 {
+		countRow = m.NumConstraints()
 		enc.AddMaxFailures(m, cfg.MaxFailures)
 	}
 	if cfg.ConnectivityEnforced {
 		enc.AddConnectivityEnforced(m)
 	}
-	return nil
+	return probRow, countRow, nil
 }
 
 // demandVars materializes the quantized demand d_k as an expression over
@@ -520,47 +429,4 @@ func buildWarmStartHint(m *milp.Model, cfg *Config, enc *failures.Encoding, dv *
 		steps := int(math.Round((cfg.WarmStartDemands[k] - cfg.Envelope.Lo[k]) / dv.q.Unit[k]))
 		return min(max(steps, 0), maxLevel)
 	})
-}
-
-// fixedDemandHints runs quick fixed-demand analyses at two levels of the
-// envelope (its top and midpoint) and turns each scenario they find into a
-// warm start for the variable search, at the level it was found at.
-func fixedDemandHints(ctx context.Context, cfg *Config, f formulation, m *milp.Model, enc *failures.Encoding, dv *demandVars) [][]float64 {
-	budget := 10 * time.Second
-	if cfg.Solver.TimeLimit > 0 && cfg.Solver.TimeLimit/4 < budget {
-		budget = cfg.Solver.TimeLimit / 4
-	}
-	var hints [][]float64
-	for _, level := range []float64{1.0, 0.5} {
-		sub := *cfg
-		lo := make([]float64, len(cfg.Envelope.Lo))
-		for k := range lo {
-			lo[k] = cfg.Envelope.Lo[k] + level*(cfg.Envelope.Hi[k]-cfg.Envelope.Lo[k])
-		}
-		sub.Envelope = demand.Envelope{Pairs: cfg.Envelope.Pairs, Lo: lo, Hi: lo}
-		// The hint solves keep the main solve's params (sub is a copy) but
-		// for a short budget and a loose gap: same width, and the same
-		// tracer, so the trace shows the cheap fixed-demand relaxations
-		// nested inside the main solve. Override, never re-list — a
-		// re-listing once dropped the width settings.
-		sub.Solver.TimeLimit, sub.Solver.MIPGap = budget, 0.05
-		sub.Solver.Hints, sub.Solver.OnProgress = nil, nil
-		hintStart := time.Now()
-		res, err := analyze(ctx, &sub, f)
-		found := err == nil && res.Scenario != nil
-		if tr := cfg.Solver.Tracer; tr != nil {
-			tr.Emit("metaopt", "hint", obs.F{
-				"level":     level,
-				"found":     found,
-				"runtime_s": time.Since(hintStart).Seconds(),
-			})
-		}
-		if found {
-			// level ∈ [0,1] is the grid point Lo + level·(Hi − Lo), rounded.
-			maxLevel := (1 << uint(dv.q.Bits)) - 1
-			steps := int(math.Round(level * float64(maxLevel)))
-			hints = append(hints, buildHint(m, cfg, enc, dv, res.Scenario, func(int) int { return steps }))
-		}
-	}
-	return hints
 }

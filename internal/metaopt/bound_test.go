@@ -229,7 +229,7 @@ func TestNodeBoundDominatesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		m, enc, _, err := build(&cfg, f)
+		bm, err := build(&cfg, f)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -240,6 +240,7 @@ func TestNodeBoundDominatesBruteForce(t *testing.T) {
 		if b.Coef != nil && b.RHS > 0 {
 			likelyDown++
 		}
+		m, enc := bm.m, bm.enc
 		k := enc.Knapsack(b)
 
 		type scored struct {

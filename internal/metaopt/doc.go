@@ -42,4 +42,10 @@
 // objective supplies only a formulation: its TE LP, its healthy fold, its
 // failed dual and the sign of its degradation (totalflow.go, mlu.go,
 // maxmin.go).
+//
+// Questions that differ only in their failure budget share a built model:
+// a session (session.go) builds it once and edits the budget rows'
+// right-hand sides per question. AnalyzeContext is a session of one
+// question; Sessions serves a fleet sweep's stream of them and holds the
+// reuse rules between them.
 package metaopt

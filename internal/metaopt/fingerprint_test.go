@@ -122,11 +122,11 @@ func TestModelFingerprints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, _, _, err := build(&c.cfg, f)
+			bm, err := build(&c.cfg, f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := modelFingerprint(m); got != c.want {
+			if got := modelFingerprint(bm.m); got != c.want {
 				t.Errorf("model fingerprint %s, want %s", got, c.want)
 			}
 		})

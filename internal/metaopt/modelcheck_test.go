@@ -113,10 +113,11 @@ func TestBuiltModelsCheckClean(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, _, _, err := build(&cfg, f)
+			bm, err := build(&cfg, f)
 			if err != nil {
 				t.Fatal(err)
 			}
+			m := bm.m
 			rep := modelcheck.Check(checkModel(m), modelcheck.Options{IntTol: 1e-6})
 			bad := rep.Filter(modelcheck.Warning)
 			if len(bad) > 0 {

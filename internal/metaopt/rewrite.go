@@ -36,8 +36,8 @@ type formulation struct {
 	// bound computes a budget-only dual bound before any model is built and
 	// may finish the analysis outright (see boundTotalFlow); nil when the
 	// objective has none. When the analysis goes on, it sets budget and
-	// budgetBound.
-	bound func(ctx context.Context, cfg *Config, f *formulation) (*Result, error)
+	// budgetBound. s is the session asking, which holds the budget.
+	bound func(ctx context.Context, s *session, cfg *Config, f *formulation) (*Result, error)
 	// budget is the failure budget the bound came from: every solve of the
 	// analysis, the hint solves included, bounds its nodes by it
 	// (milp.Params.Knapsack).
@@ -64,13 +64,16 @@ func (c *Config) formulation() (formulation, error) {
 	return formulation{}, fmt.Errorf("metaopt: unknown objective %d", c.Objective)
 }
 
-// analyze builds the single-level MILP of cfg's objective and solves it.
-func analyze(ctx context.Context, cfg *Config, f formulation) (*Result, error) {
-	m, enc, dv, err := build(cfg, f)
-	if err != nil {
-		return nil, err
-	}
-	return solveModel(ctx, cfg, f, m, enc, dv)
+// model is one built analysis model: the single-level MILP, its failure
+// encoding and demand bits, and the failure budget's two rows, the only
+// rows two questions of one shape write differently (session.edit).
+type model struct {
+	m   *milp.Model
+	enc *failures.Encoding
+	dv  *demandVars
+	// probRow and countRow index the probability and the failure-count row;
+	// −1 when the model has none.
+	probRow, countRow int
 }
 
 // build applies the bilevel rewrite: the failure encoding and the §5.1
@@ -79,36 +82,37 @@ func analyze(ctx context.Context, cfg *Config, f formulation) (*Result, error) {
 // constant the analyzer computes once by LP (§6's easy-scaling case);
 // otherwise its primal folds into the outer problem. Naive fail-over needs
 // the healthy flows as gate constants even in FailedOnly mode.
-func build(cfg *Config, f formulation) (*milp.Model, *failures.Encoding, *demandVars, error) {
+func build(cfg *Config, f formulation) (*model, error) {
 	m := milp.NewModel()
 	enc := failures.Encode(m, cfg.Topo, cfg.Demands)
-	if err := addScenarioConstraints(cfg, m, enc); err != nil {
-		return nil, nil, nil, err
+	bm := &model{m: m, enc: enc}
+	var err error
+	if bm.probRow, bm.countRow, err = addScenarioConstraints(cfg, m, enc); err != nil {
+		return nil, err
 	}
-	dv, err := newDemandVars(cfg, m)
-	if err != nil {
-		return nil, nil, nil, err
+	if bm.dv, err = newDemandVars(cfg, m); err != nil {
+		return nil, err
 	}
 	obj := milp.NewExpr()
 	var healthy *te.Result
 	switch {
 	case cfg.Mode == Gap && !cfg.Envelope.IsFixed():
-		f.foldHealthy(cfg, m, dv, &obj)
+		f.foldHealthy(cfg, m, bm.dv, &obj)
 	case cfg.Mode == Gap || cfg.NaiveFailover:
 		healthy, err = f.solve(cfg, cfg.Envelope.Lo, te.FullCapacities(cfg.Topo), te.HealthyActive(cfg.Demands))
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		if cfg.Mode == Gap {
 			if !healthy.Feasible {
-				return nil, nil, nil, fmt.Errorf("metaopt: healthy %v network infeasible at the fixed demand", cfg.Objective)
+				return nil, fmt.Errorf("metaopt: healthy %v network infeasible at the fixed demand", cfg.Objective)
 			}
 			obj.AddConst(f.sign * healthy.Objective)
 		}
 	}
-	obj.AddExpr(-f.sign, f.failedDual(cfg, m, enc, dv, healthy))
+	obj.AddExpr(-f.sign, f.failedDual(cfg, m, enc, bm.dv, healthy))
 	m.SetObjective(obj, milp.Maximize)
-	return m, enc, dv, nil
+	return bm, nil
 }
 
 // The three products of outer variables with dual variables (§5's

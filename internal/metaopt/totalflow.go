@@ -40,15 +40,18 @@ func totalFlow() formulation {
 // allows touches a LAG that carries primary load — reported at the top of the
 // envelope through the ordinary verification LPs. A nil Result means the
 // analysis goes on to build the model.
-func boundTotalFlow(ctx context.Context, cfg *Config, f *formulation) (*Result, error) {
+func boundTotalFlow(ctx context.Context, s *session, cfg *Config, f *formulation) (*Result, error) {
 	if cfg.Mode != Gap || cfg.ProbThreshold <= 0 && cfg.MaxFailures <= 0 {
 		return nil, nil
 	}
-	b, err := cfg.FailureBudget()
+	b, err := s.failureBudget(cfg)
 	if err != nil {
 		return nil, err
 	}
-	bb, err := failures.LostCapacityBound(ctx, b)
+	if s.budgetModel == nil {
+		s.budgetModel = failures.NewBoundModel(b)
+	}
+	bb, err := s.budgetModel.Bound(ctx, b)
 	if err != nil {
 		return nil, err
 	}

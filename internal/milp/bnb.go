@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -936,21 +937,90 @@ func (m *Model) Solve(p Params) (*Result, error) {
 // found. The model must not be mutated while a solve is running; concurrent
 // SolveContext calls on the same model are safe.
 func (m *Model) SolveContext(ctx context.Context, p Params) (*Result, error) {
-	start := time.Now()
-	if p.TimeLimit > 0 {
+	return m.presolved(p.disablePresolve).SolveContext(ctx, p)
+}
+
+// Presolved is a model's root presolve: the reduced model branch and bound
+// searches and the map from its points back to the model's. It holds no
+// reference into the model's rows, so the model may change after Presolve
+// without changing it.
+type Presolved struct {
+	m    *Model
+	pres *presolveResult // nil when presolve is disabled
+	ns   int64           // the presolve's wall time
+}
+
+// Presolve runs the root presolve SolveContext starts with.
+func (m *Model) Presolve() *Presolved { return m.presolved(false) }
+
+func (m *Model) presolved(disable bool) *Presolved {
+	r := &Presolved{m: m}
+	if !disable {
+		start := time.Now()
+		r.pres = presolve(m)
+		r.ns = time.Since(start).Nanoseconds()
+	}
+	return r
+}
+
+// Same reports whether p and q reduce to one search, bit for bit: the same
+// kept variables with the same bounds and types, the same rows in the same
+// order with the same terms, relations and right-hand sides, the same
+// objective, and the same values for the variables presolve fixed. Names
+// are not compared. A presolve that proved infeasibility, or did not run, is
+// the Same as nothing.
+func (p *Presolved) Same(q *Presolved) bool {
+	if p.pres == nil || q.pres == nil || p.pres.infeasible || q.pres.infeasible {
+		return false
+	}
+	a, b := p.pres.model, q.pres.model
+	if a.sense != b.sense || len(a.lo) != len(b.lo) || len(a.cons) != len(b.cons) ||
+		!slices.Equal(a.vtype, b.vtype) || !sameBits(a.lo, b.lo) || !sameBits(a.hi, b.hi) ||
+		!sameExpr(a.obj, b.obj) {
+		return false
+	}
+	for i := range a.cons {
+		x, y := &a.cons[i], &b.cons[i]
+		if x.rel != y.rel || math.Float64bits(x.rhs) != math.Float64bits(y.rhs) || !sameExpr(x.expr, y.expr) {
+			return false
+		}
+	}
+	pa, pb := p.pres.post, q.pres.post
+	return pa.n == pb.n && slices.Equal(pa.keep, pb.keep) && sameBits(pa.fixed, pb.fixed)
+}
+
+// sameBits compares two vectors bit for bit.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// sameExpr compares two expressions term for term, bit for bit.
+func sameExpr(a, b Expr) bool {
+	return math.Float64bits(a.Const) == math.Float64bits(b.Const) &&
+		slices.EqualFunc(a.Terms, b.Terms, func(x, y Term) bool {
+			return x.V == y.V && math.Float64bits(x.C) == math.Float64bits(y.C)
+		})
+}
+
+// SolveContext is Model.SolveContext on the model p presolved: the search
+// starts from p's reduction instead of presolving again, and its Runtime
+// counts p's presolve as the model's own solve would.
+func (p *Presolved) SolveContext(ctx context.Context, params Params) (*Result, error) {
+	start := time.Now().Add(-time.Duration(p.ns))
+	if params.TimeLimit > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.TimeLimit)
+		ctx, cancel = context.WithTimeout(ctx, params.TimeLimit)
 		defer cancel()
 	}
 	// The auto-width probe runs before runPool's watcher exists, so ctx
 	// reaches its LP through a flag of its own.
 	var probeStop atomic.Bool
 	defer context.AfterFunc(ctx, func() { probeStop.Store(true) })()
-	pl, err := m.prepare(&p, &probeStop)
+	pl, err := p.prepare(&params, &probeStop)
 	if err != nil {
 		return nil, err
 	}
-	s := newSearch(m, p, pl, start)
+	s := newSearch(p.m, params, pl, start)
 	// A presolve that proves infeasibility answers without exploring a
 	// single node: nothing is queued, so fold reads the empty tree as
 	// exhausted without an incumbent.
@@ -1003,33 +1073,26 @@ type plan struct {
 
 func (pl *plan) infeasible() bool { return pl.pres != nil && pl.pres.infeasible }
 
-// prepare validates the knapsack, presolves, and lets auto width
-// shrink the pool. stop interrupts the auto-width probe's LP (nil: nothing
-// does).
-func (m *Model) prepare(p *Params, stop *atomic.Bool) (*plan, error) {
-	if p.Knapsack != nil {
-		if err := p.Knapsack.validate(m); err != nil {
+// prepare validates the knapsack and lets auto width shrink the pool. The
+// search runs on p's reduced model, and postsolve maps its solutions back to
+// the caller's variable space. stop interrupts the auto-width probe's LP
+// (nil: nothing does).
+func (p *Presolved) prepare(params *Params, stop *atomic.Bool) (*plan, error) {
+	if params.Knapsack != nil {
+		if err := params.Knapsack.validate(p.m); err != nil {
 			return nil, err
 		}
 	}
-	pl := &plan{sm: m, workers: conc.Workers(p.Workers), autoFrac: -1}
-
-	// Root presolve: the search runs on the reduced model and postsolve
-	// maps its solutions back to the caller's variable space.
-	if !p.disablePresolve {
-		presolveStart := time.Now()
-		pl.pres = presolve(m)
-		pl.presolveNs = time.Since(presolveStart).Nanoseconds()
-		if !pl.pres.infeasible {
-			pl.sm = pl.pres.model
-		}
+	pl := &plan{sm: p.m, pres: p.pres, presolveNs: p.ns, workers: conc.Workers(params.Workers), autoFrac: -1}
+	if pl.pres != nil && !pl.pres.infeasible {
+		pl.sm = pl.pres.model
 	}
 
 	// Auto width: solve the root relaxation once and shrink the pool when
 	// the fractional count says the tree cannot keep it fed. The probe is
 	// off the books; its basis makes the search's own root solve, the one
 	// Stats counts, a warm re-solve with nothing left to pivot.
-	if pl.workers > 1 && !pl.infeasible() && !p.fixedWidth {
+	if pl.workers > 1 && !pl.infeasible() && !params.fixedWidth {
 		pl.autoRequested = pl.workers
 		pl.lowered = pl.sm.toLP(pl.sm.lo, pl.sm.hi)
 		pl.workers, pl.autoFrac, pl.rootBasis = autoWidth(pl.sm, pl.lowered, pl.workers, stop)

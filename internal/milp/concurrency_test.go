@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"raha/internal/lp"
+	"raha/internal/obs"
 )
 
 // wideKnapsack builds a knapsack wide enough that the search tree has real
@@ -235,5 +236,42 @@ func TestAutoWidthProbeWarmStartsRoot(t *testing.T) {
 	if st := s.wstats[0].stats; st.WarmStarts != 1 || st.WarmIters != 0 || st.LPIterations != 0 {
 		t.Fatalf("root LP: %d warm starts, %d warm iterations, %d iterations; want 1, 0, 0",
 			st.WarmStarts, st.WarmIters, st.LPIterations)
+	}
+}
+
+// widthTracer records the width the auto-width probe chose.
+type widthTracer struct{ chosen int }
+
+func (w *widthTracer) Emit(layer, ev string, f obs.F) {
+	if layer == "milp" && ev == "auto_width" {
+		w.chosen = f["chosen"].(int)
+	}
+}
+
+// TestAutoWidthProbeLowersOnce: the probe's lowering is worker 0's, so a
+// Workers-2 solve lowers the search model once per worker that solves, never
+// once more for the probe. A root with enough fractional binaries keeps both
+// workers (two lowerings); a one-row knapsack's root has one, so the probe
+// makes the search serial (one lowering).
+func TestAutoWidthProbeLowersOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	lowerings := obs.Default.Counter("lp.lowerings")
+	for _, tc := range []struct {
+		name  string
+		m     *Model
+		width int
+	}{
+		{"wide", blockKnapsacks(6), 2},
+		{"serial", wideKnapsack(3, 12), 1},
+	} {
+		tr := &widthTracer{}
+		before := lowerings.Value()
+		res, err := tc.m.Solve(Params{Workers: 2, Tracer: tr})
+		if err != nil || res.Status != Optimal {
+			t.Fatalf("%s: %v, %v", tc.name, res, err)
+		}
+		if got := lowerings.Value() - before; tr.chosen != tc.width || got != int64(tc.width) {
+			t.Errorf("%s: width %d, %d lowerings; want width %d, %d lowerings", tc.name, tr.chosen, got, tc.width, tc.width)
+		}
 	}
 }

@@ -3,9 +3,16 @@ package milp
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// prepare is SolveContext's set-up, for the tests that drive a search
+// step by step: m's presolve (unless p disables it), then the plan.
+func (m *Model) prepare(p *Params, stop *atomic.Bool) (*plan, error) {
+	return m.presolved(p.disablePresolve).prepare(p, stop)
+}
 
 func solveOK(t *testing.T, m *Model, p Params) *Result {
 	t.Helper()

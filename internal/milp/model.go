@@ -165,6 +165,11 @@ func (m *Model) Add(expr Expr, rel Rel, rhs float64, name string) {
 	m.cons[len(m.cons)-1].expr.Const = 0
 }
 
+// SetRHS replaces row i's right-hand side: the value Add stored, with the
+// expression's constant already folded in. It is the one edit a built model
+// takes between solves (metaopt's sessions move the failure budget's rows).
+func (m *Model) SetRHS(i int, rhs float64) { m.cons[i].rhs = rhs }
+
 // SetObjective installs the objective.
 func (m *Model) SetObjective(e Expr, s Sense) {
 	m.obj = e

@@ -300,3 +300,49 @@ func TestBoundPoolReuse(t *testing.T) {
 		t.Fatalf("free list grew to %d, cap is %d", len(p.free), poolCap)
 	}
 }
+
+// TestPresolvedSame: two models presolve to the Same reduction exactly when
+// the search would see the same problem. A right-hand side that leaves a
+// row redundant either way (a count row no point can reach) changes
+// nothing; one that moves a row the search keeps does, and so does one that
+// moves a bound presolve derives.
+func TestPresolvedSame(t *testing.T) {
+	knapsack := func(capacity, count float64) *Model {
+		m := NewModel()
+		var w, n, obj Expr
+		for i := 0; i < 6; i++ {
+			x := m.BinaryVar("x")
+			w.Add(float64(2+i), x)
+			n.Add(1, x)
+			obj.Add(float64(3+i%4), x)
+		}
+		m.Add(w, LE, capacity, "capacity")
+		m.Add(n, LE, count, "count")
+		m.SetObjective(obj, Maximize)
+		return m
+	}
+	base := knapsack(12, 10).Presolve()
+	for _, c := range []struct {
+		name     string
+		m        *Model
+		wantSame bool
+	}{
+		{"same model", knapsack(12, 10), true},
+		{"count row redundant either way", knapsack(12, 20), true},
+		{"binding capacity moved", knapsack(13, 10), false},
+		{"count row binds", knapsack(12, 2), false},
+	} {
+		if got := base.Same(c.m.Presolve()); got != c.wantSame {
+			t.Errorf("%s: Same %v, want %v", c.name, got, c.wantSame)
+		}
+	}
+	m := knapsack(12, 10)
+	pre := m.Presolve()
+	m.SetRHS(0, 13)
+	if !pre.Same(base) || m.Presolve().Same(base) {
+		t.Error("an edit after Presolve changed the reduction it returned, or an edited model kept the old one")
+	}
+	if infeasible := knapsack(-1, 10).Presolve(); infeasible.Same(infeasible) {
+		t.Error("a presolve that proved infeasibility is Same as itself")
+	}
+}

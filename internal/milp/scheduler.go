@@ -472,10 +472,10 @@ func autoWidth(m *Model, prob *lp.Problem, workers int, stop *atomic.Bool) (widt
 		width = g
 	}
 	sol, err := lp.Solve(prob, &lp.Options{Stop: stop})
-	// The probe's workspace goes back to the free list: worker 0 solves this
-	// problem again, from a workspace lowered afresh, so that the root warm
-	// start factorizes as it would on a problem of its own.
-	prob.Release()
+	// Worker 0 solves this problem again, on the probe's lowering. Only the
+	// probe's factors go, so that the root warm start factorizes as it would
+	// on a problem of its own.
+	prob.DropFactors()
 	if err != nil || sol.Status != lp.Optimal {
 		return width, -1, nil
 	}

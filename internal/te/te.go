@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 
+	"raha/internal/conc"
 	"raha/internal/lp"
 	"raha/internal/paths"
 	"raha/internal/topology"
@@ -49,35 +50,159 @@ func FullCapacities(t *topology.Topology) []float64 {
 	return caps
 }
 
-// flowVars enumerates one LP variable per active path and returns the
-// mapping plus, per LAG, the variables that traverse it.
-func flowVars(t *topology.Topology, dps []paths.DemandPaths, active [][]bool) (varOf [][]int, byLAG [][]int, n int) {
-	varOf = make([][]int, len(dps))
-	byLAG = make([][]int, t.NumLAGs())
+// workspace is one TE solve's scratch: the LP variable of each path, the
+// variables crossing each LAG, the LP itself and its rows' index and
+// coefficient storage. A solve takes one from a free list and puts it back
+// once the LP is released, so a sweep's thousands of verification solves
+// stop allocating it: only the Result is new.
+type workspace struct {
+	prob lp.Problem
+
+	// varOf[pathOff[k]+j] is path j of demand k's LP variable, −1 when the
+	// path is inactive; lagVar[lagOff[e]:lagOff[e+1]] are the variables
+	// crossing LAG e, in variable order. fill is the cursor that places them.
+	pathOff, varOf       []int
+	lagOff, lagVar, fill []int
+
+	// Every row's indices and coefficients, back to back, each row capped at
+	// its own end.
+	idx  []int
+	coef []float64
+}
+
+// maxFreeWorkspaces bounds the workspaces the free list keeps: one per
+// concurrent solve.
+const maxFreeWorkspaces = 8
+
+var freeWorkspaces = conc.FreeList[*workspace]{Max: maxFreeWorkspaces}
+
+func takeWorkspace() *workspace {
+	if ws, ok := freeWorkspaces.Get(); ok {
+		return ws
+	}
+	return &workspace{}
+}
+
+// resize returns buf resized to n, reallocating only when it is too short;
+// the contents are whatever the storage held.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// flowVars enumerates one LP variable per active path, and per LAG the
+// variables that traverse it, and returns the variable count.
+func (ws *workspace) flowVars(t *topology.Topology, dps []paths.DemandPaths, active [][]bool) int {
+	nl := t.NumLAGs()
+	ws.pathOff = append(ws.pathOff[:0], 0)
+	ws.varOf = ws.varOf[:0]
+	ws.lagOff = resize(ws.lagOff, nl+1)
+	clear(ws.lagOff)
+	n := 0
 	for k, dp := range dps {
-		varOf[k] = make([]int, len(dp.Paths))
-		for j := range dp.Paths {
+		for j, p := range dp.Paths {
 			if !active[k][j] {
-				varOf[k][j] = -1
+				ws.varOf = append(ws.varOf, -1)
 				continue
 			}
-			varOf[k][j] = n
-			for _, e := range dp.Paths[j].LAGs {
-				byLAG[e] = append(byLAG[e], n)
+			ws.varOf = append(ws.varOf, n)
+			for _, e := range p.LAGs {
+				ws.lagOff[e+1]++
 			}
 			n++
 		}
+		ws.pathOff = append(ws.pathOff, len(ws.varOf))
 	}
-	return varOf, byLAG, n
+	for e := 0; e < nl; e++ {
+		ws.lagOff[e+1] += ws.lagOff[e]
+	}
+	ws.lagVar = resize(ws.lagVar, ws.lagOff[nl])
+	ws.fill = append(ws.fill[:0], ws.lagOff[:nl]...)
+	for k, dp := range dps {
+		for j, p := range dp.Paths {
+			if v := ws.varOf[ws.pathOff[k]+j]; v >= 0 {
+				for _, e := range p.LAGs {
+					ws.lagVar[ws.fill[e]] = v
+					ws.fill[e]++
+				}
+			}
+		}
+	}
+	ws.idx, ws.coef = ws.idx[:0], ws.coef[:0]
+	return n
 }
 
-func extract(dps []paths.DemandPaths, varOf [][]int, x []float64) (per []float64, flows [][]float64) {
+// pathVars returns demand k's LP variable per path, −1 when inactive.
+func (ws *workspace) pathVars(k int) []int { return ws.varOf[ws.pathOff[k]:ws.pathOff[k+1]] }
+
+// lagVars returns the variables crossing LAG e.
+func (ws *workspace) lagVars(e int) []int { return ws.lagVar[ws.lagOff[e]:ws.lagOff[e+1]] }
+
+// problem resets the workspace's LP to n variables, zero objective and
+// bounds [0, +Inf), as lp.NewProblem builds one.
+func (ws *workspace) problem(n int) *lp.Problem {
+	p := &ws.prob
+	p.NumVars = n
+	p.Cost = resize(p.Cost, n)
+	p.Lo = resize(p.Lo, n)
+	p.Hi = resize(p.Hi, n)
+	clear(p.Cost)
+	clear(p.Lo)
+	for i := range p.Hi {
+		p.Hi[i] = math.Inf(1)
+	}
+	p.Rows = p.Rows[:0]
+	return p
+}
+
+// ones appends vars to the row under construction, each with coefficient
+// 1, skipping the −1 of an inactive path.
+func (ws *workspace) ones(vars []int) {
+	for _, v := range vars {
+		if v >= 0 {
+			ws.idx = append(ws.idx, v)
+			ws.coef = append(ws.coef, 1)
+		}
+	}
+}
+
+// addRow adds the terms appended since start as one row of p.
+func (ws *workspace) addRow(p *lp.Problem, start int, rel lp.Rel, rhs float64) {
+	end := len(ws.idx)
+	p.AddRow(ws.idx[start:end:end], ws.coef[start:end:end], rel, rhs)
+}
+
+// solve solves the workspace's LP and releases its lowering; sol owns its
+// X.
+func (ws *workspace) solve() (*lp.Solution, error) {
+	p := &ws.prob
+	sol, err := lp.Solve(p, nil)
+	p.Release() // the solve is the problem's only one
+	return sol, err
+}
+
+// release hands the workspace back for the next solve, once nothing reads
+// it any more. A solve that panicked never calls it: its LP may still hold a
+// half-updated lowering.
+func (ws *workspace) release() {
+	clear(ws.prob.Rows)
+	ws.prob.Rows = ws.prob.Rows[:0]
+	freeWorkspaces.Put(ws)
+}
+
+// extract reads the flow per demand and per path out of x. The paths'
+// flows share one allocation, each demand's capped at its own end.
+func (ws *workspace) extract(dps []paths.DemandPaths, x []float64) (per []float64, flows [][]float64) {
 	per = make([]float64, len(dps))
 	flows = make([][]float64, len(dps))
-	for k, dp := range dps {
-		flows[k] = make([]float64, len(dp.Paths))
-		for j := range dp.Paths {
-			if v := varOf[k][j]; v >= 0 {
+	all := make([]float64, len(ws.varOf))
+	for k := range dps {
+		lo, hi := ws.pathOff[k], ws.pathOff[k+1]
+		flows[k] = all[lo:hi:hi]
+		for j, v := range ws.varOf[lo:hi] {
+			if v >= 0 {
 				flows[k][j] = x[v]
 				per[k] += x[v]
 			}
@@ -121,47 +246,49 @@ func MaxTotalFlowWithPathCaps(t *topology.Topology, dps []paths.DemandPaths, vol
 	if pathCaps != nil && len(pathCaps) != len(dps) {
 		return nil, fmt.Errorf("te: %d path-cap rows for %d demands", len(pathCaps), len(dps))
 	}
-	varOf, byLAG, n := flowVars(t, dps, active)
-	p := lp.NewProblem(n)
+	ws := takeWorkspace()
+	res, err := ws.maxTotalFlow(t, dps, volumes, caps, active, pathCaps)
+	ws.release()
+	return res, err
+}
+
+func (ws *workspace) maxTotalFlow(t *topology.Topology, dps []paths.DemandPaths, volumes, caps []float64, active [][]bool, pathCaps [][]float64) (*Result, error) {
+	n := ws.flowVars(t, dps, active)
+	p := ws.problem(n)
 	for i := 0; i < n; i++ {
 		p.Cost[i] = -1 // maximize total flow
 	}
 	if pathCaps != nil {
 		for k := range dps {
-			for j := range dps[k].Paths {
-				if v := varOf[k][j]; v >= 0 && pathCaps[k][j] < p.Hi[v] {
+			for j, v := range ws.pathVars(k) {
+				if v >= 0 && pathCaps[k][j] < p.Hi[v] {
 					p.Hi[v] = pathCaps[k][j]
 				}
 			}
 		}
 	}
 	for k := range dps {
-		var idx []int
-		for j := range dps[k].Paths {
-			if v := varOf[k][j]; v >= 0 {
-				idx = append(idx, v)
-			}
+		start := len(ws.idx)
+		ws.ones(ws.pathVars(k))
+		if len(ws.idx) > start {
+			ws.addRow(p, start, lp.LE, volumes[k])
 		}
-		if len(idx) == 0 {
-			continue
-		}
-		p.AddRow(idx, ones(len(idx)), lp.LE, volumes[k])
 	}
-	for e, vars := range byLAG {
-		if len(vars) == 0 {
-			continue
+	for e := range caps {
+		start := len(ws.idx)
+		ws.ones(ws.lagVars(e))
+		if len(ws.idx) > start {
+			ws.addRow(p, start, lp.LE, caps[e])
 		}
-		p.AddRow(vars, ones(len(vars)), lp.LE, caps[e])
 	}
-	sol, err := lp.Solve(p, nil)
-	p.Release() // the solve is the problem's only one; sol owns its X
+	sol, err := ws.solve()
 	if err != nil {
 		return nil, err
 	}
 	if sol.Status != lp.Optimal {
 		return &Result{}, nil
 	}
-	per, flows := extract(dps, varOf, sol.X)
+	per, flows := ws.extract(dps, sol.X)
 	return &Result{Feasible: true, Objective: -sol.Objective, PerDemand: per, PathFlows: flows}, nil
 }
 
@@ -174,45 +301,48 @@ func MinMLU(t *topology.Topology, dps []paths.DemandPaths, volumes, caps []float
 	if err := checkInputs(t, dps, volumes, caps, active); err != nil {
 		return nil, err
 	}
-	varOf, byLAG, n := flowVars(t, dps, active)
+	ws := takeWorkspace()
+	res, err := ws.minMLU(t, dps, volumes, caps, active)
+	ws.release()
+	return res, err
+}
+
+func (ws *workspace) minMLU(t *topology.Topology, dps []paths.DemandPaths, volumes, caps []float64, active [][]bool) (*Result, error) {
+	n := ws.flowVars(t, dps, active)
 	uVar := n // the MLU variable
-	p := lp.NewProblem(n + 1)
+	p := ws.problem(n + 1)
 	p.Cost[uVar] = 1
 	p.Hi[uVar] = 1e9
 	for k := range dps {
-		var idx []int
-		for j := range dps[k].Paths {
-			if v := varOf[k][j]; v >= 0 {
-				idx = append(idx, v)
-			}
-		}
-		if len(idx) == 0 {
+		start := len(ws.idx)
+		ws.ones(ws.pathVars(k))
+		if len(ws.idx) == start {
 			if volumes[k] > 0 {
 				return &Result{}, nil // no usable path but demand must route
 			}
 			continue
 		}
-		p.AddRow(idx, ones(len(idx)), lp.EQ, volumes[k])
+		ws.addRow(p, start, lp.EQ, volumes[k])
 	}
-	for e, vars := range byLAG {
-		if len(vars) == 0 {
+	for e := range caps {
+		start := len(ws.idx)
+		ws.ones(ws.lagVars(e))
+		if len(ws.idx) == start {
 			continue
 		}
 		// Σ flows − U·cap ≤ 0
-		idx := append(append([]int(nil), vars...), uVar)
-		coef := ones(len(vars))
-		coef = append(coef, -caps[e])
-		p.AddRow(idx, coef, lp.LE, 0)
+		ws.idx = append(ws.idx, uVar)
+		ws.coef = append(ws.coef, -caps[e])
+		ws.addRow(p, start, lp.LE, 0)
 	}
-	sol, err := lp.Solve(p, nil)
-	p.Release() // the solve is the problem's only one; sol owns its X
+	sol, err := ws.solve()
 	if err != nil {
 		return nil, err
 	}
 	if sol.Status != lp.Optimal {
 		return &Result{}, nil
 	}
-	per, flows := extract(dps, varOf, sol.X[:n])
+	per, flows := ws.extract(dps, sol.X[:n])
 	return &Result{Feasible: true, Objective: sol.X[uVar], PerDemand: per, PathFlows: flows}, nil
 }
 
@@ -250,71 +380,59 @@ func MaxMinBinned(t *topology.Topology, dps []paths.DemandPaths, volumes, caps [
 		cfg.Base = maxV / math.Pow(cfg.Ratio, float64(cfg.Bins-1))
 	}
 
-	varOf, byLAG, n := flowVars(t, dps, active)
-	// Bin variables per demand.
-	binVar := make([][]int, len(dps))
-	tot := n
-	for k := range dps {
-		binVar[k] = make([]int, cfg.Bins)
-		for b := 0; b < cfg.Bins; b++ {
-			binVar[k][b] = tot
-			tot++
-		}
-	}
-	p := lp.NewProblem(tot)
+	ws := takeWorkspace()
+	res, err := ws.maxMinBinned(t, dps, volumes, caps, active, cfg)
+	ws.release()
+	return res, err
+}
+
+func (ws *workspace) maxMinBinned(t *topology.Topology, dps []paths.DemandPaths, volumes, caps []float64, active [][]bool, cfg BinnerConfig) (*Result, error) {
+	n := ws.flowVars(t, dps, active)
+	// Bin b of demand k is variable n + k·Bins + b.
+	binVar := func(k, b int) int { return n + k*cfg.Bins + b }
+	p := ws.problem(n + len(dps)*cfg.Bins)
 	width := cfg.Base
 	weight := 1.0
 	for b := 0; b < cfg.Bins; b++ {
 		for k := range dps {
-			p.Hi[binVar[k][b]] = width
-			p.Cost[binVar[k][b]] = -weight // maximize
+			p.Hi[binVar(k, b)] = width
+			p.Cost[binVar(k, b)] = -weight // maximize
 		}
 		width *= cfg.Ratio
 		weight /= cfg.Ratio
 	}
 	for k := range dps {
-		var idx []int
-		for j := range dps[k].Paths {
-			if v := varOf[k][j]; v >= 0 {
-				idx = append(idx, v)
-			}
-		}
 		// Σ bins = Σ path flows (f_k expressed both ways).
-		row := append([]int(nil), idx...)
-		coef := ones(len(idx))
+		start := len(ws.idx)
+		ws.ones(ws.pathVars(k))
+		paths := len(ws.idx) - start
 		for b := 0; b < cfg.Bins; b++ {
-			row = append(row, binVar[k][b])
-			coef = append(coef, -1)
+			ws.idx = append(ws.idx, binVar(k, b))
+			ws.coef = append(ws.coef, -1)
 		}
-		if len(row) > 0 {
-			p.AddRow(row, coef, lp.EQ, 0)
+		if len(ws.idx) > start {
+			ws.addRow(p, start, lp.EQ, 0)
 		}
-		if len(idx) > 0 {
-			p.AddRow(idx, ones(len(idx)), lp.LE, volumes[k])
+		if paths > 0 {
+			start = len(ws.idx)
+			ws.ones(ws.pathVars(k))
+			ws.addRow(p, start, lp.LE, volumes[k])
 		}
 	}
-	for e, vars := range byLAG {
-		if len(vars) == 0 {
-			continue
+	for e := range caps {
+		start := len(ws.idx)
+		ws.ones(ws.lagVars(e))
+		if len(ws.idx) > start {
+			ws.addRow(p, start, lp.LE, caps[e])
 		}
-		p.AddRow(vars, ones(len(vars)), lp.LE, caps[e])
 	}
-	sol, err := lp.Solve(p, nil)
-	p.Release() // the solve is the problem's only one; sol owns its X
+	sol, err := ws.solve()
 	if err != nil {
 		return nil, err
 	}
 	if sol.Status != lp.Optimal {
 		return &Result{}, nil
 	}
-	per, flows := extract(dps, varOf, sol.X[:n])
+	per, flows := ws.extract(dps, sol.X[:n])
 	return &Result{Feasible: true, Objective: -sol.Objective, PerDemand: per, PathFlows: flows}, nil
-}
-
-func ones(n int) []float64 {
-	c := make([]float64, n)
-	for i := range c {
-		c[i] = 1
-	}
-	return c
 }
