@@ -44,14 +44,14 @@ func writeKnapsackTrace(t *testing.T, workers int, seed int64, budget bool) (str
 	wt := make([]milp.Expr, rows)
 	k := &milp.Knapsack{RHS: -80}
 	for i := 0; i < 16; i++ {
-		v, value, weight := m.BinaryVar("x"), float64(1+rng.Intn(40)), float64(1+rng.Intn(20))
+		v, value, weight := m.BinaryVar(), float64(1+rng.Intn(40)), float64(1+rng.Intn(20))
 		objE.Add(value, v)
 		wt[i*rows/16].Add(weight, v)
 		k.Vars, k.Weight, k.Coef = append(k.Vars, v), append(k.Weight, value), append(k.Coef, -weight)
 	}
 	m.SetObjective(objE, milp.Maximize)
 	for _, row := range wt {
-		m.Add(row, milp.LE, float64(80/rows), "cap")
+		m.Add(row, milp.LE, float64(80/rows))
 	}
 	if !budget {
 		k = nil

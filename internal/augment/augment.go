@@ -259,7 +259,7 @@ func solveExistingAugment(t *topology.Topology, dps []paths.DemandPaths, res *me
 	nAdd := make([]milp.Var, t.NumLAGs())
 	obj := milp.NewExpr()
 	for e := range nAdd {
-		nAdd[e] = m.NewVar(0, maxLinks, milp.Integer, fmt.Sprintf("n[%d]", e))
+		nAdd[e] = m.NewVar(0, maxLinks, milp.Integer)
 		obj.Add(1, nAdd[e])
 	}
 
@@ -270,14 +270,14 @@ func solveExistingAugment(t *topology.Topology, dps []paths.DemandPaths, res *me
 			if !active[k][j] {
 				continue
 			}
-			f := m.ContinuousVar(0, res.Healthy.PerDemand[k], fmt.Sprintf("f[%d][%d]", k, j))
+			f := m.ContinuousVar(0, res.Healthy.PerDemand[k])
 			row.Add(1, f)
 			for _, e := range dp.Paths[j].LAGs {
 				byLAG[e] = append(byLAG[e], f)
 			}
 		}
 		// Failed-with-augment network must match the healthy flow (§7).
-		m.Add(row, milp.GE, res.Healthy.PerDemand[k], fmt.Sprintf("match[%d]", k))
+		m.Add(row, milp.GE, res.Healthy.PerDemand[k])
 	}
 	for e, vars := range byLAG {
 		if len(vars) == 0 {
@@ -287,7 +287,7 @@ func solveExistingAugment(t *topology.Topology, dps []paths.DemandPaths, res *me
 		for _, f := range vars {
 			row.Add(1, f)
 		}
-		m.Add(row, milp.LE, scenCaps[e], fmt.Sprintf("cap[%d]", e))
+		m.Add(row, milp.LE, scenCaps[e])
 	}
 	m.SetObjective(obj, milp.Minimize)
 	sol, err := m.Solve(params)

@@ -113,7 +113,7 @@ func solveNewLAGAugment(t *topology.Topology, dps []paths.DemandPaths, res *meta
 	nAdd := make([]milp.Var, nq)
 	obj := milp.NewExpr()
 	for q := range nAdd {
-		nAdd[q] = m.NewVar(0, maxLinks, milp.Integer, fmt.Sprintf("n[%d]", q))
+		nAdd[q] = m.NewVar(0, maxLinks, milp.Integer)
 		obj.Add(weightOf(q), nAdd[q])
 	}
 
@@ -145,18 +145,18 @@ func solveNewLAGAugment(t *topology.Topology, dps []paths.DemandPaths, res *meta
 				continue
 			}
 			flows[k][e] = arc{
-				fwd: m.ContinuousVar(0, inf, fmt.Sprintf("f[%d][%d]+", k, e)),
-				rev: m.ContinuousVar(0, inf, fmt.Sprintf("f[%d][%d]-", k, e)),
+				fwd: m.ContinuousVar(0, inf),
+				rev: m.ContinuousVar(0, inf),
 			}
 		}
 		cand[k] = make([]arc, nq)
 		for q := 0; q < nq; q++ {
 			cand[k][q] = arc{
-				fwd: m.ContinuousVar(0, inf, fmt.Sprintf("c[%d][%d]+", k, q)),
-				rev: m.ContinuousVar(0, inf, fmt.Sprintf("c[%d][%d]-", k, q)),
+				fwd: m.ContinuousVar(0, inf),
+				rev: m.ContinuousVar(0, inf),
 			}
 		}
-		fk[k] = m.ContinuousVar(res.Healthy.PerDemand[k], inf, fmt.Sprintf("fk[%d]", k))
+		fk[k] = m.ContinuousVar(res.Healthy.PerDemand[k], inf)
 	}
 
 	// Flow conservation at every node, per demand.
@@ -203,7 +203,7 @@ func solveNewLAGAugment(t *topology.Topology, dps []paths.DemandPaths, res *meta
 				touched = true
 			}
 			if touched {
-				m.Add(row, milp.EQ, 0, fmt.Sprintf("cons[%d][%d]", k, i))
+				m.Add(row, milp.EQ, 0)
 			}
 		}
 	}
@@ -220,7 +220,7 @@ func solveNewLAGAugment(t *topology.Topology, dps []paths.DemandPaths, res *meta
 			}
 		}
 		if any {
-			m.Add(row, milp.LE, scenCaps[e], fmt.Sprintf("cap[%d]", e))
+			m.Add(row, milp.LE, scenCaps[e])
 		}
 	}
 	for q := 0; q < nq; q++ {
@@ -229,7 +229,7 @@ func solveNewLAGAugment(t *topology.Topology, dps []paths.DemandPaths, res *meta
 			row.Add(1, cand[k][q].fwd)
 			row.Add(1, cand[k][q].rev)
 		}
-		m.Add(row, milp.LE, 0, fmt.Sprintf("candcap[%d]", q))
+		m.Add(row, milp.LE, 0)
 	}
 
 	m.SetObjective(obj, milp.Minimize)

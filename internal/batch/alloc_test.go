@@ -27,14 +27,15 @@ func oneCellB4() Config {
 // Per-cell allocation budget: what one default-grid cell on B4 costs the
 // garbage collector, end to end — pair ranking, tunnels, both phases' model
 // builds, presolves and searches, the verification re-simulation. Measured
-// at 2,976 allocations and 286 KB per cell (5,897 and 625 KB before the
-// tunnel workspace, the compact pair ranking and the LP/MILP scratch that
-// outlives a solve). The allocation count is exact from run to run (one
-// worker, the free lists warm) and the bytes move by well under 1%; the
-// budgets leave 15% for Go releases.
+// at 2,031 allocations and 231 KB per cell (2,561 and 260 KB while every
+// model variable and row carried a name; 5,897 and 625 KB before the tunnel
+// workspace, the compact pair ranking and the LP/MILP scratch that outlives
+// a solve). The allocation count is exact from run to run (one worker, the
+// free lists warm) and the bytes move by well under 1%; the budgets leave
+// 15% for Go releases.
 const (
-	cellAllocBudget = 3420
-	cellByteBudget  = 330 << 10
+	cellAllocBudget = 2336
+	cellByteBudget  = 260 << 10
 )
 
 func TestCellAllocBudget(t *testing.T) {

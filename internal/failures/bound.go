@@ -286,7 +286,7 @@ func budgetKnapsack(b *Budget) *milp.Model {
 	obj, prob, count := milp.NewExpr(), milp.NewExpr(), milp.NewExpr()
 	for e, ws := range b.Weight {
 		for l, w := range ws {
-			u := m.BinaryVar(fmt.Sprintf("u_link[%d][%d]", e, l))
+			u := m.BinaryVar()
 			obj.Add(w, u)
 			count.Add(1, u)
 			if b.Coef != nil {
@@ -295,10 +295,10 @@ func budgetKnapsack(b *Budget) *milp.Model {
 		}
 	}
 	if b.Coef != nil {
-		m.Add(prob, milp.GE, b.RHS, "probability-threshold")
+		m.Add(prob, milp.GE, b.RHS)
 	}
 	if b.K > 0 {
-		m.Add(count, milp.LE, float64(b.K), "max-failures")
+		m.Add(count, milp.LE, float64(b.K))
 	}
 	m.SetObjective(obj, milp.Maximize)
 	return m

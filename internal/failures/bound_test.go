@@ -12,22 +12,26 @@ import (
 	"raha/internal/topology"
 )
 
-// rowByName returns the named row of m as variable name → coefficient.
-func rowByName(t *testing.T, m *milp.Model, name string) (coef map[string]float64, rel milp.Rel, rhs float64) {
+// linkRow returns row i of m as link (LAG, member) → coefficient; links[e][l]
+// is link (e, l)'s variable in m, as in Encoding.LinkDown.
+func linkRow(t *testing.T, m *milp.Model, i int, links [][]milp.Var) (coef map[[2]int]float64, rel milp.Rel, rhs float64) {
 	t.Helper()
-	for i := 0; i < m.NumConstraints(); i++ {
-		expr, rel, rhs, n := m.ConstraintAt(i)
-		if n != name {
-			continue
+	link := make(map[milp.Var][2]int)
+	for e, vs := range links {
+		for l, v := range vs {
+			link[v] = [2]int{e, l}
 		}
-		coef = make(map[string]float64)
-		for _, term := range expr.Terms {
-			coef[m.Name(term.V)] += term.C
-		}
-		return coef, rel, rhs
 	}
-	t.Fatalf("model has no %q row", name)
-	return nil, 0, 0
+	expr, rel, rhs := m.ConstraintAt(i)
+	coef = make(map[[2]int]float64)
+	for _, term := range expr.Terms {
+		el, ok := link[term.V]
+		if !ok {
+			t.Fatalf("row %d has a term on variable %d, which is no link's", i, term.V)
+		}
+		coef[el] += term.C
+	}
+	return coef, rel, rhs
 }
 
 // TestKnapsackRowsEqualModelRows holds the lost-capacity knapsack to the
@@ -62,6 +66,7 @@ func TestKnapsackRowsEqualModelRows(t *testing.T) {
 		for _, assume := range []bool{true, false} {
 			model := milp.NewModel()
 			enc := Encode(model, top, dps)
+			rows := model.NumConstraints()
 			if err := enc.AddProbabilityThreshold(model, threshold, assume); err != nil {
 				t.Fatal(err)
 			}
@@ -70,19 +75,28 @@ func TestKnapsackRowsEqualModelRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The knapsack holds one binary per used link, in Encode's
+			// order, and its probability row before its count row.
 			knap := budgetKnapsack(b)
-			for _, name := range []string{"probability-threshold", "max-failures"} {
-				wantCoef, wantRel, wantRHS := rowByName(t, model, name)
-				gotCoef, gotRel, gotRHS := rowByName(t, knap, name)
+			knapLinks, v := make([][]milp.Var, len(b.Weight)), milp.Var(0)
+			for e, ws := range b.Weight {
+				for range ws {
+					knapLinks[e] = append(knapLinks[e], v)
+					v++
+				}
+			}
+			for i, name := range []string{"probability-threshold", "max-failures"} {
+				wantCoef, wantRel, wantRHS := linkRow(t, model, rows+i, enc.LinkDown)
+				gotCoef, gotRel, gotRHS := linkRow(t, knap, i, knapLinks)
 				if gotRel != wantRel || math.Float64bits(gotRHS) != math.Float64bits(wantRHS) {
 					t.Fatalf("seed %d %s: knapsack row %v %v, model row %v %v", seed, name, gotRel, gotRHS, wantRel, wantRHS)
 				}
 				if len(gotCoef) != len(wantCoef) {
 					t.Fatalf("seed %d %s: knapsack row has %d links, model row %d", seed, name, len(gotCoef), len(wantCoef))
 				}
-				for v, c := range wantCoef {
-					if g, ok := gotCoef[v]; !ok || math.Float64bits(g) != math.Float64bits(c) {
-						t.Fatalf("seed %d %s: %s has coefficient %v in the knapsack, %v in the model", seed, name, v, g, c)
+				for el, c := range wantCoef {
+					if g, ok := gotCoef[el]; !ok || math.Float64bits(g) != math.Float64bits(c) {
+						t.Fatalf("seed %d %s: link %v has coefficient %v in the knapsack, %v in the model", seed, name, el, g, c)
 					}
 				}
 			}
@@ -188,23 +202,26 @@ func TestBudgetAdmits(t *testing.T) {
 		}
 		model := milp.NewModel()
 		enc := Encode(model, top, dps)
+		probRow, countRow := -1, -1 // -1: the model has no such row
 		if tc.threshold > 0 {
+			probRow = model.NumConstraints()
 			if err := enc.AddProbabilityThreshold(model, tc.threshold, tc.assume); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if tc.k > 0 {
+			countRow = model.NumConstraints()
 			enc.AddMaxFailures(model, tc.k)
 		}
-		rowHolds := func(name string, s *Scenario) bool {
-			if tc.threshold <= 0 && name == "probability-threshold" || tc.k == 0 && name == "max-failures" {
+		rowHolds := func(row int, s *Scenario) bool {
+			if row < 0 {
 				return true
 			}
-			coef, rel, rhs := rowByName(t, model, name)
+			coef, rel, rhs := linkRow(t, model, row, enc.LinkDown)
 			lhs := 0.0
 			for _, el := range used {
 				if s.LinkDown[el[0]][el[1]] {
-					lhs += coef[fmt.Sprintf("u_link[%d][%d]", el[0], el[1])]
+					lhs += coef[el]
 				}
 			}
 			if rel == milp.GE {
@@ -214,7 +231,7 @@ func TestBudgetAdmits(t *testing.T) {
 		}
 		for mask := 0; mask < 1<<len(used); mask++ {
 			s := scenario(mask)
-			want := rowHolds("probability-threshold", s) && rowHolds("max-failures", s)
+			want := rowHolds(probRow, s) && rowHolds(countRow, s)
 			if got := budget.Admits(s); got != want {
 				t.Errorf("threshold %g assume %v k %d, failed links %v: Admits %v, model rows %v",
 					tc.threshold, tc.assume, tc.k, s.LinkDown, got, want)

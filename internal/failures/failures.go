@@ -202,25 +202,25 @@ func Encode(m *milp.Model, t *topology.Topology, dps []paths.DemandPaths) *Encod
 		lag := t.LAG(e)
 		enc.LinkDown[e] = make([]milp.Var, len(lag.Links))
 		for l := range lag.Links {
-			enc.LinkDown[e][l] = m.BinaryVar(fmt.Sprintf("u_link[%d][%d]", e, l))
+			enc.LinkDown[e][l] = m.BinaryVar()
 		}
-		enc.LAGDown[e] = m.BinaryVar(fmt.Sprintf("u_lag[%d]", e))
+		enc.LAGDown[e] = m.BinaryVar()
 		// Eq. 3: N_e·u_e + aux = Σ_l u_le with 0 ≤ aux ≤ N_e − 1 forces
 		// u_e = 1 exactly when all member links are down.
 		ne := float64(len(lag.Links))
-		aux := m.ContinuousVar(0, ne-1, fmt.Sprintf("aux_lag[%d]", e))
+		aux := m.ContinuousVar(0, ne-1)
 		row := milp.NewExpr(milp.T(ne, enc.LAGDown[e]), milp.T(1, aux))
 		for l := range lag.Links {
 			row.Add(-1, enc.LinkDown[e][l])
 		}
-		m.Add(row, milp.EQ, 0, fmt.Sprintf("eq3[%d]", e))
+		m.Add(row, milp.EQ, 0)
 	}
 
 	for k, dp := range dps {
 		enc.PathDown[k] = make([]milp.Var, len(dp.Paths))
 		enc.Active[k] = make([]*milp.Var, len(dp.Paths))
 		for j, p := range dp.Paths {
-			u := m.BinaryVar(fmt.Sprintf("u_path[%d][%d]", k, j))
+			u := m.BinaryVar()
 			enc.PathDown[k][j] = u
 			// Eq. 4 plus its tightening: u_kp = 1 ⇔ some LAG on the path
 			// is down.
@@ -231,8 +231,8 @@ func Encode(m *milp.Model, t *topology.Topology, dps []paths.DemandPaths) *Encod
 				lower.Add(-1, enc.LAGDown[e])
 				upper.Add(-1, enc.LAGDown[e])
 			}
-			m.Add(lower, milp.GE, 0, fmt.Sprintf("eq4lo[%d][%d]", k, j))
-			m.Add(upper, milp.LE, 0, fmt.Sprintf("eq4hi[%d][%d]", k, j))
+			m.Add(lower, milp.GE, 0)
+			m.Add(upper, milp.LE, 0)
 		}
 		// Eq. 5 indicators for backups: active ⇔ Σ_{i<j} u_ki ≥ j−primary+1.
 		for j := dp.Primary; j < len(dp.Paths); j++ {
@@ -240,7 +240,7 @@ func Encode(m *milp.Model, t *topology.Topology, dps []paths.DemandPaths) *Encod
 			for i := 0; i < j; i++ {
 				sum.Add(1, enc.PathDown[k][i])
 			}
-			z := m.IndicatorGE(sum, float64(j-dp.Primary+1), 1, fmt.Sprintf("active[%d][%d]", k, j))
+			z := m.IndicatorGE(sum, float64(j-dp.Primary+1), 1)
 			enc.Active[k][j] = &z
 		}
 	}
@@ -269,7 +269,7 @@ func (enc *Encoding) AddProbabilityThreshold(m *milp.Model, threshold float64, a
 			expr.Add(b.Coef[e][l], v)
 		}
 	}
-	m.Add(expr, milp.GE, b.RHS, "probability-threshold")
+	m.Add(expr, milp.GE, b.RHS)
 	return nil
 }
 
@@ -300,7 +300,7 @@ func (enc *Encoding) AddMaxFailures(m *milp.Model, k int) {
 			expr.Add(1, v)
 		}
 	}
-	m.Add(expr, milp.LE, float64(k), "max-failures")
+	m.Add(expr, milp.LE, float64(k))
 }
 
 // AddConnectivityEnforced adds the §5.1 CE constraint: for every demand, at
@@ -315,7 +315,7 @@ func (enc *Encoding) AddConnectivityEnforced(m *milp.Model) {
 		for _, u := range enc.PathDown[k] {
 			expr.Add(1, u)
 		}
-		m.Add(expr, milp.LE, float64(len(enc.PathDown[k])-1), fmt.Sprintf("ce[%d]", k))
+		m.Add(expr, milp.LE, float64(len(enc.PathDown[k])-1))
 	}
 }
 

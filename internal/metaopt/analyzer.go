@@ -360,7 +360,7 @@ func newDemandVars(cfg *Config, m *milp.Model) (*demandVars, error) {
 			dv.bits[k] = make([]milp.Var, q.Bits)
 			scale := unit
 			for i := 0; i < q.Bits; i++ {
-				b := m.BinaryVar(fmt.Sprintf("dbit[%d][%d]", k, i))
+				b := m.BinaryVar()
 				dv.bits[k][i] = b
 				e.Add(scale, b)
 				scale *= 2

@@ -37,7 +37,7 @@ func modelFingerprint(m *milp.Model) string {
 		u64(uint64(m.TypeOf(v)))
 	}
 	for i := 0; i < m.NumConstraints(); i++ {
-		e, rel, rhs, _ := m.ConstraintAt(i)
+		e, rel, rhs := m.ConstraintAt(i)
 		terms(e)
 		u64(uint64(rel))
 		f64(rhs)

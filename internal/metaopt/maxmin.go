@@ -1,8 +1,6 @@
 package metaopt
 
 import (
-	"fmt"
-
 	"raha/internal/failures"
 	"raha/internal/milp"
 	"raha/internal/te"
@@ -113,17 +111,17 @@ func foldHealthyMaxMin(cfg *Config, m *milp.Model, dv *demandVars, obj *milp.Exp
 		binSum := milp.NewExpr()
 		demandRow := milp.NewExpr()
 		for b := range widths {
-			fb := m.ContinuousVar(0, widths[b], fmt.Sprintf("fob[%d][%d]", k, b))
+			fb := m.ContinuousVar(0, widths[b])
 			obj.Add(weights[b], fb)
 			binSum.Add(-1, fb)
 			demandRow.Add(1, fb)
 		}
 		// Σ_j f_kj = Σ_b f_kb.
 		binSum.AddExpr(1, flowSum)
-		m.Add(binSum, milp.EQ, 0, fmt.Sprintf("healthy-bins[%d]", k))
+		m.Add(binSum, milp.EQ, 0)
 		// Σ_b f_kb ≤ d_k.
 		demandRow.AddExpr(-1, dv.expr[k])
-		m.Add(demandRow, milp.LE, 0, fmt.Sprintf("healthy-demand[%d]", k))
+		m.Add(demandRow, milp.LE, 0)
 	}
 	healthyCapacityRows(cfg, m, load)
 }
@@ -136,26 +134,26 @@ func failedDualMaxMin(cfg *Config, m *milp.Model, enc *failures.Encoding, dv *de
 	dual := milp.NewExpr()
 	lambda := make([]milp.Var, len(cfg.Demands))
 	for k := range cfg.Demands {
-		lambda[k] = m.ContinuousVar(-bound, bound, fmt.Sprintf("lambda[%d]", k))
-		alpha := m.ContinuousVar(0, bound, fmt.Sprintf("alpha[%d]", k))
+		lambda[k] = m.ContinuousVar(-bound, bound)
+		alpha := m.ContinuousVar(0, bound)
 		demandTerm(cfg, m, dv, k, alpha, &dual)
 		// Bin duals: −λ_k + α_k + μ_kb ≥ w_b, objective width_b·μ_kb.
 		for b := range widths {
-			mu := m.ContinuousVar(0, bound, fmt.Sprintf("mu[%d][%d]", k, b))
+			mu := m.ContinuousVar(0, bound)
 			dual.Add(widths[b], mu)
-			m.Add(milp.NewExpr(milp.T(-1, lambda[k]), milp.T(1, alpha), milp.T(1, mu)), milp.GE, weights[b], fmt.Sprintf("dualbin[%d][%d]", k, b))
+			m.Add(milp.NewExpr(milp.T(-1, lambda[k]), milp.T(1, alpha), milp.T(1, mu)), milp.GE, weights[b])
 		}
 	}
 	beta := capacityTerm(cfg, m, enc, bound, &dual)
 	for k, dp := range cfg.Demands {
 		for j := range dp.Paths {
-			gamma := m.ContinuousVar(0, bound, fmt.Sprintf("gamma[%d][%d]", k, j))
+			gamma := m.ContinuousVar(0, bound)
 			// λ_k + Σ β_e + γ_kj ≥ 0.
 			feas := milp.NewExpr(milp.T(1, lambda[k]), milp.T(1, gamma))
 			for _, e := range dp.Paths[j].LAGs {
 				feas.Add(1, beta[e])
 			}
-			m.Add(feas, milp.GE, 0, fmt.Sprintf("dualfeas[%d][%d]", k, j))
+			m.Add(feas, milp.GE, 0)
 			gateTerm(cfg, m, enc, k, j, gamma, 1, &dual)
 		}
 	}

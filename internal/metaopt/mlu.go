@@ -1,8 +1,6 @@
 package metaopt
 
 import (
-	"fmt"
-
 	"raha/internal/failures"
 	"raha/internal/milp"
 	"raha/internal/te"
@@ -44,13 +42,13 @@ func mlu() formulation {
 // foldHealthyMLU folds the healthy MLU primal into the outer problem:
 // minimize U° over primary paths at full capacity, demands routed in full.
 func foldHealthyMLU(cfg *Config, m *milp.Model, dv *demandVars, obj *milp.Expr) {
-	u := m.ContinuousVar(0, 1e9, "U_healthy")
+	u := m.ContinuousVar(0, 1e9)
 	obj.Add(-1, u)
 	load := make([]milp.Expr, cfg.Topo.NumLAGs())
 	for k := range cfg.Demands {
 		row := primaryFlows(cfg, m, k, load)
 		row.AddExpr(-1, dv.expr[k])
-		m.Add(row, milp.EQ, 0, fmt.Sprintf("healthy-demand[%d]", k))
+		m.Add(row, milp.EQ, 0)
 	}
 	for e, l := range load {
 		if len(l.Terms) == 0 {
@@ -58,7 +56,7 @@ func foldHealthyMLU(cfg *Config, m *milp.Model, dv *demandVars, obj *milp.Expr) 
 		}
 		row := milp.NewExpr(milp.T(-cfg.Topo.LAG(e).Capacity(), u))
 		row.AddExpr(1, l)
-		m.Add(row, milp.LE, 0, fmt.Sprintf("healthy-util[%d]", e))
+		m.Add(row, milp.LE, 0)
 	}
 }
 
@@ -69,23 +67,23 @@ func failedDualMLU(cfg *Config, m *milp.Model, enc *failures.Encoding, dv *deman
 	dual := milp.NewExpr()
 	lambda := make([]milp.Var, len(cfg.Demands))
 	for k := range cfg.Demands {
-		lambda[k] = m.ContinuousVar(-bound, bound, fmt.Sprintf("lambda[%d]", k))
+		lambda[k] = m.ContinuousVar(-bound, bound)
 		demandTerm(cfg, m, dv, k, lambda[k], &dual)
 	}
 	// Σ_e c_e·β_e ≤ 1 over used LAGs only (pruned LAGs carry no flow and
 	// need no utilization constraint).
 	capRow := milp.NewExpr()
 	beta := capacityTerm(cfg, m, enc, bound, &capRow)
-	m.Add(capRow, milp.LE, 1, "dual-U")
+	m.Add(capRow, milp.LE, 1)
 	for k, dp := range cfg.Demands {
 		for j := range dp.Paths {
-			gamma := m.ContinuousVar(0, bound, fmt.Sprintf("gamma[%d][%d]", k, j))
+			gamma := m.ContinuousVar(0, bound)
 			// λ_k − Σ β_e − γ_kj ≤ 0.
 			feas := milp.NewExpr(milp.T(1, lambda[k]), milp.T(-1, gamma))
 			for _, e := range dp.Paths[j].LAGs {
 				feas.Add(-1, beta[e])
 			}
-			m.Add(feas, milp.LE, 0, fmt.Sprintf("dualfeas[%d][%d]", k, j))
+			m.Add(feas, milp.LE, 0)
 			gateTerm(cfg, m, enc, k, j, gamma, -1, &dual)
 		}
 	}

@@ -1,6 +1,7 @@
 package metaopt
 
 import (
+	"fmt"
 	"testing"
 
 	"raha/internal/demand"
@@ -11,7 +12,8 @@ import (
 )
 
 // checkModel adapts a built model into the neutral representation the
-// modelcheck pass walks, through milp's read-only accessors.
+// modelcheck pass walks, through milp's read-only accessors. The model has no
+// names, so variables and rows are named by index: v17, r40.
 func checkModel(m *milp.Model) *modelcheck.Model {
 	terms := func(e milp.Expr) []modelcheck.Term {
 		out := make([]modelcheck.Term, len(e.Terms))
@@ -27,11 +29,11 @@ func checkModel(m *milp.Model) *modelcheck.Model {
 	for i := range cm.Vars {
 		v := milp.Var(i)
 		lo, hi := m.Bounds(v)
-		cm.Vars[i] = modelcheck.Var{Name: m.Name(v), Lo: lo, Hi: hi, Integer: m.TypeOf(v) != milp.Continuous}
+		cm.Vars[i] = modelcheck.Var{Name: fmt.Sprintf("v%d", i), Lo: lo, Hi: hi, Integer: m.TypeOf(v) != milp.Continuous}
 	}
 	for i := range cm.Cons {
-		e, rel, rhs, name := m.ConstraintAt(i)
-		cm.Cons[i] = modelcheck.Constraint{Name: name, Terms: terms(e), Rel: modelcheck.Rel(rel), RHS: rhs}
+		e, rel, rhs := m.ConstraintAt(i)
+		cm.Cons[i] = modelcheck.Constraint{Name: fmt.Sprintf("r%d", i), Terms: terms(e), Rel: modelcheck.Rel(rel), RHS: rhs}
 	}
 	obj, _ := m.Objective()
 	cm.Obj = terms(obj)
@@ -138,14 +140,15 @@ func TestBuiltModelsCheckClean(t *testing.T) {
 			// Negative control: a broken variable and broken rows of each
 			// relation, appended after the built ones, must come back through
 			// the adapter as errors, and nothing else may.
-			y := m.ContinuousVar(0, 1, "broken:y")
-			z := m.NewVar(0.2, 0.8, milp.Integer, "broken:z")
-			m.Add(milp.NewExpr(milp.T(1, y)), milp.LE, -1, "broken:le")
-			m.Add(milp.NewExpr(milp.T(1, y)), milp.GE, 2, "broken:ge")
-			m.Add(milp.NewExpr(milp.T(1, y), milp.T(1, z)), milp.EQ, 3, "broken:eq")
+			y := m.ContinuousVar(0, 1)
+			z := m.NewVar(0.2, 0.8, milp.Integer)
+			rows := m.NumConstraints()
+			m.Add(milp.NewExpr(milp.T(1, y)), milp.LE, -1)
+			m.Add(milp.NewExpr(milp.T(1, y)), milp.GE, 2)
+			m.Add(milp.NewExpr(milp.T(1, y), milp.T(1, z)), milp.EQ, 3)
 			want := map[string]string{
-				"broken:z": modelcheck.IntBounds, "broken:le": modelcheck.TrivialInfeasible,
-				"broken:ge": modelcheck.TrivialInfeasible, "broken:eq": modelcheck.TrivialInfeasible,
+				fmt.Sprintf("v%d", z): modelcheck.IntBounds, fmt.Sprintf("r%d", rows): modelcheck.TrivialInfeasible,
+				fmt.Sprintf("r%d", rows+1): modelcheck.TrivialInfeasible, fmt.Sprintf("r%d", rows+2): modelcheck.TrivialInfeasible,
 			}
 			bad = modelcheck.Check(checkModel(m), modelcheck.Options{IntTol: 1e-6}).Filter(modelcheck.Warning)
 			for _, d := range bad {

@@ -126,8 +126,8 @@ func demandTerm(cfg *Config, m *milp.Model, dv *demandVars, k int, y milp.Var, d
 		dual.Add(lo, y)
 	}
 	scale := dv.q.Unit[k]
-	for i, b := range dv.bits[k] {
-		dual.Add(scale, m.Product(b, y, fmt.Sprintf("w[%d][%d]", k, i)))
+	for _, b := range dv.bits[k] {
+		dual.Add(scale, m.Product(b, y))
 		scale *= 2
 	}
 }
@@ -142,10 +142,10 @@ func capacityTerm(cfg *Config, m *milp.Model, enc *failures.Encoding, ub float64
 		if !enc.Used[e] {
 			continue
 		}
-		beta[e] = m.ContinuousVar(0, ub, fmt.Sprintf("beta[%d]", e))
+		beta[e] = m.ContinuousVar(0, ub)
 		for l, ln := range cfg.Topo.LAG(e).Links {
 			dual.Add(ln.Capacity, beta[e])
-			dual.Add(-ln.Capacity, m.Product(enc.LinkDown[e][l], beta[e], fmt.Sprintf("v[%d][%d]", e, l)))
+			dual.Add(-ln.Capacity, m.Product(enc.LinkDown[e][l], beta[e]))
 		}
 	}
 	return beta
@@ -161,7 +161,7 @@ func gateTerm(cfg *Config, m *milp.Model, enc *failures.Encoding, k, j int, gamm
 	if a := enc.Active[k][j]; a == nil {
 		dual.Add(coef*hi, gamma)
 	} else {
-		dual.Add(coef*hi, m.Product(*a, gamma, fmt.Sprintf("g[%d][%d]", k, j)))
+		dual.Add(coef*hi, m.Product(*a, gamma))
 	}
 }
 
@@ -172,7 +172,7 @@ func primaryFlows(cfg *Config, m *milp.Model, k int, load []milp.Expr) milp.Expr
 	dp := cfg.Demands[k]
 	sum := milp.NewExpr()
 	for j := 0; j < dp.Primary; j++ {
-		f := m.ContinuousVar(0, cfg.Envelope.Hi[k], fmt.Sprintf("fo[%d][%d]", k, j))
+		f := m.ContinuousVar(0, cfg.Envelope.Hi[k])
 		sum.Add(1, f)
 		for _, e := range dp.Paths[j].LAGs {
 			load[e].Add(1, f)
@@ -186,7 +186,7 @@ func primaryFlows(cfg *Config, m *milp.Model, k int, load []milp.Expr) milp.Expr
 func healthyCapacityRows(cfg *Config, m *milp.Model, load []milp.Expr) {
 	for e, l := range load {
 		if len(l.Terms) > 0 {
-			m.Add(l, milp.LE, cfg.Topo.LAG(e).Capacity(), fmt.Sprintf("healthy-cap[%d]", e))
+			m.Add(l, milp.LE, cfg.Topo.LAG(e).Capacity())
 		}
 	}
 }

@@ -2,7 +2,6 @@ package metaopt
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"raha/internal/failures"
@@ -104,7 +103,7 @@ func foldHealthyTotalFlow(cfg *Config, m *milp.Model, dv *demandVars, obj *milp.
 		obj.AddExpr(1, row)
 		// Σ_j fo_kj ≤ d_k  ⇔  Σ_j fo_kj − (d_k − Lo_k) ≤ Lo_k.
 		row.AddExpr(-1, dv.expr[k])
-		m.Add(row, milp.LE, 0, fmt.Sprintf("healthy-demand[%d]", k))
+		m.Add(row, milp.LE, 0)
 	}
 	healthyCapacityRows(cfg, m, load)
 }
@@ -126,26 +125,26 @@ func failedDualTotalFlow(cfg *Config, m *milp.Model, enc *failures.Encoding, dv 
 	dual := milp.NewExpr()
 	alpha := make([]milp.Var, len(cfg.Demands))
 	for k := range cfg.Demands {
-		alpha[k] = m.ContinuousVar(0, 1, fmt.Sprintf("alpha[%d]", k))
+		alpha[k] = m.ContinuousVar(0, 1)
 		demandTerm(cfg, m, dv, k, alpha[k], &dual)
 	}
 	beta := capacityTerm(cfg, m, enc, 1, &dual)
 	for k, dp := range cfg.Demands {
 		for j := range dp.Paths {
-			gamma := m.ContinuousVar(0, 1, fmt.Sprintf("gamma[%d][%d]", k, j))
+			gamma := m.ContinuousVar(0, 1)
 			// Dual feasibility for f_kj.
 			feas := milp.NewExpr(milp.T(1, alpha[k]), milp.T(1, gamma))
 			for _, e := range dp.Paths[j].LAGs {
 				feas.Add(1, beta[e])
 			}
 			if cfg.NaiveFailover {
-				delta := m.ContinuousVar(0, 1, fmt.Sprintf("delta[%d][%d]", k, j))
+				delta := m.ContinuousVar(0, 1)
 				feas.Add(1, delta)
 				if bound := naiveGate(healthy, k, j, dp.Primary); bound != 0 {
 					dual.Add(bound, delta)
 				}
 			}
-			m.Add(feas, milp.GE, 1, fmt.Sprintf("dualfeas[%d][%d]", k, j))
+			m.Add(feas, milp.GE, 1)
 			gateTerm(cfg, m, enc, k, j, gamma, 1, &dual)
 		}
 	}

@@ -966,9 +966,8 @@ func (m *Model) presolved(disable bool) *Presolved {
 // Same reports whether p and q reduce to one search, bit for bit: the same
 // kept variables with the same bounds and types, the same rows in the same
 // order with the same terms, relations and right-hand sides, the same
-// objective, and the same values for the variables presolve fixed. Names
-// are not compared. A presolve that proved infeasibility, or did not run, is
-// the Same as nothing.
+// objective, and the same values for the variables presolve fixed. A
+// presolve that proved infeasibility, or did not run, is the Same as nothing.
 func (p *Presolved) Same(q *Presolved) bool {
 	if p.pres == nil || q.pres == nil || p.pres.infeasible || q.pres.infeasible {
 		return false

@@ -202,7 +202,7 @@ func TestNodeLimitBoundIsLiveBound(t *testing.T) {
 // relaxation 15 under an incumbent of 10, and the child is abandoned.
 func TestAbandonedNodeKeepsBoundOpen(t *testing.T) {
 	m := NewModel()
-	x := m.NewVar(0, 20, Integer, "x")
+	x := m.NewVar(0, 20, Integer)
 	var obj Expr
 	obj.Add(1, x)
 	m.SetObjective(obj, Maximize)

@@ -19,11 +19,11 @@ func wideKnapsack(seed int64, n int) *Model {
 	m := NewModel()
 	var wExpr, vExpr Expr
 	for i := 0; i < n; i++ {
-		b := m.BinaryVar("b")
+		b := m.BinaryVar()
 		wExpr.Add(1+rng.Float64()*9, b)
 		vExpr.Add(1+rng.Float64()*9, b)
 	}
-	m.Add(wExpr, LE, float64(n), "cap")
+	m.Add(wExpr, LE, float64(n))
 	m.SetObjective(vExpr, Maximize)
 	return m
 }
@@ -188,11 +188,11 @@ func blockKnapsacks(n int) *Model {
 	m := NewModel()
 	var obj Expr
 	for k := 0; k < n; k++ {
-		a, b, c := m.BinaryVar("a"), m.BinaryVar("b"), m.BinaryVar("c")
+		a, b, c := m.BinaryVar(), m.BinaryVar(), m.BinaryVar()
 		obj.Add(5, a)
 		obj.Add(6, b)
 		obj.Add(7, c)
-		m.Add(NewExpr(T(3, a), T(4, b), T(5, c)), LE, 6, "block")
+		m.Add(NewExpr(T(3, a), T(4, b), T(5, c)), LE, 6)
 	}
 	m.SetObjective(obj, Maximize)
 	return m

@@ -158,7 +158,7 @@ func TestKnapsackBoundTakesLikelyDownLinksFirst_Regression(t *testing.T) {
 // Σ −w·b ≥ −cap.
 func rowKnapsack(m *Model) *Knapsack {
 	obj, _ := m.Objective()
-	row, _, rhs, _ := m.ConstraintAt(0)
+	row, _, rhs := m.ConstraintAt(0)
 	k := &Knapsack{RHS: -rhs}
 	for i, t := range obj.Terms {
 		k.Vars = append(k.Vars, t.V)

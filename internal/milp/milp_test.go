@@ -35,9 +35,9 @@ func wantObj(t *testing.T, res *Result, want float64) {
 
 func TestPureLP(t *testing.T) {
 	m := NewModel()
-	x := m.ContinuousVar(0, 10, "x")
-	y := m.ContinuousVar(0, 10, "y")
-	m.Add(NewExpr(T(1, x), T(2, y)), LE, 14, "c")
+	x := m.ContinuousVar(0, 10)
+	y := m.ContinuousVar(0, 10)
+	m.Add(NewExpr(T(1, x), T(2, y)), LE, 14)
 	m.SetObjective(NewExpr(T(3, x), T(4, y)), Maximize)
 	res := solveOK(t, m, Params{})
 	wantObj(t, res, 38) // x=10, y=2
@@ -51,11 +51,11 @@ func TestKnapsack(t *testing.T) {
 	v := []float64{3, 4, 5, 6}
 	var wExpr, vExpr Expr
 	for i := range w {
-		b := m.BinaryVar("item")
+		b := m.BinaryVar()
 		wExpr.Add(w[i], b)
 		vExpr.Add(v[i], b)
 	}
-	m.Add(wExpr, LE, 5, "cap")
+	m.Add(wExpr, LE, 5)
 	m.SetObjective(vExpr, Maximize)
 	res := solveOK(t, m, Params{})
 	wantObj(t, res, 7)
@@ -64,9 +64,9 @@ func TestKnapsack(t *testing.T) {
 func TestIntegerVariables(t *testing.T) {
 	// max x + y, 2x + 5y <= 16, x <= 4, x,y integer => x=4, y=1 -> 5.
 	m := NewModel()
-	x := m.NewVar(0, 4, Integer, "x")
-	y := m.NewVar(0, 100, Integer, "y")
-	m.Add(NewExpr(T(2, x), T(5, y)), LE, 16, "c")
+	x := m.NewVar(0, 4, Integer)
+	y := m.NewVar(0, 100, Integer)
+	m.Add(NewExpr(T(2, x), T(5, y)), LE, 16)
 	m.SetObjective(NewExpr(T(1, x), T(1, y)), Maximize)
 	res := solveOK(t, m, Params{})
 	wantObj(t, res, 5)
@@ -75,9 +75,9 @@ func TestIntegerVariables(t *testing.T) {
 func TestMinimize(t *testing.T) {
 	// min 3x + 2y s.t. x + y >= 4, x,y binary-scaled integers in [0,4].
 	m := NewModel()
-	x := m.NewVar(0, 4, Integer, "x")
-	y := m.NewVar(0, 4, Integer, "y")
-	m.Add(NewExpr(T(1, x), T(1, y)), GE, 4, "c")
+	x := m.NewVar(0, 4, Integer)
+	y := m.NewVar(0, 4, Integer)
+	m.Add(NewExpr(T(1, x), T(1, y)), GE, 4)
 	m.SetObjective(NewExpr(T(3, x), T(2, y)), Minimize)
 	res := solveOK(t, m, Params{})
 	wantObj(t, res, 8) // y=4
@@ -85,8 +85,8 @@ func TestMinimize(t *testing.T) {
 
 func TestInfeasibleMILP(t *testing.T) {
 	m := NewModel()
-	b := m.BinaryVar("b")
-	m.Add(NewExpr(T(2, b)), EQ, 1, "forces b=0.5")
+	b := m.BinaryVar()
+	m.Add(NewExpr(T(2, b)), EQ, 1)
 	m.SetObjective(NewExpr(T(1, b)), Maximize)
 	res := solveOK(t, m, Params{})
 	if res.Status != Infeasible {
@@ -96,7 +96,7 @@ func TestInfeasibleMILP(t *testing.T) {
 
 func TestUnboundedMILP(t *testing.T) {
 	m := NewModel()
-	x := m.ContinuousVar(0, math.Inf(1), "x")
+	x := m.ContinuousVar(0, math.Inf(1))
 	m.SetObjective(NewExpr(T(1, x)), Maximize)
 	res := solveOK(t, m, Params{})
 	if res.Status != Unbounded {
@@ -106,10 +106,10 @@ func TestUnboundedMILP(t *testing.T) {
 
 func TestConstantInExpression(t *testing.T) {
 	m := NewModel()
-	x := m.ContinuousVar(0, 5, "x")
+	x := m.ContinuousVar(0, 5)
 	e := NewExpr(T(1, x))
 	e.AddConst(3) // x + 3 <= 7  =>  x <= 4
-	m.Add(e, LE, 7, "c")
+	m.Add(e, LE, 7)
 	m.SetObjective(NewExpr(T(1, x)), Maximize)
 	res := solveOK(t, m, Params{})
 	wantObj(t, res, 4)
@@ -120,9 +120,9 @@ func TestProductSemantics(t *testing.T) {
 	for _, bv := range []float64{0, 1} {
 		for _, xv := range []float64{-2, 0, 1.5, 4} {
 			m := NewModel()
-			b := m.BinaryVar("b")
-			x := m.ContinuousVar(-2, 4, "x")
-			y := m.Product(b, x, "y")
+			b := m.BinaryVar()
+			x := m.ContinuousVar(-2, 4)
+			y := m.Product(b, x)
 			m.Fix(b, bv)
 			m.Fix(x, xv)
 			m.SetObjective(NewExpr(T(1, y)), Maximize)
@@ -142,9 +142,9 @@ func TestProductPanicsOnNonBinary(t *testing.T) {
 		}
 	}()
 	m := NewModel()
-	x := m.ContinuousVar(0, 1, "x")
-	y := m.ContinuousVar(0, 1, "y")
-	m.Product(x, y, "bad")
+	x := m.ContinuousVar(0, 1)
+	y := m.ContinuousVar(0, 1)
+	m.Product(x, y)
 }
 
 func TestIndicatorGE(t *testing.T) {
@@ -152,13 +152,13 @@ func TestIndicatorGE(t *testing.T) {
 	for a := 0.0; a <= 2; a++ {
 		for b := 0.0; b <= 2; b++ {
 			m := NewModel()
-			va := m.NewVar(0, 2, Integer, "a")
-			vb := m.NewVar(0, 2, Integer, "b")
+			va := m.NewVar(0, 2, Integer)
+			vb := m.NewVar(0, 2, Integer)
 			m.Fix(va, a)
 			m.Fix(vb, b)
 			e := NewExpr(T(1, va), T(1, vb))
 			e.AddConst(-1)
-			z := m.IndicatorGE(e, 0, 1, "z")
+			z := m.IndicatorGE(e, 0, 1)
 			// Maximize and minimize z: both must agree with the semantics.
 			m.SetObjective(NewExpr(T(1, z)), Maximize)
 			up := solveOK(t, m, Params{})
@@ -183,11 +183,11 @@ func TestTimeLimitReturnsIncumbent(t *testing.T) {
 	m := NewModel()
 	var wExpr, vExpr Expr
 	for i := 0; i < 40; i++ {
-		b := m.BinaryVar("b")
+		b := m.BinaryVar()
 		wExpr.Add(1+rng.Float64()*9, b)
 		vExpr.Add(1+rng.Float64()*9, b)
 	}
-	m.Add(wExpr, LE, 50, "cap")
+	m.Add(wExpr, LE, 50)
 	m.SetObjective(vExpr, Maximize)
 	res := solveOK(t, m, Params{TimeLimit: time.Millisecond})
 	if res.Status == Optimal {
@@ -202,10 +202,10 @@ func TestNodeLimit(t *testing.T) {
 	m := NewModel()
 	var e Expr
 	for i := 0; i < 30; i++ {
-		b := m.BinaryVar("b")
+		b := m.BinaryVar()
 		e.Add(1.5+float64(i%7)*0.3, b)
 	}
-	m.Add(e, LE, 20, "cap")
+	m.Add(e, LE, 20)
 	m.SetObjective(e, Maximize)
 	res := solveOK(t, m, Params{NodeLimit: 3})
 	if res.Nodes > 3 {
@@ -218,11 +218,11 @@ func TestMIPGapStopsEarly(t *testing.T) {
 	m := NewModel()
 	var wExpr, vExpr Expr
 	for i := 0; i < 25; i++ {
-		b := m.BinaryVar("b")
+		b := m.BinaryVar()
 		wExpr.Add(1+rng.Float64()*9, b)
 		vExpr.Add(1+rng.Float64()*9, b)
 	}
-	m.Add(wExpr, LE, 40, "cap")
+	m.Add(wExpr, LE, 40)
 	m.SetObjective(vExpr, Maximize)
 	exact := solveOK(t, m, Params{})
 	loose := solveOK(t, m, Params{MIPGap: 0.5})
@@ -292,7 +292,7 @@ func TestAgainstEnumeration(t *testing.T) {
 		vars := make([]Var, nb)
 		var oe Expr
 		for j := 0; j < nb; j++ {
-			vars[j] = m.BinaryVar("b")
+			vars[j] = m.BinaryVar()
 			oe.Add(obj[j], vars[j])
 		}
 		for i := range rows {
@@ -302,7 +302,7 @@ func TestAgainstEnumeration(t *testing.T) {
 					e.Add(rows[i][j], vars[j])
 				}
 			}
-			m.Add(e, rels[i], rhs[i], "c")
+			m.Add(e, rels[i], rhs[i])
 		}
 		m.SetObjective(oe, Maximize)
 		res := solveOK(t, m, Params{})
@@ -332,10 +332,10 @@ func TestMixedEnumeration(t *testing.T) {
 			m := NewModel()
 			bs := make([]Var, nb)
 			for j := range bs {
-				bs[j] = m.BinaryVar("b")
+				bs[j] = m.BinaryVar()
 			}
-			x := m.ContinuousVar(0, 10, "x")
-			y := m.ContinuousVar(0, 10, "y")
+			x := m.ContinuousVar(0, 10)
+			y := m.ContinuousVar(0, 10)
 			var cap1, cap2, oe Expr
 			cap1.Add(1, x)
 			cap2.Add(1, y)
@@ -347,8 +347,8 @@ func TestMixedEnumeration(t *testing.T) {
 				cap2.Add(5-w, b)
 				oe.Add(math.Round(rng.Float64()*8-2), b)
 			}
-			m.Add(cap1, LE, 12, "c1")
-			m.Add(cap2, LE, 12, "c2")
+			m.Add(cap1, LE, 12)
+			m.Add(cap2, LE, 12)
 			m.SetObjective(oe, Maximize)
 			return m, bs
 		}
@@ -384,7 +384,6 @@ func TestMixedEnumeration(t *testing.T) {
 // enumeration iterations.
 func buildCopy(m *Model, bs []Var) (*Model, []Var) {
 	c := &Model{
-		names: append([]string(nil), m.names...),
 		lo:    append([]float64(nil), m.lo...),
 		hi:    append([]float64(nil), m.hi...),
 		vtype: append([]VarType(nil), m.vtype...),
@@ -397,8 +396,8 @@ func buildCopy(m *Model, bs []Var) (*Model, []Var) {
 
 func TestValueAndBounds(t *testing.T) {
 	m := NewModel()
-	x := m.ContinuousVar(1, 3, "x")
-	y := m.ContinuousVar(-2, 2, "y")
+	x := m.ContinuousVar(1, 3)
+	y := m.ContinuousVar(-2, 2)
 	e := NewExpr(T(2, x), T(-1, y))
 	e.AddConst(5)
 	if got := Value(e, []float64{2, 1}); got != 8 {
@@ -407,9 +406,6 @@ func TestValueAndBounds(t *testing.T) {
 	lo, hi := m.exprBounds(e)
 	if lo != 2*1-2+5 || hi != 2*3+2+5 {
 		t.Fatalf("exprBounds = [%g,%g]", lo, hi)
-	}
-	if m.Name(x) != "x" {
-		t.Fatalf("Name = %q", m.Name(x))
 	}
 	blo, bhi := m.Bounds(y)
 	if blo != -2 || bhi != 2 {
@@ -442,7 +438,7 @@ func TestStatusStrings(t *testing.T) {
 func TestObjectiveConstant(t *testing.T) {
 	// Constants in the objective must survive into reported objectives.
 	m := NewModel()
-	x := m.ContinuousVar(0, 5, "x")
+	x := m.ContinuousVar(0, 5)
 	e := NewExpr(T(1, x))
 	e.AddConst(100)
 	m.SetObjective(e, Maximize)
@@ -450,7 +446,7 @@ func TestObjectiveConstant(t *testing.T) {
 	wantObj(t, res, 105)
 
 	m2 := NewModel()
-	b := m2.BinaryVar("b")
+	b := m2.BinaryVar()
 	e2 := NewExpr(T(-3, b))
 	e2.AddConst(7)
 	m2.SetObjective(e2, Minimize)
@@ -467,11 +463,11 @@ func TestHintsSeedIncumbent(t *testing.T) {
 	vars := make([]Var, 30)
 	var wExpr, vExpr Expr
 	for i := range vars {
-		vars[i] = m.BinaryVar("b")
+		vars[i] = m.BinaryVar()
 		wExpr.Add(1+rng.Float64()*9, vars[i])
 		vExpr.Add(1+rng.Float64()*9, vars[i])
 	}
-	m.Add(wExpr, LE, 30, "cap")
+	m.Add(wExpr, LE, 30)
 	m.SetObjective(vExpr, Maximize)
 
 	// Build a feasible hint greedily.
@@ -506,9 +502,9 @@ func TestHintsSeedIncumbent(t *testing.T) {
 
 func TestHintInfeasiblePointIsDiscarded(t *testing.T) {
 	m := NewModel()
-	a := m.BinaryVar("a")
-	b := m.BinaryVar("b")
-	m.Add(NewExpr(T(1, a), T(1, b)), LE, 1, "xor")
+	a := m.BinaryVar()
+	b := m.BinaryVar()
+	m.Add(NewExpr(T(1, a), T(1, b)), LE, 1)
 	m.SetObjective(NewExpr(T(2, a), T(3, b)), Maximize)
 	// Hint violates the constraint; search must still find the optimum.
 	res := solveOK(t, m, Params{Hints: [][]float64{{1, 1}}})

@@ -75,12 +75,10 @@ type constraint struct {
 	expr Expr
 	rel  Rel
 	rhs  float64
-	name string
 }
 
 // Model is a MILP under construction.
 type Model struct {
-	names []string
 	lo    []float64
 	hi    []float64
 	vtype []VarType
@@ -101,9 +99,9 @@ func (m *Model) NumConstraints() int { return len(m.cons) }
 
 // NewVar creates a variable with the given bounds and type. The lower bound
 // must be finite.
-func (m *Model) NewVar(lo, hi float64, t VarType, name string) Var {
+func (m *Model) NewVar(lo, hi float64, t VarType) Var {
 	if math.IsInf(lo, -1) {
-		panic(fmt.Sprintf("milp: variable %q needs a finite lower bound", name))
+		panic(fmt.Sprintf("milp: variable %d needs a finite lower bound", len(m.lo)))
 	}
 	if t == Binary {
 		if lo < 0 {
@@ -113,7 +111,6 @@ func (m *Model) NewVar(lo, hi float64, t VarType, name string) Var {
 			hi = 1
 		}
 	}
-	m.names = append(m.names, name)
 	m.lo = append(m.lo, lo)
 	m.hi = append(m.hi, hi)
 	m.vtype = append(m.vtype, t)
@@ -121,15 +118,12 @@ func (m *Model) NewVar(lo, hi float64, t VarType, name string) Var {
 }
 
 // BinaryVar creates a {0,1} variable.
-func (m *Model) BinaryVar(name string) Var { return m.NewVar(0, 1, Binary, name) }
+func (m *Model) BinaryVar() Var { return m.NewVar(0, 1, Binary) }
 
 // ContinuousVar creates a bounded continuous variable.
-func (m *Model) ContinuousVar(lo, hi float64, name string) Var {
-	return m.NewVar(lo, hi, Continuous, name)
+func (m *Model) ContinuousVar(lo, hi float64) Var {
+	return m.NewVar(lo, hi, Continuous)
 }
-
-// Name returns the variable's name.
-func (m *Model) Name(v Var) string { return m.names[v] }
 
 // Bounds returns the variable's bounds.
 func (m *Model) Bounds(v Var) (lo, hi float64) { return m.lo[v], m.hi[v] }
@@ -138,12 +132,12 @@ func (m *Model) Bounds(v Var) (lo, hi float64) { return m.lo[v], m.hi[v] }
 func (m *Model) TypeOf(v Var) VarType { return m.vtype[v] }
 
 // ConstraintAt returns row i of the model: its expression (shared storage —
-// callers must not mutate the terms), relation, right-hand side, and name.
-// Together with Name, Bounds, TypeOf and Objective it is the read-only view
-// that tests adapt for the modelcheck diagnostic pass.
-func (m *Model) ConstraintAt(i int) (expr Expr, rel Rel, rhs float64, name string) {
+// callers must not mutate the terms), relation and right-hand side.
+// Together with Bounds, TypeOf and Objective it is the read-only view that
+// tests adapt for the modelcheck diagnostic pass.
+func (m *Model) ConstraintAt(i int) (expr Expr, rel Rel, rhs float64) {
 	c := &m.cons[i]
-	return c.expr, c.rel, c.rhs, c.name
+	return c.expr, c.rel, c.rhs
 }
 
 // Objective returns the model's objective expression (shared storage) and
@@ -160,8 +154,8 @@ func (m *Model) Fix(v Var, val float64) { m.SetBounds(v, val, val) }
 
 // Add appends the constraint expr rel rhs. The expression's constant is
 // folded into the right-hand side.
-func (m *Model) Add(expr Expr, rel Rel, rhs float64, name string) {
-	m.cons = append(m.cons, constraint{expr: expr, rel: rel, rhs: rhs - expr.Const, name: name})
+func (m *Model) Add(expr Expr, rel Rel, rhs float64) {
+	m.cons = append(m.cons, constraint{expr: expr, rel: rel, rhs: rhs - expr.Const})
 	m.cons[len(m.cons)-1].expr.Const = 0
 }
 
@@ -210,21 +204,21 @@ func (m *Model) exprBounds(e Expr) (lo, hi float64) {
 // bounded continuous x, via the exact McCormick envelope. This is the
 // construct Raha's "non-convexity extraction" (§5) leans on: products of
 // outer-problem binaries with dual variables.
-func (m *Model) Product(b, x Var, name string) Var {
+func (m *Model) Product(b, x Var) Var {
 	if m.vtype[b] != Binary {
 		panic("milp: Product requires a binary first operand")
 	}
 	lo, hi := m.lo[x], m.hi[x]
 	if math.IsInf(hi, 1) {
-		panic(fmt.Sprintf("milp: Product requires bounded %q", m.names[x]))
+		panic(fmt.Sprintf("milp: Product requires bounded variable %d", x))
 	}
 	ylo, yhi := math.Min(0, lo), math.Max(0, hi)
-	y := m.ContinuousVar(ylo, yhi, name)
+	y := m.ContinuousVar(ylo, yhi)
 	// y ≤ hi·b ; y ≥ lo·b ; y ≤ x − lo(1−b) ; y ≥ x − hi(1−b)
-	m.Add(NewExpr(T(1, y), T(-hi, b)), LE, 0, name+":ub")
-	m.Add(NewExpr(T(1, y), T(-lo, b)), GE, 0, name+":lb")
-	m.Add(NewExpr(T(1, y), T(-1, x), T(-lo, b)), LE, -lo, name+":xu")
-	m.Add(NewExpr(T(1, y), T(-1, x), T(-hi, b)), GE, -hi, name+":xl")
+	m.Add(NewExpr(T(1, y), T(-hi, b)), LE, 0)
+	m.Add(NewExpr(T(1, y), T(-lo, b)), GE, 0)
+	m.Add(NewExpr(T(1, y), T(-1, x), T(-lo, b)), LE, -lo)
+	m.Add(NewExpr(T(1, y), T(-1, x), T(-hi, b)), GE, -hi)
 	return y
 }
 
@@ -233,22 +227,22 @@ func (m *Model) Product(b, x Var, name string) Var {
 // smallest meaningful violation of the inequality (use 1 for all-integer
 // expressions, where the encoding is exact; this is how Raha linearizes the
 // fail-over indicator of Eq. 5).
-func (m *Model) IndicatorGE(expr Expr, rhs, eps float64, name string) Var {
+func (m *Model) IndicatorGE(expr Expr, rhs, eps float64) Var {
 	lo, hi := m.exprBounds(expr)
 	if math.IsInf(lo, -1) || math.IsInf(hi, 1) {
-		panic(fmt.Sprintf("milp: IndicatorGE %q needs bounded expression", name))
+		panic(fmt.Sprintf("milp: indicator %d needs a bounded expression", len(m.lo)))
 	}
-	z := m.BinaryVar(name)
+	z := m.BinaryVar()
 	// z = 0 ⇒ expr ≤ rhs − eps:  expr ≤ rhs − eps + (hi − rhs + eps)·z
 	up := NewExpr()
 	up.AddExpr(1, expr)
 	up.Add(-(hi - rhs + eps), z)
-	m.Add(up, LE, rhs-eps, name+":off")
+	m.Add(up, LE, rhs-eps)
 	// z = 1 ⇒ expr ≥ rhs:  expr ≥ rhs − (rhs − lo)(1 − z)
 	dn := NewExpr()
 	dn.AddExpr(1, expr)
 	dn.Add(-(rhs - lo), z)
-	m.Add(dn, GE, lo, name+":on")
+	m.Add(dn, GE, lo)
 	return z
 }
 

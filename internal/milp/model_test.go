@@ -11,8 +11,8 @@ import (
 // 0·(+Inf) = NaN.
 func TestExprBoundsZeroCoefInfUpper(t *testing.T) {
 	m := NewModel()
-	free := m.ContinuousVar(0, math.Inf(1), "free")
-	x := m.ContinuousVar(0, 4, "x")
+	free := m.ContinuousVar(0, math.Inf(1))
+	x := m.ContinuousVar(0, 4)
 	e := NewExpr(T(0, free), T(2, x))
 	e.AddConst(1)
 	lo, hi := m.exprBounds(e)
@@ -27,19 +27,19 @@ func TestExprBoundsZeroCoefInfUpper(t *testing.T) {
 // must come out finite and the indicator semantics must hold.
 func TestIndicatorGEZeroCoefBigM(t *testing.T) {
 	m := NewModel()
-	free := m.ContinuousVar(0, math.Inf(1), "free")
-	x := m.ContinuousVar(0, 4, "x")
+	free := m.ContinuousVar(0, math.Inf(1))
+	x := m.ContinuousVar(0, 4)
 	expr := NewExpr(T(0, free), T(1, x))
-	z := m.IndicatorGE(expr, 3, 1e-6, "ind")
+	z := m.IndicatorGE(expr, 3, 1e-6)
 
 	for i := 0; i < m.NumConstraints(); i++ {
-		e, _, rhs, name := m.ConstraintAt(i)
+		e, _, rhs := m.ConstraintAt(i)
 		if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
-			t.Fatalf("constraint %s: non-finite rhs %g", name, rhs)
+			t.Fatalf("constraint %d: non-finite rhs %g", i, rhs)
 		}
 		for _, term := range e.Terms {
 			if math.IsNaN(term.C) || math.IsInf(term.C, 0) {
-				t.Fatalf("constraint %s: non-finite coefficient %g", name, term.C)
+				t.Fatalf("constraint %d: non-finite coefficient %g", i, term.C)
 			}
 		}
 	}
@@ -59,18 +59,18 @@ func TestIndicatorGEZeroCoefBigM(t *testing.T) {
 // internal/metaopt's tests walks.
 func TestAccessors(t *testing.T) {
 	m := NewModel()
-	b := m.BinaryVar("b")
-	x := m.ContinuousVar(-1, 2, "x")
-	n := m.NewVar(0, 9, Integer, "n")
-	m.Add(NewExpr(T(2, x), T(1, b)), LE, 5, "row")
+	b := m.BinaryVar()
+	x := m.ContinuousVar(-1, 2)
+	n := m.NewVar(0, 9, Integer)
+	m.Add(NewExpr(T(2, x), T(1, b)), LE, 5)
 	m.SetObjective(NewExpr(T(1, n)), Minimize)
 
 	if m.TypeOf(b) != Binary || m.TypeOf(x) != Continuous || m.TypeOf(n) != Integer {
 		t.Fatal("TypeOf mismatch")
 	}
-	expr, rel, rhs, name := m.ConstraintAt(0)
-	if name != "row" || rel != LE || rhs != 5 || len(expr.Terms) != 2 {
-		t.Fatalf("ConstraintAt = %v %v %v %q", expr, rel, rhs, name)
+	expr, rel, rhs := m.ConstraintAt(0)
+	if rel != LE || rhs != 5 || len(expr.Terms) != 2 {
+		t.Fatalf("ConstraintAt = %v %v %v", expr, rel, rhs)
 	}
 	obj, sense := m.Objective()
 	if sense != Minimize || len(obj.Terms) != 1 || obj.Terms[0].V != n {

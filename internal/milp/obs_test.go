@@ -98,12 +98,12 @@ func knapsack(n int, seed int64) *Model {
 	m := NewModel()
 	var obj, wt Expr
 	for i := 0; i < n; i++ {
-		v := m.BinaryVar("x")
+		v := m.BinaryVar()
 		obj.Add(float64(1+rng.Intn(40)), v)
 		wt.Add(float64(1+rng.Intn(20)), v)
 	}
 	m.SetObjective(obj, Maximize)
-	m.Add(wt, LE, float64(5*n), "cap")
+	m.Add(wt, LE, float64(5*n))
 	return m
 }
 

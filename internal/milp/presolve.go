@@ -205,7 +205,6 @@ type prow struct {
 	terms []Term
 	rel   Rel
 	rhs   float64
-	name  string
 	dead  bool
 }
 
@@ -330,7 +329,7 @@ func (sc *presolveScratch) presolve(m *Model) *presolveResult {
 				sc.terms = append(sc.terms, t)
 			}
 		}
-		rows = append(rows, prow{terms: sc.terms[start:len(sc.terms):len(sc.terms)], rel: c.rel, rhs: c.rhs, name: c.name})
+		rows = append(rows, prow{terms: sc.terms[start:len(sc.terms):len(sc.terms)], rel: c.rel, rhs: c.rhs})
 	}
 	sc.rows = rows
 
@@ -493,7 +492,6 @@ func (sc *presolveScratch) presolve(m *Model) *presolveResult {
 
 	red := &Model{
 		sense: m.sense,
-		names: make([]string, 0, kept),
 		lo:    make([]float64, 0, kept),
 		hi:    make([]float64, 0, kept),
 		vtype: make([]VarType, 0, kept),
@@ -505,7 +503,6 @@ func (sc *presolveScratch) presolve(m *Model) *presolveResult {
 		}
 		idx[v] = Var(len(red.lo))
 		keep = append(keep, Var(v))
-		red.names = append(red.names, m.names[v])
 		red.lo = append(red.lo, lo[v])
 		red.hi = append(red.hi, hi[v])
 		red.vtype = append(red.vtype, m.vtype[v])
@@ -558,7 +555,7 @@ func (sc *presolveScratch) presolve(m *Model) *presolveResult {
 			res.removedRows++
 			continue
 		}
-		red.cons = append(red.cons, constraint{expr: Expr{Terms: terms}, rel: r.rel, rhs: rhs, name: r.name})
+		red.cons = append(red.cons, constraint{expr: Expr{Terms: terms}, rel: r.rel, rhs: rhs})
 	}
 
 	res.model = red

@@ -16,11 +16,11 @@ import (
 // comes back in the original space.
 func TestPresolveSingletonAndRedundant(t *testing.T) {
 	m := NewModel()
-	x := m.ContinuousVar(0, 10, "x")
-	y := m.ContinuousVar(0, 10, "y")
-	m.Add(NewExpr(T(1, x)), LE, 4, "single")         // x <= 4: singleton -> bound
-	m.Add(NewExpr(T(1, x), T(1, y)), LE, 100, "red") // activity max 20 <= 100: redundant
-	m.Add(NewExpr(T(1, x), T(1, y)), LE, 7, "bind")
+	x := m.ContinuousVar(0, 10)
+	y := m.ContinuousVar(0, 10)
+	m.Add(NewExpr(T(1, x)), LE, 4)            // x <= 4: singleton -> bound
+	m.Add(NewExpr(T(1, x), T(1, y)), LE, 100) // activity max 20 <= 100: redundant
+	m.Add(NewExpr(T(1, x), T(1, y)), LE, 7)
 	m.SetObjective(NewExpr(T(1, x), T(1, y)), Maximize)
 
 	res := solveOK(t, m, Params{Workers: 1})
@@ -43,10 +43,10 @@ func TestPresolveSingletonAndRedundant(t *testing.T) {
 // and restored by postsolve.
 func TestPresolveFixedSubstitution(t *testing.T) {
 	m := NewModel()
-	a := m.ContinuousVar(0, 10, "a")
-	b := m.ContinuousVar(0, 10, "b")
+	a := m.ContinuousVar(0, 10)
+	b := m.ContinuousVar(0, 10)
 	m.Fix(a, 3)
-	m.Add(NewExpr(T(1, a), T(1, b)), LE, 8, "cap")
+	m.Add(NewExpr(T(1, a), T(1, b)), LE, 8)
 	m.SetObjective(NewExpr(T(2, a), T(1, b)), Maximize)
 
 	res := solveOK(t, m, Params{Workers: 1})
@@ -65,7 +65,7 @@ func TestPresolveFixedSubstitution(t *testing.T) {
 // rounded to the feasible integer range before any LP runs.
 func TestPresolveIntegerRounding(t *testing.T) {
 	m := NewModel()
-	x := m.NewVar(0.3, 4.7, Integer, "x")
+	x := m.NewVar(0.3, 4.7, Integer)
 	m.SetObjective(NewExpr(T(1, x)), Maximize)
 	res := solveOK(t, m, Params{Workers: 1})
 	if res.Status != Optimal || math.Abs(res.Objective-4) > 1e-6 {
@@ -81,9 +81,9 @@ func TestPresolveIntegerRounding(t *testing.T) {
 // trace still brackets correctly (solve_start, presolve_end, solve_end).
 func TestPresolveInfeasibleShortCircuit(t *testing.T) {
 	m := NewModel()
-	x := m.ContinuousVar(0, 1, "x")
-	y := m.ContinuousVar(0, 1, "y")
-	m.Add(NewExpr(T(1, x), T(1, y)), GE, 5, "impossible")
+	x := m.ContinuousVar(0, 1)
+	y := m.ContinuousVar(0, 1)
+	m.Add(NewExpr(T(1, x), T(1, y)), GE, 5)
 	m.SetObjective(NewExpr(T(1, x)), Maximize)
 
 	var buf bytes.Buffer
@@ -121,9 +121,9 @@ func TestPresolveInfeasibleShortCircuit(t *testing.T) {
 // solve's semantics are unchanged.
 func TestPresolveBigMTightening(t *testing.T) {
 	m := NewModel()
-	x := m.ContinuousVar(0, 1000, "x") // loose box -> oversized M in the indicator rows
-	m.Add(NewExpr(T(1, x)), LE, 10, "cap")
-	z := m.IndicatorGE(NewExpr(T(1, x)), 5, 1, "ind")
+	x := m.ContinuousVar(0, 1000) // loose box -> oversized M in the indicator rows
+	m.Add(NewExpr(T(1, x)), LE, 10)
+	z := m.IndicatorGE(NewExpr(T(1, x)), 5, 1)
 	m.SetObjective(NewExpr(T(1, z), T(-1, x)), Minimize)
 
 	res := solveOK(t, m, Params{Workers: 1})
@@ -148,18 +148,18 @@ func TestPresolveBigMTightening(t *testing.T) {
 // same answer.
 func TestPresolveDoesNotMutateModel(t *testing.T) {
 	m := NewModel()
-	x := m.ContinuousVar(0, 1000, "x")
-	b := m.BinaryVar("b")
-	m.Add(NewExpr(T(1, x), T(-1000, b)), LE, 10, "bigm")
-	m.Add(NewExpr(T(1, x)), LE, 50, "cap")
+	x := m.ContinuousVar(0, 1000)
+	b := m.BinaryVar()
+	m.Add(NewExpr(T(1, x), T(-1000, b)), LE, 10)
+	m.Add(NewExpr(T(1, x)), LE, 50)
 	m.SetObjective(NewExpr(T(1, x), T(5, b)), Maximize)
 
 	loBefore, hiBefore := m.Bounds(x)
-	expr, _, rhsBefore, _ := m.ConstraintAt(0)
+	expr, _, rhsBefore := m.ConstraintAt(0)
 	coefBefore := expr.Terms[1].C
 
 	r1 := solveOK(t, m, Params{Workers: 1})
-	expr, _, rhsAfter, _ := m.ConstraintAt(0)
+	expr, _, rhsAfter := m.ConstraintAt(0)
 	loAfter, hiAfter := m.Bounds(x)
 	//raha:lint-allow float-cmp asserting bit-identical model state after solve
 	if coefBefore != expr.Terms[1].C || rhsBefore != rhsAfter || loBefore != loAfter || hiBefore != hiAfter {
@@ -180,11 +180,11 @@ func TestPresolveDoesNotMutateModel(t *testing.T) {
 // child before any LP runs.
 func TestPropagationPrunes(t *testing.T) {
 	m := NewModel()
-	b1 := m.BinaryVar("b1")
-	b2 := m.BinaryVar("b2")
-	y := m.ContinuousVar(0, 2, "y")
-	m.Add(NewExpr(T(3, b1), T(3, b2), T(1, y)), GE, 4, "cover")
-	m.Add(NewExpr(T(1, b2), T(-1, b1)), LE, 0, "order")
+	b1 := m.BinaryVar()
+	b2 := m.BinaryVar()
+	y := m.ContinuousVar(0, 2)
+	m.Add(NewExpr(T(3, b1), T(3, b2), T(1, y)), GE, 4)
+	m.Add(NewExpr(T(1, b2), T(-1, b1)), LE, 0)
 	m.SetObjective(NewExpr(T(-1, b1), T(-2, b2), T(1, y)), Maximize)
 
 	res := solveOK(t, m, Params{Workers: 1})
@@ -311,13 +311,13 @@ func TestPresolvedSame(t *testing.T) {
 		m := NewModel()
 		var w, n, obj Expr
 		for i := 0; i < 6; i++ {
-			x := m.BinaryVar("x")
+			x := m.BinaryVar()
 			w.Add(float64(2+i), x)
 			n.Add(1, x)
 			obj.Add(float64(3+i%4), x)
 		}
-		m.Add(w, LE, capacity, "capacity")
-		m.Add(n, LE, count, "count")
+		m.Add(w, LE, capacity)
+		m.Add(n, LE, count)
 		m.SetObjective(obj, Maximize)
 		return m
 	}

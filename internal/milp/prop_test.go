@@ -39,11 +39,11 @@ func genMILP(rng *rand.Rand) *randomMILP {
 	m := NewModel()
 	bins := make([]Var, nb)
 	for j := range bins {
-		bins[j] = m.BinaryVar("b")
+		bins[j] = m.BinaryVar()
 	}
 	conts := make([]Var, nc)
 	for j := range conts {
-		conts[j] = m.ContinuousVar(0, float64(1+rng.Intn(10)), "x")
+		conts[j] = m.ContinuousVar(0, float64(1+rng.Intn(10)))
 	}
 	all := append(append([]Var(nil), bins...), conts...)
 
@@ -70,7 +70,7 @@ func genMILP(rng *rand.Rand) *randomMILP {
 			continue
 		}
 		rel := []Rel{LE, GE}[rng.Intn(2)]
-		m.Add(e, rel, math.Round(rng.Float64()*14-3), "c")
+		m.Add(e, rel, math.Round(rng.Float64()*14-3))
 	}
 
 	sense := []Sense{Maximize, Minimize}[rng.Intn(2)]
@@ -242,21 +242,21 @@ func assertOriginalSpace(t *testing.T, m *Model, x []float64, label string) {
 		}
 	}
 	for i := 0; i < m.NumConstraints(); i++ {
-		expr, rel, rhs, name := m.ConstraintAt(i)
+		expr, rel, rhs := m.ConstraintAt(i)
 		lhs := Value(expr, x)
 		slack := tol * (1 + math.Abs(rhs))
 		switch rel {
 		case LE:
 			if lhs > rhs+slack {
-				t.Fatalf("%s: row %q violated: %g <= %g", label, name, lhs, rhs)
+				t.Fatalf("%s: row %d violated: %g <= %g", label, i, lhs, rhs)
 			}
 		case GE:
 			if lhs < rhs-slack {
-				t.Fatalf("%s: row %q violated: %g >= %g", label, name, lhs, rhs)
+				t.Fatalf("%s: row %d violated: %g >= %g", label, i, lhs, rhs)
 			}
 		case EQ:
 			if math.Abs(lhs-rhs) > slack {
-				t.Fatalf("%s: row %q violated: %g == %g", label, name, lhs, rhs)
+				t.Fatalf("%s: row %d violated: %g == %g", label, i, lhs, rhs)
 			}
 		}
 	}

@@ -25,7 +25,7 @@ func enumerateBinaries(m *Model) float64 {
 		}
 		ok := true
 		for i := 0; i < m.NumConstraints() && ok; i++ {
-			e, rel, rhs, _ := m.ConstraintAt(i)
+			e, rel, rhs := m.ConstraintAt(i)
 			v := Value(e, x)
 			ok = !(rel == LE && v > rhs+1e-9 || rel == GE && v < rhs-1e-9 || rel == EQ && math.Abs(v-rhs) > 1e-9)
 		}
@@ -294,7 +294,7 @@ func TestAutoWidthProbeHonoursStop(t *testing.T) {
 	var obj Expr
 	rng := uint64(12345)
 	for j := range x {
-		x[j] = m.BinaryVar("x")
+		x[j] = m.BinaryVar()
 		rng = rng*6364136223846793005 + 1442695040888963407
 		obj.Add(float64(1+rng>>59), x[j])
 	}
@@ -304,8 +304,8 @@ func TestAutoWidthProbeHonoursStop(t *testing.T) {
 			row.Add(1, x[i*k+j])
 			col.Add(1, x[j*k+i])
 		}
-		m.Add(row, EQ, 1, "row")
-		m.Add(col, LE, 1, "col")
+		m.Add(row, EQ, 1)
+		m.Add(col, LE, 1)
 	}
 	m.SetObjective(obj, Maximize)
 

@@ -15,7 +15,6 @@ import (
 // never leaks it past main.
 type Server struct {
 	http *http.Server
-	addr string
 	done chan struct{}
 }
 
@@ -49,18 +48,14 @@ func Serve(addr string) (*Server, string, error) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s := &Server{
 		http: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
-		addr: ln.Addr().String(),
 		done: make(chan struct{}),
 	}
 	go func() {
 		defer close(s.done)
 		_ = s.http.Serve(ln) // returns ErrServerClosed on shutdown
 	}()
-	return s, s.addr, nil
+	return s, ln.Addr().String(), nil
 }
-
-// Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.addr }
 
 // Shutdown stops the server gracefully: the listener closes, in-flight
 // requests finish (until ctx expires), and the serve goroutine has exited
