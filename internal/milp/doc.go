@@ -1,6 +1,6 @@
 // Package milp provides a mixed-integer linear programming layer on top of
-// package lp: a modeling API (variables, linear expressions, constraints),
-// exact linearization helpers for the constructs Raha needs (binary ×
+// package lp: a modeling API (variables, linear expressions, constraints,
+// known by index only: a model carries no names), exact linearization helpers for the constructs Raha needs (binary ×
 // continuous products, integer indicator constraints), and a
 // branch-and-bound solver with incumbents, node and time limits, and a
 // relative MIP-gap stop — the stand-in for the Gurobi backend the paper
