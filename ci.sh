@@ -98,6 +98,12 @@ go test ./internal/topology -run '^$' -fuzz '^FuzzParseGML$' -fuzztime 10s
 # presolve bug can never hide behind the reductions (and vice versa).
 go test ./internal/milp -run 'TestRandomMILPsAgainstBruteForce' -short -presolve=off
 
+# And once with every cold LP started from the dual simplex on the slack
+# basis. internal/lp starts only LPs of coldDualRows rows or more that way,
+# and no corpus LP comes near, so without the switch the dual start would be
+# checked on a handful of large instances only (DESIGN.md §2.13).
+go test ./internal/milp -run 'TestRandomMILPsAgainstBruteForce' -short -colddual=all
+
 # (The dense LP referee needs no pass of its own: it runs inside ./internal/lp's tests in the -race pass above.)
 
 # The benchmark module (bench/, its own go.mod, so `./...` above does not
@@ -169,14 +175,16 @@ if ! printf %s "$last_end" | grep -q '"budget_prunes":[1-9]' ||
 	exit 1
 fi
 
-# The paper-scale cold primal, pinned by count and clock-free: the serial
+# The paper-scale cold root, pinned by count and clock-free: the serial
 # AfricaWAN alert (150 pairs, seed 2; m ≈ 2,600 after presolve) through the
 # binary. It exits 1 because it raises the alert, which is expected; its main
 # solve — the trace's last solve_end — must have taken exactly the nodes, LP
-# solves and simplex iterations pinned here. The B4 gate above checks
-# qualitative keys only, so this is the one that sees a pivot move in a big
-# cold root LP end to end. A change that means to alter the search re-pins
-# it together with TestSerialSearchCountsPinned (internal/metaopt).
+# solves and simplex iterations pinned here, and its root LP, above
+# internal/lp's coldDualRows, must have started from the dual simplex
+# (dual_cold_starts ≥ 1). The B4 gate above checks qualitative keys only, so
+# this is the one that sees a pivot move in a big cold root LP end to end. A
+# change that means to alter the search re-pins it together with
+# TestSerialSearchCountsPinned (internal/metaopt).
 africa_tmp=$tmp/africa.jsonl
 if "$tmp/raha" alert -topology africawan -pairs 150 -seed 2 -workers 1 -q -progress=false \
 	-trace "$africa_tmp" >/dev/null; then
@@ -184,10 +192,11 @@ if "$tmp/raha" alert -topology africawan -pairs 150 -seed 2 -workers 1 -q -progr
 	exit 1
 fi
 last_end=$(grep '"ev":"solve_end"' "$africa_tmp" | tail -n 1)
-if ! printf %s "$last_end" | grep -q '"nodes":124[,}]' ||
-	! printf %s "$last_end" | grep -q '"lp_solves":126[,}]' ||
-	! printf %s "$last_end" | grep -q '"lp_iters":3360[,}]'; then
-	echo "ci: the AfricaWAN alert's main solve moved (want nodes 124, lp_solves 126, lp_iters 3360): $last_end" >&2
+if ! printf %s "$last_end" | grep -q '"nodes":148[,}]' ||
+	! printf %s "$last_end" | grep -q '"lp_solves":150[,}]' ||
+	! printf %s "$last_end" | grep -q '"lp_iters":2477[,}]' ||
+	! printf %s "$last_end" | grep -q '"dual_cold_starts":[1-9]'; then
+	echo "ci: the AfricaWAN alert's main solve moved (want nodes 148, lp_solves 150, lp_iters 2477, dual_cold_starts ≥ 1): $last_end" >&2
 	exit 1
 fi
 
@@ -197,15 +206,18 @@ fi
 # re-solves, and its main solve must take exactly these nodes, LP solves
 # and simplex iterations. A warm start that reuses its basis's factors and
 # reduced costs (DESIGN.md §2.13) must pivot bit for bit as one that
-# rebuilds them, so these counts do not move with it.
+# rebuilds them, so these counts do not move with it. Its cold LPs are below
+# internal/lp's coldDualRows, so none may start from the dual simplex: this
+# is the other side of the AfricaWAN gate's selection.
 b4_tmp=$tmp/b4.jsonl
 "$tmp/raha" analyze -topology b4 -pairs 12 -seed 5 -primary 4 -workers 1 -q -progress=false \
 	-trace "$b4_tmp" >/dev/null
 last_end=$(grep '"ev":"solve_end"' "$b4_tmp" | tail -n 1)
 if ! printf %s "$last_end" | grep -q '"nodes":1519[,}]' ||
 	! printf %s "$last_end" | grep -q '"lp_solves":1539[,}]' ||
-	! printf %s "$last_end" | grep -q '"lp_iters":7089[,}]'; then
-	echo "ci: the B4 analysis's main solve moved (want nodes 1519, lp_solves 1539, lp_iters 7089): $last_end" >&2
+	! printf %s "$last_end" | grep -q '"lp_iters":7089[,}]' ||
+	! printf %s "$last_end" | grep -q '"dual_cold_starts":0[,}]'; then
+	echo "ci: the B4 analysis's main solve moved (want nodes 1519, lp_solves 1539, lp_iters 7089, dual_cold_starts 0): $last_end" >&2
 	exit 1
 fi
 

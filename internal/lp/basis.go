@@ -58,8 +58,8 @@ func (b *Basis) valid(m, n int) bool {
 
 // warmPivTol is the minimum acceptable pivot magnitude while factorizing
 // an inherited basis. It is deliberately coarser than pivTol: a basis this
-// close to singular is numerically untrustworthy and the cold two-phase
-// path is the safe answer.
+// close to singular is numerically untrustworthy and a cold solve is the
+// safe answer.
 const warmPivTol = 1e-7
 
 // dualFeasTol is the reduced-cost tolerance for accepting an inherited
@@ -67,11 +67,19 @@ const warmPivTol = 1e-7
 // genuinely dual-feasible parent basis must not force a cold fallback.
 const dualFeasTol = 1e-6
 
-// Warm-path counters (obs.Default, exported through expvar as raha.lp.*).
+// Dual-start counters (obs.Default, exported through expvar as raha.lp.*).
 var (
 	cWarm       = obs.Default.Counter("lp.warm_solves")
-	cDualIters  = obs.Default.Counter("lp.dual_iterations")
-	cDualStalls = obs.Default.Counter("lp.dual_stalls") // warm solves given up to a dual-degenerate streak
+	cDualStalls = obs.Default.Counter("lp.dual_stalls") // dual starts, warm or cold, given up to a dual-degenerate streak
+
+	cDualCold          = obs.Default.Counter("lp.dual_cold_starts")    // cold solves the dual start finished
+	cDualColdFallbacks = obs.Default.Counter("lp.dual_cold_fallbacks") // cold dual starts that gave way to the two-phase primal
+	cDualColdWhy       = [...]*obs.Counter{                            // those fallbacks by reason
+		notDualFeasible: obs.Default.Counter("lp.dual_cold_fallbacks.not_dual_feasible"),
+		tooInfeasible:   obs.Default.Counter("lp.dual_cold_fallbacks.too_infeasible"),
+		dualStalled:     obs.Default.Counter("lp.dual_cold_fallbacks.stall"),
+		basisSingular:   obs.Default.Counter("lp.dual_cold_fallbacks.singular"),
+	}
 )
 
 // SolveFrom re-optimizes p starting from a basis exported by a previous
@@ -85,8 +93,9 @@ var (
 // Phase 1 never runs on the warm path, so Solution.Phase1Iters is 0 and
 // Solution.WarmStarted is true. When the basis is unusable — nil, built for
 // a different problem shape, singular under the new bounds, or no longer
-// dual-feasible — or the warm solve collapses numerically, SolveFrom falls
-// back to the cold two-phase Solve and WarmStarted is false.
+// dual-feasible — or the warm solve stalls or collapses numerically,
+// SolveFrom falls back to a cold Solve (which starts from the dual on the
+// slack basis when the problem is large, Solve) and WarmStarted is false.
 func SolveFrom(p *Problem, b *Basis, opt *Options) (*Solution, error) {
 	c, err := p.prepare()
 	if err != nil {
@@ -95,7 +104,6 @@ func SolveFrom(p *Problem, b *Basis, opt *Options) (*Solution, error) {
 	if m := len(p.Rows); b.valid(m, p.NumVars+m) {
 		if sol, ok := solveFromSparse(p, c, b, opt); ok {
 			cWarm.Inc()
-			cDualIters.Add(int64(sol.DualIters))
 			return record(sol), nil
 		}
 	}

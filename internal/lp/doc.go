@@ -36,17 +36,28 @@
 // collapses numerically ends with status NumericalFailure, counted as
 // lp.numerical_failures — there is no second solver to fall back to.
 //
+// A cold Solve takes one of two starts, chosen by size alone. A problem of
+// at least coldDualRows rows (600) starts from the bounded dual simplex on
+// the slack basis, each structural resting at the bound its cost sign makes
+// dual feasible: no artificials and no phase 1. A smaller one runs the
+// two-phase primal (artificials where a slack cannot carry its row, phase 1
+// on their sum, then phase 2). The dual start gives way to the two-phase
+// primal when the slack basis is not dual feasible (a negative cost with no
+// upper bound) or leaves more than half its rows out of bounds, or when it
+// stalls or its basis goes singular; lp.dual_cold_starts and
+// lp.dual_cold_fallbacks.* count both outcomes.
+//
 // Optimal solutions carry their final simplex basis (Solution.Basis), and
 // SolveFrom re-solves a problem from such a basis: it refactorizes the
-// basis and runs bounded-variable dual simplex instead of the two-phase
-// method, which is how branch-and-bound warm-starts child nodes after a
-// single bound change. When the basis is, slot for slot, the one the
-// Problem's workspace factorized last, the warm start reuses those factors
-// (and their reduced costs, when the costs are unchanged) instead: they are
-// the bits a refactorization would produce, so the pivots are the same. When a basis cannot be reused — wrong shape,
-// singular after the bound change, or dual-infeasible — SolveFrom falls
-// back to a cold Solve; the fallback rules and tolerances are in
-// DESIGN.md §2.8.
+// basis and runs the same dual start from it, which is how branch and bound
+// warm-starts child nodes after a single bound change. When the basis is,
+// slot for slot, the one the Problem's workspace factorized last, the warm
+// start reuses those factors (and their reduced costs, when the costs are
+// unchanged) instead: they are the bits a refactorization would produce, so
+// the pivots are the same. When a basis cannot be reused — wrong shape,
+// singular after the bound change, or dual-infeasible — or the warm dual
+// stalls, SolveFrom falls back to a cold Solve; the fallback rules and
+// tolerances are in DESIGN.md §2.8.
 //
 // The solver minimizes; callers that maximize negate their objective.
 package lp

@@ -144,7 +144,8 @@ type Solution struct {
 	DegeneratePivots int  // pivots whose ratio-test step was below tolerance
 	BlandPivots      int  // pivots taken under Bland's anti-cycling rule
 	WarmStarted      bool // SolveFrom reused the given basis (no phase 1 ran)
-	DualIters        int  // dual-simplex iterations on the warm path
+	DualCold         bool // a cold solve started from the dual simplex (no phase 1 ran)
+	DualIters        int  // dual-simplex iterations (warm path or dual cold start)
 }
 
 // Options tunes the solver.
@@ -200,6 +201,7 @@ var (
 	cIterLimit = obs.Default.Counter("lp.iteration_limit")
 	cObjLimit  = obs.Default.Counter("lp.objlimit_stops")
 	cNumFail   = obs.Default.Counter("lp.numerical_failures")
+	cDualIters = obs.Default.Counter("lp.dual_iterations")
 )
 
 // record folds one solve's telemetry into the process-wide counters and
@@ -210,6 +212,7 @@ func record(sol *Solution) *Solution {
 	cPhase1.Add(int64(sol.Phase1Iters))
 	cDegen.Add(int64(sol.DegeneratePivots))
 	cBland.Add(int64(sol.BlandPivots))
+	cDualIters.Add(int64(sol.DualIters))
 	switch sol.Status {
 	case Infeasible:
 		cInfeas.Inc()
@@ -234,9 +237,14 @@ const (
 	basic
 )
 
-// Solve minimizes p with the sparse revised simplex (sparse.go). A numerical
-// collapse of the factorization is status NumericalFailure, counted as
-// lp.numerical_failures — not an error, and there is no second solver.
+// Solve minimizes p with the sparse revised simplex (sparse.go). A problem
+// of at least coldDualRows rows starts from the dual simplex on the slack
+// basis (Solution.DualCold); a smaller one runs the two-phase primal, and
+// so does one whose slack basis is not dual feasible or leaves more than
+// half its rows out of bounds, or whose dual start stalls or goes
+// singular. A numerical collapse of the factorization is status
+// NumericalFailure, counted as lp.numerical_failures — not an error, and
+// there is no second solver.
 func Solve(p *Problem, opt *Options) (*Solution, error) {
 	c, err := p.prepare()
 	if err != nil {
@@ -245,8 +253,36 @@ func Solve(p *Problem, opt *Options) (*Solution, error) {
 	return solveCold(p, c, opt), nil
 }
 
+// coldDualRows is the row count from which a cold solve starts from the
+// dual simplex. Below it the two-phase primal runs. Measured on the
+// benchmark's models after presolve (DESIGN.md §2.13): every cold LP of the
+// Uninett, B4 and fleet workloads has fewer than 500 rows, and there the
+// dual start grows the search trees; AfricaWAN's root LP has about 2,600
+// and Cogentco's 950–1,750, and there it takes a fraction of the primal's
+// pivots.
+const coldDualRows = 600
+
+// dualColdAll starts every cold solve from the dual, whatever its size and
+// however many of its rows the slack basis leaves out of bounds. It is the
+// tests' switch: internal/milp's -colddual=all pass sets it, so the dual
+// start is checked on the random MILP corpus too. Nothing else does.
+var dualColdAll bool
+
 // solveCold is Solve on a prepared problem.
 func solveCold(p *Problem, c *spCache, opt *Options) *Solution {
+	if m := len(p.Rows); m >= coldDualRows || dualColdAll {
+		maxViolated := m / 2
+		if dualColdAll {
+			maxViolated = m
+		}
+		sol, why := solveDualCold(p, c, opt, maxViolated)
+		if why == dualStarted {
+			cDualCold.Inc()
+			return record(sol)
+		}
+		cDualColdFallbacks.Inc()
+		cDualColdWhy[why].Inc()
+	}
 	sol, ok := solveSparse(p, c, opt)
 	if !ok {
 		sol = &Solution{Status: NumericalFailure}

@@ -368,8 +368,10 @@ type spSolver struct {
 	dualIters   int
 
 	// fail marks a numerical catastrophe (the basis would not factorize
-	// mid-solve): a warm solve retries cold, a cold one ends NumericalFailure.
-	fail bool
+	// mid-solve) or a dual stall (stalled): a dual start gives way, a warm
+	// one to a cold solve and a cold one to the two-phase primal, and the
+	// two-phase primal ends NumericalFailure.
+	fail, stalled bool
 }
 
 // sizeFor (re)sizes the workspace for this solve's column count.
@@ -421,7 +423,7 @@ func (s *spSolver) sizeFor(m, nTot int) {
 	s.degenPivots = 0
 	s.blandPivots = 0
 	s.dualIters = 0
-	s.fail = false
+	s.fail, s.stalled = false, false
 	s.stop = nil
 }
 
@@ -811,10 +813,10 @@ func (s *spSolver) initCold(p *Problem, c *spCache) {
 	s.cap = 50*(m+nTot) + 1000
 }
 
-// initWarm prepares a warm solve directly in the inherited basis: no
-// artificials, the real objective from the start. It reports false when
-// b.Basic names a column twice (the one check Basis.valid leaves to it).
-func (s *spSolver) initWarm(p *Problem, c *spCache, b *Basis) bool {
+// initDual prepares a solve that starts from the dual simplex: structural
+// and slack columns only, the real objective from the start, no objective
+// limit. The caller installs the basis.
+func (s *spSolver) initDual(p *Problem, c *spCache) {
 	m, nStr := len(p.Rows), p.NumVars
 	s.c = c
 	s.m, s.nStr = m, nStr
@@ -843,10 +845,19 @@ func (s *spSolver) initWarm(p *Problem, c *spCache, b *Basis) bool {
 		s.cost[j] = 0
 	}
 	s.noteCostCols()
+	s.cap = 50*(m+nTot) + 1000
+	s.objLimit = math.Inf(1)
+}
+
+// initWarm prepares a warm solve directly in the inherited basis. It
+// reports false when b.Basic names a column twice (the one check Basis.valid
+// leaves to it).
+func (s *spSolver) initWarm(p *Problem, c *spCache, b *Basis) bool {
+	s.initDual(p, c)
 	// Statuses from the basis; a nonbasic-at-upper column with an infinite
 	// upper bound under the new problem drops to its lower bound (same rule
 	// as the dense warm build).
-	for j := 0; j < nTot; j++ {
+	for j := 0; j < s.nTot; j++ {
 		s.slotOf[j] = -1
 		switch b.Stat[j] {
 		case BasisBasic:
@@ -872,9 +883,28 @@ func (s *spSolver) initWarm(p *Problem, c *spCache, b *Basis) bool {
 		s.basic[k] = q
 		s.slotOf[q] = int32(k)
 	}
-	s.cap = 50*(m+nTot) + 1000
-	s.objLimit = math.Inf(1)
 	return true
+}
+
+// initSlack prepares a cold solve from the dual simplex in the slack basis.
+// Its duals are zero, so a structural's reduced cost is its cost, and each
+// structural rests at the bound that sign makes dual feasible: the upper
+// one for a negative cost when it is finite, the lower one otherwise. A
+// negative cost with no upper bound leaves the basis dual infeasible, which
+// dualFeasible reports.
+func (s *spSolver) initSlack(p *Problem, c *spCache) {
+	s.initDual(p, c)
+	for j := 0; j < s.nStr; j++ {
+		s.slotOf[j] = -1
+		if s.cost[j] < 0 && !math.IsInf(s.hi[j], 1) {
+			s.stat[j], s.xval[j] = atUpper, s.hi[j]
+		} else {
+			s.stat[j], s.xval[j] = atLower, s.lo[j]
+		}
+	}
+	for i := 0; i < s.m; i++ {
+		s.setBasic(i, s.nStr+i, 0) // recomputeXB fills it
+	}
 }
 
 // setPhase2Cost installs the (scaled) real objective.
@@ -1184,8 +1214,8 @@ func (s *spSolver) dualFeasible() bool {
 // A dual-degenerate pivot (|d_q| < costTol) leaves the objective where it
 // is, and the ratio test's tie-breaking can cycle through such pivots up to
 // the iteration cap. After primal()'s streak length of them in a row the
-// basis is given up: fail asks SolveFrom for the cold two-phase solve,
-// counted as lp.dual_stalls.
+// start is given up, counted as lp.dual_stalls: stalled makes runDual give
+// way, a warm start to a cold solve and a cold one to the two-phase primal.
 func (s *spSolver) dual() Status {
 	limited := !math.IsInf(s.objLimit, 1)
 	if limited {
@@ -1267,7 +1297,7 @@ func (s *spSolver) dual() Status {
 			stalled = 0
 		} else if stalled++; stalled > 2*(s.m+10) {
 			cDualStalls.Inc()
-			s.fail = true
+			s.fail, s.stalled = true, true
 			return IterLimit
 		}
 
@@ -1348,6 +1378,17 @@ func (s *spSolver) refactorDual() bool {
 func (s *spSolver) violates(i int) bool {
 	b := s.basic[i]
 	return s.lo[b]-s.xval[b] > feasTol || s.xval[b]-s.hi[b] > feasTol
+}
+
+// violations counts the slots whose basic violates a bound.
+func (s *spSolver) violations() int {
+	n := 0
+	for i := 0; i < s.m; i++ {
+		if s.violates(i) {
+			n++
+		}
+	}
+	return n
 }
 
 // rebuildInfeas refills the infeasible set by a scan over every slot.
@@ -1525,46 +1566,99 @@ func solveSparse(p *Problem, c *spCache, opt *Options) (*Solution, bool) {
 	return s.finish(p, st, phase1Iters, false), true
 }
 
+// dualStart is how a start from the dual simplex ended: it finished the
+// solve, or the reason it gave way to another path.
+type dualStart int8
+
+const (
+	dualStarted     dualStart = iota
+	notDualFeasible           // the starting basis's reduced costs have a wrong sign
+	tooInfeasible             // too many of the slack basis's rows start out of bounds
+	dualStalled               // a dual-degenerate streak (lp.dual_stalls)
+	basisSingular             // the basis would not factorize, at the start or mid-flight
+)
+
 // solveFromSparse re-optimizes p, whose lowering is c, from an inherited
 // basis on the sparse core. ok = false requests the cold fallback: the basis
-// names a column twice or would not factorize at warmPivTol, it is no
-// longer dual-feasible under the new bounds, or the solve hit a numerical
-// catastrophe mid-flight.
+// names a column twice, or the dual start gave way.
 func solveFromSparse(p *Problem, c *spCache, b *Basis, opt *Options) (*Solution, bool) {
 	s := &c.s
 	if !s.initWarm(p, c, b) {
 		return nil, false
 	}
-	if opt != nil && opt.MaxIters > 0 {
-		s.cap = opt.MaxIters
-	}
 	if opt != nil && opt.UseObjLimit {
 		s.objLimit = opt.ObjLimit
+	}
+	if s.startDual(opt) != dualStarted {
+		return nil, false
+	}
+	sol, why := s.runDual(p, true)
+	return sol, why == dualStarted
+}
+
+// solveDualCold is a cold solve of p, whose lowering is c, from the dual
+// simplex in the slack basis: no phase 1 and no artificials, since the
+// dual drives each infeasible slack out of the basis itself. It ignores
+// Options.ObjLimit, as every cold solve does.
+//
+// It gives way when more than maxViolated of the slack basis's rows start
+// out of bounds. The dual needs at least one pivot per such row, while the
+// two-phase primal takes 0.7–5 per row in all on the LPs measured, so
+// Solve passes half the rows: past that the dual has little room to win.
+// On the generated LPs of bench_test.go, with 70–87% of their rows
+// violated, it took 1.2 to 61 pivots per row; the benchmark models' large
+// LPs start with 28–35% violated (DESIGN.md §2.13).
+func solveDualCold(p *Problem, c *spCache, opt *Options, maxViolated int) (*Solution, dualStart) {
+	s := &c.s
+	s.initSlack(p, c)
+	if why := s.startDual(opt); why != dualStarted {
+		return nil, why
+	}
+	if s.violations() > maxViolated {
+		return nil, tooInfeasible
+	}
+	return s.runDual(p, false)
+}
+
+// startDual readies a start from the dual simplex in the basis initWarm or
+// initSlack installed: the caller's iteration cap and stop flag, and the
+// basis's factors, basic values and reduced costs. It reports why the start
+// must give way instead, if it must: the basis would not factorize at
+// warmPivTol, or is not dual feasible beyond dualFeasTol.
+func (s *spSolver) startDual(opt *Options) dualStart {
+	if opt != nil && opt.MaxIters > 0 {
+		s.cap = opt.MaxIters
 	}
 	if opt != nil {
 		s.stop = opt.Stop
 	}
 	if !s.startFactors() {
-		return nil, false
+		return basisSingular
 	}
 	s.recomputeXB()
 	s.startD()
 	if !s.dualFeasible() {
-		return nil, false
+		return notDualFeasible
 	}
+	return dualStarted
+}
 
+// runDual runs a start that startDual readied: the dual phase, then the
+// primal phase, which normally confirms optimality in zero iterations and
+// only pivots to clean up tolerance-level drift. It returns the solution,
+// or why the start gave way: it stalled or collapsed numerically.
+func (s *spSolver) runDual(p *Problem, warm bool) (*Solution, dualStart) {
 	st := s.dual()
-	if s.fail {
-		return nil, false
-	}
 	if st == Optimal {
-		// The dual phase left a primal- and dual-feasible point; the primal
-		// phase normally confirms optimality in zero iterations and only
-		// pivots to clean up tolerance-level drift.
 		st = s.primal()
-		if s.fail {
-			return nil, false
-		}
 	}
-	return s.finish(p, st, 0, true), true
+	if s.stalled {
+		return nil, dualStalled
+	}
+	if s.fail {
+		return nil, basisSingular
+	}
+	sol := s.finish(p, st, 0, warm)
+	sol.DualCold = !warm
+	return sol, dualStarted
 }

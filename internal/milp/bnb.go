@@ -514,6 +514,9 @@ func (s *search) solveLP(wid int, lo, hi []float64, basis *lp.Basis) (*lp.Soluti
 		if sol.Status == lp.ObjLimit {
 			st.LPObjLimitStops++
 		}
+		if sol.DualCold {
+			st.DualColdStarts++
+		}
 		if warm && sol.WarmStarted {
 			st.WarmStarts++
 			st.WarmIters += int64(sol.Iters)

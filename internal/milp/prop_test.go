@@ -6,12 +6,24 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	_ "unsafe" // go:linkname, for the -colddual=all switch below
 )
 
 // presolveMode lets CI run the corpus with the reduction layer off
 // (`go test -run TestRandomMILPsAgainstBruteForce -presolve=off`) — the
 // smoke check that the presolve-disabled solver still matches brute force.
 var presolveMode = flag.String("presolve", "on", `corpus presolve mode: "on" or "off"`)
+
+// coldDualMode lets CI run the corpus with every cold LP started from the
+// dual simplex on the slack basis (`-colddual=all`). internal/lp picks that
+// start by row count, and no corpus LP is near its threshold, so without
+// the switch the corpus checks only the two-phase primal's cold solves.
+var coldDualMode = flag.String("colddual", "size", `corpus cold start: "size" (internal/lp's row threshold) or "all" (the dual start on every cold LP)`)
+
+// lpDualColdAll is internal/lp's unexported switch behind -colddual=all.
+//
+//go:linkname lpDualColdAll raha/internal/lp.dualColdAll
+var lpDualColdAll bool
 
 func corpusParams(p Params) Params {
 	if *presolveMode == "off" {
@@ -149,6 +161,10 @@ func propCorpusSize(t *testing.T) int {
 // Two instance streams: seed 42, and seed 4242 — the stream the retired
 // dense-vs-sparse MILP test drew, whose sparse cells were this same check.
 func TestRandomMILPsAgainstBruteForce(t *testing.T) {
+	if *coldDualMode == "all" {
+		lpDualColdAll = true
+		defer func() { lpDualColdAll = false }()
+	}
 	for _, seed := range []int64{42, 4242} {
 		checkCorpusAgainstBruteForce(t, seed)
 	}
@@ -157,7 +173,7 @@ func TestRandomMILPsAgainstBruteForce(t *testing.T) {
 func checkCorpusAgainstBruteForce(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	n := propCorpusSize(t)
-	var cutoffs, warmStarts int64
+	var cutoffs, warmStarts, dualColdStarts int64
 	restarts := map[string]int64{}
 	for trial := 0; trial < n; trial++ {
 		inst := genMILP(rng)
@@ -175,6 +191,7 @@ func checkCorpusAgainstBruteForce(t *testing.T, seed int64) {
 			}
 			cutoffs += st.LPCutoffs
 			warmStarts += st.WarmStarts
+			dualColdStarts += st.DualColdStarts
 			restarts[which] += st.Restarts
 			checkRestart(t, trial, which, res)
 			if st.NodesBranched > 0 && st.WarmStarts+st.ColdFallbacks == 0 {
@@ -203,6 +220,9 @@ func checkCorpusAgainstBruteForce(t *testing.T, seed int64) {
 	}
 	if warmStarts == 0 {
 		t.Error("no warm-started node LP across the whole corpus")
+	}
+	if (*coldDualMode == "all") != (dualColdStarts > 0) {
+		t.Errorf("-colddual=%s: %d cold LPs solved from the dual start", *coldDualMode, dualColdStarts)
 	}
 	t.Logf("seed %d: %d serial and %d parallel solves restarted", seed, restarts["serial"], restarts["parallel"])
 	if restarts["serial"] == 0 || restarts["parallel"] == 0 {

@@ -37,9 +37,10 @@ type Stats struct {
 	DegeneratePivots int64 `trace:"degenerate_pivots"` // near-zero-step pivots inside those solves
 	BlandPivots      int64 `trace:"bland_pivots"`      // pivots priced under Bland's anti-cycling rule
 
-	WarmStarts    int64 `trace:"warm_starts" counter:"milp.warm_starts"`       // LPs re-optimized from an inherited basis (phase 1 skipped)
-	WarmIters     int64 `trace:"warm_iters"`                                   // simplex iterations across those warm solves (dual + primal)
-	ColdFallbacks int64 `trace:"cold_fallbacks" counter:"milp.cold_fallbacks"` // warm attempts whose basis was unusable (cold two-phase ran)
+	WarmStarts     int64 `trace:"warm_starts" counter:"milp.warm_starts"`       // LPs re-optimized from an inherited basis (phase 1 skipped)
+	WarmIters      int64 `trace:"warm_iters"`                                   // simplex iterations across those warm solves (dual + primal)
+	ColdFallbacks  int64 `trace:"cold_fallbacks" counter:"milp.cold_fallbacks"` // warm attempts whose basis was unusable (a cold solve ran)
+	DualColdStarts int64 `trace:"dual_cold_starts"`                             // cold LPs solved from the dual simplex on the slack basis (lp.Solution.DualCold)
 
 	NodesBranched    int64 `trace:"nodes_branched"`    // processed nodes that produced two children
 	PrunedInfeasible int64 `trace:"pruned_infeasible"` // node relaxation infeasible
@@ -88,7 +89,7 @@ type Stats struct {
 	// propagation).
 	PresolveNs int64 `trace:"presolve_ns"` // root presolve wall clock
 	LPWarmNs   int64 `trace:"lp_warm_ns"`  // LP solves that re-optimized from an inherited basis
-	LPColdNs   int64 `trace:"lp_cold_ns"`  // cold two-phase LP solves (incl. warm-start fallbacks)
+	LPColdNs   int64 `trace:"lp_cold_ns"`  // cold LP solves, either start (incl. warm-start fallbacks)
 	HeurNs     int64 `trace:"heur_ns"`     // rounding-heuristic time excluding its LP solves
 	BranchNs   int64 `trace:"branch_ns"`   // node-processing time excluding LP and heuristic
 
