@@ -320,6 +320,7 @@ type spSolver struct {
 
 	// Length-m scratch.
 	w      []float64 // original-row-indexed FTRAN input / residual buffer
+	wrows  []int32   // w's support (wSupport)
 	alpha  []float64 // slot-indexed FTRAN output (entering column)
 	cbuf   []float64 // slot-indexed BTRAN input, all zero between calls
 	y      []float64 // original-row-indexed BTRAN output (duals)
@@ -405,6 +406,7 @@ func (s *spSolver) sizeFor(m, nTot int) {
 		s.y = make([]float64, m)
 		s.cslots = make([]int32, m)
 		s.facBasic = make([]int32, m)
+		s.wrows = make([]int32, m)
 	}
 	// w is sized separately: initCold borrows it as a residual buffer
 	// before sizeFor runs, and that aliasing must survive this call.
@@ -418,6 +420,7 @@ func (s *spSolver) sizeFor(m, nTot int) {
 	s.y = s.y[:m]
 	s.cslots = s.cslots[:m]
 	s.facBasic = s.facBasic[:m]
+	s.wrows = s.wrows[:m]
 	s.infeas = s.infeas.sized(m)
 	s.iters = 0
 	s.degenPivots = 0
@@ -671,6 +674,9 @@ func (s *spSolver) refactor() bool {
 
 // recomputeXB snaps every nonbasic variable to its bound and recomputes the
 // basic values as B⁻¹(b̂ − Σ_nonbasic A_j·x_j) through the fresh factors.
+// The FTRAN runs over w's support: every row whose entry is not +0, so the
+// steps it skips are those a walk over every step would find +0 and leave
+// alone, and the values are that walk's bit for bit.
 func (s *spSolver) recomputeXB() {
 	for j := 0; j < s.nTot; j++ {
 		switch s.stat[j] {
@@ -706,10 +712,23 @@ func (s *spSolver) recomputeXB() {
 			s.w[s.artRow[a]] -= s.artSign[a] * s.xval[j]
 		}
 	}
-	s.fac.ftran(s.w, nil, s.alpha)
+	s.fac.ftran(s.w, s.wSupport(), s.alpha)
 	for k := 0; k < s.m; k++ {
 		s.xval[s.basic[k]] = s.alpha[k]
 	}
+}
+
+// wSupport lists, ascending, the rows where w is not +0: FTRAN's input
+// support for a w built by accumulation. A -0 is listed too, so that FTRAN
+// writes it through as a walk over every step would.
+func (s *spSolver) wSupport() []int32 {
+	rows := s.wrows[:0]
+	for i, v := range s.w {
+		if math.Float64bits(v) != 0 {
+			rows = append(rows, int32(i))
+		}
+	}
+	return rows
 }
 
 // setBasic installs column j as the basic variable of slot k with value v.
