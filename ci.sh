@@ -181,10 +181,11 @@ fi
 # solve — the trace's last solve_end — must have taken exactly the nodes, LP
 # solves and simplex iterations pinned here, and its root LP, above
 # internal/lp's coldDualRows, must have started from the dual simplex
-# (dual_cold_starts ≥ 1). The B4 gate above checks qualitative keys only, so
-# this is the one that sees a pivot move in a big cold root LP end to end. A
-# change that means to alter the search re-pins it together with
-# TestSerialSearchCountsPinned (internal/metaopt).
+# (dual_cold_starts ≥ 1). Its dives must continue node LPs from the live
+# state of the LP before (hot_starts ≥ 1, DESIGN.md §2.13). The B4 gate above
+# checks qualitative keys only, so this is the one that sees a pivot move in
+# a big cold root LP end to end. A change that means to alter the search
+# re-pins it together with TestSerialSearchCountsPinned (internal/metaopt).
 africa_tmp=$tmp/africa.jsonl
 if "$tmp/raha" alert -topology africawan -pairs 150 -seed 2 -workers 1 -q -progress=false \
 	-trace "$africa_tmp" >/dev/null; then
@@ -192,11 +193,12 @@ if "$tmp/raha" alert -topology africawan -pairs 150 -seed 2 -workers 1 -q -progr
 	exit 1
 fi
 last_end=$(grep '"ev":"solve_end"' "$africa_tmp" | tail -n 1)
-if ! printf %s "$last_end" | grep -q '"nodes":148[,}]' ||
-	! printf %s "$last_end" | grep -q '"lp_solves":150[,}]' ||
-	! printf %s "$last_end" | grep -q '"lp_iters":2477[,}]' ||
-	! printf %s "$last_end" | grep -q '"dual_cold_starts":[1-9]'; then
-	echo "ci: the AfricaWAN alert's main solve moved (want nodes 148, lp_solves 150, lp_iters 2477, dual_cold_starts ≥ 1): $last_end" >&2
+if ! printf %s "$last_end" | grep -q '"nodes":150[,}]' ||
+	! printf %s "$last_end" | grep -q '"lp_solves":152[,}]' ||
+	! printf %s "$last_end" | grep -q '"lp_iters":2492[,}]' ||
+	! printf %s "$last_end" | grep -q '"dual_cold_starts":[1-9]' ||
+	! printf %s "$last_end" | grep -q '"hot_starts":[1-9]'; then
+	echo "ci: the AfricaWAN alert's main solve moved (want nodes 150, lp_solves 152, lp_iters 2492, dual_cold_starts ≥ 1, hot_starts ≥ 1): $last_end" >&2
 	exit 1
 fi
 
@@ -205,19 +207,22 @@ fi
 # proven optimality in well under a second, almost all of it warm dual
 # re-solves, and its main solve must take exactly these nodes, LP solves
 # and simplex iterations. A warm start that reuses its basis's factors and
-# reduced costs (DESIGN.md §2.13) must pivot bit for bit as one that
-# rebuilds them, so these counts do not move with it. Its cold LPs are below
-# internal/lp's coldDualRows, so none may start from the dual simplex: this
-# is the other side of the AfricaWAN gate's selection.
+# reduced costs pivots bit for bit as one that rebuilds them, so those do
+# not move these counts; a hot start, which continues from the live state of
+# the LP before and carries its rounding (DESIGN.md §2.13), does, and must
+# fire (hot_starts ≥ 1). Its cold LPs are below internal/lp's coldDualRows,
+# so none may start from the dual simplex: this is the other side of the
+# AfricaWAN gate's selection.
 b4_tmp=$tmp/b4.jsonl
 "$tmp/raha" analyze -topology b4 -pairs 12 -seed 5 -primary 4 -workers 1 -q -progress=false \
 	-trace "$b4_tmp" >/dev/null
 last_end=$(grep '"ev":"solve_end"' "$b4_tmp" | tail -n 1)
-if ! printf %s "$last_end" | grep -q '"nodes":1519[,}]' ||
-	! printf %s "$last_end" | grep -q '"lp_solves":1539[,}]' ||
-	! printf %s "$last_end" | grep -q '"lp_iters":7089[,}]' ||
-	! printf %s "$last_end" | grep -q '"dual_cold_starts":0[,}]'; then
-	echo "ci: the B4 analysis's main solve moved (want nodes 1519, lp_solves 1539, lp_iters 7089, dual_cold_starts 0): $last_end" >&2
+if ! printf %s "$last_end" | grep -q '"nodes":1946[,}]' ||
+	! printf %s "$last_end" | grep -q '"lp_solves":1963[,}]' ||
+	! printf %s "$last_end" | grep -q '"lp_iters":8781[,}]' ||
+	! printf %s "$last_end" | grep -q '"dual_cold_starts":0[,}]' ||
+	! printf %s "$last_end" | grep -q '"hot_starts":[1-9]'; then
+	echo "ci: the B4 analysis's main solve moved (want nodes 1946, lp_solves 1963, lp_iters 8781, dual_cold_starts 0, hot_starts ≥ 1): $last_end" >&2
 	exit 1
 fi
 

@@ -85,10 +85,17 @@ var (
 // SolveFrom re-optimizes p starting from a basis exported by a previous
 // solve of a problem with the same rows and objective (typically the parent
 // node of a branch-and-bound search, which differs only in one variable's
-// bounds). The basis is refactorized (LU, partial pivoting); if the inherited
-// point is primal-infeasible under the new bounds — the normal case after a
+// bounds). The basis is factorized (LU, partial pivoting), or its factors
+// are reused when the Problem's workspace holds them; if the inherited point
+// is primal-infeasible under the new bounds — the normal case after a
 // branching bound change — a bounded-variable dual simplex phase restores
 // feasibility before the primal phase finishes the solve.
+//
+// When b is the basis the Problem's last solve ended optimal on and the
+// costs are unchanged — a dive — the start is hot (Solution.Hot,
+// lp.hot_starts): it continues from that solve's live factors, primal
+// values and reduced costs, moving only the columns whose bounds changed,
+// and is not bit-identical to a start rebuilt from b (DESIGN.md §2.13).
 //
 // Phase 1 never runs on the warm path, so Solution.Phase1Iters is 0 and
 // Solution.WarmStarted is true. When the basis is unusable — nil, built for
@@ -101,11 +108,13 @@ func SolveFrom(p *Problem, b *Basis, opt *Options) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
+	discarded := 0
 	if m := len(p.Rows); b.valid(m, p.NumVars+m) {
 		if sol, ok := solveFromSparse(p, c, b, opt); ok {
 			cWarm.Inc()
 			return record(sol), nil
 		}
+		discarded = c.s.iters
 	}
-	return solveCold(p, c, opt), nil
+	return solveCold(p, c, opt, discarded), nil
 }

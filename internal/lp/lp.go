@@ -144,8 +144,10 @@ type Solution struct {
 	DegeneratePivots int  // pivots whose ratio-test step was below tolerance
 	BlandPivots      int  // pivots taken under Bland's anti-cycling rule
 	WarmStarted      bool // SolveFrom reused the given basis (no phase 1 ran)
+	Hot              bool // that warm start continued from the live state of the Problem's last solve
 	DualCold         bool // a cold solve started from the dual simplex (no phase 1 ran)
 	DualIters        int  // dual-simplex iterations (warm path or dual cold start)
+	DiscardedPivots  int  // pivots of dual starts, warm or cold, that gave way before the path that returned (not in Iters)
 }
 
 // Options tunes the solver.
@@ -202,6 +204,7 @@ var (
 	cObjLimit  = obs.Default.Counter("lp.objlimit_stops")
 	cNumFail   = obs.Default.Counter("lp.numerical_failures")
 	cDualIters = obs.Default.Counter("lp.dual_iterations")
+	cDiscarded = obs.Default.Counter("lp.discarded_pivots") // Solution.DiscardedPivots
 )
 
 // record folds one solve's telemetry into the process-wide counters and
@@ -213,6 +216,7 @@ func record(sol *Solution) *Solution {
 	cDegen.Add(int64(sol.DegeneratePivots))
 	cBland.Add(int64(sol.BlandPivots))
 	cDualIters.Add(int64(sol.DualIters))
+	cDiscarded.Add(int64(sol.DiscardedPivots))
 	switch sol.Status {
 	case Infeasible:
 		cInfeas.Inc()
@@ -250,7 +254,7 @@ func Solve(p *Problem, opt *Options) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	return solveCold(p, c, opt), nil
+	return solveCold(p, c, opt, 0), nil
 }
 
 // coldDualRows is the row count from which a cold solve starts from the
@@ -268,8 +272,9 @@ const coldDualRows = 600
 // start is checked on the random MILP corpus too. Nothing else does.
 var dualColdAll bool
 
-// solveCold is Solve on a prepared problem.
-func solveCold(p *Problem, c *spCache, opt *Options) *Solution {
+// solveCold is Solve on a prepared problem, after a warm start that gave
+// way with discarded pivots (0 for none).
+func solveCold(p *Problem, c *spCache, opt *Options, discarded int) *Solution {
 	if m := len(p.Rows); m >= coldDualRows || dualColdAll {
 		maxViolated := m / 2
 		if dualColdAll {
@@ -278,8 +283,10 @@ func solveCold(p *Problem, c *spCache, opt *Options) *Solution {
 		sol, why := solveDualCold(p, c, opt, maxViolated)
 		if why == dualStarted {
 			cDualCold.Inc()
+			sol.DiscardedPivots = discarded
 			return record(sol)
 		}
+		discarded += c.s.iters
 		cDualColdFallbacks.Inc()
 		cDualColdWhy[why].Inc()
 	}
@@ -287,6 +294,7 @@ func solveCold(p *Problem, c *spCache, opt *Options) *Solution {
 	if !ok {
 		sol = &Solution{Status: NumericalFailure}
 	}
+	sol.DiscardedPivots = discarded
 	return record(sol)
 }
 

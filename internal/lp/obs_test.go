@@ -116,6 +116,7 @@ func TestWarmFactorReuseCounter(t *testing.T) {
 	reuses := func() int64 { return obs.Default.Snapshot()["lp.warm_factor_reuses"] }
 	before := reuses()
 	for n := int64(0); n < 3; n++ {
+		endLive(fresh)
 		if sol, err := SolveFrom(fresh, basis, nil); err != nil || !sol.WarmStarted {
 			t.Fatalf("warm re-solve %d: %v %+v", n, err, sol)
 		}

@@ -36,6 +36,7 @@ var (
 	cRefacs = obs.Default.Counter("lp.refactorizations")
 	cLowers = obs.Default.Counter("lp.lowerings")          // buildCache runs: a Problem's rows scaled into CSC
 	cReuses = obs.Default.Counter("lp.warm_factor_reuses") // warm starts that skipped factorize
+	cHot    = obs.Default.Counter("lp.hot_starts")         // warm starts that continued from the live state (hotStart)
 	gEtaLen = obs.Default.Gauge("lp.eta_len")
 	gFill   = obs.Default.Gauge("lp.lu_fill_permille")
 )
@@ -134,15 +135,16 @@ func clampScale(s float64) float64 {
 // differs from the index count, a non-finite coefficient or a NaN right-hand
 // side is an error (an infinite right-hand side is not).
 //
-// c's workspace may hold the factors and reduced costs of another lowering,
-// and a warm start keys its reuse of them by content alone (startFactors,
-// startD): a basis that matches the old factorization slot for slot would
-// otherwise take L and U built from other coefficients. So the build drops
-// both first, before anything can fail.
+// c's workspace may hold the factors, reduced costs and live state of
+// another lowering, and a warm start keys its reuse of them by content alone
+// (startFactors, startD, hotStart): a basis that matches the old
+// factorization slot for slot would otherwise take L and U built from other
+// coefficients. So the build drops all three first, before anything can
+// fail.
 func buildCache(p *Problem, c *spCache) error {
 	m, n := len(p.Rows), p.NumVars
 	c.nVars, c.nRows = -1, -1 // not a lowering of anything until the build succeeds
-	c.s.facWarm, c.s.dKept = false, false
+	c.s.dropReuse()
 
 	sign := resize(&c.sign, m)
 	for i, r := range p.Rows {
@@ -349,6 +351,14 @@ type spSolver struct {
 	dKeep, dCost []float64
 	dKept        bool
 
+	// live reports that the workspace still holds the state its last solve
+	// ended Optimal on, through primal()'s final pricing and with no
+	// artificial column: basic, stat, xval, lo, hi and cost, the factors
+	// with their eta file, and in arow that pricing's yᵀA. A warm start on
+	// that basis continues from it (hotStart). Every solve clears it as it
+	// starts (resetRun).
+	live bool
+
 	// infeas holds, during the dual phase, every slot whose basic violates
 	// a bound by more than feasTol, and possibly some that no longer do
 	// (leavingRow drops those as it meets them).
@@ -422,12 +432,36 @@ func (s *spSolver) sizeFor(m, nTot int) {
 	s.facBasic = s.facBasic[:m]
 	s.wrows = s.wrows[:m]
 	s.infeas = s.infeas.sized(m)
+	s.resetRun()
+}
+
+// resetRun readies the per-solve counters and flags for a new solve, and
+// ends the live state: from here on the workspace's state is this solve's.
+func (s *spSolver) resetRun() {
 	s.iters = 0
 	s.degenPivots = 0
 	s.blandPivots = 0
 	s.dualIters = 0
 	s.fail, s.stalled = false, false
 	s.stop = nil
+	s.live = false
+}
+
+// dropReuse forgets everything a later solve could take over from this
+// workspace's last one: the factors' and reduced costs' reuse keys and the
+// live state.
+func (s *spSolver) dropReuse() {
+	s.facWarm, s.dKept, s.live = false, false, false
+}
+
+// limit applies the caller's iteration cap and stop flag.
+func (s *spSolver) limit(opt *Options) {
+	if opt != nil && opt.MaxIters > 0 {
+		s.cap = opt.MaxIters
+	}
+	if opt != nil {
+		s.stop = opt.Stop
+	}
 }
 
 // scatterColToW writes column j (scaled) into the original-row-indexed
@@ -1507,16 +1541,20 @@ func (s *spSolver) exportBasis() *Basis {
 	b.Basic = append(b.Basic[:0], s.basic[:s.m]...)
 	b.Stat = resize(&b.Stat, n)
 	for j := 0; j < n; j++ {
-		switch s.stat[j] {
-		case basic:
-			b.Stat[j] = BasisBasic
-		case atUpper:
-			b.Stat[j] = BasisAtUpper
-		default:
-			b.Stat[j] = BasisAtLower
-		}
+		b.Stat[j] = s.stat[j].export()
 	}
 	return b
+}
+
+// export is v as a Basis status.
+func (v vstat) export() BasisStatus {
+	switch v {
+	case basic:
+		return BasisBasic
+	case atUpper:
+		return BasisAtUpper
+	}
+	return BasisAtLower
 }
 
 // finish assembles the Solution for the current state, into a recycled one
@@ -1549,12 +1587,7 @@ func (s *spSolver) finish(p *Problem, st Status, phase1Iters int, warm bool) *So
 func solveSparse(p *Problem, c *spCache, opt *Options) (*Solution, bool) {
 	s := &c.s
 	s.initCold(p, c)
-	if opt != nil && opt.MaxIters > 0 {
-		s.cap = opt.MaxIters
-	}
-	if opt != nil {
-		s.stop = opt.Stop
-	}
+	s.limit(opt)
 	if !s.factorize(luPivotFloor) {
 		return nil, false // cannot happen for a slack/artificial basis; belt and braces
 	}
@@ -1582,6 +1615,7 @@ func solveSparse(p *Problem, c *spCache, opt *Options) (*Solution, bool) {
 	if s.fail {
 		return nil, false
 	}
+	s.live = st == Optimal && s.nArt == 0
 	return s.finish(p, st, phase1Iters, false), true
 }
 
@@ -1598,21 +1632,114 @@ const (
 )
 
 // solveFromSparse re-optimizes p, whose lowering is c, from an inherited
-// basis on the sparse core. ok = false requests the cold fallback: the basis
-// names a column twice, or the dual start gave way.
+// basis on the sparse core: a hot start when the basis is the live one,
+// else a start rebuilt from p and b. ok = false requests the cold fallback:
+// the basis names a column twice, or the dual start gave way.
 func solveFromSparse(p *Problem, c *spCache, b *Basis, opt *Options) (*Solution, bool) {
 	s := &c.s
-	if !s.initWarm(p, c, b) {
+	hot := s.hotStart(p, b)
+	if hot {
+		s.limit(opt)
+	} else if !s.initWarm(p, c, b) || s.startDual(opt) != dualStarted {
 		return nil, false
 	}
+	s.objLimit = math.Inf(1)
 	if opt != nil && opt.UseObjLimit {
 		s.objLimit = opt.ObjLimit
 	}
-	if s.startDual(opt) != dualStarted {
+	sol, why := s.runDual(p, true)
+	if why != dualStarted {
 		return nil, false
 	}
-	sol, why := s.runDual(p, true)
-	return sol, why == dualStarted
+	sol.Hot = hot
+	return sol, true
+}
+
+// hotStart readies a warm start that continues from the live state, and
+// reports whether it did. It takes it only when b is, slot for slot and
+// status for status, the basis the last solve ended optimal on; the scaled
+// costs are unchanged; the base factors are warm-grade; and the eta file
+// needs no refactorization yet. Then the factors with their eta file, the
+// primal values and the reduced costs of that solve's final pricing carry
+// over, and only the bounds that moved are paid for: each nonbasic column
+// whose bound value changed moves to it, and one FTRAN of Σ A_j·Δx_j
+// through the live factors moves the basics. A moved column whose reduced
+// cost now has the wrong sign (fixed columns are exempt) refuses the start.
+//
+// A refusal leaves the workspace for initWarm to rebuild from p and b: the
+// factors and their reuse keys are untouched until the start is taken.
+// Basic values are recomputed from the true bounds at the next
+// refactorization, as on any warm start, so the drift a chain of hot starts
+// carries is bounded by the eta file's limits.
+func (s *spSolver) hotStart(p *Problem, b *Basis) bool {
+	if !s.live {
+		return false
+	}
+	s.live = false
+	if !s.facWarm || s.fac.needRefactor(1) || !slices.Equal(b.Basic, s.basic) {
+		return false
+	}
+	for j, st := range b.Stat {
+		if st != s.stat[j].export() {
+			return false
+		}
+	}
+	// Costs and bounds are compared by their bits: the live ones were
+	// computed from p by these same expressions.
+	cs := s.c.colScale
+	for j := 0; j < s.nStr; j++ {
+		if math.Float64bits(p.Cost[j]*cs[j]) != math.Float64bits(s.cost[j]) {
+			return false
+		}
+	}
+	// The final pricing's reduced costs: arow is yᵀA at every column.
+	for j := 0; j < s.nTot; j++ {
+		if s.stat[j] == basic {
+			s.d[j] = 0
+		} else {
+			s.d[j] = s.cost[j] - s.arow[j]
+		}
+	}
+	clear(s.w)
+	moved := false
+	c := s.c
+	for j := 0; j < s.nStr; j++ {
+		lo, hi := p.Lo[j]/cs[j], p.Hi[j]/cs[j]
+		if math.Float64bits(lo) == math.Float64bits(s.lo[j]) && math.Float64bits(hi) == math.Float64bits(s.hi[j]) {
+			continue
+		}
+		s.lo[j], s.hi[j] = lo, hi
+		x := lo
+		switch s.stat[j] {
+		case basic:
+			continue
+		case atUpper:
+			if math.IsInf(hi, 1) {
+				s.stat[j] = atLower
+			} else {
+				x = hi
+			}
+		}
+		if hi-lo >= feasTol && (s.stat[j] == atLower && s.d[j] < -dualFeasTol || s.stat[j] == atUpper && s.d[j] > dualFeasTol) {
+			return false
+		}
+		if dx := x - s.xval[j]; dx != 0 {
+			for e := c.ptr[j]; e < c.ptr[j+1]; e++ {
+				s.w[c.rix[e]] += c.val[e] * dx
+			}
+			moved = true
+		}
+		s.xval[j] = x
+	}
+	if moved {
+		for _, k := range s.fac.ftran(s.w, s.wSupport(), s.alpha) {
+			s.xval[s.basic[k]] -= s.alpha[k]
+		}
+	}
+	s.resetRun()
+	s.cap = 50*(s.m+s.nTot) + 1000
+	cHot.Inc()
+	return true
 }
 
 // solveDualCold is a cold solve of p, whose lowering is c, from the dual
@@ -1645,12 +1772,7 @@ func solveDualCold(p *Problem, c *spCache, opt *Options, maxViolated int) (*Solu
 // must give way instead, if it must: the basis would not factorize at
 // warmPivTol, or is not dual feasible beyond dualFeasTol.
 func (s *spSolver) startDual(opt *Options) dualStart {
-	if opt != nil && opt.MaxIters > 0 {
-		s.cap = opt.MaxIters
-	}
-	if opt != nil {
-		s.stop = opt.Stop
-	}
+	s.limit(opt)
 	if !s.startFactors() {
 		return basisSingular
 	}
@@ -1662,10 +1784,12 @@ func (s *spSolver) startDual(opt *Options) dualStart {
 	return dualStarted
 }
 
-// runDual runs a start that startDual readied: the dual phase, then the
-// primal phase, which normally confirms optimality in zero iterations and
-// only pivots to clean up tolerance-level drift. It returns the solution,
-// or why the start gave way: it stalled or collapsed numerically.
+// runDual runs a start that startDual or hotStart readied: the dual phase,
+// then the primal phase, which normally confirms optimality in zero
+// iterations and only pivots to clean up tolerance-level drift. It returns
+// the solution, or why the start gave way: it stalled or collapsed
+// numerically. A solve that ends Optimal has just priced every column, in
+// primal(), and leaves that state live.
 func (s *spSolver) runDual(p *Problem, warm bool) (*Solution, dualStart) {
 	st := s.dual()
 	if st == Optimal {
@@ -1677,6 +1801,7 @@ func (s *spSolver) runDual(p *Problem, warm bool) (*Solution, dualStart) {
 	if s.fail {
 		return nil, basisSingular
 	}
+	s.live = st == Optimal
 	sol := s.finish(p, st, 0, warm)
 	sol.DualCold = !warm
 	return sol, dualStarted

@@ -241,6 +241,7 @@ func TestObjLimitCorpus(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	limited := func(p *Problem, b *Basis, lim float64) *Solution {
 		t.Helper()
+		endLive(p)
 		sol, err := SolveFrom(p, b, &Options{ObjLimit: lim, UseObjLimit: true})
 		if err != nil {
 			t.Fatalf("limited warm solve: %v", err)
@@ -259,6 +260,7 @@ func TestObjLimitCorpus(t *testing.T) {
 			continue
 		}
 		tightenRandomBound(rng, p)
+		endLive(p)
 		free, err := SolveFrom(p, parent.Basis, nil)
 		if err != nil {
 			t.Fatalf("trial %d: warm solve: %v", trial, err)
@@ -321,6 +323,15 @@ func TestObjLimitCorpus(t *testing.T) {
 	}
 }
 
+// endLive clears p's live state, white-box, so that its next warm start
+// rebuilds its start state from the basis (startDual) instead of continuing
+// from the last solve's (hotStart): the path the test calling it referees.
+func endLive(p *Problem) {
+	if p.sp != nil {
+		p.sp.s.live = false
+	}
+}
+
 // cloneProblem copies p into a Problem with no lowering yet: no factors and
 // no reduced costs a warm start could reuse. The rows are shared; no solve
 // edits them.
@@ -380,6 +391,7 @@ func TestWarmReuseBitIdentical(t *testing.T) {
 			tightenRandomBound(rng, p)
 			fresh := cloneProblem(p)
 			before := cReuses.Value()
+			endLive(p)
 			got, err := SolveFrom(p, root.Basis, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -418,6 +430,7 @@ func TestWarmReuseRecomputesChangedCosts(t *testing.T) {
 		if root.Status != Optimal || root.Basis == nil {
 			continue
 		}
+		endLive(p)
 		if sol, err := SolveFrom(p, root.Basis, nil); err != nil || !sol.WarmStarted || sol.Iters != 0 {
 			continue // the reduced costs kept are those of the optimal basis, fresh
 		}

@@ -15,7 +15,9 @@ import (
 var runPool = flag.Bool("pool", false, "run TestSearchPool, the serial search pool that judges a solver change")
 
 // TestSearchPool runs a fixed pool of serial analyses under node limits and
-// prints, per instance and in total, the status, nodes, LP iterations, and
+// prints, per instance and in total, the status, nodes, LP iterations, the
+// warm starts that began hot (lp.Solution.Hot), the pivots of dual starts
+// that gave way to another path (lp.Solution.DiscardedPivots), and
 // degradation and bound as multiples of the mean LAG capacity. It asserts
 // nothing: it is the yardstick for a change that means to alter the search
 // (compare the totals before and after) and a witness for one that must not
@@ -71,12 +73,12 @@ func TestSearchPool(t *testing.T) {
 	)
 
 	var nodes int
-	var iters int64
+	var iters, hot, discarded int64
 	var wall time.Duration
 	total := func(name string) {
-		t.Logf("%-16s %-10s %7d %9d %9s %9s %8s", name, "", nodes, iters, "", "", wall.Round(time.Millisecond))
+		t.Logf("%-16s %-10s %7d %9d %6d %9d %9s %9s %8s", name, "", nodes, iters, hot, discarded, "", "", wall.Round(time.Millisecond))
 	}
-	t.Logf("%-16s %-10s %7s %9s %9s %9s %8s", "instance", "status", "nodes", "lp_iters", "degr", "bound", "wall")
+	t.Logf("%-16s %-10s %7s %9s %6s %9s %9s %9s %8s", "instance", "status", "nodes", "lp_iters", "hot", "discarded", "degr", "bound", "wall")
 	for i, e := range pool {
 		if i == len(pool)-2 {
 			total("subtotal") // the 27 rows at 4,000 nodes
@@ -88,9 +90,11 @@ func TestSearchPool(t *testing.T) {
 		norm := e.cfg.Topo.MeanLAGCapacity()
 		nodes += res.Nodes
 		iters += res.Stats.LPIterations
+		hot += res.Stats.HotStarts
+		discarded += res.Stats.DiscardedPivots
 		wall += res.Runtime
-		t.Logf("%-16s %-10v %7d %9d %9.4f %9.4f %8s", e.name, res.Status, res.Nodes, res.Stats.LPIterations,
-			res.Degradation/norm, res.Bound/norm, res.Runtime.Round(time.Millisecond))
+		t.Logf("%-16s %-10v %7d %9d %6d %9d %9.4f %9.4f %8s", e.name, res.Status, res.Nodes, res.Stats.LPIterations,
+			res.Stats.HotStarts, res.Stats.DiscardedPivots, res.Degradation/norm, res.Bound/norm, res.Runtime.Round(time.Millisecond))
 	}
 	total("total")
 }

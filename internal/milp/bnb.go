@@ -517,6 +517,10 @@ func (s *search) solveLP(wid int, lo, hi []float64, basis *lp.Basis) (*lp.Soluti
 		if sol.DualCold {
 			st.DualColdStarts++
 		}
+		if sol.Hot {
+			st.HotStarts++
+		}
+		st.DiscardedPivots += int64(sol.DiscardedPivots)
 		if warm && sol.WarmStarted {
 			st.WarmStarts++
 			st.WarmIters += int64(sol.Iters)

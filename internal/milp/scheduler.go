@@ -473,8 +473,8 @@ func autoWidth(m *Model, prob *lp.Problem, workers int, stop *atomic.Bool) (widt
 	}
 	sol, err := lp.Solve(prob, &lp.Options{Stop: stop})
 	// Worker 0 solves this problem again, on the probe's lowering. Only the
-	// probe's factors go, so that the root warm start factorizes as it would
-	// on a problem of its own.
+	// probe's factors and live state go, so that the root warm start
+	// factorizes as it would on a problem of its own and never starts hot.
 	prob.DropFactors()
 	if err != nil || sol.Status != lp.Optimal {
 		return width, -1, nil

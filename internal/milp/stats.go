@@ -37,10 +37,12 @@ type Stats struct {
 	DegeneratePivots int64 `trace:"degenerate_pivots"` // near-zero-step pivots inside those solves
 	BlandPivots      int64 `trace:"bland_pivots"`      // pivots priced under Bland's anti-cycling rule
 
-	WarmStarts     int64 `trace:"warm_starts" counter:"milp.warm_starts"`       // LPs re-optimized from an inherited basis (phase 1 skipped)
-	WarmIters      int64 `trace:"warm_iters"`                                   // simplex iterations across those warm solves (dual + primal)
-	ColdFallbacks  int64 `trace:"cold_fallbacks" counter:"milp.cold_fallbacks"` // warm attempts whose basis was unusable (a cold solve ran)
-	DualColdStarts int64 `trace:"dual_cold_starts"`                             // cold LPs solved from the dual simplex on the slack basis (lp.Solution.DualCold)
+	WarmStarts      int64 `trace:"warm_starts" counter:"milp.warm_starts"`       // LPs re-optimized from an inherited basis (phase 1 skipped)
+	WarmIters       int64 `trace:"warm_iters"`                                   // simplex iterations across those warm solves (dual + primal)
+	ColdFallbacks   int64 `trace:"cold_fallbacks" counter:"milp.cold_fallbacks"` // warm attempts whose basis was unusable (a cold solve ran)
+	DualColdStarts  int64 `trace:"dual_cold_starts"`                             // cold LPs solved from the dual simplex on the slack basis (lp.Solution.DualCold)
+	HotStarts       int64 `trace:"hot_starts"`                                   // warm starts that continued from the live state of their Problem's last solve (lp.Solution.Hot)
+	DiscardedPivots int64 `trace:"discarded_pivots"`                             // pivots of dual starts, warm or cold, that gave way to another path (lp.Solution.DiscardedPivots; not in LPIterations)
 
 	NodesBranched    int64 `trace:"nodes_branched"`    // processed nodes that produced two children
 	PrunedInfeasible int64 `trace:"pruned_infeasible"` // node relaxation infeasible
