@@ -1541,21 +1541,13 @@ func (s *spSolver) exportBasis() *Basis {
 	b.Basic = append(b.Basic[:0], s.basic[:s.m]...)
 	b.Stat = resize(&b.Stat, n)
 	for j := 0; j < n; j++ {
-		b.Stat[j] = s.stat[j].export()
+		b.Stat[j] = exported[s.stat[j]]
 	}
 	return b
 }
 
-// export is v as a Basis status.
-func (v vstat) export() BasisStatus {
-	switch v {
-	case basic:
-		return BasisBasic
-	case atUpper:
-		return BasisAtUpper
-	}
-	return BasisAtLower
-}
+// exported maps a column's status to its Basis status.
+var exported = [...]BasisStatus{atLower: BasisAtLower, atUpper: BasisAtUpper, basic: BasisBasic}
 
 // finish assembles the Solution for the current state, into a recycled one
 // when the cache holds one.
@@ -1680,7 +1672,7 @@ func (s *spSolver) hotStart(p *Problem, b *Basis) bool {
 		return false
 	}
 	for j, st := range b.Stat {
-		if st != s.stat[j].export() {
+		if st != exported[s.stat[j]] {
 			return false
 		}
 	}
