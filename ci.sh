@@ -93,6 +93,12 @@ go test ./internal/te -run '^TestMaxTotalFlowAllocBudget$' -count=1
 # a longer -fuzztime).
 go test ./internal/topology -run '^$' -fuzz '^FuzzParseGML$' -fuzztime 10s
 
+# And ten seconds on the restored warm start (internal/lp): chains of bound
+# tightenings and loosenings on the random-LP corpus, each re-solved from a
+# basis exported earlier in the chain, must agree with a fresh Problem's
+# rebuilt start on status, objective and feasibility.
+go test ./internal/lp -run '^$' -fuzz '^FuzzWarmRestore$' -fuzztime 10s
+
 # The random-MILP corpus once more with presolve and domain propagation
 # switched off: the pre-reduction solver must stay correct on its own, so a
 # presolve bug can never hide behind the reductions (and vice versa).
@@ -181,8 +187,9 @@ fi
 # solve — the trace's last solve_end — must have taken exactly the nodes, LP
 # solves and simplex iterations pinned here, and its root LP, above
 # internal/lp's coldDualRows, must have started from the dual simplex
-# (dual_cold_starts ≥ 1). Its dives must continue node LPs from the live
-# state of the LP before (hot_starts ≥ 1, DESIGN.md §2.13). The B4 gate above
+# (dual_cold_starts ≥ 1). Its node LPs must restore the end state their
+# parent's basis carries (restored_starts ≥ 1), and its dives continue on
+# the factors of the LP before (hot_starts ≥ 1, DESIGN.md §2.13). The B4 gate above
 # checks qualitative keys only, so this is the one that sees a pivot move in
 # a big cold root LP end to end. A change that means to alter the search
 # re-pins it together with TestSerialSearchCountsPinned (internal/metaopt).
@@ -193,12 +200,13 @@ if "$tmp/raha" alert -topology africawan -pairs 150 -seed 2 -workers 1 -q -progr
 	exit 1
 fi
 last_end=$(grep '"ev":"solve_end"' "$africa_tmp" | tail -n 1)
-if ! printf %s "$last_end" | grep -q '"nodes":150[,}]' ||
-	! printf %s "$last_end" | grep -q '"lp_solves":152[,}]' ||
-	! printf %s "$last_end" | grep -q '"lp_iters":2492[,}]' ||
+if ! printf %s "$last_end" | grep -q '"nodes":134[,}]' ||
+	! printf %s "$last_end" | grep -q '"lp_solves":136[,}]' ||
+	! printf %s "$last_end" | grep -q '"lp_iters":2338[,}]' ||
 	! printf %s "$last_end" | grep -q '"dual_cold_starts":[1-9]' ||
+	! printf %s "$last_end" | grep -q '"restored_starts":[1-9]' ||
 	! printf %s "$last_end" | grep -q '"hot_starts":[1-9]'; then
-	echo "ci: the AfricaWAN alert's main solve moved (want nodes 150, lp_solves 152, lp_iters 2492, dual_cold_starts ≥ 1, hot_starts ≥ 1): $last_end" >&2
+	echo "ci: the AfricaWAN alert's main solve moved (want nodes 134, lp_solves 136, lp_iters 2338, dual_cold_starts ≥ 1, restored_starts ≥ 1, hot_starts ≥ 1): $last_end" >&2
 	exit 1
 fi
 
@@ -206,23 +214,24 @@ fi
 # b4_budget shape (12 pairs, generator seed 5, 4 primary paths) runs to
 # proven optimality in well under a second, almost all of it warm dual
 # re-solves, and its main solve must take exactly these nodes, LP solves
-# and simplex iterations. A warm start that reuses its basis's factors and
-# reduced costs pivots bit for bit as one that rebuilds them, so those do
-# not move these counts; a hot start, which continues from the live state of
-# the LP before and carries its rounding (DESIGN.md §2.13), does, and must
-# fire (hot_starts ≥ 1). Its cold LPs are below internal/lp's coldDualRows,
+# and simplex iterations. A warm start that reuses its basis's factors
+# pivots bit for bit as one that rebuilds them, so that does not move these
+# counts; a restored start, which carries the exporting LP's primal values
+# and reduced costs with their rounding (DESIGN.md §2.13), does, and the hot
+# ones among them, which also keep that LP's factors, must fire
+# (hot_starts ≥ 1). Its cold LPs are below internal/lp's coldDualRows,
 # so none may start from the dual simplex: this is the other side of the
 # AfricaWAN gate's selection.
 b4_tmp=$tmp/b4.jsonl
 "$tmp/raha" analyze -topology b4 -pairs 12 -seed 5 -primary 4 -workers 1 -q -progress=false \
 	-trace "$b4_tmp" >/dev/null
 last_end=$(grep '"ev":"solve_end"' "$b4_tmp" | tail -n 1)
-if ! printf %s "$last_end" | grep -q '"nodes":1946[,}]' ||
-	! printf %s "$last_end" | grep -q '"lp_solves":1963[,}]' ||
-	! printf %s "$last_end" | grep -q '"lp_iters":8781[,}]' ||
+if ! printf %s "$last_end" | grep -q '"nodes":3637[,}]' ||
+	! printf %s "$last_end" | grep -q '"lp_solves":3670[,}]' ||
+	! printf %s "$last_end" | grep -q '"lp_iters":16370[,}]' ||
 	! printf %s "$last_end" | grep -q '"dual_cold_starts":0[,}]' ||
 	! printf %s "$last_end" | grep -q '"hot_starts":[1-9]'; then
-	echo "ci: the B4 analysis's main solve moved (want nodes 1946, lp_solves 1963, lp_iters 8781, dual_cold_starts 0, hot_starts ≥ 1): $last_end" >&2
+	echo "ci: the B4 analysis's main solve moved (want nodes 3637, lp_solves 3670, lp_iters 16370, dual_cold_starts 0, hot_starts ≥ 1): $last_end" >&2
 	exit 1
 fi
 

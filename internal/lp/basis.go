@@ -23,10 +23,23 @@ const (
 // A Basis is position-based, not value-based: it remains meaningful for any
 // problem with the same rows and objective but different variable bounds,
 // which is exactly how branch and bound re-solves a child node — see
-// SolveFrom.
+// SolveFrom. A solve's Basis also carries, privately, where that solve
+// ended, for SolveFrom to start from on the same Problem; to pose another
+// basis, build a new one rather than edit an exported one.
 type Basis struct {
 	Basic []int32       // basic column per row, length = number of rows
 	Stat  []BasisStatus // status per column, length = NumVars + rows
+	end   endState
+}
+
+// endState is where the solve that exported a Basis ended (restore): x,
+// the scaled primal values, and d, the reduced costs of its final pricing,
+// over the structural and slack columns; and the stamp of the workspace
+// they hold in — its lowering id (0: none), cost generation and factor
+// version. Written once, by the export.
+type endState struct {
+	x, d                      []float64
+	lowering, costGen, facVer uint64
 }
 
 // valid reports whether the basis is structurally consistent for a problem
@@ -91,11 +104,15 @@ var (
 // branching bound change — a bounded-variable dual simplex phase restores
 // feasibility before the primal phase finishes the solve.
 //
-// When b is the basis the Problem's last solve ended optimal on and the
-// costs are unchanged — a dive — the start is hot (Solution.Hot,
-// lp.hot_starts): it continues from that solve's live factors, primal
-// values and reduced costs, moving only the columns whose bounds changed,
-// and is not bit-identical to a start rebuilt from b (DESIGN.md §2.13).
+// When b was exported by an earlier solve of this Problem, since its last
+// DropFactors, and the costs are unchanged, the start is restored
+// (Solution.Restored, lp.restored_starts): it takes that solve's primal
+// values and reduced costs from b instead of recomputing them, moving only
+// the columns whose bounds changed, and is not bit-identical to a start
+// rebuilt from b (DESIGN.md §2.13). When the workspace's factors have not
+// changed since that solve either — a dive — it is also hot (Solution.Hot,
+// lp.hot_starts) and keeps them, eta file and all. A Basis from another
+// Problem, or one built by hand, is rebuilt. SolveFrom never writes b.
 //
 // Phase 1 never runs on the warm path, so Solution.Phase1Iters is 0 and
 // Solution.WarmStarted is true. When the basis is unusable — nil, built for

@@ -52,18 +52,19 @@
 // and runs the same dual start from it, which is how branch and bound
 // warm-starts child nodes after a single bound change. When the basis is,
 // slot for slot, the one the Problem's workspace factorized last, the warm
-// start reuses those factors (and their reduced costs, when the costs are
-// unchanged) instead: they are the bits a refactorization would produce, so
-// the pivots are the same. When it is, slot for slot and status for status,
-// the basis the Problem's last solve ended optimal on, with the costs
-// unchanged, the warm start is hot (Solution.Hot): it continues from that
-// solve's live state — its factors with their eta file, its primal values
-// and the reduced costs its final pricing left — and pays only for the
-// bounds that moved, carrying that solve's rounding rather than
-// recomputing it. When a basis cannot be reused — wrong shape, singular
+// start reuses those factors instead: they are the bits a refactorization
+// would produce, so the pivots are the same. A Basis is position-based for
+// callers, but an exported one also carries, privately, its solve's end
+// state — the primal values and the reduced costs of its final pricing —
+// stamped with the lowering, cost generation and factor version it holds
+// for. A warm start on the same Problem with the costs unchanged restores
+// it (Solution.Restored) and pays only for the bounds that moved, carrying
+// that solve's rounding rather than recomputing it; when the factors are
+// still the exporting solve's, it keeps them, eta file and all
+// (Solution.Hot). When a basis cannot be used — wrong shape, singular
 // after the bound change, or dual-infeasible — or the warm dual stalls,
 // SolveFrom falls back to a cold Solve; the fallback rules and tolerances
-// are in DESIGN.md §2.8, the reuse and the hot start in §2.13.
+// are in DESIGN.md §2.8, the reuse and the restored start in §2.13.
 //
 // The solver minimizes; callers that maximize negate their objective.
 package lp

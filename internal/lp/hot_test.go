@@ -211,12 +211,13 @@ func hotCase(t *testing.T, seed int64, ok func(*Solution) bool) (*Problem, *Basi
 
 func optimal(sol *Solution) bool { return sol.Status == Optimal }
 
-// wantRebuilt checks that a re-solve did not start hot and is, bit for bit,
-// the same call's on a fresh copy of the Problem.
+// wantRebuilt checks that a re-solve neither restored its basis's end state
+// nor started hot and is, bit for bit, the same call's on a fresh copy of
+// the Problem.
 func wantRebuilt(t *testing.T, what string, p *Problem, b *Basis, got *Solution) {
 	t.Helper()
-	if got.Hot {
-		t.Fatalf("%s: the re-solve started hot", what)
+	if got.Restored || got.Hot {
+		t.Fatalf("%s: the re-solve restored its basis (hot %v)", what, got.Hot)
 	}
 	want, err := SolveFrom(cloneProblem(p), b, nil)
 	if err != nil {
@@ -225,11 +226,14 @@ func wantRebuilt(t *testing.T, what string, p *Problem, b *Basis, got *Solution)
 	wantSameSolution(t, what, got, want)
 }
 
-// TestHotStartFallsThrough: each of these leaves the live state unusable,
-// and the re-solve takes the rebuilt path — the one a fresh Problem takes,
-// bit for bit: an edit to a cost; DropFactors; a last solve that ended
-// ObjLimit or Infeasible; and an at-upper column whose upper bound is
-// loosened to +Inf while its reduced cost says it wants to rise.
+// TestHotStartFallsThrough: each of these leaves the basis's end state
+// unusable, and the re-solve takes the rebuilt path — the one a fresh
+// Problem takes, bit for bit: an edit to a cost; DropFactors; and an
+// at-upper column whose upper bound is loosened to +Inf while its reduced
+// cost says it wants to rise, which sends both paths cold. A last solve
+// that ended ObjLimit or Infeasible before its first pivot does not: the
+// next start from the same basis restores it, hot, and matches a fresh
+// copy's.
 func TestHotStartFallsThrough(t *testing.T) {
 	for seed := int64(0); seed < 40; seed += 10 {
 		p, b := hotCase(t, seed, optimal)
@@ -248,20 +252,19 @@ func TestHotStartFallsThrough(t *testing.T) {
 		wantRebuilt(t, fmt.Sprintf("seed %d: DropFactors", seed), p, b, got)
 
 		// A limit below every objective stops the hot solve before its first
-		// pivot: the workspace's basis is still b, but no longer live.
+		// pivot: the factors are still b's, and the next start is hot again.
 		p, b = hotCase(t, seed, optimal)
 		stop, err := SolveFrom(p, b, &Options{ObjLimit: -math.MaxFloat64, UseObjLimit: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !stop.Hot || stop.Status != ObjLimit || stop.Iters != 0 || p.sp.s.live {
-			t.Fatalf("seed %d: hot %v, %v after %d iterations, live %v; want a hot solve stopped at once, not live",
-				seed, stop.Hot, stop.Status, stop.Iters, p.sp.s.live)
+		if !stop.Hot || stop.Status != ObjLimit || stop.Iters != 0 {
+			t.Fatalf("seed %d: hot %v, %v after %d iterations; want a hot solve stopped at once", seed, stop.Hot, stop.Status, stop.Iters)
 		}
-		if got, err = SolveFrom(p, b, nil); err != nil {
-			t.Fatal(err)
+		if got, err = SolveFrom(p, b, nil); err != nil || !got.Hot {
+			t.Fatalf("seed %d: after ObjLimit: %v, hot %v", seed, err, got.Hot)
 		}
-		wantRebuilt(t, fmt.Sprintf("seed %d: after ObjLimit", seed), p, b, got)
+		wantHotMatches(t, fmt.Sprintf("seed %d: after ObjLimit", seed), p, b, got)
 	}
 
 	// min −2x₀ − x₁ subject to x₀ + x₁ ≤ 10, x₀ ∈ [0, 4], x₁ ∈ [0, 20]: x₀
@@ -305,17 +308,14 @@ func TestHotStartFallsThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Lo[0], p.Lo[1] = 4, 7
-	if got, err = SolveFrom(p, root.Basis, nil); err != nil || !got.Hot || got.Status != Infeasible {
+	if got, err = SolveFrom(p, root.Basis, nil); err != nil || !got.Hot || got.Status != Infeasible || got.Iters != 0 {
 		t.Fatalf("the infeasible child: %v %+v", err, got)
 	}
-	if p.sp.s.live {
-		t.Fatal("a solve that ended Infeasible left its state live")
-	}
 	p.Lo[0], p.Lo[1] = 0, 0
-	if got, err = SolveFrom(p, root.Basis, nil); err != nil {
-		t.Fatal(err)
+	if got, err = SolveFrom(p, root.Basis, nil); err != nil || !got.Hot {
+		t.Fatalf("after Infeasible: %v %+v", err, got)
 	}
-	wantRebuilt(t, "after Infeasible", p, root.Basis, got)
+	wantHotMatches(t, "after Infeasible", p, root.Basis, got)
 }
 
 // TestHotStartHonoursOptions: the hot path applies MaxIters, Stop and

@@ -144,7 +144,8 @@ type Solution struct {
 	DegeneratePivots int  // pivots whose ratio-test step was below tolerance
 	BlandPivots      int  // pivots taken under Bland's anti-cycling rule
 	WarmStarted      bool // SolveFrom reused the given basis (no phase 1 ran)
-	Hot              bool // that warm start continued from the live state of the Problem's last solve
+	Restored         bool // that warm start took the end state its basis carried (SolveFrom)
+	Hot              bool // that restored start also kept the factors, eta file and all, of the solve that exported the basis
 	DualCold         bool // a cold solve started from the dual simplex (no phase 1 ran)
 	DualIters        int  // dual-simplex iterations (warm path or dual cold start)
 	DiscardedPivots  int  // pivots of dual starts, warm or cold, that gave way before the path that returned (not in Iters)

@@ -99,6 +99,10 @@ type luFactor struct {
 	epval  []float64
 	growth float64
 
+	// ver changes with the factors or their eta file (clearEtas, which
+	// every factorization runs, and pushEta); an exported Basis records it.
+	ver uint64
+
 	basisNnz int // nonzeros of B at the last factorization (fill gauge)
 
 	// Factorization scratch: w is a dense working column over original
@@ -191,6 +195,7 @@ func (f *luFactor) clearEtas() {
 	f.epiv = f.epiv[:0]
 	f.epval = f.epval[:0]
 	f.growth = 1
+	f.ver++
 }
 
 func (f *luFactor) nEtas() int { return len(f.epiv) }
@@ -647,6 +652,7 @@ func (f *luFactor) pushEta(alpha []float64, sup []int32, r int) {
 	if g := maxab / math.Abs(pv); g > 1 {
 		f.growth *= g
 	}
+	f.ver++
 }
 
 // needRefactor reports whether the eta chain should be rebuilt into a fresh

@@ -33,12 +33,20 @@ const harrisDelta = 1e-8
 
 // Sparse-core counters and gauges (obs.Default, exported as raha.lp.*).
 var (
-	cRefacs = obs.Default.Counter("lp.refactorizations")
-	cLowers = obs.Default.Counter("lp.lowerings")          // buildCache runs: a Problem's rows scaled into CSC
-	cReuses = obs.Default.Counter("lp.warm_factor_reuses") // warm starts that skipped factorize
-	cHot    = obs.Default.Counter("lp.hot_starts")         // warm starts that continued from the live state (hotStart)
-	gEtaLen = obs.Default.Gauge("lp.eta_len")
-	gFill   = obs.Default.Gauge("lp.lu_fill_permille")
+	cRefacs   = obs.Default.Counter("lp.refactorizations") // by trigger (refactor):
+	cRefacEta = obs.Default.Counter("lp.refactorizations.eta_cap")
+	cRefacGro = obs.Default.Counter("lp.refactorizations.growth")
+	cRefacPiv = obs.Default.Counter("lp.refactorizations.small_pivot")
+	cLowers   = obs.Default.Counter("lp.lowerings")          // buildCache runs: a Problem's rows scaled into CSC
+	cReuses   = obs.Default.Counter("lp.warm_factor_reuses") // warm starts that skipped factorize
+	cRestored = obs.Default.Counter("lp.restored_starts")    // warm starts that took their basis's end state (restore)
+	cHot      = obs.Default.Counter("lp.hot_starts")         // those that also kept the live factors with their eta file
+	gEtaLen   = obs.Default.Gauge("lp.eta_len")
+	gFill     = obs.Default.Gauge("lp.lu_fill_permille")
+
+	// loweringIDs numbers lowerings process-wide, so that no two workspaces
+	// ever hold the same id (spSolver.lowering).
+	loweringIDs atomic.Uint64
 )
 
 // spCache is a Problem's sparse lowering, built once per (rows, vars) shape
@@ -135,12 +143,12 @@ func clampScale(s float64) float64 {
 // differs from the index count, a non-finite coefficient or a NaN right-hand
 // side is an error (an infinite right-hand side is not).
 //
-// c's workspace may hold the factors, reduced costs and live state of
-// another lowering, and a warm start keys its reuse of them by content alone
-// (startFactors, startD, hotStart): a basis that matches the old
-// factorization slot for slot would otherwise take L and U built from other
-// coefficients. So the build drops all three first, before anything can
-// fail.
+// c's workspace may hold the factors of another lowering, and a warm start
+// keys its reuse of them by content alone (startFactors): a basis that
+// matches the old factorization slot for slot would otherwise take L and U
+// built from other coefficients. So the build drops them first, before
+// anything can fail, and gives the lowering a fresh id, which no basis
+// exported before it carries (restore).
 func buildCache(p *Problem, c *spCache) error {
 	m, n := len(p.Rows), p.NumVars
 	c.nVars, c.nRows = -1, -1 // not a lowering of anything until the build succeeds
@@ -339,25 +347,22 @@ type spSolver struct {
 
 	fac luFactor
 
-	// What a warm start may reuse (startFactors, startD). facBasic is the
-	// basis, slot by slot, that fac's L and U were built for, and facWarm
-	// reports that every pivot of that factorization cleared warmPivTol, so
-	// factorize(warmPivTol) would rebuild those factors bit for bit. dKeep
-	// holds the reduced costs last computed on them with an empty eta file,
-	// and dCost the scaled costs they came from; dKept says both are
-	// current. Keyed by content, never by a *Basis: a Basis carries no state.
-	facBasic     []int32
-	facWarm      bool
-	dKeep, dCost []float64
-	dKept        bool
+	// What a warm start may reuse (startFactors). facBasic is the basis,
+	// slot by slot, that fac's L and U were built for, and facWarm reports
+	// that every pivot of that factorization cleared warmPivTol, so
+	// factorize(warmPivTol) would rebuild those factors bit for bit. Keyed
+	// by content, never by a *Basis.
+	facBasic []int32
+	facWarm  bool
 
-	// live reports that the workspace still holds the state its last solve
-	// ended Optimal on, through primal()'s final pricing and with no
-	// artificial column: basic, stat, xval, lo, hi and cost, the factors
-	// with their eta file, and in arow that pricing's yᵀA. A warm start on
-	// that basis continues from it (hotStart). Every solve clears it as it
-	// starts (resetRun).
-	live bool
+	// The stamp an exported Basis carries with its end state (restore):
+	// lowering is this lowering's process-wide id, changed by buildCache,
+	// DropFactors and Release (dropReuse); costGen counts the distinct real
+	// objectives installed in turn, genCost holding the scaled structural
+	// costs of the current one (noteCostGen); and fac.ver is the factors'.
+	lowering uint64
+	costGen  uint64
+	genCost  []float64
 
 	// infeas holds, during the dual phase, every slot whose basic violates
 	// a bound by more than feasTol, and possibly some that no longer do
@@ -435,8 +440,7 @@ func (s *spSolver) sizeFor(m, nTot int) {
 	s.resetRun()
 }
 
-// resetRun readies the per-solve counters and flags for a new solve, and
-// ends the live state: from here on the workspace's state is this solve's.
+// resetRun readies the per-solve counters and flags for a new solve.
 func (s *spSolver) resetRun() {
 	s.iters = 0
 	s.degenPivots = 0
@@ -444,14 +448,14 @@ func (s *spSolver) resetRun() {
 	s.dualIters = 0
 	s.fail, s.stalled = false, false
 	s.stop = nil
-	s.live = false
 }
 
 // dropReuse forgets everything a later solve could take over from this
-// workspace's last one: the factors' and reduced costs' reuse keys and the
-// live state.
+// workspace's last ones: the factors' reuse key, and, by a fresh lowering
+// id, the end state of every basis exported so far.
 func (s *spSolver) dropReuse() {
-	s.facWarm, s.dKept, s.live = false, false, false
+	s.facWarm = false
+	s.lowering = loweringIDs.Add(1)
 }
 
 // limit applies the caller's iteration cap and stop flag.
@@ -645,7 +649,7 @@ func (s *spSolver) orderSteps() {
 func (s *spSolver) factorize(minPiv float64) bool {
 	f := &s.fac
 	f.reset(s.m)
-	s.facWarm, s.dKept = false, false
+	s.facWarm = false
 	s.orderSteps()
 	nnz := 0
 	for k, slot := range f.slot {
@@ -695,9 +699,19 @@ func (s *spSolver) startFactors() bool {
 // refactor rebuilds the basis factorization mid-solve and recomputes the
 // basic values from true bounds — which is also what sheds the Harris
 // bound shifts. Reports false on a numerically singular basis (the
-// caller's catastrophe path).
+// caller's catastrophe path). It counts the trigger: the eta cap, else the
+// growth proxy, else a small pivot (an eta pivot under etaPivFloor, or
+// FTRAN and BTRAN disagreeing on one).
 func (s *spSolver) refactor() bool {
 	cRefacs.Inc()
+	switch f := &s.fac; {
+	case len(f.epiv) >= maxEta:
+		cRefacEta.Inc()
+	case f.growth > growthTol:
+		cRefacGro.Inc()
+	default:
+		cRefacPiv.Inc()
+	}
 	gEtaLen.Set(int64(s.fac.nEtas()))
 	if !s.factorize(luPivotFloor) {
 		return false
@@ -898,6 +912,7 @@ func (s *spSolver) initDual(p *Problem, c *spCache) {
 		s.cost[j] = 0
 	}
 	s.noteCostCols()
+	s.noteCostGen()
 	s.cap = 50*(m+nTot) + 1000
 	s.objLimit = math.Inf(1)
 }
@@ -969,6 +984,18 @@ func (s *spSolver) setPhase2Cost(p *Problem) {
 		s.cost[j] = 0
 	}
 	s.noteCostCols()
+	s.noteCostGen()
+}
+
+// noteCostGen advances costGen when the real objective just installed in
+// cost differs from the one installed before it. (Costs are never NaN, and
+// a zero that changed sign can flip only the sign of a zero reduced cost,
+// which nothing downstream depends on.)
+func (s *spSolver) noteCostGen() {
+	if !slices.Equal(s.genCost, s.cost[:s.nStr]) {
+		s.genCost = append(s.genCost[:0], s.cost[:s.nStr]...)
+		s.costGen++
+	}
 }
 
 // objective is Σ cost·xval over every column, in scaled space.
@@ -1198,35 +1225,22 @@ func (s *spSolver) step(q int, dir float64) (float64, Status) {
 }
 
 // recomputeD refreshes the full reduced-cost vector from a BTRAN of the
-// basic costs (dual path bookkeeping; the primal path reprices inline). It
-// runs on fresh factors only — a warm start's or refactorDual's — so it
-// keeps the result, with the costs it came from, for startD.
+// basic costs (dual path bookkeeping; the primal path reprices inline).
 func (s *spSolver) recomputeD() {
 	s.costRow()
-	for j := 0; j < s.nTot; j++ {
-		if s.stat[j] == basic {
-			s.d[j] = 0
-		} else {
-			s.d[j] = s.cost[j] - s.arow[j]
-		}
-	}
-	s.dKeep = append(s.dKeep[:0], s.d...)
-	s.dCost = append(s.dCost[:0], s.cost...)
-	s.dKept = true
+	s.reducedCosts(s.d)
 }
 
-// startD gives a warm start its reduced costs, after startFactors: the
-// ones kept from these factors when the scaled costs they came from are
-// unchanged (they depend on nothing else: the basis is the factors', and a
-// nonbasic column's reduced cost ignores its bound), else recomputed. Costs
-// are never NaN, and a cost zero that changed sign can flip only the sign of
-// a zero reduced cost, which no comparison or value downstream depends on.
-func (s *spSolver) startD() {
-	if s.dKept && slices.Equal(s.dCost, s.cost) {
-		copy(s.d, s.dKeep)
-		return
+// reducedCosts writes into d, over its length, cost − arow at each nonbasic
+// column and 0 at each basic one, which d must cover: the reduced costs,
+// when arow is yᵀA for the duals of the current costs.
+func (s *spSolver) reducedCosts(d []float64) {
+	for j := range d {
+		d[j] = s.cost[j] - s.arow[j]
 	}
-	s.recomputeD()
+	for _, j := range s.basic {
+		d[j] = 0
+	}
 }
 
 // dualFeasible reports whether s.d is consistent with every nonbasic
@@ -1529,7 +1543,10 @@ func (s *spSolver) structX(p *Problem, x []float64) []float64 {
 
 // exportBasis mirrors the dense exportBasis: nil when an artificial is
 // still basic, otherwise the statuses over structural+slack columns,
-// written into a recycled Basis when the cache holds one.
+// written into a recycled Basis when the cache holds one. It runs on a
+// solve that ended Optimal through primal()'s final pricing, so arow is yᵀA
+// at every column; when the solve ran with no artificial column the Basis
+// also carries its end state and stamp, for restore.
 func (s *spSolver) exportBasis() *Basis {
 	n := s.nStr + s.m
 	for k := 0; k < s.m; k++ {
@@ -1542,6 +1559,13 @@ func (s *spSolver) exportBasis() *Basis {
 	b.Stat = resize(&b.Stat, n)
 	for j := 0; j < n; j++ {
 		b.Stat[j] = exported[s.stat[j]]
+	}
+	e := &b.end
+	e.lowering = 0
+	if s.nArt == 0 {
+		e.x = append(e.x[:0], s.xval[:n]...)
+		s.reducedCosts(resize(&e.d, n))
+		e.lowering, e.costGen, e.facVer = s.lowering, s.costGen, s.fac.ver
 	}
 	return b
 }
@@ -1607,7 +1631,6 @@ func solveSparse(p *Problem, c *spCache, opt *Options) (*Solution, bool) {
 	if s.fail {
 		return nil, false
 	}
-	s.live = st == Optimal && s.nArt == 0
 	return s.finish(p, st, phase1Iters, false), true
 }
 
@@ -1621,18 +1644,28 @@ const (
 	tooInfeasible             // too many of the slack basis's rows start out of bounds
 	dualStalled               // a dual-degenerate streak (lp.dual_stalls)
 	basisSingular             // the basis would not factorize, at the start or mid-flight
+	noEndState                // the basis carries no end state this start may restore (restore)
 )
 
 // solveFromSparse re-optimizes p, whose lowering is c, from an inherited
-// basis on the sparse core: a hot start when the basis is the live one,
-// else a start rebuilt from p and b. ok = false requests the cold fallback:
+// basis on the sparse core: restored from the end state b carries when it
+// may be, else rebuilt from p and b. ok = false requests the cold fallback:
 // the basis names a column twice, or the dual start gave way.
 func solveFromSparse(p *Problem, c *spCache, b *Basis, opt *Options) (*Solution, bool) {
 	s := &c.s
-	hot := s.hotStart(p, b)
-	if hot {
-		s.limit(opt)
-	} else if !s.initWarm(p, c, b) || s.startDual(opt) != dualStarted {
+	// Whether the factors, eta file and all, are still those b's exporting
+	// solve ended on (asked before initWarm installs b.Basic).
+	live := b.end.lowering == s.lowering && b.end.facVer == s.fac.ver && slices.Equal(b.Basic, s.basic)
+	if !s.initWarm(p, c, b) {
+		return nil, false
+	}
+	s.limit(opt)
+	why, hot := s.restore(b, live)
+	restored := why == dualStarted
+	if why == noEndState {
+		why = s.startDual()
+	}
+	if why != dualStarted {
 		return nil, false
 	}
 	s.objLimit = math.Inf(1)
@@ -1643,95 +1676,63 @@ func solveFromSparse(p *Problem, c *spCache, b *Basis, opt *Options) (*Solution,
 	if why != dualStarted {
 		return nil, false
 	}
-	sol.Hot = hot
+	sol.Restored, sol.Hot = restored, hot
 	return sol, true
 }
 
-// hotStart readies a warm start that continues from the live state, and
-// reports whether it did. It takes it only when b is, slot for slot and
-// status for status, the basis the last solve ended optimal on; the scaled
-// costs are unchanged; the base factors are warm-grade; and the eta file
-// needs no refactorization yet. Then the factors with their eta file, the
-// primal values and the reduced costs of that solve's final pricing carry
-// over, and only the bounds that moved are paid for: each nonbasic column
-// whose bound value changed moves to it, and one FTRAN of Σ A_j·Δx_j
-// through the live factors moves the basics. A moved column whose reduced
-// cost now has the wrong sign (fixed columns are exempt) refuses the start.
-//
-// A refusal leaves the workspace for initWarm to rebuild from p and b: the
-// factors and their reuse keys are untouched until the start is taken.
-// Basic values are recomputed from the true bounds at the next
-// refactorization, as on any warm start, so the drift a chain of hot starts
-// carries is bounded by the eta file's limits.
-func (s *spSolver) hotStart(p *Problem, b *Basis) bool {
-	if !s.live {
-		return false
+// restore readies a warm start from the end state b carries, after
+// initWarm installed p's bounds and costs and b's statuses. It reports
+// noEndState unless b was exported from this lowering under the costs now
+// installed (its stamp). Then the exporting solve's primal values and the
+// reduced costs of its final pricing carry over, and only the bounds that
+// moved are paid for: one FTRAN of Σ A_j·Δx_j, over the nonbasic
+// structurals whose bound value differs from the exported x_j, moves the
+// basics (a nonbasic slack rests at 0 under any bounds). The factors are
+// the live ones when live, every base pivot cleared warmPivTol and no
+// refactorization is due — the start is hot — else startFactors'. A bound
+// change that leaves a reduced cost with the wrong sign refuses the start
+// (dualFeasible), as does a singular basis. b is only read: children of
+// one node restore from it on several workspaces at once.
+func (s *spSolver) restore(b *Basis, live bool) (why dualStart, hot bool) {
+	e := &b.end
+	if e.lowering != s.lowering || e.costGen != s.costGen {
+		return noEndState, false
 	}
-	s.live = false
-	if !s.facWarm || s.fac.needRefactor(1) || !slices.Equal(b.Basic, s.basic) {
-		return false
+	copy(s.d, e.d)
+	if !s.dualFeasible() {
+		return notDualFeasible, false
 	}
-	for j, st := range b.Stat {
-		if st != exported[s.stat[j]] {
-			return false
-		}
-	}
-	// Costs and bounds are compared by their bits: the live ones were
-	// computed from p by these same expressions.
-	cs := s.c.colScale
-	for j := 0; j < s.nStr; j++ {
-		if math.Float64bits(p.Cost[j]*cs[j]) != math.Float64bits(s.cost[j]) {
-			return false
-		}
-	}
-	// The final pricing's reduced costs: arow is yᵀA at every column.
-	for j := 0; j < s.nTot; j++ {
-		if s.stat[j] == basic {
-			s.d[j] = 0
-		} else {
-			s.d[j] = s.cost[j] - s.arow[j]
-		}
+	hot = live && s.facWarm && !s.fac.needRefactor(1)
+	if !hot && !s.startFactors() {
+		return basisSingular, false
 	}
 	clear(s.w)
 	moved := false
 	c := s.c
 	for j := 0; j < s.nStr; j++ {
-		lo, hi := p.Lo[j]/cs[j], p.Hi[j]/cs[j]
-		if math.Float64bits(lo) == math.Float64bits(s.lo[j]) && math.Float64bits(hi) == math.Float64bits(s.hi[j]) {
+		if s.stat[j] == basic {
 			continue
 		}
-		s.lo[j], s.hi[j] = lo, hi
-		x := lo
-		switch s.stat[j] {
-		case basic:
-			continue
-		case atUpper:
-			if math.IsInf(hi, 1) {
-				s.stat[j] = atLower
-			} else {
-				x = hi
-			}
-		}
-		if hi-lo >= feasTol && (s.stat[j] == atLower && s.d[j] < -dualFeasTol || s.stat[j] == atUpper && s.d[j] > dualFeasTol) {
-			return false
-		}
-		if dx := x - s.xval[j]; dx != 0 {
-			for e := c.ptr[j]; e < c.ptr[j+1]; e++ {
-				s.w[c.rix[e]] += c.val[e] * dx
+		if dx := s.xval[j] - e.x[j]; dx != 0 {
+			for k := c.ptr[j]; k < c.ptr[j+1]; k++ {
+				s.w[c.rix[k]] += c.val[k] * dx
 			}
 			moved = true
 		}
-		s.xval[j] = x
+	}
+	for _, j := range s.basic {
+		s.xval[j] = e.x[j]
 	}
 	if moved {
 		for _, k := range s.fac.ftran(s.w, s.wSupport(), s.alpha) {
 			s.xval[s.basic[k]] -= s.alpha[k]
 		}
 	}
-	s.resetRun()
-	s.cap = 50*(s.m+s.nTot) + 1000
-	cHot.Inc()
-	return true
+	cRestored.Inc()
+	if hot {
+		cHot.Inc()
+	}
+	return dualStarted, hot
 }
 
 // solveDualCold is a cold solve of p, whose lowering is c, from the dual
@@ -1749,7 +1750,8 @@ func (s *spSolver) hotStart(p *Problem, b *Basis) bool {
 func solveDualCold(p *Problem, c *spCache, opt *Options, maxViolated int) (*Solution, dualStart) {
 	s := &c.s
 	s.initSlack(p, c)
-	if why := s.startDual(opt); why != dualStarted {
+	s.limit(opt)
+	if why := s.startDual(); why != dualStarted {
 		return nil, why
 	}
 	if s.violations() > maxViolated {
@@ -1759,29 +1761,28 @@ func solveDualCold(p *Problem, c *spCache, opt *Options, maxViolated int) (*Solu
 }
 
 // startDual readies a start from the dual simplex in the basis initWarm or
-// initSlack installed: the caller's iteration cap and stop flag, and the
-// basis's factors, basic values and reduced costs. It reports why the start
-// must give way instead, if it must: the basis would not factorize at
+// initSlack installed, rebuilt from the bounds and costs: the basis's
+// factors, basic values and reduced costs. It reports why the start must
+// give way instead, if it must: the basis would not factorize at
 // warmPivTol, or is not dual feasible beyond dualFeasTol.
-func (s *spSolver) startDual(opt *Options) dualStart {
-	s.limit(opt)
+func (s *spSolver) startDual() dualStart {
 	if !s.startFactors() {
 		return basisSingular
 	}
 	s.recomputeXB()
-	s.startD()
+	s.recomputeD()
 	if !s.dualFeasible() {
 		return notDualFeasible
 	}
 	return dualStarted
 }
 
-// runDual runs a start that startDual or hotStart readied: the dual phase,
+// runDual runs a start that startDual or restore readied: the dual phase,
 // then the primal phase, which normally confirms optimality in zero
 // iterations and only pivots to clean up tolerance-level drift. It returns
 // the solution, or why the start gave way: it stalled or collapsed
 // numerically. A solve that ends Optimal has just priced every column, in
-// primal(), and leaves that state live.
+// primal(), and its Basis carries that end state (exportBasis).
 func (s *spSolver) runDual(p *Problem, warm bool) (*Solution, dualStart) {
 	st := s.dual()
 	if st == Optimal {
@@ -1793,7 +1794,6 @@ func (s *spSolver) runDual(p *Problem, warm bool) (*Solution, dualStart) {
 	if s.fail {
 		return nil, basisSingular
 	}
-	s.live = st == Optimal
 	sol := s.finish(p, st, 0, warm)
 	sol.DualCold = !warm
 	return sol, dualStarted

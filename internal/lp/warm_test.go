@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -293,7 +292,7 @@ func TestObjLimitCorpus(t *testing.T) {
 				t.Fatalf("trial %d: limit above the optimum moved x[%d]: %.17g, unlimited %.17g", trial, j, above.X[j], free.X[j])
 			}
 		}
-		if !reflect.DeepEqual(above.Basis, free.Basis) {
+		if !sameBasis(above.Basis, free.Basis) {
 			t.Fatalf("trial %d: limit above the optimum changed the basis", trial)
 		}
 
@@ -323,12 +322,14 @@ func TestObjLimitCorpus(t *testing.T) {
 	}
 }
 
-// endLive clears p's live state, white-box, so that its next warm start
-// rebuilds its start state from the basis (startDual) instead of continuing
-// from the last solve's (hotStart): the path the test calling it referees.
+// endLive gives p's workspace a fresh lowering id, white-box, so that no
+// basis exported so far carries a stamp it accepts: its next warm start
+// rebuilds its start state from the basis (startDual) instead of restoring
+// the end state the basis carries (restore) — the path the test calling it
+// referees. Unlike DropFactors it keeps the factors' reuse key.
 func endLive(p *Problem) {
 	if p.sp != nil {
-		p.sp.s.live = false
+		p.sp.s.lowering = loweringIDs.Add(1)
 	}
 }
 
@@ -346,11 +347,13 @@ func cloneProblem(p *Problem) *Problem {
 }
 
 // wantSameSolution checks a re-solve against the same call made where
-// nothing could be reused: the same status, pivots, point and basis, bit for
-// bit (zeros of either sign equal).
+// nothing could be reused: the same status, start, pivots, point and basis,
+// bit for bit (zeros of either sign equal). The bases are compared by
+// Basic and Stat: the end state each carries is stamped with its own
+// workspace.
 func wantSameSolution(t *testing.T, what string, got, want *Solution) {
 	t.Helper()
-	if got.Status != want.Status || got.WarmStarted != want.WarmStarted ||
+	if got.Status != want.Status || got.WarmStarted != want.WarmStarted || got.Restored != want.Restored ||
 		got.Iters != want.Iters || got.DualIters != want.DualIters ||
 		got.DegeneratePivots != want.DegeneratePivots || got.BlandPivots != want.BlandPivots {
 		t.Fatalf("%s: %v warm %v, %d iterations (%d dual, %d degenerate, %d Bland); fresh: %v warm %v, %d (%d, %d, %d)",
@@ -361,13 +364,22 @@ func wantSameSolution(t *testing.T, what string, got, want *Solution) {
 		t.Fatalf("%s: objective %v, fresh %v", what, got.Objective, want.Objective)
 	}
 	wantSameF(t, what+": X", got.X, want.X)
-	if !reflect.DeepEqual(got.Basis, want.Basis) {
+	if !sameBasis(got.Basis, want.Basis) {
 		t.Fatalf("%s: basis %+v, fresh %+v", what, got.Basis, want.Basis)
 	}
 }
 
-// TestWarmReuseBitIdentical is the referee for the start state a warm
-// solve reuses (startFactors, startD). Each LP of the corpus is re-solved
+// sameBasis reports whether a and b are both nil or pose the same basis:
+// Basic and Stat equal.
+func sameBasis(a, b *Basis) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return slices.Equal(a.Basic, b.Basic) && slices.Equal(a.Stat, b.Stat)
+}
+
+// TestWarmReuseBitIdentical is the referee for the factors a rebuilt warm
+// start reuses (startFactors). Each LP of the corpus is re-solved
 // from its optimal basis twice in a row, under two different bound
 // changes: the first factorizes that basis, the second finds it already
 // factored. Each result must be, bit for bit, the same call's on a fresh
@@ -414,10 +426,11 @@ func TestWarmReuseBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWarmReuseRecomputesChangedCosts: the reduced costs a warm start keeps
+// TestWarmReuseRecomputesChangedCosts: the reduced costs a Basis carries
 // belong to the scaled costs they came from. After an edit to Cost the next
-// warm start on the same basis reuses the factors but recomputes the
-// reduced costs, and its solve is the one a fresh Problem makes.
+// warm start from a basis exported on those factors reuses the factors but
+// does not restore the basis's end state: it recomputes the reduced costs,
+// and its solve is the one a fresh Problem makes.
 func TestWarmReuseRecomputesChangedCosts(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	checked := 0
@@ -431,34 +444,34 @@ func TestWarmReuseRecomputesChangedCosts(t *testing.T) {
 			continue
 		}
 		endLive(p)
-		if sol, err := SolveFrom(p, root.Basis, nil); err != nil || !sol.WarmStarted || sol.Iters != 0 {
-			continue // the reduced costs kept are those of the optimal basis, fresh
+		sol, err := SolveFrom(p, root.Basis, nil)
+		if err != nil || !sol.WarmStarted || sol.Iters != 0 {
+			continue // the workspace's factors are those of the optimal basis, fresh
 		}
+		b := sol.Basis
 		p.Cost[rng.Intn(p.NumVars)] += rng.NormFloat64()
 
-		// White-box: the start state the next solve will build.
+		// White-box: the start the next solve will make.
 		c := mustCache(t, p)
 		s := &c.s
-		if !s.initWarm(p, c, root.Basis) {
+		if !s.initWarm(p, c, b) {
 			t.Fatalf("trial %d: initWarm refused the optimal basis", trial)
+		}
+		if why, _ := s.restore(b, false); why != noEndState {
+			t.Fatalf("trial %d: after a cost edit the start restored the basis's end state (%d)", trial, why)
 		}
 		before := cReuses.Value()
 		if !s.startFactors() || cReuses.Value() != before+1 {
 			t.Fatalf("trial %d: the factors of the optimal basis were not reused", trial)
 		}
-		s.recomputeXB()
-		s.startD()
-		d := slices.Clone(s.d)
-		s.recomputeD()
-		wantSameF(t, fmt.Sprintf("trial %d: reduced costs after a cost edit", trial), d, s.d)
 
 		tightenRandomBound(rng, p)
 		fresh := cloneProblem(p)
-		got, err := SolveFrom(p, root.Basis, nil)
+		got, err := SolveFrom(p, b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := SolveFrom(fresh, root.Basis, nil)
+		want, err := SolveFrom(fresh, b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

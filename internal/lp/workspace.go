@@ -11,8 +11,8 @@ import (
 // builds into the storage it takes from there, so a run of many short-lived
 // Problems — a fleet sweep solves thousands, one search at a time per worker
 // — stops regrowing the same buffers. A cache taken from the list carries
-// another lowering's factors and live state; buildCache drops their reuse
-// keys before it builds (DESIGN.md §2.13).
+// another lowering's factors; Release drops their reuse key and the end
+// states of the bases exported on them (DESIGN.md §2.13).
 //
 // The list is a conc.FreeList, not a sync.Pool, which every garbage
 // collection empties (DESIGN.md §2.13 has the measurement).
@@ -42,7 +42,7 @@ func takeWorkspace() *spCache {
 func putWorkspace(c *spCache) {
 	c.s.c = nil
 	c.s.stop = nil
-	c.s.live = false
+	c.s.dropReuse()
 	freeWorkspaces.Put(c)
 }
 
@@ -59,11 +59,11 @@ func (p *Problem) Release() {
 	}
 }
 
-// DropFactors keeps p's lowering but forgets the factorization, the
-// reduced costs and the live state its last solve left in the workspace, as
-// buildCache does for a workspace taken from the free list: the next solve
-// of p starts exactly as it would on a Problem lowered afresh — never hot —
-// without lowering again.
+// DropFactors keeps p's lowering but forgets the factorization its last
+// solve left in the workspace, and the end state of every basis its solves
+// exported so far, as buildCache does for a workspace taken from the free
+// list: the next solve of p starts exactly as it would on a Problem lowered
+// afresh — never restored, never hot — without lowering again.
 func (p *Problem) DropFactors() {
 	if c := p.sp; c != nil {
 		c.s.dropReuse()

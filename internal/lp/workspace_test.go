@@ -9,7 +9,8 @@ import (
 )
 
 // sameSolution requires two solutions to agree bit for bit: status,
-// objective and every X, iteration counts, flags and the exported basis.
+// objective and every X, iteration counts, flags and the exported basis's
+// Basic and Stat.
 func sameSolution(t *testing.T, what string, got, want *Solution) {
 	t.Helper()
 	if got.Status != want.Status || math.Float64bits(got.Objective) != math.Float64bits(want.Objective) ||
@@ -21,8 +22,11 @@ func sameSolution(t *testing.T, what string, got, want *Solution) {
 			t.Fatalf("%s: x[%d] = %v, want %v", what, j, got.X[j], want.X[j])
 		}
 	}
+	if !sameBasis(got.Basis, want.Basis) {
+		t.Fatalf("%s: basis %+v, want %+v", what, got.Basis, want.Basis)
+	}
 	g, w := *got, *want
-	g.X, w.X, g.Objective, w.Objective = nil, nil, 0, 0
+	g.X, w.X, g.Objective, w.Objective, g.Basis, w.Basis = nil, nil, 0, 0, nil, nil
 	if !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: %+v, want %+v", what, g, w)
 	}

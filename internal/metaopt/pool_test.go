@@ -16,7 +16,8 @@ var runPool = flag.Bool("pool", false, "run TestSearchPool, the serial search po
 
 // TestSearchPool runs a fixed pool of serial analyses under node limits and
 // prints, per instance and in total, the status, nodes, LP iterations, the
-// warm starts that began hot (lp.Solution.Hot), the pivots of dual starts
+// warm starts that restored their basis's end state (lp.Solution.Restored)
+// and those of them that began hot (lp.Solution.Hot), the pivots of dual starts
 // that gave way to another path (lp.Solution.DiscardedPivots), and
 // degradation and bound as multiples of the mean LAG capacity. It asserts
 // nothing: it is the yardstick for a change that means to alter the search
@@ -73,12 +74,12 @@ func TestSearchPool(t *testing.T) {
 	)
 
 	var nodes int
-	var iters, hot, discarded int64
+	var iters, restored, hot, discarded int64
 	var wall time.Duration
 	total := func(name string) {
-		t.Logf("%-16s %-10s %7d %9d %6d %9d %9s %9s %8s", name, "", nodes, iters, hot, discarded, "", "", wall.Round(time.Millisecond))
+		t.Logf("%-16s %-10s %7d %9d %8d %6d %9d %9s %9s %8s", name, "", nodes, iters, restored, hot, discarded, "", "", wall.Round(time.Millisecond))
 	}
-	t.Logf("%-16s %-10s %7s %9s %6s %9s %9s %9s %8s", "instance", "status", "nodes", "lp_iters", "hot", "discarded", "degr", "bound", "wall")
+	t.Logf("%-16s %-10s %7s %9s %8s %6s %9s %9s %9s %8s", "instance", "status", "nodes", "lp_iters", "restored", "hot", "discarded", "degr", "bound", "wall")
 	for i, e := range pool {
 		if i == len(pool)-2 {
 			total("subtotal") // the 27 rows at 4,000 nodes
@@ -90,11 +91,12 @@ func TestSearchPool(t *testing.T) {
 		norm := e.cfg.Topo.MeanLAGCapacity()
 		nodes += res.Nodes
 		iters += res.Stats.LPIterations
+		restored += res.Stats.RestoredStarts
 		hot += res.Stats.HotStarts
 		discarded += res.Stats.DiscardedPivots
 		wall += res.Runtime
-		t.Logf("%-16s %-10v %7d %9d %6d %9d %9.4f %9.4f %8s", e.name, res.Status, res.Nodes, res.Stats.LPIterations,
-			res.Stats.HotStarts, res.Stats.DiscardedPivots, res.Degradation/norm, res.Bound/norm, res.Runtime.Round(time.Millisecond))
+		t.Logf("%-16s %-10v %7d %9d %8d %6d %9d %9.4f %9.4f %8s", e.name, res.Status, res.Nodes, res.Stats.LPIterations,
+			res.Stats.RestoredStarts, res.Stats.HotStarts, res.Stats.DiscardedPivots, res.Degradation/norm, res.Bound/norm, res.Runtime.Round(time.Millisecond))
 	}
 	total("total")
 }

@@ -517,6 +517,9 @@ func (s *search) solveLP(wid int, lo, hi []float64, basis *lp.Basis) (*lp.Soluti
 		if sol.DualCold {
 			st.DualColdStarts++
 		}
+		if sol.Restored {
+			st.RestoredStarts++
+		}
 		if sol.Hot {
 			st.HotStarts++
 		}

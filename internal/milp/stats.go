@@ -41,7 +41,8 @@ type Stats struct {
 	WarmIters       int64 `trace:"warm_iters"`                                   // simplex iterations across those warm solves (dual + primal)
 	ColdFallbacks   int64 `trace:"cold_fallbacks" counter:"milp.cold_fallbacks"` // warm attempts whose basis was unusable (a cold solve ran)
 	DualColdStarts  int64 `trace:"dual_cold_starts"`                             // cold LPs solved from the dual simplex on the slack basis (lp.Solution.DualCold)
-	HotStarts       int64 `trace:"hot_starts"`                                   // warm starts that continued from the live state of their Problem's last solve (lp.Solution.Hot)
+	RestoredStarts  int64 `trace:"restored_starts"`                              // warm starts that took the end state their basis carried (lp.Solution.Restored)
+	HotStarts       int64 `trace:"hot_starts"`                                   // those that also kept the factors of the solve that exported it (lp.Solution.Hot)
 	DiscardedPivots int64 `trace:"discarded_pivots"`                             // pivots of dual starts, warm or cold, that gave way to another path (lp.Solution.DiscardedPivots; not in LPIterations)
 
 	NodesBranched    int64 `trace:"nodes_branched"`    // processed nodes that produced two children

@@ -175,10 +175,15 @@ func (ws *workspace) addRow(p *lp.Problem, start int, rel lp.Rel, rhs float64) {
 }
 
 // solve solves the workspace's LP and releases its lowering; sol owns its
-// X.
+// X. No re-solve warm-starts from its basis, so the basis goes back with
+// the lowering, and the next solve lowered there exports into its storage.
 func (ws *workspace) solve() (*lp.Solution, error) {
 	p := &ws.prob
 	sol, err := lp.Solve(p, nil)
+	if sol != nil && sol.Basis != nil {
+		p.RecycleBasis(sol.Basis)
+		sol.Basis = nil
+	}
 	p.Release() // the solve is the problem's only one
 	return sol, err
 }

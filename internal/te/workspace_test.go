@@ -41,8 +41,9 @@ func allActive(dps []paths.DemandPaths) [][]bool {
 // MaxTotalFlow's allocation budget on AfricaWAN, 150 pairs: one healthy and
 // one all-paths solve, what a verification re-simulation runs. With the
 // workspace warm only the Results and the LP solutions allocate: measured
-// at 18 allocations and 30 KB (3,162 and 271 KB with a slice per demand, per
-// LAG and per row). The count is exact; the budgets leave room for Go
+// at 12 allocations and 26 KB (3,162 and 271 KB with a slice per demand, per
+// LAG and per row; 18 and 30 KB while each solve's basis was dropped rather
+// than handed back with its lowering). The count is exact; the budgets leave room for Go
 // releases.
 const (
 	resimAllocBudget = 24
