@@ -8,37 +8,38 @@ import (
 	"testing"
 )
 
-// wantHotMatches checks a hot re-solve against the same call on a fresh copy
-// of the Problem, which rebuilds its start state from the basis: the same
-// status, the objective within 1e-9 relative, a point feasible within
-// feasTol, and an optimal basis — a rebuilt warm start from it on a fresh
-// copy takes no pivot. The pivots themselves may differ: the hot start
-// carries the last solve's rounding where the fresh one recomputes.
-func wantHotMatches(t *testing.T, what string, p *Problem, b *Basis, got *Solution) {
+// wantRestoredMatches checks a restored or hot re-solve against the same
+// call on a fresh copy of the Problem, which rebuilds its start state from
+// the basis: the same status, the objective within 1e-9 relative, a point
+// feasible within feasTol, and an optimal basis — a rebuilt warm start from
+// it on a fresh copy takes no pivot. The pivots themselves may differ: the
+// restored start carries the exporting solve's rounding where the fresh one
+// recomputes.
+func wantRestoredMatches(t *testing.T, what string, p *Problem, b *Basis, got *Solution) {
 	t.Helper()
 	want, err := SolveFrom(cloneProblem(p), b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Status != want.Status {
-		t.Fatalf("%s: hot %v, fresh %v", what, got.Status, want.Status)
+		t.Fatalf("%s: restored %v, fresh %v", what, got.Status, want.Status)
 	}
 	if got.Status != Optimal {
 		return
 	}
 	if d := math.Abs(got.Objective - want.Objective); d > 1e-9*math.Max(1, math.Abs(want.Objective)) {
-		t.Fatalf("%s: hot objective %.17g, fresh %.17g", what, got.Objective, want.Objective)
+		t.Fatalf("%s: restored objective %.17g, fresh %.17g", what, got.Objective, want.Objective)
 	}
 	wantFeasible(t, what, p, got.X)
 	if got.Basis == nil {
-		t.Fatalf("%s: a hot solve ended optimal without a basis", what)
+		t.Fatalf("%s: a restored solve ended optimal without a basis", what)
 	}
 	again, err := SolveFrom(cloneProblem(p), got.Basis, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again.Status != Optimal || !again.WarmStarted || again.Iters != 0 {
-		t.Fatalf("%s: the hot solve's basis is not optimal: a fresh warm start from it ends %v (warm %v) after %d pivots",
+		t.Fatalf("%s: the restored solve's basis is not optimal: a fresh warm start from it ends %v (warm %v) after %d pivots",
 			what, again.Status, again.WarmStarted, again.Iters)
 	}
 }
@@ -98,7 +99,7 @@ func TestHotStartMatchesFresh(t *testing.T) {
 		if got.Hot {
 			hot++
 		}
-		wantHotMatches(t, fmt.Sprintf("trial %d", trial), p, root.Basis, got)
+		wantRestoredMatches(t, fmt.Sprintf("trial %d", trial), p, root.Basis, got)
 	}
 	t.Logf("%d hot starts", hot)
 	if hot < 140 {
@@ -139,7 +140,7 @@ func TestHotStartDives(t *testing.T) {
 			if sol.Hot && cRefacs.Value() > refacs {
 				refactored = true
 			}
-			wantHotMatches(t, fmt.Sprintf("dive %d, depth %d", dive, depth), p, b, sol)
+			wantRestoredMatches(t, fmt.Sprintf("dive %d, depth %d", dive, depth), p, b, sol)
 			if depth == 7 {
 				deep++
 			}
@@ -264,7 +265,7 @@ func TestHotStartFallsThrough(t *testing.T) {
 		if got, err = SolveFrom(p, b, nil); err != nil || !got.Hot {
 			t.Fatalf("seed %d: after ObjLimit: %v, hot %v", seed, err, got.Hot)
 		}
-		wantHotMatches(t, fmt.Sprintf("seed %d: after ObjLimit", seed), p, b, got)
+		wantRestoredMatches(t, fmt.Sprintf("seed %d: after ObjLimit", seed), p, b, got)
 	}
 
 	// min −2x₀ − x₁ subject to x₀ + x₁ ≤ 10, x₀ ∈ [0, 4], x₁ ∈ [0, 20]: x₀
@@ -301,6 +302,27 @@ func TestHotStartFallsThrough(t *testing.T) {
 	}
 	wantRebuilt(t, "x₀ loosened to +Inf", p, root.Basis, got)
 
+	// min x₀ + x₁ subject to x₀ + x₁ ≥ 2, x₀ fixed at 3 and posed at its
+	// upper bound, where its reduced cost +1 has the wrong sign: fixed, it
+	// is exempt, and the solve ends optimal at once and exports that basis.
+	// Unfixed, the reduced cost counts, so the start from it runs cold.
+	p = NewProblem(2)
+	p.Cost = []float64{1, 1}
+	p.Lo, p.Hi = []float64{3, 0}, []float64{3, 20}
+	p.AddRow([]int{0, 1}, []float64{1, 1}, GE, 2)
+	posed := &Basis{Basic: []int32{2}, Stat: []BasisStatus{BasisAtUpper, BasisAtLower, BasisBasic}}
+	fixed, err := SolveFrom(p, posed, nil)
+	if err != nil || fixed.Status != Optimal || fixed.Iters != 0 || fixed.Basis == nil || fixed.Basis.Stat[0] != BasisAtUpper {
+		t.Fatalf("x₀ fixed at its upper bound: %v %+v", err, fixed)
+	}
+	p.Lo[0] = 0
+	if got, err = SolveFrom(p, fixed.Basis, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got.Restored || got.WarmStarted || got.Status != Optimal || got.Objective != 2 {
+		t.Fatalf("x₀ unfixed: restored %v, warm %v, %v %g; want a cold solve to 2", got.Restored, got.WarmStarted, got.Status, got.Objective)
+	}
+
 	// x₀ fixed at 4 and x₁ ≥ 7 cannot both hold: the hot solve (x₀ is fixed,
 	// so exempt from the sign check) proves it before its first pivot.
 	p = build()
@@ -315,7 +337,7 @@ func TestHotStartFallsThrough(t *testing.T) {
 	if got, err = SolveFrom(p, root.Basis, nil); err != nil || !got.Hot {
 		t.Fatalf("after Infeasible: %v %+v", err, got)
 	}
-	wantHotMatches(t, "after Infeasible", p, root.Basis, got)
+	wantRestoredMatches(t, "after Infeasible", p, root.Basis, got)
 }
 
 // TestHotStartHonoursOptions: the hot path applies MaxIters, Stop and

@@ -2,34 +2,10 @@ package lp
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
 )
-
-// wantMatchesFresh checks a re-solve against the same call on a fresh copy
-// of the Problem, which rebuilds its start state from the basis: the same
-// status, the objective within 1e-9 relative, and a point feasible within
-// feasTol. The pivots themselves may differ: a restored start carries the
-// exporting solve's rounding where the fresh one recomputes.
-func wantMatchesFresh(t *testing.T, what string, p *Problem, b *Basis, got *Solution) {
-	t.Helper()
-	want, err := SolveFrom(cloneProblem(p), b, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Status != want.Status {
-		t.Fatalf("%s: restored %v, fresh %v", what, got.Status, want.Status)
-	}
-	if got.Status != Optimal {
-		return
-	}
-	if d := math.Abs(got.Objective - want.Objective); d > 1e-9*math.Max(1, math.Abs(want.Objective)) {
-		t.Fatalf("%s: restored objective %.17g, fresh %.17g", what, got.Objective, want.Objective)
-	}
-	wantFeasible(t, what, p, got.X)
-}
 
 // TestRestoredSiblingsMatchFresh is the referee of the restored start that
 // is not hot, on 200 LPs of 40 rows: solve, re-solve warm from the optimal
@@ -70,7 +46,7 @@ func TestRestoredSiblingsMatchFresh(t *testing.T) {
 		if got.Restored && !got.Hot {
 			restored++
 		}
-		wantMatchesFresh(t, fmt.Sprintf("trial %d", trial), p, root.Basis, got)
+		wantRestoredMatches(t, fmt.Sprintf("trial %d", trial), p, root.Basis, got)
 	}
 	t.Logf("%d restored starts that were not hot", restored)
 	if restored < 100 {
@@ -145,7 +121,7 @@ func TestRestoreRefusesForeignStamps(t *testing.T) {
 // one variable and re-solves from one of the bases exported so far — the
 // last (a dive, which may start hot) or an earlier one (a sibling, which
 // restores on factors moved on since) — and every re-solve must agree with
-// the same call on a fresh copy of the Problem (wantMatchesFresh).
+// the same call on a fresh copy of the Problem (wantRestoredMatches).
 //
 //	go test ./internal/lp -run '^$' -fuzz '^FuzzWarmRestore$' -fuzztime 10s
 func FuzzWarmRestore(f *testing.F) {
@@ -194,7 +170,7 @@ func FuzzWarmRestore(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantMatchesFresh(t, fmt.Sprintf("move %d (%08b)", i, mv), p, b, got)
+			wantRestoredMatches(t, fmt.Sprintf("move %d (%08b)", i, mv), p, b, got)
 			if got.Basis != nil {
 				bases = append(bases, got.Basis)
 			}

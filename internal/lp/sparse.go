@@ -1689,29 +1689,27 @@ func solveFromSparse(p *Problem, c *spCache, b *Basis, opt *Options) (*Solution,
 // structurals whose bound value differs from the exported x_j, moves the
 // basics (a nonbasic slack rests at 0 under any bounds). The factors are
 // the live ones when live, every base pivot cleared warmPivTol and no
-// refactorization is due — the start is hot — else startFactors'. A bound
-// change that leaves a reduced cost with the wrong sign refuses the start
-// (dualFeasible), as does a singular basis. b is only read: children of
-// one node restore from it on several workspaces at once.
+// refactorization is due — the start is hot — else startFactors'. It
+// refuses a singular basis, and a reduced cost of the wrong sign on a
+// nonbasic structural that is not fixed now (dualFeasible's test; the
+// export's pricing passed every other column). b is only read: children
+// of one node restore from it on several workspaces at once.
 func (s *spSolver) restore(b *Basis, live bool) (why dualStart, hot bool) {
 	e := &b.end
 	if e.lowering != s.lowering || e.costGen != s.costGen {
 		return noEndState, false
 	}
 	copy(s.d, e.d)
-	if !s.dualFeasible() {
-		return notDualFeasible, false
-	}
-	hot = live && s.facWarm && !s.fac.needRefactor(1)
-	if !hot && !s.startFactors() {
-		return basisSingular, false
-	}
 	clear(s.w)
 	moved := false
 	c := s.c
 	for j := 0; j < s.nStr; j++ {
-		if s.stat[j] == basic {
+		st, d := s.stat[j], s.d[j]
+		if st == basic {
 			continue
+		}
+		if (st == atLower && d < -dualFeasTol || st == atUpper && d > dualFeasTol) && s.hi[j]-s.lo[j] >= feasTol {
+			return notDualFeasible, false
 		}
 		if dx := s.xval[j] - e.x[j]; dx != 0 {
 			for k := c.ptr[j]; k < c.ptr[j+1]; k++ {
@@ -1719,6 +1717,10 @@ func (s *spSolver) restore(b *Basis, live bool) (why dualStart, hot bool) {
 			}
 			moved = true
 		}
+	}
+	hot = live && s.facWarm && !s.fac.needRefactor(1)
+	if !hot && !s.startFactors() {
+		return basisSingular, false
 	}
 	for _, j := range s.basic {
 		s.xval[j] = e.x[j]

@@ -165,9 +165,9 @@ type Params struct {
 // Result is the outcome of a MILP solve.
 type Result struct {
 	Status    Status
-	Objective float64 // incumbent objective (model sense)
-	Bound     float64 // best dual bound (model sense)
-	X         []float64
+	Objective float64   // incumbent objective (model sense)
+	Bound     float64   // best dual bound (model sense)
+	X         []float64 // incumbent point; its integer variables hold exact integers
 	Nodes     int
 	Runtime   time.Duration
 	Stats     Stats // solve accounting (LP work, prune reasons, incumbents)
@@ -220,9 +220,9 @@ func (nb *nodeBasis) get() *lp.Basis {
 }
 
 // started records that one child is done reading nb — its LP has started,
-// or it was pruned — on worker wid.
+// or it was pruned or dropped unsolved — on worker wid (if it has an LP).
 func (s *search) started(wid int, nb *nodeBasis) {
-	if nb != nil && !nb.keep && nb.pending.Add(-1) == 0 {
+	if nb != nil && !nb.keep && nb.pending.Add(-1) == 0 && s.probs[wid] != nil {
 		s.probs[wid].RecycleBasis(nb.b)
 	}
 }
@@ -1044,11 +1044,15 @@ func (p *Presolved) SolveContext(ctx context.Context, params Params) (*Result, e
 	return s.fold(), nil
 }
 
-// releaseLPs hands the workers' LP workspaces, and the bound slices their
-// pools hold, on to the next search once the pool has drained. It runs on a
-// normal return only: a worker that panicked ends the process, so no
-// workspace a panic left half-updated is ever handed on.
+// releaseLPs hands the workers' LP workspaces, with the root's bases, and
+// the bound slices their pools hold on to the next search once the pool has
+// drained. It runs on a normal return only: a worker that panicked ends the
+// process, so no workspace a panic left half-updated is ever handed on.
 func (s *search) releaseLPs() {
+	if p := s.probs[0]; p != nil { // the root's bases, kept for restart
+		p.RecycleBasis(s.rootBasis)
+		p.RecycleBasis(s.pl.rootBasis)
+	}
 	for _, p := range s.probs {
 		if p != nil {
 			p.Release()

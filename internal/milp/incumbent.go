@@ -93,6 +93,9 @@ func (s *search) offerIncumbent(obj float64, x []float64) {
 	s.inc.mu.Lock()
 	if s.inc.bits.Load() == objBits {
 		cp := append([]float64(nil), x...)
+		for _, v := range s.intVars { // no LP residue in a reported answer
+			cp[v] = math.Round(cp[v])
+		}
 		s.inc.x.Store(&cp)
 		s.inc.updates.Add(1)
 		cIncumbents.Inc()

@@ -209,6 +209,11 @@ func checkCorpusAgainstBruteForce(t *testing.T, seed int64) {
 			if math.Abs(res.Objective-want) > 1e-5 {
 				t.Fatalf("trial %d (%s): objective %g, brute force %g", trial, which, res.Objective, want)
 			}
+			for v, vt := range inst.m.vtype {
+				if vt != Continuous && res.X[v]-math.Round(res.X[v]) != 0 {
+					t.Fatalf("trial %d (%s): integer variable %d reads %.17g", trial, which, v, res.X[v])
+				}
+			}
 		}
 		if !infeasible && math.Abs(serial.Objective-par.Objective) > 1e-6 {
 			t.Fatalf("trial %d: serial %g != parallel %g", trial, serial.Objective, par.Objective)

@@ -317,6 +317,7 @@ func (s *search) claim(id int) (n *node, claimNo int) {
 					acc.stats.BoundPrunes++
 				}
 				acc.stats.PrePruned++
+				s.started(id, n.basis)
 				s.pools[id].put(n.lo)
 				s.pools[id].put(n.hi)
 				s.outstanding.Add(-1)
@@ -430,6 +431,7 @@ func (s *search) restart() {
 	var dropped int64
 	for id := range s.pools {
 		for n := s.popLocal(id); n != nil; n = s.popLocal(id) {
+			s.started(id, n.basis)
 			s.pools[id].put(n.lo)
 			s.pools[id].put(n.hi)
 			dropped++
