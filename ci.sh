@@ -41,10 +41,15 @@ go build ./...
 # rules that never fired are gone too, so a fixture marker or allow
 # directive naming one is stale. Pseudocosts are trusted from their first
 # observation, with no reliability threshold to tune, and the integrality
-# tolerance is milp's intTol constant, not a parameter. Both augment forms
+# tolerance is the constant tol.Int, not a parameter. Both augment forms
 # share one loop and one Result, and Appendix C's edge form lives in the
-# new-LAG augment MILP only. The grep reads _test.go files too, on purpose.
-if grep -rn 'p\.IntTol\|Params{[^}]*IntTol\|pcReliability\|QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel\|statsAcc\|DisablePresolve\|CheckError\|ModelCheck\|ModelDiagnostic\|runCheck\|model_check\|AutoWidth:\|\.AutoWidth\b\|lock-order\|goroutine-leak\|ctx-first\|mutex-value\|tracer-guard\|EdgeFormMaxFlow\|NewLAGResult\|NewLAGStep' --include='*.go' --exclude-dir=.bench_build .; then
+# new-LAG augment MILP only. Options no caller set are constants: the MLU
+# and max-min dual box, the max-min binner's shape, the added link capacity
+# (always the mean member-link capacity), the model checker's tolerances;
+# an analysis warm-starts from one earlier Result; and helpers only tests
+# called (inverse-capacity weights, a one-line wrapper over the budget
+# knapsack) are gone. The grep reads _test.go files too, on purpose.
+if grep -rn 'p\.IntTol\|Params{[^}]*IntTol\|pcReliability\|QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel\|statsAcc\|DisablePresolve\|CheckError\|ModelCheck\|ModelDiagnostic\|runCheck\|model_check\|AutoWidth:\|\.AutoWidth\b\|lock-order\|goroutine-leak\|ctx-first\|mutex-value\|tracer-guard\|EdgeFormMaxFlow\|NewLAGResult\|NewLAGStep\|MLUDualBound\|MaxMinBinner\|WarmStartScenario\|WarmStartDemands\|modelcheck\.Options\|InverseCapacityWeight\|LostCapacityBound\|\bLinkCapacity\b' --include='*.go' --exclude-dir=.bench_build .; then
 	echo "ci: retired solver knob or lint rule referenced above" >&2
 	exit 1
 fi

@@ -10,7 +10,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -29,11 +28,7 @@ func run() int {
 	budget := flag.Duration("budget", 0, "solver time budget per analysis, overriding every experiment's own (0 = each experiment's default)")
 	only := flag.String("only", "", "comma-separated experiment names (default: all)")
 	workers := flag.Int("workers", 0, "worker budget per sweep stage: spent across its independent analyses first, the leftover inside each solve (0 = all cores, 1 = serial)")
-	quiet := flag.Bool("q", false, "quiet: print errors only")
-	verbose := flag.Bool("v", false, "verbose: per-sweep diagnostics (overrides -q)")
-	progress := flag.Bool("progress", obs.IsTerminal(os.Stderr), "live per-figure progress line with ETA on stderr")
-	metricsAddr := flag.String("metrics-addr", "", "serve live solver counters (expvar) and pprof on this address")
-	tracePath := flag.String("trace", "", "write a JSONL event trace of every sweep to this file")
+	of := obs.NewFlags(flag.CommandLine)
 	flag.Parse()
 	selected, err := experiments.Select(*only)
 	if err != nil {
@@ -41,52 +36,19 @@ func run() int {
 		return 2
 	}
 
-	level := obs.Normal
-	if *quiet {
-		level = obs.Quiet
+	o, err := of.Start()
+	if err != nil {
+		fail(err)
 	}
-	if *verbose {
-		level = obs.Verbose
-	}
-	log := obs.NewLogger(os.Stderr, level)
+	defer func() {
+		if err := o.Close(); err != nil {
+			fail(err)
+		}
+	}()
+	log := o.Log
 	// The per-experiment summary lines are the command's progress report;
 	// they stay on stdout but honor -q.
-	sum := obs.NewLogger(os.Stdout, level)
-
-	var (
-		tracer obs.Tracer
-		jsonl  *obs.JSONLTracer
-	)
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fail(fmt.Errorf("-trace: %w", err))
-		}
-		defer func() {
-			if err := jsonl.Err(); err != nil {
-				fail(fmt.Errorf("-trace: %w", err))
-			}
-			if err := f.Close(); err != nil {
-				fail(fmt.Errorf("-trace: %w", err))
-			}
-		}()
-		jsonl = obs.NewJSONLTracer(f)
-		tracer = jsonl
-	}
-	if *metricsAddr != "" {
-		srv, addr, err := obs.Serve(*metricsAddr)
-		if err != nil {
-			fail(fmt.Errorf("-metrics-addr: %w", err))
-		}
-		defer func() {
-			// Graceful: an in-flight /metrics scrape finishes, but exit is
-			// never held up for more than a moment.
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			_ = srv.Shutdown(ctx) // best-effort teardown on exit
-			cancel()
-		}()
-		log.Infof("metrics: http://%s/metrics  expvar: http://%s/debug/vars  profiles: http://%s/debug/pprof/", addr, addr, addr)
-	}
+	sum := obs.NewLogger(os.Stdout, log.Level())
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fail(err)
@@ -94,13 +56,13 @@ func run() int {
 	var prog *obs.ProgressLine // non-nil only while an experiment runs with -progress
 	tune := func(s *experiments.Setup) {
 		s.Workers = *workers
-		s.Tracer = tracer
+		s.Tracer = o.Tracer
 		s.OnProgress = func(p experiments.SweepProgress) { prog.Update(p.String()) }
 	}
 	violated := 0
 	for _, e := range selected {
 		log.Debugf("%s: starting", e.Name)
-		if *progress {
+		if o.Progress != nil {
 			prog = obs.NewProgressLine(os.Stderr)
 		}
 		start := time.Now()

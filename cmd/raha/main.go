@@ -32,6 +32,7 @@ import (
 
 	"raha"
 	"raha/internal/augment"
+	"raha/internal/obs"
 )
 
 func main() {
@@ -122,7 +123,7 @@ type commonFlags struct {
 	budget    *time.Duration
 	seed      *int64
 	workers   *int
-	obs       *obsFlags
+	obs       *obs.Flags
 }
 
 func newCommon(name string) *commonFlags {
@@ -140,20 +141,29 @@ func newCommon(name string) *commonFlags {
 		budget:    fs.Duration("budget", 30*time.Second, "solver time budget"),
 		seed:      fs.Int64("seed", 1, "seed for the gravity demand model"),
 		workers:   fs.Int("workers", 0, "worker budget: branch-and-bound workers of a solve, at most one per core, serial when its root LP has few fractional integers; a sweep (alert -all) spends it across topologies first (0 = all cores, 1 = serial)"),
-		obs:       newObsFlags(fs),
+		obs:       obs.NewFlags(fs),
 	}
 }
 
 // solver assembles the solver params from the flags and the run's
 // observability bundle. The solve is timed exactly when it is observed
 // (-trace or -progress), which is what -v's time attribution reads.
-func (c *commonFlags) solver(o *runObs) raha.SolverParams {
+func (c *commonFlags) solver(o *obs.Run) raha.SolverParams {
 	return raha.SolverParams{
 		TimeLimit:  *c.budget,
 		Workers:    *c.workers,
-		Tracer:     o.tracer(),
-		OnProgress: o.solveProgress(),
+		Tracer:     o.Tracer,
+		OnProgress: solveProgress(o),
 	}
+}
+
+// solveProgress returns an OnProgress callback feeding the run's live line,
+// or nil when -progress is off.
+func solveProgress(o *obs.Run) func(raha.SolveProgress) {
+	if o.Progress == nil {
+		return nil
+	}
+	return func(p raha.SolveProgress) { o.Progress.Update(p.String()) }
 }
 
 func (c *commonFlags) setup() (*raha.Topology, []raha.DemandPaths, raha.Matrix, raha.Envelope, error) {
@@ -196,16 +206,16 @@ func probe(args []string) error {
 func analyze(ctx context.Context, args []string) error {
 	c := newCommon("analyze")
 	_ = c.fs.Parse(args) // ExitOnError: flag errors exit instead of returning
-	o, err := c.obs.start()
+	o, err := c.obs.Start()
 	if err != nil {
 		return err
 	}
 	top, dps, _, env, err := c.setup()
 	if err != nil {
-		_ = o.close() // the setup error wins; teardown is best-effort
+		_ = o.Close() // the setup error wins; teardown is best-effort
 		return err
 	}
-	o.log.Infof("analyzing %s: %d demands, %d LAGs, threshold %.0e, budget %v",
+	o.Log.Infof("analyzing %s: %d demands, %d LAGs, threshold %.0e, budget %v",
 		*c.topology, len(dps), top.NumLAGs(), *c.threshold, *c.budget)
 	res, err := raha.AnalyzeContext(ctx, raha.Config{
 		Topo:                 top,
@@ -216,7 +226,7 @@ func analyze(ctx context.Context, args []string) error {
 		ConnectivityEnforced: *c.ce,
 		Solver:               c.solver(o),
 	})
-	if cerr := o.close(); err == nil {
+	if cerr := o.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
@@ -241,7 +251,7 @@ func stopReason(ctx context.Context, budget time.Duration, res *raha.Result) str
 	return "stopped early"
 }
 
-func printResult(ctx context.Context, o *runObs, budget time.Duration, top *raha.Topology, dps []raha.DemandPaths, res *raha.Result) {
+func printResult(ctx context.Context, o *obs.Run, budget time.Duration, top *raha.Topology, dps []raha.DemandPaths, res *raha.Result) {
 	status := fmt.Sprintf("%v", res.Status)
 	if why := stopReason(ctx, budget, res); why != "" {
 		status += " (" + why + ")"
@@ -260,20 +270,20 @@ func printResult(ctx context.Context, o *runObs, budget time.Duration, top *raha
 	}
 	if o != nil {
 		st := res.Stats
-		o.log.Debugf("solver stats: %d LP solves (%d iterations, %d degenerate pivots), %d warm-started (%d iterations, %d cold fallbacks), prunes: %d infeasible / %d bound (%d cut off at the incumbent) / %d iterlimit, %d integral, %d branched, %d incumbents, peak open %d",
+		o.Log.Debugf("solver stats: %d LP solves (%d iterations, %d degenerate pivots), %d warm-started (%d iterations, %d cold fallbacks), prunes: %d infeasible / %d bound (%d cut off at the incumbent) / %d iterlimit, %d integral, %d branched, %d incumbents, peak open %d",
 			st.LPSolves, st.LPIterations, st.DegeneratePivots,
 			st.WarmStarts, st.WarmIters, st.ColdFallbacks,
 			st.PrunedInfeasible, st.PrunedBound, st.LPCutoffs, st.PrunedIterLimit,
 			st.Integral, st.NodesBranched, st.IncumbentUpdates, st.MaxOpen)
-		o.log.Debugf("presolve stats: %d vars fixed, %d rows removed, %d bounds tightened, %d big-M coefs shrunk; %d propagation prunes, %d budget prunes, %d pseudocost branches",
+		o.Log.Debugf("presolve stats: %d vars fixed, %d rows removed, %d bounds tightened, %d big-M coefs shrunk; %d propagation prunes, %d budget prunes, %d pseudocost branches",
 			st.PresolveFixedVars, st.PresolveRemovedRows, st.PresolveTightenedBounds,
 			st.PresolveTightenedCoefs, st.PropagationPrunes, st.BudgetPrunes, st.PseudocostBranches)
 		// Only an observed solve (-trace or -progress) keeps wall clocks,
 		// and only a timed one has per-worker shares to show.
 		if len(st.PerWorker) == 0 {
-			o.log.Debugf("time attribution: the solve was not observed, so not timed; rerun with -trace FILE and read it with raha-trace summarize FILE")
+			o.Log.Debugf("time attribution: the solve was not observed, so not timed; rerun with -trace FILE and read it with raha-trace summarize FILE")
 		} else {
-			o.log.Debugf("time attribution: presolve %v, LP warm %v, LP cold %v, heuristic %v, branching %v, queue wait %v",
+			o.Log.Debugf("time attribution: presolve %v, LP warm %v, LP cold %v, heuristic %v, branching %v, queue wait %v",
 				time.Duration(st.PresolveNs).Round(time.Microsecond),
 				time.Duration(st.LPWarmNs).Round(time.Microsecond),
 				time.Duration(st.LPColdNs).Round(time.Microsecond),
@@ -285,7 +295,7 @@ func printResult(ctx context.Context, o *runObs, budget time.Duration, top *raha
 				parts[i] = fmt.Sprintf("w%d: %d nodes, busy %.0f%%, wait %.0f%%, idle %.0f%%",
 					i, w.Nodes, 100*w.BusyShare(), 100*w.WaitShare(), 100*w.IdleShare())
 			}
-			o.log.Debugf("worker utilization: %s", strings.Join(parts, "  "))
+			o.Log.Debugf("worker utilization: %s", strings.Join(parts, "  "))
 		}
 	}
 	// An interrupted or timed-out search may stop before any scenario was
@@ -323,12 +333,12 @@ func augmentCmd(args []string) (err error) {
 	candidates := c.fs.Int("candidates", 8, "high-degree candidate new-LAG count, plus one per absent demand pair (with -new-lags)")
 	canFail := c.fs.Bool("can-fail", false, "added capacity can itself fail")
 	_ = c.fs.Parse(args) // ExitOnError: flag errors exit instead of returning
-	o, err := c.obs.start()
+	o, err := c.obs.Start()
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if cerr := o.close(); err == nil {
+		if cerr := o.Close(); err == nil {
 			err = cerr
 		}
 	}()
@@ -348,7 +358,7 @@ func augmentCmd(args []string) (err error) {
 		Solver:               c.solver(o),
 		NewCapacityCanFail:   *canFail,
 	}
-	o.log.Infof("augmenting %s until no probable failure degrades it (threshold %.0e)", *c.topology, *c.threshold)
+	o.Log.Infof("augmenting %s until no probable failure degrades it (threshold %.0e)", *c.topology, *c.threshold)
 	var res *raha.AugmentResult
 	if *newLAGs {
 		res, err = raha.AugmentNewLAGs(cfg, augment.CandidateLAGs(top, env.Pairs, *candidates))
@@ -384,14 +394,14 @@ func alert(ctx context.Context, args []string) (err error) {
 	if *sw.all {
 		return alertAll(ctx, c, sw, *tolerance)
 	}
-	o, err := c.obs.start()
+	o, err := c.obs.Start()
 	if err != nil {
 		return err
 	}
 	defer func() {
 		// A teardown error outranks a raised alert: both exit 1, and only
 		// the error has something left to print.
-		if cerr := o.close(); cerr != nil && (err == nil || errors.Is(err, errAlertRaised)) {
+		if cerr := o.Close(); cerr != nil && (err == nil || errors.Is(err, errAlertRaised)) {
 			err = cerr
 		}
 	}()
@@ -399,7 +409,7 @@ func alert(ctx context.Context, args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	o.log.Infof("alert check on %s: phase 1 at fixed peak demand, phase 2 over the envelope (tolerance %.2f)",
+	o.Log.Infof("alert check on %s: phase 1 at fixed peak demand, phase 2 over the envelope (tolerance %.2f)",
 		*c.topology, *tolerance)
 	rep, err := raha.AlertContext(ctx, raha.AlertConfig{
 		Topo:                 top,
@@ -413,8 +423,8 @@ func alert(ctx context.Context, args []string) (err error) {
 		Phase1Budget:         *c.budget,
 		Phase2Budget:         *c.budget,
 		Workers:              *c.workers,
-		Tracer:               o.tracer(),
-		OnProgress:           o.solveProgress(),
+		Tracer:               o.Tracer,
+		OnProgress:           solveProgress(o),
 	})
 	if err != nil {
 		return err
@@ -428,7 +438,7 @@ func alert(ctx context.Context, args []string) (err error) {
 		if why == "" {
 			why = "complete"
 		}
-		o.log.Infof("phase %d: %v (%s), %d nodes in %v, degradation %.1f",
+		o.Log.Infof("phase %d: %v (%s), %d nodes in %v, degradation %.1f",
 			phase, res.Status, why, res.Nodes, res.Runtime.Round(time.Millisecond), res.Degradation)
 	}
 	if rep.Raised {

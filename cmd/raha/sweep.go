@@ -107,12 +107,12 @@ func alertAll(ctx context.Context, c *commonFlags, sw *sweepFlags, tolerance flo
 	if err := rejectIgnored(c.fs); err != nil {
 		return err
 	}
-	o, err := c.obs.start()
+	o, err := c.obs.Start()
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if cerr := o.close(); err == nil {
+		if cerr := o.Close(); err == nil {
 			err = cerr
 		}
 	}()
@@ -139,12 +139,12 @@ func alertAll(ctx context.Context, c *commonFlags, sw *sweepFlags, tolerance flo
 		}
 	}
 	cells := len(grid.Cells())
-	o.log.Infof("sweeping %d topologies × %d cells (tolerance %.2f, budget %v per topology)",
+	o.Log.Infof("sweeping %d topologies × %d cells (tolerance %.2f, budget %v per topology)",
 		total, cells, tolerance, *sw.budgetPerTopo)
 
 	// The shared -progress flag (on by default when stderr is a terminal)
 	// selects per-topology progress lines instead of the solver's live line.
-	showProgress := *c.obs.progress
+	showProgress := o.Progress != nil
 	var (
 		progressMu sync.Mutex
 		done       int
@@ -174,7 +174,7 @@ func alertAll(ctx context.Context, c *commonFlags, sw *sweepFlags, tolerance flo
 		NumShards:            numShards,
 		Seed:                 *c.seed,
 		ConnectivityEnforced: *c.ce,
-		Tracer:               o.tracer(),
+		Tracer:               o.Tracer,
 		OnTopoDone:           onTopoDone,
 	})
 	if err != nil {
@@ -188,7 +188,7 @@ func alertAll(ctx context.Context, c *commonFlags, sw *sweepFlags, tolerance flo
 		if werr := os.WriteFile(*sw.reportPath, append(data, '\n'), 0o644); werr != nil {
 			return werr
 		}
-		o.log.Infof("wrote JSON report to %s", *sw.reportPath)
+		o.Log.Infof("wrote JSON report to %s", *sw.reportPath)
 	}
 	printSweepReport(rep)
 	return nil

@@ -65,10 +65,6 @@ type Config struct {
 	// observes convergence within 6).
 	MaxSteps int
 
-	// LinkCapacity is the capacity c of each added link; 0 defaults to the
-	// topology's mean member-link capacity.
-	LinkCapacity float64
-
 	// NewCapacityCanFail assigns realistic failure probabilities to added
 	// links so later iterations can fail them too (§8.6 / Figure 11).
 	NewCapacityCanFail bool
@@ -97,10 +93,9 @@ func (c *Config) maxSteps() int {
 	return c.MaxSteps
 }
 
-func (c *Config) linkCapacity(t *topology.Topology) float64 {
-	if c.LinkCapacity > 0 {
-		return c.LinkCapacity
-	}
+// meanLinkCapacity is the capacity c of each added link: the topology's
+// mean member-link capacity (1 on a topology without links).
+func meanLinkCapacity(t *topology.Topology) float64 {
 	if n := t.NumLinks(); n > 0 {
 		var s float64
 		for _, l := range t.LAGs() {
@@ -162,7 +157,7 @@ func AugmentExisting(cfg Config) (*Result, error) {
 // sets. A non-nil error comes with a nil Result.
 func run(cfg Config, propose proposal) (*Result, error) {
 	t := cfg.Topo.Clone()
-	unit := cfg.linkCapacity(t)
+	unit := meanLinkCapacity(t)
 	out := &Result{Topo: t}
 
 	for step := 0; step < cfg.maxSteps(); step++ {

@@ -301,15 +301,10 @@ func TestAugmentNewLAGsNeedsCandidates(t *testing.T) {
 }
 
 func TestLinkCapacityDefault(t *testing.T) {
+	// Figure 1's five single-link LAGs: (8 + 12 + 9 + 8 + 12) / 5.
 	top, _, _ := fixture()
-	cfg := Config{}
-	got := cfg.linkCapacity(top)
-	if got <= 0 {
-		t.Fatalf("default link capacity %g", got)
-	}
-	cfg.LinkCapacity = 42
-	if cfg.linkCapacity(top) != 42 {
-		t.Fatal("explicit capacity ignored")
+	if got := meanLinkCapacity(top); got != 9.8 {
+		t.Fatalf("added link capacity %g, want the mean member-link capacity 9.8", got)
 	}
 }
 

@@ -194,7 +194,7 @@ func CogentcoSetup(budget time.Duration) *Setup {
 // solution (valid when the earlier point's feasible set is a subset of this
 // one's — e.g. a stricter threshold or a narrower envelope).
 func (s *Setup) analyze(dps []paths.DemandPaths, env demand.Envelope, threshold float64, k int, ce bool, prev *metaopt.Result) (*metaopt.Result, error) {
-	cfg := metaopt.Config{
+	return metaopt.Analyze(metaopt.Config{
 		Topo:                 s.Topo,
 		Demands:              dps,
 		Envelope:             env,
@@ -203,12 +203,8 @@ func (s *Setup) analyze(dps []paths.DemandPaths, env demand.Envelope, threshold 
 		ConnectivityEnforced: ce,
 		QuantBits:            s.QuantBits,
 		Solver:               s.solver(),
-	}
-	if prev != nil && prev.Scenario != nil {
-		cfg.WarmStartScenario = prev.Scenario
-		cfg.WarmStartDemands = prev.Demands
-	}
-	return metaopt.Analyze(cfg)
+		WarmStart:            prev,
+	})
 }
 
 // analyzeClustered runs one Algorithm 1 analysis with the given cluster

@@ -26,12 +26,12 @@ func usedLAGs(t *topology.Topology, dps []paths.DemandPaths) []bool {
 // Budget is an analysis's §5.1 failure budget as numbers, over the member
 // links of the used LAGs (index [e][l]; nil for a LAG no path uses), with
 // each link's lost-capacity weight. The model's probability row
-// (AddProbabilityThreshold), the budget knapsack (LostCapacityBound) and the
+// (AddProbabilityThreshold), the budget knapsack (BoundModel) and the
 // per-node bound (Encoding.Knapsack) are all read from what NewBudget and
 // probabilityBudget produce, so the three cannot drift apart.
 type Budget struct {
 	// Weight[e][l] = min(c_le, Σ{hi[k] : LAG e lies on a primary path of
-	// demand k}), w_le of LostCapacityBound.
+	// demand k}), w_le of the lost-capacity bound (BoundModel).
 	Weight [][]float64
 	// Coef and RHS are the probability row Σ Coef[e][l]·u_le ≥ RHS; Coef is
 	// nil without a threshold.
@@ -177,7 +177,7 @@ func (b *Budget) Admits(s *Scenario) bool {
 const knapsackNodeCap = 4096
 
 // BudgetBound is what the failure budget alone says about the total-flow
-// degradation (see LostCapacityBound).
+// degradation (see BoundModel).
 type BudgetBound struct {
 	// Value bounds the degradation of every demand in the envelope under
 	// every scenario inside the budget, in flow units. +Inf when the knapsack
@@ -196,7 +196,12 @@ type BudgetBound struct {
 	Nodes int // branch-and-bound nodes its solve explored
 }
 
-// LostCapacityBound bounds the total-flow degradation from the failure
+// BoundModel is the lost-capacity bound's knapsack for the budgets of one
+// shape, built once: its binaries, weights and coefficients are the shape's,
+// and each budget of the shape (Budget.Limit) moves only its two right-hand
+// sides.
+//
+// The lost-capacity bound bounds the total-flow degradation from the failure
 // budget alone. For every demand d with d_k ≤ hi[k] and every scenario u,
 //
 //	healthy(d) − failed(d, u) ≤ Σ_le w_le·u_le,
@@ -209,21 +214,13 @@ type BudgetBound struct {
 // failed flow, also under naive fail-over, whose gates cap each primary at
 // exactly the healthy flow it started from (DESIGN.md §2.1 has the proof).
 //
-// The bound is the optimum of that weight over b's budget rows alone — the
+// The bound is the optimum of that weight over the budget rows alone — the
 // rows the model carries — a one- or two-row binary knapsack with no flows,
 // no duals and no products, solved exactly by a serial, untraced branch and
 // bound under a fixed node cap. Its LP relaxation would be sound too, but a
 // fractional failure always loses some capacity, so it never proves the zero
 // that closes an analysis outright; branch and bound uses that relaxation
 // box by box instead (Encoding.Knapsack).
-func LostCapacityBound(ctx context.Context, b *Budget) (*BudgetBound, error) {
-	return NewBoundModel(b).Bound(ctx, b)
-}
-
-// BoundModel is LostCapacityBound's knapsack for the budgets of one shape,
-// built once: its binaries, weights and coefficients are the shape's, and
-// each budget of the shape (Budget.Limit) moves only its two right-hand
-// sides.
 type BoundModel struct {
 	m                 *milp.Model
 	probRow, countRow int // −1 when the knapsack has no such row
@@ -241,8 +238,8 @@ func NewBoundModel(b *Budget) *BoundModel {
 	return k
 }
 
-// Bound is LostCapacityBound of b, a budget of the model's shape: with a
-// probability row and a count row exactly when the model has them.
+// Bound is the lost-capacity bound of b, a budget of the model's shape: with
+// a probability row and a count row exactly when the model has them.
 func (k *BoundModel) Bound(ctx context.Context, b *Budget) (*BudgetBound, error) {
 	if (k.probRow >= 0) != (b.Coef != nil) || (k.countRow >= 0) != (b.K > 0) {
 		return nil, fmt.Errorf("failures: budget rows do not match the knapsack's")
@@ -279,7 +276,7 @@ func (k *BoundModel) Bound(ctx context.Context, b *Budget) (*BudgetBound, error)
 	return bb, nil
 }
 
-// budgetKnapsack builds LostCapacityBound's model: one binary per member link
+// budgetKnapsack builds BoundModel's knapsack: one binary per member link
 // of every used LAG, in Encode's order, under b's rows.
 func budgetKnapsack(b *Budget) *milp.Model {
 	m := milp.NewModel()

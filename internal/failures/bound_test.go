@@ -107,10 +107,10 @@ func TestKnapsackRowsEqualModelRows(t *testing.T) {
 	}
 }
 
-// TestLostCapacityBoundOutcomes walks the diamond (one demand A→D, primary
+// TestBoundModelOutcomes walks the diamond (one demand A→D, primary
 // A–B–D over the two-link LAG 0 and LAG 2, backup A–C–D) through the bound's
 // three outcomes.
-func TestLostCapacityBoundOutcomes(t *testing.T) {
+func TestBoundModelOutcomes(t *testing.T) {
 	top, dps := diamond()
 	ctx := context.Background()
 	hi := []float64{15}
@@ -121,7 +121,7 @@ func TestLostCapacityBoundOutcomes(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return LostCapacityBound(ctx, b)
+		return NewBoundModel(b).Bound(ctx, b)
 	}
 	bb, err := bound(hi, 0, false, 1)
 	if err != nil {
@@ -270,7 +270,7 @@ func TestBudgetAdmits(t *testing.T) {
 // them — the right-hand side a session writes into its model's probability
 // row — for both treatments of unused links, on random topologies with
 // links more likely down than up; and one BoundModel moved from budget to
-// budget bounds each as LostCapacityBound on a fresh knapsack does. A limit
+// budget bounds each as a fresh knapsack does. A limit
 // the budget's rows cannot take is refused.
 func TestBudgetLimitMatchesNewBudget(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
@@ -322,7 +322,7 @@ func TestBudgetLimitMatchesNewBudget(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantB, err := LostCapacityBound(context.Background(), want)
+				wantB, err := NewBoundModel(want).Bound(context.Background(), want)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -43,8 +43,8 @@ func (t *tableau) telemetry(sol *Solution, phase1Iters int) *Solution {
 // solveDense runs the two-phase bounded simplex on p (already validated).
 func solveDense(p *Problem, opt *Options) *Solution {
 	t, nArt := build(p)
-	if opt != nil && opt.MaxIters > 0 {
-		t.cap = opt.MaxIters
+	if opt != nil && opt.maxIters > 0 {
+		t.cap = opt.maxIters
 	}
 
 	// Phase 1: minimize the sum of artificial variables.
@@ -80,8 +80,8 @@ func solveFromDense(p *Problem, b *Basis, opt *Options) (*Solution, bool) {
 	if !ok {
 		return nil, false
 	}
-	if opt != nil && opt.MaxIters > 0 {
-		t.cap = opt.MaxIters
+	if opt != nil && opt.maxIters > 0 {
+		t.cap = opt.maxIters
 	}
 	if !t.dualFeasible() {
 		return nil, false

@@ -340,7 +340,7 @@ func TestHotStartFallsThrough(t *testing.T) {
 	wantRestoredMatches(t, "after Infeasible", p, root.Basis, got)
 }
 
-// TestHotStartHonoursOptions: the hot path applies MaxIters, Stop and
+// TestHotStartHonoursOptions: the hot path applies maxIters, Stop and
 // ObjLimit as the rebuilt one does. A limit above the optimum changes
 // nothing, bit for bit; one below it stops the solve with a bound between
 // the two.
@@ -348,12 +348,12 @@ func TestHotStartHonoursOptions(t *testing.T) {
 	twoPivots := func(sol *Solution) bool { return sol.Status == Optimal && sol.DualIters >= 2 }
 	for seed := int64(0); seed < 200; seed += 20 {
 		p, b := hotCase(t, seed, twoPivots)
-		sol, err := SolveFrom(p, b, &Options{MaxIters: 1})
+		sol, err := SolveFrom(p, b, &Options{maxIters: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sol.Hot || sol.Status != IterLimit || sol.Iters != 1 {
-			t.Fatalf("seed %d: MaxIters 1: hot %v, %v after %d iterations", seed, sol.Hot, sol.Status, sol.Iters)
+			t.Fatalf("seed %d: maxIters 1: hot %v, %v after %d iterations", seed, sol.Hot, sol.Status, sol.Iters)
 		}
 
 		p, b = hotCase(t, seed, twoPivots)

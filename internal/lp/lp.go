@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"raha/internal/obs"
+	"raha/internal/tol"
 )
 
 // Rel is the relation of a linear constraint row.
@@ -153,9 +154,9 @@ type Solution struct {
 
 // Options tunes the solver.
 type Options struct {
-	// MaxIters caps total simplex iterations; 0 means automatic
-	// (50·(rows+cols) + 1000).
-	MaxIters int
+	// maxIters caps total simplex iterations; 0 means automatic (50·(rows+
+	// cols) + 1000). Only this package's tests set it, to force IterLimit.
+	maxIters int
 
 	// ObjLimit, when UseObjLimit is set, lets SolveFrom's dual simplex stop
 	// with status ObjLimit as soon as its objective exceeds the limit: every
@@ -181,9 +182,9 @@ const stopPollIters = 32
 // Numerical tolerances. These are deliberately package-level constants: the
 // MILP layer above depends on the same notions of "zero".
 const (
-	pivTol  = 1e-9 // minimum |pivot element|
-	feasTol = 1e-7 // bound/feasibility tolerance
-	costTol = 1e-7 // reduced-cost optimality tolerance
+	pivTol  = 1e-9     // minimum |pivot element|
+	feasTol = tol.Feas // bound/feasibility tolerance, shared with milp and modelcheck
+	costTol = 1e-7     // reduced-cost optimality tolerance
 )
 
 // ErrBadBounds is returned when a lower bound is -Inf or exceeds the upper

@@ -506,7 +506,7 @@ func TestIterLimit(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		p.AddRow([]int{i}, []float64{1}, LE, 1)
 	}
-	sol, err := Solve(p, &Options{MaxIters: 1})
+	sol, err := Solve(p, &Options{maxIters: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

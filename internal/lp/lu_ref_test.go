@@ -406,7 +406,7 @@ func refereeSolves(t *testing.T, p *Problem, rng *rand.Rand, tighten func(*Probl
 			return nil
 		}
 		for k := 1; k <= full.Iters; k++ {
-			if _, ok := solve(&Options{MaxIters: k}); !ok {
+			if _, ok := solve(&Options{maxIters: k}); !ok {
 				t.Fatalf("capped solve (%d of %d iterations) failed where the full one did not", k, full.Iters)
 			}
 			referee(t, &p.sp.s, rng, 1<<30, luPivotFloor)
@@ -607,7 +607,7 @@ func TestKernelsBitIdenticalLargeBasis(t *testing.T) {
 	if !referee(t, s, rng, 60, warmPivTol) {
 		t.Fatal("optimal basis reported singular")
 	}
-	if _, ok := solveSparse(p, mustCache(t, p), &Options{MaxIters: 5*maxEta + maxEta/2}); !ok {
+	if _, ok := solveSparse(p, mustCache(t, p), &Options{maxIters: 5*maxEta + maxEta/2}); !ok {
 		t.Fatal("capped cold solve failed")
 	}
 	if n := s.fac.nEtas(); n < maxEta/4 {
@@ -682,7 +682,7 @@ func refereeLeavingRows(t *testing.T, p *Problem, b *Basis) (checked, afterRefac
 	}
 	for k := 1; k <= full.DualIters; k++ {
 		refacs := cRefacs.Value()
-		sol, ok := solveFromSparse(p, c, b, &Options{MaxIters: k})
+		sol, ok := solveFromSparse(p, c, b, &Options{maxIters: k})
 		if !ok || sol.Status != IterLimit || sol.DualIters != sol.Iters {
 			continue
 		}

@@ -460,8 +460,8 @@ func (s *spSolver) dropReuse() {
 
 // limit applies the caller's iteration cap and stop flag.
 func (s *spSolver) limit(opt *Options) {
-	if opt != nil && opt.MaxIters > 0 {
-		s.cap = opt.MaxIters
+	if opt != nil && opt.maxIters > 0 {
+		s.cap = opt.maxIters
 	}
 	if opt != nil {
 		s.stop = opt.Stop

@@ -99,28 +99,17 @@ type Config struct {
 	// must be constants for the dual to stay linear).
 	NaiveFailover bool
 
-	// MLUDualBound bounds the failed-network dual variables of the MLU and
-	// MaxMin objectives (0 defaults to 10). Too small a bound biases the
-	// failed network's performance upward — an underestimate of the
-	// degradation, conservative for alerting; see DESIGN.md.
-	MLUDualBound float64
-
-	// MaxMinBinner shapes the geometric binner of the MaxMin objective.
-	// Zero values take the te package defaults (6 bins, ratio 2).
-	MaxMinBinner te.BinnerConfig
-
 	// Solver forwards limits to the branch-and-bound backend (the paper's
 	// Gurobi timeout feature).
 	Solver milp.Params
 
-	// WarmStartScenario and WarmStartDemands optionally seed a Gap-mode
-	// search with a known-good point — typically the result of analyzing a
-	// narrower envelope in a parameter sweep. Demands are rounded onto the
-	// quantizer grid; on a fixed envelope only the scenario seeds the search.
-	// The warm start is ignored unless both are set (one demand value per
-	// demand), and ignored in FailedOnly mode.
-	WarmStartScenario *failures.Scenario
-	WarmStartDemands  []float64
+	// WarmStart optionally seeds a Gap-mode search with an earlier
+	// analysis's answer over the same demands — typically a narrower
+	// envelope's in a parameter sweep. Its demands are rounded onto the
+	// quantizer grid; on a fixed envelope only its scenario seeds the search.
+	// It is ignored without a scenario, over another demand count, and in
+	// FailedOnly mode.
+	WarmStart *Result
 }
 
 // Result reports the worst case the analyzer found.
@@ -221,13 +210,6 @@ func (c *Config) quantBits() int {
 		return 3
 	}
 	return c.QuantBits
-}
-
-func (c *Config) mluDualBound() float64 {
-	if c.MLUDualBound <= 0 {
-		return 10
-	}
-	return c.MLUDualBound
 }
 
 // Analyze runs the bilevel analysis and returns the worst-case scenario it
@@ -417,16 +399,16 @@ func buildHint(m *milp.Model, cfg *Config, enc *failures.Encoding, dv *demandVar
 	return hint
 }
 
-// buildWarmStartHint encodes the user-supplied warm start: the supplied
-// scenario, and each demand rounded onto the quantizer grid.
+// buildWarmStartHint encodes the caller's warm start: its scenario, and
+// each of its demands rounded onto the quantizer grid.
 func buildWarmStartHint(m *milp.Model, cfg *Config, enc *failures.Encoding, dv *demandVars) []float64 {
-	s := cfg.WarmStartScenario
-	if s == nil || len(cfg.WarmStartDemands) != len(cfg.Demands) {
+	w := cfg.WarmStart
+	if w == nil || w.Scenario == nil || len(w.Demands) != len(cfg.Demands) {
 		return nil
 	}
 	maxLevel := (1 << uint(dv.q.Bits)) - 1
-	return buildHint(m, cfg, enc, dv, s, func(k int) int {
-		steps := int(math.Round((cfg.WarmStartDemands[k] - cfg.Envelope.Lo[k]) / dv.q.Unit[k]))
+	return buildHint(m, cfg, enc, dv, w.Scenario, func(k int) int {
+		steps := int(math.Round((w.Demands[k] - cfg.Envelope.Lo[k]) / dv.q.Unit[k]))
 		return min(max(steps, 0), maxLevel)
 	})
 }

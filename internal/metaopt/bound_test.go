@@ -99,7 +99,7 @@ func TestBudgetBoundDominatesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		bb, err := failures.LostCapacityBound(context.Background(), b)
+		bb, err := failures.NewBoundModel(b).Bound(context.Background(), b)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

@@ -130,7 +130,7 @@ func TestWarmStartAcceptedAndHarmless(t *testing.T) {
 	narrow := analyzeOK(t, Config{Topo: top, Demands: dps, Envelope: demand.UpTo(base, 0.2), QuantBits: 2, MaxFailures: 2})
 	wide := analyzeOK(t, Config{
 		Topo: top, Demands: dps, Envelope: demand.UpTo(base, 0.6), QuantBits: 2, MaxFailures: 2,
-		WarmStartScenario: narrow.Scenario, WarmStartDemands: narrow.Demands,
+		WarmStart: narrow,
 	})
 	if wide.Degradation < narrow.Degradation-1e-6 {
 		t.Fatalf("wide %g below narrow %g", wide.Degradation, narrow.Degradation)
@@ -138,23 +138,9 @@ func TestWarmStartAcceptedAndHarmless(t *testing.T) {
 	// Wrong-length warm-start demands are ignored.
 	res := analyzeOK(t, Config{
 		Topo: top, Demands: dps, Envelope: demand.UpTo(base, 0.6), QuantBits: 2, MaxFailures: 2,
-		WarmStartScenario: narrow.Scenario, WarmStartDemands: []float64{1},
+		WarmStart: &Result{Scenario: narrow.Scenario, Demands: []float64{1}},
 	})
 	if res.Scenario == nil {
 		t.Fatal("analysis with malformed warm start must still work")
-	}
-}
-
-func TestMLUDualBoundDefaultAndOverride(t *testing.T) {
-	c := Config{}
-	if c.mluDualBound() != 10 {
-		t.Fatalf("default dual bound %g", c.mluDualBound())
-	}
-	c.MLUDualBound = 3
-	if c.mluDualBound() != 3 {
-		t.Fatal("override ignored")
-	}
-	if (&Config{}).quantBits() != 3 {
-		t.Fatal("default quant bits")
 	}
 }

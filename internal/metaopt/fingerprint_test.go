@@ -10,7 +10,6 @@ import (
 	"raha/internal/demand"
 	"raha/internal/milp"
 	"raha/internal/paths"
-	"raha/internal/te"
 	"raha/internal/topology"
 )
 
@@ -75,10 +74,7 @@ func TestModelFingerprints(t *testing.T) {
 		return c
 	}
 	naive := func(c *Config) { c.NaiveFailover = true }
-	binner := func(c *Config) { c.MaxMinBinner = te.BinnerConfig{Bins: 4, Ratio: 3} }
 	quantBits := func(n int) func(*Config) { return func(c *Config) { c.QuantBits = n } }
-	dualBound10 := func(c *Config) { c.MLUDualBound = 10 }
-	binner62 := func(c *Config) { c.MaxMinBinner = te.BinnerConfig{Bins: 6, Ratio: 2} }
 	cases := []struct {
 		name string
 		cfg  Config
@@ -98,19 +94,13 @@ func TestModelFingerprints(t *testing.T) {
 		{"maxmin/failedonly/variable", mk(MaxMin, FailedOnly, "variable", nil), "3bde9e35bf2d348c"},
 		{"totalflow/gap/fixed/naive", mk(TotalFlow, Gap, "fixed", naive), "cd1a79dffdd0667c"},
 		{"totalflow/failedonly/fixed/naive", mk(TotalFlow, FailedOnly, "fixed", naive), "6756dc4ffcdb052d"},
-		{"maxmin/gap/fixed/binner", mk(MaxMin, Gap, "fixed", binner), "a30b535cad04935b"},
-		{"maxmin/gap/variable/binner", mk(MaxMin, Gap, "variable", binner), "593cb93c3eaab548"},
-		// Zero values against explicit defaults. The rows above leave
-		// MLUDualBound and MaxMinBinner at zero.
+		// A zero QuantBits against its explicit default.
 		{"totalflow/gap/variable/quantbits=0", mk(TotalFlow, Gap, "variable", quantBits(0)), "de0eb2f5ca076cd7"},
 		{"totalflow/gap/variable/quantbits=3", mk(TotalFlow, Gap, "variable", quantBits(3)), "de0eb2f5ca076cd7"},
 		{"mlu/gap/variable/quantbits=0", mk(MLU, Gap, "variable", quantBits(0)), "c32b97ac990e3703"},
 		{"mlu/gap/variable/quantbits=3", mk(MLU, Gap, "variable", quantBits(3)), "c32b97ac990e3703"},
 		{"maxmin/gap/variable/quantbits=0", mk(MaxMin, Gap, "variable", quantBits(0)), "c0bdd68605935371"},
 		{"maxmin/gap/variable/quantbits=3", mk(MaxMin, Gap, "variable", quantBits(3)), "c0bdd68605935371"},
-		{"mlu/gap/variable/dualbound=10", mk(MLU, Gap, "variable", dualBound10), "e591de50b7fa9294"},
-		{"maxmin/gap/variable/dualbound=10", mk(MaxMin, Gap, "variable", dualBound10), "7ea3eb4e50ed5515"},
-		{"maxmin/gap/variable/binner={6,2}", mk(MaxMin, Gap, "variable", binner62), "7ea3eb4e50ed5515"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

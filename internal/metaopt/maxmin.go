@@ -27,11 +27,9 @@ import (
 //	           −λ_k + α_k + μ_kb ≥ w_b            ∀(k,b)
 //
 // As with MLU, these duals have no natural [0,1] box; they are clipped to
-// MLUDualBound (the weights w_b are ≤ 1, so the default is generous).
-// Clipping can only raise the dual minimum, i.e. overestimate the failed
-// network's utility — an underestimate of the degradation, conservative
-// for alerting.
+// dualBound (the weights w_b are ≤ 1, so the box is generous).
 //
+// The binner is te's default shape, maxMinBins bins growing by maxMinRatio.
 // Every LP of the analysis — the healthy constant of a fixed envelope, the
 // model's bins and both verification LPs — uses the bin base pinned to the
 // envelope by binBase, so they all see identical bins.
@@ -39,8 +37,7 @@ func maxMin() formulation {
 	return formulation{
 		sign: 1,
 		solve: func(cfg *Config, volumes, caps []float64, active [][]bool) (*te.Result, error) {
-			b := cfg.binner()
-			b.Base, _ = binBase(cfg, b)
+			b := te.BinnerConfig{Bins: maxMinBins, Base: binBase(cfg), Ratio: maxMinRatio}
 			return te.MaxMinBinned(cfg.Topo, cfg.Demands, volumes, caps, active, b)
 		},
 		foldHealthy: foldHealthyMaxMin,
@@ -48,9 +45,15 @@ func maxMin() formulation {
 	}
 }
 
+// The max-min binner's shape: te's defaults.
+const (
+	maxMinBins  = 6
+	maxMinRatio = 2.0
+)
+
 // binBase pins the binner's base width to the envelope (not the per-call
 // volumes) so the MILP and the verification LPs use identical bins.
-func binBase(cfg *Config, b te.BinnerConfig) (float64, float64) {
+func binBase(cfg *Config) float64 {
 	maxV := 0.0
 	for _, hi := range cfg.Envelope.Hi {
 		if hi > maxV {
@@ -60,24 +63,19 @@ func binBase(cfg *Config, b te.BinnerConfig) (float64, float64) {
 	if maxV == 0 {
 		maxV = 1
 	}
-	if b.Base > 0 {
-		return b.Base, maxV
-	}
-	return maxV / pow(b.Ratio, b.Bins-1), maxV
+	return maxV / pow(maxMinRatio, maxMinBins-1)
 }
 
 // binShape materializes the binner's widths and weights, using the same
 // envelope-pinned base as verification (binBase).
 func binShape(cfg *Config) (widths, weights []float64) {
-	b := cfg.binner()
-	base, _ := binBase(cfg, b)
-	w := base
+	w := binBase(cfg)
 	weight := 1.0
-	for i := 0; i < b.Bins; i++ {
+	for i := 0; i < maxMinBins; i++ {
 		widths = append(widths, w)
 		weights = append(weights, weight)
-		w *= b.Ratio
-		weight /= b.Ratio
+		w *= maxMinRatio
+		weight /= maxMinRatio
 	}
 	return widths, weights
 }
@@ -88,18 +86,6 @@ func pow(r float64, n int) float64 {
 		p *= r
 	}
 	return p
-}
-
-// binner resolves the configured binner shape with the te defaults.
-func (c *Config) binner() te.BinnerConfig {
-	b := c.MaxMinBinner
-	if b.Bins <= 0 {
-		b.Bins = 6
-	}
-	if b.Ratio <= 1 {
-		b.Ratio = 2
-	}
-	return b
 }
 
 // foldHealthyMaxMin folds the healthy binner primal into the outer problem.
@@ -130,24 +116,23 @@ func foldHealthyMaxMin(cfg *Config, m *milp.Model, dv *demandVars, obj *milp.Exp
 // objective expression (minimized by the outer maximization).
 func failedDualMaxMin(cfg *Config, m *milp.Model, enc *failures.Encoding, dv *demandVars, _ *te.Result) milp.Expr {
 	widths, weights := binShape(cfg)
-	bound := cfg.mluDualBound()
 	dual := milp.NewExpr()
 	lambda := make([]milp.Var, len(cfg.Demands))
 	for k := range cfg.Demands {
-		lambda[k] = m.ContinuousVar(-bound, bound)
-		alpha := m.ContinuousVar(0, bound)
+		lambda[k] = m.ContinuousVar(-dualBound, dualBound)
+		alpha := m.ContinuousVar(0, dualBound)
 		demandTerm(cfg, m, dv, k, alpha, &dual)
 		// Bin duals: −λ_k + α_k + μ_kb ≥ w_b, objective width_b·μ_kb.
 		for b := range widths {
-			mu := m.ContinuousVar(0, bound)
+			mu := m.ContinuousVar(0, dualBound)
 			dual.Add(widths[b], mu)
 			m.Add(milp.NewExpr(milp.T(-1, lambda[k]), milp.T(1, alpha), milp.T(1, mu)), milp.GE, weights[b])
 		}
 	}
-	beta := capacityTerm(cfg, m, enc, bound, &dual)
+	beta := capacityTerm(cfg, m, enc, dualBound, &dual)
 	for k, dp := range cfg.Demands {
 		for j := range dp.Paths {
-			gamma := m.ContinuousVar(0, bound)
+			gamma := m.ContinuousVar(0, dualBound)
 			// λ_k + Σ β_e + γ_kj ≥ 0.
 			feas := milp.NewExpr(milp.T(1, lambda[k]), milp.T(1, gamma))
 			for _, e := range dp.Paths[j].LAGs {

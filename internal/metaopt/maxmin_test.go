@@ -15,8 +15,7 @@ func bruteForceMaxMin(t *testing.T, cfg *Config) float64 {
 	t.Helper()
 	caps := te.FullCapacities(cfg.Topo)
 	healthyActive := te.HealthyActive(cfg.Demands)
-	b := cfg.binner()
-	b.Base, _ = binBase(cfg, b)
+	b := te.BinnerConfig{Bins: maxMinBins, Base: binBase(cfg), Ratio: maxMinRatio}
 	best := math.Inf(-1)
 	enumerate(cfg.Topo, func(s *failures.Scenario) {
 		if !scenarioAllowed(cfg, s) {
@@ -47,20 +46,17 @@ func TestMaxMinGapMatchesBruteForce(t *testing.T) {
 		{Src: dps[0].Src, Dst: dps[0].Dst, Volume: 12},
 		{Src: dps[1].Src, Dst: dps[1].Dst, Volume: 10},
 	}
-	binner := te.BinnerConfig{Bins: 4, Ratio: 2}
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
 		{"fixed", Config{
 			Topo: top, Demands: dps, Envelope: demand.Fixed(base),
-			Objective: MaxMin, MaxFailures: 2, MaxMinBinner: binner,
-			MLUDualBound: 4,
+			Objective: MaxMin, MaxFailures: 2,
 		}},
 		{"variable", Config{
 			Topo: top, Demands: dps, Envelope: demand.Around(base, 0.4),
-			Objective: MaxMin, MaxFailures: 2, QuantBits: 2, MaxMinBinner: binner,
-			MLUDualBound: 4,
+			Objective: MaxMin, MaxFailures: 2, QuantBits: 2,
 		}},
 	}
 	for _, c := range cases {
@@ -94,7 +90,7 @@ func TestMaxMinFairnessVisibleInGap(t *testing.T) {
 	}
 	res := analyzeOK(t, Config{
 		Topo: top, Demands: dps, Envelope: demand.Fixed(base),
-		Objective: MaxMin, MaxFailures: 2, MLUDualBound: 4,
+		Objective: MaxMin, MaxFailures: 2,
 	})
 	if res.Degradation <= 0 {
 		t.Fatalf("expected positive max-min degradation, got %g", res.Degradation)

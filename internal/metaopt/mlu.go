@@ -23,10 +23,8 @@ import (
 //	                    Σ_e c_e·β_e ≤ 1
 //
 // Unlike the total-flow dual, these duals have no natural [0,1] box; they
-// are clipped to the configurable MLUDualBound. Too small a bound
-// underestimates the failed MLU (conservative for alerting). A demand cut
-// off by the failures makes the failed primal infeasible, hence the CE
-// requirement.
+// are clipped to dualBound. A demand cut off by the failures makes the
+// failed primal infeasible, hence the CE requirement.
 func mlu() formulation {
 	return formulation{
 		sign: -1,
@@ -38,6 +36,13 @@ func mlu() formulation {
 		requiresCE:  true,
 	}
 }
+
+// dualBound boxes the failed-network duals of the MLU and MaxMin objectives,
+// which have no natural box of their own. Clipping can only raise the dual
+// minimum — overestimate the failed network's performance — so too small a
+// box underestimates the degradation, which is conservative for alerting
+// (DESIGN.md §2.1). It is a constant of the encoding, not an option.
+const dualBound = 10
 
 // foldHealthyMLU folds the healthy MLU primal into the outer problem:
 // minimize U° over primary paths at full capacity, demands routed in full.
@@ -63,21 +68,20 @@ func foldHealthyMLU(cfg *Config, m *milp.Model, dv *demandVars, obj *milp.Expr) 
 // failedDualMLU adds the failed network's MLU dual and returns its
 // objective expression, which the outer problem maximizes (−sign = +1).
 func failedDualMLU(cfg *Config, m *milp.Model, enc *failures.Encoding, dv *demandVars, _ *te.Result) milp.Expr {
-	bound := cfg.mluDualBound()
 	dual := milp.NewExpr()
 	lambda := make([]milp.Var, len(cfg.Demands))
 	for k := range cfg.Demands {
-		lambda[k] = m.ContinuousVar(-bound, bound)
+		lambda[k] = m.ContinuousVar(-dualBound, dualBound)
 		demandTerm(cfg, m, dv, k, lambda[k], &dual)
 	}
 	// Σ_e c_e·β_e ≤ 1 over used LAGs only (pruned LAGs carry no flow and
 	// need no utilization constraint).
 	capRow := milp.NewExpr()
-	beta := capacityTerm(cfg, m, enc, bound, &capRow)
+	beta := capacityTerm(cfg, m, enc, dualBound, &capRow)
 	m.Add(capRow, milp.LE, 1)
 	for k, dp := range cfg.Demands {
 		for j := range dp.Paths {
-			gamma := m.ContinuousVar(0, bound)
+			gamma := m.ContinuousVar(0, dualBound)
 			// λ_k − Σ β_e − γ_kj ≤ 0.
 			feas := milp.NewExpr(milp.T(1, lambda[k]), milp.T(-1, gamma))
 			for _, e := range dp.Paths[j].LAGs {

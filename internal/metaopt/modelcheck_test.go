@@ -120,7 +120,7 @@ func TestBuiltModelsCheckClean(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := bm.m
-			rep := modelcheck.Check(checkModel(m), modelcheck.Options{IntTol: 1e-6})
+			rep := modelcheck.Check(checkModel(m))
 			bad := rep.Filter(modelcheck.Warning)
 			if len(bad) > 0 {
 				t.Fatalf("%d vars × %d rows: %d warning- or error-severity diagnostics:\n%s",
@@ -150,7 +150,7 @@ func TestBuiltModelsCheckClean(t *testing.T) {
 				fmt.Sprintf("v%d", z): modelcheck.IntBounds, fmt.Sprintf("r%d", rows): modelcheck.TrivialInfeasible,
 				fmt.Sprintf("r%d", rows+1): modelcheck.TrivialInfeasible, fmt.Sprintf("r%d", rows+2): modelcheck.TrivialInfeasible,
 			}
-			bad = modelcheck.Check(checkModel(m), modelcheck.Options{IntTol: 1e-6}).Filter(modelcheck.Warning)
+			bad = modelcheck.Check(checkModel(m)).Filter(modelcheck.Warning)
 			for _, d := range bad {
 				if at := d.Con + d.Var; want[at] == d.ID && d.Severity == modelcheck.Error {
 					delete(want, at)

@@ -8,6 +8,7 @@ import (
 
 	"raha/internal/demand"
 	"raha/internal/milp"
+	"raha/internal/obs"
 	"raha/internal/paths"
 	"raha/internal/topology"
 )
@@ -17,9 +18,12 @@ var runPool = flag.Bool("pool", false, "run TestSearchPool, the serial search po
 // TestSearchPool runs a fixed pool of serial analyses under node limits and
 // prints, per instance and in total, the status, nodes, LP iterations, the
 // warm starts that restored their basis's end state (lp.Solution.Restored)
-// and those of them that began hot (lp.Solution.Hot), the pivots of dual starts
-// that gave way to another path (lp.Solution.DiscardedPivots), and
-// degradation and bound as multiples of the mean LAG capacity. It asserts
+// and those of them that began hot (lp.Solution.Hot), the warm starts that
+// reused the factors of a basis with the same content (the delta of the
+// process counter lp.warm_factor_reuses over the whole analysis, hint and
+// verification solves included), the pivots of dual starts that gave way to
+// another path (lp.Solution.DiscardedPivots), and degradation and bound as
+// multiples of the mean LAG capacity. It asserts
 // nothing: it is the yardstick for a change that means to alter the search
 // (compare the totals before and after) and a witness for one that must not
 // (every column but the wall time must print the same). It is skipped
@@ -74,29 +78,33 @@ func TestSearchPool(t *testing.T) {
 	)
 
 	var nodes int
-	var iters, restored, hot, discarded int64
+	var iters, restored, hot, reused, discarded int64
 	var wall time.Duration
 	total := func(name string) {
-		t.Logf("%-16s %-10s %7d %9d %8d %6d %9d %9s %9s %8s", name, "", nodes, iters, restored, hot, discarded, "", "", wall.Round(time.Millisecond))
+		t.Logf("%-16s %-10s %7d %9d %8d %6d %6d %9d %9s %9s %8s", name, "", nodes, iters, restored, hot, reused, discarded, "", "", wall.Round(time.Millisecond))
 	}
-	t.Logf("%-16s %-10s %7s %9s %8s %6s %9s %9s %9s %8s", "instance", "status", "nodes", "lp_iters", "restored", "hot", "discarded", "degr", "bound", "wall")
+	reuses := obs.Default.Counter("lp.warm_factor_reuses")
+	t.Logf("%-16s %-10s %7s %9s %8s %6s %6s %9s %9s %9s %8s", "instance", "status", "nodes", "lp_iters", "restored", "hot", "reused", "discarded", "degr", "bound", "wall")
 	for i, e := range pool {
 		if i == len(pool)-2 {
 			total("subtotal") // the 27 rows at 4,000 nodes
 		}
+		before := reuses.Value()
 		res, err := Analyze(e.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", e.name, err)
 		}
+		reusedRow := reuses.Value() - before
 		norm := e.cfg.Topo.MeanLAGCapacity()
 		nodes += res.Nodes
 		iters += res.Stats.LPIterations
 		restored += res.Stats.RestoredStarts
 		hot += res.Stats.HotStarts
+		reused += reusedRow
 		discarded += res.Stats.DiscardedPivots
 		wall += res.Runtime
-		t.Logf("%-16s %-10v %7d %9d %8d %6d %9d %9.4f %9.4f %8s", e.name, res.Status, res.Nodes, res.Stats.LPIterations,
-			res.Stats.RestoredStarts, res.Stats.HotStarts, res.Stats.DiscardedPivots, res.Degradation/norm, res.Bound/norm, res.Runtime.Round(time.Millisecond))
+		t.Logf("%-16s %-10v %7d %9d %8d %6d %6d %9d %9.4f %9.4f %8s", e.name, res.Status, res.Nodes, res.Stats.LPIterations,
+			res.Stats.RestoredStarts, res.Stats.HotStarts, reusedRow, res.Stats.DiscardedPivots, res.Degradation/norm, res.Bound/norm, res.Runtime.Round(time.Millisecond))
 	}
 	total("total")
 }

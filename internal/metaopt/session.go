@@ -140,7 +140,7 @@ func (ss *Sessions) ask(ctx context.Context, s *session, q Config, asker string)
 				}
 			}
 			if warm != nil {
-				q.WarmStartScenario, q.WarmStartDemands = warm.Scenario, warm.Demands
+				q.WarmStart = warm
 			}
 		}
 	}
@@ -447,7 +447,7 @@ func (s *session) fixedDemandHints(ctx context.Context, cfg *Config, f formulati
 
 // sameShape reports whether a and b ask the same question up to the failure
 // budget: the same topology, tunnels, demand envelope, quantization,
-// connectivity rule, objective, mode and objective settings. Tunnels are
+// connectivity rule, objective, mode and fail-over model. Tunnels are
 // compared by identity — a sweep's cells share one slice per pair count —
 // so a caller must not change a slice it has asked about.
 func sameShape(a, b *Config) bool {
@@ -455,9 +455,7 @@ func sameShape(a, b *Config) bool {
 		len(a.Demands) == len(b.Demands) && (len(a.Demands) == 0 || &a.Demands[0] == &b.Demands[0]) &&
 		sameFloats(a.Envelope.Lo, b.Envelope.Lo) && sameFloats(a.Envelope.Hi, b.Envelope.Hi) &&
 		a.QuantBits == b.QuantBits && a.ConnectivityEnforced == b.ConnectivityEnforced &&
-		a.Objective == b.Objective && a.Mode == b.Mode && a.NaiveFailover == b.NaiveFailover &&
-		sameFloats([]float64{a.MLUDualBound, a.MaxMinBinner.Base, a.MaxMinBinner.Ratio}, []float64{b.MLUDualBound, b.MaxMinBinner.Base, b.MaxMinBinner.Ratio}) &&
-		a.MaxMinBinner.Bins == b.MaxMinBinner.Bins
+		a.Objective == b.Objective && a.Mode == b.Mode && a.NaiveFailover == b.NaiveFailover
 }
 
 // sameFloats compares two vectors bit for bit.

@@ -27,7 +27,7 @@ func totalFlow() formulation {
 }
 
 // boundTotalFlow computes the lost-capacity bound of a Gap-mode total-flow
-// analysis with a failure budget (failures.LostCapacityBound) and records it
+// analysis with a failure budget (failures.BoundModel) and records it
 // and its budget in f. Unless the caller's cfg.Solver.Bound is already
 // tighter, it installs the bound there, where the main solve and — through
 // sub := *cfg — the hint solves find it: fixing the demands restricts the

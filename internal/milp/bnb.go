@@ -68,9 +68,6 @@ func (s Status) String() string {
 	return "unknown"
 }
 
-// intTol is the integrality tolerance of branching, auto width and presolve.
-const intTol = 1e-6
-
 // Params tunes the branch-and-bound search. Zero values select defaults.
 //
 // A solve with a Tracer or OnProgress is observed, and only an observed

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"raha/internal/tol"
 )
 
 // Knapsack is a caller-proved bound on a Maximize model's objective that
@@ -107,7 +109,7 @@ func newBoxBound(k *Knapsack, post *postsolve) *boxBound {
 	// The model's own row is held to the LP's feasibility tolerance; the
 	// relaxation grants it the same slack, so it never rules out a box the
 	// search would still call feasible.
-	b.feasTol = presolveFeasTol * (1 + math.Abs(k.RHS))
+	b.feasTol = tol.Feas * (1 + math.Abs(k.RHS))
 	b.byWeight = make([]int, len(b.vars))
 	for i := range b.byWeight {
 		b.byWeight[i] = i

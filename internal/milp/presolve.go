@@ -5,6 +5,7 @@ import (
 
 	"raha/internal/conc"
 	"raha/internal/modelcheck"
+	"raha/internal/tol"
 )
 
 // This file is the solver's reduction layer: a root presolve that shrinks
@@ -15,10 +16,6 @@ import (
 // (tightenFromRow) — built on the same interval arithmetic the modelcheck
 // diagnostic pass uses (modelcheck.Activity / TermBounds).
 const (
-	// presolveFeasTol matches package lp's feasibility tolerance: presolve
-	// declares a row infeasible only when the LP would agree.
-	presolveFeasTol = 1e-7
-
 	// presolveBoundEps is the outward safety margin applied to every derived
 	// continuous bound, so floating-point error in the activity sums can
 	// never cut the true optimum.
@@ -62,7 +59,7 @@ func applyUpper(v Var, b float64, lo, hi []float64, isInt []bool, onTighten func
 		return true // no information
 	}
 	if isInt[v] {
-		b = math.Floor(b + intTol)
+		b = math.Floor(b + tol.Int)
 	} else {
 		b += presolveBoundEps * (1 + math.Abs(b))
 	}
@@ -70,7 +67,7 @@ func applyUpper(v Var, b float64, lo, hi []float64, isInt []bool, onTighten func
 		return true // not a meaningful improvement
 	}
 	hi[v] = b
-	if lo[v] > b+presolveFeasTol*(1+math.Abs(b)) {
+	if lo[v] > b+tol.Feas*(1+math.Abs(b)) {
 		return false // empty box: the subproblem is infeasible
 	}
 	if lo[v] > b {
@@ -88,7 +85,7 @@ func applyLower(v Var, b float64, lo, hi []float64, isInt []bool, onTighten func
 		return true
 	}
 	if isInt[v] {
-		b = math.Ceil(b - intTol)
+		b = math.Ceil(b - tol.Int)
 	} else {
 		b -= presolveBoundEps * (1 + math.Abs(b))
 	}
@@ -96,7 +93,7 @@ func applyLower(v Var, b float64, lo, hi []float64, isInt []bool, onTighten func
 		return true
 	}
 	lo[v] = b
-	if b > hi[v]+presolveFeasTol*(1+math.Abs(b)) {
+	if b > hi[v]+tol.Feas*(1+math.Abs(b)) {
 		return false
 	}
 	if b > hi[v] {
@@ -125,7 +122,7 @@ func tightenFromRow(terms []Term, rel Rel, rhs float64, lo, hi []float64, isInt 
 	if act.NaN {
 		return true
 	}
-	feas := presolveFeasTol * (1 + math.Abs(rhs))
+	feas := tol.Feas * (1 + math.Abs(rhs))
 	if rel == LE || rel == EQ {
 		if act.InfLo == 0 && act.SumLo > rhs+feas {
 			return false // even the minimum activity violates Σ ≤ rhs
@@ -188,7 +185,7 @@ func tightenFromRow(terms []Term, rel Rel, rhs float64, lo, hi []float64, isInt 
 // zeroRowViolated reports whether the empty row "0 rel rhs" is violated —
 // the feasibility test for rows whose every term was eliminated.
 func zeroRowViolated(rel Rel, rhs float64) bool {
-	feas := presolveFeasTol * (1 + math.Abs(rhs))
+	feas := tol.Feas * (1 + math.Abs(rhs))
 	switch rel {
 	case LE:
 		return rhs < -feas
@@ -339,12 +336,12 @@ func (sc *presolveScratch) presolve(m *Model) *presolveResult {
 		if !isInt[v] {
 			continue
 		}
-		if r := math.Ceil(lo[v] - intTol); r > lo[v] {
+		if r := math.Ceil(lo[v] - tol.Int); r > lo[v] {
 			lo[v] = r
 			res.tightenedBounds++
 		}
 		if !math.IsInf(hi[v], 1) {
-			if r := math.Floor(hi[v] + intTol); r < hi[v] {
+			if r := math.Floor(hi[v] + tol.Int); r < hi[v] {
 				hi[v] = r
 				res.tightenedBounds++
 			}
@@ -382,7 +379,7 @@ func (sc *presolveScratch) presolve(m *Model) *presolveResult {
 				if act.NaN {
 					continue
 				}
-				feas := presolveFeasTol * (1 + math.Abs(r.rhs))
+				feas := tol.Feas * (1 + math.Abs(r.rhs))
 				switch r.rel {
 				case LE:
 					if act.InfLo == 0 && act.SumLo > r.rhs+feas {

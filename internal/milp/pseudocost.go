@@ -3,6 +3,8 @@ package milp
 import (
 	"math"
 	"sync/atomic"
+
+	"raha/internal/tol"
 )
 
 // Branching is pseudocost branching, the only rule: candidates are scored by
@@ -76,11 +78,11 @@ func (s *search) branchVar(x []float64, st *Stats) Var {
 	best := Var(-1)
 	bestScore := 0.0
 	unknown := Var(-1)
-	unknownDist := intTol
+	unknownDist := tol.Int
 	for _, cand := range s.intVars {
 		f := x[cand] - math.Floor(x[cand])
 		dist := math.Min(f, 1-f)
-		if dist <= intTol {
+		if dist <= tol.Int {
 			continue
 		}
 		cu := atomic.LoadInt64(&s.pc.upCnt[cand])

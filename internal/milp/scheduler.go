@@ -9,6 +9,7 @@ import (
 
 	"raha/internal/lp"
 	"raha/internal/obs"
+	"raha/internal/tol"
 )
 
 // The branch-and-bound scheduler: one worker loop (worker → claim →
@@ -486,7 +487,7 @@ func autoWidth(m *Model, prob *lp.Problem, workers int, stop *atomic.Bool) (widt
 			continue
 		}
 		f := sol.X[v] - math.Floor(sol.X[v])
-		if math.Min(f, 1-f) > intTol {
+		if math.Min(f, 1-f) > tol.Int {
 			frac++
 		}
 	}

@@ -8,10 +8,11 @@
 //
 // No binary runs the pass: it is a test oracle. internal/metaopt's tests
 // adapt every model shape the rewrite builds into a Model here and require
-// it to come out without error- or warning-severity diagnostics. The pass
-// operates on a neutral model representation, with no imports of its own,
-// so that package milp can depend on it too: presolve's interval arithmetic
-// is Activity and TermBounds. Every function is pure: no I/O, no globals,
+// it to come out without error- or warning-severity diagnostics. It takes
+// no options: its tolerances are package tol's, its one threshold is a
+// constant. The pass operates on a neutral model representation, importing
+// only package tol, so that package milp can depend on it too: presolve's
+// interval arithmetic is Activity and TermBounds. Every function is pure: no I/O, no globals,
 // deterministic output order (variable checks first, then per-constraint
 // checks in row order, then model-wide checks).
 //

@@ -5,6 +5,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"raha/internal/tol"
 )
 
 // Severity grades a diagnostic. Error-severity diagnostics make the
@@ -38,7 +40,7 @@ const (
 	IntBounds          = "int-bounds"          // integer variable with no integer in [lo, hi] (error) or loose fractional bounds (info)
 	TrivialInfeasible  = "trivial-infeasible"  // constraint unsatisfiable under the variable bounds
 	TrivialRedundant   = "trivial-redundant"   // constraint satisfied by every point in the bound box
-	CoeffRange         = "coeff-range"         // |coeff| ratio beyond CondRatio — Big-M / conditioning trouble
+	CoeffRange         = "coeff-range"         // |coeff| ratio beyond condRatio — Big-M / conditioning trouble
 	DuplicateCon       = "duplicate-constraint"
 	NonFinite          = "non-finite" // NaN/±Inf coefficient, bound, or RHS
 )
@@ -154,43 +156,12 @@ type Model struct {
 	Obj  []Term // objective terms; the constant and sense are irrelevant here
 }
 
-// Options tunes the pass. Zero values select defaults.
-type Options struct {
-	// CondRatio is the max/min |coefficient| ratio (per row and model-wide)
-	// beyond which a conditioning warning fires; 0 defaults to 1e8 — the
-	// classic rule of thumb for double-precision simplex trouble.
-	CondRatio float64
-
-	// FeasTol is the feasibility tolerance of the trivial-infeasible /
-	// trivial-redundant interval tests; 0 defaults to 1e-7 (package lp's
-	// feasTol, so "trivially infeasible" here means the LP would agree).
-	FeasTol float64
-
-	// IntTol is the integrality tolerance of the int-bounds check; 0
-	// defaults to 1e-6 (package milp's intTol).
-	IntTol float64
-}
-
-func (o Options) condRatio() float64 {
-	if o.CondRatio <= 0 {
-		return 1e8
-	}
-	return o.CondRatio
-}
-
-func (o Options) feasTol() float64 {
-	if o.FeasTol <= 0 {
-		return 1e-7
-	}
-	return o.FeasTol
-}
-
-func (o Options) intTol() float64 {
-	if o.IntTol <= 0 {
-		return 1e-6
-	}
-	return o.IntTol
-}
+// condRatio is the max/min |coefficient| ratio (per row and model-wide)
+// beyond which a conditioning warning fires — the classic rule of thumb for
+// double-precision simplex trouble. The feasibility and integrality
+// tolerances are package tol's, so "trivially infeasible" here means the LP
+// would agree, and "no integer in range" means branch and bound would.
+const condRatio = 1e8
 
 // TermBounds returns the interval of c·x for x ∈ [lo, hi], with the
 // convention that a zero coefficient contributes exactly [0, 0] — never the
@@ -225,17 +196,17 @@ func (m *Model) exprBounds(terms []Term) (lo, hi float64) {
 // Check runs every diagnostic over the model and returns the findings:
 // variable checks first (in variable order), then per-row checks (in row
 // order), then the model-wide coefficient-range check.
-func Check(m *Model, opt Options) Report {
+func Check(m *Model) Report {
 	var rep Report
-	rep = append(rep, checkVars(m, opt)...)
-	rep = append(rep, checkCons(m, opt)...)
-	rep = append(rep, checkCoeffRange(m, opt)...)
+	rep = append(rep, checkVars(m)...)
+	rep = append(rep, checkCons(m)...)
+	rep = append(rep, checkCoeffRange(m)...)
 	return rep
 }
 
 // checkVars covers unused-var, bound-contradiction, int-bounds, and
 // non-finite bounds.
-func checkVars(m *Model, opt Options) Report {
+func checkVars(m *Model) Report {
 	used := make([]bool, len(m.Vars))
 	mark := func(terms []Term) {
 		for _, t := range terms {
@@ -250,7 +221,6 @@ func checkVars(m *Model, opt Options) Report {
 	mark(m.Obj)
 
 	var rep Report
-	intTol := opt.intTol()
 	for i := range m.Vars {
 		v := &m.Vars[i]
 		if math.IsNaN(v.Lo) || math.IsNaN(v.Hi) || math.IsInf(v.Lo, 0) {
@@ -272,13 +242,13 @@ func checkVars(m *Model, opt Options) Report {
 		if v.Integer && !math.IsInf(v.Hi, 1) {
 			// Tightened fractional bounds: the variable's feasible integers
 			// are [ceil(lo), floor(hi)] — empty means no branch can fix it.
-			ilo, ihi := math.Ceil(v.Lo-intTol), math.Floor(v.Hi+intTol)
+			ilo, ihi := math.Ceil(v.Lo-tol.Int), math.Floor(v.Hi+tol.Int)
 			if ilo > ihi {
 				rep = append(rep, Diagnostic{
 					ID: IntBounds, Severity: Error, Var: v.Name,
 					Message: fmt.Sprintf("integer variable has no integer value in [%g, %g]", v.Lo, v.Hi),
 				})
-			} else if frac(v.Lo, intTol) || frac(v.Hi, intTol) {
+			} else if frac(v.Lo) || frac(v.Hi) {
 				rep = append(rep, Diagnostic{
 					ID: IntBounds, Severity: Info, Var: v.Name,
 					Message: fmt.Sprintf("integer variable has fractional bounds [%g, %g] (tightenable to [%g, %g])", v.Lo, v.Hi, ilo, ihi),
@@ -295,18 +265,16 @@ func checkVars(m *Model, opt Options) Report {
 	return rep
 }
 
-// frac reports whether x is further than tol from every integer.
-func frac(x, tol float64) bool {
-	return math.Abs(x-math.Round(x)) > tol
+// frac reports whether x is further than tol.Int from every integer.
+func frac(x float64) bool {
+	return math.Abs(x-math.Round(x)) > tol.Int
 }
 
 // checkCons covers non-finite coefficients/RHS, trivial infeasibility and
 // redundancy (by interval arithmetic), per-row coefficient range, and
 // duplicate rows.
-func checkCons(m *Model, opt Options) Report {
+func checkCons(m *Model) Report {
 	var rep Report
-	tol := opt.feasTol()
-	ratio := opt.condRatio()
 	seen := make(map[string]string, len(m.Cons)) // normalized row -> first name
 	for i := range m.Cons {
 		c := &m.Cons[i]
@@ -318,29 +286,29 @@ func checkCons(m *Model, opt Options) Report {
 		lo, hi := m.exprBounds(c.Terms)
 		switch c.Rel {
 		case LE:
-			if lo > c.RHS+tol {
+			if lo > c.RHS+tol.Feas {
 				rep = append(rep, infeasible(c, lo, hi))
-			} else if hi <= c.RHS+tol {
+			} else if hi <= c.RHS+tol.Feas {
 				rep = append(rep, redundant(c, lo, hi))
 			}
 		case GE:
-			if hi < c.RHS-tol {
+			if hi < c.RHS-tol.Feas {
 				rep = append(rep, infeasible(c, lo, hi))
-			} else if lo >= c.RHS-tol {
+			} else if lo >= c.RHS-tol.Feas {
 				rep = append(rep, redundant(c, lo, hi))
 			}
 		case EQ:
-			if lo > c.RHS+tol || hi < c.RHS-tol {
+			if lo > c.RHS+tol.Feas || hi < c.RHS-tol.Feas {
 				rep = append(rep, infeasible(c, lo, hi))
-			} else if lo >= c.RHS-tol && hi <= c.RHS+tol {
+			} else if lo >= c.RHS-tol.Feas && hi <= c.RHS+tol.Feas {
 				rep = append(rep, redundant(c, lo, hi))
 			}
 		}
 
-		if min, max, ok := coefRange(c.Terms); ok && max/min > ratio {
+		if min, max, ok := coefRange(c.Terms); ok && max/min > condRatio {
 			rep = append(rep, Diagnostic{
 				ID: CoeffRange, Severity: Warning, Con: c.Name,
-				Message: fmt.Sprintf("coefficient magnitudes span [%g, %g] (ratio %.1e > %.1e): likely Big-M conditioning trouble", min, max, max/min, ratio),
+				Message: fmt.Sprintf("coefficient magnitudes span [%g, %g] (ratio %.1e > %.1e): likely Big-M conditioning trouble", min, max, max/min, condRatio),
 			})
 		}
 
@@ -362,7 +330,7 @@ func checkCons(m *Model, opt Options) Report {
 // a solver log would report). Individual rows are checked in checkCons;
 // this catches the cross-row case — e.g. one Big-M row of magnitude 1e9
 // next to probability rows of magnitude 1e-6, each fine in isolation.
-func checkCoeffRange(m *Model, opt Options) Report {
+func checkCoeffRange(m *Model) Report {
 	var minC, maxC float64
 	var minCon, maxCon string
 	ok := false
@@ -380,13 +348,13 @@ func checkCoeffRange(m *Model, opt Options) Report {
 		}
 		ok = true
 	}
-	if !ok || maxC/minC <= opt.condRatio() {
+	if !ok || maxC/minC <= condRatio {
 		return nil
 	}
 	return Report{{
 		ID: CoeffRange, Severity: Warning,
 		Message: fmt.Sprintf("matrix coefficient magnitudes span [%g (%s), %g (%s)] (ratio %.1e > %.1e)",
-			minC, minCon, maxC, maxCon, maxC/minC, opt.condRatio()),
+			minC, minCon, maxC, maxCon, maxC/minC, condRatio),
 	}}
 }
 

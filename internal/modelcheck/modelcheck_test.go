@@ -39,7 +39,7 @@ func hasID(r Report, id string) bool {
 }
 
 func TestCleanModel(t *testing.T) {
-	if rep := Check(base(), Options{}); len(rep) != 0 {
+	if rep := Check(base()); len(rep) != 0 {
 		t.Fatalf("clean model produced diagnostics: %v", rep)
 	}
 }
@@ -184,7 +184,7 @@ func TestDiagnosticKinds(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := base()
 			tc.mutate(m)
-			rep := Check(m, Options{})
+			rep := Check(m)
 			var found *Diagnostic
 			for i := range rep {
 				if rep[i].ID == tc.wantID {
@@ -216,7 +216,7 @@ func TestModelWideCoeffRange(t *testing.T) {
 		Constraint{Name: "bigM", Terms: []Term{{Var: 2, Coef: 1e6}}, Rel: LE, RHS: 1e6},
 		Constraint{Name: "prob", Terms: []Term{{Var: 2, Coef: 1e-6}}, Rel: LE, RHS: 1},
 	)
-	rep := Check(m, Options{})
+	rep := Check(m)
 	var found bool
 	for _, d := range rep {
 		if d.ID == CoeffRange && d.Con == "" {
@@ -236,7 +236,7 @@ func TestUnboundedUpperIsLegal(t *testing.T) {
 	m.Vars[1].Hi = math.Inf(1)
 	// x unbounded above makes "cap" non-redundant and non-infeasible, and
 	// +Inf upper bounds are legal — only the LE interval's hi becomes +Inf.
-	for _, d := range Check(m, Options{}) {
+	for _, d := range Check(m) {
 		if d.Severity == Error {
 			t.Fatalf("unexpected error diagnostic: %s", d)
 		}

@@ -16,6 +16,8 @@
 //
 //   - Progress/Logger: human sinks for the CLIs — a rewriting progress line
 //     mirroring a Gurobi solve log, and a quiet/normal/verbose logger.
+//     Flags declares the flags both CLIs share (-q, -v, -progress,
+//     -metrics-addr, -trace) and Start turns them into these sinks.
 //
 // Everything here is stdlib-only so the lowest layers (lp, milp) can import
 // it without cycles or new dependencies.

@@ -21,11 +21,6 @@ type Weight func(lagID int) float64
 // HopWeight is the unit weight function.
 func HopWeight(int) float64 { return 1 }
 
-// InverseCapacityWeight prefers high-capacity LAGs.
-func InverseCapacityWeight(t *topology.Topology) Weight {
-	return func(id int) float64 { return 1 / (1 + t.LAG(id).Capacity()) }
-}
-
 // Equal reports whether two paths traverse the same LAG sequence.
 func Equal(a, b Path) bool {
 	if len(a.LAGs) != len(b.LAGs) {

@@ -194,11 +194,3 @@ func TestKShortestPropertyRandom(t *testing.T) {
 		}
 	}
 }
-
-func TestInverseCapacityWeight(t *testing.T) {
-	top, _ := diamond()
-	w := InverseCapacityWeight(top)
-	if w(0) <= 0 {
-		t.Fatal("weight must be positive")
-	}
-}
