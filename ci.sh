@@ -48,8 +48,11 @@ go build ./...
 # (always the mean member-link capacity), the model checker's tolerances;
 # an analysis warm-starts from one earlier Result; and helpers only tests
 # called (inverse-capacity weights, a one-line wrapper over the budget
-# knapsack) are gone. The grep reads _test.go files too, on purpose.
-if grep -rn 'p\.IntTol\|Params{[^}]*IntTol\|pcReliability\|QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel\|statsAcc\|DisablePresolve\|CheckError\|ModelCheck\|ModelDiagnostic\|runCheck\|model_check\|AutoWidth:\|\.AutoWidth\b\|lock-order\|goroutine-leak\|ctx-first\|mutex-value\|tracer-guard\|EdgeFormMaxFlow\|NewLAGResult\|NewLAGStep\|MLUDualBound\|MaxMinBinner\|WarmStartScenario\|WarmStartDemands\|modelcheck\.Options\|InverseCapacityWeight\|LostCapacityBound\|\bLinkCapacity\b' --include='*.go' --exclude-dir=.bench_build .; then
+# knapsack) are gone. An experiment spends its worker budget through
+# conc.Stage, with no stage planner of its own (.plan), and every analysis
+# goes through one Setup.analyze, with no clustered twin (analyzeClustered).
+# The grep reads _test.go files too, on purpose.
+if grep -rn 'p\.IntTol\|Params{[^}]*IntTol\|pcReliability\|QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel\|statsAcc\|DisablePresolve\|CheckError\|ModelCheck\|ModelDiagnostic\|runCheck\|model_check\|AutoWidth:\|\.AutoWidth\b\|lock-order\|goroutine-leak\|ctx-first\|mutex-value\|tracer-guard\|EdgeFormMaxFlow\|NewLAGResult\|NewLAGStep\|MLUDualBound\|MaxMinBinner\|WarmStartScenario\|WarmStartDemands\|modelcheck\.Options\|InverseCapacityWeight\|LostCapacityBound\|\bLinkCapacity\b\|analyzeClustered\|\.plan(' --include='*.go' --exclude-dir=.bench_build .; then
 	echo "ci: retired solver knob or lint rule referenced above" >&2
 	exit 1
 fi

@@ -48,12 +48,12 @@ type Config struct {
 	// at 50ms. Zero means no limit.
 	BudgetPerTopo time.Duration
 
-	// Workers is the sweep's worker budget (< 1 = all cores), split over
-	// the shard's source count by conc.Split: a fleet-sized sweep runs
+	// Workers is the sweep's worker budget (< 1 = all cores), spent as one
+	// conc.Stage over the shard's sources: a fleet-sized sweep runs
 	// Workers topologies at once with serial solves (N topologies × serial
 	// solves beats 1 solve × N workers — DESIGN.md §2.14), while a source
 	// list shorter than the budget routes the leftover workers inside each
-	// solve. The split is emitted as a "parallelism" trace event.
+	// solve. The split is traced as a parallelism event.
 	Workers int
 
 	// Shard/NumShards select a 1-based slice of the fleet: shard i of M
@@ -128,24 +128,14 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	cells := grid.Cells()
 	sources := shardSources(cfg.Sources, cfg.Shard, cfg.NumShards)
 
-	// Spend the worker budget at the tier that has the independent work:
-	// across topologies when the shard is wide, inside each solve when it
-	// is not.
-	fanout, perSolve := conc.Split(cfg.Workers, len(sources))
-	if tr := cfg.Tracer; tr != nil {
-		tr.Emit("batch", "parallelism", obs.F{
-			"units":          len(sources),
-			"fanout":         fanout,
-			"solver_workers": perSolve,
-		})
-	}
-
 	start := time.Now()
 	results := make([]TopoResult, len(sources))
-	// Errors never propagate out of the per-topology fn, so ForEach can
-	// only stop early on ctx cancellation; the zero-valued slots left
-	// behind are marked skipped below.
-	_ = conc.ForEach(ctx, len(sources), fanout, func(ctx context.Context, i int) error {
+	// Spend the worker budget at the tier that has the independent work:
+	// across topologies when the shard is wide, inside each solve when it
+	// is not. Errors never propagate out of the per-topology fn, so the
+	// stage can only stop early on ctx cancellation; the zero-valued slots
+	// left behind are marked skipped below.
+	_ = conc.Stage(ctx, cfg.Tracer, "batch", len(sources), cfg.Workers, func(ctx context.Context, i, perSolve int) error {
 		results[i] = runTopology(ctx, &cfg, sources[i], cells, perSolve)
 		if cfg.OnTopoDone != nil {
 			cfg.OnTopoDone(results[i])

@@ -3,7 +3,11 @@
 // run one protocol over a caller-chosen grid; Registry writes each
 // experiment down once — instance, default budget, grid, CSV format and the
 // paper claim its rows must uphold — and cmd/raha-experiments is a loop over
-// it, so every figure is regenerated by exactly one path.
+// it, so every figure is regenerated by exactly one path. Every analysis
+// goes through one call, Setup.analyze, and every figure that fans out
+// runs its grid as conc.Stage stages of the setup's worker budget, rows
+// back in grid order; the sweeps that loosen a question step by step
+// (Figures 3, 5/6 and 7, Table 3) share one warm-start rule, warmChain.
 //
 // Scale note: the paper drives Gurobi on a 16-core workstation with
 // 1000-second timeouts; this repository drives its own from-scratch MILP

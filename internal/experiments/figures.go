@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"time"
 
-	"raha/internal/conc"
 	"raha/internal/demand"
 	"raha/internal/metaopt"
 	"raha/internal/milp"
@@ -80,11 +78,7 @@ func Figure1(s *Setup) ([]Fig1Row, error) {
 	tk := s.sweep("figure1", len(scenarios))
 	rows := make([]Fig1Row, 0, len(scenarios))
 	for _, sc := range scenarios {
-		res, err := metaopt.Analyze(metaopt.Config{
-			Topo: s.Topo, Demands: dps, Envelope: sc.env, Mode: sc.mode,
-			MaxFailures: 1, QuantBits: s.QuantBits,
-			Solver: s.solver(),
-		})
+		res, err := s.analyze(question{dps: dps, env: sc.env, mode: sc.mode, k: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -132,27 +126,27 @@ func Figure3(s *Setup, slacks []float64, threshold float64) ([]Fig3Row, error) {
 		return nil, err
 	}
 	tk := s.sweep("figure3", 1+2*len(slacks))
-	avgRes, err := s.analyze(dps, demand.Fixed(s.Base), threshold, 0, false, nil)
+	avgRes, err := s.analyze(question{dps: dps, env: demand.Fixed(s.Base), threshold: threshold})
 	if err != nil {
 		return nil, err
 	}
 	tk.step()
 	rows := make([]Fig3Row, 0, len(slacks))
-	var prev *metaopt.Result
+	warm := warmChain{}
 	for _, slack := range slacks {
-		maxRes, err := s.analyze(dps, demand.Fixed(s.Base.Scale(1+slack)), threshold, 0, false, nil)
+		maxRes, err := s.analyze(question{dps: dps, env: demand.Fixed(s.Base.Scale(1 + slack)), threshold: threshold})
 		if err != nil {
 			return nil, err
 		}
 		tk.step()
 		// Seed with the previous (narrower-envelope) solution so the curve
 		// is monotone by construction even under tight solver budgets.
-		rahaRes, err := s.analyze(dps, demand.UpTo(s.Base, slack), threshold, 0, false, prev)
+		rahaRes, err := s.analyze(question{dps: dps, env: demand.UpTo(s.Base, slack), threshold: threshold, warm: warm[0]})
 		if err != nil {
 			return nil, err
 		}
 		tk.step()
-		prev = rahaRes
+		warm.keep(0, rahaRes)
 		rows = append(rows, Fig3Row{
 			Slack: slack,
 			Raha:  rahaRes.Degradation / s.Norm,
@@ -183,7 +177,6 @@ func Figure5(s *Setup, variant DemandVariant, thresholds []float64, ks []int, ce
 		return nil, err
 	}
 	env := s.envelope(variant)
-	s, fanout := s.plan(len(ks)) // each threshold's per-k solves are the parallel unit
 	var rows []DegRow
 	tk := s.sweep("figure5", len(thresholds)*len(ks))
 	// Sweep thresholds from strict to loose, warm-starting each budget's
@@ -192,26 +185,17 @@ func Figure5(s *Setup, variant DemandVariant, thresholds []float64, ks []int, ce
 	// even when the solver budget truncates the search. Each failure
 	// budget's chain is independent of the others, so within one threshold
 	// the per-k solves are one stage of the worker budget.
-	prev := make(map[int]*metaopt.Result)
+	warm := warmChain{}
 	for _, th := range thresholds {
-		th := th
-		step := make([]*metaopt.Result, len(ks))
-		err := conc.ForEach(context.Background(), len(ks), fanout, func(_ context.Context, i int) error {
-			res, err := s.analyze(dps, env, th, ks[i], ce, prev[ks[i]])
-			step[i] = res
-			if err == nil {
-				tk.step()
-			}
-			return err
+		step, err := stage(s, tk, ks, func(s *Setup, k int) (*metaopt.Result, error) {
+			return s.analyze(question{dps: dps, env: env, threshold: th, k: k, ce: ce, warm: warm[k]})
 		})
 		if err != nil {
 			return nil, err
 		}
 		for i, k := range ks {
 			res := step[i]
-			if res.Scenario != nil {
-				prev[k] = res
-			}
+			warm.keep(k, res)
 			rows = append(rows, DegRow{
 				Threshold:   th,
 				MaxFailures: k,
@@ -242,26 +226,21 @@ func Figure7(s *Setup, slacks []float64, ks []int, threshold float64) ([]SlackRo
 	if err != nil {
 		return nil, err
 	}
-	s, fanout := s.plan(len(ks)) // each slack's per-k solves are the parallel unit
 	var rows []SlackRow
 	tk := s.sweep("figure7", len(slacks)*len(ks))
-	prev := make(map[int]*metaopt.Result) // per failure budget
+	// Slacks from narrow to wide, one warm-start chain per failure budget
+	// as in Figure 5; each slack's per-k solves are one stage.
+	warm := warmChain{}
 	for _, slack := range slacks {
-		slack := slack
-		step := make([]*metaopt.Result, len(ks))
-		err := conc.ForEach(context.Background(), len(ks), fanout, func(_ context.Context, i int) error {
-			res, err := s.analyze(dps, demand.UpTo(s.Base, slack), threshold, ks[i], false, prev[ks[i]])
-			step[i] = res
-			if err == nil {
-				tk.step()
-			}
-			return err
+		env := demand.UpTo(s.Base, slack)
+		step, err := stage(s, tk, ks, func(s *Setup, k int) (*metaopt.Result, error) {
+			return s.analyze(question{dps: dps, env: env, threshold: threshold, k: k, warm: warm[k]})
 		})
 		if err != nil {
 			return nil, err
 		}
 		for i, k := range ks {
-			prev[k] = step[i]
+			warm.keep(k, step[i])
 			rows = append(rows, SlackRow{Slack: slack, MaxFailures: k, Degradation: step[i].Degradation / s.Norm, Runtime: step[i].Runtime})
 		}
 	}
@@ -298,23 +277,13 @@ func Figure8(s *Setup, clusters int, thresholds []float64, ks []int) ([]ClusterR
 			grid = append(grid, cell{th, k})
 		}
 	}
-	s, fanout := s.plan(len(grid))
-	rows := make([]ClusterRow, len(grid))
-	tk := s.sweep("figure8", len(grid))
-	err = conc.ForEach(context.Background(), len(grid), fanout, func(_ context.Context, i int) error {
-		c := grid[i]
-		res, err := s.analyzeClustered(dps, env, c.th, c.k, clusters)
+	return stage(s, s.sweep("figure8", len(grid)), grid, func(s *Setup, c cell) (ClusterRow, error) {
+		res, err := s.analyze(question{dps: dps, env: env, threshold: c.th, k: c.k, clusters: clusters})
 		if err != nil {
-			return err
+			return ClusterRow{}, err
 		}
-		rows[i] = ClusterRow{Clusters: clusters, Threshold: c.th, MaxFailures: c.k, Degradation: res.Degradation / s.Norm, Runtime: res.Runtime}
-		tk.step()
-		return nil
+		return ClusterRow{Clusters: clusters, Threshold: c.th, MaxFailures: c.k, Degradation: res.Degradation / s.Norm, Runtime: res.Runtime}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // Figure9 varies the cluster count under a fixed total solver budget (the
@@ -332,7 +301,7 @@ func Figure9(s *Setup, clusterCounts []int, threshold float64, k int) ([]Cluster
 	tk := s.sweep("figure9", len(clusterCounts))
 	for _, n := range clusterCounts {
 		start := time.Now()
-		res, err := s.analyzeClustered(dps, env, threshold, k, n)
+		res, err := s.analyze(question{dps: dps, env: env, threshold: threshold, k: k, clusters: n})
 		if err != nil {
 			return nil, err
 		}
@@ -357,100 +326,63 @@ type RuntimeRow struct {
 // demands; path-computation time included, as in the paper).
 func Figure10(s *Setup, primaries []int, thresholds []float64, ks []int, threshold float64) ([]RuntimeRow, error) {
 	env := demand.UpTo(s.Base, maxFactor-1)
-	var rows []RuntimeRow
 	tk := s.sweep("figure10", len(primaries)+len(thresholds)+len(ks))
 
 	// Every point of each factor sweep is an independent analysis; each
 	// factor is its own stage of the worker budget while the factor groups
 	// stay in the paper's order.
-	st, fanout := s.plan(len(primaries))
-	prim := make([]RuntimeRow, len(primaries))
-	err := conc.ForEach(context.Background(), len(primaries), fanout, func(_ context.Context, i int) error {
-		sub := *st
-		sub.Primary = primaries[i]
-		start := time.Now()
-		dps, err := sub.Paths()
+	rows, err := stage(s, tk, primaries, func(s *Setup, np int) (RuntimeRow, error) {
+		s.Primary = np
+		start := time.Now() // the question computes its own paths
+		res, err := s.analyze(question{env: env, threshold: threshold})
 		if err != nil {
-			return err
+			return RuntimeRow{}, err
 		}
-		res, err := sub.analyze(dps, env, threshold, 0, false, nil)
-		if err != nil {
-			return err
-		}
-		prim[i] = RuntimeRow{Factor: "primary-paths", Value: float64(primaries[i]), Runtime: time.Since(start), Degradation: res.Degradation / s.Norm}
-		tk.step()
-		return nil
+		return RuntimeRow{Factor: "primary-paths", Value: float64(np), Runtime: time.Since(start), Degradation: res.Degradation / s.Norm}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, prim...)
-
 	dps, err := s.Paths()
 	if err != nil {
 		return nil, err
 	}
-	st, fanout = s.plan(len(thresholds))
-	ths := make([]RuntimeRow, len(thresholds))
-	err = conc.ForEach(context.Background(), len(thresholds), fanout, func(_ context.Context, i int) error {
-		res, err := st.analyze(dps, env, thresholds[i], 0, false, nil)
+	ths, err := stage(s, tk, thresholds, func(s *Setup, th float64) (RuntimeRow, error) {
+		res, err := s.analyze(question{dps: dps, env: env, threshold: th})
 		if err != nil {
-			return err
+			return RuntimeRow{}, err
 		}
-		ths[i] = RuntimeRow{Factor: "threshold", Value: thresholds[i], Runtime: res.Runtime, Degradation: res.Degradation / s.Norm}
-		tk.step()
-		return nil
+		return RuntimeRow{Factor: "threshold", Value: th, Runtime: res.Runtime, Degradation: res.Degradation / s.Norm}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, ths...)
-
-	st, fanout = s.plan(len(ks))
-	kr := make([]RuntimeRow, len(ks))
-	err = conc.ForEach(context.Background(), len(ks), fanout, func(_ context.Context, i int) error {
-		res, err := st.analyze(dps, env, threshold, ks[i], false, nil)
+	kr, err := stage(s, tk, ks, func(s *Setup, k int) (RuntimeRow, error) {
+		res, err := s.analyze(question{dps: dps, env: env, threshold: threshold, k: k})
 		if err != nil {
-			return err
+			return RuntimeRow{}, err
 		}
-		kr[i] = RuntimeRow{Factor: "max-failures", Value: float64(ks[i]), Runtime: res.Runtime, Degradation: res.Degradation / s.Norm}
-		tk.step()
-		return nil
+		return RuntimeRow{Factor: "max-failures", Value: float64(k), Runtime: res.Runtime, Degradation: res.Degradation / s.Norm}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, kr...)
-	return rows, nil
+	return append(append(rows, ths...), kr...), nil
 }
 
 // Figure14 measures runtime against the number of backup paths, including
 // path computation (the paper's dominant cost at high backup counts).
 func Figure14(s *Setup, backups []int, threshold float64) ([]RuntimeRow, error) {
 	env := demand.UpTo(s.Base, maxFactor-1)
-	s, fanout := s.plan(len(backups))
-	rows := make([]RuntimeRow, len(backups))
-	tk := s.sweep("figure14", len(backups))
-	err := conc.ForEach(context.Background(), len(backups), fanout, func(_ context.Context, i int) error {
-		sub := *s
-		sub.Backup = backups[i]
-		start := time.Now()
-		dps, err := sub.Paths()
+	return stage(s, s.sweep("figure14", len(backups)), backups, func(s *Setup, nb int) (RuntimeRow, error) {
+		s.Backup = nb
+		start := time.Now() // the question computes its own paths
+		res, err := s.analyze(question{env: env, threshold: threshold})
 		if err != nil {
-			return err
+			return RuntimeRow{}, err
 		}
-		res, err := sub.analyze(dps, env, threshold, 0, false, nil)
-		if err != nil {
-			return err
-		}
-		rows[i] = RuntimeRow{Factor: "backup-paths", Value: float64(backups[i]), Runtime: time.Since(start), Degradation: res.Degradation / s.Norm}
-		tk.step()
-		return nil
+		return RuntimeRow{Factor: "backup-paths", Value: float64(nb), Runtime: time.Since(start), Degradation: res.Degradation / s.Norm}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // --- Figures 12, 13, 15: paths and degradation ----------------------------------
@@ -487,30 +419,14 @@ func Figure12(s *Setup, primaries, backups []int, ks []int, threshold float64, c
 			grid = append(grid, cell{primary: s.Primary, backup: nb, k: k})
 		}
 	}
-	s, fanout := s.plan(len(grid))
-	rows := make([]PathRow, len(grid))
-	tk := s.sweep("figure12", len(grid))
-	err := conc.ForEach(context.Background(), len(grid), fanout, func(_ context.Context, i int) error {
-		c := grid[i]
-		sub := *s
-		sub.Primary = c.primary
-		sub.Backup = c.backup
-		dps, err := sub.Paths()
+	return stage(s, s.sweep("figure12", len(grid)), grid, func(s *Setup, c cell) (PathRow, error) {
+		s.Primary, s.Backup = c.primary, c.backup
+		res, err := s.analyze(question{env: env, threshold: threshold, k: c.k, ce: ce})
 		if err != nil {
-			return err
+			return PathRow{}, err
 		}
-		res, err := sub.analyze(dps, env, threshold, c.k, ce, nil)
-		if err != nil {
-			return err
-		}
-		rows[i] = PathRow{Primaries: c.primary, Backups: c.backup, MaxFailures: c.k, Degradation: res.Degradation / s.Norm}
-		tk.step()
-		return nil
+		return PathRow{Primaries: c.primary, Backups: c.backup, MaxFailures: c.k, Degradation: res.Degradation / s.Norm}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // SpreadWeight returns a LAG weight that de-correlates k-shortest paths
@@ -549,7 +465,7 @@ func Figure16(s *Setup, timeouts []time.Duration, threshold float64, k int) ([]T
 	for _, to := range timeouts {
 		sub := *s
 		sub.Budget = to
-		res, err := sub.analyze(dps, env, threshold, k, false, nil)
+		res, err := sub.analyze(question{dps: dps, env: env, threshold: threshold, k: k})
 		if err != nil {
 			return nil, err
 		}
@@ -583,15 +499,7 @@ func ObjectiveSlack(s *Setup, obj metaopt.Objective, slacks []float64, threshold
 	var rows []ObjectiveRow
 	tk := s.sweep(obj.String(), len(slacks))
 	for _, slack := range slacks {
-		res, err := metaopt.Analyze(metaopt.Config{
-			Topo: s.Topo, Demands: dps,
-			Envelope:             demand.UpTo(s.Base, slack),
-			Objective:            obj,
-			ProbThreshold:        threshold,
-			ConnectivityEnforced: obj == metaopt.MLU,
-			QuantBits:            s.QuantBits,
-			Solver:               s.solver(),
-		})
+		res, err := s.analyze(question{dps: dps, env: demand.UpTo(s.Base, slack), objective: obj, threshold: threshold, ce: obj == metaopt.MLU})
 		if err != nil {
 			return nil, err
 		}
@@ -613,7 +521,7 @@ func FixedRuntime(s *Setup, repeats int, thresholds []float64) ([]RuntimeRow, er
 	tk := s.sweep("fixed-runtime", repeats*len(thresholds))
 	for r := 0; r < repeats; r++ {
 		for _, th := range thresholds {
-			res, err := s.analyze(dps, env, th, 0, false, nil)
+			res, err := s.analyze(question{dps: dps, env: env, threshold: th})
 			if err != nil {
 				return nil, err
 			}

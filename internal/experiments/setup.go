@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -30,7 +31,7 @@ type Setup struct {
 	QuantBits int
 
 	// Workers is the worker budget of a sweep (0 uses all cores). Each
-	// stage splits it over its own count of independent analyses (plan):
+	// stage splits it over its own count of independent analyses (stage):
 	// a wide stage fans out serial solves, a narrow one routes the
 	// leftover inside each solve, and a clustered analysis hands its share
 	// to metaopt, which re-splits it per wave. Row order is identical at
@@ -50,25 +51,6 @@ type Setup struct {
 	// per-figure progress line. Called from sweep worker goroutines; must
 	// be safe for concurrent use.
 	OnProgress func(SweepProgress)
-}
-
-// plan splits the worker budget over a sweep stage of units independent
-// analyses: the stage runs fanout of them at once on the returned setup,
-// whose Workers is each analysis's share. A figure with stages of
-// different widths plans each from the original setup; the split is
-// trace-visible as an experiments/"parallelism" event.
-func (s *Setup) plan(units int) (stage *Setup, fanout int) {
-	fanout, perSolve := conc.Split(s.Workers, units)
-	c := *s
-	c.Workers = perSolve
-	if s.Tracer != nil {
-		s.Tracer.Emit("experiments", "parallelism", obs.F{
-			"units":          units,
-			"fanout":         fanout,
-			"solver_workers": perSolve,
-		})
-	}
-	return &c, fanout
 }
 
 // Paths computes the tunnel sets for the current path policy.
@@ -188,37 +170,84 @@ func CogentcoSetup(budget time.Duration) *Setup {
 	}
 }
 
-// analyze runs one analysis under the setup's budget. k == 0 means no
-// failure-count limit; threshold == 0 means no probability constraint.
-// prev, when non-nil, warm-starts the search with an earlier sweep point's
-// solution (valid when the earlier point's feasible set is a subset of this
-// one's — e.g. a stricter threshold or a narrower envelope).
-func (s *Setup) analyze(dps []paths.DemandPaths, env demand.Envelope, threshold float64, k int, ce bool, prev *metaopt.Result) (*metaopt.Result, error) {
-	return metaopt.Analyze(metaopt.Config{
-		Topo:                 s.Topo,
-		Demands:              dps,
-		Envelope:             env,
-		ProbThreshold:        threshold,
-		MaxFailures:          k,
-		ConnectivityEnforced: ce,
-		QuantBits:            s.QuantBits,
-		Solver:               s.solver(),
-		WarmStart:            prev,
+// question is one analysis of a sweep, in the setup's terms: the setup
+// supplies the topology, quantizer, budget and tracer, a question the
+// rest. Zero values are the defaults: the setup's own tunnels, no
+// probability constraint, no failure-count limit, total flow in Gap mode,
+// no clustering and a cold start.
+type question struct {
+	dps       []paths.DemandPaths // nil: computed from the setup's path policy
+	env       demand.Envelope
+	threshold float64 // 0: no probability constraint
+	k         int     // 0: no failure-count limit
+	ce        bool
+	objective metaopt.Objective
+	mode      metaopt.Mode
+	clusters  int             // Algorithm 1's cluster count; < 2 runs one analysis
+	warm      *metaopt.Result // an earlier sweep point's answer (see warmChain)
+}
+
+// analyze runs one question under the setup's budget and worker share.
+// Every analysis of the evaluation goes through it: metaopt.AnalyzeClustered
+// runs Algorithm 1 for two or more clusters and a plain analysis below.
+func (s *Setup) analyze(q question) (*metaopt.Result, error) {
+	if q.dps == nil {
+		var err error
+		if q.dps, err = s.Paths(); err != nil {
+			return nil, err
+		}
+	}
+	return metaopt.AnalyzeClustered(metaopt.ClusterConfig{
+		Config: metaopt.Config{
+			Topo: s.Topo, Demands: q.dps, Envelope: q.env,
+			Objective: q.objective, Mode: q.mode,
+			ProbThreshold: q.threshold, MaxFailures: q.k,
+			ConnectivityEnforced: q.ce,
+			QuantBits:            s.QuantBits,
+			Solver:               s.solver(),
+			WarmStart:            q.warm,
+		},
+		Clusters: q.clusters,
 	})
 }
 
-// analyzeClustered runs one Algorithm 1 analysis with the given cluster
-// count under the setup's budget; threshold and k as in analyze.
-func (s *Setup) analyzeClustered(dps []paths.DemandPaths, env demand.Envelope, threshold float64, k, clusters int) (*metaopt.Result, error) {
-	return metaopt.AnalyzeClustered(metaopt.ClusterConfig{
-		Config: metaopt.Config{
-			Topo: s.Topo, Demands: dps, Envelope: env,
-			ProbThreshold: threshold, MaxFailures: k,
-			QuantBits: s.QuantBits,
-			Solver:    s.solver(),
-		},
-		Clusters: clusters,
+// warmChain is the warm-start rule of a sweep that loosens its questions
+// step by step (a stricter threshold or a narrower envelope first, so an
+// earlier answer's scenario stays feasible): per chain key — a failure
+// budget, or 0 for a single chain — the last answer that carried a
+// scenario. An answer stopped before any incumbent has nothing to seed
+// with, and keeping it would start the next question cold.
+type warmChain map[int]*metaopt.Result
+
+// keep records res as key's next warm start if it found a scenario. A
+// sweep stage reads the chain and writes it only after the stage ends.
+func (c warmChain) keep(key int, res *metaopt.Result) {
+	if res.Scenario != nil {
+		c[key] = res
+	}
+}
+
+// stage runs one question per grid point as one stage of the setup's
+// worker budget (conc.Stage, traced under layer "experiments"): fn gets a
+// copy of the setup whose Workers is the point's share, and the rows come
+// back in grid order at any budget. Each finished point steps tk.
+func stage[C, R any](s *Setup, tk *sweepTracker, grid []C, fn func(s *Setup, c C) (R, error)) ([]R, error) {
+	rows := make([]R, len(grid))
+	err := conc.Stage(context.Background(), s.Tracer, "experiments", len(grid), s.Workers, func(_ context.Context, i, perSolve int) error {
+		sub := *s
+		sub.Workers = perSolve
+		r, err := fn(&sub, grid[i])
+		if err != nil {
+			return err
+		}
+		rows[i] = r
+		tk.step()
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
 }
 
 // KLabel renders a failure budget for table output (0 = ∞).

@@ -1,24 +1,29 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
 
-// TestSetupPlan: a stage splits the setup's worker budget over its count of
-// independent analyses — fan-out first, the leftover inside each solve —
-// and leaves the setup itself untouched, so the next stage splits the whole
-// budget again.
-func TestSetupPlan(t *testing.T) {
-	s := &Setup{Workers: 4}
-	for _, tt := range []struct{ units, fanout, perSolve int }{
-		{1, 1, 4},
-		{3, 3, 1},
-		{16, 4, 1},
-	} {
-		stage, fanout := s.plan(tt.units)
-		if p := stage.solver(); fanout != tt.fanout || p.Workers != tt.perSolve {
-			t.Errorf("plan(%d) = %d × %d, want %d × %d", tt.units, fanout, p.Workers, tt.fanout, tt.perSolve)
-		}
-		if s.Workers != 4 {
-			t.Fatalf("plan(%d) changed the setup's budget to %d", tt.units, s.Workers)
-		}
+	"raha/internal/failures"
+	"raha/internal/metaopt"
+	"raha/internal/milp"
+)
+
+// TestWarmChainKeepsLastScenario: a warm-start chain seeds each question
+// from its key's last answer that carried a scenario. An answer stopped
+// before any incumbent (no scenario) must not replace it — metaopt ignores
+// a warm start without a scenario, so the next, looser question would
+// start cold — and a key with no such answer yet seeds nothing.
+func TestWarmChainKeepsLastScenario(t *testing.T) {
+	found := &metaopt.Result{Status: milp.Feasible, Scenario: &failures.Scenario{}, Degradation: 1}
+	none := &metaopt.Result{Status: milp.Unknown}
+	warm := warmChain{}
+	warm.keep(1, found)
+	warm.keep(1, none)
+	warm.keep(2, none)
+	if q := (question{k: 1, warm: warm[1]}); q.warm != found {
+		t.Fatalf("k=1 seeds from %+v, want the earlier answer with a scenario", q.warm)
+	}
+	if warm[2] != nil {
+		t.Fatalf("k=2 seeds from %+v, want a cold start", warm[2])
 	}
 }

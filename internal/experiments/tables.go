@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"raha/internal/demand"
-	"raha/internal/metaopt"
 )
 
 // TableRow is one grid cell of Tables 3 and 4: a (threshold, backup count,
@@ -30,16 +29,14 @@ func Table3(s *Setup, thresholds []float64, backups, ks []int) ([]TableRow, erro
 			return nil, err
 		}
 		env := demand.UpTo(s.Base, maxFactor-1).Cap(s.Norm / 2)
-		prev := make(map[int]*metaopt.Result)
+		warm := warmChain{}
 		for _, th := range thresholds {
 			for _, k := range ks {
-				res, err := sub.analyze(dps, env, th, k, false, prev[k])
+				res, err := sub.analyze(question{dps: dps, env: env, threshold: th, k: k, warm: warm[k]})
 				if err != nil {
 					return nil, err
 				}
-				if res.Scenario != nil {
-					prev[k] = res
-				}
+				warm.keep(k, res)
 				rows = append(rows, TableRow{
 					Threshold:   th,
 					Backups:     nb,
@@ -64,7 +61,7 @@ func Table4(s *Setup, clusters int, thresholds []float64, ks []int) ([]TableRow,
 	var rows []TableRow
 	for _, th := range thresholds {
 		for _, k := range ks {
-			res, err := s.analyzeClustered(dps, env, th, k, clusters)
+			res, err := s.analyze(question{dps: dps, env: env, threshold: th, k: k, clusters: clusters})
 			if err != nil {
 				return nil, err
 			}

@@ -34,12 +34,12 @@ type ClusterConfig struct {
 // that solves stopped by a wall-clock TimeLimit return timing-dependent
 // incumbents).
 //
-// cfg.Solver.Workers is the budget of the whole analysis: each wave splits
-// it over its pair count (conc.Split), so a wave with enough independent
+// cfg.Solver.Workers is the budget of the whole analysis: each wave is one
+// conc.Stage over its pair count, so a wave with enough independent
 // pair solves runs them side by side with serial solvers while a narrow
 // wave routes the leftover inside each solve; the final fixed-demand pass
-// is one solve and gets all of it. Each wave's split is emitted as a
-// "parallelism" trace event.
+// is one solve and gets all of it. Each wave's split is traced as a
+// parallelism event.
 func AnalyzeClustered(cfg ClusterConfig) (*Result, error) {
 	return AnalyzeClusteredContext(context.Background(), cfg)
 }
@@ -107,23 +107,12 @@ func AnalyzeClusteredContext(ctx context.Context, cfg ClusterConfig) (*Result, e
 			continue
 		}
 
-		// Split the worker budget over this wave's independent pair solves.
-		fanout, perSolve := conc.Split(cfg.Solver.Workers, len(keys))
-		waveSolver := per
-		waveSolver.Workers = perSolve
-		if tr := cfg.Solver.Tracer; tr != nil {
-			tr.Emit("metaopt", "parallelism", obs.F{
-				"units":          len(keys),
-				"fanout":         fanout,
-				"solver_workers": perSolve,
-			})
-		}
-
 		// Snapshot of the pinned demands at wave start: every solve of the
-		// wave reads it, none writes it, so the solves are independent.
+		// wave reads it, none writes it, so the solves are independent and
+		// the wave is one stage of the analysis's worker budget.
 		snapshot := append([]float64(nil), current...)
 		results := make([]*Result, len(keys)) // indexed writes: one disjoint slot per solve
-		err := conc.ForEach(ctx, len(keys), fanout, func(ctx context.Context, i int) error {
+		err := conc.Stage(ctx, cfg.Solver.Tracer, "metaopt", len(keys), cfg.Solver.Workers, func(ctx context.Context, i, perSolve int) error {
 			key := keys[i]
 			// Envelope: demands of this pair keep their original range; all
 			// others are pinned to their wave-start values.
@@ -138,7 +127,8 @@ func AnalyzeClusteredContext(ctx context.Context, cfg ClusterConfig) (*Result, e
 			}
 			sub := cfg.Config
 			sub.Envelope = env
-			sub.Solver = waveSolver
+			sub.Solver = per
+			sub.Solver.Workers = perSolve
 			res, err := AnalyzeContext(ctx, sub)
 			if err != nil {
 				return fmt.Errorf("metaopt: cluster pair %v: %w", key, err)
