@@ -23,7 +23,8 @@ if [ -n "$unformatted" ]; then
 fi
 
 # go vet's copylocks check is the repository's mutex-copy check: a
-# sync.Mutex, RWMutex or WaitGroup received or passed by value fails here.
+# sync.Mutex, RWMutex, WaitGroup or typed atomic received, passed or copied
+# by value fails here.
 go vet ./...
 go build ./...
 
@@ -51,8 +52,11 @@ go build ./...
 # knapsack) are gone. An experiment spends its worker budget through
 # conc.Stage, with no stage planner of its own (.plan), and every analysis
 # goes through one Setup.analyze, with no clustered twin (analyzeClustered).
+# The linter has no cross-package step: no fact store (.Facts), no field
+# keys (fieldKey, underStruct). Hop distances are topology.Hops, with no
+# private BFS copy (bfsHops, bfsDistances).
 # The grep reads _test.go files too, on purpose.
-if grep -rn 'p\.IntTol\|Params{[^}]*IntTol\|pcReliability\|QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel\|statsAcc\|DisablePresolve\|CheckError\|ModelCheck\|ModelDiagnostic\|runCheck\|model_check\|AutoWidth:\|\.AutoWidth\b\|lock-order\|goroutine-leak\|ctx-first\|mutex-value\|tracer-guard\|EdgeFormMaxFlow\|NewLAGResult\|NewLAGStep\|MLUDualBound\|MaxMinBinner\|WarmStartScenario\|WarmStartDemands\|modelcheck\.Options\|InverseCapacityWeight\|LostCapacityBound\|\bLinkCapacity\b\|analyzeClustered\|\.plan(' --include='*.go' --exclude-dir=.bench_build .; then
+if grep -rn 'p\.IntTol\|Params{[^}]*IntTol\|pcReliability\|QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel\|statsAcc\|DisablePresolve\|CheckError\|ModelCheck\|ModelDiagnostic\|runCheck\|model_check\|AutoWidth:\|\.AutoWidth\b\|lock-order\|goroutine-leak\|ctx-first\|mutex-value\|tracer-guard\|EdgeFormMaxFlow\|NewLAGResult\|NewLAGStep\|MLUDualBound\|MaxMinBinner\|WarmStartScenario\|WarmStartDemands\|modelcheck\.Options\|InverseCapacityWeight\|LostCapacityBound\|\bLinkCapacity\b\|analyzeClustered\|\.plan(\|fieldKey\|underStruct\|\.Facts(\|bfsHops\|bfsDistances' --include='*.go' --exclude-dir=.bench_build .; then
 	echo "ci: retired solver knob or lint rule referenced above" >&2
 	exit 1
 fi
@@ -73,14 +77,15 @@ if go tool nm "$tmp/raha" | grep -q 'modelcheck\.Check'; then
 fi
 
 # Project-specific analyzer suite (cmd/raha-lint → internal/lint): five
-# rules — float-cmp, hot-loop-time (wall-clock or randomness in solver
-# loops), atomic-mix (a field reached both atomically and plainly,
-# whole-program), hot-alloc (allocation sites in solver loops) and err-drop.
-# Mutex copies are go vet's, above. Runs over the full tree including
-# _test.go files; any finding fails the build (suppressions need a
-# //raha:lint-allow with a reason). -json keeps a machine-readable record on
-# stdout while the file:line findings still land on stderr for the failure
-# log.
+# per-file rules — float-cmp, hot-loop-time (wall-clock or randomness in
+# solver loops), atomic-mix (a sync/atomic package function on an untyped
+# word: shared words are typed atomics, which the compiler keeps from plain
+# access), hot-alloc (allocation sites in solver loops) and err-drop.
+# Copies of a mutex or a typed atomic are go vet's, above. Runs over the
+# full tree including _test.go files; any finding fails the build
+# (suppressions need a //raha:lint-allow with a reason). -json keeps a
+# machine-readable record on stdout while the file:line findings still land
+# on stderr for the failure log.
 go run ./cmd/raha-lint -json ./... >/dev/null
 
 # -shuffle=on randomizes test order within each package so inter-test state

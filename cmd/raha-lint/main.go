@@ -6,8 +6,8 @@
 //	                or compare against a tolerance.
 //	hot-loop-time   no time.* or math/rand calls inside loops of the solver
 //	                packages (internal/lp, internal/milp).
-//	atomic-mix      a field accessed via sync/atomic anywhere must never be
-//	                accessed plainly elsewhere (whole-program, via facts).
+//	atomic-mix      no sync/atomic package function: shared words are typed
+//	                atomics, which cannot be reached plainly.
 //	hot-alloc       no allocation sites (make/new, growing append,
 //	                composite literals, closures) inside loops of the
 //	                solver packages.

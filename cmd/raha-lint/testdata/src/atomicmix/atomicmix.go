@@ -1,90 +1,56 @@
-// Package atomicmix is the atomic-mix fixture: fields updated through
-// sync/atomic must never be accessed plainly, element accesses are a
-// separate dimension from the slice header, and address-taken pointers
-// handed to helpers are opaque.
+// Package atomicmix is the atomic-mix fixture: every call of a sync/atomic
+// package function is flagged — on a field, on a slice element, or through
+// a helper's pointer parameter — while a typed atomic's methods, the
+// float-bits CAS loop on an atomic.Uint64, and plain access of a field no
+// goroutine shares stay legal. A typed atomic cannot be read or written
+// plainly (the compiler refuses it) or copied (go vet's copylocks check).
 package atomicmix
 
-import "sync/atomic"
+import (
+	"math"
+	"sync/atomic"
+)
 
+// counters mixes the untyped words the rule flags with the typed atomics
+// it recommends.
 type counters struct {
-	hits int64    // atomically updated; plain accesses below must be flagged
-	cold int64    // never touched atomically; plain accesses are legal
-	bits []uint64 // elements CAS-updated; header reads stay legal
-	opq  int64    // only ever addressed through a helper: opaque
+	hits  int64    // untyped: every atomic call on it is flagged
+	cold  int64    // never shared: plain access is legal
+	bits  []uint64 // untyped elements: an atomic call on one is flagged
+	opq   int64    // untyped, handed to a helper: the helper's call is flagged
+	typed atomic.Int64
+	sums  []atomic.Uint64 // float64 bits
 }
 
 func bump(c *counters) {
-	atomic.AddInt64(&c.hits, 1)
-	c.cold++ // legal: cold is never accessed atomically
-	atomic.AddUint64(&c.bits[0], 7)
+	atomic.AddInt64(&c.hits, 1)     // want:atomic-mix
+	atomic.AddUint64(&c.bits[0], 7) // want:atomic-mix
+	c.cold++                        // legal: a plain field, never reached atomically
+	c.typed.Add(1)                  // legal: a typed atomic's method
 }
 
 func load(c *counters) int64 {
-	return atomic.LoadInt64(&c.hits) // legal: atomic read
-}
-
-func read(c *counters) int64 {
-	return c.hits // want:atomic-mix
-}
-
-func reset(c *counters) {
-	c.hits = 0 // want:atomic-mix
+	return c.typed.Load() + c.cold // legal
 }
 
 func header(c *counters) int {
-	return len(c.bits) // legal: reads the slice header, not the elements
-}
-
-func elem(c *counters) uint64 {
-	return c.bits[1] // want:atomic-mix
+	return len(c.bits) + len(c.sums) // legal: slice headers
 }
 
 func viaHelper(c *counters) {
-	helperAdd(&c.opq, 1) // legal: opaque — the pointer's use is the helper's business
-}
-
-func readOpq(c *counters) int64 {
-	return c.opq // legal: opq has no direct sync/atomic access (documented limit)
+	helperAdd(&c.opq, 1) // legal here; the call inside the helper is flagged
 }
 
 func helperAdd(p *int64, v int64) {
-	atomic.AddInt64(p, v)
+	atomic.AddInt64(p, v) // want:atomic-mix
 }
 
-// incumbent mirrors the solver's lock-free incumbent: the objective lives
-// as Float64bits behind a CAS claim loop, the solution vector is published
-// as a fresh copy, and a sequence word versions the publications.
-type incumbent struct {
-	bits uint64    // only ever Load/CAS — the float-bits CAS idiom, legal
-	seq  uint64    // atomically bumped by writers; plain reads below are flagged
-	x    []float64 // float64 elements: not atomic-capable, never tracked
-}
-
-// offer is the CAS claim loop: every access to bits goes through
-// sync/atomic, so the idiom produces no finding.
-func offer(inc *incumbent, objBits uint64) bool {
+// addFloat is the float-bits CAS loop on a typed word: legal.
+func addFloat(c *counters, i int, d float64) {
 	for {
-		cur := atomic.LoadUint64(&inc.bits)
-		if cur <= objBits {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(&inc.bits, cur, objBits) { // legal: Load + CAS only
-			atomic.AddUint64(&inc.seq, 1)
-			return true
-		}
-	}
-}
-
-// seqReadLoop is the classic seqlock read loop written wrong: the writer
-// publishes seq with atomic.Add, so the unsynchronized first read is a
-// race the schedule may never surface — exactly what the rule exists to
-// catch structurally.
-func seqReadLoop(inc *incumbent) []float64 {
-	for {
-		s1 := inc.seq // want:atomic-mix
-		cp := append([]float64(nil), inc.x...)
-		if atomic.LoadUint64(&inc.seq) == s1 && s1%2 == 0 {
-			return cp
+		old := c.sums[i].Load()
+		if c.sums[i].CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
+			return
 		}
 	}
 }

@@ -91,7 +91,7 @@ func solveNewLAGAugment(t *topology.Topology, dps []paths.DemandPaths, res *meta
 	}
 	var impactDist []int
 	if len(impacted) > 0 {
-		impactDist = bfsHops(t, impacted)
+		impactDist = t.Hops(impacted)
 	}
 	weightOf := func(q int) float64 {
 		if impactDist == nil {
@@ -248,33 +248,6 @@ func solveNewLAGAugment(t *topology.Topology, dps []paths.DemandPaths, res *meta
 		added[q] = int(math.Round(sol.X[v]))
 	}
 	return added, nil
-}
-
-// bfsHops returns hop distances from the given seed nodes.
-func bfsHops(t *topology.Topology, from []topology.Node) []int {
-	dist := make([]int, t.NumNodes())
-	for i := range dist {
-		dist[i] = 1 << 30
-	}
-	var queue []topology.Node
-	for _, s := range from {
-		if dist[s] != 0 {
-			dist[s] = 0
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, e := range t.Incident(u) {
-			v := t.LAG(e).Other(u)
-			if dist[v] > dist[u]+1 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
 }
 
 // CandidateLAGs proposes the operator's "viable new edges" input for

@@ -12,16 +12,16 @@ import (
 
 func TestForEachRunsEveryIndex(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 16} {
-		var hit [50]int32
+		var hit [50]atomic.Int32
 		err := ForEach(context.Background(), len(hit), workers, func(_ context.Context, i int) error {
-			atomic.AddInt32(&hit[i], 1)
+			hit[i].Add(1)
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		for i, h := range hit {
-			if h != 1 {
+		for i := range hit {
+			if h := hit[i].Load(); h != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, h)
 			}
 		}
@@ -30,17 +30,18 @@ func TestForEachRunsEveryIndex(t *testing.T) {
 
 func TestForEachBoundsConcurrency(t *testing.T) {
 	const workers = 3
-	var cur, peak int32
+	var cur atomic.Int32
+	var peak int32
 	var mu sync.Mutex
 	err := ForEach(context.Background(), 24, workers, func(_ context.Context, i int) error {
-		n := atomic.AddInt32(&cur, 1)
+		n := cur.Add(1)
 		mu.Lock()
 		if n > peak {
 			peak = n
 		}
 		mu.Unlock()
 		time.Sleep(time.Millisecond)
-		atomic.AddInt32(&cur, -1)
+		cur.Add(-1)
 		return nil
 	})
 	if err != nil {
@@ -53,9 +54,9 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 
 func TestForEachReturnsFirstErrorAndStops(t *testing.T) {
 	boom := errors.New("boom")
-	var ran int32
+	var ran atomic.Int32
 	err := ForEach(context.Background(), 1000, 2, func(ctx context.Context, i int) error {
-		atomic.AddInt32(&ran, 1)
+		ran.Add(1)
 		if i == 3 {
 			return boom
 		}
@@ -64,16 +65,16 @@ func TestForEachReturnsFirstErrorAndStops(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
-	if n := atomic.LoadInt32(&ran); n == 1000 {
+	if n := ran.Load(); n == 1000 {
 		t.Fatal("error did not short-circuit the remaining work")
 	}
 }
 
 func TestForEachHonorsParentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	var ran int32
+	var ran atomic.Int32
 	err := ForEach(ctx, 1000, 2, func(ctx context.Context, i int) error {
-		if atomic.AddInt32(&ran, 1) == 4 {
+		if ran.Add(1) == 4 {
 			cancel()
 		}
 		return nil
@@ -81,7 +82,7 @@ func TestForEachHonorsParentCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if n := atomic.LoadInt32(&ran); n == 1000 {
+	if n := ran.Load(); n == 1000 {
 		t.Fatal("cancellation did not short-circuit the remaining work")
 	}
 }

@@ -37,7 +37,7 @@ func TestStageSplitsBudget(t *testing.T) {
 		{16, 4, 1},
 	} {
 		tr := &splitTracer{}
-		hit := make([]int32, tt.units)
+		hit := make([]atomic.Int32, tt.units)
 		var mu sync.Mutex
 		cur, peak := 0, 0
 		err := Stage(context.Background(), tr, "experiments", tt.units, 4, func(_ context.Context, i, perSolve int) error {
@@ -49,7 +49,7 @@ func TestStageSplitsBudget(t *testing.T) {
 			mu.Lock()
 			cur--
 			mu.Unlock()
-			atomic.AddInt32(&hit[i], 1)
+			hit[i].Add(1)
 			if perSolve != tt.perSolve {
 				t.Errorf("units %d: job %d got %d workers, want %d", tt.units, i, perSolve, tt.perSolve)
 			}
@@ -58,8 +58,8 @@ func TestStageSplitsBudget(t *testing.T) {
 		if err != nil {
 			t.Fatalf("units %d: %v", tt.units, err)
 		}
-		for i, h := range hit {
-			if h != 1 {
+		for i := range hit {
+			if h := hit[i].Load(); h != 1 {
 				t.Errorf("units %d: index %d ran %d times", tt.units, i, h)
 			}
 		}

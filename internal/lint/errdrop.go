@@ -136,3 +136,13 @@ func errDropAllowed(p *Pass, call *ast.CallExpr) bool {
 func callName(call *ast.CallExpr) string {
 	return types.ExprString(call.Fun)
 }
+
+// namedOf returns the named type behind t, looking through one level of
+// pointer, or nil.
+func namedOf(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
+}

@@ -5,20 +5,15 @@
 // The model:
 //
 //   - A Package is one type-checked lint target (test files included).
-//   - Packages are analyzed in dependency order — the loader preserves
-//     `go list -deps`'s depth-first post-order, so a package's imports are
-//     always analyzed before it.
 //   - Each rule gets a Pass per package (shared type info, thread-safe
 //     Report) and visits the package's files in parallel.
-//   - A rule that reasons across package boundaries exports facts —
-//     rule-private records keyed by stable strings (see fieldKey) — into
-//     the Program, and joins them once every package has been analyzed
-//     (Rule.Join). atomic-mix's per-field access sites cross packages this
-//     way.
+//   - Every rule is a per-file visitor: a finding depends only on the file
+//     in front of it and its package's type info, never on another package
+//     or on the order packages are analyzed in.
 //
 // The suite is five rules: float-cmp, hot-loop-time, atomic-mix, hot-alloc
-// and err-drop (DESIGN.md §2.12). Copying a mutex by value is go vet's
-// copylocks check, which CI already runs.
+// and err-drop (DESIGN.md §2.12). Copying a mutex or a typed atomic by value
+// is go vet's copylocks check, which CI already runs.
 //
 // A finding is suppressed by a `//raha:lint-allow <rule> <why>` comment on
 // the same line or the line above. The justification is mandatory: the
@@ -81,10 +76,6 @@ type Rule struct {
 	// package, concurrently (one goroutine per file), so it must only touch
 	// per-call state or lock.
 	New func(p *Pass) func(*ast.File)
-
-	// Join, when non-nil, runs once after every package has been analyzed
-	// — the whole-program step where cross-package facts meet.
-	Join func(prog *Program)
 }
 
 // All is the rule suite in catalogue order (DESIGN.md §2.12).
@@ -102,14 +93,13 @@ func RuleNames() []string {
 	return names
 }
 
-// Program is the whole-run state shared by every pass: raw findings, allow
-// directives, and the cross-package fact store.
+// Program is the whole-run state shared by every pass: raw findings and
+// allow directives.
 type Program struct {
 	mu       sync.Mutex
 	findings []Finding
 	allows   map[allowKey]*Directive
 	dirs     []*Directive
-	facts    map[string]any
 }
 
 // Report records a finding at an already-resolved position. Safe for
@@ -118,20 +108,6 @@ func (prog *Program) Report(pos token.Position, rule, format string, args ...any
 	prog.mu.Lock()
 	prog.findings = append(prog.findings, Finding{Pos: pos, Rule: rule, Msg: fmt.Sprintf(format, args...)})
 	prog.mu.Unlock()
-}
-
-// Facts returns the rule's program-wide fact store, creating it with mk on
-// first use. The contents are rule-private; rules guard their own internal
-// mutation (Facts itself only synchronizes the lookup).
-func (prog *Program) Facts(rule string, mk func() any) any {
-	prog.mu.Lock()
-	defer prog.mu.Unlock()
-	v, ok := prog.facts[rule]
-	if !ok {
-		v = mk()
-		prog.facts[rule] = v
-	}
-	return v
 }
 
 // Pass is one rule's view of one package.
@@ -181,18 +157,15 @@ func (prog *Program) collectAllows(p *Package) {
 	}
 }
 
-// Run analyzes pkgs — which must be in dependency order, as Load returns
-// them — under the named rules (nil or empty selects the full suite) and
-// returns the surviving findings plus the directive audit trail.
+// Run analyzes pkgs, in any order, under the named rules (nil or empty
+// selects the full suite) and returns the surviving findings plus the
+// directive audit trail.
 func Run(pkgs []*Package, ruleNames []string) (*Result, error) {
 	rules, err := selectRules(ruleNames)
 	if err != nil {
 		return nil, err
 	}
-	prog := &Program{
-		allows: map[allowKey]*Directive{},
-		facts:  map[string]any{},
-	}
+	prog := &Program{allows: map[allowKey]*Directive{}}
 
 	for _, pkg := range pkgs {
 		prog.collectAllows(pkg)
@@ -213,12 +186,6 @@ func Run(pkgs []*Package, ruleNames []string) (*Result, error) {
 		})
 		if err != nil {
 			return nil, err
-		}
-	}
-
-	for _, r := range rules {
-		if r.Join != nil {
-			r.Join(prog)
 		}
 	}
 

@@ -51,11 +51,11 @@ type Package struct {
 // dependencies through their export files.
 //
 // The returned slice preserves `go list -deps`'s depth-first post-order, so
-// a package always appears after the packages it imports — the dependency
-// order the analyzer framework runs in. Two kinds of test variant exist:
-// the in-package variant (same package name, _test.go files added), which
-// supersedes the plain package, and the external _test package, which
-// becomes a lint target of its own.
+// a package always appears after the packages it imports. No rule depends
+// on that order: every rule is a per-file visitor. Two kinds of test
+// variant exist: the in-package variant (same package name, _test.go files
+// added), which supersedes the plain package, and the external _test
+// package, which becomes a lint target of its own.
 func Load(patterns []string) ([]*Package, error) {
 	args := append([]string{
 		"list", "-e",

@@ -188,7 +188,7 @@ func PartitionNodes(t *topology.Topology, n int) [][]topology.Node {
 	// Seeds: greedy farthest-point placement by BFS hop distance.
 	seeds := []topology.Node{0}
 	for len(seeds) < n {
-		dist := bfsDistances(t, seeds)
+		dist := t.Hops(seeds)
 		far := topology.Node(0)
 		fd := -1
 		for v, d := range dist {
@@ -232,28 +232,4 @@ func PartitionNodes(t *topology.Topology, n int) [][]topology.Node {
 		out[o] = append(out[o], topology.Node(v))
 	}
 	return out
-}
-
-func bfsDistances(t *topology.Topology, from []topology.Node) []int {
-	dist := make([]int, t.NumNodes())
-	for i := range dist {
-		dist[i] = 1 << 30
-	}
-	var queue []topology.Node
-	for _, s := range from {
-		dist[s] = 0
-		queue = append(queue, s)
-	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, e := range t.Incident(u) {
-			v := t.LAG(e).Other(u)
-			if dist[v] > dist[u]+1 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
 }

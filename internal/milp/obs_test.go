@@ -372,8 +372,8 @@ func timedGuard(timed bool) int {
 }
 
 //go:noinline
-func atomicAddCost(p *int64) {
-	atomic.AddInt64(p, 1)
+func atomicAddCost(p *atomic.Int64) {
+	p.Add(1)
 }
 
 //go:noinline
@@ -429,7 +429,8 @@ func TestNilTracerOverhead(t *testing.T) {
 		t.Fatal("guard fired on untimed solve")
 	}
 
-	var counter int64
+	var counter atomic.Int64
+	var plainCounter int64
 	const addIters = 10_000_000
 	start = time.Now()
 	for i := 0; i < addIters; i++ {
@@ -439,7 +440,7 @@ func TestNilTracerOverhead(t *testing.T) {
 
 	start = time.Now()
 	for i := 0; i < addIters; i++ {
-		plainAddCost(&counter)
+		plainAddCost(&plainCounter)
 	}
 	plain := time.Since(start).Seconds() / addIters
 

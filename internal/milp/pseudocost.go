@@ -25,30 +25,30 @@ const pcScoreEps = 1e-6
 
 // pseudocosts holds the per-variable branching statistics: the summed
 // per-unit objective degradation and observation count for each direction.
-// Workers on different nodes update them concurrently, so the counts are
-// atomic int64s and the sums are float64 bit patterns updated by CAS —
-// plain float adds would tear, and a lock here would serialize every
-// branch decision.
+// Workers on different nodes update them concurrently, so each element is a
+// typed atomic (no plain access compiles): the counts are atomic.Int64s and
+// the sums float64 bit patterns updated by CAS — plain float adds would
+// tear, and a lock here would serialize every branch decision.
 type pseudocosts struct {
-	upSum, dnSum []uint64 // float64 bits
-	upCnt, dnCnt []int64
+	upSum, dnSum []atomic.Uint64 // float64 bits
+	upCnt, dnCnt []atomic.Int64
 }
 
 func newPseudocosts(n int) *pseudocosts {
 	return &pseudocosts{
-		upSum: make([]uint64, n),
-		dnSum: make([]uint64, n),
-		upCnt: make([]int64, n),
-		dnCnt: make([]int64, n),
+		upSum: make([]atomic.Uint64, n),
+		dnSum: make([]atomic.Uint64, n),
+		upCnt: make([]atomic.Int64, n),
+		dnCnt: make([]atomic.Int64, n),
 	}
 }
 
-// atomicAddFloat adds d to the float64 stored as bits behind p.
-func atomicAddFloat(p *uint64, d float64) {
+// atomicAddFloat adds d to the float64 stored as bits in p.
+func atomicAddFloat(p *atomic.Uint64, d float64) {
 	for {
-		old := atomic.LoadUint64(p)
+		old := p.Load()
 		nw := math.Float64bits(math.Float64frombits(old) + d)
-		if atomic.CompareAndSwapUint64(p, old, nw) {
+		if p.CompareAndSwap(old, nw) {
 			return
 		}
 	}
@@ -63,10 +63,10 @@ func (pc *pseudocosts) observe(v Var, up bool, perUnit float64) {
 	}
 	if up {
 		atomicAddFloat(&pc.upSum[v], perUnit)
-		atomic.AddInt64(&pc.upCnt[v], 1)
+		pc.upCnt[v].Add(1)
 	} else {
 		atomicAddFloat(&pc.dnSum[v], perUnit)
-		atomic.AddInt64(&pc.dnCnt[v], 1)
+		pc.dnCnt[v].Add(1)
 	}
 }
 
@@ -85,16 +85,16 @@ func (s *search) branchVar(x []float64, st *Stats) Var {
 		if dist <= tol.Int {
 			continue
 		}
-		cu := atomic.LoadInt64(&s.pc.upCnt[cand])
-		cd := atomic.LoadInt64(&s.pc.dnCnt[cand])
+		cu := s.pc.upCnt[cand].Load()
+		cd := s.pc.dnCnt[cand].Load()
 		if cu == 0 || cd == 0 {
 			if dist > unknownDist {
 				unknown, unknownDist = cand, dist
 			}
 			continue
 		}
-		su := math.Float64frombits(atomic.LoadUint64(&s.pc.upSum[cand]))
-		sd := math.Float64frombits(atomic.LoadUint64(&s.pc.dnSum[cand]))
+		su := math.Float64frombits(s.pc.upSum[cand].Load())
+		sd := math.Float64frombits(s.pc.dnSum[cand].Load())
 		up := su / float64(cu) * (1 - f)
 		dn := sd / float64(cd) * f
 		score := math.Max(up, pcScoreEps) * math.Max(dn, pcScoreEps)

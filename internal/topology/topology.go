@@ -172,6 +172,34 @@ func (t *Topology) Connected() bool {
 	return count == len(t.names)
 }
 
+// Hops returns every node's hop distance from the nearest of the given
+// nodes, by one multi-source breadth-first search. A node none of them
+// reaches reads 1<<30, more than any hop count.
+func (t *Topology) Hops(from []Node) []int {
+	dist := make([]int, len(t.names))
+	for i := range dist {
+		dist[i] = 1 << 30
+	}
+	queue := make([]Node, 0, len(t.names))
+	for _, s := range from {
+		if dist[s] != 0 {
+			dist[s] = 0
+			queue = append(queue, s)
+		}
+	}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, id := range t.adj[u] {
+			if v := t.lags[id].Other(u); dist[v] > dist[u]+1 {
+				dist[v] = dist[u] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return dist
+}
+
 // Clone returns a deep copy of the topology.
 func (t *Topology) Clone() *Topology {
 	c := New()

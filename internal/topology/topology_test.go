@@ -65,6 +65,27 @@ func TestConnected(t *testing.T) {
 	}
 }
 
+// TestHops: a path a-b-c-d-e plus an isolated f, searched from both ends
+// of the path with the first seed repeated. Each node reads its distance
+// to the nearer seed, and f, which no seed reaches, reads 1<<30.
+func TestHops(t *testing.T) {
+	top := New()
+	var n []Node
+	for _, name := range []string{"a", "b", "c", "d", "e", "f"} {
+		n = append(n, top.AddNode(name))
+	}
+	for i := 0; i+1 < 5; i++ {
+		top.MustAddLAG(n[i], n[i+1], []Link{{Capacity: 1}})
+	}
+	got := top.Hops([]Node{n[0], n[4], n[0]})
+	want := []int{0, 1, 2, 1, 0, 1 << 30}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("node %s: %d hops, want %d", top.Name(n[i]), got[i], want[i])
+		}
+	}
+}
+
 func TestMeanLAGCapacityAndClone(t *testing.T) {
 	top := New()
 	a := top.AddNode("a")
