@@ -37,8 +37,9 @@ go build ./...
 # outside internal/milp's own tests (their switch is the unexported
 # disablePresolve), so no config or CLI re-lists a public one. So is the
 # auto-width probe above width 1 (the tests' switch is fixedWidth), and no
-# solve runs the model checker: it is a test oracle, with no gate, error
-# type, facade alias or trace event of its own. The five lint
+# solve runs the model checker: it is a test oracle in internal/metaopt's
+# tests over *milp.Model, with no package (raha/internal/modelcheck), gate,
+# error type, facade alias or trace event of its own. The five lint
 # rules that never fired are gone too, so a fixture marker or allow
 # directive naming one is stale. Pseudocosts are trusted from their first
 # observation, with no reliability threshold to tune, and the integrality
@@ -56,23 +57,17 @@ go build ./...
 # keys (fieldKey, underStruct). Hop distances are topology.Hops, with no
 # private BFS copy (bfsHops, bfsDistances).
 # The grep reads _test.go files too, on purpose.
-if grep -rn 'p\.IntTol\|Params{[^}]*IntTol\|pcReliability\|QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel\|statsAcc\|DisablePresolve\|CheckError\|ModelCheck\|ModelDiagnostic\|runCheck\|model_check\|AutoWidth:\|\.AutoWidth\b\|lock-order\|goroutine-leak\|ctx-first\|mutex-value\|tracer-guard\|EdgeFormMaxFlow\|NewLAGResult\|NewLAGStep\|MLUDualBound\|MaxMinBinner\|WarmStartScenario\|WarmStartDemands\|modelcheck\.Options\|InverseCapacityWeight\|LostCapacityBound\|\bLinkCapacity\b\|analyzeClustered\|\.plan(\|fieldKey\|underStruct\|\.Facts(\|bfsHops\|bfsDistances' --include='*.go' --exclude-dir=.bench_build .; then
+if grep -rn 'p\.IntTol\|Params{[^}]*IntTol\|pcReliability\|QueueShared\|DisableWarmStart\|BranchMostFractional\|RAHA_LP_DENSE\|SetDense\|denseMode\|ParallelPolicy\|conc\.Policy\|PolicyScenarios\|PolicyIntraSolve\|SolverWorkers\|sweepParallel\|statsAcc\|DisablePresolve\|CheckError\|ModelCheck\|ModelDiagnostic\|runCheck\|model_check\|AutoWidth:\|\.AutoWidth\b\|lock-order\|goroutine-leak\|ctx-first\|mutex-value\|tracer-guard\|EdgeFormMaxFlow\|NewLAGResult\|NewLAGStep\|MLUDualBound\|MaxMinBinner\|WarmStartScenario\|WarmStartDemands\|modelcheck\.Options\|InverseCapacityWeight\|LostCapacityBound\|\bLinkCapacity\b\|analyzeClustered\|\.plan(\|fieldKey\|underStruct\|\.Facts(\|bfsHops\|bfsDistances\|raha/internal/modelcheck' --include='*.go' --exclude-dir=.bench_build .; then
 	echo "ci: retired solver knob or lint rule referenced above" >&2
 	exit 1
 fi
 
-# And the dense tableau stays on the test side: no binary may link it. Nor
-# the model-check catalogue: presolve links modelcheck's interval arithmetic,
-# but only tests call modelcheck.Check.
+# And the dense tableau stays on the test side: no binary may link it.
 tmp=$(mktemp -d /tmp/raha-ci.XXXXXX)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/raha" ./cmd/raha
 if go tool nm "$tmp/raha" | grep -q 'lp\.solveDense\|lp\.(\*tableau)'; then
 	echo "ci: cmd/raha links the dense LP referee (internal/lp/dense_ref_test.go belongs to the tests)" >&2
-	exit 1
-fi
-if go tool nm "$tmp/raha" | grep -q 'modelcheck\.Check'; then
-	echo "ci: cmd/raha links modelcheck.Check (the catalogue is a test oracle)" >&2
 	exit 1
 fi
 

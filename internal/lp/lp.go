@@ -183,7 +183,7 @@ const stopPollIters = 32
 // MILP layer above depends on the same notions of "zero".
 const (
 	pivTol  = 1e-9     // minimum |pivot element|
-	feasTol = tol.Feas // bound/feasibility tolerance, shared with milp and modelcheck
+	feasTol = tol.Feas // bound/feasibility tolerance, shared with milp and the model check
 	costTol = 1e-7     // reduced-cost optimality tolerance
 )
 

@@ -1,24 +1,41 @@
-package modelcheck
+package milp
 
 import "math"
 
-// Activity accumulates the interval a row's left-hand side ranges over
+// activity accumulates the interval a row's left-hand side ranges over
 // inside the variable bound box, keeping infinite contributions counted
 // separately from the finite sum. The split is what makes the accumulator
-// reusable for presolve-style residual reasoning: with the ±Inf
-// contributions counted rather than folded into the sum, a single term's
-// contribution can be subtracted back out to get the activity of "the rest
-// of the row" — finite whenever at most that term was the infinite one.
-type Activity struct {
+// serve presolve's residual reasoning: with the ±Inf contributions counted
+// rather than folded into the sum, a single term's contribution can be
+// subtracted back out to get the activity of "the rest of the row" — finite
+// whenever at most that term was the infinite one. It is the model's one
+// interval arithmetic: ExprBounds, presolve and domain propagation all use
+// it.
+type activity struct {
 	SumLo, SumHi float64 // finite part of the activity interval
 	InfLo, InfHi int     // count of -Inf lower / +Inf upper contributions
 	NaN          bool    // a NaN coefficient or bound poisoned the row
 }
 
+// termBounds returns the interval of c·x for x ∈ [lo, hi], with the
+// convention that a zero coefficient contributes exactly [0, 0] — never the
+// IEEE 0·±Inf = NaN, which would otherwise poison every Big-M derived from
+// the interval.
+func termBounds(c, lo, hi float64) (float64, float64) {
+	if c == 0 {
+		return 0, 0
+	}
+	a, b := c*lo, c*hi
+	if a > b {
+		a, b = b, a
+	}
+	return a, b
+}
+
 // Add accumulates the contribution of c·x for x ∈ [lo, hi], with the
-// TermBounds convention that a zero coefficient contributes exactly [0, 0].
-func (a *Activity) Add(c, lo, hi float64) {
-	tl, th := TermBounds(c, lo, hi)
+// termBounds convention that a zero coefficient contributes exactly [0, 0].
+func (a *activity) Add(c, lo, hi float64) {
+	tl, th := termBounds(c, lo, hi)
 	if math.IsNaN(tl) || math.IsNaN(th) {
 		a.NaN = true
 		return
@@ -36,7 +53,7 @@ func (a *Activity) Add(c, lo, hi float64) {
 }
 
 // Lo returns the activity's lower bound (-Inf when any contribution was).
-func (a *Activity) Lo() float64 {
+func (a *activity) Lo() float64 {
 	if a.InfLo > 0 {
 		return math.Inf(-1)
 	}
@@ -44,7 +61,7 @@ func (a *Activity) Lo() float64 {
 }
 
 // Hi returns the activity's upper bound (+Inf when any contribution was).
-func (a *Activity) Hi() float64 {
+func (a *activity) Hi() float64 {
 	if a.InfHi > 0 {
 		return math.Inf(1)
 	}
@@ -52,10 +69,10 @@ func (a *Activity) Hi() float64 {
 }
 
 // ResidualLo returns the activity lower bound with one term's contribution
-// (whose TermBounds lower bound is termLo) removed. ok is false when the
+// (whose termBounds lower bound is termLo) removed. ok is false when the
 // residual is -Inf — some other term contributed an infinite lower bound —
 // in which case no finite bound can be derived from this side of the row.
-func (a *Activity) ResidualLo(termLo float64) (res float64, ok bool) {
+func (a *activity) ResidualLo(termLo float64) (res float64, ok bool) {
 	if math.IsInf(termLo, -1) {
 		if a.InfLo == 1 {
 			return a.SumLo, true
@@ -69,8 +86,8 @@ func (a *Activity) ResidualLo(termLo float64) (res float64, ok bool) {
 }
 
 // ResidualHi is ResidualLo for the upper side: the activity upper bound with
-// one term's contribution (TermBounds upper bound termHi) removed.
-func (a *Activity) ResidualHi(termHi float64) (res float64, ok bool) {
+// one term's contribution (termBounds upper bound termHi) removed.
+func (a *activity) ResidualHi(termHi float64) (res float64, ok bool) {
 	if math.IsInf(termHi, 1) {
 		if a.InfHi == 1 {
 			return a.SumHi, true

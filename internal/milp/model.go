@@ -133,8 +133,8 @@ func (m *Model) TypeOf(v Var) VarType { return m.vtype[v] }
 
 // ConstraintAt returns row i of the model: its expression (shared storage —
 // callers must not mutate the terms), relation and right-hand side.
-// Together with Bounds, TypeOf and Objective it is the read-only view that
-// tests adapt for the modelcheck diagnostic pass.
+// Together with NumVars, Bounds, TypeOf, Objective and ExprBounds it is the
+// read-only view the model-check catalogue in internal/metaopt's tests walks.
 func (m *Model) ConstraintAt(i int) (expr Expr, rel Rel, rhs float64) {
 	c := &m.cons[i]
 	return c.expr, c.rel, c.rhs
@@ -179,25 +179,19 @@ func Value(e Expr, x []float64) float64 {
 	return s
 }
 
-// exprBounds returns the tightest interval the expression can take given the
-// current variable bounds.
-func (m *Model) exprBounds(e Expr) (lo, hi float64) {
-	lo, hi = e.Const, e.Const
+// ExprBounds returns the tightest interval the expression can take given the
+// current variable bounds. A NaN coefficient or bound poisons the interval:
+// both ends come back NaN rather than the NaN silently dropping out (every
+// comparison against NaN is false).
+func (m *Model) ExprBounds(e Expr) (lo, hi float64) {
+	var act activity
 	for _, t := range e.Terms {
-		if t.C == 0 {
-			// A zero coefficient contributes exactly 0 even when the
-			// variable's upper bound is +Inf; the IEEE product 0·±Inf = NaN
-			// would otherwise poison every Big-M derived from this interval.
-			continue
-		}
-		a, b := t.C*m.lo[t.V], t.C*m.hi[t.V]
-		if a > b {
-			a, b = b, a
-		}
-		lo += a
-		hi += b
+		act.Add(t.C, m.lo[t.V], m.hi[t.V])
 	}
-	return lo, hi
+	if act.NaN {
+		return math.NaN(), math.NaN()
+	}
+	return e.Const + act.Lo(), e.Const + act.Hi()
 }
 
 // Product returns a variable y constrained to equal b·x for a binary b and a
@@ -228,8 +222,8 @@ func (m *Model) Product(b, x Var) Var {
 // expressions, where the encoding is exact; this is how Raha linearizes the
 // fail-over indicator of Eq. 5).
 func (m *Model) IndicatorGE(expr Expr, rhs, eps float64) Var {
-	lo, hi := m.exprBounds(expr)
-	if math.IsInf(lo, -1) || math.IsInf(hi, 1) {
+	lo, hi := m.ExprBounds(expr)
+	if !finite(lo) || !finite(hi) {
 		panic(fmt.Sprintf("milp: indicator %d needs a bounded expression", len(m.lo)))
 	}
 	z := m.BinaryVar()

@@ -15,9 +15,20 @@ func TestExprBoundsZeroCoefInfUpper(t *testing.T) {
 	x := m.ContinuousVar(0, 4)
 	e := NewExpr(T(0, free), T(2, x))
 	e.AddConst(1)
-	lo, hi := m.exprBounds(e)
+	lo, hi := m.ExprBounds(e)
 	if lo != 1 || hi != 9 {
-		t.Fatalf("exprBounds = [%g, %g], want [1, 9]", lo, hi)
+		t.Fatalf("ExprBounds = [%g, %g], want [1, 9]", lo, hi)
+	}
+}
+
+func TestTermBoundsZeroCoefTimesInf(t *testing.T) {
+	lo, hi := termBounds(0, 0, math.Inf(1))
+	if lo != 0 || hi != 0 {
+		t.Fatalf("termBounds(0, 0, +Inf) = [%g, %g], want [0, 0]", lo, hi)
+	}
+	lo, hi = termBounds(-2, 1, 3)
+	if lo != -6 || hi != -2 {
+		t.Fatalf("termBounds(-2, 1, 3) = [%g, %g], want [-6, -2]", lo, hi)
 	}
 }
 
@@ -55,7 +66,7 @@ func TestIndicatorGEZeroCoefBigM(t *testing.T) {
 	wantObj(t, res, 1)
 }
 
-// TestAccessors covers the read-only model view the modelcheck adapter in
+// TestAccessors covers the read-only model view the model-check catalogue in
 // internal/metaopt's tests walks.
 func TestAccessors(t *testing.T) {
 	m := NewModel()

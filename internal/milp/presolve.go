@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"raha/internal/conc"
-	"raha/internal/modelcheck"
 	"raha/internal/tol"
 )
 
@@ -13,8 +12,8 @@ import (
 // solutions back into the caller's variable space, and the per-node domain
 // propagation engine branch and bound runs after every branch. All three
 // share one primitive — activity-based bound tightening over a row
-// (tightenFromRow) — built on the same interval arithmetic the modelcheck
-// diagnostic pass uses (modelcheck.Activity / TermBounds).
+// (tightenFromRow) — built on the model's one interval arithmetic
+// (activity / termBounds, which Model.ExprBounds uses too).
 const (
 	// presolveBoundEps is the outward safety margin applied to every derived
 	// continuous bound, so floating-point error in the activity sums can
@@ -43,8 +42,8 @@ func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
 
 // rowActivity accumulates the activity interval of a row's terms under the
 // bound vectors lo/hi.
-func rowActivity(terms []Term, lo, hi []float64) modelcheck.Activity {
-	var act modelcheck.Activity
+func rowActivity(terms []Term, lo, hi []float64) activity {
+	var act activity
 	for _, t := range terms {
 		act.Add(t.C, lo[t.V], hi[t.V])
 	}
@@ -116,7 +115,7 @@ func applyLower(v Var, b float64, lo, hi []float64, isInt []bool, onTighten func
 // (the fixpoint loop and the propagation queue recover the slack).
 func tightenFromRow(terms []Term, rel Rel, rhs float64, lo, hi []float64, isInt []bool, onTighten func(Var)) bool {
 	if !finite(rhs) {
-		return true // leave non-finite rows to modelcheck / the LP
+		return true // leave non-finite rows to the LP
 	}
 	act := rowActivity(terms, lo, hi)
 	if act.NaN {
@@ -131,7 +130,7 @@ func tightenFromRow(terms []Term, rel Rel, rhs float64, lo, hi []float64, isInt 
 			if t.C == 0 {
 				continue
 			}
-			tl, _ := modelcheck.TermBounds(t.C, lo[t.V], hi[t.V])
+			tl, _ := termBounds(t.C, lo[t.V], hi[t.V])
 			res, ok := act.ResidualLo(tl)
 			if !ok {
 				continue
@@ -164,7 +163,7 @@ func tightenFromRow(terms []Term, rel Rel, rhs float64, lo, hi []float64, isInt 
 			if t.C == 0 {
 				continue
 			}
-			_, th := modelcheck.TermBounds(t.C, lo[t.V], hi[t.V])
+			_, th := termBounds(t.C, lo[t.V], hi[t.V])
 			res, ok := act.ResidualHi(th)
 			if !ok {
 				continue
@@ -331,7 +330,7 @@ func (sc *presolveScratch) presolve(m *Model) *presolveResult {
 	sc.rows = rows
 
 	// Integer bound rounding: the feasible integers of [lo, hi] are
-	// [ceil(lo), floor(hi)] (the modelcheck int-bounds diagnostic, applied).
+	// [ceil(lo), floor(hi)] (the model check's int-bounds diagnostic, applied).
 	for v := 0; v < n; v++ {
 		if !isInt[v] {
 			continue
@@ -581,7 +580,7 @@ func tightenCoefficients(rows []prow, lo, hi []float64, isInt []bool, res *preso
 			if t.C == 0 || !isInt[v] || lo[v] != 0 || hi[v] != 1 {
 				continue // binaries with their full {0,1} box only
 			}
-			tl, th := modelcheck.TermBounds(t.C, lo[v], hi[v])
+			tl, th := termBounds(t.C, lo[v], hi[v])
 			if r.rel == LE {
 				restHi, ok := act.ResidualHi(th)
 				if !ok {
